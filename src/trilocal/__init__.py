@@ -28,10 +28,6 @@ from .families import (
     RegularFamily,
     ScaledFamily,
     TensorFreeFamily,
-    bim_add,
-    bim_apply,
-    bim_basis,
-    bim_factor_p,
     family_from_json,
 )
 from .fracloc import (
@@ -54,7 +50,7 @@ from .linalg import (
     smith_normal_form,
     solve_left,
 )
-from .matrixloc import Matrix2, m2_arith, rho_matrix, verify_sigma_inverting
+from .matrixloc import Matrix2, rho_matrix, verify_sigma_inverting
 from .modloc import (
     LocalizedModule,
     Presentation,
@@ -75,12 +71,8 @@ from .rings import (
     QQ,
     RationalField,
     ZZ,
-    free_mul,
-    kadic_normalize,
     norm_scalar,
-    poly_mul,
     scalar_add,
-    scalar_arith,
     scalar_mul,
     scalar_neg,
 )
@@ -96,7 +88,6 @@ from .triangular import (
     sigma_apply,
     tri_add,
     tri_mul,
-    triple_action,
     triple_from_json,
     triple_to_json,
 )

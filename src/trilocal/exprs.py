@@ -5,8 +5,14 @@ Grammar (whitespace is insignificant)::
     expr   := ["-"] term (("+"|"-") term)*
     term   := factor ("*" factor)*
     factor := atom ("^" nat)*
-    atom   := lit | "x[" melem "]" | "(" expr ")"
+    atom   := lit | letter | "(" expr ")"
     lit    := nat | nat "/" nat          (rationals only over Q coefficients)
+
+Parentheses nest at most MAX_NESTING (200) deep.  The letter atom
+depends on the ring the text denotes::
+
+    T(M,p)             "x[" melem "]"
+    A or B             a generator name of that ring (Z and Q have none)
 
 The melem literal is family specific::
 
@@ -16,7 +22,10 @@ The melem literal is family specific::
     hnn-free           "h(" word ")"  or  "h(" word "," word ")"
     word               "1" | ident ("*" ident)*
 
-Printing a normal form and re-parsing it yields an equal element.
+An element of M is a signed sum of melems, each optionally preceded by
+``lit "*"``; for regular and scaled, whose melem is itself a lit, a
+bare lit is the melem.  Printing a normal form and re-parsing it yields
+an equal element.
 """
 
 from __future__ import annotations
@@ -24,10 +33,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from .rings import FreeAlgebraElement, norm_scalar, scalar_str
-from .rings import scalar_add, scalar_mul
-from .tring import Add, Const, Gen, Mul, Neg, Pow, t_normalize, word_key
+from .rings import norm_scalar, scalar_str
+from .tring import Add, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize
+
+MAX_NESTING = 200
 
 
 class _Token:
@@ -78,11 +87,19 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, family, text):
+    """Recursive descent over one text.
+
+    gens is None for an element of T(M,p), whose letters are x[melem];
+    for an element of A or B it holds the ring's generator names, which
+    parse to Gen(index).
+    """
+
+    def __init__(self, family, text, gens=None):
         self.family = family
-        self.text = text
+        self.gens = gens
         self.tokens = _tokenize(text)
         self.i = 0
+        self.depth = 0
 
     # -- token plumbing -----------------------------------------------------
     def peek(self):
@@ -100,10 +117,26 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {what}", tok.pos)
         return tok
 
+    def expect_call(self, name, message):
+        """Consume `name(`, the head of a melem like t(...) or h(...)."""
+        tok = self.next()
+        if tok.kind != "ident" or tok.value != name:
+            raise ParseError(message, tok.pos)
+        self.expect("(")
+
     def fail(self, message):
         raise ParseError(message, self.peek().pos)
 
     # -- grammar -------------------------------------------------------------
+    def parse_all(self):
+        node = self.parse_expr()
+        self.end()
+        return node
+
+    def end(self):
+        if self.peek().kind != "eof":
+            self.fail(f"unexpected trailing input {self.peek().value!r}")
+
     def parse_expr(self):
         negate = False
         if self.peek().kind == "-":
@@ -138,17 +171,28 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             return Const(self.parse_lit())
+        if tok.kind == "(":
+            self.next()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", tok.pos)
+            node = self.parse_expr()
+            self.expect(")")
+            self.depth -= 1
+            return node
+        if self.gens is not None:
+            if tok.kind != "ident":
+                self.fail(f"expected a literal, generator or parenthesized expression, found {tok.value!r}")
+            if tok.value not in self.gens:
+                raise ParseError(f"unknown generator {tok.value!r}", tok.pos)
+            self.next()
+            return Gen(self.gens.index(tok.value))
         if tok.kind == "ident" and tok.value == "x" and self.tokens[self.i + 1].kind == "[":
             self.next()
             self.next()
-            m = self.parse_melem()
+            m = self.family.parse_melem(self)
             self.expect("]")
             return Gen(m)
-        if tok.kind == "(":
-            self.next()
-            node = self.parse_expr()
-            self.expect(")")
-            return node
         self.fail(f"expected a literal, x[...] or parenthesized expression, found {tok.value!r}")
 
     def parse_lit(self):
@@ -170,43 +214,6 @@ class _Parser:
             return -self.parse_lit()
         return self.parse_lit()
 
-    # -- melem literals -------------------------------------------------------
-    def parse_melem(self):
-        fam = self.family
-        if isinstance(fam, (RegularFamily, ScaledFamily)):
-            return fam.canon_m(self.parse_signed_lit())
-        if isinstance(fam, DoubleFamily):
-            self.expect("(")
-            m1 = self.parse_signed_lit()
-            self.expect(",")
-            m2 = self.parse_signed_lit()
-            self.expect(")")
-            return fam.canon_m((m1, m2))
-        if isinstance(fam, TensorFreeFamily):
-            tok = self.next()
-            if tok.kind != "ident" or tok.value != "t":
-                raise ParseError("tensor-free melem must be t(aword,bword)", tok.pos)
-            self.expect("(")
-            wa = self.parse_word(fam.a_gens, "A")
-            self.expect(",")
-            wb = self.parse_word(fam.b_gens, "B")
-            self.expect(")")
-            return {(wa, wb): 1}
-        if isinstance(fam, HnnFreeFamily):
-            tok = self.next()
-            if tok.kind != "ident" or tok.value != "h":
-                raise ParseError("hnn-free melem must be h(word) or h(word,word)", tok.pos)
-            self.expect("(")
-            w1 = self.parse_word(fam.a_gens, "A")
-            if self.peek().kind == ",":
-                self.next()
-                w2 = self.parse_word(fam.a_gens, "A")
-                self.expect(")")
-                return (fam.a_ring.zero(), {(w1, w2): 1})
-            self.expect(")")
-            return (fam.a_ring.word(w1), {})
-        self.fail(f"no melem syntax for family {fam.kind}")
-
     def parse_word(self, gens, side):
         tok = self.peek()
         if tok.kind == "int" and tok.value == 1:
@@ -226,17 +233,10 @@ class _Parser:
             break
         return tuple(letters)
 
-    def finished(self):
-        return self.peek().kind == "eof"
-
 
 def parse_element(family, text):
     """Parse text into a raw expression tree over the family."""
-    p = _Parser(family, text)
-    node = p.parse_expr()
-    if not p.finished():
-        p.fail(f"unexpected trailing input {p.peek().value!r}")
-    return node
+    return _Parser(family, text).parse_all()
 
 
 def parse_normal(family, text, budget=None):
@@ -289,119 +289,11 @@ def format_oracle(family, value):
 
 
 def parse_ring_element(family, component, text):
-    """Parse an element of A or B (scalar or free-algebra expression)."""
+    """Parse an element of A or B: the grammar with its generator names as letters."""
     ring = family.a_ring if component == "A" else family.b_ring
-    if isinstance(family, (RegularFamily, DoubleFamily, ScaledFamily)):
-        return _parse_scalar_expr(family, text)
-    return _parse_free_expr(family, ring, text)
-
-
-def _parse_scalar_expr(family, text):
-    p = _Parser(family, text)
-    value = _eval_scalar(p, family, p.parse_expr())
-    if not p.finished():
-        p.fail(f"unexpected trailing input {p.peek().value!r}")
-    return value
-
-
-def _eval_scalar(p, family, node):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Neg):
-        return -_eval_scalar(p, family, node.item)
-    if isinstance(node, Add):
-        total = 0
-        for item in node.items:
-            total = scalar_add(total, _eval_scalar(p, family, item))
-        return total
-    if isinstance(node, Mul):
-        total = 1
-        for item in node.items:
-            total = scalar_mul(total, _eval_scalar(p, family, item))
-        return total
-    if isinstance(node, Pow):
-        return _eval_scalar(p, family, node.base) ** node.exponent
-    raise ParseError("generator letters are not scalars", 0)
-
-
-def _parse_free_expr(family, ring, text):
-    """Free-algebra expression: idents are generators, lits are constants."""
-    tokens = _tokenize(text)
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
-
-    def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
-
-    def expect(kind):
-        tok = advance()
-        if tok.kind != kind:
-            raise ParseError(f"expected {kind!r}, found {tok.value!r}", tok.pos)
-        return tok
-
-    def atom():
-        tok = peek()
-        if tok.kind == "int":
-            advance()
-            value = tok.value
-            if peek().kind == "/":
-                if family.coeff != "Q":
-                    raise ParseError("rational literal not allowed over integer coefficients", peek().pos)
-                advance()
-                den = expect("int")
-                value = norm_scalar(Fraction(value, den.value))
-            return FreeAlgebraElement.constant(ring.base, ring.gens, value)
-        if tok.kind == "ident":
-            advance()
-            if tok.value not in ring.gens:
-                raise ParseError(f"unknown generator {tok.value!r}", tok.pos)
-            return ring.generator(ring.gens.index(tok.value))
-        if tok.kind == "(":
-            advance()
-            node = expr()
-            expect(")")
-            return node
-        raise ParseError(f"expected a literal, generator or parenthesized expression, found {tok.value!r}", tok.pos)
-
-    def factor():
-        node = atom()
-        while peek().kind == "^":
-            advance()
-            tok = expect("int")
-            out = ring.one()
-            for _ in range(tok.value):
-                out = out * node
-            node = out
-        return node
-
-    def term():
-        node = factor()
-        while peek().kind == "*":
-            advance()
-            node = node * factor()
-        return node
-
-    def expr():
-        negate = peek().kind == "-"
-        if negate:
-            advance()
-        node = term()
-        if negate:
-            node = -node
-        while peek().kind in ("+", "-"):
-            op = advance().kind
-            rhs = term()
-            node = node - rhs if op == "-" else node + rhs
-        return node
-
-    out = expr()
-    if peek().kind != "eof":
-        raise ParseError(f"unexpected trailing input {peek().value!r}", peek().pos)
-    return out
+    tree = _Parser(family, text, ring.gens).parse_all()
+    # Z and Q have no gens, so no Gen node and no generator method to look up
+    return eval_tree(tree, ring, ring.from_int, lambda i: ring.generator(i))
 
 
 def parse_bim_element(family, text):
@@ -410,14 +302,11 @@ def parse_bim_element(family, text):
     total = family.zero_m()
 
     def melem_term():
-        tok = p.peek()
-        if tok.kind == "int" and isinstance(family, (RegularFamily, ScaledFamily)):
-            return family.canon_m(p.parse_lit())
         coeff = 1
-        if tok.kind == "int":
+        if p.peek().kind == "int" and not family.scalar_melem:
             coeff = p.parse_lit()
             p.expect("*")
-        m = p.parse_melem()
+        m = family.parse_melem(p)
         return family.scale_m(coeff, m) if coeff != 1 else m
 
     negate = p.peek().kind == "-"
@@ -429,10 +318,5 @@ def parse_bim_element(family, text):
         op = p.next().kind
         m = melem_term()
         total = family.add_m(total, family.neg_m(m) if op == "-" else m)
-    if not p.finished():
-        p.fail(f"unexpected trailing input {p.peek().value!r}")
+    p.end()
     return total
-
-
-def sort_words(family, words):
-    return sorted(words, key=lambda w: word_key(family, w))

@@ -1,9 +1,11 @@
 """Computable (A,B)-bimodule families with a distinguished element p.
 
 A family bundles the rings A and B, the bimodule M, the element p, and
-the hooks the rewriting engine needs: exact p-factorization, expansion
-of a bimodule element into canonical generator letters, and the map to
-the family's oracle ring.
+everything else particular to the family: exact p-factorization,
+expansion of a bimodule element into canonical generator letters, the
+map to the family's oracle ring, the melem syntax of the expression
+grammar, and the rings that present T where modules and fractions are
+computed.
 
 Shipped kinds:
 
@@ -34,6 +36,7 @@ from .rings import (
     PolynomialRing,
     QQ,
     ZZ,
+    add_term,
     norm_scalar,
     scalar_add,
     scalar_mul,
@@ -60,6 +63,15 @@ class BimoduleFamily:
     """Shared behaviour; concrete families fill in the hooks."""
 
     kind = None
+    # a melem is a bare literal, so a leading literal in a bimodule sum is
+    # the element itself rather than its coefficient
+    scalar_melem = False
+    # the ring presenting T for module localization, when it has
+    # computable canonical diagonal forms
+    t_ring = None
+    # k with T = Z[1/k] inside Q and x_m = m/k, for fraction forms and the
+    # evaluation morphism into Q
+    rational_k = None
 
     # -- identity ---------------------------------------------------------
     def key(self):
@@ -113,11 +125,16 @@ class BimoduleFamily:
     def scaled_p_variant(self, a0):
         raise UnsupportedFamilyError(f"changing p is not supported for {self.kind}")
 
+    def terms_with_value(self, frac):
+        """Normal-form terms of the element of T with rational value frac, or None."""
+        raise UnsupportedFamilyError(f"fraction forms are not supported for {self.kind}")
+
 
 class RegularFamily(BimoduleFamily):
     """A = B = M with the multiplication bimodule structure and p = 1."""
 
     kind = "regular"
+    scalar_melem = True
 
     def __init__(self, ring="Z"):
         if ring not in ("Z", "Q"):
@@ -126,6 +143,9 @@ class RegularFamily(BimoduleFamily):
         self.coeff = ring
         self.a_ring = self.b_ring = ZZ if ring == "Z" else QQ
         self.oracle = self.a_ring
+        if ring == "Z":
+            self.t_ring = self.oracle
+            self.rational_k = 1
 
     def key(self):
         return ("regular", self.ring)
@@ -164,6 +184,9 @@ class RegularFamily(BimoduleFamily):
 
     def fmt_m(self, m):
         return scalar_str(m)
+
+    def parse_melem(self, p):
+        return self.canon_m(p.parse_signed_lit())
 
     def factor_p(self, m):
         return PFactorization(left=m, right=m, split=(((m, 1),), 0))
@@ -222,6 +245,11 @@ class RegularFamily(BimoduleFamily):
             return self
         return ScaledFamily(a0)
 
+    def terms_with_value(self, frac):
+        if frac.denominator != 1:
+            return None
+        return {(): int(frac)} if frac else {}
+
 
 class DoubleFamily(BimoduleFamily):
     """A = B, M = A + A componentwise, p = (1, 0); T is A[x]."""
@@ -235,6 +263,8 @@ class DoubleFamily(BimoduleFamily):
         self.coeff = ring
         self.a_ring = self.b_ring = ZZ if ring == "Z" else QQ
         self.oracle = PolynomialRing(ring)
+        if ring == "Q":
+            self.t_ring = self.oracle
 
     def key(self):
         return ("double", self.ring)
@@ -274,6 +304,14 @@ class DoubleFamily(BimoduleFamily):
 
     def fmt_m(self, m):
         return f"({scalar_str(m[0])},{scalar_str(m[1])})"
+
+    def parse_melem(self, p):
+        p.expect("(")
+        m1 = p.parse_signed_lit()
+        p.expect(",")
+        m2 = p.parse_signed_lit()
+        p.expect(")")
+        return self.canon_m((m1, m2))
 
     def factor_p(self, m):
         m1, m2 = self.canon_m(m)
@@ -338,6 +376,7 @@ class ScaledFamily(BimoduleFamily):
     """A = B = M = Z with p = k >= 2; T is Z[1/k]."""
 
     kind = "scaled"
+    scalar_melem = True
 
     def __init__(self, k):
         if not isinstance(k, int) or k < 2:
@@ -345,7 +384,8 @@ class ScaledFamily(BimoduleFamily):
         self.k = k
         self.coeff = "Z"
         self.a_ring = self.b_ring = ZZ
-        self.oracle = KadicRing(k)
+        self.oracle = self.t_ring = KadicRing(k)
+        self.rational_k = k
 
     def key(self):
         return ("scaled", self.k)
@@ -382,6 +422,9 @@ class ScaledFamily(BimoduleFamily):
 
     def fmt_m(self, m):
         return str(m)
+
+    def parse_melem(self, p):
+        return self.canon_m(p.parse_signed_lit())
 
     def factor_p(self, m):
         if m % self.k == 0:
@@ -463,6 +506,12 @@ class ScaledFamily(BimoduleFamily):
             return self
         return ScaledFamily(a0 * self.k)
 
+    def terms_with_value(self, frac):
+        value = self.oracle.from_fraction(frac)
+        if value is None:
+            return None
+        return {(self._G,) * value.exp: value.num} if value.num else {}
+
 
 def _canon_tensor(terms):
     out = {}
@@ -524,13 +573,9 @@ class TensorFreeFamily(BimoduleFamily):
         return out
 
     def add_m(self, m1, m2):
-        out = dict(self.canon_m(m1))
+        out = self.canon_m(m1)
         for key, c in self.canon_m(m2).items():
-            s = scalar_add(out.get(key, 0), c)
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
+            add_term(out, key, c)
         return out
 
     def neg_m(self, m):
@@ -541,12 +586,7 @@ class TensorFreeFamily(BimoduleFamily):
         for wa1, c1 in a.terms.items():
             for (wa, wb), c2 in self.canon_m(m).items():
                 for wb1, c3 in b.terms.items():
-                    key = (wa1 + wa, wb + wb1)
-                    s = scalar_add(out.get(key, 0), scalar_mul(scalar_mul(c1, c2), c3))
-                    if s == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    add_term(out, (wa1 + wa, wb + wb1), scalar_mul(scalar_mul(c1, c2), c3))
         return out
 
     def scale_m(self, c, m):
@@ -579,6 +619,14 @@ class TensorFreeFamily(BimoduleFamily):
         for piece in parts[1:]:
             out += piece if piece.startswith("-") else "+" + piece
         return out
+
+    def parse_melem(self, p):
+        p.expect_call("t", "tensor-free melem must be t(aword,bword)")
+        wa = p.parse_word(self.a_gens, "A")
+        p.expect(",")
+        wb = p.parse_word(self.b_gens, "B")
+        p.expect(")")
+        return {(wa, wb): 1}
 
     def factor_p(self, m):
         m = self.canon_m(m)
@@ -714,15 +762,10 @@ class HnnFreeFamily(BimoduleFamily):
         return (a, out)
 
     def add_m(self, m1, m2):
-        a1, t1 = self.canon_m(m1)
+        a1, t = self.canon_m(m1)
         a2, t2 = self.canon_m(m2)
-        t = dict(t1)
         for key, c in t2.items():
-            s = scalar_add(t.get(key, 0), c)
-            if s == 0:
-                t.pop(key, None)
-            else:
-                t[key] = s
+            add_term(t, key, c)
         return (a1 + a2, t)
 
     def neg_m(self, m):
@@ -735,12 +778,7 @@ class HnnFreeFamily(BimoduleFamily):
         for wa1, c1 in a.terms.items():
             for (u, v), c2 in mt.items():
                 for wb1, c3 in b.terms.items():
-                    key = (wa1 + u, v + wb1)
-                    s = scalar_add(t.get(key, 0), scalar_mul(scalar_mul(c1, c2), c3))
-                    if s == 0:
-                        t.pop(key, None)
-                    else:
-                        t[key] = s
+                    add_term(t, (wa1 + u, v + wb1), scalar_mul(scalar_mul(c1, c2), c3))
         return (a * ma * b, t)
 
     def scale_m(self, c, m):
@@ -778,6 +816,17 @@ class HnnFreeFamily(BimoduleFamily):
         if c == -1:
             return f"-{body}"
         return f"{scalar_str(c)}*{body}"
+
+    def parse_melem(self, p):
+        p.expect_call("h", "hnn-free melem must be h(word) or h(word,word)")
+        w1 = p.parse_word(self.a_gens, "A")
+        if p.peek().kind == ",":
+            p.next()
+            w2 = p.parse_word(self.a_gens, "A")
+            p.expect(")")
+            return (self.a_ring.zero(), {(w1, w2): 1})
+        p.expect(")")
+        return (self.a_ring.word(w1), {})
 
     def factor_p(self, m):
         a, t = self.canon_m(m)
@@ -901,20 +950,15 @@ def family_from_json(data):
         raise SchemaError(str(exc)) from exc
 
 
-def bim_apply(family, a, m, b):
-    return family.apply(a, m, b)
-
-
-def bim_add(family, m1, m2):
-    return family.add_m(m1, m2)
-
-
-def bim_factor_p(family, m):
-    return family.factor_p(m)
-
-
-def bim_basis(family):
-    return family.basis()
+def shipped_families():
+    """The five acceptance instances, in a fixed order."""
+    return [
+        RegularFamily("Z"),
+        DoubleFamily("Q"),
+        TensorFreeFamily("Q", ("s",), ("u",)),
+        HnnFreeFamily("Q", ("s",), "x"),
+        ScaledFamily(2),
+    ]
 
 
 def verify_factorization(family, m):

@@ -17,15 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedFamilyError
-from .families import RegularFamily, ScaledFamily
 from .report import Report
+from .rings import QQ
 from .tring import (
-    Add,
-    Const,
     EqResult,
-    Gen,
-    Mul,
     TElement,
+    eval_tree,
     family_iso,
     t_eq,
     t_generator,
@@ -102,14 +99,12 @@ class CentralPair:
         """
         target = self.target_family()
         target.check_same(e.family)
-        source_oracle = self.family.oracle
-        value = family_iso(e)
-        frac = _as_fraction(value)
+        frac = _as_fraction(family_iso(e))
         r = 0
         while True:
-            candidate = frac * Fraction(_a0_int(self.a0)) ** r
-            alpha = _element_with_value(self.family, source_oracle, candidate)
-            if alpha is not None:
+            terms = self.family.terms_with_value(frac * Fraction(_a0_int(self.a0)) ** r)
+            if terms is not None:
+                alpha = TElement(self.family, terms)
                 break
             r += 1
         reassembled = t_mul(self.induced(alpha), self.old_p_in_target() ** r)
@@ -250,33 +245,10 @@ def factor_inverting_hom(pair, hom, f_inv, e):
 
 def rational_value_hom(family):
     """The evaluation morphism into Q for the Z-based shipped families."""
-    if isinstance(family, RegularFamily) and family.ring == "Z":
-        return LetterHom(family, _QRing(), lambda m: Fraction(m), lambda c: Fraction(c))
-    if isinstance(family, ScaledFamily):
-        k = family.k
-        return LetterHom(family, _QRing(), lambda m: Fraction(m, k), lambda c: Fraction(c))
-    raise UnsupportedFamilyError(f"no rational evaluation for {family.kind}")
-
-
-class _QRing:
-    """Q as a plain ring object over Fraction values."""
-
-    name = "Q"
-
-    def zero(self):
-        return Fraction(0)
-
-    def one(self):
-        return Fraction(1)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
+    k = family.rational_k
+    if k is None:
+        raise UnsupportedFamilyError(f"no rational evaluation for {family.kind}")
+    return LetterHom(family, QQ, lambda m: Fraction(m, k), Fraction)
 
 
 # -- helpers -----------------------------------------------------------------
@@ -293,23 +265,6 @@ def _a0_int(a0):
     return a0
 
 
-def _element_with_value(family, oracle, frac):
-    """Source element with the given oracle value, or None if outside."""
-    if isinstance(family, RegularFamily):
-        if frac.denominator != 1:
-            return None
-        return TElement.from_scalar(family, int(frac))
-    if isinstance(family, ScaledFamily):
-        value = oracle.from_fraction(frac)
-        if value is None:
-            return None
-        if value.num == 0:
-            return TElement.zero(family)
-        word = (family._G,) * value.exp
-        return TElement(family, {word: value.num})
-    raise UnsupportedFamilyError(f"fraction forms are not supported for {family.kind}")
-
-
 def two_order_agreement(pair, hom, f_inv, expr, budget=10 ** 6):
     """Evaluate the factored map on a raw expression two independent ways.
 
@@ -318,37 +273,9 @@ def two_order_agreement(pair, hom, f_inv, expr, budget=10 ** 6):
     on random expressions mirrors the uniqueness of the factorization.
     """
     target = pair.target_family()
-    normalized = t_normalize(target, expr, budget)
-    via_normal = factor_inverting_hom(pair, hom, f_inv, normalized)
-    via_tree = _eval_expr_in_s(pair, hom, f_inv, expr)
-    return hom.s_ring.eq(via_normal, via_tree), via_normal, via_tree
-
-
-def _eval_expr_in_s(pair, hom, f_inv, expr):
     rg = hom.s_ring
-    if isinstance(expr, Const):
-        return hom.scalar_image(expr.value)
-    if isinstance(expr, Gen):
-        return rg.mul(f_inv, hom.generator_image(pair.target_family().canon_m(expr.element)))
-    if isinstance(expr, Add):
-        total = rg.zero()
-        for item in expr.items:
-            total = rg.add(total, _eval_expr_in_s(pair, hom, f_inv, item))
-        return total
-    if isinstance(expr, Mul):
-        total = rg.one()
-        for item in expr.items:
-            total = rg.mul(total, _eval_expr_in_s(pair, hom, f_inv, item))
-        return total
-    from .tring import Neg, Pow
-
-    if isinstance(expr, Neg):
-        inner = _eval_expr_in_s(pair, hom, f_inv, expr.item)
-        return rg.mul(hom.scalar_image(-1), inner)
-    if isinstance(expr, Pow):
-        base = _eval_expr_in_s(pair, hom, f_inv, expr.base)
-        total = rg.one()
-        for _ in range(expr.exponent):
-            total = rg.mul(total, base)
-        return total
-    raise TypeError(f"not an expression node: {expr!r}")
+    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(target, expr, budget))
+    via_tree = eval_tree(
+        expr, rg, hom.scalar_image, lambda m: rg.mul(f_inv, hom.generator_image(target.canon_m(m)))
+    )
+    return rg.eq(via_normal, via_tree), via_normal, via_tree

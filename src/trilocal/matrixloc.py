@@ -101,14 +101,6 @@ class Matrix2:
         return f"Matrix2{self.fmt()}"
 
 
-def m2_arith(op, x, y):
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    raise ValueError(f"op must be add or mul, got {op!r}")
-
-
 def rho_matrix(r, rho_maps=None):
     """Image of a triangular element in the 2x2 matrix ring over T.
 

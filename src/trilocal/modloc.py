@@ -23,7 +23,6 @@ from __future__ import annotations
 import random
 
 from .errors import UnsupportedFamilyError
-from .families import DoubleFamily, RegularFamily, ScaledFamily
 from .linalg import Matrix, diagonal_form, in_row_span
 from .report import Report
 from .tring import family_iso, t_generator
@@ -31,15 +30,11 @@ from .tring import family_iso, t_generator
 
 def t_ring_of(family):
     """The computable ring presenting T, or raise for unsupported families."""
-    if isinstance(family, RegularFamily) and family.ring == "Z":
-        return family.oracle
-    if isinstance(family, ScaledFamily):
-        return family.oracle
-    if isinstance(family, DoubleFamily) and family.ring == "Q":
-        return family.oracle
-    raise UnsupportedFamilyError(
-        f"module localization supports regular-Z, scaled and double-Q, not {family.describe()}"
-    )
+    if family.t_ring is None:
+        raise UnsupportedFamilyError(
+            f"module localization supports regular-Z, scaled and double-Q, not {family.describe()}"
+        )
+    return family.t_ring
 
 
 class Presentation:

@@ -44,15 +44,16 @@ def scalar_neg(a):
     return -a
 
 
-def scalar_arith(op, a, b=None):
-    """Dispatch add/mul/neg with canonical results."""
-    if op == "add":
-        return scalar_add(a, b)
-    if op == "mul":
-        return scalar_mul(a, b)
-    if op == "neg":
-        return scalar_neg(a)
-    raise ValueError(f"op must be add, mul or neg, got {op!r}")
+def add_term(terms, key, c):
+    """Add the scalar c to terms[key] in place; drop the key when the sum is zero.
+
+    Only for a term map the caller has just built, never an element's own.
+    """
+    s = scalar_add(terms.get(key, 0), c)
+    if s == 0:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
 
 
 def scalar_str(x):
@@ -150,11 +151,6 @@ class KadicFraction:
     def __str__(self):
         f = self.as_fraction()
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def kadic_normalize(k, numerator, r):
-    """Canonical k-adic form of numerator / k**r."""
-    return KadicFraction(k, numerator, r)
 
 
 class Polynomial:
@@ -291,10 +287,6 @@ class Polynomial:
         return f"Polynomial({self.ring!r}, {list(self.coeffs)!r})"
 
 
-def poly_mul(e1, e2):
-    return e1 * e2
-
-
 def word_key(word):
     """Length-then-lexicographic sort key for free-algebra words."""
     return (len(word), word)
@@ -360,11 +352,7 @@ class FreeAlgebraElement:
         self._check(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = scalar_add(terms.get(w, 0), c)
-            if s == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
+            add_term(terms, w, c)
         return FreeAlgebraElement(self.ring, self.gens, terms)
 
     def __neg__(self):
@@ -378,12 +366,7 @@ class FreeAlgebraElement:
         terms = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
-                w = w1 + w2
-                s = scalar_add(terms.get(w, 0), scalar_mul(c1, c2))
-                if s == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = s
+                add_term(terms, w1 + w2, scalar_mul(c1, c2))
         return FreeAlgebraElement(self.ring, self.gens, terms)
 
     def scale(self, c):
@@ -414,19 +397,17 @@ class FreeAlgebraElement:
         return f"FreeAlgebraElement({self.ring!r}, {self.gens!r}, {self.terms!r})"
 
 
-def free_mul(e1, e2):
-    return e1 * e2
-
-
 # ---------------------------------------------------------------------------
 # Ring protocol objects.  A ring object bundles the operations the linear
 # algebra and localization layers need, with plain elements (int, Fraction,
-# KadicFraction, Polynomial) as data.
+# KadicFraction, Polynomial) as data.  The rings A and B also expose gens,
+# the generator names an A/B expression may use (none for Z and Q).
 # ---------------------------------------------------------------------------
 
 class IntegerRing:
     name = "Z"
     is_field = False
+    gens = ()
 
     def zero(self):
         return 0
@@ -481,6 +462,7 @@ class IntegerRing:
 class RationalField:
     name = "Q"
     is_field = True
+    gens = ()
 
     def zero(self):
         return 0

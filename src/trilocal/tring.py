@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 from .errors import BudgetExceededError
-from .rings import norm_scalar, scalar_add, scalar_mul
+from .rings import add_term, scalar_mul
 
 
 class Budget:
@@ -127,13 +128,8 @@ def word_key(family, word):
 def _merge_term(family, terms, word, coeff, budget=None):
     """Fold one (coeff, word) pair into a term map, canonically."""
     coeff, word = family.fold_term(coeff, word)
-    if coeff == 0:
-        return
-    s = scalar_add(terms.get(word, 0), coeff)
-    if s == 0:
-        terms.pop(word, None)
-    else:
-        terms[word] = norm_scalar(s)
+    if coeff != 0:
+        add_term(terms, word, coeff)
 
 
 def _refold(family, terms):
@@ -159,11 +155,7 @@ def t_add(e1, e2):
     e1.family.check_same(e2.family)
     terms = dict(e1.terms)
     for word, coeff in e2.terms.items():
-        s = scalar_add(terms.get(word, 0), coeff)
-        if s == 0:
-            terms.pop(word, None)
-        else:
-            terms[word] = norm_scalar(s)
+        add_term(terms, word, coeff)
     return TElement(e1.family, _refold(e1.family, terms))
 
 
@@ -282,7 +274,7 @@ class Const:
 
 @dataclass(frozen=True)
 class Gen:
-    element: object  # bimodule element, canonicalized by the family
+    element: object  # bimodule element m of x_m; in an A/B expression, a generator index
 
 
 @dataclass(frozen=True)
@@ -304,6 +296,38 @@ class Neg:
 class Pow:
     base: object
     exponent: int
+
+
+def eval_tree(expr, ring, const, gen):
+    """Value of an expression tree in a ring object (add, mul, neg, one).
+
+    const maps a Const value into the ring and gen a Gen element; powers
+    are taken by square-and-multiply.
+    """
+
+    def value(node):
+        if isinstance(node, Const):
+            return const(node.value)
+        if isinstance(node, Gen):
+            return gen(node.element)
+        if isinstance(node, Add):
+            return reduce(ring.add, map(value, node.items))
+        if isinstance(node, Mul):
+            return reduce(ring.mul, map(value, node.items))
+        if isinstance(node, Neg):
+            return ring.neg(value(node.item))
+        if isinstance(node, Pow):
+            base, n, out = value(node.base), node.exponent, ring.one()
+            while n:
+                if n & 1:
+                    out = ring.mul(out, base)
+                n >>= 1
+                if n:
+                    base = ring.mul(base, base)
+            return out
+        raise TypeError(f"not an expression node: {node!r}")
+
+    return value(expr)
 
 
 def t_normalize(family, expr, budget=DEFAULT_BUDGET):

@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
@@ -24,6 +26,8 @@ def run_cli(*args, cwd=None):
 SCALED = '{"kind":"scaled","k":2}'
 DOUBLE = '{"kind":"double","ring":"Q"}'
 REGULAR = '{"kind":"regular","ring":"Z"}'
+TENSOR = '{"kind":"tensor-free"}'
+HNN = '{"kind":"hnn-free"}'
 
 
 class TestNormalize:
@@ -167,3 +171,38 @@ class TestGrammarRoundTripViaCli:
         doc = json.loads(first.stdout)
         second = run_cli("normalize", "--family", DOUBLE, "--expr", doc["normal_form"], "--format", "json")
         assert json.loads(second.stdout)["normal_form"] == doc["normal_form"]
+
+
+def _bad_spec(entry_rels, entry_f):
+    return {
+        "family": {"kind": "regular", "ring": "Z"},
+        "NA": {"gens": 1, "rels": [[entry_rels]]},
+        "NB": {"gens": 1, "rels": []},
+        "f": {"1": [[entry_f]]},
+    }
+
+
+class TestMalformedInputExit2:
+    DEEP = 5000
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["normalize", "--family", SCALED, "--expr", "(" * DEEP + "x[3]" + ")" * DEEP], "nest deeper"),
+            (["rho", "--family", TENSOR, "--component", "A", "--value", "(" * DEEP + "s" + ")" * DEEP], "nest deeper"),
+            (["rho", "--family", TENSOR, "--component", "A", "--value", "1/0"], "zero denominator"),
+            (["rho", "--family", HNN, "--component", "A", "--value", "1/0"], "zero denominator"),
+            (["localize-module", "--spec", _bad_spec("1/0", 1)], "'1/0'"),
+            (["localize-module", "--spec", _bad_spec(0, "a/b")], "'a/b'"),
+        ],
+        ids=["nested-normalize", "nested-rho-a", "zero-den-tensor", "zero-den-hnn", "spec-1/0", "spec-a/b"],
+    )
+    def test_one_line_error(self, argv, message, tmp_path):
+        if argv[0] == "localize-module":
+            spec = tmp_path / "bad.json"
+            spec.write_text(json.dumps(argv[2]))
+            argv = argv[:2] + [str(spec)]
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert message in out.stderr

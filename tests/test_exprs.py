@@ -6,6 +6,7 @@ import pytest
 
 from trilocal.errors import ParseError
 from trilocal.exprs import (
+    MAX_NESTING,
     format_element,
     format_oracle,
     parse_bim_element,
@@ -58,6 +59,17 @@ class TestParsing:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse_element(ScaledFamily(2), "x[3] )")
+
+    def test_nesting_limit(self):
+        fam = ScaledFamily(2)
+        tf = TensorFreeFamily("Q", ("s",), ("u",))
+        deep = "(" * MAX_NESTING, ")" * MAX_NESTING
+        assert parse_element(fam, "x[3]".join(deep)) == Gen(3)
+        assert str(parse_ring_element(tf, "A", "s".join(deep))) == "s"
+        with pytest.raises(ParseError):
+            parse_element(fam, "(x[3])".join(deep))
+        with pytest.raises(ParseError):
+            parse_ring_element(tf, "A", "(s)".join(deep))
 
     def test_hnn_two_forms(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
