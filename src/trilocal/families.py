@@ -421,7 +421,7 @@ class ScaledFamily(BimoduleFamily):
         return m1 == m2
 
     def fmt_m(self, m):
-        return str(m)
+        return scalar_str(m)
 
     def parse_melem(self, p):
         return self.canon_m(p.parse_signed_lit())

@@ -1,8 +1,9 @@
 """Exact matrix normal forms over Z, Z[1/k], Q and Q[x].
 
-The diagonalization routines return the transformation matrices and
-re-verify the identity U * M * V = D (and unimodularity of U, V) before
-returning, so a successful call is its own certificate.
+The diagonalization routines return the transformation matrices U, V
+together with explicit inverses built alongside them, and re-verify
+U * M * V = D, U * U^-1 = I and V^-1 * V = I before returning, so a
+successful call is its own certificate.
 """
 
 from __future__ import annotations
@@ -57,15 +58,18 @@ class Matrix:
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         rg = self.ring
+        add, mul, is_zero = rg.add, rg.mul, rg.is_zero
+        # zero entries of either factor contribute nothing, so skip them
+        right = [[(j, b) for j, b in enumerate(row) if not is_zero(b)] for row in other.rows]
         out = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = rg.zero()
-                for t in range(self.ncols):
-                    acc = rg.add(acc, rg.mul(self.rows[i][t], other.rows[t][j]))
-                row.append(acc)
-            out.append(row)
+        for row in self.rows:
+            acc = [rg.zero()] * other.ncols
+            for a, nonzero in zip(row, right):
+                if is_zero(a):
+                    continue
+                for j, b in nonzero:
+                    acc[j] = add(acc[j], mul(a, b))
+            out.append(acc)
         return Matrix(rg, out)
 
     def transpose(self):
@@ -102,10 +106,6 @@ class Matrix:
         d = a[n - 1][n - 1]
         return rg.neg(d) if sign < 0 else d
 
-    def is_invertible(self):
-        """Square and determinant a unit of the ring."""
-        return self.nrows == self.ncols and self.ring.is_unit(self.det())
-
     def fmt(self):
         return "[" + "; ".join(" ".join(self.ring.fmt(x) for x in r) for r in self.rows) + "]"
 
@@ -118,16 +118,18 @@ def int_matrix(rows):
 
 
 class DiagonalForm:
-    """Result of a diagonalization U * M * V = D with invertible U, V."""
+    """Result of a diagonalization U * M * V = D, with the inverses of U and V."""
 
-    __slots__ = ("ring", "source", "U", "D", "V")
+    __slots__ = ("ring", "source", "U", "D", "V", "U_inv", "V_inv")
 
-    def __init__(self, ring, source, U, D, V):
+    def __init__(self, ring, source, U, D, V, U_inv, V_inv):
         self.ring = ring
         self.source = source
         self.U = U
         self.D = D
         self.V = V
+        self.U_inv = U_inv
+        self.V_inv = V_inv
 
     def diagonal(self):
         n = min(self.D.nrows, self.D.ncols)
@@ -151,10 +153,19 @@ class DiagonalForm:
         return self.D.ncols - self.rank()
 
     def verify(self):
-        """Recheck U*M*V == D, invertibility of U and V, divisibility chain."""
+        """Recheck U*M*V == D, U*U^-1 == I, V^-1*V == I and the divisibility chain.
+
+        Over a commutative ring a one-sided inverse of a square matrix is
+        two-sided, so the two identities prove U and V invertible.
+        """
+        m, n = self.source.nrows, self.source.ncols
+        if (self.U.nrows, self.U.ncols, self.V.nrows, self.V.ncols) != (m, m, n, n):
+            return False
         if self.U * self.source * self.V != self.D:
             return False
-        if not (self.U.is_invertible() and self.V.is_invertible()):
+        if self.U * self.U_inv != Matrix.identity(self.ring, m):
+            return False
+        if self.V_inv * self.V != Matrix.identity(self.ring, n):
             return False
         diag = self.diagonal()
         for i in range(len(diag) - 1):
@@ -176,37 +187,53 @@ def _euclidean_engine(mat, size, divmod_):
 
     size(a) is a nonnegative measure with size(a) == 0 iff a == 0;
     divmod_(a, b) returns (q, r) with a == q*b + r and size(r) < size(b)
-    or r == 0.
+    or r == 0.  Every row operation applied to U is undone on the columns
+    of U^-1, and every column operation applied to V on the rows of V^-1.
     """
     rg = mat.ring
+    add, mul, is_zero = rg.add, rg.mul, rg.is_zero
     a = mat.copy_rows()
     m, n = mat.nrows, mat.ncols
     U = Matrix.identity(rg, m).copy_rows()
+    Ui = Matrix.identity(rg, m).copy_rows()
     V = Matrix.identity(rg, n).copy_rows()
+    Vi = Matrix.identity(rg, n).copy_rows()
 
-    def row_add(i, j, c):  # row_i += c * row_j, mirrored in U
-        a[i] = [rg.add(a[i][t], rg.mul(c, a[j][t])) for t in range(n)]
-        U[i] = [rg.add(U[i][t], rg.mul(c, U[j][t])) for t in range(m)]
+    def add_multiple(dst, src, c):  # dst + c * src, entrywise
+        return [x if is_zero(y) else add(x, mul(c, y)) for x, y in zip(dst, src)]
 
-    def col_add(j, i, c):  # col_j += col_i * c, mirrored in V
-        for t in range(m):
-            a[t][j] = rg.add(a[t][j], rg.mul(a[t][i], c))
-        for t in range(n):
-            V[t][j] = rg.add(V[t][j], rg.mul(V[t][i], c))
+    def row_add(i, j, c):  # row_i += c * row_j in a and U; col_j -= col_i * c in U^-1
+        a[i] = add_multiple(a[i], a[j], c)
+        U[i] = add_multiple(U[i], U[j], c)
+        c = rg.neg(c)
+        for row in Ui:
+            if not is_zero(row[i]):
+                row[j] = add(row[j], mul(row[i], c))
+
+    def col_add(j, i, c):  # col_j += col_i * c in a and V; row_i -= c * row_j in V^-1
+        for rows in (a, V):
+            for row in rows:
+                if not is_zero(row[i]):
+                    row[j] = add(row[j], mul(row[i], c))
+        Vi[i] = add_multiple(Vi[i], Vi[j], rg.neg(c))
 
     def row_swap(i, j):
         a[i], a[j] = a[j], a[i]
         U[i], U[j] = U[j], U[i]
+        for row in Ui:
+            row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
-        for t in range(m):
-            a[t][i], a[t][j] = a[t][j], a[t][i]
-        for t in range(n):
-            V[t][i], V[t][j] = V[t][j], V[t][i]
+        for rows in (a, V):
+            for row in rows:
+                row[i], row[j] = row[j], row[i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
 
-    def row_scale(i, u):  # u must be a unit
-        a[i] = [rg.mul(u, x) for x in a[i]]
-        U[i] = [rg.mul(u, x) for x in U[i]]
+    def row_scale(i, u, u_inv):  # row_i *= u in a and U; col_i *= u_inv in U^-1
+        a[i] = [mul(u, x) for x in a[i]]
+        U[i] = [mul(u, x) for x in U[i]]
+        for row in Ui:
+            row[i] = mul(row[i], u_inv)
 
     t = 0
     while t < min(m, n):
@@ -214,7 +241,7 @@ def _euclidean_engine(mat, size, divmod_):
         best = None
         for i in range(t, m):
             for j in range(t, n):
-                if not rg.is_zero(a[i][j]) and (best is None or size(a[i][j]) < size(a[best[0]][best[1]])):
+                if not is_zero(a[i][j]) and (best is None or size(a[i][j]) < size(a[best[0]][best[1]])):
                     best = (i, j)
         if best is None:
             break
@@ -226,22 +253,22 @@ def _euclidean_engine(mat, size, divmod_):
                 col_swap(t, bj)
             clean = True
             for i in range(t + 1, m):
-                if rg.is_zero(a[i][t]):
+                if is_zero(a[i][t]):
                     continue
                 q, r = divmod_(a[i][t], a[t][t])
                 row_add(i, t, rg.neg(q))
-                if not rg.is_zero(r):
+                if not is_zero(r):
                     clean = False
             for j in range(t + 1, n):
-                if rg.is_zero(a[t][j]):
+                if is_zero(a[t][j]):
                     continue
                 q, r = divmod_(a[t][j], a[t][t])
                 col_add(j, t, rg.neg(q))
-                if not rg.is_zero(r):
+                if not is_zero(r):
                     clean = False
             if not clean:
                 best = min(
-                    ((i, j) for i in range(t, m) for j in range(t, n) if not rg.is_zero(a[i][j])),
+                    ((i, j) for i in range(t, m) for j in range(t, n) if not is_zero(a[i][j])),
                     key=lambda ij: size(a[ij[0]][ij[1]]),
                 )
                 continue
@@ -249,9 +276,9 @@ def _euclidean_engine(mat, size, divmod_):
             bad = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
-                    if rg.is_zero(a[i][j]):
+                    if is_zero(a[i][j]):
                         continue
-                    if not rg.is_zero(divmod_(a[i][j], a[t][t])[1]):
+                    if not is_zero(divmod_(a[i][j], a[t][t])[1]):
                         bad = (i, j)
                         break
                 if bad:
@@ -260,20 +287,19 @@ def _euclidean_engine(mat, size, divmod_):
                 break
             row_add(t, bad[0], rg.one())
             best = min(
-                ((i, j) for i in range(t, m) for j in range(t, n) if not rg.is_zero(a[i][j])),
+                ((i, j) for i in range(t, m) for j in range(t, n) if not is_zero(a[i][j])),
                 key=lambda ij: size(a[ij[0]][ij[1]]),
             )
         t += 1
 
     # canonicalize diagonal entries by unit scaling
     for i in range(min(m, n)):
-        if rg.is_zero(a[i][i]):
+        if is_zero(a[i][i]):
             continue
         rep, u = rg.unit_normal(a[i][i])
         if not rg.eq(u, rg.one()):
-            inv = rg.exact_div(rg.one(), u)
-            row_scale(i, inv)
-    return DiagonalForm(rg, mat, Matrix(rg, U), Matrix(rg, a), Matrix(rg, V))
+            row_scale(i, rg.exact_div(rg.one(), u), u)
+    return DiagonalForm(rg, mat, Matrix(rg, U), Matrix(rg, a), Matrix(rg, V), Matrix(rg, Ui), Matrix(rg, Vi))
 
 
 def smith_normal_form(mat):
@@ -307,12 +333,15 @@ def _kadic_reduce(mat):
     e = max((x.exp for row in mat.rows for x in row), default=0)
     int_rows = [[x.num * k ** (e - x.exp) for x in row] for row in mat.rows]
     snf = smith_normal_form(Matrix(ZZ, int_rows))
-    U = Matrix(rg, [[rg.from_int(x) for x in row] for row in snf.U.rows])
-    V = Matrix(rg, [[rg.from_int(x) for x in row] for row in snf.V.rows])
+
+    def lift(matrix):
+        return [[rg.from_int(x) for x in row] for row in matrix.rows]
+
+    U_rows, Ui_rows = lift(snf.U), lift(snf.U_inv)
     # U * (k^e * mat) * V = D_int, so U * mat * V = D_int / k^e; rescale each
-    # row so the diagonal becomes the canonical k-free representative.
+    # row of U (and the matching column of U^-1) so the diagonal becomes the
+    # canonical k-free representative.
     D_rows = [[rg.zero()] * mat.ncols for _ in range(mat.nrows)]
-    U_rows = U.copy_rows()
     for i in range(min(mat.nrows, mat.ncols)):
         d_int = snf.D.rows[i][i]
         if d_int == 0:
@@ -321,8 +350,13 @@ def _kadic_reduce(mat):
         rep, u = rg.unit_normal(d)
         inv = rg.exact_div(rg.one(), u)
         U_rows[i] = [rg.mul(inv, x) for x in U_rows[i]]
+        for row in Ui_rows:
+            row[i] = rg.mul(row[i], u)
         D_rows[i][i] = rep
-    out = DiagonalForm(rg, mat, Matrix(rg, U_rows), Matrix(rg, D_rows), V)
+    out = DiagonalForm(
+        rg, mat, Matrix(rg, U_rows), Matrix(rg, D_rows), Matrix(rg, lift(snf.V)),
+        Matrix(rg, Ui_rows), Matrix(rg, lift(snf.V_inv)),
+    )
     if not out.verify():
         raise AssertionError("Z[1/k] reduction failed self-verification")
     return out
@@ -353,42 +387,48 @@ def diagonal_form(mat):
     return euclidean_reduce(mat)
 
 
+def _diagonal_solution(form, v):
+    """z with z * D == v * V, or None when v is not in the row span of M.
+
+    Since U * M * V = D with U and V invertible, x * M = v exactly when
+    x = z * U for such a z.
+    """
+    rg = form.ring
+    add, mul, is_zero = rg.add, rg.mul, rg.is_zero
+    r, n = form.source.nrows, form.source.ncols
+    if len(v) != n:
+        raise ValueError("vector length does not match matrix columns")
+    w = [rg.zero()] * n
+    for c, row in zip(v, form.V.rows):
+        if is_zero(c):
+            continue
+        for j, e in enumerate(row):
+            if not is_zero(e):
+                w[j] = add(w[j], mul(c, e))
+    z = [rg.zero()] * r
+    for i in range(n):
+        if is_zero(w[i]):
+            continue
+        d = form.D.rows[i][i] if i < r else rg.zero()
+        q = rg.exact_div(w[i], d)  # None when d is zero or does not divide
+        if q is None:
+            return None
+        z[i] = q
+    return z
+
+
 def solve_left(form, v):
     """Solve x * M = v over the ring, given a DiagonalForm of M.
 
     Returns the coefficient list x, or None when v is not in the row
     span of M.
     """
-    rg = form.ring
-    r, n = form.source.nrows, form.source.ncols
-    if len(v) != n:
-        raise ValueError("vector length does not match matrix columns")
-    # w = v * V; then z * D = w, x = z * U.
-    w = [rg.zero()] * n
-    for j in range(n):
-        acc = rg.zero()
-        for t in range(n):
-            acc = rg.add(acc, rg.mul(v[t], form.V.rows[t][j]))
-        w[j] = acc
-    z = [rg.zero()] * r
-    for i in range(n):
-        d = form.D.rows[i][i] if i < min(r, n) else rg.zero()
-        if rg.is_zero(d):
-            if not rg.is_zero(w[i]):
-                return None
-        else:
-            q = rg.exact_div(w[i], d)
-            if q is None:
-                return None
-            z[i] = q
-    x = [rg.zero()] * r
-    for j in range(r):
-        acc = rg.zero()
-        for t in range(r):
-            acc = rg.add(acc, rg.mul(z[t], form.U.rows[t][j]))
-        x[j] = acc
-    return x
+    z = _diagonal_solution(form, v)
+    if z is None:
+        return None
+    return (Matrix(form.ring, [z]) * form.U).rows[0]
 
 
 def in_row_span(form, v):
-    return solve_left(form, v) is not None
+    """Whether v lies in the row span of M, without solving for x."""
+    return _diagonal_solution(form, v) is not None

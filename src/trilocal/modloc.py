@@ -217,18 +217,22 @@ def beta_matrix(module, ring):
     return rows
 
 
-def _map_vector(ring, matrix_rows, vector):
-    """Image of a row vector under a generator-to-generator matrix."""
-    if not matrix_rows:
-        return []
-    out = [ring.zero()] * len(matrix_rows[0])
-    for coord, row in zip(vector, matrix_rows):
-        if ring.is_zero(coord):
-            continue
-        for j, entry in enumerate(row):
-            if not ring.is_zero(entry):
-                out[j] = ring.add(out[j], ring.mul(coord, entry))
-    return out
+def _linear_map(ring, matrix_rows):
+    """The map sending a row vector to its image under a generator-to-generator
+    matrix; only the nonzero entries of the matrix are visited."""
+    width = len(matrix_rows[0]) if matrix_rows else 0
+    nonzero = [[(j, e) for j, e in enumerate(row) if not ring.is_zero(e)] for row in matrix_rows]
+
+    def image(vector):
+        out = [ring.zero()] * width
+        for coord, entries in zip(vector, nonzero):
+            if ring.is_zero(coord):
+                continue
+            for j, e in entries:
+                out[j] = ring.add(out[j], ring.mul(coord, e))
+        return out
+
+    return image
 
 
 def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relation=None):
@@ -238,15 +242,21 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
     round trips are checked on the generators and on sampled random
     elements.  g_sign=-1 and drop_relation exist for negative controls.
     """
-    family = module.family
-    ring = t_ring_of(family)
     L = localized_presentation(module, g_sign=g_sign)
     if drop_relation is not None:
         rows = [r for idx, r in enumerate(L.rows) if idx != drop_relation]
-        L = Presentation(ring, L.gens, rows)
+        L = Presentation(L.ring, L.gens, rows)
+    return _verify_maps(module, L, samples, seed, g_sign)
+
+
+def _verify_maps(module, L, samples, seed, g_sign):
+    """The checks of verify_comparison_maps against a given presentation L,
+    whose diagonal form is reused if it was already computed."""
+    family = module.family
+    ring = L.ring
     W = tensor_side_presentation(module)
-    alpha = alpha_matrix(module, ring)
-    beta = beta_matrix(module, ring)
+    alpha = _linear_map(ring, alpha_matrix(module, ring))
+    beta = _linear_map(ring, beta_matrix(module, ring))
     rep = Report(
         f"module localization maps [{family.describe()}]",
         seed=seed,
@@ -255,7 +265,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
 
     bad = None
     for idx, row in enumerate(L.rows):
-        if not W.contains(_map_vector(ring, alpha, row)):
+        if not W.contains(alpha(row)):
             bad = idx
             break
     rep.add(
@@ -266,7 +276,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
 
     bad = None
     for idx, row in enumerate(W.rows):
-        if not L.contains(_map_vector(ring, beta, row)):
+        if not L.contains(beta(row)):
             bad = idx
             break
     rep.add(
@@ -280,7 +290,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
     rng = random.Random(seed)
     for _ in range(samples):
         v = L.random_vector(rng)
-        back = _map_vector(ring, beta, _map_vector(ring, alpha, v))
+        back = beta(alpha(v))
         if any(not ring.eq(x, y) for x, y in zip(v, back)):
             ok = False
             break
@@ -292,7 +302,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
     for g in range(W.gens):
         v = [ring.zero()] * W.gens
         v[g] = ring.one()
-        round_ = _map_vector(ring, alpha, _map_vector(ring, beta, v))
+        round_ = alpha(beta(v))
         diff = [ring.sub(x, y) for x, y in zip(round_, v)]
         if not W.contains(diff):
             ok = False
@@ -301,7 +311,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
     if ok:
         for _ in range(samples):
             v = W.random_vector(rng)
-            round_ = _map_vector(ring, alpha, _map_vector(ring, beta, v))
+            round_ = alpha(beta(v))
             diff = [ring.sub(x, y) for x, y in zip(round_, v)]
             if not W.contains(diff):
                 ok = False
@@ -317,7 +327,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
         for j in range(gB):
             row = _embedded_row(ring, family, module.f[t][j]) + [ring.zero()] * gB
             row[gA + j] = ring.neg(x_mu[t]) if g_sign > 0 else x_mu[t]
-            if not W.contains(_map_vector(ring, alpha, row)):
+            if not W.contains(alpha(row)):
                 ok = False
                 break
     rep.add("forward map kills the defining cokernel generators", ok)
@@ -361,5 +371,5 @@ def localize_module(module, samples=100, seed=1729):
     """Full pipeline: presentation, invariants, comparison-map verification."""
     pres = localized_presentation(module)
     factors, rank = invariant_factors(pres)
-    rep = verify_comparison_maps(module, samples=samples, seed=seed)
+    rep = _verify_maps(module, pres, samples, seed, g_sign=1)
     return LocalizedModule(module, pres, factors, rank, rep)

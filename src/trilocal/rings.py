@@ -56,11 +56,30 @@ def add_term(terms, key, c):
         terms[key] = s
 
 
+# str(int) refuses more than sys.get_int_max_str_digits() digits (4300 by
+# default, a guard for parsing); 13,000 bits stay under 3,914 digits.
+_STR_BITS = 13000
+
+
+def int_str(n):
+    """Decimal digits of an int of any size, without lifting Python's limit.
+
+    Larger values are split at a power of ten and converted half by half.
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + int_str(-n)
+    low_digits = n.bit_length() * 3 // 20  # about half of the digits
+    high, low = divmod(n, 10 ** low_digits)
+    return int_str(high) + int_str(low).zfill(low_digits)
+
+
 def scalar_str(x):
     x = norm_scalar(x)
     if isinstance(x, int):
-        return str(x)
-    return f"{x.numerator}/{x.denominator}"
+        return int_str(x)
+    return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
 def strip_factors_of(n, k):
@@ -149,8 +168,7 @@ class KadicFraction:
         return f"KadicFraction(k={self.k}, {self.num}, r={self.exp})"
 
     def __str__(self):
-        f = self.as_fraction()
-        return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+        return scalar_str(self.as_fraction())
 
 
 class Polynomial:
@@ -456,7 +474,7 @@ class IntegerRing:
         return rng.randint(-size, size)
 
     def fmt(self, a):
-        return str(a)
+        return int_str(a)
 
 
 class RationalField:

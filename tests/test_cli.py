@@ -80,6 +80,39 @@ class TestRho:
         assert "oracle: 3/2" in out.stdout
 
 
+class TestLargeIntegers:
+    """Integers beyond Python's 4,300-digit str() limit still print exactly."""
+
+    @staticmethod
+    def expected_digits():
+        limit = getattr(sys, "get_int_max_str_digits", None)
+        if limit is None:  # Python < 3.11 has no limit
+            return str(2**20000)
+        old = limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            return str(2**20000)
+        finally:
+            sys.set_int_max_str_digits(old)
+
+    @pytest.mark.parametrize(
+        "argv, printed",
+        [
+            (("rho", "--component", "A", "--value", "2^20000"), ("value", "normal_form", "oracle")),
+            (("normalize", "--expr", "2^20000"), ("normal_form", "oracle")),
+        ],
+        ids=["rho", "normalize"],
+    )
+    def test_two_to_the_20000(self, argv, printed):
+        digits = self.expected_digits()
+        assert len(digits) == 6021
+        out = run_cli(*argv, "--family", REGULAR, "--format", "json")
+        assert out.returncode == 0, out.stderr
+        doc = json.loads(out.stdout)
+        for key in printed:
+            assert doc[key] == digits, key
+
+
 class TestVerify:
     def test_example_suite_passes(self):
         out = run_cli("verify", "--suite", "examples")

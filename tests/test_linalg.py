@@ -12,7 +12,16 @@ from reference_impls import (
     unimodular_witness_2x2,
 )
 from trilocal.errors import UnsupportedRingError
-from trilocal.linalg import Matrix, euclidean_reduce, in_row_span, int_matrix, smith_normal_form, solve_left
+from trilocal.linalg import (
+    DiagonalForm,
+    Matrix,
+    diagonal_form,
+    euclidean_reduce,
+    in_row_span,
+    int_matrix,
+    smith_normal_form,
+    solve_left,
+)
 from trilocal.rings import KadicRing, Polynomial, PolynomialRing, QQ
 
 
@@ -161,3 +170,43 @@ class TestSolver:
             n = rng.randint(1, 4)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             assert int_matrix(rows).det() == reference_det(rows)
+
+
+def certificate_cases():
+    """A matrix to reduce and a non-unit of its ring, per ring family; 0 over Q."""
+    k2 = KadicRing(2)
+    qx = PolynomialRing("Q")
+    x, c = qx.variable(), qx.from_int
+    ints = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+    return [
+        pytest.param(int_matrix(ints), 2, id="Z"),
+        pytest.param(Matrix.from_ints(k2, ints), k2.from_int(3), id="Z[1/2]"),
+        pytest.param(Matrix(QQ, [[Fraction(1, 2), 3, 1], [1, 6, 2], [0, 1, Fraction(-2, 3)]]), 0, id="Q"),
+        pytest.param(Matrix(qx, [[x, c(1), c(2)], [x + c(1), x * x, c(3)], [c(1), c(2), x]]), x, id="Q[x]"),
+    ]
+
+
+@pytest.mark.parametrize("mat, non_unit", certificate_cases())
+class TestCertificateNegativeControls:
+    def test_perturbed_inverse_entry_fails(self, mat, non_unit):
+        form = diagonal_form(mat)
+        ring = mat.ring
+        assert form.verify()
+        for attr in ("U_inv", "V_inv"):
+            for i, j in ((0, 0), (1, 2), (2, 1)):
+                rows = getattr(form, attr).copy_rows()
+                rows[i][j] = ring.add(rows[i][j], ring.one())
+                broken = DiagonalForm(ring, mat, form.U, form.D, form.V, form.U_inv, form.V_inv)
+                setattr(broken, attr, Matrix(ring, rows))
+                assert not broken.verify(), (attr, i, j)
+
+    def test_non_invertible_transform_fails(self, mat, non_unit):
+        # on M = I, U = s*I (or V = s*I) with D = s*I and claimed inverse I
+        # satisfies every identity but U * U^-1 = I (or V^-1 * V = I)
+        ring = mat.ring
+        assert not ring.is_unit(non_unit)
+        one = Matrix.identity(ring, 2)
+        scaled = Matrix(ring, [[non_unit, ring.zero()], [ring.zero(), non_unit]])
+        assert DiagonalForm(ring, one, one, one, one, one, one).verify()
+        assert not DiagonalForm(ring, one, scaled, scaled, one, one, one).verify()
+        assert not DiagonalForm(ring, one, one, scaled, scaled, one, one).verify()

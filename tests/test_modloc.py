@@ -6,7 +6,8 @@ import pytest
 
 from trilocal.errors import UnsupportedFamilyError
 from trilocal.families import DoubleFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from trilocal.linalg import smith_normal_form, int_matrix
+from trilocal import modloc
+from trilocal.linalg import diagonal_form, int_matrix, smith_normal_form
 from trilocal.modloc import (
     invariant_factors,
     localize_module,
@@ -159,3 +160,25 @@ class TestBundle:
         assert doc["invariant_factors"] == []
         assert doc["alpha_beta"] == "pass"
         assert doc["generators"] == 2
+
+
+class TestOneReductionOfL:
+    def test_localize_module_reduces_twice(self, monkeypatch):
+        # one diagonal form for L and one for the tensor side
+        calls = []
+
+        def counting(mat):
+            calls.append((mat.nrows, mat.ncols))
+            return diagonal_form(mat)
+
+        monkeypatch.setattr(modloc, "diagonal_form", counting)
+        for fam in module_families():
+            calls.clear()
+            loc = localize_module(d_module(fam, 2), samples=10)
+            assert loc.report.passed
+            assert len(calls) == 2, calls
+
+    @pytest.mark.parametrize("fam", module_families(), ids=lambda f: f.describe())
+    def test_negative_controls_still_fail(self, fam):
+        assert not verify_comparison_maps(d_module(fam, 2), samples=20, g_sign=-1).passed
+        assert not verify_comparison_maps(d_module(fam, 2), samples=20, drop_relation=0).passed

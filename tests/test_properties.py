@@ -5,12 +5,13 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from trilocal.families import DoubleFamily, ScaledFamily
-from trilocal.linalg import int_matrix, smith_normal_form
-from trilocal.rings import KadicFraction
+from trilocal.linalg import Matrix, diagonal_form, in_row_span, int_matrix, smith_normal_form, solve_left
+from trilocal.rings import QQ, ZZ, KadicFraction, KadicRing, Polynomial, PolynomialRing
 from trilocal.tring import EqResult, TElement, family_iso, t_add, t_eq, t_generator, t_mul
 
 S2 = ScaledFamily(2)
 DQ = DoubleFamily("Q")
+QX = PolynomialRing("Q")
 
 small_ints = st.integers(min_value=-30, max_value=30)
 
@@ -88,3 +89,72 @@ class TestSmithProperties:
                 assert diag[i + 1] == 0
             else:
                 assert diag[i + 1] % diag[i] == 0
+
+
+# ring, a map from two small ints to an element, and a non-unit p (None over a field)
+MEMBERSHIP_RINGS = {
+    "Z": (ZZ, lambda n, e: n, 2),
+    "Z[1/2]": (KadicRing(2), lambda n, e: KadicFraction(2, n, e), KadicFraction(2, 3)),
+    "Q": (QQ, lambda n, e: Fraction(n, e + 1), None),
+    "Q[x]": (QX, lambda n, e: Polynomial("Q", [n, e - 1]), QX.variable()),
+}
+
+
+@st.composite
+def membership_cases(draw):
+    """(ring, M, members, free-column vector, divisibility vector or None).
+
+    M has a zero column (so the unit vector there lies off every member),
+    may have zero rows, duplicated rows and more rows than columns; over a
+    ring with a non-unit p one column is scaled by p and p * e_j is a row,
+    so e_j + (a member) is torsion in the cokernel but not a member.
+    """
+    name = draw(st.sampled_from(sorted(MEMBERSHIP_RINGS)))
+    ring, elem, p = MEMBERSHIP_RINGS[name]
+    entry = st.builds(elem, st.integers(-6, 6), st.integers(0, 2))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(2, 4))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(m)]
+    free = draw(st.integers(0, n - 1))
+    torsion = draw(st.integers(0, n - 1).filter(lambda j: j != free))
+    for row in rows:
+        row[free] = ring.zero()
+        if p is not None:
+            row[torsion] = ring.mul(p, row[torsion])
+    if draw(st.booleans()):
+        rows.append([ring.zero()] * n)
+    if draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    unit = [[ring.one() if j == k else ring.zero() for j in range(n)] for k in range(n)]
+    if p is not None:
+        rows.append([ring.mul(p, x) for x in unit[torsion]])
+    draw(st.randoms()).shuffle(rows)
+    members = [combine(ring, [draw(entry) for _ in rows], rows) for _ in range(2)]
+    off_free = [ring.add(a, b) for a, b in zip(members[0], unit[free])]
+    off_divisor = [ring.add(a, b) for a, b in zip(members[1], unit[torsion])] if p is not None else None
+    return ring, Matrix(ring, rows), members, off_free, off_divisor
+
+
+def combine(ring, coeffs, rows):
+    """The row vector sum_i coeffs[i] * rows[i], entry by entry."""
+    out = [ring.zero()] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [ring.add(a, ring.mul(c, b)) for a, b in zip(out, row)]
+    return out
+
+
+class TestMembershipMatchesSolving:
+    @given(membership_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_in_row_span_agrees_with_solve_left(self, case):
+        ring, mat, members, off_free, off_divisor = case
+        form = diagonal_form(mat)
+        for v in members:
+            x = solve_left(form, v)
+            assert in_row_span(form, v) and x is not None
+            assert all(ring.eq(a, b) for a, b in zip(combine(ring, x, mat.rows), v))
+        for v in (off_free, off_divisor):
+            if v is None:
+                continue
+            assert not in_row_span(form, v)
+            assert solve_left(form, v) is None
