@@ -11,6 +11,7 @@ independent oracle ring.
 from .errors import (
     AlphabetMismatchError,
     BudgetExceededError,
+    CertificateError,
     FamilyMismatchError,
     ParseError,
     SchemaError,

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: normalize, rho, verify, fraction, factor, localize-ring,
-localize-module.  Exit codes: 0 success, 1 verification failure,
+localize-module.  Exit codes: 0 success, 1 failed verification or certificate,
 2 parse or schema error, 3 step-budget exhaustion.
 """
 
@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import (
     BudgetExceededError,
+    CertificateError,
     ParseError,
     SchemaError,
     TrilocalError,
@@ -279,6 +280,9 @@ def main(argv=None):
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except CertificateError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
     except (ParseError, SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

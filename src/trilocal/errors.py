@@ -21,6 +21,10 @@ class UnsupportedFamilyError(TrilocalError, ValueError):
     """The requested operation is not available for this family."""
 
 
+class CertificateError(TrilocalError):
+    """A computed answer failed its own exact certificate."""
+
+
 class BudgetExceededError(TrilocalError, RuntimeError):
     """Normalization exhausted its rewrite-step budget."""
 

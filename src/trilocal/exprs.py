@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .rings import norm_scalar, scalar_str
-from .tring import Add, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize
+from .tring import DEFAULT_BUDGET, Add, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize
 
 MAX_NESTING = 200
 
@@ -241,8 +241,6 @@ def parse_element(family, text):
 
 def parse_normal(family, text, budget=None):
     """Parse and normalize in one step."""
-    from .tring import DEFAULT_BUDGET
-
     node = parse_element(family, text)
     return t_normalize(family, node, DEFAULT_BUDGET if budget is None else budget)
 

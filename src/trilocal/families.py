@@ -216,17 +216,10 @@ class RegularFamily(BimoduleFamily):
         m = self.canon_m(m)
         return [(m, None)] if m != 0 else []
 
-    def letter_bim(self, letter):
+    def _no_letters(self, letter):
         raise AssertionError("regular family has no generator letters")
 
-    def letter_key(self, letter):
-        raise AssertionError("regular family has no generator letters")
-
-    def letter_fmt(self, letter):
-        raise AssertionError("regular family has no generator letters")
-
-    def oracle_letter(self, letter):
-        raise AssertionError("regular family has no generator letters")
+    letter_bim = letter_key = letter_fmt = oracle_letter = _no_letters
 
     def oracle_scalar(self, c):
         return norm_scalar(c)

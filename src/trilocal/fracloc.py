@@ -16,19 +16,21 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedFamilyError
+from .errors import CertificateError, UnsupportedFamilyError
 from .report import Report
 from .rings import QQ
 from .tring import (
+    DEFAULT_BUDGET,
     EqResult,
     TElement,
+    TOps,
     eval_tree,
     family_iso,
+    map_terms,
     t_eq,
     t_generator,
     t_mul,
     t_normalize,
-    t_scale,
 )
 
 
@@ -75,16 +77,11 @@ class CentralPair:
     # -- the induced morphism --------------------------------------------------
     def induced(self, e):
         """Image of e under the letterwise map x_m -> x_{a0*m}."""
-        self.family.check_same(e.family)
-        target = self.target_family()
-        out = TElement.zero(target)
-        for word, coeff in e.terms.items():
-            piece = TElement.one(target)
-            for letter in word:
-                m = self.family.letter_bim(letter)
-                piece = t_mul(piece, t_generator(target, self.family.apply(self.a0, m, self.family.b_one)))
-            out = out + t_scale(piece, coeff)
-        return out
+        fam = self.family
+        fam.check_same(e.family)
+        ops = TOps(self.target_family())
+        image = lambda letter: ops.gen(fam.apply(self.a0, fam.letter_bim(letter), fam.b_one))
+        return map_terms(e, ops, ops.const, image)
 
     def old_p_in_target(self):
         """x_p viewed inside T(M,a0*p); the inverse of the image of x_{a0*p}."""
@@ -109,7 +106,7 @@ class CentralPair:
             r += 1
         reassembled = t_mul(self.induced(alpha), self.old_p_in_target() ** r)
         if t_eq(reassembled, e) is not EqResult.EQUAL:
-            raise AssertionError("fraction reassembly failed")
+            raise CertificateError("fraction reassembly failed")
         return FractionForm(alpha, r)
 
 
@@ -187,14 +184,9 @@ class LetterHom:
 
     def apply(self, e):
         self.family.check_same(e.family)
-        rg = self.s_ring
-        total = rg.zero()
-        for word, coeff in e.terms.items():
-            val = self.scalar_image(coeff)
-            for letter in word:
-                val = rg.mul(val, self.generator_image(self.family.letter_bim(letter)))
-            total = rg.add(total, val)
-        return total
+        return map_terms(
+            e, self.s_ring, self.scalar_image, lambda letter: self.generator_image(self.family.letter_bim(letter))
+        )
 
     def respects_relations(self, samples=100, seed=1729):
         """Sampled check that the letter images satisfy the presentation."""
@@ -233,14 +225,9 @@ def factor_inverting_hom(pair, hom, f_inv, e):
         raise ValueError("f_inv is not a two-sided inverse of the image of x_(a0*p)")
     target = pair.target_family()
     target.check_same(e.family)
-    total = rg.zero()
-    for word, coeff in e.terms.items():
-        val = hom.scalar_image(coeff)
-        for letter in word:
-            m = target.letter_bim(letter)
-            val = rg.mul(val, rg.mul(f_inv, hom.generator_image(m)))
-        total = rg.add(total, val)
-    return total
+    return map_terms(
+        e, rg, hom.scalar_image, lambda letter: rg.mul(f_inv, hom.generator_image(target.letter_bim(letter)))
+    )
 
 
 def rational_value_hom(family):
@@ -265,7 +252,7 @@ def _a0_int(a0):
     return a0
 
 
-def two_order_agreement(pair, hom, f_inv, expr, budget=10 ** 6):
+def two_order_agreement(pair, hom, f_inv, expr, budget=DEFAULT_BUDGET):
     """Evaluate the factored map on a raw expression two independent ways.
 
     Order one normalizes in T(M,a0*p) first and then maps letterwise;

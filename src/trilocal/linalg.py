@@ -8,7 +8,7 @@ successful call is its own certificate.
 
 from __future__ import annotations
 
-from .errors import UnsupportedRingError
+from .errors import CertificateError, UnsupportedRingError
 from .rings import IntegerRing, KadicFraction, KadicRing, PolynomialRing, RationalField, ZZ
 
 
@@ -71,9 +71,6 @@ class Matrix:
                     acc[j] = add(acc[j], mul(a, b))
             out.append(acc)
         return Matrix(rg, out)
-
-    def transpose(self):
-        return Matrix(self.ring, [[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
     def det(self):
         """Fraction-free (Bareiss) determinant; exact in an integral domain."""
@@ -308,7 +305,7 @@ def smith_normal_form(mat):
         raise UnsupportedRingError("smith_normal_form expects an integer matrix")
     out = _euclidean_engine(mat, abs, divmod)
     if not out.verify():
-        raise AssertionError("Smith reduction failed self-verification")
+        raise CertificateError("Smith reduction failed self-verification")
     return out
 
 
@@ -358,7 +355,7 @@ def _kadic_reduce(mat):
         Matrix(rg, Ui_rows), Matrix(rg, lift(snf.V_inv)),
     )
     if not out.verify():
-        raise AssertionError("Z[1/k] reduction failed self-verification")
+        raise CertificateError("Z[1/k] reduction failed self-verification")
     return out
 
 
@@ -376,7 +373,7 @@ def euclidean_reduce(mat):
     else:
         raise UnsupportedRingError(f"euclidean_reduce does not support {rg.name}")
     if not out.verify():
-        raise AssertionError("Euclidean reduction failed self-verification")
+        raise CertificateError("Euclidean reduction failed self-verification")
     return out
 
 

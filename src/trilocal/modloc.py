@@ -235,23 +235,19 @@ def _linear_map(ring, matrix_rows):
     return image
 
 
-def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relation=None):
+def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relation=None, presentation=None):
     """Exactly verify the mutually inverse maps between L and the tensor side.
 
     Both well-definedness directions are membership computations; the
     round trips are checked on the generators and on sampled random
     elements.  g_sign=-1 and drop_relation exist for negative controls.
+    presentation is L when the caller already holds it (its diagonal
+    form is then reused); by default L is built here.
     """
-    L = localized_presentation(module, g_sign=g_sign)
+    L = localized_presentation(module, g_sign=g_sign) if presentation is None else presentation
     if drop_relation is not None:
         rows = [r for idx, r in enumerate(L.rows) if idx != drop_relation]
         L = Presentation(L.ring, L.gens, rows)
-    return _verify_maps(module, L, samples, seed, g_sign)
-
-
-def _verify_maps(module, L, samples, seed, g_sign):
-    """The checks of verify_comparison_maps against a given presentation L,
-    whose diagonal form is reused if it was already computed."""
     family = module.family
     ring = L.ring
     W = tensor_side_presentation(module)
@@ -371,5 +367,5 @@ def localize_module(module, samples=100, seed=1729):
     """Full pipeline: presentation, invariants, comparison-map verification."""
     pres = localized_presentation(module)
     factors, rank = invariant_factors(pres)
-    rep = _verify_maps(module, pres, samples, seed, g_sign=1)
+    rep = verify_comparison_maps(module, samples, seed, presentation=pres)
     return LocalizedModule(module, pres, factors, rank, rep)

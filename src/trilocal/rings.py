@@ -18,8 +18,6 @@ from math import gcd
 
 from .errors import AlphabetMismatchError, UnsupportedRingError
 
-Scalar = "int | Fraction"  # documentation alias; helpers below normalize
-
 
 def norm_scalar(x):
     """Canonical scalar: int, or Fraction with denominator > 1."""
@@ -247,12 +245,6 @@ class Polynomial:
                 cs[i + j] = scalar_add(cs[i + j], scalar_mul(a, b))
         return Polynomial(self.ring, cs)
 
-    def __pow__(self, n):
-        out = Polynomial.constant(self.ring, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def scale(self, c):
         return Polynomial(self.ring, [scalar_mul(c, a) for a in self.coeffs])
 
@@ -422,19 +414,8 @@ class FreeAlgebraElement:
 # the generator names an A/B expression may use (none for Z and Q).
 # ---------------------------------------------------------------------------
 
-class IntegerRing:
-    name = "Z"
-    is_field = False
-    gens = ()
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def from_int(self, n):
-        return n
+class OperatorRing:
+    """Base of the ring objects whose elements carry the ring operators."""
 
     def add(self, a, b):
         return a + b
@@ -450,6 +431,27 @@ class IntegerRing:
 
     def eq(self, a, b):
         return a == b
+
+    def is_zero(self, a):
+        return a.is_zero()
+
+    def fmt(self, a):
+        return str(a)
+
+
+class IntegerRing(OperatorRing):
+    name = "Z"
+    is_field = False
+    gens = ()
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def from_int(self, n):
+        return n
 
     def is_zero(self, a):
         return a == 0
@@ -477,7 +479,7 @@ class IntegerRing:
         return int_str(a)
 
 
-class RationalField:
+class RationalField(OperatorRing):
     name = "Q"
     is_field = True
     gens = ()
@@ -494,17 +496,11 @@ class RationalField:
     def add(self, a, b):
         return scalar_add(a, b)
 
-    def neg(self, a):
-        return -a
-
     def sub(self, a, b):
         return scalar_add(a, -b)
 
     def mul(self, a, b):
         return scalar_mul(a, b)
-
-    def eq(self, a, b):
-        return norm_scalar(Fraction(a)) == norm_scalar(Fraction(b))
 
     def is_zero(self, a):
         return a == 0
@@ -531,7 +527,7 @@ class RationalField:
         return scalar_str(norm_scalar(Fraction(a)))
 
 
-class KadicRing:
+class KadicRing(OperatorRing):
     """Z[1/k], a PID between Z and Q."""
 
     is_field = False
@@ -550,24 +546,6 @@ class KadicRing:
 
     def from_int(self, n):
         return KadicFraction(self.k, n)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def is_unit(self, a):
         return a.is_unit()
@@ -610,11 +588,8 @@ class KadicRing:
     def random(self, rng, size=9):
         return KadicFraction(self.k, rng.randint(-size, size), rng.randint(0, 2))
 
-    def fmt(self, a):
-        return str(a)
 
-
-class PolynomialRing:
+class PolynomialRing(OperatorRing):
     """Q[x] (or Z[x] for display-only purposes); Euclidean when the base is Q."""
 
     is_field = False
@@ -634,24 +609,6 @@ class PolynomialRing:
 
     def variable(self):
         return Polynomial.variable(self.base)
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
 
     def is_unit(self, a):
         if self.base == "Q":
@@ -677,11 +634,8 @@ class PolynomialRing:
     def random(self, rng, size=4, degree=2):
         return Polynomial(self.base, [rng.randint(-size, size) for _ in range(rng.randint(0, degree) + 1)])
 
-    def fmt(self, a):
-        return str(a)
 
-
-class FreeAlgebra:
+class FreeAlgebra(OperatorRing):
     """C<gens>: the free associative algebra on named generators."""
 
     is_field = False
@@ -706,24 +660,6 @@ class FreeAlgebra:
     def word(self, letters, c=1):
         return FreeAlgebraElement.word(self.base, self.gens, letters, c)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return a.is_zero()
-
     def random(self, rng, size=3, terms=2, length=2):
         out = self.zero()
         for _ in range(rng.randint(1, terms)):
@@ -731,9 +667,6 @@ class FreeAlgebra:
             c = rng.randint(-size, size)
             out = out + FreeAlgebraElement.word(self.base, self.gens, w, c)
         return out
-
-    def fmt(self, a):
-        return str(a)
 
 
 ZZ = IntegerRing()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SchemaError, UnsupportedFamilyError
+from .errors import CertificateError, SchemaError, UnsupportedFamilyError
 from .linalg import Matrix, diagonal_form, in_row_span
 from .rings import QQ, ZZ, norm_scalar, scalar_add, scalar_mul
 
@@ -283,12 +283,6 @@ class TripleModule:
         out_b = _vec_scale(r.b, vecB)
         return ([norm_scalar(c) for c in out_a], [norm_scalar(c) for c in out_b])
 
-    def eq_elements(self, n1, n2):
-        """Equality in the module: componentwise difference in relation span."""
-        diff_a = _zip_add(n1[0], _vec_scale(-1, n2[0]))
-        diff_b = _zip_add(n1[1], _vec_scale(-1, n2[1]))
-        return self.NA.contains_in_span(diff_a) and self.NB.contains_in_span(diff_b)
-
     def random_element(self, rng, size=5):
         return (self.NA.random_element(rng, size), self.NB.random_element(rng, size))
 
@@ -330,12 +324,12 @@ def module_roundtrip(module, rng=None):
             lift = ([0] * module.NA.gens, unit_b)
             image = module.action(corner, lift)
             if any(c != 0 for c in image[1]):
-                raise AssertionError("corner action must land in the N_A part")
+                raise CertificateError("corner action must land in the N_A part")
             if rng is not None:
                 other_lift = (module.NA.random_element(rng), unit_b)
                 other = module.action(corner, other_lift)
                 if other[0] != image[0]:
-                    raise AssertionError("extracted f depends on the lift")
+                    raise CertificateError("extracted f depends on the lift")
             block.append(image[0])
         extracted.append(block)
     return TripleModule(fam, module.NA, module.NB, extracted)

@@ -13,8 +13,14 @@ arithmetic operation keep the rewriting normal form:
 * family-specific moves (a letter-pair shift, coefficient folding)
   finish the canonical form where the two merge rules are not enough.
 
-All rules strictly shrink a termination measure, and a configurable
-step budget guards normalization of raw expression trees.
+All rules strictly shrink a termination measure.
+
+Raw expression trees have one evaluator, ``eval_tree``; ``t_normalize``
+runs it over ``TOps``, T(M,p) as a ring object.  The step budget ticks
+once per constant, per generator letter, per sum of two operands and
+per merge or shift inside a product.  A ring map out of T(M,p) is fixed
+by the images of its letters, and ``map_terms`` applies one to a normal
+form.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from enum import Enum
 from functools import reduce
 
 from .errors import BudgetExceededError
-from .rings import add_term, scalar_mul
+from .rings import OperatorRing, add_term, scalar_mul
 
 
 class Budget:
@@ -87,10 +93,7 @@ class TElement:
         return t_mul(self, other)
 
     def __pow__(self, n):
-        out = TElement.one(self.family)
-        for _ in range(n):
-            out = t_mul(out, self)
-        return out
+        return power(TOps(self.family), self, n)
 
     def scale(self, c):
         return t_scale(self, c)
@@ -111,9 +114,6 @@ class TElement:
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: word_key(self.family, kv[0]))
-
-    def to_oracle(self):
-        return family_iso(self)
 
     def __repr__(self):
         from .exprs import format_element
@@ -250,17 +250,25 @@ def t_eq_exprs(family, expr1, expr2, budget=DEFAULT_BUDGET):
         return EqResult.UNKNOWN
 
 
+def map_terms(e, ring, scalar, letter):
+    """Image of a normal form under the ring map given on scalars and letters.
+
+    Each term's coefficient goes through scalar, each letter of its word
+    through letter; products and sums are taken in the ring object.
+    """
+    total = None
+    for word, coeff in e.terms.items():
+        val = scalar(coeff)
+        for x in word:
+            val = ring.mul(val, letter(x))
+        total = val if total is None else ring.add(total, val)
+    return ring.zero() if total is None else total
+
+
 def family_iso(e):
     """Image under the family's closed-form isomorphism onto its oracle ring."""
     family = e.family
-    oracle = family.oracle
-    total = None
-    for word, coeff in e.terms.items():
-        val = family.oracle_scalar(coeff)
-        for letter in word:
-            val = oracle.mul(val, family.oracle_letter(letter))
-        total = val if total is None else oracle.add(total, val)
-    return oracle.zero() if total is None else total
+    return map_terms(e, family.oracle, family.oracle_scalar, family.oracle_letter)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +306,20 @@ class Pow:
     exponent: int
 
 
+def power(ring, x, n):
+    """x**n in a ring object by square-and-multiply; no product with one() is formed."""
+    if n < 0:
+        raise ValueError("exponents must be non-negative")
+    if n < 2:
+        return x if n else ring.one()
+    half = power(ring, ring.mul(x, x), n >> 1)
+    return ring.mul(x, half) if n & 1 else half
+
+
 def eval_tree(expr, ring, const, gen):
     """Value of an expression tree in a ring object (add, mul, neg, one).
 
-    const maps a Const value into the ring and gen a Gen element; powers
-    are taken by square-and-multiply.
+    const maps a Const value into the ring and gen a Gen element.
     """
 
     def value(node):
@@ -317,57 +334,49 @@ def eval_tree(expr, ring, const, gen):
         if isinstance(node, Neg):
             return ring.neg(value(node.item))
         if isinstance(node, Pow):
-            base, n, out = value(node.base), node.exponent, ring.one()
-            while n:
-                if n & 1:
-                    out = ring.mul(out, base)
-                n >>= 1
-                if n:
-                    base = ring.mul(base, base)
-            return out
+            return power(ring, value(node.base), node.exponent)
         raise TypeError(f"not an expression node: {node!r}")
 
     return value(expr)
+
+
+class TOps(OperatorRing):
+    """T(M,p) over one family as a ring object, charging an optional Budget."""
+
+    def __init__(self, family, budget=None):
+        self.family = family
+        self.budget = budget
+
+    def zero(self):
+        return TElement.zero(self.family)
+
+    def one(self):
+        return TElement.one(self.family)
+
+    def const(self, c):
+        _tick(self.budget)
+        return TElement.from_scalar(self.family, c)
+
+    def gen(self, m):
+        return t_generator(self.family, m, self.budget)
+
+    def add(self, a, b):
+        _tick(self.budget)
+        return t_add(a, b)
+
+    def mul(self, a, b):
+        return t_mul(a, b, self.budget)
 
 
 def t_normalize(family, expr, budget=DEFAULT_BUDGET):
     """Evaluate a raw expression tree to the rewriting fixpoint.
 
     budget bounds the number of rewrite events; exceeding it raises
-    BudgetExceededError (reported distinctly by the CLI).
+    BudgetExceededError (reported distinctly by the CLI).  An element
+    already in normal form is returned as it is.
     """
-    b = Budget(budget) if isinstance(budget, int) else budget
-    return _eval(family, expr, b)
-
-
-def _eval(family, expr, budget):
     if isinstance(expr, TElement):
         family.check_same(expr.family)
         return expr
-    if isinstance(expr, Const):
-        _tick(budget)
-        return TElement.from_scalar(family, expr.value)
-    if isinstance(expr, Gen):
-        return t_generator(family, expr.element, budget)
-    if isinstance(expr, Add):
-        out = TElement.zero(family)
-        for item in expr.items:
-            _tick(budget)
-            out = t_add(out, _eval(family, item, budget))
-        return out
-    if isinstance(expr, Mul):
-        out = TElement.one(family)
-        for item in expr.items:
-            out = t_mul(out, _eval(family, item, budget), budget)
-        return out
-    if isinstance(expr, Neg):
-        return t_neg(_eval(family, expr.item, budget))
-    if isinstance(expr, Pow):
-        if expr.exponent < 0:
-            raise ValueError("exponents must be non-negative")
-        base = _eval(family, expr.base, budget)
-        out = TElement.one(family)
-        for _ in range(expr.exponent):
-            out = t_mul(out, base, budget)
-        return out
-    raise TypeError(f"not an expression node: {expr!r}")
+    ring = TOps(family, Budget(budget) if isinstance(budget, int) else budget)
+    return eval_tree(expr, ring, ring.const, ring.gen)

@@ -187,6 +187,18 @@ class TestLocalize:
         assert doc["invariant_factors"] == ["3"]
         assert out.returncode == 0
 
+    def test_failed_certificate_exit_1(self, monkeypatch, capsys):
+        # a self-check that fails ends in exit 1 and one line, not a traceback
+        from trilocal.cli import main
+        from trilocal.linalg import DiagonalForm
+
+        monkeypatch.setattr(DiagonalForm, "verify", lambda self: False)
+        code = main(["localize-module", "--spec", str(ROOT / "tests" / "golden" / "module.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "self-verification" in err and "Traceback" not in err
+
     def test_schema_violation_exit_2(self, tmp_path):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"family": {"kind": "regular", "ring": "Z"}, "NA": {"gens": 1}}))

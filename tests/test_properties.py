@@ -1,13 +1,31 @@
 """Hypothesis law tests for the T-ring and the exact kernels."""
 
+import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from trilocal.families import DoubleFamily, ScaledFamily
+from trilocal.families import DoubleFamily, ScaledFamily, shipped_families
 from trilocal.linalg import Matrix, diagonal_form, in_row_span, int_matrix, smith_normal_form, solve_left
 from trilocal.rings import QQ, ZZ, KadicFraction, KadicRing, Polynomial, PolynomialRing
-from trilocal.tring import EqResult, TElement, family_iso, t_add, t_eq, t_generator, t_mul
+from trilocal.tring import (
+    Add,
+    Const,
+    EqResult,
+    Gen,
+    Mul,
+    Neg,
+    Pow,
+    TElement,
+    eval_tree,
+    family_iso,
+    t_add,
+    t_eq,
+    t_generator,
+    t_mul,
+    t_normalize,
+)
 
 S2 = ScaledFamily(2)
 DQ = DoubleFamily("Q")
@@ -73,6 +91,57 @@ class TestDoubleLaws:
     def test_oracle_homomorphism(self, a, b):
         assert family_iso(t_mul(a, b)) == family_iso(a) * family_iso(b)
         assert family_iso(t_add(a, b)) == family_iso(a) + family_iso(b)
+
+
+@st.composite
+def trees(draw, fam, size):
+    """A random expression tree whose normal form has at most about size terms.
+
+    Products split the size between their factors and a power takes its
+    root, so no tree makes a large element in a free-algebra family.
+    """
+    kinds = ["const", "gen"] + (["add", "mul", "neg", "pow"] if size >= 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "const":
+        return Const(draw(st.integers(-3, 3)))
+    if kind == "gen":
+        m = fam.random_m(random.Random(draw(st.integers(0, 2 ** 16))), 3)
+        return Gen(m if len(fam.letter_terms(m)) <= size else fam.p)
+    if kind == "add":
+        items = draw(st.integers(2, 3))
+        return Add(tuple(draw(trees(fam, size // items)) for _ in range(items)))
+    if kind == "mul":
+        first = draw(st.integers(1, size // 2))
+        return Mul((draw(trees(fam, first)), draw(trees(fam, size // first))))
+    if kind == "neg":
+        return Neg(draw(trees(fam, size)))
+    n = draw(st.integers(0, 5))
+    return Pow(draw(trees(fam, int(size ** (1 / max(n, 1))))), n)
+
+
+SHIPPED = shipped_families()
+
+
+@pytest.mark.parametrize("fam", SHIPPED, ids=lambda f: f.kind)
+class TestEvaluatorReference:
+    """t_normalize against eval_tree in the oracle ring, and ** against repeated t_mul."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_normalize_matches_oracle_evaluation(self, fam, data):
+        tree = data.draw(trees(fam, 48))
+        via_normal = family_iso(t_normalize(fam, tree))
+        via_oracle = eval_tree(tree, fam.oracle, fam.oracle_scalar, lambda m: family_iso(t_generator(fam, m)))
+        assert fam.oracle.eq(via_normal, via_oracle)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_power_matches_repeated_product(self, fam, data):
+        e = t_normalize(fam, data.draw(trees(fam, 2)))
+        product = TElement.one(fam)
+        for n in range(7):
+            assert e ** n == product
+            product = t_mul(product, e)
 
 
 class TestSmithProperties:

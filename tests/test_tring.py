@@ -7,7 +7,7 @@ import pytest
 
 from trilocal.errors import BudgetExceededError, FamilyMismatchError
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from trilocal.rings import KadicFraction, Polynomial
+from trilocal.rings import ZZ, KadicFraction, OperatorRing, Polynomial
 from trilocal.tring import (
     Add,
     Const,
@@ -16,7 +16,9 @@ from trilocal.tring import (
     Mul,
     Pow,
     TElement,
+    eval_tree,
     family_iso,
+    power,
     rho,
     t_add,
     t_eq,
@@ -130,6 +132,31 @@ class TestNormalization:
         fam = DoubleFamily("Q")
         e = t_normalize(fam, Pow(Gen((0, 1)), 3))
         assert family_iso(e) == Polynomial("Q", [0, 0, 0, 1])
+
+    def test_negative_exponent_raises(self):
+        # -1 >> 1 == -1, so a square-and-multiply loop on n < 0 never ends
+        with pytest.raises(ValueError, match="non-negative"):
+            eval_tree(Pow(Const(1), -1), ZZ, ZZ.from_int, None)
+        with pytest.raises(ValueError, match="non-negative"):
+            t_normalize(ScaledFamily(2), Pow(Gen(3), -2))
+
+
+class TestPower:
+    def test_no_product_with_one(self):
+        calls = []
+
+        class Counting(OperatorRing):
+            def one(self):
+                raise AssertionError("power formed one() for n > 0")
+
+            def mul(self, a, b):
+                calls.append((a, b))
+                return a * b
+
+        for n, products in [(1, 0), (2, 1), (3, 2), (6, 3), (8, 3), (13, 5)]:
+            calls.clear()
+            assert power(Counting(), 3, n) == 3 ** n
+            assert len(calls) == products
 
 
 class TestRho:
