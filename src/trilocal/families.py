@@ -113,7 +113,8 @@ class BimoduleFamily:
         return coeff, word
 
     def fold_element(self, terms):
-        """Whole-element canonicalization after sums; default: no change."""
+        """Canonical form of a term map of normal words with nonzero
+        coefficients, as sums and products build them; default: no change."""
         return terms
 
     def validate_coeff(self, c):
@@ -474,7 +475,7 @@ class ScaledFamily(BimoduleFamily):
     def fold_element(self, terms):
         # terms of different word length combine in Z[1/k]: bring every
         # term to the maximal exponent and renormalize once
-        if len(terms) <= 1:
+        if not terms:
             return terms
         top = max(len(w) for w in terms)
         num = sum(c * self.k ** (top - len(w)) for w, c in terms.items())

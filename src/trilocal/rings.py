@@ -19,22 +19,49 @@ from math import gcd
 from .errors import AlphabetMismatchError, UnsupportedRingError
 
 
+def _exact(x):
+    """A Fraction result as a canonical scalar."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def norm_scalar(x):
     """Canonical scalar: int, or Fraction with denominator > 1."""
+    if isinstance(x, int):
+        return x
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return int(x)
-        return x
-    if isinstance(x, int):
         return x
     raise TypeError(f"not an exact scalar: {x!r}")
 
 
 def scalar_add(a, b):
+    """a + b for canonical scalars; int and Fraction operands add natively.
+
+    Other operand types (bool, float, subclasses) take the general path:
+    a pair of int-likes adds as ints, anything else through Fraction().
+    """
+    ta, tb = type(a), type(b)
+    if ta is int:
+        if tb is int:
+            return a + b
+        if tb is Fraction:
+            return _exact(b + a)
+    elif ta is Fraction and (tb is Fraction or tb is int):
+        return _exact(a + b)
     return norm_scalar(Fraction(a) + Fraction(b)) if not (isinstance(a, int) and isinstance(b, int)) else a + b
 
 
 def scalar_mul(a, b):
+    """a * b for canonical scalars, on the same terms as scalar_add."""
+    ta, tb = type(a), type(b)
+    if ta is int:
+        if tb is int:
+            return a * b
+        if tb is Fraction:
+            return _exact(b * a)
+    elif ta is Fraction and (tb is Fraction or tb is int):
+        return _exact(a * b)
     return norm_scalar(Fraction(a) * Fraction(b)) if not (isinstance(a, int) and isinstance(b, int)) else a * b
 
 
@@ -659,6 +686,16 @@ class FreeAlgebra(OperatorRing):
 
     def word(self, letters, c=1):
         return FreeAlgebraElement.word(self.base, self.gens, letters, c)
+
+    def sum(self, values):
+        """Sum of elements of this algebra, accumulated in one term map."""
+        terms = {}
+        zero = self.zero()
+        for v in values:
+            zero._check(v)
+            for w, c in v.terms.items():
+                add_term(terms, w, c)
+        return FreeAlgebraElement(self.base, self.gens, terms)
 
     def random(self, rng, size=3, terms=2, length=2):
         out = self.zero()

@@ -1,0 +1,265 @@
+"""The rewriting hot path: linear-time sums and oracle images, a budget
+that bounds product work, per-call letter memos, duck-typed ring objects
+and the scalar operations' results on every operand type.
+
+``tests/golden/scalar_ops.json`` holds what ``norm_scalar``,
+``scalar_add`` and ``scalar_mul`` returned or raised before their
+int/Fraction fast paths were added.  Regenerate it (only when a change
+of results is intended) with ``PYTHONPATH=src python tests/test_hot_path.py``.
+"""
+
+import gc
+import json
+import pathlib
+import sys
+from fractions import Fraction
+
+import pytest
+
+import trilocal.tring as tring
+from trilocal import exprs
+from trilocal.errors import BudgetExceededError
+from trilocal.families import HnnFreeFamily, ScaledFamily, TensorFreeFamily, family_from_json
+from trilocal.rings import ZZ, FreeAlgebraElement, KadicFraction, norm_scalar, scalar_add, scalar_mul
+from trilocal.tring import (
+    Add,
+    Budget,
+    Const,
+    Gen,
+    Mul,
+    Neg,
+    Pow,
+    TElement,
+    eval_tree,
+    family_iso,
+    map_terms,
+    t_generator,
+    t_mul,
+    t_normalize,
+)
+
+GOLDEN_SCALARS = pathlib.Path(__file__).resolve().parent / "golden" / "scalar_ops.json"
+OPERANDS = [3, -2, 0, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2), True, False, 0.5, 0.1, KadicFraction(2, 3, 1)]
+HNN_SUM = "(x[h(s)]+x[h(s,t)]+2*x[h(1,s*t)]+x[h(t,1)])"
+
+
+def outcome(op, *args):
+    try:
+        r = op(*args)
+    except Exception as exc:  # the recorded outcome includes the exception type
+        return ["raises", type(exc).__name__]
+    return [type(r).__name__, repr(r)]
+
+
+def scalar_results():
+    """[op, i, j, outcome]: norm_scalar of each of OPERANDS (j is None),
+    scalar_add and scalar_mul of every ordered pair."""
+    rows = [["norm", i, None, outcome(norm_scalar, a)] for i, a in enumerate(OPERANDS)]
+    for name, op in (("add", scalar_add), ("mul", scalar_mul)):
+        for i, a in enumerate(OPERANDS):
+            for j, b in enumerate(OPERANDS):
+                rows.append([name, i, j, outcome(op, a, b)])
+    return rows
+
+
+def hnn_power(n):
+    fam = HnnFreeFamily("Q", ("s", "t"), "x")
+    return fam, t_normalize(fam, exprs.parse_element(fam, "*".join([HNN_SUM] * n)))
+
+
+class TestScalarOperands:
+    def test_results_as_recorded(self):
+        recorded = json.loads(GOLDEN_SCALARS.read_text(encoding="utf-8"))
+        assert scalar_results() == recorded
+
+    def test_canonical_types(self):
+        assert type(scalar_add(Fraction(1, 2), Fraction(1, 2))) is int
+        assert type(scalar_mul(Fraction(2, 3), 3)) is int
+        assert type(scalar_mul(3, Fraction(1, 6))) is Fraction
+
+
+class TestBudgetBoundsProducts:
+    @pytest.mark.parametrize("fam, left, right", [
+        # letters that neither merge nor shift: the product ticks only per pair
+        (HnnFreeFamily("Q", ("s", "t"), "x"), "(x[h(s,1)]+x[h(t,1)]+2*x[h(1,1)])", "(x[h(s,t)]-x[h(1,t)])"),
+        (TensorFreeFamily("Q", ("s", "t"), ("u", "v")), "(x[t(s,u)]+x[t(t,v)]+3*x[t(s*t,u)])", "(x[t(s,v)]-x[t(t,u)])"),
+        # merges and shifts tick as well
+        (HnnFreeFamily("Q", ("s", "t"), "x"), HNN_SUM, "(x[h(s,1)]+x[h(t)]-x[h(1,t)])"),
+    ])
+    def test_used_at_least_word_pairs(self, fam, left, right):
+        e1 = t_normalize(fam, exprs.parse_element(fam, left))
+        e2 = t_normalize(fam, exprs.parse_element(fam, right))
+        budget = Budget(10 ** 6)
+        t_mul(e1, e2, budget)
+        assert budget.used >= len(e1.terms) * len(e2.terms) > 1
+
+    def test_limit_below_word_pairs_raises(self):
+        fam, e = hnn_power(2)
+        with pytest.raises(BudgetExceededError):
+            t_mul(e, e, Budget(len(e.terms) ** 2 - 1))
+
+
+class TestLinearCounts:
+    """Work counted, not timed, per letter of the normal form mapped or
+    re-read: from n = 5 to n = 6 it may grow at most 1.5x, where a map
+    that copies its running sum for every term grows about 4x."""
+
+    @staticmethod
+    def counts(n, monkeypatch):
+        """FreeAlgebraElement constructions in family_iso, and the terms
+        they are given; _refold calls, and the terms they add up, in
+        normalizing the re-parsed printed form; each per letter of e."""
+        fam, e = hnn_power(n)
+        calls = {"init": 0, "init terms": 0, "refold": 0, "refold terms": 0}
+        init, refold = FreeAlgebraElement.__init__, tring._refold
+
+        def counting_init(self, ring, gens, terms):
+            calls["init"] += 1
+            calls["init terms"] += len(terms)
+            init(self, ring, gens, terms)
+
+        def counting_refold(family, term_maps):
+            term_maps = list(term_maps)
+            calls["refold"] += 1
+            calls["refold terms"] += sum(map(len, term_maps))
+            return refold(family, term_maps)
+
+        monkeypatch.setattr(FreeAlgebraElement, "__init__", counting_init)
+        image = family_iso(e)
+        monkeypatch.undo()
+        tree = exprs.parse_element(fam, exprs.format_element(e))
+        monkeypatch.setattr(tring, "_refold", counting_refold)
+        again = t_normalize(fam, tree)
+        monkeypatch.undo()
+        assert again == e
+        assert len(image.terms) == len(e.terms) == 4 ** n
+        letters = sum(len(word) + 1 for word in e.terms)  # the coefficient and each letter
+        return {key: count / letters for key, count in calls.items()}
+
+    def test_growth_from_n5_to_n6(self, monkeypatch):
+        small = self.counts(5, monkeypatch)
+        large = self.counts(6, monkeypatch)
+        for key in small:
+            assert large[key] <= 1.5 * small[key], (key, small, large)
+
+
+def oracle_product(fam, e1, e2):
+    return fam.oracle.mul(family_iso(e1), family_iso(e2))
+
+
+class TestPerCallMemo:
+    @staticmethod
+    def interleave(cases):
+        """Products in several families, in turns; each checked against a fresh run."""
+        results = []
+        for _ in range(3):
+            for fam, e1, e2 in cases:
+                results.append((fam, e1, e2, t_mul(e1, e2)))
+        for fam, e1, e2, got in results:
+            alone = family_from_json(fam.to_json())
+            fresh = t_mul(TElement(alone, dict(e1.terms)), TElement(alone, dict(e2.terms)))
+            assert got == fresh
+            assert got.family == fam
+            assert family_iso(got) == oracle_product(fam, e1, e2)
+
+    def test_scaled_families_share_a_letter(self):
+        cases = []
+        for fam in (ScaledFamily(2), ScaledFamily(3)):
+            g = t_generator(fam, 1)
+            cases.append((fam, g + t_generator(fam, 5), g * g + TElement.from_scalar(fam, 7)))
+        self.interleave(cases)
+
+    def test_hnn_alphabets_share_letters(self):
+        small, large = HnnFreeFamily("Q", ("s", "t"), "x"), HnnFreeFamily("Q", ("s", "t", "r"), "x")
+        letter = ("a", (0,))
+        assert small.factor_p(small.letter_bim(letter)) != large.factor_p(large.letter_bim(letter))
+        cases = []
+        for fam in (small, large):
+            e = t_normalize(fam, exprs.parse_element(fam, HNN_SUM))
+            f = t_normalize(fam, exprs.parse_element(fam, "x[h(t,s)]+x[h(s)]-x[h(1,1)]"))
+            cases.append((fam, e, f))
+        self.interleave(cases)
+
+    def test_nothing_grows_across_calls(self):
+        fam = HnnFreeFamily("Q", ("s", "t"), "x")
+        e = t_normalize(fam, exprs.parse_element(fam, HNN_SUM))
+
+        def sizes():
+            gc.collect()
+            out = {("tring", k): len(v) for k, v in vars(tring).items() if hasattr(v, "__len__")}
+            out.update({("family", k): len(v) for k, v in vars(fam).items() if hasattr(v, "__len__")})
+            out["family attrs"] = len(vars(fam))
+            out["tring attrs"] = len(vars(tring))
+            return out
+
+        def letter(i):  # 1,024 distinct letters h(s^a*t^b) and h(t^a,s^b)
+            a, b = divmod(i % 512, 16)
+            word = "*".join(["s"] * (a + 1) + ["t"] * b)
+            return f"x[h({word})]" if i < 512 else f"x[h({word},s)]"
+
+        products = [t_normalize(fam, exprs.parse_element(fam, f"{letter(i)}+{letter(1023 - i)}")) for i in range(1000)]
+        t_mul(e, e)
+        before = sizes()
+        for f in products:
+            t_mul(e, f)
+            t_mul(f, e)
+        assert sizes() == before
+
+
+class NoSumRing:
+    """A ring object with add and mul but no sum hook."""
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def add(self, a, b):
+        return a + b
+
+    def mul(self, a, b):
+        return a * b
+
+    def neg(self, a):
+        return -a
+
+
+class TestDuckTypedRings:
+    @pytest.mark.parametrize("ring", [NoSumRing(), ZZ, HnnFreeFamily("Q", ("s", "t"), "x").oracle, tring.TOps(ScaledFamily(2))])
+    def test_empty_sum_raises(self, ring):
+        with pytest.raises(ValueError):
+            eval_tree(Add(()), ring, None, None)
+
+    def test_eval_tree_without_sum(self):
+        tree = Add((Const(2), Mul((Gen(0), Gen(1))), Neg(Pow(Gen(1), 3)), Const(5)))
+        assert eval_tree(tree, NoSumRing(), int, lambda i: (3, 4)[i]) == 2 + 12 - 64 + 5
+
+    def test_map_terms_without_sum(self):
+        fam, e = hnn_power(3)
+        e = e + TElement.from_scalar(fam, 7)
+        image = lambda letter: len(letter) + sum(map(len, letter[1:]))  # any number per letter
+        expected = 0
+        for word, coeff in e.terms.items():
+            value = coeff
+            for letter in word:
+                value *= image(letter)
+            expected += value
+        assert map_terms(e, NoSumRing(), Fraction, image) == expected
+        assert map_terms(TElement.zero(fam), NoSumRing(), Fraction, image) == 0
+
+    def test_sum_hook_matches_pairwise_fold(self):
+        fam, e = hnn_power(2)
+        values = [fam.oracle_scalar(c) for c in (1, 2, Fraction(1, 3))] + [fam.oracle_letter(w[0]) for w in e.terms if w]
+        folded = values[0]
+        for v in values[1:]:
+            folded = folded + v
+        assert fam.oracle.sum(values) == folded
+        # IntegerRing has no sum hook either
+        assert eval_tree(Add((Const(4), Const(-4), Const(3))), ZZ, ZZ.from_int, None) == 3
+
+
+if __name__ == "__main__":
+    rows = ",\n".join(json.dumps(row) for row in scalar_results())
+    GOLDEN_SCALARS.write_text(f"[\n{rows}\n]\n", encoding="utf-8")
+    print(GOLDEN_SCALARS, file=sys.stderr)
