@@ -26,7 +26,7 @@ from .families import family_from_json
 from .fracloc import CentralPair, factor_inverting_hom, rational_value_hom
 from .matrixloc import rho_matrix, verify_sigma_inverting
 from .modloc import localize_module
-from .report import Report
+from .report import Report, dump_json
 from .tring import DEFAULT_BUDGET, family_iso, rho, t_normalize
 from .triangular import TriElement, triple_from_json
 from .verify import DEFAULT_SEED, example_suite, random_suite
@@ -37,28 +37,33 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 
 
+def _load_json(what, text=None, path=None):
+    """The JSON document text, or the one in the file at path; every failure
+    to read or decode it is a SchemaError naming what."""
+    try:
+        if path is not None:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except OSError as exc:
+        raise SchemaError(f"cannot read {what}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SchemaError(f"{what} nests too deeply") from None
+
+
 def _load_family(spec):
     if spec is None:
         raise SchemaError("--family is required for this command")
     if spec.startswith("@"):
-        try:
-            with open(spec[1:], "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise SchemaError(f"cannot read family file: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"family file is not valid JSON: {exc}") from exc
-    else:
-        try:
-            data = json.loads(spec)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"--family is not valid JSON: {exc}") from exc
-    return family_from_json(data)
+        return family_from_json(_load_json("family file", path=spec[1:]))
+    return family_from_json(_load_json("--family", text=spec))
 
 
 def _emit(doc, fmt):
     if fmt == "json":
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
+        print(dump_json(doc))
     else:
         for key, value in doc.items():
             if isinstance(value, list):
@@ -70,10 +75,6 @@ def _emit(doc, fmt):
                         print(f"  {item}")
             else:
                 print(f"{key}: {value}")
-
-
-def _emit_report(report, fmt):
-    print(report.render(fmt))
 
 
 def cmd_normalize(args):
@@ -120,7 +121,7 @@ def cmd_verify(args):
         report = example_suite(seed=args.seed, negative_control=args.negative_control)
     else:
         report = random_suite(seed=args.seed)
-    _emit_report(report, args.format)
+    print(report.render(args.format))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
@@ -183,18 +184,14 @@ def cmd_localize_ring(args):
     }
     _emit(doc, args.format)
     if args.format == "text":
-        _emit_report(report, args.format)
+        print(report.render(args.format))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
 def cmd_localize_module(args):
-    try:
-        with open(args.spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(f"cannot read module spec: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"module spec is not valid JSON: {exc}") from exc
+    data = _load_json("module spec", path=args.spec)
+    if not isinstance(data, dict):
+        raise SchemaError("module spec must be a JSON object")
     if args.family:
         family = _load_family(args.family)
     else:
@@ -207,7 +204,7 @@ def cmd_localize_module(args):
     doc["family"] = family.describe()
     _emit(doc, args.format)
     if args.format == "text":
-        _emit_report(localized.report, args.format)
+        print(localized.report.render(args.format))
     return EXIT_OK if localized.report.passed else EXIT_VERIFY
 
 

@@ -22,10 +22,10 @@ The melem literal is family specific::
     hnn-free           "h(" word ")"  or  "h(" word "," word ")"
     word               "1" | ident ("*" ident)*
 
-An element of M is a signed sum of melems, each optionally preceded by
-``lit "*"``; for regular and scaled, whose melem is itself a lit, a
-bare lit is the melem.  Printing a normal form and re-parsing it yields
-an equal element.
+An element of M is a bare ``0`` (its zero) or a signed sum of melems,
+each optionally preceded by ``lit "*"``; for regular and scaled, whose
+melem is itself a lit, a bare lit is the melem.  Printing a normal form
+or an element of M and re-parsing it yields an equal element.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .rings import norm_scalar, scalar_str
+from .rings import norm_scalar, scalar_str, signed_sum
 from .tring import DEFAULT_BUDGET, Add, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize
 
 MAX_NESTING = 200
@@ -247,36 +247,18 @@ def parse_normal(family, text, budget=None):
 
 def format_element(e):
     """Canonical grammar rendering of a normal form; round-trips by parse."""
-    family = e.family
-    if not e.terms:
-        return "0"
-    parts = []
-    for word, coeff in e.sorted_terms():
-        if not word:
-            parts.append(scalar_str(coeff))
-            continue
+    letter_fmt = e.family.letter_fmt
+
+    def body(word):
         runs = []
         for letter in word:
             if runs and runs[-1][0] == letter:
                 runs[-1][1] += 1
             else:
                 runs.append([letter, 1])
-        body = "*".join(
-            f"x[{family.letter_fmt(letter)}]" + (f"^{n}" if n > 1 else "") for letter, n in runs
-        )
-        if coeff == 1:
-            parts.append(body)
-        elif coeff == -1:
-            parts.append(f"-{body}")
-        else:
-            parts.append(f"{scalar_str(coeff)}*{body}")
-    out = parts[0]
-    for piece in parts[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+        return "*".join(f"x[{letter_fmt(letter)}]" + (f"^{n}" if n > 1 else "") for letter, n in runs)
+
+    return signed_sum(((coeff, body(word)) for word, coeff in e.sorted_terms()), spaced=True)
 
 
 def format_oracle(family, value):
@@ -295,9 +277,11 @@ def parse_ring_element(family, component, text):
 
 
 def parse_bim_element(family, text):
-    """Parse a bimodule element: a signed sum of (coefficient *) melems."""
+    """Parse a bimodule element: 0, or a signed sum of (coefficient *) melems."""
     p = _Parser(family, text)
     total = family.zero_m()
+    if len(p.tokens) == 2 and p.peek().value == 0:
+        return total
 
     def melem_term():
         coeff = 1

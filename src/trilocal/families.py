@@ -17,6 +17,16 @@ Shipped kinds:
 * ``hnn-free``   A = B a free algebra over C, M = A + (A (x) A),
   p = (1, 0).
 
+Each decision is stated once.  ``BimoduleFamily`` holds what follows
+from the rings alone: the check of the coefficient ring, the units and
+random elements of A and B, negation, equality of canonical forms and
+the image of a scalar in the oracle ring.  ``ScalarFamily`` adds
+A = B = Z or Q for regular and double, and scaled is the regular
+bimodule Z with p = k.  Tensor-free and hnn-free share the module-level
+helpers for tensor term maps: canonical form, sums, the two-sided
+action, scalar multiples, printing and random elements.  Every sum of
+terms prints through ``rings.signed_sum``.
+
 Factorization is exact and verified, never heuristic: a returned factor
 reproduces the element on the nose, and families without a decidable
 membership test for A*p simply are not shipped.
@@ -25,6 +35,7 @@ membership test for A*p simply are not shipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import FamilyMismatchError, SchemaError, UnsupportedFamilyError
 from .rings import (
@@ -32,15 +43,17 @@ from .rings import (
     FreeAlgebraElement,
     KadicFraction,
     KadicRing,
-    Polynomial,
     PolynomialRing,
     QQ,
     ZZ,
     add_term,
     norm_scalar,
+    random_word,
     scalar_add,
     scalar_mul,
     scalar_str,
+    signed_sum,
+    word_key,
 )
 
 
@@ -48,19 +61,17 @@ from .rings import (
 class PFactorization:
     """Exact p-factorization data for a bimodule element m.
 
-    ``left`` is a with m = a*p when m lies in A*p, ``right`` is b with
-    m = p*b when m lies in p*B, and ``split`` is (pairs, residual) with
-    m = sum(a_i * p * b_i) + residual for families exposing
-    M = ApB + complement.
+    ``left`` is a with m = a*p when m lies in A*p, and ``right`` is b
+    with m = p*b when m lies in p*B; either is None otherwise.
     """
 
     left: object = None
     right: object = None
-    split: object = None
 
 
 class BimoduleFamily:
-    """Shared behaviour; concrete families fill in the hooks."""
+    """Shared behaviour, including all that follows from the rings alone;
+    concrete families fill in the hooks."""
 
     kind = None
     # a melem is a bare literal, so a leading literal in a bimodule sum is
@@ -72,6 +83,11 @@ class BimoduleFamily:
     # k with T = Z[1/k] inside Q and x_m = m/k, for fraction forms and the
     # evaluation morphism into Q
     rational_k = None
+
+    def __init__(self, ring):
+        if ring not in ("Z", "Q"):
+            raise SchemaError(f"{self.kind} family ring must be Z or Q, got {ring!r}")
+        self.ring = self.coeff = ring
 
     # -- identity ---------------------------------------------------------
     def key(self):
@@ -92,7 +108,34 @@ class BimoduleFamily:
 
         return json.dumps(self.to_json(), sort_keys=True)
 
+    # -- rings ----------------------------------------------------------------
+    @property
+    def a_one(self):
+        return self.a_ring.one()
+
+    @property
+    def b_one(self):
+        return self.b_ring.one()
+
+    def random_a(self, rng, *size):
+        """Random element of A, of the ring's own default size unless one is given."""
+        return self.a_ring.random(rng, *size)
+
+    def random_b(self, rng, *size):
+        return self.b_ring.random(rng, *size)
+
+    def oracle_scalar(self, c):
+        """Image of a central scalar in the oracle ring (whose from_int takes
+        any scalar of the coefficient ring)."""
+        return self.oracle.from_int(c)
+
     # -- hooks with shared defaults ----------------------------------------
+    def neg_m(self, m):
+        return self.scale_m(-1, m)
+
+    def eq_m(self, m1, m2):
+        return self.canon_m(m1) == self.canon_m(m2)
+
     def basis(self):
         """Finite free basis of M, or None when the family has none."""
         return None
@@ -131,28 +174,35 @@ class BimoduleFamily:
         raise UnsupportedFamilyError(f"fraction forms are not supported for {self.kind}")
 
 
-class RegularFamily(BimoduleFamily):
+class ScalarFamily(BimoduleFamily):
+    """A = B = Z or Q, named by that ring; A and B enter the oracle ring as
+    its scalars."""
+
+    def __init__(self, ring):
+        super().__init__(ring)
+        self.a_ring = self.b_ring = ZZ if ring == "Z" else QQ
+
+    def key(self):
+        return (self.kind, self.ring)
+
+    def to_json(self):
+        return {"kind": self.kind, "ring": self.ring}
+
+    oracle_a = oracle_b = BimoduleFamily.oracle_scalar
+
+
+class RegularFamily(ScalarFamily):
     """A = B = M with the multiplication bimodule structure and p = 1."""
 
     kind = "regular"
     scalar_melem = True
 
     def __init__(self, ring="Z"):
-        if ring not in ("Z", "Q"):
-            raise SchemaError(f"regular family ring must be Z or Q, got {ring!r}")
-        self.ring = ring
-        self.coeff = ring
-        self.a_ring = self.b_ring = ZZ if ring == "Z" else QQ
+        super().__init__(ring)
         self.oracle = self.a_ring
         if ring == "Z":
             self.t_ring = self.oracle
             self.rational_k = 1
-
-    def key(self):
-        return ("regular", self.ring)
-
-    def to_json(self):
-        return {"kind": "regular", "ring": self.ring}
 
     # bimodule ------------------------------------------------------------
     @property
@@ -165,23 +215,17 @@ class RegularFamily(BimoduleFamily):
     def canon_m(self, m):
         m = norm_scalar(m)
         if self.ring == "Z" and not isinstance(m, int):
-            raise ValueError(f"bimodule element of regular-Z must be an integer, got {m}")
+            raise ValueError(f"bimodule element of {self.kind}-Z must be an integer, got {m}")
         return m
 
     def add_m(self, m1, m2):
         return scalar_add(m1, m2)
-
-    def neg_m(self, m):
-        return -m
 
     def apply(self, a, m, b):
         return scalar_mul(scalar_mul(a, m), b)
 
     def scale_m(self, c, m):
         return scalar_mul(c, m)
-
-    def eq_m(self, m1, m2):
-        return norm_scalar(m1) == norm_scalar(m2)
 
     def fmt_m(self, m):
         return scalar_str(m)
@@ -190,7 +234,7 @@ class RegularFamily(BimoduleFamily):
         return self.canon_m(p.parse_signed_lit())
 
     def factor_p(self, m):
-        return PFactorization(left=m, right=m, split=(((m, 1),), 0))
+        return PFactorization(left=m, right=m)
 
     def basis(self):
         return [1]
@@ -200,17 +244,6 @@ class RegularFamily(BimoduleFamily):
 
     def random_m(self, rng, size=9):
         return self.a_ring.random(rng, size)
-
-    def random_a(self, rng, size=9):
-        return self.a_ring.random(rng, size)
-
-    random_b = random_a
-
-    @property
-    def a_one(self):
-        return 1
-
-    b_one = a_one
 
     # letters --------------------------------------------------------------
     def letter_terms(self, m):
@@ -222,22 +255,12 @@ class RegularFamily(BimoduleFamily):
 
     letter_bim = letter_key = letter_fmt = oracle_letter = _no_letters
 
-    def oracle_scalar(self, c):
-        return norm_scalar(c)
-
-    def oracle_a(self, a):
-        return norm_scalar(a)
-
-    oracle_b = oracle_a
-
     def scaled_p_variant(self, a0):
         if self.ring != "Z":
             raise UnsupportedFamilyError("changing p is supported for regular-Z only")
         if not isinstance(a0, int) or a0 < 1:
             raise UnsupportedFamilyError(f"a0 must be a positive integer, got {a0}")
-        if a0 == 1:
-            return self
-        return ScaledFamily(a0)
+        return self if a0 == 1 else ScaledFamily(a0 * self.p)
 
     def terms_with_value(self, frac):
         if frac.denominator != 1:
@@ -245,26 +268,16 @@ class RegularFamily(BimoduleFamily):
         return {(): int(frac)} if frac else {}
 
 
-class DoubleFamily(BimoduleFamily):
+class DoubleFamily(ScalarFamily):
     """A = B, M = A + A componentwise, p = (1, 0); T is A[x]."""
 
     kind = "double"
 
     def __init__(self, ring="Q"):
-        if ring not in ("Z", "Q"):
-            raise SchemaError(f"double family ring must be Z or Q, got {ring!r}")
-        self.ring = ring
-        self.coeff = ring
-        self.a_ring = self.b_ring = ZZ if ring == "Z" else QQ
+        super().__init__(ring)
         self.oracle = PolynomialRing(ring)
         if ring == "Q":
             self.t_ring = self.oracle
-
-    def key(self):
-        return ("double", self.ring)
-
-    def to_json(self):
-        return {"kind": "double", "ring": self.ring}
 
     @property
     def p(self):
@@ -283,18 +296,12 @@ class DoubleFamily(BimoduleFamily):
     def add_m(self, m1, m2):
         return (scalar_add(m1[0], m2[0]), scalar_add(m1[1], m2[1]))
 
-    def neg_m(self, m):
-        return (-m[0], -m[1])
-
     def apply(self, a, m, b):
         ab = scalar_mul(a, b)
         return (scalar_mul(ab, m[0]), scalar_mul(ab, m[1]))
 
     def scale_m(self, c, m):
         return (scalar_mul(c, m[0]), scalar_mul(c, m[1]))
-
-    def eq_m(self, m1, m2):
-        return self.canon_m(m1) == self.canon_m(m2)
 
     def fmt_m(self, m):
         return f"({scalar_str(m[0])},{scalar_str(m[1])})"
@@ -309,9 +316,8 @@ class DoubleFamily(BimoduleFamily):
 
     def factor_p(self, m):
         m1, m2 = self.canon_m(m)
-        left = m1 if m2 == 0 else None
-        right = m1 if m2 == 0 else None
-        return PFactorization(left=left, right=right, split=(((m1, 1),), (0, m2)))
+        q = m1 if m2 == 0 else None
+        return PFactorization(left=q, right=q)
 
     def basis(self):
         return [(1, 0), (0, 1)]
@@ -322,17 +328,6 @@ class DoubleFamily(BimoduleFamily):
 
     def random_m(self, rng, size=9):
         return (self.a_ring.random(rng, size), self.a_ring.random(rng, size))
-
-    def random_a(self, rng, size=9):
-        return self.a_ring.random(rng, size)
-
-    random_b = random_a
-
-    @property
-    def a_one(self):
-        return 1
-
-    b_one = a_one
 
     _X = ("x",)
 
@@ -357,27 +352,21 @@ class DoubleFamily(BimoduleFamily):
     def oracle_letter(self, letter):
         return self.oracle.variable()
 
-    def oracle_scalar(self, c):
-        return Polynomial(self.ring, [c])
 
-    def oracle_a(self, a):
-        return Polynomial(self.ring, [a])
+class ScaledFamily(RegularFamily):
+    """A = B = M = Z with p = k >= 2; T is Z[1/k].
 
-    oracle_b = oracle_a
-
-
-class ScaledFamily(BimoduleFamily):
-    """A = B = M = Z with p = k >= 2; T is Z[1/k]."""
+    M is the regular bimodule Z, whose operations come from RegularFamily;
+    p, the letters, the oracle ring and the fraction forms are k's.
+    """
 
     kind = "scaled"
-    scalar_melem = True
 
     def __init__(self, k):
         if not isinstance(k, int) or k < 2:
             raise SchemaError(f"scaled family needs an integer k >= 2, got {k!r}")
+        super().__init__("Z")
         self.k = k
-        self.coeff = "Z"
-        self.a_ring = self.b_ring = ZZ
         self.oracle = self.t_ring = KadicRing(k)
         self.rational_k = k
 
@@ -391,60 +380,14 @@ class ScaledFamily(BimoduleFamily):
     def p(self):
         return self.k
 
-    def zero_m(self):
-        return 0
-
-    def canon_m(self, m):
-        if not isinstance(m, int):
-            raise ValueError(f"bimodule element of scaled must be an integer, got {m!r}")
-        return m
-
-    def add_m(self, m1, m2):
-        return m1 + m2
-
-    def neg_m(self, m):
-        return -m
-
-    def apply(self, a, m, b):
-        return a * m * b
-
-    def scale_m(self, c, m):
-        return c * m
-
-    def eq_m(self, m1, m2):
-        return m1 == m2
-
-    def fmt_m(self, m):
-        return scalar_str(m)
-
-    def parse_melem(self, p):
-        return self.canon_m(p.parse_signed_lit())
-
     def factor_p(self, m):
         if m % self.k == 0:
             q = m // self.k
-            return PFactorization(left=q, right=q, split=None)
+            return PFactorization(left=q, right=q)
         return PFactorization()
-
-    def basis(self):
-        return [1]
-
-    def basis_coords(self, m):
-        return [m]
 
     def random_m(self, rng, size=20):
         return rng.randint(-size, size)
-
-    def random_a(self, rng, size=9):
-        return rng.randint(-size, size)
-
-    random_b = random_a
-
-    @property
-    def a_one(self):
-        return 1
-
-    b_one = a_one
 
     _G = ("g",)
 
@@ -485,27 +428,16 @@ class ScaledFamily(BimoduleFamily):
     def oracle_letter(self, letter):
         return KadicFraction(self.k, 1, 1)
 
-    def oracle_scalar(self, c):
-        return KadicFraction(self.k, c, 0)
-
-    def oracle_a(self, a):
-        return KadicFraction(self.k, a, 0)
-
-    oracle_b = oracle_a
-
-    def scaled_p_variant(self, a0):
-        if not isinstance(a0, int) or a0 < 1:
-            raise UnsupportedFamilyError(f"a0 must be a positive integer, got {a0}")
-        if a0 == 1:
-            return self
-        return ScaledFamily(a0 * self.k)
-
     def terms_with_value(self, frac):
         value = self.oracle.from_fraction(frac)
         if value is None:
             return None
         return {(self._G,) * value.exp: value.num} if value.num else {}
 
+
+# -- tensor term maps ---------------------------------------------------------
+# Tensor-free M and the tensor part of hnn-free M are term maps
+# {(left word, right word): coefficient} over the pure tensors u (x) v.
 
 def _canon_tensor(terms):
     out = {}
@@ -514,6 +446,51 @@ def _canon_tensor(terms):
         if c != 0:
             out[(tuple(wa), tuple(wb))] = c
     return out
+
+
+def _tensor_sum(t1, t2):
+    out = dict(t1)
+    for key, c in t2.items():
+        add_term(out, key, c)
+    return out
+
+
+def _tensor_apply(a, t, b):
+    """a * t * b, with a acting on the left words and b on the right words."""
+    out = {}
+    for wa, c1 in a.terms.items():
+        for (u, v), c2 in t.items():
+            for wb, c3 in b.terms.items():
+                add_term(out, (wa + u, v + wb), scalar_mul(scalar_mul(c1, c2), c3))
+    return out
+
+
+def _tensor_scale(c, t):
+    return {key: scalar_mul(c, v) for key, v in t.items()} if c != 0 else {}
+
+
+def _word_text(gens, w):
+    return "*".join(gens[i] for i in w) if w else "1"
+
+
+def _tensor_text(name, left, right, key):
+    """name(u,v) for the pure tensor key = (u, v), with u over left and v over right."""
+    return f"{name}({_word_text(left, key[0])},{_word_text(right, key[1])})"
+
+
+def _tensor_terms(name, left, right, t):
+    """(coefficient, text) of each pure tensor of t, shortest first."""
+    order = sorted(t, key=lambda key: (len(key[0]) + len(key[1]), key))
+    return ((t[key], _tensor_text(name, left, right, key)) for key in order)
+
+
+def _random_tensor(rng, n, left, right, size):
+    """n random pure tensors with coefficients in [-size, size], summed."""
+    out = {}
+    for _ in range(n):
+        key = (random_word(rng, left), random_word(rng, right))
+        out[key] = out.get(key, 0) + rng.randint(-size, size)
+    return _canon_tensor(out)
 
 
 class TensorFreeFamily(BimoduleFamily):
@@ -527,15 +504,12 @@ class TensorFreeFamily(BimoduleFamily):
     kind = "tensor-free"
 
     def __init__(self, ring="Q", a_gens=("s",), b_gens=("u",)):
-        if ring not in ("Z", "Q"):
-            raise SchemaError(f"tensor-free ring must be Z or Q, got {ring!r}")
+        super().__init__(ring)
         a_gens, b_gens = tuple(a_gens), tuple(b_gens)
         if len(set(a_gens)) != len(a_gens) or len(set(b_gens)) != len(b_gens):
             raise SchemaError("generator names must be distinct")
         if set(a_gens) & set(b_gens):
             raise SchemaError("tensor-free alphabets must be disjoint")
-        self.ring = ring
-        self.coeff = ring
         self.a_gens = a_gens
         self.b_gens = b_gens
         self.a_ring = FreeAlgebra(ring, a_gens)
@@ -567,52 +541,16 @@ class TensorFreeFamily(BimoduleFamily):
         return out
 
     def add_m(self, m1, m2):
-        out = self.canon_m(m1)
-        for key, c in self.canon_m(m2).items():
-            add_term(out, key, c)
-        return out
-
-    def neg_m(self, m):
-        return {key: -c for key, c in self.canon_m(m).items()}
+        return _tensor_sum(self.canon_m(m1), self.canon_m(m2))
 
     def apply(self, a, m, b):
-        out = {}
-        for wa1, c1 in a.terms.items():
-            for (wa, wb), c2 in self.canon_m(m).items():
-                for wb1, c3 in b.terms.items():
-                    add_term(out, (wa1 + wa, wb + wb1), scalar_mul(scalar_mul(c1, c2), c3))
-        return out
+        return _tensor_apply(a, self.canon_m(m), b)
 
     def scale_m(self, c, m):
-        return {key: scalar_mul(c, v) for key, v in self.canon_m(m).items() if scalar_mul(c, v) != 0}
-
-    def eq_m(self, m1, m2):
-        return self.canon_m(m1) == self.canon_m(m2)
-
-    def _word_a(self, w):
-        return "*".join(self.a_gens[i] for i in w) if w else "1"
-
-    def _word_b(self, w):
-        return "*".join(self.b_gens[i] for i in w) if w else "1"
+        return _tensor_scale(c, self.canon_m(m))
 
     def fmt_m(self, m):
-        m = self.canon_m(m)
-        if not m:
-            return "0"
-        parts = []
-        for (wa, wb) in sorted(m, key=lambda key: (len(key[0]) + len(key[1]), key)):
-            c = m[(wa, wb)]
-            body = f"t({self._word_a(wa)},{self._word_b(wb)})"
-            if c == 1:
-                parts.append(body)
-            elif c == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{scalar_str(c)}*{body}")
-        out = parts[0]
-        for piece in parts[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
+        return signed_sum(_tensor_terms("t", self.a_gens, self.b_gens, self.canon_m(m)))
 
     def parse_melem(self, p):
         p.expect_call("t", "tensor-free melem must be t(aword,bword)")
@@ -629,38 +567,10 @@ class TensorFreeFamily(BimoduleFamily):
             left = FreeAlgebraElement(self.ring, self.a_gens, {wa: c for (wa, _), c in m.items()})
         if all(wa == () for (wa, _) in m):
             right = FreeAlgebraElement(self.ring, self.b_gens, {wb: c for (_, wb), c in m.items()})
-        pairs = tuple(
-            (
-                FreeAlgebraElement(self.ring, self.a_gens, {wa: c}),
-                FreeAlgebraElement(self.ring, self.b_gens, {wb: 1}),
-            )
-            for (wa, wb), c in m.items()
-        )
-        return PFactorization(left=left, right=right, split=(pairs, {}))
+        return PFactorization(left=left, right=right)
 
     def random_m(self, rng, size=3):
-        out = {}
-        for _ in range(rng.randint(1, 2)):
-            wa = tuple(rng.randrange(len(self.a_gens)) for _ in range(rng.randint(0, 2))) if self.a_gens else ()
-            wb = tuple(rng.randrange(len(self.b_gens)) for _ in range(rng.randint(0, 2))) if self.b_gens else ()
-            c = rng.randint(-size, size)
-            key = (wa, wb)
-            out[key] = out.get(key, 0) + c
-        return self.canon_m(out)
-
-    def random_a(self, rng, size=3):
-        return self.a_ring.random(rng, size)
-
-    def random_b(self, rng, size=3):
-        return self.b_ring.random(rng, size)
-
-    @property
-    def a_one(self):
-        return self.a_ring.one()
-
-    @property
-    def b_one(self):
-        return self.b_ring.one()
+        return _random_tensor(rng, rng.randint(1, 2), self.a_gens, self.b_gens, size)
 
     def letter_terms(self, m):
         out = []
@@ -680,25 +590,12 @@ class TensorFreeFamily(BimoduleFamily):
         return (len(wa) + len(wb), wa, wb)
 
     def letter_fmt(self, letter):
-        _, wa, wb = letter
-        return f"t({self._word_a(wa)},{self._word_b(wb)})"
+        return _tensor_text("t", self.a_gens, self.b_gens, letter[1:])
 
     def oracle_letter(self, letter):
         _, wa, wb = letter
         off = len(self.a_gens)
         return self.oracle.word(wa + tuple(off + j for j in wb))
-
-    def oracle_scalar(self, c):
-        return FreeAlgebraElement.constant(self.ring, self.oracle.gens, c)
-
-    def oracle_a(self, a):
-        return FreeAlgebraElement(self.ring, self.oracle.gens, dict(a.terms))
-
-    def oracle_b(self, b):
-        off = len(self.a_gens)
-        return FreeAlgebraElement(
-            self.ring, self.oracle.gens, {tuple(off + j for j in w): c for w, c in b.terms.items()}
-        )
 
 
 class HnnFreeFamily(BimoduleFamily):
@@ -711,15 +608,12 @@ class HnnFreeFamily(BimoduleFamily):
     kind = "hnn-free"
 
     def __init__(self, ring="Q", a_gens=("s",), x_name="x"):
-        if ring not in ("Z", "Q"):
-            raise SchemaError(f"hnn-free ring must be Z or Q, got {ring!r}")
+        super().__init__(ring)
         a_gens = tuple(a_gens)
         if len(set(a_gens)) != len(a_gens):
             raise SchemaError("generator names must be distinct")
         if x_name in a_gens:
             raise SchemaError(f"the new generator name {x_name!r} collides with the alphabet")
-        self.ring = ring
-        self.coeff = ring
         self.a_gens = a_gens
         self.x_name = x_name
         self.a_ring = self.b_ring = FreeAlgebra(ring, a_gens)
@@ -748,68 +642,25 @@ class HnnFreeFamily(BimoduleFamily):
         a, t = m
         if not isinstance(a, FreeAlgebraElement):
             raise ValueError(f"first component must be a free-algebra element, got {a!r}")
-        out = {}
-        for (u, v), c in t.items():
-            c = norm_scalar(c)
-            if c != 0:
-                out[(tuple(u), tuple(v))] = c
-        return (a, out)
+        return (a, _canon_tensor(t))
 
     def add_m(self, m1, m2):
-        a1, t = self.canon_m(m1)
+        a1, t1 = self.canon_m(m1)
         a2, t2 = self.canon_m(m2)
-        for key, c in t2.items():
-            add_term(t, key, c)
-        return (a1 + a2, t)
-
-    def neg_m(self, m):
-        a, t = self.canon_m(m)
-        return (-a, {key: -c for key, c in t.items()})
+        return (a1 + a2, _tensor_sum(t1, t2))
 
     def apply(self, a, m, b):
         ma, mt = self.canon_m(m)
-        t = {}
-        for wa1, c1 in a.terms.items():
-            for (u, v), c2 in mt.items():
-                for wb1, c3 in b.terms.items():
-                    add_term(t, (wa1 + u, v + wb1), scalar_mul(scalar_mul(c1, c2), c3))
-        return (a * ma * b, t)
+        return (a * ma * b, _tensor_apply(a, mt, b))
 
     def scale_m(self, c, m):
         a, t = self.canon_m(m)
-        return (a.scale(c), {key: scalar_mul(c, v) for key, v in t.items() if scalar_mul(c, v) != 0})
-
-    def eq_m(self, m1, m2):
-        return self.canon_m(m1) == self.canon_m(m2)
-
-    def _word(self, w):
-        return "*".join(self.a_gens[i] for i in w) if w else "1"
+        return (a.scale(c), _tensor_scale(c, t))
 
     def fmt_m(self, m):
         a, t = self.canon_m(m)
-        parts = []
-        for w in sorted(a.terms, key=lambda w: (len(w), w)):
-            c = a.terms[w]
-            body = f"h({self._word(w)})"
-            parts.append(self._signed(c, body))
-        for (u, v) in sorted(t, key=lambda key: (len(key[0]) + len(key[1]), key)):
-            c = t[(u, v)]
-            body = f"h({self._word(u)},{self._word(v)})"
-            parts.append(self._signed(c, body))
-        if not parts:
-            return "0"
-        out = parts[0]
-        for piece in parts[1:]:
-            out += piece if piece.startswith("-") else "+" + piece
-        return out
-
-    @staticmethod
-    def _signed(c, body):
-        if c == 1:
-            return body
-        if c == -1:
-            return f"-{body}"
-        return f"{scalar_str(c)}*{body}"
+        a_terms = ((a.terms[w], f"h({_word_text(self.a_gens, w)})") for w in sorted(a.terms, key=word_key))
+        return signed_sum(chain(a_terms, _tensor_terms("h", self.a_gens, self.a_gens, t)))
 
     def parse_melem(self, p):
         p.expect_call("h", "hnn-free melem must be h(word) or h(word,word)")
@@ -824,32 +675,11 @@ class HnnFreeFamily(BimoduleFamily):
 
     def factor_p(self, m):
         a, t = self.canon_m(m)
-        left = right = None
-        if not t:
-            left = a
-            right = a
-        return PFactorization(left=left, right=right, split=(((a, self.b_one),), (self.a_ring.zero(), t)))
+        return PFactorization() if t else PFactorization(left=a, right=a)
 
     def random_m(self, rng, size=3):
         a = self.a_ring.random(rng, size) if rng.random() < 0.7 else self.a_ring.zero()
-        t = {}
-        for _ in range(rng.randint(0, 2)):
-            u = tuple(rng.randrange(len(self.a_gens)) for _ in range(rng.randint(0, 2))) if self.a_gens else ()
-            v = tuple(rng.randrange(len(self.a_gens)) for _ in range(rng.randint(0, 2))) if self.a_gens else ()
-            c = rng.randint(-size, size)
-            t[(u, v)] = t.get((u, v), 0) + c
-        return self.canon_m((a, t))
-
-    def random_a(self, rng, size=3):
-        return self.a_ring.random(rng, size)
-
-    random_b = random_a
-
-    @property
-    def a_one(self):
-        return self.a_ring.one()
-
-    b_one = a_one
+        return (a, _random_tensor(rng, rng.randint(0, 2), self.a_gens, self.a_gens, size))
 
     def letter_terms(self, m):
         a, t = self.canon_m(m)
@@ -874,9 +704,8 @@ class HnnFreeFamily(BimoduleFamily):
 
     def letter_fmt(self, letter):
         if letter[0] == "a":
-            return f"h({self._word(letter[1])})"
-        _, u, v = letter
-        return f"h({self._word(u)},{self._word(v)})"
+            return f"h({_word_text(self.a_gens, letter[1])})"
+        return _tensor_text("h", self.a_gens, self.a_gens, letter[1:])
 
     def shift_pair(self, l1, l2):
         # x_{(0,u(x)v)} x_{(0,u'(x)v')} = x_{(0,u(x)1)} x_{(0,vu'(x)v')}:
@@ -892,14 +721,6 @@ class HnnFreeFamily(BimoduleFamily):
             return self.oracle.word(letter[1])
         _, u, v = letter
         return self.oracle.word(u + (self._x_index,) + v)
-
-    def oracle_scalar(self, c):
-        return FreeAlgebraElement.constant(self.ring, self.oracle.gens, c)
-
-    def oracle_a(self, a):
-        return FreeAlgebraElement(self.ring, self.oracle.gens, dict(a.terms))
-
-    oracle_b = oracle_a
 
 
 FAMILY_KINDS = {
@@ -960,13 +781,7 @@ def verify_factorization(family, m):
     f = family.factor_p(m)
     ok = True
     if f.left is not None:
-        ok = ok and family.eq_m(family.apply(f.left, family.p, family.b_one), m)
+        ok = family.eq_m(family.apply(f.left, family.p, family.b_one), m)
     if f.right is not None:
         ok = ok and family.eq_m(family.apply(family.a_one, family.p, f.right), m)
-    if f.split is not None:
-        pairs, residual = f.split
-        acc = residual
-        for a_i, b_i in pairs:
-            acc = family.add_m(acc, family.apply(a_i, family.p, b_i))
-        ok = ok and family.eq_m(acc, m)
     return ok

@@ -8,10 +8,10 @@ j:
     f(mu (x) n_j)  -  x_mu * n_j  =  0,
 
 the minus sign coming from the defining map t (x) m -> -t x_m.  The
-comparison maps between L and the tensor-side module are realized as
-explicit matrices between presented modules and verified by exact
-membership tests, so a passing report certifies the isomorphism on the
-presented generators.
+comparison maps between L and the tensor-side module send generators
+to generators, so they act on coordinate vectors as index maps.  Exact
+membership tests verify them, so a passing report certifies the
+isomorphism on the presented generators.
 
 T must admit canonical diagonal forms, which pins the supported
 families to regular-Z (T = Z), scaled (T = Z[1/k]) and double-Q
@@ -78,7 +78,7 @@ class Presentation:
         return "[" + "; ".join(" ".join(self.ring.fmt(x) for x in row) for row in self.rows) + "]"
 
 
-def _embedded_row(ring, family, row):
+def _embedded_row(family, row):
     return [family.oracle_a(c) for c in row]
 
 
@@ -96,13 +96,13 @@ def localized_presentation(module, g_sign=1):
     zero = ring.zero()
     rows = []
     for row in module.NA.rels:
-        rows.append(_embedded_row(ring, family, row) + [zero] * gB)
+        rows.append(_embedded_row(family, row) + [zero] * gB)
     for row in module.NB.rels:
-        rows.append([zero] * gA + _embedded_row(ring, family, row))
+        rows.append([zero] * gA + _embedded_row(family, row))
     x_mu = _x_mu_values(family)
     for i in range(len(x_mu)):
         for j in range(gB):
-            row = _embedded_row(ring, family, module.f[i][j]) + [zero] * gB
+            row = _embedded_row(family, module.f[i][j]) + [zero] * gB
             coef = ring.neg(x_mu[i]) if g_sign > 0 else x_mu[i]
             row[gA + j] = coef
             rows.append(row)
@@ -138,13 +138,13 @@ def tensor_side_presentation(module):
     for u_off_A, u_off_B in ((u1A, u1B), (u2A, u2B)):
         for row in module.NA.rels:
             out = blank()
-            emb = _embedded_row(ring, family, row)
+            emb = _embedded_row(family, row)
             for i in range(gA):
                 out[u_off_A + i] = emb[i]
             rows.append(out)
         for row in module.NB.rels:
             out = blank()
-            emb = _embedded_row(ring, family, row)
+            emb = _embedded_row(family, row)
             for j in range(gB):
                 out[u_off_B + j] = emb[j]
             rows.append(out)
@@ -163,7 +163,7 @@ def tensor_side_presentation(module):
         # u1 with the corner (0, mu, 0) on an N_B generator: the mixed rows
         for j in range(gB):
             out = blank()
-            emb = _embedded_row(ring, family, module.f[t][j])
+            emb = _embedded_row(family, module.f[t][j])
             for i in range(gA):
                 out[u1A + i] = emb[i]
             out[u2B + j] = ring.neg(x_mu[t])
@@ -176,63 +176,31 @@ def tensor_side_presentation(module):
         # u2 with the corner on an N_B generator lands in the dead block
         for j in range(gB):
             out = blank()
-            emb = _embedded_row(ring, family, module.f[t][j])
+            emb = _embedded_row(family, module.f[t][j])
             for i in range(gA):
                 out[u2A + i] = emb[i]
             rows.append(out)
     return Presentation(ring, gens, rows)
 
 
-def alpha_matrix(module, ring):
-    """L -> tensor side: A-generators to the u1 block, B to the u2 block."""
+def comparison_maps(module, ring):
+    """The maps alpha: L -> tensor side and beta: tensor side -> L on vectors.
+
+    Both send generators to generators, so each is an index map: alpha
+    puts the N_A coordinates in the u1 (x) N_A block and the N_B
+    coordinates in the u2 (x) N_B block, zeros elsewhere; beta reads
+    those two blocks back and drops the cross blocks.
+    """
     gA, gB = module.NA.gens, module.NB.gens
-    rows = []
-    for i in range(gA):
-        out = [ring.zero()] * (2 * (gA + gB))
-        out[i] = ring.one()
-        rows.append(out)
-    for j in range(gB):
-        out = [ring.zero()] * (2 * (gA + gB))
-        out[gA + gB + gA + j] = ring.one()
-        rows.append(out)
-    return rows
+    pad = [ring.zero()] * (gA + gB)
 
+    def alpha(v):
+        return v[:gA] + pad + v[gA:]
 
-def beta_matrix(module, ring):
-    """Tensor side -> L: the surviving blocks map back, cross blocks to 0."""
-    gA, gB = module.NA.gens, module.NB.gens
-    rows = []
-    for i in range(gA):
-        out = [ring.zero()] * (gA + gB)
-        out[i] = ring.one()
-        rows.append(out)
-    for j in range(gB):
-        rows.append([ring.zero()] * (gA + gB))
-    for i in range(gA):
-        rows.append([ring.zero()] * (gA + gB))
-    for j in range(gB):
-        out = [ring.zero()] * (gA + gB)
-        out[gA + j] = ring.one()
-        rows.append(out)
-    return rows
+    def beta(w):
+        return w[:gA] + w[2 * gA + gB:]
 
-
-def _linear_map(ring, matrix_rows):
-    """The map sending a row vector to its image under a generator-to-generator
-    matrix; only the nonzero entries of the matrix are visited."""
-    width = len(matrix_rows[0]) if matrix_rows else 0
-    nonzero = [[(j, e) for j, e in enumerate(row) if not ring.is_zero(e)] for row in matrix_rows]
-
-    def image(vector):
-        out = [ring.zero()] * width
-        for coord, entries in zip(vector, nonzero):
-            if ring.is_zero(coord):
-                continue
-            for j, e in entries:
-                out[j] = ring.add(out[j], ring.mul(coord, e))
-        return out
-
-    return image
+    return alpha, beta
 
 
 def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relation=None, presentation=None):
@@ -251,8 +219,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
     family = module.family
     ring = L.ring
     W = tensor_side_presentation(module)
-    alpha = _linear_map(ring, alpha_matrix(module, ring))
-    beta = _linear_map(ring, beta_matrix(module, ring))
+    alpha, beta = comparison_maps(module, ring)
     rep = Report(
         f"module localization maps [{family.describe()}]",
         seed=seed,
@@ -321,7 +288,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
     ok = True
     for t in range(len(x_mu)):
         for j in range(gB):
-            row = _embedded_row(ring, family, module.f[t][j]) + [ring.zero()] * gB
+            row = _embedded_row(family, module.f[t][j]) + [ring.zero()] * gB
             row[gA + j] = ring.neg(x_mu[t]) if g_sign > 0 else x_mu[t]
             if not W.contains(alpha(row)):
                 ok = False

@@ -5,6 +5,11 @@ from __future__ import annotations
 import json
 
 
+def dump_json(doc):
+    """The one JSON rendering: sorted keys, no blanks, so it is the same on every run."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
 class Check:
     __slots__ = ("name", "passed", "detail")
 
@@ -72,7 +77,7 @@ class Report:
         return "\n".join(lines)
 
     def render_json(self):
-        return json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
+        return dump_json(self.to_json())
 
     def render(self, fmt="text"):
         return self.render_text() if fmt == "text" else self.render_json()

@@ -9,6 +9,12 @@ convention and safe to share between threads.
 The classes double as the independent oracle rings against which the
 rewriting route is cross-validated, so none of them may be replaced by
 the rewriting machinery they certify.
+
+Every sum of terms is printed by ``signed_sum``: polynomials,
+free-algebra elements, the tensor bimodule elements of ``families`` and
+the normal forms of ``exprs``.  The ring objects at the end bundle the
+operations the linear algebra and localization layers need; each one
+states how an integer enters the ring, and its zero and one follow.
 """
 
 from __future__ import annotations
@@ -105,6 +111,40 @@ def scalar_str(x):
     if isinstance(x, int):
         return int_str(x)
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
+
+
+def signed_sum(terms, times="*", spaced=False):
+    """Text of a sum of (coefficient, body) terms with nonzero coefficients, in order.
+
+    An empty body is a constant term, printed as its coefficient.  A
+    coefficient of 1 is left off and one of -1 printed as a bare sign;
+    any other is joined to its body by times.  A term follows the one
+    before it with "+", or with its own "-" when it starts with one;
+    spaced puts blanks around either.  No terms print as "0".
+    """
+    plus, minus = (" + ", " - ") if spaced else ("+", "-")
+    out = []
+    for c, body in terms:
+        if not body:
+            piece = scalar_str(c)
+        elif c == 1:
+            piece = body
+        elif c == -1:
+            piece = "-" + body
+        else:
+            piece = f"{scalar_str(c)}{times}{body}"
+        if not out:
+            out.append(piece)
+        elif piece.startswith("-"):
+            out.append(minus + piece[1:])
+        else:
+            out.append(plus + piece)
+    return "".join(out) if out else "0"
+
+
+def random_word(rng, gens, length=2):
+    """A word of at most length letters drawn from gens (empty when gens is)."""
+    return tuple(rng.randrange(len(gens)) for _ in range(rng.randint(0, length))) if gens else ()
 
 
 def strip_factors_of(n, k):
@@ -298,27 +338,8 @@ class Polynomial:
         return Polynomial(self.ring, q), Polynomial(self.ring, rem)
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for d, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if d == 0:
-                body = scalar_str(c)
-            else:
-                xpow = "x" if d == 1 else f"x^{d}"
-                if c == 1:
-                    body = xpow
-                elif c == -1:
-                    body = f"-{xpow}"
-                else:
-                    body = f"{scalar_str(c)}{xpow}"
-            parts.append(body)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        terms = ((c, "" if d == 0 else "x" if d == 1 else f"x^{d}") for d, c in enumerate(self.coeffs) if c != 0)
+        return signed_sum(terms, times="")
 
     def __repr__(self):
         return f"Polynomial({self.ring!r}, {list(self.coeffs)!r})"
@@ -349,10 +370,6 @@ class FreeAlgebraElement:
             if c != 0:
                 clean[tuple(w)] = c
         self.terms = clean
-
-    @classmethod
-    def zero(cls, ring, gens):
-        return cls(ring, gens, {})
 
     @classmethod
     def constant(cls, ring, gens, c):
@@ -410,25 +427,7 @@ class FreeAlgebraElement:
         return FreeAlgebraElement(self.ring, self.gens, {w: scalar_mul(c, a) for w, a in self.terms.items()})
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for w in sorted(self.terms, key=word_key):
-            c = self.terms[w]
-            if not w:
-                parts.append(scalar_str(c))
-                continue
-            wstr = "*".join(self.gens[i] for i in w)
-            if c == 1:
-                parts.append(wstr)
-            elif c == -1:
-                parts.append(f"-{wstr}")
-            else:
-                parts.append(f"{scalar_str(c)}*{wstr}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+        return signed_sum((self.terms[w], "*".join(self.gens[i] for i in w)) for w in sorted(self.terms, key=word_key))
 
     def __repr__(self):
         return f"FreeAlgebraElement({self.ring!r}, {self.gens!r}, {self.terms!r})"
@@ -442,7 +441,16 @@ class FreeAlgebraElement:
 # ---------------------------------------------------------------------------
 
 class OperatorRing:
-    """Base of the ring objects whose elements carry the ring operators."""
+    """Base of the ring objects whose elements carry the ring operators.
+
+    A ring object supplies from_int; zero and one are its images of 0 and 1.
+    """
+
+    def zero(self):
+        return self.from_int(0)
+
+    def one(self):
+        return self.from_int(1)
 
     def add(self, a, b):
         return a + b
@@ -470,12 +478,6 @@ class IntegerRing(OperatorRing):
     name = "Z"
     is_field = False
     gens = ()
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n
@@ -510,12 +512,6 @@ class RationalField(OperatorRing):
     name = "Q"
     is_field = True
     gens = ()
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n):
         return n
@@ -564,12 +560,6 @@ class KadicRing(OperatorRing):
             raise ValueError(f"k-adic base must be >= 2, got {k}")
         self.k = k
         self.name = f"Z[1/{k}]"
-
-    def zero(self):
-        return KadicFraction(self.k, 0)
-
-    def one(self):
-        return KadicFraction(self.k, 1)
 
     def from_int(self, n):
         return KadicFraction(self.k, n)
@@ -625,12 +615,6 @@ class PolynomialRing(OperatorRing):
         self.base = base
         self.name = f"{base}[x]"
 
-    def zero(self):
-        return Polynomial(self.base, [])
-
-    def one(self):
-        return Polynomial(self.base, [1])
-
     def from_int(self, n):
         return Polynomial(self.base, [n])
 
@@ -672,12 +656,6 @@ class FreeAlgebra(OperatorRing):
         self.gens = tuple(gens)
         self.name = f"{base}<{','.join(gens)}>"
 
-    def zero(self):
-        return FreeAlgebraElement.zero(self.base, self.gens)
-
-    def one(self):
-        return FreeAlgebraElement.constant(self.base, self.gens, 1)
-
     def from_int(self, n):
         return FreeAlgebraElement.constant(self.base, self.gens, n)
 
@@ -700,7 +678,7 @@ class FreeAlgebra(OperatorRing):
     def random(self, rng, size=3, terms=2, length=2):
         out = self.zero()
         for _ in range(rng.randint(1, terms)):
-            w = tuple(rng.randrange(len(self.gens)) for _ in range(rng.randint(0, length))) if self.gens else ()
+            w = random_word(rng, self.gens, length)
             c = rng.randint(-size, size)
             out = out + FreeAlgebraElement.word(self.base, self.gens, w, c)
         return out

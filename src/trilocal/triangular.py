@@ -360,13 +360,18 @@ def triple_from_json(family, data):
                 raise SchemaError(f"matrix entry {c!r} is not a rational p/q: {exc}") from exc
         raise SchemaError(f"matrix entries must be integers or 'p/q' strings, got {c!r}")
 
+    def parse_rows(rows, name):
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise SchemaError(f"{name} must be a list of rows, each a list of entries")
+        return [[parse_entry(c) for c in row] for row in rows]
+
     def parse_module(obj, name):
         if not isinstance(obj, dict) or "gens" not in obj:
             raise SchemaError(f"{name} must be an object with 'gens' and optional 'rels'")
         gens = obj["gens"]
         if not isinstance(gens, int):
             raise SchemaError(f"{name}.gens must be an integer")
-        rels = [[parse_entry(c) for c in row] for row in obj.get("rels", [])]
+        rels = parse_rows(obj.get("rels", []), f"{name}.rels")
         tag = "Z" if family.a_ring is ZZ else "Q"
         return FPModule(tag, gens, rels)
 
@@ -385,7 +390,7 @@ def triple_from_json(family, data):
         if block is None:
             block = [[0] * NA.gens for _ in range(NB.gens)]
         else:
-            block = [[parse_entry(c) for c in row] for row in block]
+            block = parse_rows(block, f"f[{key!r}]")
         f.append(block)
     known = {family.fmt_m(mu) for mu in basis}
     for key in f_in:

@@ -251,3 +251,32 @@ class TestMalformedInputExit2:
         assert out.returncode == 2
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert message in out.stderr
+
+    REGULAR_SPEC = '{"family": {"kind": "regular", "ring": "Z"}, "NA": {"gens": 1%s}, "NB": {"gens": 1}%s}'
+
+    @pytest.mark.parametrize(
+        "where, text, message",
+        [
+            ("--family", "[" * DEEP + "]" * DEEP, "--family nests too deeply"),
+            ("@file", "[" * DEEP + "]" * DEEP, "family file nests too deeply"),
+            ("--spec", "[" * DEEP + "]" * DEEP, "module spec nests too deeply"),
+            ("--spec", '"family"', "must be a JSON object"),
+            ("--spec", '["family"]', "must be a JSON object"),
+            ("--spec", REGULAR_SPEC % (', "rels": 5', ""), "NA.rels must be a list of rows"),
+            ("--spec", REGULAR_SPEC % (', "rels": [5]', ""), "NA.rels must be a list of rows"),
+            ("--spec", REGULAR_SPEC % ("", ', "f": {"1": [5]}'), "f['1'] must be a list of rows"),
+        ],
+        ids=["deep-family", "deep-family-file", "deep-spec", "spec-string", "spec-list", "rels-5", "rels-[5]", "f-row-5"],
+    )
+    def test_malformed_json_one_line_error(self, where, text, message, tmp_path):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        argv = {
+            "--family": ["normalize", "--family", text, "--expr", "1"],
+            "@file": ["normalize", "--family", f"@{path}", "--expr", "1"],
+            "--spec": ["localize-module", "--spec", str(path)],
+        }[where]
+        out = run_cli(*argv)
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert message in out.stderr

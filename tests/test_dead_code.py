@@ -1,0 +1,86 @@
+"""No dead code in the package, checked with the standard library only.
+
+* Every name a ``src/trilocal`` module imports (``__init__.py`` aside,
+  whose imports are the public surface) is used in that module.
+* Every single-underscore name defined at module or class level is
+  referenced somewhere in ``src/trilocal`` outside its own definition.
+"""
+
+import ast
+import pathlib
+from collections import Counter
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "trilocal"
+MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def references(node):
+    """Names read, attributes read and names imported from a module, within node."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+ALL_REFERENCES = sum((references(tree) for tree in MODULES.values()), Counter())
+
+
+def private_definitions():
+    """(qualified name, name, defining node) for single-underscore module-
+    and class-level names."""
+    out = []
+    for module, tree in MODULES.items():
+        scopes = [(module, tree.body)]
+        scopes += [(f"{module}:{node.name}", node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+        for scope, body in scopes:
+            for node in body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    named = [(node.name, node)]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    named = [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                for name, definition in named:
+                    if name.startswith("_") and not name.startswith("__"):
+                        out.append((f"{scope}.{name}", name, definition))
+    return out
+
+
+def imports():
+    """(module, bound name) for every import outside __init__.py."""
+    out = []
+    for module, tree in MODULES.items():
+        if module == "__init__.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    out.append((module, (alias.asname or alias.name).split(".")[0]))
+    return out
+
+
+@pytest.mark.parametrize("module,name", imports(), ids=lambda v: v)
+def test_import_is_used(module, name):
+    used = {
+        node.id for node in ast.walk(MODULES[module]) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    assert name in used, f"{module} imports {name} and never uses it"
+
+
+PRIVATE = private_definitions()
+
+
+@pytest.mark.parametrize("qualified,name,definition", PRIVATE, ids=[q for q, _, _ in PRIVATE])
+def test_private_name_is_referenced(qualified, name, definition):
+    outside = ALL_REFERENCES[name] - references(definition)[name]
+    assert outside > 0, f"{qualified} is defined and nothing else in src/trilocal refers to it"

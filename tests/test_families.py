@@ -55,15 +55,13 @@ class TestFactorizationPerFamily:
         fam = RegularFamily("Z")
         f = fam.factor_p(7)
         assert f.left == 7 and f.right == 7
-        pairs, residual = f.split
-        assert residual == 0
 
     def test_scaled_divisibility(self):
         fam = ScaledFamily(2)
         f = fam.factor_p(6)
         assert f.left == 3 and f.right == 3
         f = fam.factor_p(3)
-        assert f.left is None and f.right is None and f.split is None
+        assert f.left is None and f.right is None
 
     def test_scaled_completeness_random(self):
         fam = ScaledFamily(3)
@@ -79,14 +77,6 @@ class TestFactorizationPerFamily:
         assert f.left == 5 and f.right == 5
         f = fam.factor_p((0, 5))
         assert f.left is None and f.right is None
-        pairs, residual = f.split
-        assert residual == (0, 5)
-        # the residual always has zero first coordinate
-        rng = random.Random(45)
-        for _ in range(200):
-            m = fam.random_m(rng)
-            _, residual = fam.factor_p(m).split
-            assert residual[0] == 0
 
     def test_tensor_free_pure_sides(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))
@@ -96,7 +86,6 @@ class TestFactorizationPerFamily:
         assert f.left is None and f.right is not None
         f = fam.factor_p({((0,), (0,)): 1})
         assert f.left is None and f.right is None
-        assert f.split is not None
 
     def test_hnn_tensor_part_blocks_factors(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
@@ -106,8 +95,6 @@ class TestFactorizationPerFamily:
         mixed = (fam.a_ring.generator(0), {((), ()): 1})
         f = fam.factor_p(mixed)
         assert f.left is None and f.right is None
-        pairs, residual = f.split
-        assert residual == (fam.a_ring.zero(), {((), ()): 1})
 
     def test_scaled_commuting_pair(self):
         # any integer commutes with the whole bimodule: a0*m = m*b0
