@@ -22,7 +22,7 @@ rz = RegularFamily("Z")
 doubling = TripleModule(rz, FPModule("Z", 1), FPModule("Z", 1), [[[2]]])
 loc = localize_module(doubling, samples=50)
 print("doubling module:")
-print("  relations:", loc.presentation.matrix_fmt())
+print("  relations:", loc.to_json()["relations"])
 print("  invariant factors:", loc.factors_fmt(), " free rank:", loc.rank)
 print("  comparison maps:", "pass" if loc.report.passed else "fail")
 

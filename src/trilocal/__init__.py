@@ -37,7 +37,6 @@ from .fracloc import (
     LetterHom,
     check_central,
     factor_inverting_hom,
-    fraction_form,
     phi,
     rational_value_hom,
 )
@@ -55,7 +54,6 @@ from .matrixloc import Matrix2, rho_matrix, verify_sigma_inverting
 from .modloc import (
     LocalizedModule,
     Presentation,
-    invariant_factors,
     localize_module,
     localized_presentation,
     tensor_side_presentation,
@@ -86,7 +84,6 @@ from .triangular import (
     column_join,
     column_split,
     module_roundtrip,
-    sigma_apply,
     tri_add,
     tri_mul,
     triple_from_json,

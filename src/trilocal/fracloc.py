@@ -56,7 +56,7 @@ class CentralPair:
             left = family.apply(a0, m, family.b_one)
             right = family.apply(family.a_one, m, b0)
             if not family.eq_m(left, right):
-                raise ValueError(
+                raise UnsupportedFamilyError(
                     f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}"
                 )
         self.certification = "basis+samples" if basis is not None else "samples-only"
@@ -120,10 +120,6 @@ class FractionForm:
 
 def phi(e, pair):
     return pair.induced(e)
-
-
-def fraction_form(e, pair):
-    return pair.fraction_form(e)
 
 
 def check_central(pair, samples=1000, seed=1729):

@@ -32,10 +32,6 @@ class Matrix:
         return cls(ring, [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)])
 
     @classmethod
-    def zero(cls, ring, m, n):
-        return cls(ring, [[ring.zero()] * n for _ in range(m)])
-
-    @classmethod
     def from_ints(cls, ring, rows):
         return cls(ring, [[ring.from_int(x) for x in r] for r in rows])
 
@@ -71,37 +67,6 @@ class Matrix:
                     acc[j] = add(acc[j], mul(a, b))
             out.append(acc)
         return Matrix(rg, out)
-
-    def det(self):
-        """Fraction-free (Bareiss) determinant; exact in an integral domain."""
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        rg = self.ring
-        if n == 0:
-            return rg.one()
-        a = self.copy_rows()
-        sign = 1
-        prev = rg.one()
-        for k in range(n - 1):
-            if rg.is_zero(a[k][k]):
-                for i in range(k + 1, n):
-                    if not rg.is_zero(a[i][k]):
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return rg.zero()
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = rg.sub(rg.mul(a[i][j], a[k][k]), rg.mul(a[i][k], a[k][j]))
-                    q = rg.exact_div(num, prev)
-                    if q is None:
-                        raise ArithmeticError("Bareiss division failed; ring is not an integral domain?")
-                    a[i][j] = q
-            prev = a[k][k]
-        d = a[n - 1][n - 1]
-        return rg.neg(d) if sign < 0 else d
 
     def fmt(self):
         return "[" + "; ".join(" ".join(self.ring.fmt(x) for x in r) for r in self.rows) + "]"

@@ -36,11 +36,6 @@ class Matrix2:
         return cls(family, one, zero, zero, one)
 
     @classmethod
-    def zero(cls, family):
-        z = TElement.zero(family)
-        return cls(family, z, z, z, z)
-
-    @classmethod
     def unit(cls, family, i, j):
         """Matrix unit e_ij."""
         entries = [[TElement.zero(family)] * 2 for _ in range(2)]

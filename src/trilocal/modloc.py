@@ -7,11 +7,14 @@ j:
 
     f(mu (x) n_j)  -  x_mu * n_j  =  0,
 
-the minus sign coming from the defining map t (x) m -> -t x_m.  The
-comparison maps between L and the tensor-side module send generators
-to generators, so they act on coordinate vectors as index maps.  Exact
-membership tests verify them, so a passing report certifies the
-isomorphism on the presented generators.
+the minus sign coming from the defining map t (x) m -> -t x_m.  Every
+presented module here, the inputs N_A and N_B included, is a
+``Presentation``, and every relation row of L and of the tensor side is
+placed by one helper.  The comparison maps between L and the
+tensor-side module send generators to generators, so they act on
+coordinate vectors as index maps.  Exact membership tests verify them,
+so a passing report certifies the isomorphism on the presented
+generators.
 
 T must admit canonical diagonal forms, which pins the supported
 families to regular-Z (T = Z), scaled (T = Z[1/k]) and double-Q
@@ -38,7 +41,13 @@ def t_ring_of(family):
 
 
 class Presentation:
-    """A T-module given by generators and relation rows over the ring."""
+    """A module over a ring, given by its generator count and relation rows.
+
+    This is the one presented-module class: the module inputs N_A and
+    N_B (``triangular.FPModule``), L and the tensor side are all
+    Presentations.  The diagonal form of the relation matrix is computed
+    on first use and kept; membership tests and the invariants read it.
+    """
 
     __slots__ = ("ring", "gens", "rows", "_form")
 
@@ -59,23 +68,15 @@ class Presentation:
 
     def contains(self, vector):
         """Membership of a vector in the relation row span."""
-        if self.gens == 0:
-            return True
-        return in_row_span(self.form(), vector)
+        return self.gens == 0 or in_row_span(self.form(), vector)
 
-    def invariant_factors(self):
-        return self.form().invariant_factors()
-
-    def free_rank(self):
-        return self.form().free_rank()
+    def invariants(self):
+        """Invariant factor list and free rank of the presented module."""
+        form = self.form()
+        return form.invariant_factors(), form.free_rank()
 
     def random_vector(self, rng, size=4):
         return [self.ring.random(rng, size) for _ in range(self.gens)]
-
-    def matrix_fmt(self):
-        if not self.rows:
-            return "[]"
-        return "[" + "; ".join(" ".join(self.ring.fmt(x) for x in row) for row in self.rows) + "]"
 
 
 def _embedded_row(family, row):
@@ -86,32 +87,46 @@ def _x_mu_values(family):
     return [family_iso(t_generator(family, mu)) for mu in family.basis()]
 
 
+def _placed_rows(family, ring, gens, vectors, at, diagonal=None):
+    """One relation row of length gens per vector: the vector, embedded
+    into T, from position at on.  With diagonal = (position, value), row j
+    also holds value at position + j; empty vectors then give rows that
+    hold that value alone.  Every relation row of L and of the tensor
+    side is placed here.
+    """
+    rows = []
+    for j, vec in enumerate(vectors):
+        row = [ring.zero()] * gens
+        row[at:at + len(vec)] = _embedded_row(family, vec)
+        if diagonal is not None:
+            row[diagonal[0] + j] = diagonal[1]
+        rows.append(row)
+    return rows
+
+
+def _mixed_rows(module, ring, g_sign):
+    """The rows f(mu (x) n_j) - x_mu * n_j of L, for each bimodule basis
+    element mu and N_B generator j in that order; g_sign=-1 flips the sign
+    of x_mu."""
+    family = module.family
+    gA = module.NA.gens
+    rows = []
+    for vectors, x in zip(module.f, _x_mu_values(family)):
+        coef = ring.neg(x) if g_sign > 0 else x
+        rows += _placed_rows(family, ring, gA + module.NB.gens, vectors, 0, (gA, coef))
+    return rows
+
+
 def localized_presentation(module, g_sign=1):
     """The presentation of L for a module triple; g_sign=-1 is the broken
     variant used as a negative control."""
     family = module.family
     ring = t_ring_of(family)
-    gA, gB = module.NA.gens, module.NB.gens
-    gens = gA + gB
-    zero = ring.zero()
-    rows = []
-    for row in module.NA.rels:
-        rows.append(_embedded_row(family, row) + [zero] * gB)
-    for row in module.NB.rels:
-        rows.append([zero] * gA + _embedded_row(family, row))
-    x_mu = _x_mu_values(family)
-    for i in range(len(x_mu)):
-        for j in range(gB):
-            row = _embedded_row(family, module.f[i][j]) + [zero] * gB
-            coef = ring.neg(x_mu[i]) if g_sign > 0 else x_mu[i]
-            row[gA + j] = coef
-            rows.append(row)
-    return Presentation(ring, gens, rows)
-
-
-def invariant_factors(pres):
-    """Invariant factor list and free rank of the presented module."""
-    return pres.invariant_factors(), pres.free_rank()
+    gA = module.NA.gens
+    gens = gA + module.NB.gens
+    rows = _placed_rows(family, ring, gens, module.NA.rows, 0)
+    rows += _placed_rows(family, ring, gens, module.NB.rows, gA)
+    return Presentation(ring, gens, rows + _mixed_rows(module, ring, g_sign))
 
 
 def tensor_side_presentation(module):
@@ -127,59 +142,23 @@ def tensor_side_presentation(module):
     ring = t_ring_of(family)
     gA, gB = module.NA.gens, module.NB.gens
     gens = 2 * (gA + gB)
-    zero = ring.zero()
-
-    def blank():
-        return [zero] * gens
-
     # block offsets
     u1A, u1B, u2A, u2B = 0, gA, gA + gB, gA + gB + gA
     rows = []
     for u_off_A, u_off_B in ((u1A, u1B), (u2A, u2B)):
-        for row in module.NA.rels:
-            out = blank()
-            emb = _embedded_row(family, row)
-            for i in range(gA):
-                out[u_off_A + i] = emb[i]
-            rows.append(out)
-        for row in module.NB.rels:
-            out = blank()
-            emb = _embedded_row(family, row)
-            for j in range(gB):
-                out[u_off_B + j] = emb[j]
-            rows.append(out)
+        rows += _placed_rows(family, ring, gens, module.NA.rows, u_off_A)
+        rows += _placed_rows(family, ring, gens, module.NB.rows, u_off_B)
     # the cross blocks die: u1 (x) N_B and u2 (x) N_A are annihilated by
     # the corner idempotents
-    for j in range(gB):
-        out = blank()
-        out[u1B + j] = ring.one()
-        rows.append(out)
-    for i in range(gA):
-        out = blank()
-        out[u2A + i] = ring.one()
-        rows.append(out)
-    x_mu = _x_mu_values(family)
-    for t in range(len(x_mu)):
+    rows += _placed_rows(family, ring, gens, [()] * gB, 0, (u1B, ring.one()))
+    rows += _placed_rows(family, ring, gens, [()] * gA, 0, (u2A, ring.one()))
+    for vectors, x in zip(module.f, _x_mu_values(family)):
         # u1 with the corner (0, mu, 0) on an N_B generator: the mixed rows
-        for j in range(gB):
-            out = blank()
-            emb = _embedded_row(family, module.f[t][j])
-            for i in range(gA):
-                out[u1A + i] = emb[i]
-            out[u2B + j] = ring.neg(x_mu[t])
-            rows.append(out)
+        rows += _placed_rows(family, ring, gens, vectors, u1A, (u2B, ring.neg(x)))
         # u1 with the corner on an N_A generator: x_mu kills u2A
-        for i in range(gA):
-            out = blank()
-            out[u2A + i] = x_mu[t]
-            rows.append(out)
+        rows += _placed_rows(family, ring, gens, [()] * gA, 0, (u2A, x))
         # u2 with the corner on an N_B generator lands in the dead block
-        for j in range(gB):
-            out = blank()
-            emb = _embedded_row(family, module.f[t][j])
-            for i in range(gA):
-                out[u2A + i] = emb[i]
-            rows.append(out)
+        rows += _placed_rows(family, ring, gens, vectors, u2A)
     return Presentation(ring, gens, rows)
 
 
@@ -283,16 +262,7 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
     rep.add("forward of backward is the identity modulo relations", ok, witness)
 
     # the forward map kills the defining cokernel relations explicitly
-    x_mu = _x_mu_values(family)
-    gA, gB = module.NA.gens, module.NB.gens
-    ok = True
-    for t in range(len(x_mu)):
-        for j in range(gB):
-            row = _embedded_row(family, module.f[t][j]) + [ring.zero()] * gB
-            row[gA + j] = ring.neg(x_mu[t]) if g_sign > 0 else x_mu[t]
-            if not W.contains(alpha(row)):
-                ok = False
-                break
+    ok = all(W.contains(alpha(row)) for row in _mixed_rows(module, ring, g_sign))
     rep.add("forward map kills the defining cokernel generators", ok)
     return rep
 
@@ -333,6 +303,6 @@ class LocalizedModule:
 def localize_module(module, samples=100, seed=1729):
     """Full pipeline: presentation, invariants, comparison-map verification."""
     pres = localized_presentation(module)
-    factors, rank = invariant_factors(pres)
+    factors, rank = pres.invariants()
     rep = verify_comparison_maps(module, samples, seed, presentation=pres)
     return LocalizedModule(module, pres, factors, rank, rep)

@@ -10,6 +10,24 @@ def dump_json(doc):
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
+def render_doc(doc, fmt="text"):
+    """The one rendering of a flat doc: JSON through dump_json, or text with
+    one "key: value" line per entry, a list as "key:" and then one indented
+    line per item, with an item that is itself a list in brackets."""
+    if fmt == "json":
+        return dump_json(doc)
+    lines = []
+    for key, value in doc.items():
+        if isinstance(value, list):
+            lines.append(f"{key}:")
+            for item in value:
+                shown = "[" + " ".join(str(x) for x in item) + "]" if isinstance(item, list) else item
+                lines.append(f"  {shown}")
+        else:
+            lines.append(f"{key}: {value}")
+    return "\n".join(lines)
+
+
 class Check:
     __slots__ = ("name", "passed", "detail")
 
@@ -61,11 +79,11 @@ class Report:
         return out
 
     def render_text(self):
-        lines = [f"report: {self.title}"]
+        head = {"report": self.title}
         if self.seed is not None:
-            lines.append(f"seed: {self.seed}")
-        for key in sorted(self.meta):
-            lines.append(f"{key}: {self.meta[key]}")
+            head["seed"] = self.seed
+        head.update((key, self.meta[key]) for key in sorted(self.meta))
+        lines = [render_doc(head)]
         for c in self.checks:
             status = "PASS" if c.passed else "FAIL"
             line = f"  {status} {c.name}"

@@ -9,7 +9,9 @@ decompose R, and the morphism P -> Q determined by p sends (1; 0) to
 A left module over R is equivalently a triple (N_A, N_B, f) where f
 maps M (x) N_B into N_A; the triple is stored with finitely presented
 N_A, N_B and f given per bimodule basis element, so the family must
-expose a finite free basis for M.
+expose a finite free basis for M.  N_A and N_B are ``FPModule``s, the
+``modloc.Presentation``s that input over Z or Q is checked into; their
+membership tests and invariants are the Presentation's.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import CertificateError, SchemaError, UnsupportedFamilyError
-from .linalg import Matrix, diagonal_form, in_row_span
+from .modloc import Presentation
 from .rings import QQ, ZZ, norm_scalar, scalar_add, scalar_mul
 
 
@@ -111,10 +113,6 @@ class SigmaMorphism:
         return (fam.apply(a, fam.p, fam.b_one), fam.b_ring.zero())
 
 
-def sigma_apply(family, a):
-    return SigmaMorphism(family).apply(a)
-
-
 def column_split(r):
     """Decompose (a, m, b) into its P-part a and Q-part (m, b)."""
     return r.a, (r.m, r.b)
@@ -141,79 +139,53 @@ def act_q(r, q):
 # Finitely presented modules over Z or Q and module triples.
 # ---------------------------------------------------------------------------
 
-class FPModule:
-    """Finitely presented module over Z or Q: generators and relation rows."""
+class FPModule(Presentation):
+    """Finitely presented module over Z or Q, checked as it is read from input."""
 
-    __slots__ = ("ring_tag", "gens", "rels", "_span_form")
+    __slots__ = ("ring_tag",)
 
-    def __init__(self, ring_tag, gens, rels=()):
+    def __init__(self, ring_tag, gens, rows=()):
         if ring_tag not in ("Z", "Q"):
             raise SchemaError(f"module base ring must be Z or Q, got {ring_tag!r}")
         if gens < 0:
             raise SchemaError("generator count must be non-negative")
-        self.ring_tag = ring_tag
-        self.gens = gens
-        rows = []
-        for row in rels:
+        checked = []
+        for row in rows:
             row = [norm_scalar(c) for c in row]
             if len(row) != gens:
                 raise SchemaError(f"relation length {len(row)} != generator count {gens}")
             if ring_tag == "Z" and any(not isinstance(c, int) for c in row):
                 raise SchemaError("relations over Z must have integer entries")
-            rows.append(row)
-        self.rels = rows
-        self._span_form = None
-
-    @property
-    def ring(self):
-        return ZZ if self.ring_tag == "Z" else QQ
-
-    @classmethod
-    def free(cls, ring_tag, gens):
-        return cls(ring_tag, gens)
-
-    @classmethod
-    def zero(cls, ring_tag):
-        return cls(ring_tag, 0)
-
-    def span_form(self):
-        """Cached diagonal form of the relation matrix, for membership tests."""
-        if self._span_form is None:
-            rows = self.rels if self.rels else [[self.ring.zero()] * self.gens]
-            self._span_form = diagonal_form(Matrix(self.ring, rows))
-        return self._span_form
-
-    def contains_in_span(self, vector):
-        """Is the vector a combination of relation rows over the base ring?"""
-        if self.gens == 0:
-            return True
-        return in_row_span(self.span_form(), [norm_scalar(c) for c in vector])
-
-    def invariants(self):
-        form = self.span_form()
-        return form.invariant_factors(), self.gens - form.rank()
-
-    def random_element(self, rng, size=5):
-        return [self.ring.random(rng, size) for _ in range(self.gens)]
+            checked.append(row)
+        super().__init__(ZZ if ring_tag == "Z" else QQ, gens, checked)
+        self.ring_tag = ring_tag
 
     def direct_sum(self, other):
         if other.ring_tag != self.ring_tag:
             raise SchemaError("direct sum needs a common base ring")
         gens = self.gens + other.gens
-        rows = [row + [0] * other.gens for row in self.rels]
-        rows += [[0] * self.gens + row for row in other.rels]
+        rows = [row + [0] * other.gens for row in self.rows]
+        rows += [[0] * self.gens + row for row in other.rows]
         return FPModule(self.ring_tag, gens, rows)
 
     def fmt(self):
-        return f"<{self.ring_tag}^{self.gens} / {len(self.rels)} relations>"
+        return f"<{self.ring_tag}^{self.gens} / {len(self.rows)} relations>"
 
 
-def _zip_add(u, v):
-    return [scalar_add(x, y) for x, y in zip(u, v)]
+def _combination(terms, length):
+    """The sum of c * v over the (c, v) pairs, a coordinate vector of the given length."""
+    out = [0] * length
+    for c, vec in terms:
+        if c != 0:
+            out = [scalar_add(x, scalar_mul(c, y)) for x, y in zip(out, vec)]
+    return out
 
 
-def _vec_scale(c, u):
-    return [scalar_mul(c, x) for x in u]
+def relation_images(f, rows, gens):
+    """f composed with each N_B relation row s: for every row, then every
+    bimodule basis element mu, the N_A vector sum_j s_j f(mu (x) n_j) of
+    length gens."""
+    return [_combination(zip(s, block), gens) for s in rows for block in f]
 
 
 class TripleModule:
@@ -250,41 +222,28 @@ class TripleModule:
 
     def _check_well_defined(self):
         # f composed with each N_B relation must land in the N_A relation span
-        for srow in self.NB.rels:
-            for i in range(len(self.f)):
-                vec = [0] * self.NA.gens
-                for j, s in enumerate(srow):
-                    if s != 0:
-                        vec = _zip_add(vec, _vec_scale(s, self.f[i][j]))
-                if not self.NA.contains_in_span(vec):
-                    raise SchemaError(
-                        f"f is not well defined: basis element {i} composed with relation {srow} "
-                        "does not land in the N_A relation span"
-                    )
+        for k, vec in enumerate(relation_images(self.f, self.NB.rows, self.NA.gens)):
+            if not self.NA.contains(vec):
+                srow = self.NB.rows[k // len(self.f)]
+                raise SchemaError(
+                    f"f is not well defined: basis element {k % len(self.f)} composed with relation {srow} "
+                    "does not land in the N_A relation span"
+                )
 
     def f_apply(self, m, vecB):
         """Coordinates of f(m (x) n_B) in N_A for n_B with coordinates vecB."""
         coords = self.family.basis_coords(m)
-        out = [0] * self.NA.gens
-        for i, c in enumerate(coords):
-            if c == 0:
-                continue
-            for j, y in enumerate(vecB):
-                if y == 0:
-                    continue
-                out = _zip_add(out, _vec_scale(scalar_mul(c, y), self.f[i][j]))
-        return out
+        terms = ((scalar_mul(c, y), self.f[i][j]) for i, c in enumerate(coords) for j, y in enumerate(vecB))
+        return _combination(terms, self.NA.gens)
 
     def action(self, r, n):
         """(a, m, b) . (n_A, n_B) = (a n_A + f(m (x) n_B), b n_B)."""
         vecA, vecB = n
-        fam = self.family
-        out_a = _zip_add(_vec_scale(r.a, vecA), self.f_apply(r.m, vecB))
-        out_b = _vec_scale(r.b, vecB)
-        return ([norm_scalar(c) for c in out_a], [norm_scalar(c) for c in out_b])
+        out_a = _combination([(r.a, vecA), (1, self.f_apply(r.m, vecB))], self.NA.gens)
+        return (out_a, _combination([(r.b, vecB)], self.NB.gens))
 
     def random_element(self, rng, size=5):
-        return (self.NA.random_element(rng, size), self.NB.random_element(rng, size))
+        return (self.NA.random_vector(rng, size), self.NB.random_vector(rng, size))
 
     def direct_sum(self, other):
         if other.family != self.family:
@@ -326,7 +285,7 @@ def module_roundtrip(module, rng=None):
             if any(c != 0 for c in image[1]):
                 raise CertificateError("corner action must land in the N_A part")
             if rng is not None:
-                other_lift = (module.NA.random_element(rng), unit_b)
+                other_lift = (module.NA.random_vector(rng, 5), unit_b)
                 other = module.action(corner, other_lift)
                 if other[0] != image[0]:
                     raise CertificateError("extracted f depends on the lift")
@@ -371,9 +330,9 @@ def triple_from_json(family, data):
         gens = obj["gens"]
         if not isinstance(gens, int):
             raise SchemaError(f"{name}.gens must be an integer")
-        rels = parse_rows(obj.get("rels", []), f"{name}.rels")
+        rows = parse_rows(obj.get("rels", []), f"{name}.rels")
         tag = "Z" if family.a_ring is ZZ else "Q"
-        return FPModule(tag, gens, rels)
+        return FPModule(tag, gens, rows)
 
     NA = parse_module(na, "NA")
     NB = parse_module(nb, "NB")
@@ -403,8 +362,8 @@ def triple_to_json(module):
     fam = module.family
     out = {
         "family": fam.to_json(),
-        "NA": {"gens": module.NA.gens, "rels": [[_entry_json(c) for c in r] for r in module.NA.rels]},
-        "NB": {"gens": module.NB.gens, "rels": [[_entry_json(c) for c in r] for r in module.NB.rels]},
+        "NA": {"gens": module.NA.gens, "rels": [[_entry_json(c) for c in r] for r in module.NA.rows]},
+        "NB": {"gens": module.NB.gens, "rels": [[_entry_json(c) for c in r] for r in module.NB.rows]},
         "f": {
             fam.fmt_m(mu): [[_entry_json(c) for c in vec] for vec in module.f[i]]
             for i, mu in enumerate(fam.basis())

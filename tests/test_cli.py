@@ -239,8 +239,13 @@ class TestMalformedInputExit2:
             (["rho", "--family", HNN, "--component", "A", "--value", "1/0"], "zero denominator"),
             (["localize-module", "--spec", _bad_spec("1/0", 1)], "'1/0'"),
             (["localize-module", "--spec", _bad_spec(0, "a/b")], "'a/b'"),
+            (["fraction", "--family", REGULAR, "--a0", "2", "--b0", "3", "--expr", "x[1]"], "not a central pair"),
+            (["factor", "--family", REGULAR, "--a0", "2", "--b0", "3", "--expr", "x[1]"], "not a central pair"),
         ],
-        ids=["nested-normalize", "nested-rho-a", "zero-den-tensor", "zero-den-hnn", "spec-1/0", "spec-a/b"],
+        ids=[
+            "nested-normalize", "nested-rho-a", "zero-den-tensor", "zero-den-hnn", "spec-1/0", "spec-a/b",
+            "fraction-not-central", "factor-not-central",
+        ],
     )
     def test_one_line_error(self, argv, message, tmp_path):
         if argv[0] == "localize-module":

@@ -11,7 +11,6 @@ from trilocal.fracloc import (
     CentralPair,
     check_central,
     factor_inverting_hom,
-    fraction_form,
     phi,
     rational_value_hom,
     two_order_agreement,
@@ -116,7 +115,7 @@ class TestFractionForm:
         assert family_iso(form.numerator) == 5 and form.exponent == 3
 
     def test_one(self):
-        form = fraction_form(TElement.one(self.target), self.pair)
+        form = self.pair.fraction_form(TElement.one(self.target))
         assert form.numerator.is_one() and form.exponent == 0
 
     def test_integer_needs_no_denominator(self):

@@ -164,13 +164,6 @@ class TestSolver:
             ]
             assert recombined == v
 
-    def test_bareiss_determinant_matches_reference(self):
-        rng = random.Random(23)
-        for _ in range(200):
-            n = rng.randint(1, 4)
-            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert int_matrix(rows).det() == reference_det(rows)
-
 
 def certificate_cases():
     """A matrix to reduce and a non-unit of its ring, per ring family; 0 over Q."""

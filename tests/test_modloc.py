@@ -9,7 +9,6 @@ from trilocal.families import DoubleFamily, RegularFamily, ScaledFamily, TensorF
 from trilocal import modloc
 from trilocal.linalg import diagonal_form, int_matrix, smith_normal_form
 from trilocal.modloc import (
-    invariant_factors,
     localize_module,
     localized_presentation,
     t_ring_of,
@@ -36,7 +35,7 @@ class TestPresentation:
         # Smith oracle: the cokernel of [2, -1] is free of rank 1
         snf = smith_normal_form(int_matrix(pres.rows))
         assert snf.diagonal() == [1]
-        factors, rank = invariant_factors(pres)
+        factors, rank = pres.invariants()
         assert factors == [] and rank == 1
 
     def test_nb_zero_keeps_base_presentation(self):
@@ -45,7 +44,7 @@ class TestPresentation:
         pres = localized_presentation(mod)
         assert pres.gens == 2
         assert pres.rows == [[2, 0], [0, 3]]
-        factors, rank = invariant_factors(pres)
+        factors, rank = pres.invariants()
         base_factors, base_rank = mod.NA.invariants()
         assert [str(d) for d in factors] == [str(d) for d in base_factors]
         assert rank == base_rank
@@ -54,7 +53,7 @@ class TestPresentation:
         fam = RegularFamily("Z")
         mod = TripleModule(fam, FPModule("Z", 0), FPModule("Z", 1), [[[]]])
         pres = localized_presentation(mod)
-        factors, rank = invariant_factors(pres)
+        factors, rank = pres.invariants()
         assert factors == [] and rank == 0
 
     def test_torsion_preserved(self):
@@ -66,7 +65,7 @@ class TestPresentation:
     def test_scaled_unit_relation(self):
         fam = ScaledFamily(2)
         pres = localized_presentation(d_module(fam, 2))
-        factors, rank = invariant_factors(pres)
+        factors, rank = pres.invariants()
         assert factors == [] and rank == 1
 
     def test_double_mixed_relations(self):
@@ -74,7 +73,7 @@ class TestPresentation:
         mod = TripleModule(fam, FPModule("Q", 1), FPModule("Q", 1), [[[1]], [[0]]])
         pres = localized_presentation(mod)
         # rows: [1, -1] and [0, -x]; the cokernel is Q[x]/(x)
-        factors, rank = invariant_factors(pres)
+        factors, rank = pres.invariants()
         assert [str(d) for d in factors] == ["x"] and rank == 0
 
     def test_q_column_is_free_rank_one(self):
@@ -135,7 +134,7 @@ class TestAdditivity:
         m2 = TripleModule(fam, FPModule("Z", 1, [[6]]), FPModule("Z", 0), [[]])
         both = m1.direct_sum(m2)
         pres = localized_presentation(both)
-        factors, rank = invariant_factors(pres)
+        factors, rank = pres.invariants()
         # canonical chain of diag(4, 6) is (2, 12)
         assert [str(d) for d in factors] == ["2", "12"] and rank == 0
 
@@ -145,9 +144,9 @@ class TestAdditivity:
         for _ in range(5):
             t1 = random_triple(fam, rng, max_gens=2, size=5)
             t2 = random_triple(fam, rng, max_gens=2, size=5)
-            r_both = invariant_factors(localized_presentation(t1.direct_sum(t2)))[1]
-            r1 = invariant_factors(localized_presentation(t1))[1]
-            r2 = invariant_factors(localized_presentation(t2))[1]
+            r_both = localized_presentation(t1.direct_sum(t2)).invariants()[1]
+            r1 = localized_presentation(t1).invariants()[1]
+            r2 = localized_presentation(t2).invariants()[1]
             assert r_both == r1 + r2
 
 

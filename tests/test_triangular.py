@@ -17,7 +17,6 @@ from trilocal.triangular import (
     column_split,
     module_roundtrip,
     random_tri,
-    sigma_apply,
     tri_mul,
     triple_from_json,
     triple_to_json,
@@ -90,10 +89,10 @@ class TestColumns:
 
     def test_sigma_image(self):
         for fam in shipped_families():
-            m, b = sigma_apply(fam, fam.a_one)
+            m, b = SigmaMorphism(fam).apply(fam.a_one)
             assert fam.eq_m(m, fam.p)
             assert fam.b_ring.eq(b, fam.b_ring.zero())
-            m0, _ = sigma_apply(fam, fam.a_ring.zero())
+            m0, _ = SigmaMorphism(fam).apply(fam.a_ring.zero())
             assert fam.eq_m(m0, fam.zero_m())
 
     def test_sigma_scaled_example(self):
@@ -160,7 +159,7 @@ class TestRoundTrip:
         fam = RegularFamily("Z")
         only_a = TripleModule(fam, FPModule("Z", 2, [[2, 0]]), FPModule("Z", 0), [[]])
         back = module_roundtrip(only_a)
-        assert back.NA.rels == only_a.NA.rels and back.NB.gens == 0
+        assert back.NA.rows == only_a.NA.rows and back.NB.gens == 0
         only_b = TripleModule(fam, FPModule("Z", 0), FPModule("Z", 1), [[[]]])
         back = module_roundtrip(only_b)
         assert back.NA.gens == 0 and back.NB.gens == 1
@@ -186,7 +185,7 @@ class TestRoundTrip:
             [[[1, 0], [1, 0]], [[0, 3], [0, 3]]],
         )
         back = module_roundtrip(mod, rng=random.Random(11))
-        assert back.NA.rels == mod.NA.rels and back.NB.rels == mod.NB.rels
+        assert back.NA.rows == mod.NA.rows and back.NB.rows == mod.NB.rows
         assert back.f == mod.f
 
 
@@ -222,4 +221,4 @@ class TestJson:
         mod = triple_from_json(fam, doc)
         from fractions import Fraction
 
-        assert mod.NA.rels == [[Fraction(1, 2)]]
+        assert mod.NA.rows == [[Fraction(1, 2)]]
