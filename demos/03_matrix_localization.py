@@ -6,15 +6,15 @@ element at p hits the matrix unit e12, and that the matrix-unit
 identities realize the inverse of the base-changed column map.
 """
 
-from trilocal import ScaledFamily, TriElement, rho_matrix, verify_sigma_inverting
+from trilocal import ScaledFamily, TriElement, matrix_text, rho_matrix, verify_sigma_inverting
 
 fam = ScaledFamily(2)
 
-print("image of 1_R:", rho_matrix(TriElement.one(fam)).fmt())
+print("image of 1_R:", matrix_text(rho_matrix(TriElement.one(fam))))
 corner = TriElement(fam, 0, 2, 0)  # the (0, p, 0) corner
-print("image of (0, p, 0):", rho_matrix(corner).fmt())
+print("image of (0, p, 0):", matrix_text(rho_matrix(corner)))
 sample = TriElement(fam, 3, 5, 7)
-print("image of (3, 5, 7):", rho_matrix(sample).fmt(), " (entry values 3, 5/2, 7)")
+print("image of (3, 5, 7):", matrix_text(rho_matrix(sample)), " (entry values 3, 5/2, 7)")
 
 print()
 print(verify_sigma_inverting(fam, samples=200).render_text())

@@ -50,7 +50,7 @@ from .linalg import (
     smith_normal_form,
     solve_left,
 )
-from .matrixloc import Matrix2, rho_matrix, verify_sigma_inverting
+from .matrixloc import matrix_text, matrix_unit, rho_matrix, verify_sigma_inverting
 from .modloc import (
     LocalizedModule,
     Presentation,

@@ -16,7 +16,7 @@ from .errors import BudgetExceededError, CertificateError, SchemaError, Trilocal
 from .exprs import format_element, format_oracle, parse_bim_element, parse_element, parse_ring_element
 from .families import family_from_json
 from .fracloc import CentralPair, factor_inverting_hom, rational_value_hom
-from .matrixloc import rho_matrix, verify_sigma_inverting
+from .matrixloc import matrix_text, rho_matrix, verify_sigma_inverting
 from .modloc import localize_module
 from .report import Report, render_doc
 from .tring import DEFAULT_BUDGET, family_iso, rho, t_normalize
@@ -105,12 +105,17 @@ def cmd_verify(args):
     return EXIT_OK if report.passed else EXIT_VERIFY
 
 
-def cmd_fraction(args):
+def _change_of_p_input(args):
+    """The family, the central pair (a0, b0), the target family and the
+    normal form of --expr in the target."""
     family = _load_family(args.family)
     pair = CentralPair(family, args.a0, args.b0, seed=args.seed)
     target = pair.target_family()
-    tree = parse_element(target, args.expr)
-    element = t_normalize(target, tree, args.budget)
+    return family, pair, target, t_normalize(target, parse_element(target, args.expr), args.budget)
+
+
+def cmd_fraction(args):
+    family, pair, target, element = _change_of_p_input(args)
     form = pair.fraction_form(element)
     _emit(
         {
@@ -127,11 +132,7 @@ def cmd_fraction(args):
 
 
 def cmd_factor(args):
-    family = _load_family(args.family)
-    pair = CentralPair(family, args.a0, args.b0, seed=args.seed)
-    target = pair.target_family()
-    tree = parse_element(target, args.expr)
-    element = t_normalize(target, tree, args.budget)
+    family, pair, target, element = _change_of_p_input(args)
     hom = rational_value_hom(family)
     report = Report(f"factorization through T(M,a0*p) [{family.describe()}]", seed=args.seed)
     report.add("letter images satisfy the presentation", hom.respects_relations(samples=50, seed=args.seed))
@@ -158,8 +159,8 @@ def cmd_localize_ring(args):
     corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
     doc = {
         "family": family.describe(),
-        "image_of_identity": rho_matrix(one).fmt(),
-        "image_of_corner_p": rho_matrix(corner).fmt(),
+        "image_of_identity": matrix_text(rho_matrix(one)),
+        "image_of_corner_p": matrix_text(rho_matrix(corner)),
         "certificate": "pass" if report.passed else "fail",
     }
     _emit(doc, args.format)

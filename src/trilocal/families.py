@@ -151,10 +151,6 @@ class BimoduleFamily:
         """Central scalar multiple of a bimodule element."""
         raise NotImplementedError
 
-    def fold_term(self, coeff, word):
-        """Family-specific coefficient/word canonicalization of one term."""
-        return coeff, word
-
     def fold_element(self, terms):
         """Canonical form of a term map of normal words with nonzero
         coefficients, as sums and products build them; default: no change."""
@@ -408,22 +404,19 @@ class ScaledFamily(RegularFamily):
     def letter_fmt(self, letter):
         return "1"
 
-    def fold_term(self, coeff, word):
-        r = len(word)
-        while r > 0 and coeff % self.k == 0:
-            coeff //= self.k
-            r -= 1
-        return coeff, (self._G,) * r
-
     def fold_element(self, terms):
         # terms of different word length combine in Z[1/k]: bring every
-        # term to the maximal exponent and renormalize once
+        # term to the maximal exponent, then cancel powers of k
         if not terms:
             return terms
-        top = max(len(w) for w in terms)
-        num = sum(c * self.k ** (top - len(w)) for w, c in terms.items())
-        coeff, word = self.fold_term(num, (self._G,) * top)
-        return {word: coeff} if coeff != 0 else {}
+        r = max(len(w) for w in terms)
+        num = sum(c * self.k ** (r - len(w)) for w, c in terms.items())
+        if num == 0:
+            return {}
+        while r > 0 and num % self.k == 0:
+            num //= self.k
+            r -= 1
+        return {(self._G,) * r: num}
 
     def oracle_letter(self, letter):
         return KadicFraction(self.k, 1, 1)

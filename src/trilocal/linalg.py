@@ -50,6 +50,12 @@ class Matrix:
             for j in range(self.ncols)
         )
 
+    def __add__(self, other):
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
+        add = self.ring.add
+        return Matrix(self.ring, [[add(x, y) for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
@@ -197,14 +203,16 @@ def _euclidean_engine(mat, size, divmod_):
         for row in Ui:
             row[i] = mul(row[i], u_inv)
 
+    def smallest(t):  # a nonzero entry of least size in the trailing block, or None
+        return min(
+            ((i, j) for i in range(t, m) for j in range(t, n) if not is_zero(a[i][j])),
+            key=lambda ij: size(a[ij[0]][ij[1]]),
+            default=None,
+        )
+
     t = 0
     while t < min(m, n):
-        # smallest nonzero entry of the trailing block becomes the pivot
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if not is_zero(a[i][j]) and (best is None or size(a[i][j]) < size(a[best[0]][best[1]])):
-                    best = (i, j)
+        best = smallest(t)
         if best is None:
             break
         while True:
@@ -228,30 +236,21 @@ def _euclidean_engine(mat, size, divmod_):
                 col_add(j, t, rg.neg(q))
                 if not is_zero(r):
                     clean = False
-            if not clean:
-                best = min(
-                    ((i, j) for i in range(t, m) for j in range(t, n) if not is_zero(a[i][j])),
-                    key=lambda ij: size(a[ij[0]][ij[1]]),
+            if clean:
+                # pivot must divide the whole trailing block for the chain
+                bad = next(
+                    (
+                        i
+                        for i in range(t + 1, m)
+                        for j in range(t + 1, n)
+                        if not is_zero(a[i][j]) and not is_zero(divmod_(a[i][j], a[t][t])[1])
+                    ),
+                    None,
                 )
-                continue
-            # pivot must divide the whole trailing block for the chain
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if is_zero(a[i][j]):
-                        continue
-                    if not is_zero(divmod_(a[i][j], a[t][t])[1]):
-                        bad = (i, j)
-                        break
-                if bad:
+                if bad is None:
                     break
-            if bad is None:
-                break
-            row_add(t, bad[0], rg.one())
-            best = min(
-                ((i, j) for i in range(t, m) for j in range(t, n) if not is_zero(a[i][j])),
-                key=lambda ij: size(a[ij[0]][ij[1]]),
-            )
+                row_add(t, bad, rg.one())
+            best = smallest(t)
         t += 1
 
     # canonicalize diagonal entries by unit scaling

@@ -571,20 +571,12 @@ class KadicRing(OperatorRing):
         """KadicFraction with the value of frac, or None if not in Z[1/k]."""
         frac = Fraction(frac)
         den = frac.denominator
-        e = 0
-        while den != 1:
-            g = gcd(den, self.k)
-            if g == 1:
-                return None
-            while den % g == 0:
-                den //= g
-            e += 1
-        # denominator divides k**e for the e just counted? Not necessarily:
-        # grow e until it does.
-        while (self.k ** e) % frac.denominator != 0:
-            e += 1
-        num = frac.numerator * ((self.k ** e) // frac.denominator)
-        return KadicFraction(self.k, num, e)
+        if strip_factors_of(den, self.k) != 1:
+            return None
+        # every prime of den divides k, to a power below den.bit_length(), so
+        # den divides k**e; KadicFraction cancels the surplus powers of k
+        e = den.bit_length() - 1
+        return KadicFraction(self.k, frac.numerator * (self.k ** e // den), e)
 
     def exact_div(self, a, b):
         if b.is_zero():

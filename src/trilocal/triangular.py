@@ -71,15 +71,6 @@ class TriElement:
         return f"TriElement{self.fmt()}"
 
 
-def tri_mul(r1, r2):
-    r1.family.check_same(r2.family)
-    fam = r1.family
-    a = fam.a_ring.mul(r1.a, r2.a)
-    m = fam.add_m(fam.apply(r1.a, r2.m, fam.b_one), fam.apply(fam.a_one, r1.m, r2.b))
-    b = fam.b_ring.mul(r1.b, r2.b)
-    return TriElement(fam, a, m, b)
-
-
 def tri_add(r1, r2):
     r1.family.check_same(r2.family)
     fam = r1.family
@@ -128,11 +119,18 @@ def act_p(r, a):
 
 
 def act_q(r, q):
-    """Left action of R on the Q-column (m; b)."""
+    """Left action of R on the Q-column: r * (m; b) = (r.a*m + r.m*b; r.b*b)."""
     fam = r.family
     m, b = q
     m_new = fam.add_m(fam.apply(r.a, m, fam.b_one), fam.apply(fam.a_one, r.m, b))
     return (m_new, fam.b_ring.mul(r.b, b))
+
+
+def tri_mul(r1, r2):
+    """r1 * r2, column by column: r1 acting on the P- and Q-parts of r2."""
+    r1.family.check_same(r2.family)
+    a, q = column_split(r2)
+    return column_join(r1.family, act_p(r1, a), act_q(r1, q))
 
 
 # ---------------------------------------------------------------------------

@@ -18,10 +18,13 @@ All rules strictly shrink a termination measure.
 Raw expression trees have one evaluator, ``eval_tree``; ``t_normalize``
 runs it over ``TOps``, T(M,p) as a ring object.  The step budget ticks
 once per constant, per generator letter, per operand of a sum after the
-first, and inside a product once per pair of words multiplied (so a
-product of e1 and e2 uses at least |e1|*|e2|) and once per merge or
-shift.  A ring map out of T(M,p) is fixed by the images of its letters,
-and ``map_terms`` applies one to a normal form.
+first, and once per merge or shift.  Inside a product, each pair of
+words ticks once, plus once per 64 bits of the two coefficients and per
+64 letters of the two words, before the pair is multiplied.  So a
+product of e1 and e2 uses at least |e1|*|e2|, and a power whose
+coefficient or word doubles with every squaring runs out of budget
+before it builds a huge one.  A ring map out of T(M,p) is fixed by the
+images of its letters, and ``map_terms`` applies one to a normal form.
 
 Sums and products work on plain term maps: a sum of n normal forms adds
 them into one dict and folds it once, and a product passes dicts through
@@ -131,13 +134,6 @@ def word_key(family, word):
     return (len(word), tuple(family.letter_key(letter) for letter in word))
 
 
-def _merge_term(family, terms, word, coeff):
-    """Fold one (coeff, word) pair into a term map."""
-    coeff, word = family.fold_term(coeff, word)
-    if coeff != 0:
-        add_term(terms, word, coeff)
-
-
 def _refold(family, term_maps):
     """Canonical sum of the term maps of normal forms: one dict, folded once.
 
@@ -156,8 +152,7 @@ def _generator_terms(family, m, budget):
     for coeff, letter in family.letter_terms(m):
         _tick(budget)
         coeff = family.validate_coeff(coeff)
-        word = () if letter is None else (letter,)
-        _merge_term(family, terms, word, coeff)
+        add_term(terms, () if letter is None else (letter,), coeff)
     return family.fold_element(terms)
 
 
@@ -181,7 +176,7 @@ def t_scale(e, c):
         return TElement.zero(e.family)
     terms = {}
     for word, coeff in e.terms.items():
-        _merge_term(e.family, terms, word, scalar_mul(c, coeff))
+        add_term(terms, word, scalar_mul(c, coeff))
     return TElement(e.family, e.family.fold_element(terms))
 
 
@@ -212,20 +207,33 @@ def _word_mul(family, w1, w2, budget, factors):
             _tick(budget)
             l1, l2 = shifted
             return _mul_terms(family, {w1[:-1] + (l1,): 1}, {(l2,) + w2[1:]: 1}, budget, factors)
-    terms = {}
-    _merge_term(family, terms, w1 + w2, 1)
-    return terms
+    return {w1 + w2: 1}
+
+
+def _sizes(terms):
+    """(word, coeff, coefficient bits, word length) for each term."""
+    return [(w, c, _bits(c), len(w)) for w, c in terms.items()]
+
+
+def _bits(c):
+    return c.bit_length() if type(c) is int else c.numerator.bit_length() + c.denominator.bit_length()
 
 
 def _mul_terms(family, t1, t2, budget, factors):
-    """Canonical product of two term maps; one tick per pair of words."""
+    """Canonical product of two term maps.
+
+    Each pair of words ticks once, plus once per 64 bits of the two
+    coefficients and per 64 letters of the two words, before anything
+    is multiplied.
+    """
     terms = {}
-    for w1, c1 in t1.items():
-        for w2, c2 in t2.items():
-            _tick(budget)
+    right = _sizes(t2)
+    for w1, c1, b1, n1 in _sizes(t1):
+        for w2, c2, b2, n2 in right:
+            _tick(budget, 1 + (b1 + b2 >> 6) + (n1 + n2 >> 6))
             c = scalar_mul(c1, c2)
             for word, coeff in _word_mul(family, w1, w2, budget, factors).items():
-                _merge_term(family, terms, word, scalar_mul(c, coeff))
+                add_term(terms, word, scalar_mul(c, coeff))
     return family.fold_element(terms)
 
 
@@ -265,6 +273,32 @@ def t_eq_exprs(family, expr1, expr2, budget=DEFAULT_BUDGET):
         return t_eq(t_normalize(family, expr1, budget), t_normalize(family, expr2, budget))
     except BudgetExceededError:
         return EqResult.UNKNOWN
+
+
+def relation_failure(family, ring, gen, samples, rng):
+    """First defining relation of T(M,p) that the generator images break, or None.
+
+    gen(m) is the image of x_m in the ring object.  (id) x_p = 1 is
+    checked once; then each sample draws m, m', a and b from rng and
+    checks (+) x_m + x_m' = x_(m+m'), (a) x_(a*p) x_m = x_(a*m) and
+    (b) x_m x_(p*b) = x_(m*b).  A failure is described in one line.
+    """
+    eq = ring.eq
+    if not eq(gen(family.p), ring.one()):
+        return "relation (id): x_p is not 1"
+    for i in range(samples):
+        m1, m2 = family.random_m(rng), family.random_m(rng)
+        a, b = family.random_a(rng), family.random_b(rng)
+        x1 = gen(m1)
+        ap = family.apply(a, family.p, family.b_one)
+        pb = family.apply(family.a_one, family.p, b)
+        if not (
+            eq(ring.add(x1, gen(m2)), gen(family.add_m(m1, m2)))
+            and eq(ring.mul(gen(ap), x1), gen(family.apply(a, m1, family.b_one)))
+            and eq(ring.mul(x1, gen(pb)), gen(family.apply(family.a_one, m1, b)))
+        ):
+            return f"instance {i}: m={family.fmt_m(m1)} m'={family.fmt_m(m2)}"
+    return None
 
 
 def ring_sum(ring, values):
@@ -398,6 +432,10 @@ class TOps(OperatorRing):
     def __init__(self, family, budget=None):
         self.family = family
         self.budget = budget
+
+    @property
+    def name(self):
+        return f"T[{self.family.describe()}]"
 
     def zero(self):
         return TElement.zero(self.family)

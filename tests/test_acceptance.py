@@ -23,7 +23,7 @@ from trilocal.fracloc import (
     two_order_agreement,
 )
 from trilocal.linalg import int_matrix, smith_normal_form
-from trilocal.matrixloc import Matrix2, rho_matrix, verify_sigma_inverting
+from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
 from trilocal.modloc import localize_module, verify_comparison_maps
 from trilocal.tring import (
     EqResult,
@@ -79,7 +79,7 @@ def test_criterion_3_matrix_localization():
         rep = verify_sigma_inverting(family, samples=1000, seed=SEED)
         assert rep.passed, rep.render_text()
         corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
-        assert rho_matrix(corner) == Matrix2.unit(family, 1, 2)
+        assert rho_matrix(corner) == matrix_unit(family, 1, 2)
     # negative control: a structure map that forgets the collapse at p
     corrupt = {
         "A": lambda fam, v: rho(fam, "A", v),

@@ -11,7 +11,7 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def run_cli(*args, cwd=None):
+def run_cli(*args, cwd=None, timeout=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -20,6 +20,7 @@ def run_cli(*args, cwd=None):
         text=True,
         env=env,
         cwd=cwd or ROOT,
+        timeout=timeout,
     )
 
 
@@ -66,6 +67,27 @@ class TestNormalize:
             "normalize", "--family", SCALED, "--expr", "x[3]*x[5]*x[7]*x[9]", "--budget", "1"
         )
         assert out.returncode == 3
+
+
+class TestBudgetBoundsWork:
+    """Powers that grow a coefficient, a word or the number of terms without
+    bound end in exit 3 and one error line, not in a hang."""
+
+    @pytest.mark.parametrize(
+        "family, expr, budget",
+        [
+            (SCALED, "x[3]^100000000", "1000"),
+            (DOUBLE, "x[(0,1)]^200000", "100"),
+            ('{"kind":"hnn-free","ring":"Q","A_gens":["s","t"]}', "(x[h(s)]+x[h(s,t)])^16", "100000"),
+        ],
+        ids=["coefficient", "word", "terms"],
+    )
+    def test_exit_3_with_one_line(self, family, expr, budget):
+        out = run_cli("normalize", "--family", family, "--expr", expr, "--budget", budget, timeout=20)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
 
 
 class TestRho:

@@ -4,6 +4,11 @@
   whose imports are the public surface) is used in that module.
 * Every single-underscore name defined at module or class level is
   referenced somewhere in ``src/trilocal`` outside its own definition.
+* Every public function or class defined at module level, and every
+  public method, is referenced outside its own definition somewhere in
+  ``src/trilocal``, ``tests``, ``demos`` or ``perfbench``.  The
+  re-exports of ``__init__.py`` do not count: a public name with no
+  caller gets deleted.
 """
 
 import ast
@@ -12,8 +17,14 @@ from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "trilocal"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "trilocal"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+CALLERS = [tree for module, tree in MODULES.items() if module != "__init__.py"] + [
+    ast.parse(path.read_text(encoding="utf-8"))
+    for folder in ("tests", "demos", "perfbench")
+    for path in sorted((ROOT / folder).glob("*.py"))
+]
 
 
 def references(node):
@@ -84,3 +95,30 @@ PRIVATE = private_definitions()
 def test_private_name_is_referenced(qualified, name, definition):
     outside = ALL_REFERENCES[name] - references(definition)[name]
     assert outside > 0, f"{qualified} is defined and nothing else in src/trilocal refers to it"
+
+
+def public_definitions():
+    """(qualified name, name, defining node) for public module-level
+    functions and classes and public methods."""
+    out = []
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                out.append((f"{module}.{node.name}", node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += [
+                    (f"{module}:{node.name}.{method.name}", method.name, method)
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                ]
+    return out
+
+
+CALLER_REFERENCES = sum((references(tree) for tree in CALLERS), Counter())
+PUBLIC = public_definitions()
+
+
+@pytest.mark.parametrize("qualified,name,definition", PUBLIC, ids=[q for q, _, _ in PUBLIC])
+def test_public_name_is_referenced(qualified, name, definition):
+    outside = CALLER_REFERENCES[name] - references(definition)[name]
+    assert outside > 0, f"{qualified} is defined and nothing in src, tests, demos or perfbench refers to it"

@@ -4,9 +4,9 @@
 seeded elements of each shipped family (plus a few variants over the
 other coefficient ring and larger alphabets): ``format_element``,
 ``format_oracle``, ``fmt_m``, ``str`` of polynomials and free-algebra
-elements, and ``Matrix.fmt`` and ``Matrix2.fmt``.  The inputs include
-zero, coefficients of +-1 and rational coefficients, the empty word and
-repeated letters.  Regenerate it (only when a change of output is
+elements, ``Matrix.fmt``, and ``matrix_text`` (recorded under the row
+label ``Matrix2.fmt``).  The inputs include zero, coefficients of +-1
+and rational coefficients, the empty word and repeated letters.  Regenerate it (only when a change of output is
 intended) with ``PYTHONPATH=src python tests/test_printers.py``.
 """
 
@@ -21,7 +21,7 @@ import pytest
 from trilocal.exprs import format_element, format_oracle, parse_bim_element, parse_normal
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, TensorFreeFamily, shipped_families
 from trilocal.linalg import Matrix
-from trilocal.matrixloc import rho_matrix
+from trilocal.matrixloc import matrix_text, rho_matrix
 from trilocal.rings import QQ, ZZ, FreeAlgebra, FreeAlgebraElement, KadicFraction, KadicRing, Polynomial, PolynomialRing
 from trilocal.triangular import TriElement
 from trilocal.tring import family_iso, rho, t_mul
@@ -141,7 +141,7 @@ def printer_outputs():
         for i, m in enumerate(family_bimodule_elements(fam, rng)):
             rows.append(["fmt_m", tag, i, fam.fmt_m(m)])
         for i, r in enumerate([TriElement.one(fam), TriElement(fam, fam.a_ring.zero(), fam.p, fam.b_ring.zero())]):
-            rows.append(["Matrix2.fmt", tag, i, rho_matrix(r).fmt()])
+            rows.append(["Matrix2.fmt", tag, i, matrix_text(rho_matrix(r))])
     for i, (ring, coeffs) in enumerate(POLYNOMIALS):
         rows.append(["Polynomial", ring, i, str(Polynomial(ring, coeffs))])
     rng = random.Random(2023)

@@ -7,7 +7,7 @@ import pytest
 
 from trilocal.errors import BudgetExceededError, FamilyMismatchError
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from trilocal.rings import ZZ, KadicFraction, OperatorRing, Polynomial
+from trilocal.rings import QQ, ZZ, KadicFraction, OperatorRing, Polynomial
 from trilocal.tring import (
     Add,
     Const,
@@ -16,9 +16,11 @@ from trilocal.tring import (
     Mul,
     Pow,
     TElement,
+    TOps,
     eval_tree,
     family_iso,
     power,
+    relation_failure,
     rho,
     t_add,
     t_eq,
@@ -280,3 +282,25 @@ class TestCoefficients:
         total = t_add(t_generator(fam, 4), t_generator(fam, 3))  # 2 + 3/2
         assert t_eq(total, t_generator(fam, 7)) is EqResult.EQUAL
         assert len(total.terms) == 1
+
+
+class TestRelationFailure:
+    """The one sampler of the defining relations, on T itself and on Q."""
+
+    def test_normal_forms_satisfy_the_relations(self):
+        for fam in shipped_families():
+            ring = TOps(fam)
+            assert relation_failure(fam, ring, ring.gen, 50, random.Random(3)) is None
+
+    @pytest.mark.parametrize(
+        "image, failure",
+        [
+            (lambda m: Fraction(m, 2) + 1, "relation (id): x_p is not 1"),
+            (lambda m: Fraction(m, 2) ** 2, "instance 0: m="),
+        ],
+        ids=["id", "additive"],
+    )
+    def test_broken_images_are_reported(self, image, failure):
+        fam = ScaledFamily(2)
+        found = relation_failure(fam, QQ, image, 50, random.Random(3))
+        assert found is not None and found.startswith(failure)
