@@ -19,7 +19,7 @@ from .fracloc import CentralPair, factor_inverting_hom, rational_value_hom
 from .matrixloc import matrix_text, rho_matrix, verify_sigma_inverting
 from .modloc import localize_module
 from .report import Report, render_doc
-from .tring import DEFAULT_BUDGET, family_iso, rho, t_normalize
+from .tring import DEFAULT_BUDGET, Budget, family_iso, rho, t_normalize
 from .triangular import TriElement, triple_from_json
 from .verify import DEFAULT_SEED, example_suite, random_suite
 
@@ -75,14 +75,15 @@ def cmd_normalize(args):
 
 def cmd_rho(args):
     family = _load_family(args.family)
+    budget = Budget(args.budget)
     if args.component == "M":
         value = parse_bim_element(family, args.value)
         shown = family.fmt_m(value)
     else:
-        value = parse_ring_element(family, args.component, args.value)
+        value = parse_ring_element(family, args.component, args.value, budget)
         ring = family.a_ring if args.component == "A" else family.b_ring
         shown = ring.fmt(value)
-    image = rho(family, args.component, value)
+    image = rho(family, args.component, value, budget)
     _emit(
         {
             "family": family.describe(),

@@ -33,8 +33,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError
-from .rings import norm_scalar, scalar_str, signed_sum
-from .tring import DEFAULT_BUDGET, Add, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize
+from .rings import norm_scalar, signed_sum
+from .tring import DEFAULT_BUDGET, Add, Budget, ChargedRing, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize
 
 MAX_NESTING = 200
 
@@ -263,17 +263,17 @@ def format_element(e):
 
 def format_oracle(family, value):
     """Display an oracle-ring value."""
-    if isinstance(value, (int, Fraction)):
-        return scalar_str(value)
-    return str(value)
+    return family.oracle.fmt(value)
 
 
-def parse_ring_element(family, component, text):
-    """Parse an element of A or B: the grammar with its generator names as letters."""
+def parse_ring_element(family, component, text, budget=DEFAULT_BUDGET):
+    """Parse an element of A or B: the grammar with its generator names as
+    letters, evaluated under budget (a limit or a Budget)."""
     ring = family.a_ring if component == "A" else family.b_ring
     tree = _Parser(family, text, ring.gens).parse_all()
+    charged = ChargedRing(ring, Budget.of(budget))
     # Z and Q have no gens, so no Gen node and no generator method to look up
-    return eval_tree(tree, ring, ring.from_int, lambda i: ring.generator(i))
+    return eval_tree(tree, charged, ring.from_int, lambda i: ring.generator(i))
 
 
 def parse_bim_element(family, text):

@@ -20,12 +20,15 @@ Shipped kinds:
 Each decision is stated once.  ``BimoduleFamily`` holds what follows
 from the rings alone: the check of the coefficient ring, the units and
 random elements of A and B, negation, equality of canonical forms and
-the image of a scalar in the oracle ring.  ``ScalarFamily`` adds
+the image of a scalar in the oracle ring.  It also builds a family's
+identity and JSON descriptor from the family's ``params``, the one
+place a family names its descriptor fields.  ``ScalarFamily`` adds
 A = B = Z or Q for regular and double, and scaled is the regular
 bimodule Z with p = k.  Tensor-free and hnn-free share the module-level
-helpers for tensor term maps: canonical form, sums, the two-sided
-action, scalar multiples, printing and random elements.  Every sum of
-terms prints through ``rings.signed_sum``.
+helpers for tensor term maps: canonical form, the two-sided action,
+printing and random elements; their sums and scalar multiples are the
+term-map arithmetic of ``rings``.  Every sum of terms prints through
+``rings.signed_sum``.
 
 Factorization is exact and verified, never heuristic: a returned factor
 reproduces the element on the nose, and families without a decidable
@@ -53,6 +56,8 @@ from .rings import (
     scalar_mul,
     scalar_str,
     signed_sum,
+    term_scale,
+    term_sum,
     word_key,
 )
 
@@ -74,6 +79,9 @@ class BimoduleFamily:
     concrete families fill in the hooks."""
 
     kind = None
+    # the JSON descriptor's fields, each mapped to the attribute that holds
+    # it, which is also the constructor's keyword
+    params = {}
     # a melem is a bare literal, so a leading literal in a bimodule sum is
     # the element itself rather than its coefficient
     scalar_melem = False
@@ -91,7 +99,14 @@ class BimoduleFamily:
 
     # -- identity ---------------------------------------------------------
     def key(self):
-        raise NotImplementedError
+        return (self.kind,) + tuple(getattr(self, attr) for attr in self.params.values())
+
+    def to_json(self):
+        out = {"kind": self.kind}
+        for field, attr in self.params.items():
+            value = getattr(self, attr)
+            out[field] = list(value) if isinstance(value, tuple) else value
+        return out
 
     def __eq__(self, other):
         return isinstance(other, BimoduleFamily) and self.key() == other.key()
@@ -174,15 +189,11 @@ class ScalarFamily(BimoduleFamily):
     """A = B = Z or Q, named by that ring; A and B enter the oracle ring as
     its scalars."""
 
+    params = {"ring": "ring"}
+
     def __init__(self, ring):
         super().__init__(ring)
         self.a_ring = self.b_ring = ZZ if ring == "Z" else QQ
-
-    def key(self):
-        return (self.kind, self.ring)
-
-    def to_json(self):
-        return {"kind": self.kind, "ring": self.ring}
 
     oracle_a = oracle_b = BimoduleFamily.oracle_scalar
 
@@ -357,20 +368,17 @@ class ScaledFamily(RegularFamily):
     """
 
     kind = "scaled"
+    params = {"k": "k"}
 
-    def __init__(self, k):
+    def __init__(self, k=None):
+        if k is None:
+            raise SchemaError("scaled family requires a parameter k >= 2")
         if not isinstance(k, int) or k < 2:
             raise SchemaError(f"scaled family needs an integer k >= 2, got {k!r}")
         super().__init__("Z")
         self.k = k
         self.oracle = self.t_ring = KadicRing(k)
         self.rational_k = k
-
-    def key(self):
-        return ("scaled", self.k)
-
-    def to_json(self):
-        return {"kind": "scaled", "k": self.k}
 
     @property
     def p(self):
@@ -441,13 +449,6 @@ def _canon_tensor(terms):
     return out
 
 
-def _tensor_sum(t1, t2):
-    out = dict(t1)
-    for key, c in t2.items():
-        add_term(out, key, c)
-    return out
-
-
 def _tensor_apply(a, t, b):
     """a * t * b, with a acting on the left words and b on the right words."""
     out = {}
@@ -456,10 +457,6 @@ def _tensor_apply(a, t, b):
             for wb, c3 in b.terms.items():
                 add_term(out, (wa + u, v + wb), scalar_mul(scalar_mul(c1, c2), c3))
     return out
-
-
-def _tensor_scale(c, t):
-    return {key: scalar_mul(c, v) for key, v in t.items()} if c != 0 else {}
 
 
 def _word_text(gens, w):
@@ -495,6 +492,7 @@ class TensorFreeFamily(BimoduleFamily):
     """
 
     kind = "tensor-free"
+    params = {"ring": "ring", "A_gens": "a_gens", "B_gens": "b_gens"}
 
     def __init__(self, ring="Q", a_gens=("s",), b_gens=("u",)):
         super().__init__(ring)
@@ -508,17 +506,6 @@ class TensorFreeFamily(BimoduleFamily):
         self.a_ring = FreeAlgebra(ring, a_gens)
         self.b_ring = FreeAlgebra(ring, b_gens)
         self.oracle = FreeAlgebra(ring, a_gens + b_gens)
-
-    def key(self):
-        return ("tensor-free", self.ring, self.a_gens, self.b_gens)
-
-    def to_json(self):
-        return {
-            "kind": "tensor-free",
-            "ring": self.ring,
-            "A_gens": list(self.a_gens),
-            "B_gens": list(self.b_gens),
-        }
 
     @property
     def p(self):
@@ -534,13 +521,13 @@ class TensorFreeFamily(BimoduleFamily):
         return out
 
     def add_m(self, m1, m2):
-        return _tensor_sum(self.canon_m(m1), self.canon_m(m2))
+        return term_sum((self.canon_m(m1), self.canon_m(m2)))
 
     def apply(self, a, m, b):
         return _tensor_apply(a, self.canon_m(m), b)
 
     def scale_m(self, c, m):
-        return _tensor_scale(c, self.canon_m(m))
+        return term_scale(c, self.canon_m(m))
 
     def fmt_m(self, m):
         return signed_sum(_tensor_terms("t", self.a_gens, self.b_gens, self.canon_m(m)))
@@ -599,6 +586,7 @@ class HnnFreeFamily(BimoduleFamily):
     """
 
     kind = "hnn-free"
+    params = {"ring": "ring", "A_gens": "a_gens", "x_name": "x_name"}
 
     def __init__(self, ring="Q", a_gens=("s",), x_name="x"):
         super().__init__(ring)
@@ -612,17 +600,6 @@ class HnnFreeFamily(BimoduleFamily):
         self.a_ring = self.b_ring = FreeAlgebra(ring, a_gens)
         self.oracle = FreeAlgebra(ring, a_gens + (x_name,))
         self._x_index = len(a_gens)
-
-    def key(self):
-        return ("hnn-free", self.ring, self.a_gens, self.x_name)
-
-    def to_json(self):
-        return {
-            "kind": "hnn-free",
-            "ring": self.ring,
-            "A_gens": list(self.a_gens),
-            "x_name": self.x_name,
-        }
 
     @property
     def p(self):
@@ -640,7 +617,7 @@ class HnnFreeFamily(BimoduleFamily):
     def add_m(self, m1, m2):
         a1, t1 = self.canon_m(m1)
         a2, t2 = self.canon_m(m2)
-        return (a1 + a2, _tensor_sum(t1, t2))
+        return (a1 + a2, term_sum((t1, t2)))
 
     def apply(self, a, m, b):
         ma, mt = self.canon_m(m)
@@ -648,7 +625,7 @@ class HnnFreeFamily(BimoduleFamily):
 
     def scale_m(self, c, m):
         a, t = self.canon_m(m)
-        return (a.scale(c), _tensor_scale(c, t))
+        return (a.scale(c), term_scale(c, t))
 
     def fmt_m(self, m):
         a, t = self.canon_m(m)
@@ -732,26 +709,9 @@ def family_from_json(data):
     kind = data.get("kind")
     if kind not in FAMILY_KINDS:
         raise SchemaError(f"unknown family kind {kind!r}; expected one of {sorted(FAMILY_KINDS)}")
+    cls = FAMILY_KINDS[kind]
     try:
-        if kind == "regular":
-            return RegularFamily(data.get("ring", "Z"))
-        if kind == "double":
-            return DoubleFamily(data.get("ring", "Q"))
-        if kind == "scaled":
-            if "k" not in data:
-                raise SchemaError("scaled family requires a parameter k >= 2")
-            return ScaledFamily(data["k"])
-        if kind == "tensor-free":
-            return TensorFreeFamily(
-                data.get("ring", "Q"),
-                data.get("A_gens", ["s"]),
-                data.get("B_gens", ["u"]),
-            )
-        return HnnFreeFamily(
-            data.get("ring", "Q"),
-            data.get("A_gens", ["s"]),
-            data.get("x_name", "x"),
-        )
+        return cls(**{attr: data[field] for field, attr in cls.params.items() if field in data})
     except SchemaError:
         raise
     except (TypeError, ValueError) as exc:

@@ -94,7 +94,7 @@ class CentralPair:
         """
         target = self.target_family()
         target.check_same(e.family)
-        frac = _as_fraction(family_iso(e))
+        frac = as_fraction(family_iso(e))
         r = 0
         while True:
             terms = self.family.terms_with_value(frac * Fraction(_a0_int(self.a0)) ** r)
@@ -217,7 +217,8 @@ def rational_value_hom(family):
 
 # -- helpers -----------------------------------------------------------------
 
-def _as_fraction(value):
+def as_fraction(value):
+    """An element of Z, Q or Z[1/k] as a Fraction."""
     if isinstance(value, (int, Fraction)):
         return Fraction(value)
     return value.as_fraction()

@@ -87,6 +87,20 @@ def add_term(terms, key, c):
         terms[key] = s
 
 
+def term_sum(maps):
+    """Sum of term maps {key: nonzero canonical scalar}, as a new term map."""
+    terms = {}
+    for t in maps:
+        for key, c in t.items():
+            add_term(terms, key, c)
+    return terms
+
+
+def term_scale(c, terms):
+    """The nonzero scalar multiple c*terms of a term map, or {} when c is zero."""
+    return {key: scalar_mul(c, v) for key, v in terms.items()} if c != 0 else {}
+
+
 # str(int) refuses more than sys.get_int_max_str_digits() digits (4300 by
 # default, a guard for parsing); 13,000 bits stay under 3,914 digits.
 _STR_BITS = 13000
@@ -384,12 +398,14 @@ class FreeAlgebraElement:
         return cls(ring, gens, {tuple(letters): c})
 
     def _check(self, other):
+        """other, once it is known to lie in the same free algebra."""
         if not isinstance(other, FreeAlgebraElement):
             raise AlphabetMismatchError(f"not a free-algebra element: {other!r}")
         if other.ring != self.ring or other.gens != self.gens:
             raise AlphabetMismatchError(
                 f"mismatched free algebras: ({self.ring}, {self.gens}) vs ({other.ring}, {other.gens})"
             )
+        return other
 
     def is_zero(self):
         return not self.terms
@@ -403,14 +419,10 @@ class FreeAlgebraElement:
         return hash((self.ring, self.gens, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        self._check(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            add_term(terms, w, c)
-        return FreeAlgebraElement(self.ring, self.gens, terms)
+        return FreeAlgebraElement(self.ring, self.gens, term_sum((self.terms, self._check(other).terms)))
 
     def __neg__(self):
-        return FreeAlgebraElement(self.ring, self.gens, {w: -c for w, c in self.terms.items()})
+        return self.scale(-1)
 
     def __sub__(self, other):
         return self + (-other)
@@ -424,7 +436,7 @@ class FreeAlgebraElement:
         return FreeAlgebraElement(self.ring, self.gens, terms)
 
     def scale(self, c):
-        return FreeAlgebraElement(self.ring, self.gens, {w: scalar_mul(c, a) for w, a in self.terms.items()})
+        return FreeAlgebraElement(self.ring, self.gens, term_scale(c, self.terms))
 
     def __str__(self):
         return signed_sum((self.terms[w], "*".join(self.gens[i] for i in w)) for w in sorted(self.terms, key=word_key))
@@ -659,13 +671,8 @@ class FreeAlgebra(OperatorRing):
 
     def sum(self, values):
         """Sum of elements of this algebra, accumulated in one term map."""
-        terms = {}
         zero = self.zero()
-        for v in values:
-            zero._check(v)
-            for w, c in v.terms.items():
-                add_term(terms, w, c)
-        return FreeAlgebraElement(self.base, self.gens, terms)
+        return FreeAlgebraElement(self.base, self.gens, term_sum(zero._check(v).terms for v in values))
 
     def random(self, rng, size=3, terms=2, length=2):
         out = self.zero()

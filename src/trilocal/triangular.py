@@ -200,9 +200,8 @@ class TripleModule:
         basis = family.basis()
         if basis is None:
             raise UnsupportedFamilyError(f"{family.kind} exposes no finite free bimodule basis")
-        expected_tag = "Z" if family.a_ring is ZZ else "Q"
-        if NA.ring_tag != expected_tag or NB.ring_tag != expected_tag:
-            raise SchemaError(f"module base ring must match the family base ({expected_tag})")
+        if NA.ring_tag != family.coeff or NB.ring_tag != family.coeff:
+            raise SchemaError(f"module base ring must match the family base ({family.coeff})")
         f = [[[norm_scalar(c) for c in vec] for vec in block] for block in f]
         if len(f) != len(basis):
             raise SchemaError(f"f must have one block per basis element ({len(basis)}), got {len(f)}")
@@ -329,8 +328,7 @@ def triple_from_json(family, data):
         if not isinstance(gens, int):
             raise SchemaError(f"{name}.gens must be an integer")
         rows = parse_rows(obj.get("rels", []), f"{name}.rels")
-        tag = "Z" if family.a_ring is ZZ else "Q"
-        return FPModule(tag, gens, rows)
+        return FPModule(family.coeff, gens, rows)
 
     NA = parse_module(na, "NA")
     NB = parse_module(nb, "NB")

@@ -19,11 +19,12 @@ Raw expression trees have one evaluator, ``eval_tree``; ``t_normalize``
 runs it over ``TOps``, T(M,p) as a ring object.  The step budget ticks
 once per constant, per generator letter, per operand of a sum after the
 first, and once per merge or shift.  Inside a product, each pair of
-words ticks once, plus once per 64 bits of the two coefficients and per
-64 letters of the two words, before the pair is multiplied.  So a
-product of e1 and e2 uses at least |e1|*|e2|, and a power whose
+words ticks once per pair of 64-bit limbs of the two coefficients, plus
+once per 64 letters of the two words, before the pair is multiplied.
+So a product of e1 and e2 uses at least |e1|*|e2|, and a power whose
 coefficient or word doubles with every squaring runs out of budget
-before it builds a huge one.  A ring map out of T(M,p) is fixed by the
+before it builds a huge one; the coefficient charge is per limb pair
+because big integers multiply in more than linear time.  A ring map out of T(M,p) is fixed by the
 images of its letters, and ``map_terms`` applies one to a normal form.
 
 Sums and products work on plain term maps: a sum of n normal forms adds
@@ -39,7 +40,7 @@ from functools import reduce
 from itertools import chain
 
 from .errors import BudgetExceededError
-from .rings import OperatorRing, add_term, scalar_mul
+from .rings import OperatorRing, add_term, scalar_mul, term_scale, term_sum
 
 
 class Budget:
@@ -50,6 +51,11 @@ class Budget:
     def __init__(self, limit):
         self.limit = limit
         self.used = 0
+
+    @classmethod
+    def of(cls, budget):
+        """A fresh Budget when budget is a limit; a Budget (or None) as it is."""
+        return cls(budget) if isinstance(budget, int) else budget
 
     def tick(self, n=1):
         self.used += n
@@ -139,11 +145,7 @@ def _refold(family, term_maps):
 
     Adding can create new folds, which family.fold_element makes.
     """
-    terms = {}
-    for t in term_maps:
-        for word, coeff in t.items():
-            add_term(terms, word, coeff)
-    return family.fold_element(terms)
+    return family.fold_element(term_sum(term_maps))
 
 
 def _generator_terms(family, m, budget):
@@ -167,17 +169,12 @@ def t_add(e1, e2):
 
 
 def t_neg(e):
-    return TElement(e.family, {w: -c for w, c in e.terms.items()})
+    return TElement(e.family, term_scale(-1, e.terms))
 
 
 def t_scale(e, c):
     c = e.family.validate_coeff(c)
-    if c == 0:
-        return TElement.zero(e.family)
-    terms = {}
-    for word, coeff in e.terms.items():
-        add_term(terms, word, scalar_mul(c, coeff))
-    return TElement(e.family, e.family.fold_element(terms))
+    return TElement(e.family, e.family.fold_element(term_scale(c, e.terms)))
 
 
 def _letter_factor(family, factors, letter):
@@ -222,15 +219,15 @@ def _bits(c):
 def _mul_terms(family, t1, t2, budget, factors):
     """Canonical product of two term maps.
 
-    Each pair of words ticks once, plus once per 64 bits of the two
-    coefficients and per 64 letters of the two words, before anything
-    is multiplied.
+    Each pair of words ticks once per pair of 64-bit limbs of the two
+    coefficients, plus once per 64 letters of the two words, before
+    anything is multiplied.
     """
     terms = {}
     right = _sizes(t2)
     for w1, c1, b1, n1 in _sizes(t1):
         for w2, c2, b2, n2 in right:
-            _tick(budget, 1 + (b1 + b2 >> 6) + (n1 + n2 >> 6))
+            _tick(budget, (1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6))
             c = scalar_mul(c1, c2)
             for word, coeff in _word_mul(family, w1, w2, budget, factors).items():
                 add_term(terms, word, scalar_mul(c, coeff))
@@ -464,6 +461,39 @@ class TOps(OperatorRing):
         return t_mul(a, b, self.budget)
 
 
+class ChargedRing:
+    """Any ring object, with its sums and products charged to a Budget before they are formed.
+
+    An element counts as its term map, a scalar (int or Fraction) as one
+    constant term.  A product ticks per pair of terms as ``_mul_terms``
+    does.  A sum ticks once per term, plus once per 64 bits of its
+    coefficient and 64 letters of its word.
+    """
+
+    def __init__(self, ring, budget):
+        self.ring = ring
+        self.budget = budget
+        self.one = ring.one
+        self.neg = ring.neg
+
+    def sum(self, values):
+        values = list(values)
+        self.budget.tick(sum(1 + (b >> 6) + (n >> 6) for v in values for _, _, b, n in _sizes(_terms_of(v))))
+        return ring_sum(self.ring, values)
+
+    def mul(self, a, b):
+        right = _sizes(_terms_of(b))
+        for _, _, b1, n1 in _sizes(_terms_of(a)):
+            self.budget.tick(sum((1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6) for _, _, b2, n2 in right))
+        return self.ring.mul(a, b)
+
+
+def _terms_of(x):
+    """The term map of an element; a scalar is its one constant term."""
+    terms = getattr(x, "terms", None)
+    return {(): x} if terms is None else terms
+
+
 def t_normalize(family, expr, budget=DEFAULT_BUDGET):
     """Evaluate a raw expression tree to the rewriting fixpoint.
 
@@ -474,5 +504,5 @@ def t_normalize(family, expr, budget=DEFAULT_BUDGET):
     if isinstance(expr, TElement):
         family.check_same(expr.family)
         return expr
-    ring = TOps(family, Budget(budget) if isinstance(budget, int) else budget)
+    ring = TOps(family, Budget.of(budget))
     return eval_tree(expr, ring, ring.const, ring.gen)

@@ -15,6 +15,7 @@ from .exprs import format_element
 from .families import shipped_families
 from .fracloc import (
     CentralPair,
+    as_fraction,
     check_central,
     factor_inverting_hom,
     phi,
@@ -146,7 +147,7 @@ def change_of_p_suite(family, a0, b0, centrality_samples=1000, fraction_samples=
         e = random_telement(target, rng, max_terms=2, max_len=2, size=5)
         form = pair.fraction_form(e)
         # independent minimal-exponent oracle over plain rationals
-        value = _rational_value(family_iso(e))
+        value = as_fraction(family_iso(e))
         r_oracle = 0
         while not _denominator_only(value * Fraction(a0) ** r_oracle, k_src):
             r_oracle += 1
@@ -188,12 +189,6 @@ def change_of_p_suite(family, a0, b0, centrality_samples=1000, fraction_samples=
     return rep
 
 
-def _rational_value(value):
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return value.as_fraction()
-
-
 def _denominator_only(frac, k):
     """True when the denominator's primes all divide k (k=1: denominator 1)."""
     den = frac.denominator
@@ -217,7 +212,7 @@ def module_families():
 
 def random_triple(family, rng, max_gens=4, size=10):
     """Random well-formed triple; ill-posed f is repaired by extra relations."""
-    tag = "Z" if family.coeff == "Z" else "Q"
+    tag = family.coeff
     gA = rng.randint(0, max_gens)
     gB = rng.randint(0, max_gens)
     rowsA = [[rng.randint(-size, size) for _ in range(gA)] for _ in range(rng.randint(0, 2))] if gA else []

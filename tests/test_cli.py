@@ -89,6 +89,43 @@ class TestBudgetBoundsWork:
         lines = out.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
 
+    @pytest.mark.parametrize(
+        "family, expr",
+        [(REGULAR, "3^100000000"), (SCALED, "x[3]^100000000")],
+        ids=["regular", "scaled"],
+    )
+    def test_default_budget_stops_big_coefficients(self, family, expr):
+        # coefficients are charged per pair of 64-bit limbs, so the default
+        # budget runs out before the squarings get slow
+        out = run_cli("normalize", "--family", family, "--expr", expr, timeout=20)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
+
+class TestRhoBudgetBoundsWork:
+    """A and B values of rho are evaluated under --budget: powers that grow
+    an integer or the number of terms end in exit 3 and one error line
+    under the default budget, not in a hang."""
+
+    @pytest.mark.parametrize(
+        "family, component, value",
+        [
+            (REGULAR, "A", "2^100000000"),
+            (REGULAR, "B", "3^100000000"),
+            ('{"kind":"tensor-free","ring":"Z"}', "A", "(s+1)^100000"),
+            ('{"kind":"hnn-free","ring":"Q","A_gens":["s","t"]}', "B", "(s+t)^40"),
+        ],
+        ids=["regular-A", "regular-B", "tensor-free-A", "hnn-free-B"],
+    )
+    def test_exit_3_with_one_line(self, family, component, value):
+        out = run_cli("rho", "--family", family, "--component", component, "--value", value, timeout=20)
+        assert out.returncode == 3
+        assert out.stdout == ""
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
+
 
 class TestRho:
     def test_component_a(self):

@@ -9,10 +9,13 @@
   ``src/trilocal``, ``tests``, ``demos`` or ``perfbench``.  The
   re-exports of ``__init__.py`` do not count: a public name with no
   caller gets deleted.
+* Every name ``__init__.py`` re-exports is imported from ``trilocal``
+  by the README or a demo: the package surface is the documented API.
 """
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 import pytest
@@ -122,3 +125,26 @@ PUBLIC = public_definitions()
 def test_public_name_is_referenced(qualified, name, definition):
     outside = CALLER_REFERENCES[name] - references(definition)[name]
     assert outside > 0, f"{qualified} is defined and nothing in src, tests, demos or perfbench refers to it"
+
+
+def documented_imports():
+    """Names imported from trilocal by the README's python blocks and the demos."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    trees = [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    trees += [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "demos").glob("*.py"))]
+    return {
+        alias.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "trilocal"
+        for alias in node.names
+    }
+
+
+DOCUMENTED = documented_imports()
+RE_EXPORTS = [alias.name for node in MODULES["__init__.py"].body if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+@pytest.mark.parametrize("name", RE_EXPORTS)
+def test_re_export_is_documented(name):
+    assert name in DOCUMENTED, f"__init__.py re-exports {name}, which neither the README nor a demo imports"

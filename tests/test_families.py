@@ -111,6 +111,26 @@ class TestDescriptors:
         again = family_from_json(family.to_json())
         assert again == family
 
+    # describe() of each descriptor as the family classes printed it before
+    # they declared their fields once, in params
+    PINNED = [
+        (RegularFamily("Q"), '{"kind": "regular", "ring": "Q"}'),
+        (DoubleFamily("Z"), '{"kind": "double", "ring": "Z"}'),
+        (ScaledFamily(6), '{"k": 6, "kind": "scaled"}'),
+        (
+            TensorFreeFamily("Z", ["s", "t"], ["u"]),
+            '{"A_gens": ["s", "t"], "B_gens": ["u"], "kind": "tensor-free", "ring": "Z"}',
+        ),
+        (HnnFreeFamily("Q", ["s"], "y"), '{"A_gens": ["s"], "kind": "hnn-free", "ring": "Q", "x_name": "y"}'),
+    ]
+
+    @pytest.mark.parametrize("fam, described", PINNED, ids=[f.kind for f, _ in PINNED])
+    def test_non_default_round_trip(self, fam, described):
+        assert fam.describe() == described
+        again = family_from_json(fam.to_json())
+        assert again == fam and hash(again) == hash(fam)
+        assert again.describe() == described
+
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
             family_from_json({"kind": "mystery"})

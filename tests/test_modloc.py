@@ -112,6 +112,42 @@ class TestComparisonMaps:
         rep = verify_comparison_maps(d_module(fam, 2), samples=20, drop_relation=0)
         assert not rep.passed
 
+    def test_mixed_rows_tested_once(self, monkeypatch):
+        # the first check tests every row of L, its mixed rows among them;
+        # the last check reuses those answers instead of testing them again
+        mod = d_module(DoubleFamily("Q"), 3)
+        ring = t_ring_of(mod.family)
+        alpha, _ = modloc.comparison_maps(mod, ring)
+        tested = []
+        contains = modloc.Presentation.contains
+        monkeypatch.setattr(modloc.Presentation, "contains", lambda pres, v: tested.append(v) or contains(pres, v))
+        assert verify_comparison_maps(mod, samples=5).passed
+        mixed = modloc._mixed_rows(mod, ring, 1)
+        assert len(mixed) == 2
+        assert [tested.count(alpha(row)) for row in mixed] == [1, 1]
+
+    @pytest.mark.parametrize("escaping", [0, 1])
+    def test_escaping_mixed_row_fails_last_check(self, monkeypatch, escaping):
+        # one mixed row of L escapes W while W still lies inside L: both the
+        # forward check and the last check must fail, the others must pass
+        mod = d_module(DoubleFamily("Q"), 3)
+        ring = t_ring_of(mod.family)
+        alpha, _ = modloc.comparison_maps(mod, ring)
+        target = alpha(modloc._mixed_rows(mod, ring, 1)[escaping])
+        contains = modloc.Presentation.contains
+        monkeypatch.setattr(
+            modloc.Presentation, "contains", lambda pres, v: v != target and contains(pres, v)
+        )
+        rep = verify_comparison_maps(mod, samples=5)
+        verdicts = {c.name: c.passed for c in rep.checks}
+        assert verdicts == {
+            "forward map is well defined (relations land in relations)": False,
+            "backward map is well defined": True,
+            "backward of forward is the identity": True,
+            "forward of backward is the identity modulo relations": True,
+            "forward map kills the defining cokernel generators": False,
+        }
+
     def test_random_triples_all_families(self):
         for fam in module_families():
             rng = random.Random(97)

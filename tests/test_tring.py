@@ -7,9 +7,11 @@ import pytest
 
 from trilocal.errors import BudgetExceededError, FamilyMismatchError
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from trilocal.rings import QQ, ZZ, KadicFraction, OperatorRing, Polynomial
+from trilocal.rings import QQ, ZZ, FreeAlgebra, KadicFraction, OperatorRing, Polynomial
 from trilocal.tring import (
     Add,
+    Budget,
+    ChargedRing,
     Const,
     EqResult,
     Gen,
@@ -201,6 +203,51 @@ class TestRho:
         for fam in shipped_families():
             assert rho(fam, "A", fam.a_one).is_one()
             assert rho(fam, "B", fam.b_one).is_one()
+
+
+class TestChargedRing:
+    """Sums and products in any ring object charge a Budget before they are formed."""
+
+    def test_product_ticks_per_pair_of_terms(self):
+        ring = FreeAlgebra("Z", ("s", "t"))
+        a = ring.sum([ring.generator(0), ring.one()])
+        b = ring.sum([ring.generator(1), ring.word((0, 1), 2), ring.one()])
+        budget = Budget(100)
+        assert ChargedRing(ring, budget).mul(a, b) == a * b
+        assert budget.used == 6
+
+    def test_scalar_product_ticks_per_pair_of_limbs(self):
+        budget = Budget(100)
+        # 2^64 and 2^128 have two and three 64-bit limbs
+        assert ChargedRing(ZZ, budget).mul(2 ** 64, 2 ** 128) == 2 ** 192
+        assert budget.used == 6
+
+    def test_t_product_ticks_by_the_same_rule(self):
+        fam = RegularFamily("Z")
+        budget = Budget(100)
+        product = t_mul(TElement.from_scalar(fam, 2 ** 64), TElement.from_scalar(fam, 2 ** 128), budget)
+        assert product == TElement.from_scalar(fam, 2 ** 192)
+        assert budget.used == 6
+
+    def test_sum_ticks_per_term(self):
+        budget = Budget(100)
+        assert ChargedRing(QQ, budget).sum([1, Fraction(1, 2), 2 ** 64]) == 2 ** 64 + Fraction(3, 2)
+        assert budget.used == 4
+
+    def test_exhausted_before_the_product_is_formed(self):
+        formed = []
+
+        class Recording(OperatorRing):
+            def from_int(self, n):
+                return n
+
+            def mul(self, a, b):
+                formed.append((a, b))
+                return a * b
+
+        with pytest.raises(BudgetExceededError):
+            ChargedRing(Recording(), Budget(5)).mul(2 ** 200, 2 ** 200)
+        assert formed == []
 
 
 class TestEquality:
