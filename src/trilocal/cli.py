@@ -2,7 +2,8 @@
 
 Subcommands: normalize, rho, verify, fraction, factor, localize-ring,
 localize-module.  Exit codes: 0 success, 1 failed verification or certificate,
-2 parse or schema error, 3 step-budget exhaustion.
+2 bad input (any other TrilocalError), 3 step-budget exhaustion.  Any other
+exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def _load_json(what, text=None, path=None):
         return json.loads(text)
     except OSError as exc:
         raise SchemaError(f"cannot read {what}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, non-UTF-8 bytes, an integer of too many digits
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
     except RecursionError:
         raise SchemaError(f"{what} nests too deeply") from None
@@ -110,8 +111,8 @@ def _change_of_p_input(args):
     """The family, the central pair (a0, b0), the target family and the
     normal form of --expr in the target."""
     family = _load_family(args.family)
+    target = family.scaled_p_variant(args.a0)  # before CentralPair applies a0 to M
     pair = CentralPair(family, args.a0, args.b0, seed=args.seed)
-    target = pair.target_family()
     return family, pair, target, t_normalize(target, parse_element(target, args.expr), args.budget)
 
 
@@ -262,7 +263,7 @@ def main(argv=None):
     except CertificateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (TrilocalError, ValueError) as exc:
+    except TrilocalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

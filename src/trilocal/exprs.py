@@ -52,6 +52,7 @@ class _Token:
 
 
 _SYMBOLS = "+-*^()[],/"
+_DIGITS = "0123456789"  # str.isdigit also accepts digits such as "²", which int() refuses
 
 
 def _tokenize(text):
@@ -63,11 +64,14 @@ def _tokenize(text):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            out.append(_Token("int", int(text[i:j]), i))
+            try:
+                out.append(_Token("int", int(text[i:j]), i))
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise ParseError(f"integer literal of {j - i} digits is too long", i) from None
             i = j
             continue
         if c.isalpha() or c == "_":

@@ -47,13 +47,12 @@ from .rings import (
     KadicFraction,
     KadicRing,
     PolynomialRing,
-    QQ,
-    ZZ,
     add_term,
-    norm_scalar,
+    checked_scalar,
     random_word,
     scalar_add,
     scalar_mul,
+    scalar_ring,
     scalar_str,
     signed_sum,
     term_scale,
@@ -76,7 +75,14 @@ class PFactorization:
 
 class BimoduleFamily:
     """Shared behaviour, including all that follows from the rings alone;
-    concrete families fill in the hooks."""
+    concrete families fill in the hooks.
+
+    A bimodule element enters through ``parse_melem``, ``letter_terms``
+    (so ``t_generator``) or ``TriElement``, which put it in the canonical
+    form of ``canon_m``; ``canon_m`` checks every scalar against the
+    coefficient ring.  Every other hook takes canonical elements and
+    returns them.
+    """
 
     kind = None
     # the JSON descriptor's fields, each mapped to the attribute that holds
@@ -93,8 +99,7 @@ class BimoduleFamily:
     rational_k = None
 
     def __init__(self, ring):
-        if ring not in ("Z", "Q"):
-            raise SchemaError(f"{self.kind} family ring must be Z or Q, got {ring!r}")
+        self.coeff_ring = scalar_ring(ring)
         self.ring = self.coeff = ring
 
     # -- identity ---------------------------------------------------------
@@ -149,7 +154,7 @@ class BimoduleFamily:
         return self.scale_m(-1, m)
 
     def eq_m(self, m1, m2):
-        return self.canon_m(m1) == self.canon_m(m2)
+        return m1 == m2
 
     def basis(self):
         """Finite free basis of M, or None when the family has none."""
@@ -172,10 +177,7 @@ class BimoduleFamily:
         return terms
 
     def validate_coeff(self, c):
-        c = norm_scalar(c)
-        if self.coeff == "Z" and not isinstance(c, int):
-            raise ValueError(f"coefficients for {self.kind} must be integers, got {c}")
-        return c
+        return checked_scalar(self.coeff_ring, c)
 
     def scaled_p_variant(self, a0):
         raise UnsupportedFamilyError(f"changing p is not supported for {self.kind}")
@@ -193,9 +195,9 @@ class ScalarFamily(BimoduleFamily):
 
     def __init__(self, ring):
         super().__init__(ring)
-        self.a_ring = self.b_ring = ZZ if ring == "Z" else QQ
+        self.a_ring = self.b_ring = self.coeff_ring
 
-    oracle_a = oracle_b = BimoduleFamily.oracle_scalar
+    oracle_a = BimoduleFamily.oracle_scalar
 
 
 class RegularFamily(ScalarFamily):
@@ -220,10 +222,7 @@ class RegularFamily(ScalarFamily):
         return 0
 
     def canon_m(self, m):
-        m = norm_scalar(m)
-        if self.ring == "Z" and not isinstance(m, int):
-            raise ValueError(f"bimodule element of {self.kind}-Z must be an integer, got {m}")
-        return m
+        return checked_scalar(self.coeff_ring, m)
 
     def add_m(self, m1, m2):
         return scalar_add(m1, m2)
@@ -295,10 +294,7 @@ class DoubleFamily(ScalarFamily):
 
     def canon_m(self, m):
         m1, m2 = m
-        m1, m2 = norm_scalar(m1), norm_scalar(m2)
-        if self.ring == "Z" and not (isinstance(m1, int) and isinstance(m2, int)):
-            raise ValueError(f"bimodule element of double-Z must have integer parts, got {m}")
-        return (m1, m2)
+        return (checked_scalar(self.coeff_ring, m1), checked_scalar(self.coeff_ring, m2))
 
     def add_m(self, m1, m2):
         return (scalar_add(m1[0], m2[0]), scalar_add(m1[1], m2[1]))
@@ -322,7 +318,7 @@ class DoubleFamily(ScalarFamily):
         return self.canon_m((m1, m2))
 
     def factor_p(self, m):
-        m1, m2 = self.canon_m(m)
+        m1, m2 = m
         q = m1 if m2 == 0 else None
         return PFactorization(left=q, right=q)
 
@@ -330,8 +326,7 @@ class DoubleFamily(ScalarFamily):
         return [(1, 0), (0, 1)]
 
     def basis_coords(self, m):
-        m1, m2 = self.canon_m(m)
-        return [m1, m2]
+        return list(m)
 
     def random_m(self, rng, size=9):
         return (self.a_ring.random(rng, size), self.a_ring.random(rng, size))
@@ -440,10 +435,11 @@ class ScaledFamily(RegularFamily):
 # Tensor-free M and the tensor part of hnn-free M are term maps
 # {(left word, right word): coefficient} over the pure tensors u (x) v.
 
-def _canon_tensor(terms):
+def _canon_tensor(ring, terms):
+    """The canonical term map of terms, every coefficient checked against ring."""
     out = {}
     for (wa, wb), c in terms.items():
-        c = norm_scalar(c)
+        c = checked_scalar(ring, c)
         if c != 0:
             out[(tuple(wa), tuple(wb))] = c
     return out
@@ -480,7 +476,7 @@ def _random_tensor(rng, n, left, right, size):
     for _ in range(n):
         key = (random_word(rng, left), random_word(rng, right))
         out[key] = out.get(key, 0) + rng.randint(-size, size)
-    return _canon_tensor(out)
+    return {key: c for key, c in out.items() if c != 0}
 
 
 class TensorFreeFamily(BimoduleFamily):
@@ -515,22 +511,19 @@ class TensorFreeFamily(BimoduleFamily):
         return {}
 
     def canon_m(self, m):
-        out = _canon_tensor(m)
-        if self.ring == "Z" and any(not isinstance(c, int) for c in out.values()):
-            raise ValueError("tensor coefficients must be integers for a Z base")
-        return out
+        return _canon_tensor(self.coeff_ring, m)
 
     def add_m(self, m1, m2):
-        return term_sum((self.canon_m(m1), self.canon_m(m2)))
+        return term_sum((m1, m2))
 
     def apply(self, a, m, b):
-        return _tensor_apply(a, self.canon_m(m), b)
+        return _tensor_apply(a, m, b)
 
     def scale_m(self, c, m):
-        return term_scale(c, self.canon_m(m))
+        return term_scale(c, m)
 
     def fmt_m(self, m):
-        return signed_sum(_tensor_terms("t", self.a_gens, self.b_gens, self.canon_m(m)))
+        return signed_sum(_tensor_terms("t", self.a_gens, self.b_gens, m))
 
     def parse_melem(self, p):
         p.expect_call("t", "tensor-free melem must be t(aword,bword)")
@@ -541,7 +534,6 @@ class TensorFreeFamily(BimoduleFamily):
         return {(wa, wb): 1}
 
     def factor_p(self, m):
-        m = self.canon_m(m)
         left = right = None
         if all(wb == () for (_, wb) in m):
             left = FreeAlgebraElement(self.ring, self.a_gens, {wa: c for (wa, _), c in m.items()})
@@ -610,25 +602,23 @@ class HnnFreeFamily(BimoduleFamily):
 
     def canon_m(self, m):
         a, t = m
-        if not isinstance(a, FreeAlgebraElement):
-            raise ValueError(f"first component must be a free-algebra element, got {a!r}")
-        return (a, _canon_tensor(t))
+        if not isinstance(a, FreeAlgebraElement) or (a.ring, a.gens) != (self.ring, self.a_gens):
+            raise SchemaError(f"first component must be an element of {self.a_ring.name}, got {a!r}")
+        return (a, _canon_tensor(self.coeff_ring, t))
 
     def add_m(self, m1, m2):
-        a1, t1 = self.canon_m(m1)
-        a2, t2 = self.canon_m(m2)
-        return (a1 + a2, term_sum((t1, t2)))
+        return (m1[0] + m2[0], term_sum((m1[1], m2[1])))
 
     def apply(self, a, m, b):
-        ma, mt = self.canon_m(m)
+        ma, mt = m
         return (a * ma * b, _tensor_apply(a, mt, b))
 
     def scale_m(self, c, m):
-        a, t = self.canon_m(m)
+        a, t = m
         return (a.scale(c), term_scale(c, t))
 
     def fmt_m(self, m):
-        a, t = self.canon_m(m)
+        a, t = m
         a_terms = ((a.terms[w], f"h({_word_text(self.a_gens, w)})") for w in sorted(a.terms, key=word_key))
         return signed_sum(chain(a_terms, _tensor_terms("h", self.a_gens, self.a_gens, t)))
 
@@ -644,7 +634,7 @@ class HnnFreeFamily(BimoduleFamily):
         return (self.a_ring.word(w1), {})
 
     def factor_p(self, m):
-        a, t = self.canon_m(m)
+        a, t = m
         return PFactorization() if t else PFactorization(left=a, right=a)
 
     def random_m(self, rng, size=3):
@@ -707,14 +697,12 @@ def family_from_json(data):
     if not isinstance(data, dict):
         raise SchemaError(f"family descriptor must be an object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind not in FAMILY_KINDS:
+    if not isinstance(kind, str) or kind not in FAMILY_KINDS:
         raise SchemaError(f"unknown family kind {kind!r}; expected one of {sorted(FAMILY_KINDS)}")
     cls = FAMILY_KINDS[kind]
     try:
         return cls(**{attr: data[field] for field, attr in cls.params.items() if field in data})
-    except SchemaError:
-        raise
-    except (TypeError, ValueError) as exc:
+    except TypeError as exc:
         raise SchemaError(str(exc)) from exc
 
 

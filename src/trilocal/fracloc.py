@@ -241,6 +241,6 @@ def two_order_agreement(pair, hom, f_inv, expr, budget=DEFAULT_BUDGET):
     rg = hom.s_ring
     via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(target, expr, budget))
     via_tree = eval_tree(
-        expr, rg, hom.scalar_image, lambda m: rg.mul(f_inv, hom.generator_image(target.canon_m(m)))
+        expr, rg, hom.scalar_image, lambda m: rg.mul(f_inv, hom.generator_image(m))
     )
     return rg.eq(via_normal, via_tree), via_normal, via_tree

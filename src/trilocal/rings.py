@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import AlphabetMismatchError, UnsupportedRingError
+from .errors import AlphabetMismatchError, SchemaError, UnsupportedRingError
 
 
 def _exact(x):
@@ -488,7 +488,6 @@ class OperatorRing:
 
 class IntegerRing(OperatorRing):
     name = "Z"
-    is_field = False
     gens = ()
 
     def from_int(self, n):
@@ -522,7 +521,6 @@ class IntegerRing(OperatorRing):
 
 class RationalField(OperatorRing):
     name = "Q"
-    is_field = True
     gens = ()
 
     def from_int(self, n):
@@ -564,8 +562,6 @@ class RationalField(OperatorRing):
 
 class KadicRing(OperatorRing):
     """Z[1/k], a PID between Z and Q."""
-
-    is_field = False
 
     def __init__(self, k):
         if k < 2:
@@ -613,8 +609,6 @@ class KadicRing(OperatorRing):
 class PolynomialRing(OperatorRing):
     """Q[x] (or Z[x] for display-only purposes); Euclidean when the base is Q."""
 
-    is_field = False
-
     def __init__(self, base="Q"):
         self.base = base
         self.name = f"{base}[x]"
@@ -653,8 +647,6 @@ class PolynomialRing(OperatorRing):
 class FreeAlgebra(OperatorRing):
     """C<gens>: the free associative algebra on named generators."""
 
-    is_field = False
-
     def __init__(self, base, gens):
         self.base = base
         self.gens = tuple(gens)
@@ -685,3 +677,27 @@ class FreeAlgebra(OperatorRing):
 
 ZZ = IntegerRing()
 QQ = RationalField()
+
+
+def scalar_ring(tag):
+    """ZZ or QQ for the coefficient ring tag "Z" or "Q"; SchemaError for any other."""
+    if tag == "Z":
+        return ZZ
+    if tag == "Q":
+        return QQ
+    raise SchemaError(f"coefficient ring must be Z or Q, got {tag!r}")
+
+
+def checked_scalar(ring, c):
+    """c as a canonical scalar of ring, ZZ or QQ: an int, or over QQ a Fraction
+    with denominator > 1.  Anything else, bool and float included, is a
+    SchemaError; this is the one check of a scalar from outside."""
+    if type(c) is int:
+        return c
+    if type(c) is Fraction:
+        if c.denominator == 1:
+            return c.numerator
+        if ring is QQ:
+            return c
+        raise SchemaError(f"scalars of Z must be integers, got {scalar_str(c)}")
+    raise SchemaError(f"not a scalar of {ring.name}: {c!r}")

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import CertificateError, SchemaError, UnsupportedFamilyError
 from .modloc import Presentation
-from .rings import QQ, ZZ, norm_scalar, scalar_add, scalar_mul
+from .rings import checked_scalar, scalar_add, scalar_mul, scalar_ring
 
 
 class TriElement:
@@ -140,34 +140,29 @@ def tri_mul(r1, r2):
 class FPModule(Presentation):
     """Finitely presented module over Z or Q, checked as it is read from input."""
 
-    __slots__ = ("ring_tag",)
+    __slots__ = ()
 
-    def __init__(self, ring_tag, gens, rows=()):
-        if ring_tag not in ("Z", "Q"):
-            raise SchemaError(f"module base ring must be Z or Q, got {ring_tag!r}")
-        if gens < 0:
-            raise SchemaError("generator count must be non-negative")
+    def __init__(self, tag, gens, rows=()):
+        ring = scalar_ring(tag)
+        if type(gens) is not int or gens < 0:
+            raise SchemaError(f"generator count must be a non-negative integer, got {gens!r}")
         checked = []
         for row in rows:
-            row = [norm_scalar(c) for c in row]
             if len(row) != gens:
                 raise SchemaError(f"relation length {len(row)} != generator count {gens}")
-            if ring_tag == "Z" and any(not isinstance(c, int) for c in row):
-                raise SchemaError("relations over Z must have integer entries")
-            checked.append(row)
-        super().__init__(ZZ if ring_tag == "Z" else QQ, gens, checked)
-        self.ring_tag = ring_tag
+            checked.append([checked_scalar(ring, c) for c in row])
+        super().__init__(ring, gens, checked)
 
     def direct_sum(self, other):
-        if other.ring_tag != self.ring_tag:
+        if other.ring is not self.ring:
             raise SchemaError("direct sum needs a common base ring")
         gens = self.gens + other.gens
         rows = [row + [0] * other.gens for row in self.rows]
         rows += [[0] * self.gens + row for row in other.rows]
-        return FPModule(self.ring_tag, gens, rows)
+        return FPModule(self.ring.name, gens, rows)
 
     def fmt(self):
-        return f"<{self.ring_tag}^{self.gens} / {len(self.rows)} relations>"
+        return f"<{self.ring.name}^{self.gens} / {len(self.rows)} relations>"
 
 
 def _combination(terms, length):
@@ -200,9 +195,9 @@ class TripleModule:
         basis = family.basis()
         if basis is None:
             raise UnsupportedFamilyError(f"{family.kind} exposes no finite free bimodule basis")
-        if NA.ring_tag != family.coeff or NB.ring_tag != family.coeff:
+        if NA.ring is not family.coeff_ring or NB.ring is not family.coeff_ring:
             raise SchemaError(f"module base ring must match the family base ({family.coeff})")
-        f = [[[norm_scalar(c) for c in vec] for vec in block] for block in f]
+        f = [[[checked_scalar(family.coeff_ring, c) for c in vec] for vec in block] for block in f]
         if len(f) != len(basis):
             raise SchemaError(f"f must have one block per basis element ({len(basis)}), got {len(f)}")
         for block in f:
@@ -306,15 +301,14 @@ def triple_from_json(family, data):
         raise SchemaError(f"module spec is missing {exc.args[0]!r}") from exc
 
     def parse_entry(c):
-        if isinstance(c, int):
+        # a "p/q" string is read here; FPModule and TripleModule check every entry as a scalar
+        if not isinstance(c, str):
             return c
-        if isinstance(c, str) and "/" in c:
-            num, den = c.split("/", 1)
-            try:
-                return norm_scalar(Fraction(int(num), int(den)))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise SchemaError(f"matrix entry {c!r} is not a rational p/q: {exc}") from exc
-        raise SchemaError(f"matrix entries must be integers or 'p/q' strings, got {c!r}")
+        num, _, den = c.partition("/")
+        try:
+            return Fraction(int(num), int(den))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise SchemaError(f"matrix entry {c!r} is not a rational p/q: {exc}") from exc
 
     def parse_rows(rows, name):
         if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
@@ -324,17 +318,11 @@ def triple_from_json(family, data):
     def parse_module(obj, name):
         if not isinstance(obj, dict) or "gens" not in obj:
             raise SchemaError(f"{name} must be an object with 'gens' and optional 'rels'")
-        gens = obj["gens"]
-        if not isinstance(gens, int):
-            raise SchemaError(f"{name}.gens must be an integer")
-        rows = parse_rows(obj.get("rels", []), f"{name}.rels")
-        return FPModule(family.coeff, gens, rows)
+        return FPModule(family.coeff, obj["gens"], parse_rows(obj.get("rels", []), f"{name}.rels"))
 
     NA = parse_module(na, "NA")
     NB = parse_module(nb, "NB")
-    basis = family.basis()
-    if basis is None:
-        raise UnsupportedFamilyError(f"{family.kind} exposes no finite free bimodule basis")
+    basis = family.basis() or ()  # TripleModule rejects a family without one
     f_in = data.get("f", {})
     if not isinstance(f_in, dict):
         raise SchemaError("f must be an object keyed by basis elements")
@@ -369,7 +357,4 @@ def triple_to_json(module):
 
 
 def _entry_json(c):
-    c = norm_scalar(c)
-    if isinstance(c, int):
-        return c
-    return f"{c.numerator}/{c.denominator}"
+    return c if isinstance(c, int) else f"{c.numerator}/{c.denominator}"

@@ -344,3 +344,49 @@ class TestMalformedInputExit2:
         assert out.returncode == 2
         assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
         assert message in out.stderr
+
+
+
+def _spec_bytes(doc):
+    return json.dumps(doc).encode()
+
+
+class TestBoundaryInputExit2:
+    """Input that the scalar rule, the tokenizer, the JSON loader or the
+    change-of-p check rejects ends in exit 2 and one line, in-process."""
+
+    BIG = "9" * 5000
+    FREE_PAIR = ["--a0", "2", "--b0", "2", "--expr", "x[1]"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fraction", "--family", '{"kind":"tensor-free","ring":"Q","A_gens":["s"],"B_gens":["u"]}', *FREE_PAIR],
+             "changing p is not supported for tensor-free"),
+            (["factor", "--family", HNN, *FREE_PAIR], "changing p is not supported for hnn-free"),
+            (["localize-module", "--spec", _spec_bytes(_bad_spec(0, "1/2"))], "must be integers, got 1/2"),
+            (["localize-module", "--spec", _spec_bytes(_bad_spec(True, 1))], "not a scalar of Z: True"),
+            (["localize-module", "--spec", _spec_bytes({**_bad_spec(0, 1), "NA": {"gens": True}})], "got True"),
+            (["localize-module", "--spec", b'{"NA": {"gens": 1, "rels": [[%s]]}}' % BIG.encode()], "not valid JSON"),
+            (["localize-module", "--spec", b'{"NA": "\xff"}'], "not valid JSON"),
+            (["normalize", "--family", SCALED, "--expr", f"x[{BIG}]"], "5000 digits is too long at offset 2"),
+            (["normalize", "--family", SCALED, "--expr", "x[²]"], "unexpected character '²' at offset 2"),
+            (["normalize", "--family", SCALED, "--expr", "x[٣]"], "unexpected character '٣' at offset 2"),
+        ],
+        ids=[
+            "fraction-tensor-free", "factor-hnn-free", "f-rational-over-Z", "rel-true", "gens-true",
+            "spec-5000-digits", "spec-not-utf8", "expr-5000-digits", "expr-superscript-two", "expr-arabic-three",
+        ],
+    )
+    def test_one_line_error(self, argv, message, tmp_path, capsys):
+        from trilocal.cli import main
+
+        if argv[0] == "localize-module":
+            spec = tmp_path / "bad.json"
+            spec.write_bytes(argv[2])
+            argv = argv[:2] + [str(spec)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err

@@ -9,6 +9,7 @@
   ``src/trilocal``, ``tests``, ``demos`` or ``perfbench``.  The
   re-exports of ``__init__.py`` do not count: a public name with no
   caller gets deleted.
+* Every public class-level attribute is read somewhere in those places.
 * Every name ``__init__.py`` re-exports is imported from ``trilocal``
   by the README or a demo: the package surface is the documented API.
 """
@@ -125,6 +126,32 @@ PUBLIC = public_definitions()
 def test_public_name_is_referenced(qualified, name, definition):
     outside = CALLER_REFERENCES[name] - references(definition)[name]
     assert outside > 0, f"{qualified} is defined and nothing in src, tests, demos or perfbench refers to it"
+
+
+def class_attributes():
+    """(qualified name, name, defining node) for public attributes assigned
+    in a class body."""
+    out = []
+    for module, tree in MODULES.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                    out += [
+                        (f"{module}:{cls.name}.{t.id}", t.id, node)
+                        for t in targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("_")
+                    ]
+    return out
+
+
+ATTRIBUTES = class_attributes()
+
+
+@pytest.mark.parametrize("qualified,name,definition", ATTRIBUTES, ids=[q for q, _, _ in ATTRIBUTES])
+def test_class_attribute_is_read(qualified, name, definition):
+    outside = CALLER_REFERENCES[name] - references(definition)[name]
+    assert outside > 0, f"{qualified} is assigned and nothing in src, tests, demos or perfbench reads it"
 
 
 def documented_imports():
