@@ -703,7 +703,8 @@ def family_from_json(data):
     try:
         return cls(**{attr: data[field] for field, attr in cls.params.items() if field in data})
     except TypeError as exc:
-        raise SchemaError(str(exc)) from exc
+        given = ", ".join(f"{field}={data[field]!r}" for field in cls.params if field in data)
+        raise SchemaError(f"{kind} family descriptor with {given} is invalid: {exc}") from exc
 
 
 def shipped_families():

@@ -86,9 +86,13 @@ def int_matrix(rows):
 
 
 class DiagonalForm:
-    """Result of a diagonalization U * M * V = D, with the inverses of U and V."""
+    """Result of a diagonalization U * M * V = D, with the inverses of U and V.
 
-    __slots__ = ("ring", "source", "U", "D", "V", "U_inv", "V_inv")
+    ``checks`` holds (j, nonzero (i, V[i][j]), d_j) for each column j whose
+    d_j is not a unit; d_j is None where it is zero or missing.
+    """
+
+    __slots__ = ("ring", "source", "U", "D", "V", "U_inv", "V_inv", "checks")
 
     def __init__(self, ring, source, U, D, V, U_inv, V_inv):
         self.ring = ring
@@ -98,6 +102,12 @@ class DiagonalForm:
         self.V = V
         self.U_inv = U_inv
         self.V_inv = V_inv
+        self.checks = []
+        for j in range(V.ncols):
+            d = D.rows[j][j] if j < D.nrows else ring.zero()
+            if not ring.is_unit(d):  # a unit divides every coordinate
+                column = [(i, row[j]) for i, row in enumerate(V.rows) if not ring.is_zero(row[j])]
+                self.checks.append((j, column, None if ring.is_zero(d) else d))
 
     def diagonal(self):
         n = min(self.D.nrows, self.D.ncols)
@@ -348,11 +358,12 @@ def diagonal_form(mat):
     return euclidean_reduce(mat)
 
 
-def _diagonal_solution(form, v):
-    """z with z * D == v * V, or None when v is not in the row span of M.
+def solve_left(form, v):
+    """Solve x * M = v over the ring, given a DiagonalForm of M.
 
-    Since U * M * V = D with U and V invertible, x * M = v exactly when
-    x = z * U for such a z.
+    Returns the coefficient list x, or None when v is not in the row
+    span of M.  Since U * M * V = D with U and V invertible, x * M = v
+    exactly when x = z * U with z * D = v * V.
     """
     rg = form.ring
     add, mul, is_zero = rg.add, rg.mul, rg.is_zero
@@ -375,21 +386,23 @@ def _diagonal_solution(form, v):
         if q is None:
             return None
         z[i] = q
-    return z
-
-
-def solve_left(form, v):
-    """Solve x * M = v over the ring, given a DiagonalForm of M.
-
-    Returns the coefficient list x, or None when v is not in the row
-    span of M.
-    """
-    z = _diagonal_solution(form, v)
-    if z is None:
-        return None
-    return (Matrix(form.ring, [z]) * form.U).rows[0]
+    return (Matrix(rg, [z]) * form.U).rows[0]
 
 
 def in_row_span(form, v):
-    """Whether v lies in the row span of M, without solving for x."""
-    return _diagonal_solution(form, v) is not None
+    """Whether v lies in the row span of M: whether each coordinate j of
+    v * V is divisible by d_j.  Only the columns in ``form.checks``, whose
+    d_j is not a unit, are computed, and x is not solved for.
+    """
+    rg = form.ring
+    add, mul, is_zero = rg.add, rg.mul, rg.is_zero
+    if len(v) != form.source.ncols:
+        raise ValueError("vector length does not match matrix columns")
+    for _, column, d in form.checks:
+        w = rg.zero()
+        for i, e in column:
+            if not is_zero(v[i]):
+                w = add(w, mul(v[i], e))
+        if not is_zero(w) and (d is None or rg.exact_div(w, d) is None):
+            return False
+    return True

@@ -16,11 +16,14 @@ membership tests and invariants are the Presentation's.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .errors import CertificateError, SchemaError, UnsupportedFamilyError
 from .modloc import Presentation
 from .rings import checked_scalar, scalar_add, scalar_mul, scalar_ring
+
+_RATIONAL = re.compile(r"[+-]?[0-9]+/[+-]?[0-9]+")  # int() alone also reads other digits, "1_0" and blanks
 
 
 class TriElement:
@@ -304,6 +307,8 @@ def triple_from_json(family, data):
         # a "p/q" string is read here; FPModule and TripleModule check every entry as a scalar
         if not isinstance(c, str):
             return c
+        if _RATIONAL.fullmatch(c) is None:
+            raise SchemaError(f"matrix entry {c!r} is not a rational p/q of ASCII digits")
         num, _, den = c.partition("/")
         try:
             return Fraction(int(num), int(den))

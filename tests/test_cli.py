@@ -351,6 +351,11 @@ def _spec_bytes(doc):
     return json.dumps(doc).encode()
 
 
+def _q_spec(entry):
+    """A double-Q spec whose one N_A relation entry is entry."""
+    return {"family": {"kind": "double", "ring": "Q"}, "NA": {"gens": 1, "rels": [[entry]]}, "NB": {"gens": 1}}
+
+
 class TestBoundaryInputExit2:
     """Input that the scalar rule, the tokenizer, the JSON loader or the
     change-of-p check rejects ends in exit 2 and one line, in-process."""
@@ -372,10 +377,15 @@ class TestBoundaryInputExit2:
             (["normalize", "--family", SCALED, "--expr", f"x[{BIG}]"], "5000 digits is too long at offset 2"),
             (["normalize", "--family", SCALED, "--expr", "x[²]"], "unexpected character '²' at offset 2"),
             (["normalize", "--family", SCALED, "--expr", "x[٣]"], "unexpected character '٣' at offset 2"),
+            # int() alone reads these p/q entries as 3/2, 10/3 and 3/2
+            (["localize-module", "--spec", _spec_bytes(_q_spec("٣/2"))], "entry '٣/2' is not a rational p/q of ASCII digits"),
+            (["localize-module", "--spec", _spec_bytes(_q_spec("1_0/3"))], "entry '1_0/3' is not a rational p/q"),
+            (["localize-module", "--spec", _spec_bytes(_q_spec(" 3/2"))], "entry ' 3/2' is not a rational p/q"),
         ],
         ids=[
             "fraction-tensor-free", "factor-hnn-free", "f-rational-over-Z", "rel-true", "gens-true",
             "spec-5000-digits", "spec-not-utf8", "expr-5000-digits", "expr-superscript-two", "expr-arabic-three",
+            "spec-arabic-three", "spec-underscore", "spec-blank",
         ],
     )
     def test_one_line_error(self, argv, message, tmp_path, capsys):
@@ -390,3 +400,11 @@ class TestBoundaryInputExit2:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_signed_ascii_entry_localizes(self, tmp_path, capsys):
+        from trilocal.cli import main
+
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(_spec_bytes(_q_spec("-3/+2")))
+        assert main(["localize-module", "--spec", str(spec)]) == 0
+        capsys.readouterr()

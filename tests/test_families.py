@@ -149,6 +149,17 @@ class TestDescriptors:
         with pytest.raises(SchemaError):
             family_from_json({"kind": "hnn-free", "A_gens": ["x"], "x_name": "x"})
 
+    @pytest.mark.parametrize("data, given", [
+        ({"kind": "tensor-free", "A_gens": -1}, "A_gens=-1"),
+        ({"kind": "hnn-free", "ring": "Q", "A_gens": 3}, "ring='Q', A_gens=3"),
+    ])
+    def test_constructor_type_error_names_kind_and_fields(self, data, given):
+        with pytest.raises(SchemaError) as info:
+            family_from_json(data)
+        message = str(info.value)
+        assert message.startswith(f"{data['kind']} family descriptor with {given} is invalid: ")
+        assert "not iterable" in message
+
     def test_family_mismatch_raises(self):
         with pytest.raises(FamilyMismatchError):
             ScaledFamily(2).check_same(ScaledFamily(3))

@@ -1,6 +1,7 @@
-"""The rewriting hot path: linear-time sums and oracle images, a budget
-that bounds product work, per-call letter memos, duck-typed ring objects
-and the scalar operations' results on every operand type.
+"""The hot paths: linear-time sums and oracle images, a budget that
+bounds product work, per-call letter memos, duck-typed ring objects, the
+scalar operations' results on every operand type, and membership tests
+that compute only the diagonal positions that can fail.
 
 ``tests/golden/scalar_ops.json`` holds what ``norm_scalar``,
 ``scalar_add`` and ``scalar_mul`` returned or raised before their
@@ -11,16 +12,19 @@ of results is intended) with ``PYTHONPATH=src python tests/test_hot_path.py``.
 import gc
 import json
 import pathlib
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
 import trilocal.tring as tring
-from trilocal import exprs
+from trilocal import exprs, modloc
 from trilocal.errors import BudgetExceededError
-from trilocal.families import HnnFreeFamily, ScaledFamily, TensorFreeFamily, family_from_json
+from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily, family_from_json
+from trilocal.linalg import solve_left
 from trilocal.rings import ZZ, FreeAlgebraElement, KadicFraction, norm_scalar, scalar_add, scalar_mul
+from trilocal.triangular import FPModule, TripleModule, relation_images, triple_from_json
 from trilocal.tring import (
     Add,
     Budget,
@@ -38,7 +42,8 @@ from trilocal.tring import (
     t_normalize,
 )
 
-GOLDEN_SCALARS = pathlib.Path(__file__).resolve().parent / "golden" / "scalar_ops.json"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN_SCALARS = GOLDEN / "scalar_ops.json"
 OPERANDS = [3, -2, 0, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2), True, False, 0.5, 0.1, KadicFraction(2, 3, 1)]
 HNN_SUM = "(x[h(s)]+x[h(s,t)]+2*x[h(1,s*t)]+x[h(t,1)])"
 
@@ -257,6 +262,108 @@ class TestDuckTypedRings:
         assert fam.oracle.sum(values) == folded
         # IntegerRing has no sum hook either
         assert eval_tree(Add((Const(4), Const(-4), Const(3))), ZZ, ZZ.from_int, None) == 3
+
+
+def benchmark_shaped_triple(family, shape, seed=1):
+    """A random triple shaped like the module-localization benchmark's:
+    (gens of N_A, of N_B, relations of N_A, of N_B), entries in [-5, 5],
+    and f composed with each N_B relation added as one more N_A relation
+    so that f is well defined."""
+    gA, gB, a, b = shape
+    rng = random.Random(seed)
+
+    def vec(n):
+        return [rng.randint(-5, 5) for _ in range(n)]
+
+    relsA = [vec(gA) for _ in range(a)]
+    relsB = [vec(gB) for _ in range(b)]
+    f = [[vec(gA) for _ in range(gB)] for _ in family.basis()]
+    relsA += relation_images(f, relsB, gA)
+    tag = family.coeff
+    return TripleModule(family, FPModule(tag, gA, relsA), FPModule(tag, gB, relsB), f)
+
+
+def golden_module():
+    data = json.loads((GOLDEN / "module.json").read_text(encoding="utf-8"))
+    return triple_from_json(family_from_json(data["family"]), data)
+
+
+MODULES = {
+    "Z": lambda: benchmark_shaped_triple(RegularFamily("Z"), (5, 5, 2, 1)),
+    "Z[1/2]": lambda: benchmark_shaped_triple(ScaledFamily(2), (2, 2, 1, 1)),
+    "Q[x]": lambda: benchmark_shaped_triple(DoubleFamily("Q"), (2, 2, 0, 0)),
+    "golden": golden_module,
+}
+
+# the failing checks of the negative controls, (name, detail), as the
+# verifier reported them when every membership test computed all of v * V
+FORWARD = "forward map is well defined (relations land in relations)"
+BACKWARD = "backward map is well defined"
+KILLS = "forward map kills the defining cokernel generators"
+NEGATIVE_CONTROLS = {
+    ("Z", "g_sign"): [(FORWARD, "relation 4 escapes the span"), (BACKWARD, "tensor-side relation 18 escapes the span"), (KILLS, "")],
+    ("Z", "drop_relation"): [(BACKWARD, "tensor-side relation 0 escapes the span")],
+    ("Z[1/2]", "g_sign"): [(FORWARD, "relation 3 escapes the span"), (BACKWARD, "tensor-side relation 10 escapes the span"), (KILLS, "")],
+    ("Z[1/2]", "drop_relation"): [(BACKWARD, "tensor-side relation 0 escapes the span")],
+    ("Q[x]", "g_sign"): [(FORWARD, "relation 0 escapes the span"), (BACKWARD, "tensor-side relation 4 escapes the span"), (KILLS, "")],
+    ("Q[x]", "drop_relation"): [(BACKWARD, "tensor-side relation 4 escapes the span")],
+    ("golden", "g_sign"): [(FORWARD, "relation 0 escapes the span"), (BACKWARD, "tensor-side relation 2 escapes the span"), (KILLS, "")],
+    ("golden", "drop_relation"): [(BACKWARD, "tensor-side relation 2 escapes the span")],
+}
+
+
+class TestMembershipDecidingColumns:
+    """in_row_span computes only the columns of v * V whose diagonal entry
+    is zero, missing or not a unit, and answers as solving would."""
+
+    def test_multiplications_bounded_by_deciding_columns(self, monkeypatch):
+        module = MODULES["Z"]()
+        W = modloc.tensor_side_presentation(module)
+        L = modloc.localized_presentation(module)
+        alpha, _ = modloc.comparison_maps(module, W.ring)
+        form = W.form()
+        assert W.gens == 20 and len(form.checks) == 2
+        ring, mul = W.ring, W.ring.mul
+        calls = []
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        # members of W, so every deciding column is computed: the images of
+        # L's relations, and one dense combination of W's relations, for
+        # which all of v * V takes 66 products
+        rng = random.Random(5)
+        dense = [0] * W.gens
+        for row in W.rows:
+            c = rng.randint(-3, 3)
+            dense = [x + c * y for x, y in zip(dense, row)]
+        for v in [alpha(row) for row in L.rows] + [dense]:
+            calls.clear()
+            monkeypatch.setattr(ring, "mul", counting)
+            assert W.contains(v)
+            monkeypatch.undo()
+            assert len(calls) <= len(form.checks) * W.gens
+
+    @pytest.mark.parametrize("name", list(MODULES))
+    def test_agrees_with_solve_left_on_every_tested_vector(self, name, monkeypatch):
+        member = modloc.in_row_span
+        tested = []
+
+        def checked(form, v):
+            answer = member(form, v)
+            assert answer == (solve_left(form, v) is not None)
+            tested.append(answer)
+            return answer
+
+        monkeypatch.setattr(modloc, "in_row_span", checked)
+        module = MODULES[name]()
+        assert modloc.localize_module(module).report.passed
+        for control in ("g_sign", "drop_relation"):
+            rep = modloc.verify_comparison_maps(module, **{control: -1 if control == "g_sign" else 0})
+            failed = [(c.name, c.detail) for c in rep.checks if not c.passed]
+            assert failed == NEGATIVE_CONTROLS[(name, control)]
+        assert True in tested and False in tested
 
 
 if __name__ == "__main__":

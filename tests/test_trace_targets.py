@@ -17,7 +17,7 @@ import sys
 
 import pytest
 
-from trilocal import cli, exprs, fracloc, modloc, tring
+from trilocal import cli, exprs, fracloc, linalg, modloc, tring
 from trilocal.families import HnnFreeFamily, RegularFamily, ScaledFamily
 from trilocal.triangular import FPModule, TripleModule
 
@@ -50,6 +50,9 @@ def test_targets_found():
         "fracloc.factor_inverting_hom",
         "fracloc.CentralPair.fraction_form",
         "modloc.verify_comparison_maps",
+        "modloc.in_row_span",
+        "modloc.diagonal_form",
+        "linalg.DiagonalForm.verify",
     } <= names
 
 
@@ -122,6 +125,13 @@ def test_cli_session_reaches_targets(monkeypatch):
 
 def test_module_localization_reaches_verifier(monkeypatch):
     verifier = count_calls(monkeypatch, modloc, "verify_comparison_maps")
+    reduce = count_calls(monkeypatch, modloc, "diagonal_form")
+    certify = count_calls(monkeypatch, linalg.DiagonalForm, "verify")
+    membership = count_calls(monkeypatch, modloc, "in_row_span")
     module = TripleModule(RegularFamily("Z"), FPModule("Z", 1), FPModule("Z", 1), [[[2]]])
     assert modloc.localize_module(module, samples=5).report.passed
     assert len(verifier) == 1
+    # L and the tensor side are each reduced and certified once, and the
+    # membership tests reach in_row_span
+    assert len(reduce) == len(certify) == 2
+    assert membership
