@@ -90,6 +90,15 @@ def _tokenize(text):
     return out
 
 
+def is_identifier(name):
+    """Whether name is a string that the tokenizer reads as one identifier."""
+    try:
+        tokens = [(t.kind, t.value) for t in _tokenize(name)] if isinstance(name, str) else []
+    except ParseError:
+        return False
+    return tokens == [("ident", name), ("eof", None)]
+
+
 class _Parser:
     """Recursive descent over one text.
 

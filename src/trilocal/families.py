@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .errors import FamilyMismatchError, SchemaError, UnsupportedFamilyError
+from .exprs import is_identifier
 from .rings import (
     FreeAlgebra,
     FreeAlgebraElement,
@@ -701,10 +702,24 @@ def family_from_json(data):
         raise SchemaError(f"unknown family kind {kind!r}; expected one of {sorted(FAMILY_KINDS)}")
     cls = FAMILY_KINDS[kind]
     try:
+        for field in ("A_gens", "B_gens", "x_name"):
+            if field in cls.params and field in data:
+                _check_names(field, data[field])
         return cls(**{attr: data[field] for field, attr in cls.params.items() if field in data})
     except TypeError as exc:
         given = ", ".join(f"{field}={data[field]!r}" for field in cls.params if field in data)
         raise SchemaError(f"{kind} family descriptor with {given} is invalid: {exc}") from exc
+
+
+def _check_names(field, value):
+    """A_gens and B_gens are lists of names and x_name is one name, each one
+    identifier of the tokenizer; TypeError otherwise.  A string or an object
+    is not a list, though iteration would read its characters or keys."""
+    if field != "x_name" and isinstance(value, (str, dict)):
+        raise TypeError(f"{field} must be a list of generator names")
+    for name in [value] if field == "x_name" else value:
+        if not is_identifier(name):
+            raise TypeError(f"generator name {name!r} in {field} is not one identifier")
 
 
 def shipped_families():
@@ -721,9 +736,6 @@ def shipped_families():
 def verify_factorization(family, m):
     """Re-apply every factor returned for m and confirm it reproduces m."""
     f = family.factor_p(m)
-    ok = True
-    if f.left is not None:
-        ok = family.eq_m(family.apply(f.left, family.p, family.b_one), m)
-    if f.right is not None:
-        ok = ok and family.eq_m(family.apply(family.a_one, family.p, f.right), m)
-    return ok
+    return (f.left is None or family.eq_m(family.apply(f.left, family.p, family.b_one), m)) and (
+        f.right is None or family.eq_m(family.apply(family.a_one, family.p, f.right), m)
+    )

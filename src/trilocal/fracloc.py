@@ -51,15 +51,9 @@ class CentralPair:
         self.b0 = b0
         basis = family.basis()
         rng = random.Random(seed)
-        probes = list(basis or [])
-        probes += [family.random_m(rng) for _ in range(samples)]
-        for m in probes:
-            left = family.apply(a0, m, family.b_one)
-            right = family.apply(family.a_one, m, b0)
-            if not family.eq_m(left, right):
-                raise UnsupportedFamilyError(
-                    f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}"
-                )
+        for m in list(basis or []) + [family.random_m(rng) for _ in range(samples)]:
+            if not family.eq_m(family.apply(a0, m, family.b_one), family.apply(family.a_one, m, b0)):
+                raise UnsupportedFamilyError(f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}")
         self.certification = "basis+samples" if basis is not None else "samples-only"
 
     # -- derived data --------------------------------------------------------
@@ -132,17 +126,10 @@ def check_central(pair, samples=1000, seed=1729):
     rng = random.Random(seed)
     probes = [("basis", m) for m in (fam.basis() or [])]
     probes += [("random", fam.random_m(rng)) for _ in range(samples)]
-    bad = None
-    for tag, m in probes:
-        xm = t_generator(fam, m)
-        if t_eq(t_mul(x0, xm), t_mul(xm, x0)) is not EqResult.EQUAL:
-            bad = (tag, m)
-            break
-    rep.add(
-        "x_(a0*p) commutes with every probe generator",
-        bad is None,
-        "" if bad is None else f"fails on {bad[0]} element {fam.fmt_m(bad[1])}",
-    )
+    commutes = lambda xm: t_eq(t_mul(x0, xm), t_mul(xm, x0)) is EqResult.EQUAL
+    rep.first_failure("x_(a0*p) commutes with every probe generator", (
+        f"fails on {tag} element {fam.fmt_m(m)}" for tag, m in probes if not commutes(t_generator(fam, m))
+    ))
     try:
         target = pair.target_family()
     except UnsupportedFamilyError:

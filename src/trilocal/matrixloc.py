@@ -58,21 +58,17 @@ def verify_sigma_inverting(family, samples=200, seed=1729, rho_maps=None):
     ok = image(TriElement.one(family)) == Matrix.identity(TOps(family), 2)
     rep.add("unital: image of 1_R is the identity matrix", ok)
 
-    mul_ok, add_ok = True, True
-    witness = ""
-    for _ in range(samples):
-        r1 = random_tri(family, rng, size=4)
-        r2 = random_tri(family, rng, size=4)
-        if image(tri_mul(r1, r2)) != image(r1) * image(r2):
-            mul_ok = False
-            witness = f"r1={r1.fmt()} r2={r2.fmt()}"
-            break
-        if image(tri_add(r1, r2)) != image(r1) + image(r2):
-            add_ok = False
-            witness = f"r1={r1.fmt()} r2={r2.fmt()}"
-            break
-    rep.add("multiplicative on sampled pairs", mul_ok, witness if not mul_ok else "")
-    rep.add("additive on sampled pairs", add_ok, witness if not add_ok else "")
+    def failures():  # one loop feeds both checks: (check, witness) of the first failing pair
+        for _ in range(samples):
+            r1, r2 = random_tri(family, rng, size=4), random_tri(family, rng, size=4)
+            if image(tri_mul(r1, r2)) != image(r1) * image(r2):
+                yield "mul", f"r1={r1.fmt()} r2={r2.fmt()}"
+            if image(tri_add(r1, r2)) != image(r1) + image(r2):
+                yield "add", f"r1={r1.fmt()} r2={r2.fmt()}"
+
+    failed, witness = next(failures(), (None, ""))
+    rep.add("multiplicative on sampled pairs", failed != "mul", witness if failed == "mul" else "")
+    rep.add("additive on sampled pairs", failed != "add", witness if failed == "add" else "")
 
     corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
     e12 = matrix_unit(family, 1, 2)
@@ -89,14 +85,10 @@ def verify_sigma_inverting(family, samples=200, seed=1729, rho_maps=None):
 
     # column identification: P-parts land in the first column, Q-parts in
     # the second
-    col_ok = True
-    for _ in range(20):
-        r = random_tri(family, rng, size=4)
+    def in_columns(r):
         p_img = image(TriElement(family, r.a, family.zero_m(), family.b_ring.zero()))
         q_img = image(TriElement(family, family.a_ring.zero(), r.m, r.b))
-        if not all(row[1].is_zero() for row in p_img.rows):
-            col_ok = False
-        if not all(row[0].is_zero() for row in q_img.rows):
-            col_ok = False
-    rep.add("P lands in column 1, Q in column 2", col_ok)
+        return all(row[1].is_zero() for row in p_img.rows) and all(row[0].is_zero() for row in q_img.rows)
+
+    rep.add("P lands in column 1, Q in column 2", all(in_columns(random_tri(family, rng, size=4)) for _ in range(20)))
     return rep

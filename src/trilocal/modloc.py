@@ -24,6 +24,7 @@ families to regular-Z (T = Z), scaled (T = Z[1/k]) and double-Q
 from __future__ import annotations
 
 import random
+from itertools import chain
 
 from .errors import UnsupportedFamilyError
 from .linalg import Matrix, diagonal_form, in_row_span
@@ -213,46 +214,24 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
         "" if forward_bad is None else f"relation {forward_bad} escapes the span",
     )
 
-    backward_bad = next((idx for idx, row in enumerate(W.rows) if not L.contains(beta(row))), None)
-    rep.add(
-        "backward map is well defined",
-        backward_bad is None,
-        "" if backward_bad is None else f"tensor-side relation {backward_bad} escapes the span",
-    )
+    rep.first_failure("backward map is well defined", (
+        f"tensor-side relation {idx} escapes the span" for idx, row in enumerate(W.rows) if not L.contains(beta(row))
+    ))
 
     # round trip L -> W -> L is the identity on the nose
-    ok = True
     rng = random.Random(seed)
-    for _ in range(samples):
-        v = L.random_vector(rng)
-        back = beta(alpha(v))
-        if any(not ring.eq(x, y) for x, y in zip(v, back)):
-            ok = False
-            break
-    rep.add("backward of forward is the identity", ok)
+    vectors = (L.random_vector(rng) for _ in range(samples))
+    rep.add("backward of forward is the identity", all(all(map(ring.eq, v, beta(alpha(v)))) for v in vectors))
 
     # round trip W -> L -> W is the identity modulo the tensor-side relations
-    ok = True
-    witness = ""
-    for g in range(W.gens):
-        v = [ring.zero()] * W.gens
-        v[g] = ring.one()
-        round_ = alpha(beta(v))
-        diff = [ring.sub(x, y) for x, y in zip(round_, v)]
-        if not W.contains(diff):
-            ok = False
-            witness = f"generator {g}"
-            break
-    if ok:
-        for _ in range(samples):
-            v = W.random_vector(rng)
-            round_ = alpha(beta(v))
-            diff = [ring.sub(x, y) for x, y in zip(round_, v)]
-            if not W.contains(diff):
-                ok = False
-                witness = "random element"
-                break
-    rep.add("forward of backward is the identity modulo relations", ok, witness)
+    def moved(v):
+        return not W.contains([ring.sub(x, y) for x, y in zip(alpha(beta(v)), v)])
+
+    units = ([ring.one() if i == g else ring.zero() for i in range(W.gens)] for g in range(W.gens))
+    rep.first_failure("forward of backward is the identity modulo relations", chain(
+        (f"generator {g}" for g, v in enumerate(units) if moved(v)),
+        ("random element" for v in (W.random_vector(rng) for _ in range(samples)) if moved(v)),
+    ))
 
     # the forward map kills the defining cokernel relations explicitly.
     # Unless a row was dropped they are the last rows of L, and the first

@@ -56,6 +56,14 @@ class Report:
         self.checks.append(Check(name, passed, detail))
         return passed
 
+    def first_failure(self, name, details):
+        """Add the check name over lazily computed cases: details yields None
+        for a case that holds and the detail text of one that fails.  The
+        first text fails the check and becomes its detail; no later case is
+        computed."""
+        detail = next((d for d in details if d is not None), None)
+        return self.add(name, detail is None, detail or "")
+
     def extend(self, other):
         for c in other.checks:
             self.checks.append(Check(f"{other.title}: {c.name}", c.passed, c.detail))

@@ -489,6 +489,9 @@ class OperatorRing:
 class IntegerRing(OperatorRing):
     name = "Z"
     gens = ()
+    # the Euclidean size and division with remainder of linalg.diagonal_form
+    size = staticmethod(abs)
+    divmod = staticmethod(divmod)
 
     def from_int(self, n):
         return n
@@ -545,6 +548,12 @@ class RationalField(OperatorRing):
         if b == 0:
             return None
         return norm_scalar(Fraction(a) / Fraction(b))
+
+    def size(self, a):
+        return 0 if a == 0 else 1
+
+    def divmod(self, a, b):
+        return self.exact_div(a, b), 0
 
     def unit_normal(self, a):
         if a == 0:
@@ -627,10 +636,17 @@ class PolynomialRing(OperatorRing):
     def exact_div(self, a, b):
         if b.is_zero():
             return None
-        if self.base != "Q":
-            raise UnsupportedRingError("exact division needs Q coefficients")
         q, r = a.divmod(b)
         return q if r.is_zero() else None
+
+    def size(self, a):
+        """The degree plus one, 0 for zero: a Euclidean size over Q only."""
+        if self.base != "Q":
+            raise UnsupportedRingError(f"{self.name} has no Euclidean division")
+        return len(a.coeffs)
+
+    def divmod(self, a, b):
+        return a.divmod(b)
 
     def unit_normal(self, a):
         """Monic representative (over Q)."""

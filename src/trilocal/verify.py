@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .exprs import format_element
 from .families import shipped_families
@@ -25,7 +26,7 @@ from .fracloc import (
 from .matrixloc import verify_sigma_inverting
 from .modloc import Presentation, localize_module, localized_presentation, verify_comparison_maps
 from .report import Report
-from .rings import Polynomial
+from .rings import Polynomial, random_word
 from .tring import (
     Add,
     Const,
@@ -86,39 +87,34 @@ def oracle_faithfulness(family, n=1000, seed=DEFAULT_SEED):
     rng = random.Random(seed)
     rep = Report(f"oracle faithfulness [{family.describe()}]", seed=seed, meta={"pairs": n})
     oracle = family.oracle
-    hom_fail = eq_fail = None
-    equal_branch = 0
-    for i in range(n):
-        e1 = random_telement(family, rng)
-        if i % 10 == 0:
-            # a deliberately equal pair reached through different syntax
-            probe = t_generator(family, family.random_m(rng))
-            e2 = t_add(t_add(e1, probe), t_scale(probe, -1))
-        else:
-            e2 = random_telement(family, rng)
-        v1, v2 = family_iso(e1), family_iso(e2)
-        if not oracle.eq(family_iso(t_mul(e1, e2)), oracle.mul(v1, v2)):
-            hom_fail = (i, "product")
-            break
-        if not oracle.eq(family_iso(t_add(e1, e2)), oracle.add(v1, v2)):
-            hom_fail = (i, "sum")
-            break
-        same_t = t_eq(e1, e2) is EqResult.EQUAL
-        same_o = oracle.eq(v1, v2)
-        if same_t != same_o:
-            eq_fail = (i, format_element(e1), format_element(e2))
-            break
-        if same_t:
-            equal_branch += 1
-    rep.add(
-        "homomorphism identities exact on all pairs",
-        hom_fail is None,
-        "" if hom_fail is None else f"pair {hom_fail[0]} fails on the {hom_fail[1]}",
-    )
+    equal_pairs = []
+
+    def failures():  # one loop feeds both checks: (check, detail) of the first failing pair
+        for i in range(n):
+            e1 = random_telement(family, rng)
+            if i % 10 == 0:
+                # a deliberately equal pair reached through different syntax
+                probe = t_generator(family, family.random_m(rng))
+                e2 = t_add(t_add(e1, probe), t_scale(probe, -1))
+            else:
+                e2 = random_telement(family, rng)
+            v1, v2 = family_iso(e1), family_iso(e2)
+            if not oracle.eq(family_iso(t_mul(e1, e2)), oracle.mul(v1, v2)):
+                yield "hom", f"pair {i} fails on the product"
+            if not oracle.eq(family_iso(t_add(e1, e2)), oracle.add(v1, v2)):
+                yield "hom", f"pair {i} fails on the sum"
+            same = t_eq(e1, e2) is EqResult.EQUAL
+            if same != oracle.eq(v1, v2):
+                yield "eq", f"pair {i}: {format_element(e1)} vs {format_element(e2)}"
+            if same:
+                equal_pairs.append(i)
+
+    failed, detail = next(failures(), (None, ""))
+    rep.add("homomorphism identities exact on all pairs", failed != "hom", detail if failed == "hom" else "")
     rep.add(
         "t_eq agrees with oracle equality on all pairs",
-        eq_fail is None,
-        f"equal-branch hits: {equal_branch}" if eq_fail is None else f"pair {eq_fail[0]}: {eq_fail[1]} vs {eq_fail[2]}",
+        failed != "eq",
+        detail if failed == "eq" else f"equal-branch hits: {len(equal_pairs)}",
     )
     return rep
 
@@ -142,9 +138,9 @@ def change_of_p_suite(family, a0, b0, centrality_samples=1000, fraction_samples=
     target = pair.target_family()
     rng = random.Random(seed + 1)
     k_src = family.rational_k
-    bad = None
-    for i in range(fraction_samples):
-        e = random_telement(target, rng, max_terms=2, max_len=2, size=5)
+
+    def fraction_failure(i):
+        e = random_telement(target, rng, size=5)
         form = pair.fraction_form(e)
         # independent minimal-exponent oracle over plain rationals
         value = as_fraction(family_iso(e))
@@ -152,40 +148,28 @@ def change_of_p_suite(family, a0, b0, centrality_samples=1000, fraction_samples=
         while not _denominator_only(value * Fraction(a0) ** r_oracle, k_src):
             r_oracle += 1
         if form.exponent != r_oracle:
-            bad = (i, format_element(e), form.exponent, r_oracle)
-            break
-    rep.add(
-        "fraction form round-trips with the minimal exponent",
-        bad is None,
-        "" if bad is None else f"sample {bad[0]}: {bad[1]} got r={bad[2]} expected {bad[3]}",
+            return f"sample {i}: {format_element(e)} got r={form.exponent} expected {r_oracle}"
+        return None
+
+    rep.first_failure(
+        "fraction form round-trips with the minimal exponent", map(fraction_failure, range(fraction_samples))
     )
 
     hom = rational_value_hom(family)
     rep.add("letter images satisfy the presentation", hom.respects_relations(samples=100, seed=seed))
     f_inv = Fraction(1, a0)
     rng = random.Random(seed + 2)
-    bad = None
-    for i in range(factor_samples):
-        e = random_telement(family, rng, max_terms=2, max_len=2, size=5)
-        lhs = factor_inverting_hom(pair, hom, f_inv, phi(e, pair))
-        rhs = hom.apply(e)
-        if lhs != rhs:
-            bad = (i, format_element(e))
-            break
-    rep.add(
-        "factorization composed with the induced map recovers the original",
-        bad is None,
-        "" if bad is None else f"sample {bad[0]}: {bad[1]}",
-    )
+    rep.first_failure("factorization composed with the induced map recovers the original", (
+        f"sample {i}: {format_element(e)}"
+        for i, e in enumerate(random_telement(family, rng, size=5) for _ in range(factor_samples))
+        if factor_inverting_hom(pair, hom, f_inv, phi(e, pair)) != hom.apply(e)
+    ))
     rng = random.Random(seed + 3)
-    bad = None
-    for i in range(factor_samples):
-        expr = random_expression(target, rng, depth=2, size=3)
-        ok, _, _ = two_order_agreement(pair, hom, f_inv, expr)
-        if not ok:
-            bad = i
-            break
-    rep.add("two evaluation orders agree", bad is None, "" if bad is None else f"sample {bad}")
+    rep.first_failure("two evaluation orders agree", (
+        f"sample {i}"
+        for i in range(factor_samples)
+        if not two_order_agreement(pair, hom, f_inv, random_expression(target, rng, depth=2, size=3))[0]
+    ))
     return rep
 
 
@@ -194,8 +178,6 @@ def _denominator_only(frac, k):
     den = frac.denominator
     if k == 1:
         return den == 1
-    from math import gcd
-
     while den != 1:
         g = gcd(den, k)
         if g == 1:
@@ -232,35 +214,27 @@ def module_localization_suite(family, modules=20, samples=100, seed=DEFAULT_SEED
         meta={"modules": modules, "samples": samples},
     )
     rng = random.Random(seed)
-    bad = None
-    for i in range(modules):
-        triple = random_triple(family, rng)
-        sub = verify_comparison_maps(triple, samples=samples, seed=seed + i)
-        if not sub.passed:
-            bad = (i, sub)
-            break
-    rep.add(
-        "comparison maps verified on random triples",
-        bad is None,
-        "" if bad is None else f"module {bad[0]}",
-    )
+    rep.first_failure("comparison maps verified on random triples", (
+        f"module {i}"
+        for i in range(modules)
+        if not verify_comparison_maps(random_triple(family, rng), samples=samples, seed=seed + i).passed
+    ))
 
     # additivity: the localization of a direct sum matches the direct sum
     # of the localizations, compared through canonical forms
-    rng = random.Random(seed + 99)
-    bad = None
-    for i in range(5):
-        t1 = random_triple(family, rng, max_gens=2, size=5)
-        t2 = random_triple(family, rng, max_gens=2, size=5)
+    def additive(t1, t2):
         both = localized_presentation(t1.direct_sum(t2))
         f_sum, r_sum = both.invariants()
         f1, r1 = localized_presentation(t1).invariants()
         f2, r2 = localized_presentation(t2).invariants()
-        if _canonical_chain(both.ring, f_sum) != _canonical_chain(both.ring, f1 + f2) or r_sum != r1 + r2:
-            bad = i
-            break
-    rep.add("localization is additive across direct sums", bad is None,
-            "" if bad is None else f"pair {bad}")
+        return _canonical_chain(both.ring, f_sum) == _canonical_chain(both.ring, f1 + f2) and r_sum == r1 + r2
+
+    rng = random.Random(seed + 99)
+    rep.first_failure("localization is additive across direct sums", (
+        f"pair {i}"
+        for i in range(5)
+        if not additive(random_triple(family, rng, max_gens=2, size=5), random_triple(family, rng, max_gens=2, size=5))
+    ))
     return rep
 
 
@@ -290,45 +264,31 @@ def example_suite(seed=DEFAULT_SEED, negative_control=False, samples=60):
     rep.add("regular-Z: generator at p collapses to 1", t_generator(rz, 1).is_one())
 
     # doubled bimodule: T is the polynomial ring
-    px = Polynomial("Q", [0, 1])
+    maps_to = lambda e, coeffs: dq.oracle.eq(family_iso(e), Polynomial("Q", coeffs))
     rep.add("double-Q: generator at (1,0) is 1", t_generator(dq, (1, 0)).is_one())
-    rep.add("double-Q: generator at (0,1) maps to x", dq.oracle.eq(family_iso(t_generator(dq, (0, 1))), px))
-    rep.add(
-        "double-Q: x_(2,3) maps to 2+3x",
-        dq.oracle.eq(family_iso(t_generator(dq, (2, 3))), Polynomial("Q", [2, 3])),
-    )
+    rep.add("double-Q: generator at (0,1) maps to x", maps_to(t_generator(dq, (0, 1)), [0, 1]))
+    rep.add("double-Q: x_(2,3) maps to 2+3x", maps_to(t_generator(dq, (2, 3)), [2, 3]))
     rep.add(
         "double-Q: x_(2,3)*x_(0,1) maps to 2x+3x^2",
-        dq.oracle.eq(
-            family_iso(t_mul(t_generator(dq, (2, 3)), t_generator(dq, (0, 1)))),
-            Polynomial("Q", [0, 2, 3]),
-        ),
+        maps_to(t_mul(t_generator(dq, (2, 3)), t_generator(dq, (0, 1))), [0, 2, 3]),
     )
 
     # free product: the generator of a pure tensor is the product of images
-    ok = True
-    for _ in range(samples):
-        a = tf.random_a(rng)
-        b = tf.random_b(rng)
-        lhs = t_generator(tf, tf.apply(a, tf.p, b))
-        rhs = t_mul(rho(tf, "A", a), rho(tf, "B", b))
-        if t_eq(lhs, rhs) is not EqResult.EQUAL:
-            ok = False
-            break
+    ok = all(
+        t_eq(t_generator(tf, tf.apply(a, tf.p, b)), t_mul(rho(tf, "A", a), rho(tf, "B", b))) is EqResult.EQUAL
+        for a, b in ((tf.random_a(rng), tf.random_b(rng)) for _ in range(samples))
+    )
     rep.add("tensor-free-Q: image of a (x) b equals image(a) * image(b)", ok)
     rep.add("tensor-free-Q: generator at 1 (x) 1 collapses to 1", t_generator(tf, tf.p).is_one())
 
     # stable-letter family: second summand tensors surround the new letter
     rep.add("hnn-free-Q: generator at (1, 0) collapses to 1", t_generator(hf, hf.p).is_one())
-    ok = True
-    for _ in range(samples):
-        u = tuple(rng.randrange(1) for _ in range(rng.randint(0, 2)))
-        v = tuple(rng.randrange(1) for _ in range(rng.randint(0, 2)))
-        image = family_iso(t_generator(hf, (hf.a_ring.zero(), {(u, v): 1})))
-        expected = hf.oracle.word(u + (hf._x_index,) + v)
-        if not hf.oracle.eq(image, expected):
-            ok = False
-            break
+    ok = all(
+        hf.oracle.eq(
+            family_iso(t_generator(hf, (hf.a_ring.zero(), {(u, v): 1}))), hf.oracle.word(u + (hf._x_index,) + v)
+        )
+        for u, v in ((random_word(rng, hf.a_gens), random_word(rng, hf.a_gens)) for _ in range(samples))
+    )
     rep.add("hnn-free-Q: tensor letters map to u x v words", ok)
     ok = all(
         t_eq(rho(hf, "A", a), rho(hf, "B", a)) is EqResult.EQUAL
@@ -370,19 +330,14 @@ def example_suite(seed=DEFAULT_SEED, negative_control=False, samples=60):
         rep.add(f"central pair certified [{family.kind}, a0={a0}]", sub.passed)
     rzpair = CentralPair(rz, 2, 2, seed=seed)
     tgt = rzpair.target_family()
-    five_eighths = TElement(tgt, {(tgt._G,) * 3: 5})
-    form = rzpair.fraction_form(five_eighths)
-    rep.add(
-        "fraction form of 5/8 is 5 over the cube",
-        format_element(form.numerator) == "5" and form.exponent == 3,
-    )
-    form1 = rzpair.fraction_form(TElement.one(tgt))
-    rep.add("fraction form of 1 is (1, 0)", form1.numerator.is_one() and form1.exponent == 0)
-    form6 = rzpair.fraction_form(TElement.from_scalar(tgt, 6))
-    rep.add(
-        "fraction form of 6 needs no denominator",
-        format_element(form6.numerator) == "6" and form6.exponent == 0,
-    )
+
+    def fraction_is(e, numerator, exponent):
+        form = rzpair.fraction_form(e)
+        return format_element(form.numerator) == numerator and form.exponent == exponent
+
+    rep.add("fraction form of 5/8 is 5 over the cube", fraction_is(TElement(tgt, {(tgt._G,) * 3: 5}), "5", 3))
+    rep.add("fraction form of 1 is (1, 0)", fraction_is(TElement.one(tgt), "1", 0))
+    rep.add("fraction form of 6 needs no denominator", fraction_is(TElement.from_scalar(tgt, 6), "6", 0))
 
     # module localization fixtures over the three supported rings
     d2 = TripleModule(rz, FPModule("Z", 1), FPModule("Z", 1), [[[2]]])

@@ -2,10 +2,12 @@
 
 Deliberately naive: cofactor determinants, a recursive gcd-elimination
 Smith reduction without transformation tracking, the determinant-divisor
-construction of invariant factors, and an exhaustive unimodular search
+construction of invariant factors (over Z, over Z[1/k] through Z, and
+over Q[x] on dense Fraction lists), and an exhaustive unimodular search
 for 2x2 witnesses.  None of this shares code with the package.
 """
 
+from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
 
@@ -122,3 +124,109 @@ def unimodular_witness_2x2(mat, target, bound=3):
             if mul(UM, V) == target:
                 return U, V
     return None
+
+
+def _k_free(n, k):
+    """|n| with every prime factor of k divided out (n != 0)."""
+    n = abs(n)
+    g = gcd(n, k)
+    while g > 1:
+        n //= g
+        g = gcd(n, k)
+    return n
+
+
+def kadic_invariants(rows, k):
+    """Invariant factors (as positive k-free ints) and rank over Z[1/k].
+
+    rows hold Fractions whose denominators are powers of primes of k.
+    Clearing denominators scales by a unit of Z[1/k]; the invariant
+    factors are then the k-free parts of the integer ones, units dropped.
+    """
+    den = 1
+    for row in rows:
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+    diagonal = determinant_divisor_diagonal([[int(x * den) for x in row] for row in rows])
+    nonzero = [d for d in diagonal if d != 0]
+    return [f for f in (_k_free(d, k) for d in nonzero) if f != 1], len(nonzero)
+
+
+# Dense polynomials over Q: lists of Fractions, lowest degree first, with no
+# trailing zeros; [] is zero.
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_add(p, q):
+    out = [0] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return _poly_trim(out)
+
+
+def _poly_mul(p, q):
+    if not p or not q:
+        return []
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _poly_trim(out)
+
+
+def _poly_divmod(a, b):
+    rem = list(a)
+    quot = [0] * max(len(a) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        c = rem[-1] / b[-1]
+        shift = len(rem) - len(b)
+        quot[shift] = c
+        for i, x in enumerate(b):
+            rem[shift + i] -= c * x
+        _poly_trim(rem)
+    return _poly_trim(quot), rem
+
+
+def _poly_monic_gcd(a, b):
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    return [c / a[-1] for c in a] if a else []
+
+
+def _poly_det(rows):
+    """Cofactor-expansion determinant of a square matrix of polynomials."""
+    if not rows:
+        return [1]
+    total = []
+    for j, entry in enumerate(rows[0]):
+        if entry:
+            minor = _poly_det([r[:j] + r[j + 1:] for r in rows[1:]])
+            term = _poly_mul(entry, minor)
+            total = _poly_add(total, term if j % 2 == 0 else [-c for c in term])
+    return total
+
+
+def poly_invariants(rows):
+    """Invariant factors (monic, degree >= 1) and rank over Q[x].
+
+    The j-th determinantal divisor is the monic gcd of all j x j minors,
+    and the j-th invariant factor is its quotient by the previous one.
+    """
+    m, n = len(rows), len(rows[0]) if rows else 0
+    factors, previous = [], [Fraction(1)]
+    for size in range(1, min(m, n) + 1):
+        divisor = []
+        for rsel in combinations(range(m), size):
+            for csel in combinations(range(n), size):
+                divisor = _poly_monic_gcd(divisor, _poly_det([[rows[i][j] for j in csel] for i in rsel]))
+        if not divisor:
+            break
+        factors.append(_poly_divmod(divisor, previous)[0])
+        previous = divisor
+    return [f for f in factors if len(f) > 1], len(factors)

@@ -381,11 +381,28 @@ class TestBoundaryInputExit2:
             (["localize-module", "--spec", _spec_bytes(_q_spec("٣/2"))], "entry '٣/2' is not a rational p/q of ASCII digits"),
             (["localize-module", "--spec", _spec_bytes(_q_spec("1_0/3"))], "entry '1_0/3' is not a rational p/q"),
             (["localize-module", "--spec", _spec_bytes(_q_spec(" 3/2"))], "entry ' 3/2' is not a rational p/q"),
+            # each descriptor below built a family before generator names were checked
+            (["normalize", "--family", '{"kind":"hnn-free","A_gens":"st"}', "--expr", "x[h(s,t)]"],
+             "A_gens must be a list of generator names"),
+            (["normalize", "--family", '{"kind":"tensor-free","A_gens":{"s":1},"B_gens":["u"]}', "--expr", "1"],
+             "A_gens must be a list of generator names"),
+            (["normalize", "--family", '{"kind":"tensor-free","A_gens":["s"],"B_gens":"uv"}', "--expr", "1"],
+             "B_gens must be a list of generator names"),
+            (["normalize", "--family", '{"kind":"hnn-free","A_gens":["s t"]}', "--expr", "1"],
+             "generator name 's t' in A_gens is not one identifier"),
+            (["normalize", "--family", '{"kind":"hnn-free","A_gens":[""]}', "--expr", "1"],
+             "generator name '' in A_gens is not one identifier"),
+            (["normalize", "--family", '{"kind":"hnn-free","A_gens":["s"],"x_name":"y z"}', "--expr", "1"],
+             "generator name 'y z' in x_name is not one identifier"),
+            (["normalize", "--family", '{"kind":"hnn-free","A_gens":["s"],"x_name":"1"}', "--expr", "1"],
+             "generator name '1' in x_name is not one identifier"),
         ],
         ids=[
             "fraction-tensor-free", "factor-hnn-free", "f-rational-over-Z", "rel-true", "gens-true",
             "spec-5000-digits", "spec-not-utf8", "expr-5000-digits", "expr-superscript-two", "expr-arabic-three",
             "spec-arabic-three", "spec-underscore", "spec-blank",
+            "a-gens-string", "a-gens-object", "b-gens-string", "name-blank-inside", "name-empty", "x-name-blank-inside",
+            "x-name-digit",
         ],
     )
     def test_one_line_error(self, argv, message, tmp_path, capsys):

@@ -7,22 +7,25 @@ import pytest
 
 from reference_impls import (
     determinant_divisor_diagonal,
+    kadic_invariants,
+    poly_invariants,
     reference_det,
     reference_snf_diagonal,
     unimodular_witness_2x2,
 )
 from trilocal.errors import UnsupportedRingError
+from trilocal.families import HnnFreeFamily
 from trilocal.linalg import (
     DiagonalForm,
     Matrix,
     diagonal_form,
-    euclidean_reduce,
     in_row_span,
     int_matrix,
     smith_normal_form,
     solve_left,
 )
 from trilocal.rings import KadicRing, Polynomial, PolynomialRing, QQ
+from trilocal.tring import TOps
 
 
 def random_int_matrix(rng, max_dim=6, bound=100):
@@ -84,7 +87,7 @@ class TestEuclidean:
     def test_kadic_units_stripped(self):
         ring = KadicRing(2)
         mat = Matrix(ring, [[ring.from_int(2), ring.zero()], [ring.zero(), ring.from_int(3)]])
-        form = euclidean_reduce(mat)
+        form = diagonal_form(mat)
         # 2 is a unit in Z[1/2], so the factors are 1 and 3 up to units
         assert [d.as_fraction() for d in form.diagonal()] == [Fraction(1), Fraction(3)]
         assert form.verify()
@@ -96,7 +99,7 @@ class TestEuclidean:
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
             mat = Matrix(ring, [[ring.random(rng) for _ in range(n)] for _ in range(m)])
-            form = euclidean_reduce(mat)
+            form = diagonal_form(mat)
             assert form.verify()
             for d in form.diagonal():
                 if not d.is_zero():
@@ -106,9 +109,9 @@ class TestEuclidean:
     def test_poly_single_variable(self):
         ring = PolynomialRing("Q")
         x = ring.variable()
-        form = euclidean_reduce(Matrix(ring, [[x]]))
+        form = diagonal_form(Matrix(ring, [[x]]))
         assert form.diagonal() == [x]
-        form = euclidean_reduce(Matrix(ring, [[x, ring.zero()], [ring.zero(), x * x]]))
+        form = diagonal_form(Matrix(ring, [[x, ring.zero()], [ring.zero(), x * x]]))
         assert form.diagonal() == [x, x * x]
         assert form.verify()
 
@@ -119,7 +122,7 @@ class TestEuclidean:
             m = rng.randint(1, 3)
             n = rng.randint(1, 3)
             mat = Matrix(ring, [[ring.random(rng, degree=2) for _ in range(n)] for _ in range(m)])
-            form = euclidean_reduce(mat)
+            form = diagonal_form(mat)
             assert form.verify()
             for d in form.diagonal():
                 if not d.is_zero():
@@ -127,15 +130,74 @@ class TestEuclidean:
 
     def test_rational_field(self):
         mat = Matrix(QQ, [[Fraction(1, 2), 3], [1, 6]])
-        form = euclidean_reduce(mat)
+        form = diagonal_form(mat)
         assert form.verify()
         assert form.rank() == 1  # second row is twice the first
-        full = euclidean_reduce(Matrix(QQ, [[Fraction(1, 2), 3], [1, 7]]))
+        full = diagonal_form(Matrix(QQ, [[Fraction(1, 2), 3], [1, 7]]))
         assert full.verify() and full.rank() == 2
 
     def test_unsupported(self):
         with pytest.raises(UnsupportedRingError):
-            euclidean_reduce(Matrix(PolynomialRing("Z"), [[Polynomial("Z", [1])]]))
+            diagonal_form(Matrix(PolynomialRing("Z"), [[Polynomial("Z", [1])]]))
+
+    def test_rings_without_division(self):
+        family = HnnFreeFamily("Q", ("s",), "x")
+        for ring in (family.oracle, TOps(family)):
+            for entry in (ring.zero(), ring.one()):
+                with pytest.raises(UnsupportedRingError, match="does not support"):
+                    diagonal_form(Matrix(ring, [[entry]]))
+
+
+def small_matrices(ring, rng, count, draw):
+    """count matrices of at most 4 x 4 entries from draw(rng); about one in
+    three with fewer than 4 rows gets a copy of its first row, so ranks
+    fall short too."""
+    for _ in range(count):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        rows = [[draw(rng) for _ in range(n)] for _ in range(m)]
+        yield Matrix(ring, rows + [rows[0]] if m < 4 and rng.random() < 0.3 else rows)
+
+
+class TestIndependentCrossCheck:
+    """Invariant factors and free rank over Z[1/k] and Q[x] against the
+    determinantal-divisor references of tests/reference_impls.py."""
+
+    @pytest.mark.parametrize("k", [2, 6])
+    def test_kadic_matches_determinantal_divisors(self, k):
+        ring = KadicRing(k)
+        for mat in small_matrices(ring, random.Random(40 + k), 40, lambda rng: ring.random(rng, 12)):
+            form = diagonal_form(mat)
+            factors, rank = kadic_invariants([[x.as_fraction() for x in row] for row in mat.rows], k)
+            assert [(d.num, d.exp) for d in form.invariant_factors()] == [(f, 0) for f in factors]
+            assert form.free_rank() == mat.ncols - rank
+
+    def test_polynomial_matches_determinantal_divisors(self):
+        ring = PolynomialRing("Q")
+        for mat in small_matrices(ring, random.Random(44), 25, lambda rng: ring.random(rng, 3, degree=2)):
+            form = diagonal_form(mat)
+            factors, rank = poly_invariants([[[Fraction(c) for c in x.coeffs] for x in row] for row in mat.rows])
+            assert [[Fraction(c) for c in d.coeffs] for d in form.invariant_factors()] == factors
+            assert form.free_rank() == mat.ncols - rank
+
+
+def transform_bits(form, k):
+    """Largest |num| bits plus exponent times k's bits over U, V, U^-1, V^-1."""
+    return max(
+        abs(x.num).bit_length() + x.exp * k.bit_length()
+        for matrix in (form.U, form.V, form.U_inv, form.V_inv)
+        for row in matrix.rows
+        for x in row
+    )
+
+
+@pytest.mark.parametrize("k", [2, 6])
+def test_kadic_transforms_stay_small(k):
+    # Z[1/k] reduces through Z: 888 and 1,187 bits here.  A Euclidean
+    # engine over Z[1/k] itself reached 5,944 and 30,278.
+    ring = KadicRing(k)
+    rng = random.Random(1)
+    mat = Matrix(ring, [[ring.random(rng, 100) for _ in range(12)] for _ in range(12)])
+    assert transform_bits(diagonal_form(mat), k) <= 3000
 
 
 def strip(n):

@@ -215,3 +215,28 @@ def test_integer_ring_axioms_random():
         a, b, c = (ZZ.random(rng, 10**6) for _ in range(3))
         assert ZZ.mul(ZZ.mul(a, b), c) == ZZ.mul(a, ZZ.mul(b, c))
         assert ZZ.mul(a, ZZ.add(b, c)) == ZZ.add(ZZ.mul(a, b), ZZ.mul(a, c))
+
+
+QX = PolynomialRing("Q")
+
+
+@pytest.mark.parametrize("ring, draw", [
+    pytest.param(ZZ, lambda rng: ZZ.random(rng, 10**6), id="Z"),
+    pytest.param(QQ, lambda rng: QQ.random(rng, 50), id="Q"),
+    pytest.param(QX, lambda rng: QX.random(rng, 5, degree=rng.randint(0, 4)), id="Q[x]"),
+])
+def test_euclidean_division_contract(ring, draw):
+    """a = q*b + r with r = 0 or size(r) < size(b), and size is 0 only at 0."""
+    rng = random.Random(23)
+    assert ring.size(ring.zero()) == 0
+    remainders = 0
+    for _ in range(400):
+        a, b = draw(rng), draw(rng)
+        assert (ring.size(a) == 0) == ring.is_zero(a)
+        if ring.is_zero(b):
+            continue
+        q, r = ring.divmod(a, b)
+        assert ring.eq(ring.add(ring.mul(q, b), r), a)
+        assert ring.is_zero(r) or ring.size(r) < ring.size(b)
+        remainders += not ring.is_zero(r)
+    assert remainders > 0 or ring is QQ

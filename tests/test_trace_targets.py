@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from trilocal import cli, exprs, fracloc, linalg, modloc, tring
-from trilocal.families import HnnFreeFamily, RegularFamily, ScaledFamily
+from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily
 from trilocal.triangular import FPModule, TripleModule
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -128,10 +128,18 @@ def test_module_localization_reaches_verifier(monkeypatch):
     reduce = count_calls(monkeypatch, modloc, "diagonal_form")
     certify = count_calls(monkeypatch, linalg.DiagonalForm, "verify")
     membership = count_calls(monkeypatch, modloc, "in_row_span")
-    module = TripleModule(RegularFamily("Z"), FPModule("Z", 1), FPModule("Z", 1), [[[2]]])
-    assert modloc.localize_module(module, samples=5).report.passed
-    assert len(verifier) == 1
-    # L and the tensor side are each reduced and certified once, and the
-    # membership tests reach in_row_span
-    assert len(reduce) == len(certify) == 2
-    assert membership
+    modules = [
+        TripleModule(RegularFamily("Z"), FPModule("Z", 1), FPModule("Z", 1), [[[2]]]),
+        TripleModule(ScaledFamily(2), FPModule("Z", 1), FPModule("Z", 1), [[[3]]]),
+        TripleModule(DoubleFamily("Q"), FPModule("Q", 1), FPModule("Q", 1), [[[1]], [[2]]]),
+    ]
+    for module in modules:
+        for calls in (verifier, reduce, certify, membership):
+            calls.clear()
+        assert modloc.localize_module(module, samples=5).report.passed
+        assert len(verifier) == 1
+        # L and the tensor side are each reduced and certified once, over
+        # Z, Z[1/2] (reduced through Z) and Q[x], and the membership tests
+        # reach in_row_span
+        assert len(reduce) == len(certify) == 2, module.family.describe()
+        assert membership
