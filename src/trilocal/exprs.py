@@ -259,8 +259,11 @@ def parse_normal(family, text, budget=None):
 
 
 def format_element(e):
-    """Canonical grammar rendering of a normal form; round-trips by parse."""
+    """Canonical grammar rendering of a normal form; round-trips by parse.
+
+    Each distinct letter's text ``x[...]`` is built once per call."""
     letter_fmt = e.family.letter_fmt
+    texts = {letter: f"x[{letter_fmt(letter)}]" for letter in {x for word in e.terms for x in word}}
 
     def body(word):
         runs = []
@@ -269,7 +272,7 @@ def format_element(e):
                 runs[-1][1] += 1
             else:
                 runs.append([letter, 1])
-        return "*".join(f"x[{letter_fmt(letter)}]" + (f"^{n}" if n > 1 else "") for letter, n in runs)
+        return "*".join(texts[letter] + (f"^{n}" if n > 1 else "") for letter, n in runs)
 
     return signed_sum(((coeff, body(word)) for word, coeff in e.sorted_terms()), spaced=True)
 

@@ -29,7 +29,8 @@ class Matrix:
 
     @classmethod
     def identity(cls, ring, n):
-        return cls(ring, [[ring.one() if i == j else ring.zero() for j in range(n)] for i in range(n)])
+        zero, one = ring.zero(), ring.one()
+        return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_ints(cls, ring, rows):
@@ -163,9 +164,15 @@ def _euclidean_engine(mat):
     size(r) < size(b) or r == 0.  Every row operation applied to U is
     undone on the columns of U^-1, and every column operation applied to
     V on the rows of V^-1.
+
+    Pivot rule: the pivot is the first nonzero entry of least size in
+    the trailing block, in row-major order.  In Z, Q and Q[x] the units
+    are exactly the nonzero elements of least size, so the search stops
+    at the first unit it meets, and a unit pivot, which divides every
+    entry, needs no check that it divides the trailing block.
     """
     rg = mat.ring
-    add, mul, is_zero, size, divmod_ = rg.add, rg.mul, rg.is_zero, rg.size, rg.divmod
+    add, mul, is_zero, is_unit, size, divmod_ = rg.add, rg.mul, rg.is_zero, rg.is_unit, rg.size, rg.divmod
     a = mat.copy_rows()
     m, n = mat.nrows, mat.ncols
     U = Matrix.identity(rg, m).copy_rows()
@@ -209,12 +216,19 @@ def _euclidean_engine(mat):
         for row in Ui:
             row[i] = mul(row[i], u_inv)
 
-    def smallest(t):  # a nonzero entry of least size in the trailing block, or None
-        return min(
-            ((i, j) for i in range(t, m) for j in range(t, n) if not is_zero(a[i][j])),
-            key=lambda ij: size(a[ij[0]][ij[1]]),
-            default=None,
-        )
+    def smallest(t):  # the pivot of the trailing block, or None when it is zero
+        best, least = None, None
+        for i in range(t, m):
+            row = a[i]
+            for j in range(t, n):
+                x = row[j]
+                if not is_zero(x):
+                    if is_unit(x):
+                        return i, j
+                    s = size(x)
+                    if best is None or s < least:
+                        best, least = (i, j), s
+        return best
 
     t = 0
     while t < min(m, n):
@@ -243,6 +257,8 @@ def _euclidean_engine(mat):
                 if not is_zero(r):
                     clean = False
             if clean:
+                if is_unit(a[t][t]):
+                    break
                 # pivot must divide the whole trailing block for the chain
                 bad = next(
                     (

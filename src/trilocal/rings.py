@@ -14,11 +14,13 @@ Every sum of terms is printed by ``signed_sum``: polynomials,
 free-algebra elements, the tensor bimodule elements of ``families`` and
 the normal forms of ``exprs``.  The ring objects at the end bundle the
 operations the linear algebra and localization layers need; each one
-states how an integer enters the ring, and its zero and one follow.
+states how an integer enters the ring.  Because elements are immutable,
+a ring object or a matrix may hand out one zero or one one many times.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd
 
@@ -217,10 +219,14 @@ class KadicFraction:
         return KadicFraction(self.k, num, r)
 
     def __neg__(self):
-        return KadicFraction(self.k, -self.num, self.exp)
+        x = object.__new__(KadicFraction)  # -x is canonical when x is
+        x.k, x.num, x.exp = self.k, -self.num, self.exp
+        return x
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        r = max(self.exp, other.exp)
+        return KadicFraction(self.k, self.num * self.k ** (r - self.exp) - other.num * self.k ** (r - other.exp), r)
 
     def __mul__(self, other):
         self._check(other)
@@ -268,13 +274,15 @@ class Polynomial:
         self.ring = ring
         self.coeffs = tuple(cs)
 
-    @classmethod
-    def constant(cls, ring, c):
-        return cls(ring, [c])
-
-    @classmethod
-    def variable(cls, ring):
-        return cls(ring, [0, 1])
+    @staticmethod
+    def _of(ring, cs):
+        """The polynomial of a list of canonical scalars, such as arithmetic on
+        canonical polynomials gives: only trailing zeros are stripped."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(Polynomial)
+        p.ring, p.coeffs = ring, tuple(cs)
+        return p
 
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
@@ -300,34 +308,35 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [0] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] = c
+        cs = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             cs[i] = scalar_add(cs[i], c)
-        return Polynomial(self.ring, cs)
+        return Polynomial._of(self.ring, cs)
 
     def __neg__(self):
-        return Polynomial(self.ring, [-c for c in self.coeffs])
+        return Polynomial._of(self.ring, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        cs = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
+        for i, c in enumerate(other.coeffs):
+            cs[i] = scalar_add(cs[i], -c)
+        return Polynomial._of(self.ring, cs)
 
     def __mul__(self, other):
         self._check(other)
         if self.is_zero() or other.is_zero():
-            return Polynomial(self.ring, [])
+            return Polynomial._of(self.ring, [])
         cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
                 continue
             for j, b in enumerate(other.coeffs):
                 cs[i + j] = scalar_add(cs[i + j], scalar_mul(a, b))
-        return Polynomial(self.ring, cs)
+        return Polynomial._of(self.ring, cs)
 
     def scale(self, c):
-        return Polynomial(self.ring, [scalar_mul(c, a) for a in self.coeffs])
+        return Polynomial._of(self.ring, [scalar_mul(c, a) for a in self.coeffs])
 
     def divmod(self, other):
         """Polynomial division; requires Q coefficients and other != 0."""
@@ -349,7 +358,7 @@ class Polynomial:
                 rem.pop()
             if not rem:
                 break
-        return Polynomial(self.ring, q), Polynomial(self.ring, rem)
+        return Polynomial._of(self.ring, q), Polynomial._of(self.ring, rem)
 
     def __str__(self):
         terms = ((c, "" if d == 0 else "x" if d == 1 else f"x^{d}") for d, c in enumerate(self.coeffs) if c != 0)
@@ -455,8 +464,17 @@ class FreeAlgebraElement:
 class OperatorRing:
     """Base of the ring objects whose elements carry the ring operators.
 
-    A ring object supplies from_int; zero and one are its images of 0 and 1.
+    add, neg, sub, mul and eq are the ``operator`` functions themselves, so
+    a caller that hoists them calls no Python frame.  A ring object
+    supplies from_int; zero and one are its images of 0 and 1.
     """
+
+    add = staticmethod(operator.add)
+    neg = staticmethod(operator.neg)
+    sub = staticmethod(operator.sub)
+    mul = staticmethod(operator.mul)
+    eq = staticmethod(operator.eq)
+    fmt = staticmethod(str)
 
     def zero(self):
         return self.from_int(0)
@@ -464,40 +482,21 @@ class OperatorRing:
     def one(self):
         return self.from_int(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def eq(self, a, b):
-        return a == b
-
     def is_zero(self, a):
         return a.is_zero()
-
-    def fmt(self, a):
-        return str(a)
 
 
 class IntegerRing(OperatorRing):
     name = "Z"
     gens = ()
+    is_zero = staticmethod(operator.not_)
+    fmt = staticmethod(int_str)
     # the Euclidean size and division with remainder of linalg.diagonal_form
     size = staticmethod(abs)
     divmod = staticmethod(divmod)
 
     def from_int(self, n):
         return n
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -518,28 +517,20 @@ class IntegerRing(OperatorRing):
     def random(self, rng, size=9):
         return rng.randint(-size, size)
 
-    def fmt(self, a):
-        return int_str(a)
-
 
 class RationalField(OperatorRing):
     name = "Q"
     gens = ()
 
+    add = staticmethod(scalar_add)
+    mul = staticmethod(scalar_mul)
+    is_zero = staticmethod(operator.not_)
+
     def from_int(self, n):
         return n
 
-    def add(self, a, b):
-        return scalar_add(a, b)
-
     def sub(self, a, b):
         return scalar_add(a, -b)
-
-    def mul(self, a, b):
-        return scalar_mul(a, b)
-
-    def is_zero(self, a):
-        return a == 0
 
     def is_unit(self, a):
         return a != 0
@@ -572,6 +563,9 @@ class RationalField(OperatorRing):
 class KadicRing(OperatorRing):
     """Z[1/k], a PID between Z and Q."""
 
+    is_zero = staticmethod(KadicFraction.is_zero)
+    is_unit = staticmethod(KadicFraction.is_unit)
+
     def __init__(self, k):
         if k < 2:
             raise ValueError(f"k-adic base must be >= 2, got {k}")
@@ -580,9 +574,6 @@ class KadicRing(OperatorRing):
 
     def from_int(self, n):
         return KadicFraction(self.k, n)
-
-    def is_unit(self, a):
-        return a.is_unit()
 
     def from_fraction(self, frac):
         """KadicFraction with the value of frac, or None if not in Z[1/k]."""
@@ -618,19 +609,29 @@ class KadicRing(OperatorRing):
 class PolynomialRing(OperatorRing):
     """Q[x] (or Z[x] for display-only purposes); Euclidean when the base is Q."""
 
+    is_zero = staticmethod(Polynomial.is_zero)
+    divmod = staticmethod(Polynomial.divmod)
+
     def __init__(self, base="Q"):
         self.base = base
         self.name = f"{base}[x]"
+        self._zero, self._one = Polynomial(base, ()), Polynomial(base, (1,))
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
 
     def from_int(self, n):
         return Polynomial(self.base, [n])
 
     def variable(self):
-        return Polynomial.variable(self.base)
+        return Polynomial._of(self.base, [0, 1])
 
     def is_unit(self, a):
         if self.base == "Q":
-            return a.degree() == 0
+            return len(a.coeffs) == 1
         return a.coeffs in ((1,), (-1,))
 
     def exact_div(self, a, b):
@@ -639,14 +640,13 @@ class PolynomialRing(OperatorRing):
         q, r = a.divmod(b)
         return q if r.is_zero() else None
 
-    def size(self, a):
-        """The degree plus one, 0 for zero: a Euclidean size over Q only."""
+    @property
+    def size(self):
+        """The Euclidean size of Q[x], the degree plus one (0 for zero); reading
+        it raises over Z, which has none."""
         if self.base != "Q":
             raise UnsupportedRingError(f"{self.name} has no Euclidean division")
-        return len(a.coeffs)
-
-    def divmod(self, a, b):
-        return a.divmod(b)
+        return lambda a: len(a.coeffs)
 
     def unit_normal(self, a):
         """Monic representative (over Q)."""
@@ -654,10 +654,10 @@ class PolynomialRing(OperatorRing):
             return self.zero(), self.one()
         lead = a.leading()
         rep = a.scale(norm_scalar(Fraction(1, 1) / Fraction(lead)))
-        return rep, Polynomial.constant(self.base, lead)
+        return rep, Polynomial._of(self.base, [lead])
 
     def random(self, rng, size=4, degree=2):
-        return Polynomial(self.base, [rng.randint(-size, size) for _ in range(rng.randint(0, degree) + 1)])
+        return Polynomial._of(self.base, [rng.randint(-size, size) for _ in range(rng.randint(0, degree) + 1)])
 
 
 class FreeAlgebra(OperatorRing):

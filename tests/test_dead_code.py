@@ -5,7 +5,8 @@
 * Every single-underscore name defined at module or class level is
   referenced somewhere in ``src/trilocal`` outside its own definition.
 * Every public function or class defined at module level, and every
-  public method, is referenced outside its own definition somewhere in
+  public method (a def, or a ``staticmethod(...)`` bound in the class
+  body), is referenced outside its own definition somewhere in
   ``src/trilocal``, ``tests``, ``demos`` or ``perfbench``.  The
   re-exports of ``__init__.py`` do not count: a public name with no
   caller gets deleted.
@@ -101,6 +102,16 @@ def test_private_name_is_referenced(qualified, name, definition):
     assert outside > 0, f"{qualified} is defined and nothing else in src/trilocal refers to it"
 
 
+def method_names(node):
+    """Names a class-body statement binds to a method: a def, or an
+    assignment of ``staticmethod(...)`` such as ``add = staticmethod(operator.add)``."""
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "staticmethod":
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
 def public_definitions():
     """(qualified name, name, defining node) for public module-level
     functions and classes and public methods."""
@@ -111,9 +122,10 @@ def public_definitions():
                 out.append((f"{module}.{node.name}", node.name, node))
             if isinstance(node, ast.ClassDef):
                 out += [
-                    (f"{module}:{node.name}.{method.name}", method.name, method)
-                    for method in node.body
-                    if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+                    (f"{module}:{node.name}.{name}", name, member)
+                    for member in node.body
+                    for name in method_names(member)
+                    if not name.startswith("_")
                 ]
     return out
 

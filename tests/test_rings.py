@@ -4,9 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from test_hot_path import benchmark_shaped_triple
 from trilocal.errors import AlphabetMismatchError, UnsupportedRingError
+from trilocal.families import DoubleFamily
+from trilocal.modloc import localize_module
 from trilocal.rings import (
     FreeAlgebra,
     KadicFraction,
@@ -159,6 +162,81 @@ class TestPolynomial:
             a, b, c = (ring.random(rng) for _ in range(3))
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
+
+
+DERANDOMIZED = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+# small denominators, so that sums and products often have denominator 1
+coeffs_z = st.lists(st.integers(min_value=-6, max_value=6), max_size=5)
+coeffs_q = st.lists(st.builds(Fraction, st.integers(min_value=-6, max_value=6), st.sampled_from([1, 2, 3, 4])), max_size=5)
+polys = st.one_of(
+    st.tuples(st.just("Z"), coeffs_z, coeffs_z, st.integers(min_value=-3, max_value=3)),
+    st.tuples(st.just("Q"), coeffs_q, coeffs_q, st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2]))),
+)
+kadics = st.tuples(st.integers(min_value=-40, max_value=40), st.integers(min_value=0, max_value=3))  # (num, exp)
+
+
+def dense(p, n):
+    return [Fraction(c) for c in p.coeffs] + [Fraction(0)] * (n - len(p.coeffs))
+
+
+def as_rebuilt(p):
+    """p, checked to be exactly what the public constructor makes of its coefficients."""
+    rebuilt = Polynomial(p.ring, p.coeffs)
+    assert [(type(c), c) for c in p.coeffs] == [(type(c), c) for c in rebuilt.coeffs]
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.coeffs)
+    assert not p.coeffs or p.coeffs[-1] != 0
+    return p
+
+
+class TestArithmeticResultsAreCanonical:
+    """Arithmetic builds its results without the public constructor's
+    checks; each result must be what the public constructor would build."""
+
+    @DERANDOMIZED
+    @given(polys)
+    @example(("Q", [Fraction(1, 2)], [Fraction(1, 2)], Fraction(2)))  # 1/2 + 1/2 and 2 * 1/2 are int
+    @example(("Q", [Fraction(1, 2), Fraction(3, 4)], [Fraction(1, 2), Fraction(3, 4)], Fraction(0)))  # a - a is ()
+    @example(("Z", [0, 1], [0, -1], 0))  # x + (-x) is ()
+    def test_polynomial(self, case):
+        ring, xs, ys, c = case
+        a, b = Polynomial(ring, xs), Polynomial(ring, ys)
+        n = len(a.coeffs) + len(b.coeffs)
+        da, db = dense(a, n), dense(b, n)
+        assert as_rebuilt(a + b) == Polynomial(ring, [x + y for x, y in zip(da, db)])
+        assert as_rebuilt(a - b) == Polynomial(ring, [x - y for x, y in zip(da, db)])
+        assert as_rebuilt(-a) == Polynomial(ring, [-x for x in da])
+        assert as_rebuilt(a.scale(c)) == Polynomial(ring, [c * x for x in da])
+        product = [sum((da[i] * db[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
+        assert as_rebuilt(a * b) == Polynomial(ring, product)
+        assert (a - a).coeffs == () and (a * Polynomial(ring, [])).coeffs == ()
+        if ring == "Q" and not b.is_zero():
+            q, r = a.divmod(b)
+            assert as_rebuilt(q) * b + as_rebuilt(r) == a and r.degree() < b.degree()
+
+    @DERANDOMIZED
+    @given(st.sampled_from([2, 6]), kadics, kadics)
+    @example(2, (1, 1), (1, 1))  # 1/2 + 1/2 = 1
+    @example(6, (2, 1), (3, 1))  # 1/3 * 1/2 = 1/6 and 1/3 - 1/3 = 0
+    def test_kadic(self, k, x, y):
+        a, b = KadicFraction(k, *x), KadicFraction(k, *y)
+        for got, value in (
+            (a + b, a.as_fraction() + b.as_fraction()),
+            (a - b, a.as_fraction() - b.as_fraction()),
+            (-a, -a.as_fraction()),
+            (a * b, a.as_fraction() * b.as_fraction()),
+            (a - a, 0),
+        ):
+            rebuilt = KadicFraction(got.k, got.num, got.exp)
+            assert (type(got.num), got.num, got.exp) == (int, rebuilt.num, rebuilt.exp)
+            assert got.as_fraction() == value
+
+    def test_shared_zero_and_one_stay_intact(self):
+        family = DoubleFamily("Q")
+        ring = family.t_ring
+        zero, one = ring.zero(), ring.one()
+        assert localize_module(benchmark_shaped_triple(family, (2, 2, 0, 0))).report.passed
+        assert ring.zero() is zero and ring.one() is one
+        assert (zero.coeffs, one.coeffs) == ((), (1,))
 
 
 class TestFreeAlgebra:
