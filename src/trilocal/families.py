@@ -38,6 +38,7 @@ membership test for A*p simply are not shipped.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 
 from .errors import FamilyMismatchError, SchemaError, UnsupportedFamilyError
@@ -45,7 +46,6 @@ from .exprs import is_identifier
 from .rings import (
     FreeAlgebra,
     FreeAlgebraElement,
-    KadicFraction,
     KadicRing,
     PolynomialRing,
     add_term,
@@ -423,13 +423,13 @@ class ScaledFamily(RegularFamily):
         return {(self._G,) * r: num}
 
     def oracle_letter(self, letter):
-        return KadicFraction(self.k, 1, 1)
+        return Fraction(1, self.k)
 
     def terms_with_value(self, frac):
-        value = self.oracle.from_fraction(frac)
-        if value is None:
+        r = self.oracle.exponent(frac)
+        if r is None:
             return None
-        return {(self._G,) * value.exp: value.num} if value.num else {}
+        return {(self._G,) * r: (frac * self.k ** r).numerator} if frac else {}
 
 
 # -- tensor term maps ---------------------------------------------------------

@@ -88,7 +88,7 @@ class CentralPair:
         """
         target = self.target_family()
         target.check_same(e.family)
-        frac = as_fraction(family_iso(e))
+        frac = Fraction(family_iso(e))
         r = 0
         while True:
             terms = self.family.terms_with_value(frac * Fraction(_a0_int(self.a0)) ** r)
@@ -203,13 +203,6 @@ def rational_value_hom(family):
 
 
 # -- helpers -----------------------------------------------------------------
-
-def as_fraction(value):
-    """An element of Z, Q or Z[1/k] as a Fraction."""
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
-    return value.as_fraction()
-
 
 def _a0_int(a0):
     if not isinstance(a0, int):

@@ -9,7 +9,7 @@ successful call is its own certificate.
 from __future__ import annotations
 
 from .errors import CertificateError, UnsupportedRingError
-from .rings import KadicFraction, KadicRing, ZZ
+from .rings import KadicRing, ZZ
 
 
 class Matrix:
@@ -296,33 +296,26 @@ def _kadic_reduce(mat):
     returned is, and its identities imply the integer ones.
     """
     rg = mat.ring
-    k = rg.k
-    e = max((x.exp for row in mat.rows for x in row), default=0)
-    snf = _euclidean_engine(Matrix(ZZ, [[x.num * k ** (e - x.exp) for x in row] for row in mat.rows]))
-
-    def lift(matrix):
-        return [[rg.from_int(x) for x in row] for row in matrix.rows]
-
-    U_rows, Ui_rows = lift(snf.U), lift(snf.U_inv)
+    e = max((rg.exponent(x) for row in mat.rows for x in row), default=0)
+    scale = rg.k ** e
+    snf = _euclidean_engine(Matrix(ZZ, [[(x * scale).numerator for x in row] for row in mat.rows]))
     # U * (k^e * mat) * V = D_int, so U * mat * V = D_int / k^e; rescale each
     # row of U (and the matching column of U^-1) so the diagonal becomes the
-    # canonical k-free representative.
-    D_rows = [[rg.zero()] * mat.ncols for _ in range(mat.nrows)]
+    # canonical k-free representative.  The integer entries of U, V and
+    # their inverses are already elements of Z[1/k].
+    U_rows, Ui_rows = snf.U.rows, snf.U_inv.rows
+    D_rows = [[0] * mat.ncols for _ in range(mat.nrows)]
     for i in range(min(mat.nrows, mat.ncols)):
         d_int = snf.D.rows[i][i]
         if d_int == 0:
             continue
-        d = KadicFraction(k, d_int, e)
-        rep, u = rg.unit_normal(d)
-        inv = rg.exact_div(rg.one(), u)
+        rep, u = rg.unit_normal(rg.exact_div(d_int, scale))
+        inv = rg.exact_div(1, u)
         U_rows[i] = [rg.mul(inv, x) for x in U_rows[i]]
         for row in Ui_rows:
             row[i] = rg.mul(row[i], u)
         D_rows[i][i] = rep
-    return DiagonalForm(
-        rg, mat, Matrix(rg, U_rows), Matrix(rg, D_rows), Matrix(rg, lift(snf.V)),
-        Matrix(rg, Ui_rows), Matrix(rg, lift(snf.V_inv)),
-    )
+    return DiagonalForm(rg, mat, *(Matrix(rg, rows) for rows in (U_rows, D_rows, snf.V.rows, Ui_rows, snf.V_inv.rows)))
 
 
 def diagonal_form(mat):

@@ -1,10 +1,10 @@
 """Exact coefficient and oracle rings.
 
-Every ring here is exact: scalars are arbitrary-precision ``int`` or
-``fractions.Fraction``, k-adic fractions keep a canonical (numerator,
-exponent) pair, polynomials and free-algebra elements store canonical
-term maps with no zero coefficients.  Elements are immutable by
-convention and safe to share between threads.
+Every ring here is exact: scalars, the elements of Z, Q and Z[1/k], are
+arbitrary-precision ``int`` or ``fractions.Fraction`` in canonical form;
+polynomials and free-algebra elements store canonical term maps with no
+zero coefficients.  Elements are immutable by convention and safe to
+share between threads.
 
 The classes double as the independent oracle rings against which the
 rewriting route is cross-validated, so none of them may be replaced by
@@ -71,6 +71,11 @@ def scalar_mul(a, b):
     elif ta is Fraction and (tb is Fraction or tb is int):
         return _exact(a * b)
     return norm_scalar(Fraction(a) * Fraction(b)) if not (isinstance(a, int) and isinstance(b, int)) else a * b
+
+
+def scalar_sub(a, b):
+    """a - b for canonical scalars; two ints subtract natively."""
+    return a - b if type(a) is int and type(b) is int else scalar_add(a, -b)
 
 
 def scalar_neg(a):
@@ -178,82 +183,6 @@ def strip_factors_of(n, k):
             n //= g
         g = gcd(n, k)
     return sign * n
-
-
-class KadicFraction:
-    """Element of Z[1/k]: value numerator / k**exponent, canonical.
-
-    Canonical means exponent == 0 or k does not divide numerator; zero
-    is stored as (0, 0).
-    """
-
-    __slots__ = ("k", "num", "exp")
-
-    def __init__(self, k, num, exp=0):
-        if k < 2:
-            raise ValueError(f"k-adic base must be >= 2, got {k}")
-        if exp < 0:
-            raise ValueError(f"exponent must be >= 0, got {exp}")
-        if num == 0:
-            exp = 0
-        else:
-            while exp > 0 and num % k == 0:
-                num //= k
-                exp -= 1
-        self.k = k
-        self.num = num
-        self.exp = exp
-
-    def __eq__(self, other):
-        if not isinstance(other, KadicFraction):
-            return NotImplemented
-        return (self.k, self.num, self.exp) == (other.k, other.num, other.exp)
-
-    def __hash__(self):
-        return hash((self.k, self.num, self.exp))
-
-    def __add__(self, other):
-        self._check(other)
-        r = max(self.exp, other.exp)
-        num = self.num * self.k ** (r - self.exp) + other.num * self.k ** (r - other.exp)
-        return KadicFraction(self.k, num, r)
-
-    def __neg__(self):
-        x = object.__new__(KadicFraction)  # -x is canonical when x is
-        x.k, x.num, x.exp = self.k, -self.num, self.exp
-        return x
-
-    def __sub__(self, other):
-        self._check(other)
-        r = max(self.exp, other.exp)
-        return KadicFraction(self.k, self.num * self.k ** (r - self.exp) - other.num * self.k ** (r - other.exp), r)
-
-    def __mul__(self, other):
-        self._check(other)
-        return KadicFraction(self.k, self.num * other.num, self.exp + other.exp)
-
-    def __pow__(self, n):
-        return KadicFraction(self.k, self.num ** n, self.exp * n)
-
-    def _check(self, other):
-        if not isinstance(other, KadicFraction) or other.k != self.k:
-            raise UnsupportedRingError(f"mixed k-adic bases: {self!r} vs {other!r}")
-
-    def is_zero(self):
-        return self.num == 0
-
-    def is_unit(self):
-        """Units of Z[1/k] are +-(products of primes dividing k)."""
-        return self.num != 0 and abs(strip_factors_of(self.num, self.k)) == 1
-
-    def as_fraction(self):
-        return Fraction(self.num, self.k ** self.exp)
-
-    def __repr__(self):
-        return f"KadicFraction(k={self.k}, {self.num}, r={self.exp})"
-
-    def __str__(self):
-        return scalar_str(self.as_fraction())
 
 
 class Polynomial:
@@ -457,8 +386,8 @@ class FreeAlgebraElement:
 # ---------------------------------------------------------------------------
 # Ring protocol objects.  A ring object bundles the operations the linear
 # algebra and localization layers need, with plain elements (int, Fraction,
-# KadicFraction, Polynomial) as data.  The rings A and B also expose gens,
-# the generator names an A/B expression may use (none for Z and Q).
+# Polynomial) as data.  The rings A and B also expose gens, the generator
+# names an A/B expression may use (none for Z and Q).
 # ---------------------------------------------------------------------------
 
 class OperatorRing:
@@ -529,8 +458,7 @@ class RationalField(OperatorRing):
     def from_int(self, n):
         return n
 
-    def sub(self, a, b):
-        return scalar_add(a, -b)
+    sub = staticmethod(scalar_sub)
 
     def is_unit(self, a):
         return a != 0
@@ -561,10 +489,14 @@ class RationalField(OperatorRing):
 
 
 class KadicRing(OperatorRing):
-    """Z[1/k], a PID between Z and Q."""
+    """Z[1/k], a PID between Z and Q.  Its elements are the canonical
+    scalars whose denominator has no prime factor outside k."""
 
-    is_zero = staticmethod(KadicFraction.is_zero)
-    is_unit = staticmethod(KadicFraction.is_unit)
+    add = staticmethod(scalar_add)
+    sub = staticmethod(scalar_sub)
+    mul = staticmethod(scalar_mul)
+    is_zero = staticmethod(operator.not_)
+    fmt = staticmethod(scalar_str)
 
     def __init__(self, k):
         if k < 2:
@@ -573,37 +505,42 @@ class KadicRing(OperatorRing):
         self.name = f"Z[1/{k}]"
 
     def from_int(self, n):
-        return KadicFraction(self.k, n)
+        return n
 
-    def from_fraction(self, frac):
-        """KadicFraction with the value of frac, or None if not in Z[1/k]."""
-        frac = Fraction(frac)
-        den = frac.denominator
-        if strip_factors_of(den, self.k) != 1:
-            return None
-        # every prime of den divides k, to a power below den.bit_length(), so
-        # den divides k**e; KadicFraction cancels the surplus powers of k
-        e = den.bit_length() - 1
-        return KadicFraction(self.k, frac.numerator * (self.k ** e // den), e)
+    def exponent(self, a):
+        """The least r >= 0 with a * k**r an integer, for a canonical scalar
+        a; None when there is none, so this is also the membership test."""
+        r, den = 0, a.denominator
+        while den > 1:
+            g = gcd(den, self.k)
+            if g == 1:
+                return None
+            den //= g
+            r += 1
+        return r
+
+    def is_unit(self, a):
+        """Units of Z[1/k] are +-(products of primes dividing k)."""
+        return a != 0 and abs(strip_factors_of(a.numerator, self.k)) == 1
 
     def exact_div(self, a, b):
-        if b.is_zero():
+        if not b:
             return None
-        if a.is_zero():
-            return self.zero()
-        return self.from_fraction(a.as_fraction() / b.as_fraction())
+        if type(a) is int and type(b) is int and a % b == 0:
+            return a // b
+        q = Fraction(a) / b
+        return _exact(q) if self.exponent(q) is not None else None
 
     def unit_normal(self, a):
-        """Canonical: the positive k-free part of the numerator, as an element."""
-        if a.is_zero():
-            return self.zero(), self.one()
-        d = strip_factors_of(a.num, self.k)
-        rep = KadicFraction(self.k, abs(d), 0)
-        u = self.exact_div(a, rep)
-        return rep, u
+        """Canonical: the positive k-free part of the numerator."""
+        if not a:
+            return 0, 1
+        rep = abs(strip_factors_of(a.numerator, self.k))
+        return rep, self.exact_div(a, rep)
 
     def random(self, rng, size=9):
-        return KadicFraction(self.k, rng.randint(-size, size), rng.randint(0, 2))
+        n, e = rng.randint(-size, size), rng.randint(0, 2)
+        return n if e == 0 else _exact(Fraction(n, self.k ** e))
 
 
 class PolynomialRing(OperatorRing):

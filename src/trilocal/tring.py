@@ -216,18 +216,21 @@ def _bits(c):
     return c.bit_length() if type(c) is int else c.numerator.bit_length() + c.denominator.bit_length()
 
 
-def _mul_terms(family, t1, t2, budget, factors):
-    """Canonical product of two term maps.
+def _pair_charge(b1, n1, b2, n2):
+    """The ticks for multiplying two terms with coefficients of b1 and b2
+    bits and words of n1 and n2 letters: one per pair of 64-bit limbs of
+    the coefficients, plus one per 64 letters of the words."""
+    return (1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6)
 
-    Each pair of words ticks once per pair of 64-bit limbs of the two
-    coefficients, plus once per 64 letters of the two words, before
-    anything is multiplied.
-    """
+
+def _mul_terms(family, t1, t2, budget, factors):
+    """Canonical product of two term maps; each pair of words is charged
+    its ``_pair_charge`` before anything is multiplied."""
     terms = {}
     right = _sizes(t2)
     for w1, c1, b1, n1 in _sizes(t1):
         for w2, c2, b2, n2 in right:
-            _tick(budget, (1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6))
+            _tick(budget, _pair_charge(b1, n1, b2, n2))
             c = scalar_mul(c1, c2)
             for word, coeff in _word_mul(family, w1, w2, budget, factors).items():
                 add_term(terms, word, scalar_mul(c, coeff))
@@ -484,7 +487,7 @@ class ChargedRing:
     def mul(self, a, b):
         right = _sizes(_terms_of(b))
         for _, _, b1, n1 in _sizes(_terms_of(a)):
-            self.budget.tick(sum((1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6) for _, _, b2, n2 in right))
+            self.budget.tick(sum(_pair_charge(b1, n1, b2, n2) for _, _, b2, n2 in right))
         return self.ring.mul(a, b)
 
 

@@ -16,7 +16,6 @@ from .exprs import format_element
 from .families import shipped_families
 from .fracloc import (
     CentralPair,
-    as_fraction,
     check_central,
     factor_inverting_hom,
     phi,
@@ -143,7 +142,7 @@ def change_of_p_suite(family, a0, b0, centrality_samples=1000, fraction_samples=
         e = random_telement(target, rng, size=5)
         form = pair.fraction_form(e)
         # independent minimal-exponent oracle over plain rationals
-        value = as_fraction(family_iso(e))
+        value = Fraction(family_iso(e))
         r_oracle = 0
         while not _denominator_only(value * Fraction(a0) ** r_oracle, k_src):
             r_oracle += 1

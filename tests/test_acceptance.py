@@ -7,13 +7,16 @@ release gate for the package.
 
 import json
 import random
+import re
 import time
 from fractions import Fraction
+
+import pytest
 
 from reference_impls import reference_det, reference_snf_diagonal
 from test_cli import DOUBLE, SCALED, run_cli
 from trilocal.exprs import format_element, parse_normal
-from trilocal.families import RegularFamily, ScaledFamily
+from trilocal.families import HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.fracloc import (
     CentralPair,
     check_central,
@@ -74,6 +77,36 @@ def test_criterion_2_oracle_faithfulness():
     report(2, f"5 families x 1000 pairs, isomorphism exact, {elapsed:.1f}s")
 
 
+# Two-letter alphabets, where the order of letters in a word shows; kept
+# apart from shipped_families() so the verify suites' output stays as it is.
+TWO_LETTER_FAMILIES = [HnnFreeFamily("Q", ("s", "t"), "x"), TensorFreeFamily("Q", ("s", "t"), ("u", "v"))]
+
+
+@pytest.mark.parametrize("family", TWO_LETTER_FAMILIES, ids=lambda f: f.kind)
+def test_criteria_1_and_2_on_two_letter_alphabets(family):
+    for suite in (presentation_soundness, oracle_faithfulness):
+        rep = suite(family, n=1000, seed=SEED)
+        assert rep.passed, rep.render_text()
+
+
+class ReversedShiftFamily(HnnFreeFamily):
+    """hnn-free whose shift joins the moved tensor factor on the wrong side
+    (u2 v instead of v u2): a wrong rewriting system."""
+
+    kind = "hnn-free-reversed-shift"
+
+    def shift_pair(self, l1, l2):
+        if l1[0] == "m" and l2[0] == "m" and l1[2] != ():
+            return ("m", l1[1], ()), ("m", l2[1] + l1[2], l2[2])
+        return None
+
+
+def test_oracle_faithfulness_fails_on_a_wrong_shift():
+    rep = oracle_faithfulness(ReversedShiftFamily("Q", ("s", "t"), "x"), n=1000, seed=SEED)
+    failed = [c for c in rep.checks if not c.passed]
+    assert failed and all(re.match(r"pair \d+", c.detail) for c in failed), rep.render_text()
+
+
 def test_criterion_3_matrix_localization():
     for family in shipped_families():
         rep = verify_sigma_inverting(family, samples=1000, seed=SEED)
@@ -110,7 +143,7 @@ def test_criterion_4_change_of_p_suite():
             form = pair.fraction_form(e)
             rebuilt = t_mul(pair.induced(form.numerator), inv ** form.exponent)
             assert t_eq(rebuilt, e) is EqResult.EQUAL
-            value = _fraction_value(family_iso(e))
+            value = Fraction(family_iso(e))
             r = 0
             while not _k_denominator(value * Fraction(a0) ** r, k_src):
                 r += 1
@@ -129,10 +162,6 @@ def test_criterion_4_change_of_p_suite():
             ok, _, _ = two_order_agreement(pair, hom, f_inv, expr)
             assert ok
     report(4, "both change-of-p configs: centrality, fractions (500), factorization (500)")
-
-
-def _fraction_value(value):
-    return Fraction(value) if isinstance(value, (int, Fraction)) else value.as_fraction()
 
 
 def _k_denominator(frac, k):

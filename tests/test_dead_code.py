@@ -13,6 +13,7 @@
 * Every public class-level attribute is read somewhere in those places.
 * Every name ``__init__.py`` re-exports is imported from ``trilocal``
   by the README or a demo: the package surface is the documented API.
+* ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines.
 """
 
 import ast
@@ -187,3 +188,13 @@ RE_EXPORTS = [alias.name for node in MODULES["__init__.py"].body if isinstance(n
 @pytest.mark.parametrize("name", RE_EXPORTS)
 def test_re_export_is_documented(name):
     assert name in DOCUMENTED, f"__init__.py re-exports {name}, which neither the README nor a demo imports"
+
+
+SOURCE_LINE_CAP = 4500
+
+
+def test_source_size_within_cap():
+    # the line count wc -l gives over src/trilocal/*.py; a change that
+    # adds code pays for it by deleting some elsewhere
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
+    assert lines <= SOURCE_LINE_CAP, f"src/trilocal has {lines} lines, over the cap of {SOURCE_LINE_CAP}"

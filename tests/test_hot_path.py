@@ -1,7 +1,8 @@
 """The hot paths: linear-time sums and oracle images, a budget that
 bounds product work, per-call letter memos, duck-typed ring objects, the
-scalar operations' results on every operand type, and membership tests
-that compute only the diagonal positions that can fail.
+scalar operations' results on every operand type, membership tests
+that compute only the diagonal positions that can fail, and the
+verifier's sample draws.
 
 ``tests/golden/scalar_ops.json`` holds what ``norm_scalar``,
 ``scalar_add`` and ``scalar_mul`` returned or raised before their
@@ -10,6 +11,7 @@ of results is intended) with ``PYTHONPATH=src python tests/test_hot_path.py``.
 """
 
 import gc
+import hashlib
 import json
 import pathlib
 import random
@@ -23,7 +25,7 @@ from trilocal import exprs, modloc
 from trilocal.errors import BudgetExceededError
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily, family_from_json
 from trilocal.linalg import solve_left
-from trilocal.rings import ZZ, FreeAlgebraElement, KadicFraction, norm_scalar, scalar_add, scalar_mul
+from trilocal.rings import ZZ, FreeAlgebraElement, norm_scalar, scalar_add, scalar_mul
 from trilocal.triangular import FPModule, TripleModule, relation_images, triple_from_json
 from trilocal.tring import (
     Add,
@@ -44,7 +46,7 @@ from trilocal.tring import (
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_SCALARS = GOLDEN / "scalar_ops.json"
-OPERANDS = [3, -2, 0, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2), True, False, 0.5, 0.1, KadicFraction(2, 3, 1)]
+OPERANDS = [3, -2, 0, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2), True, False, 0.5, 0.1]
 HNN_SUM = "(x[h(s)]+x[h(s,t)]+2*x[h(1,s*t)]+x[h(t,1)])"
 
 
@@ -364,6 +366,50 @@ class TestMembershipDecidingColumns:
             failed = [(c.name, c.detail) for c in rep.checks if not c.passed]
             assert failed == NEGATIVE_CONTROLS[(name, control)]
         assert True in tested and False in tested
+
+
+def drawn_value(ring, x):
+    """A drawn entry as a Fraction, or a Q[x] entry as its coefficient tuple."""
+    if hasattr(x, "coeffs"):
+        return tuple(Fraction(c) for c in x.coeffs)
+    return Fraction(ring.fmt(x))
+
+
+# sha256 of the drawn vectors' values and of the generator state after the
+# last draw, recorded before Z[1/k] elements became canonical scalars
+VERIFIER_DRAWS = {
+    "Z": (
+        "af1a6a4f3ce600efde7c5d8baaee8b6d00286e7d72006515c7718b234c585535",
+        "96047b2c1ec3a2fb1b167b4c0789379d5b24e90897d3f06020ae7749fb34011e",
+    ),
+    "Z[1/2]": (
+        "985c98e405c7150746ec1b27a274d78df60c9e6702cd8fadf03bdff95b29187d",
+        "f0b80c3d2f041e647c43f9ff2516b6b01e9a1287e8ab33236ed7d27ebc2b4bf4",
+    ),
+    "Q[x]": (
+        "87b138a62b2a39e3cd88d6cb93c48c551518dc1c332adc1e86e78b8f03a357da",
+        "7bb77a2a8fac2466ae1066943fb9fb0cc863f049932dea57bb99721ee2a56894",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(VERIFIER_DRAWS))
+def test_verifier_draws_as_recorded(name, monkeypatch):
+    draw = modloc.Presentation.random_vector
+    vectors, states = [], []
+
+    def recording(self, rng, *size):
+        v = draw(self, rng, *size)
+        vectors.append([drawn_value(self.ring, x) for x in v])
+        states.append(rng.getstate())
+        return v
+
+    monkeypatch.setattr(modloc.Presentation, "random_vector", recording)
+    assert modloc.localize_module(MODULES[name]()).report.passed
+    assert len(vectors) == 200
+    digest = hashlib.sha256(repr(vectors).encode()).hexdigest()
+    state = hashlib.sha256(repr(states[-1]).encode()).hexdigest()
+    assert (digest, state) == VERIFIER_DRAWS[name]
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ from trilocal.linalg import (
     smith_normal_form,
     solve_left,
 )
-from trilocal.rings import KadicRing, Polynomial, PolynomialRing, QQ
+from trilocal.rings import KadicRing, Polynomial, PolynomialRing, QQ, ZZ
 from trilocal.tring import TOps
 
 
@@ -89,7 +89,7 @@ class TestEuclidean:
         mat = Matrix(ring, [[ring.from_int(2), ring.zero()], [ring.zero(), ring.from_int(3)]])
         form = diagonal_form(mat)
         # 2 is a unit in Z[1/2], so the factors are 1 and 3 up to units
-        assert [d.as_fraction() for d in form.diagonal()] == [Fraction(1), Fraction(3)]
+        assert [(type(d), d) for d in form.diagonal()] == [(int, 1), (int, 3)]
         assert form.verify()
 
     def test_kadic_random(self):
@@ -102,9 +102,9 @@ class TestEuclidean:
             form = diagonal_form(mat)
             assert form.verify()
             for d in form.diagonal():
-                if not d.is_zero():
+                if d != 0:
                     # canonical representative: a positive integer coprime to 6
-                    assert d.exp == 0 and d.num > 0 and strip(d.num) == d.num
+                    assert type(d) is int and d > 0 and strip(d) == d
 
     def test_poly_single_variable(self):
         ring = PolynomialRing("Q")
@@ -167,8 +167,8 @@ class TestIndependentCrossCheck:
         ring = KadicRing(k)
         for mat in small_matrices(ring, random.Random(40 + k), 40, lambda rng: ring.random(rng, 12)):
             form = diagonal_form(mat)
-            factors, rank = kadic_invariants([[x.as_fraction() for x in row] for row in mat.rows], k)
-            assert [(d.num, d.exp) for d in form.invariant_factors()] == [(f, 0) for f in factors]
+            factors, rank = kadic_invariants([[Fraction(x) for x in row] for row in mat.rows], k)
+            assert [(type(d), d) for d in form.invariant_factors()] == [(int, f) for f in factors]
             assert form.free_rank() == mat.ncols - rank
 
     def test_polynomial_matches_determinantal_divisors(self):
@@ -181,9 +181,14 @@ class TestIndependentCrossCheck:
 
 
 def transform_bits(form, k):
-    """Largest |num| bits plus exponent times k's bits over U, V, U^-1, V^-1."""
+    """Largest |num| bits plus exponent times k's bits over U, V, U^-1, V^-1,
+    where an entry is num / k**exponent with the least exponent."""
+    def bits(x):
+        r = form.ring.exponent(x)
+        return abs((x * k ** r).numerator).bit_length() + r * k.bit_length()
+
     return max(
-        abs(x.num).bit_length() + x.exp * k.bit_length()
+        bits(x)
         for matrix in (form.U, form.V, form.U_inv, form.V_inv)
         for row in matrix.rows
         for x in row
@@ -265,3 +270,101 @@ class TestCertificateNegativeControls:
         assert DiagonalForm(ring, one, one, one, one, one, one).verify()
         assert not DiagonalForm(ring, one, scaled, scaled, one, one, one).verify()
         assert not DiagonalForm(ring, one, one, scaled, scaled, one, one).verify()
+
+
+def chain_cases():
+    """Per ring, a scrambled 4 x 4 matrix whose diagonal form is
+    diag(1, a, a*a, 0) for a non-unit a."""
+    k2, qx = KadicRing(2), PolynomialRing("Q")
+
+    def scrambled(ring, a):
+        zero, one = ring.zero(), ring.one()
+        diag = Matrix(ring, [[one, zero, zero, zero], [zero, a, zero, zero], [zero, zero, ring.mul(a, a), zero], [zero] * 4])
+        left = Matrix.from_ints(ring, [[1, 0, 0, 0], [2, 1, 0, 0], [-1, 3, 1, 0], [1, 1, -2, 1]])
+        right = Matrix.from_ints(ring, [[1, -1, 2, 0], [0, 1, 1, 3], [0, 0, 1, -1], [0, 0, 0, 1]])
+        return left * diag * right
+
+    return [
+        pytest.param(scrambled(ZZ, 3), id="Z"),
+        pytest.param(scrambled(k2, k2.from_int(3)), id="Z[1/2]"),
+        pytest.param(scrambled(qx, qx.variable()), id="Q[x]"),
+    ]
+
+
+def clause_failures(form):
+    """The clauses of DiagonalForm.verify that fail on form, each checked on
+    its own; a product whose shapes do not match fails."""
+    ring, m, n = form.ring, form.source.nrows, form.source.ncols
+    diag = form.diagonal()
+    pairs = list(zip(diag, diag[1:]))
+    clauses = {
+        "shape": lambda: (form.U.nrows, form.U.ncols, form.V.nrows, form.V.ncols) == (m, m, n, n),
+        "U*M*V = D": lambda: form.U * form.source * form.V == form.D,
+        "U*U^-1 = I": lambda: form.U * form.U_inv == Matrix.identity(ring, m),
+        "V^-1*V = I": lambda: form.V_inv * form.V == Matrix.identity(ring, n),
+        "zeros last": lambda: all(ring.is_zero(b) for a, b in pairs if ring.is_zero(a)),
+        "each divides the next": lambda: all(ring.exact_div(b, a) is not None for a, b in pairs if not ring.is_zero(a)),
+        "off-diagonal zero": lambda: all(
+            ring.is_zero(x) for i, row in enumerate(form.D.rows) for j, x in enumerate(row) if i != j
+        ),
+    }
+
+    def holds(check):
+        try:
+            return check()
+        except ValueError:  # shape mismatch
+            return False
+
+    return {name for name, check in clauses.items() if not holds(check)}
+
+
+def corrupted(form, clause):
+    """A copy of a correct 4 x 4 form broken so that clause fails; only the
+    shape corruption also makes U * M impossible to form."""
+    ring, zero = form.ring, form.ring.zero()
+    M, U, D, V, Ui, Vi = form.source, form.U, form.D, form.V, form.U_inv, form.V_inv
+
+    def bumped(matrix):  # entry (0, 0) plus one
+        rows = matrix.copy_rows()
+        rows[0][0] = ring.add(rows[0][0], ring.one())
+        return Matrix(ring, rows)
+
+    def swapped(i, j):  # conjugated by the transposition of positions i and j
+        perm = list(range(4))
+        perm[i], perm[j] = j, i
+        P = Matrix(ring, [[ring.one() if perm[r] == c else zero for c in range(4)] for r in range(4)])
+        return DiagonalForm(ring, M, P * U, P * D * P, V * P, Ui * P, P * Vi)
+
+    if clause == "shape":  # U gains a zero column and U^-1 a zero row: U * U^-1 is still I
+        return DiagonalForm(ring, M, Matrix(ring, [r + [zero] for r in U.rows]), D, V, Matrix(ring, Ui.rows + [[zero] * 4]), Vi)
+    if clause == "U*M*V = D":
+        return DiagonalForm(ring, bumped(M), U, D, V, Ui, Vi)
+    if clause == "U*U^-1 = I":
+        return DiagonalForm(ring, M, U, D, V, bumped(Ui), Vi)
+    if clause == "V^-1*V = I":
+        return DiagonalForm(ring, M, U, D, V, Ui, bumped(Vi))
+    if clause == "zeros last":  # diagonal (1, a, 0, a*a)
+        return swapped(2, 3)
+    if clause == "each divides the next":  # diagonal (1, a*a, a, 0)
+        return swapped(1, 2)
+    # an off-diagonal entry in D, with the source it then certifies
+    rows = D.copy_rows()
+    rows[0][1] = ring.one()
+    D2 = Matrix(ring, rows)
+    return DiagonalForm(ring, Ui * D2 * Vi, U, D2, V, Ui, Vi)
+
+
+VERIFY_CLAUSES = ["shape", "U*M*V = D", "U*U^-1 = I", "V^-1*V = I", "zeros last", "each divides the next", "off-diagonal zero"]
+
+
+@pytest.mark.parametrize("mat", chain_cases())
+@pytest.mark.parametrize("clause", VERIFY_CLAUSES)
+def test_verify_rejects_each_broken_clause(mat, clause):
+    # verify answers False, not an exception, and only the clause broken
+    # decides it: with that clause removed, verify would pass the form
+    # (or, for the shape, fail to form U * M)
+    form = diagonal_form(mat)
+    assert form.rank() == 3 and clause_failures(form) == set()
+    bad = corrupted(form, clause)
+    assert clause_failures(bad) == ({"shape", "U*M*V = D"} if clause == "shape" else {clause})
+    assert bad.verify() is False

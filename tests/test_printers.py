@@ -22,7 +22,7 @@ from trilocal.exprs import format_element, format_oracle, parse_bim_element, par
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, TensorFreeFamily, shipped_families
 from trilocal.linalg import Matrix
 from trilocal.matrixloc import matrix_text, rho_matrix
-from trilocal.rings import QQ, ZZ, FreeAlgebra, FreeAlgebraElement, KadicFraction, KadicRing, Polynomial, PolynomialRing
+from trilocal.rings import QQ, ZZ, FreeAlgebra, FreeAlgebraElement, KadicRing, Polynomial, PolynomialRing
 from trilocal.triangular import TriElement
 from trilocal.tring import family_iso, rho, t_mul
 
@@ -124,7 +124,7 @@ def matrices():
     return [
         Matrix(ZZ, [[0, 1], [-1, 12]]),
         Matrix(QQ, [[Fraction(1, 2), 0], [-3, 1]]),
-        Matrix(k2, [[KadicFraction(2, 3, 1), k2.zero()], [k2.one(), KadicFraction(2, -5, 2)]]),
+        Matrix(k2, [[Fraction(3, 2), k2.zero()], [k2.one(), Fraction(-5, 4)]]),
         Matrix(qx, [[qx.variable(), Polynomial("Q", [Fraction(-1, 2), 0, 1])], [qx.zero(), qx.one()]]),
     ]
 

@@ -12,7 +12,6 @@ from trilocal.families import DoubleFamily
 from trilocal.modloc import localize_module
 from trilocal.rings import (
     FreeAlgebra,
-    KadicFraction,
     KadicRing,
     Polynomial,
     PolynomialRing,
@@ -70,49 +69,91 @@ class TestScalars:
         assert scalar_neg(5) == -5
 
 
-class TestKadic:
-    def test_normalize_examples(self):
-        def canonical(k, num, r):
-            x = KadicFraction(k, num, r)
-            return x.num, x.exp
+def canonical_type(x):
+    """The type a canonical scalar of value x has: int, or Fraction when
+    its denominator is > 1."""
+    return int if Fraction(x).denominator == 1 else Fraction
 
-        assert canonical(2, 4, 1) == (2, 0)
-        assert canonical(2, 3, 1) == (3, 1)
-        assert canonical(2, 0, 5) == (0, 0)
+
+class TestKadic:
+    """Z[1/k] stores its elements as canonical scalars; KadicRing decides
+    membership, units, unit_normal, exact_div and exponents."""
+
+    def test_normalize_examples(self):
+        def canonical(k, num, r):  # num / k**r as an element, and its exponent
+            ring = KadicRing(k)
+            x = ring.exact_div(num, k ** r)
+            return type(x), x, ring.exponent(x)
+
+        assert canonical(2, 4, 1) == (int, 2, 0)
+        assert canonical(2, 3, 1) == (Fraction, Fraction(3, 2), 1)
+        assert canonical(2, 0, 5) == (int, 0, 0)
+        assert canonical(6, 5, 3) == (Fraction, Fraction(5, 216), 3)
+        assert canonical(6, 9, 2) == (Fraction, Fraction(1, 4), 2)  # 4 divides 6**2, not 6
 
     def test_rejects_bad_base(self):
         with pytest.raises(ValueError):
-            KadicFraction(1, 3, 0)
+            KadicRing(1)
 
     @given(st.integers(min_value=2, max_value=12), st.integers(min_value=-10**6, max_value=10**6),
            st.integers(min_value=0, max_value=12))
     def test_idempotent_and_value_preserving(self, k, num, r):
-        x = KadicFraction(k, num, r)
-        again = KadicFraction(k, x.num, x.exp)
-        assert again == x
-        assert Fraction(num, k**r) == Fraction(x.num, k**x.exp)
-        assert x.exp == 0 or x.num % k != 0
+        ring = KadicRing(k)
+        x = ring.exact_div(num, k ** r)
+        assert x == Fraction(num, k ** r) and type(x) is canonical_type(x)
+        assert norm_scalar(x) is x
+        e = ring.exponent(x)
+        assert e <= r and (x * k ** e).denominator == 1
+        assert e == 0 or (x * k ** (e - 1)).denominator != 1  # the least such exponent
+
+    def test_membership(self):
+        two, six = KadicRing(2), KadicRing(6)
+        assert two.exponent(Fraction(3, 8)) == 3 and six.exponent(Fraction(1, 12)) == 2
+        assert two.exponent(Fraction(1, 6)) is None and six.exponent(Fraction(7, 10)) is None
+        assert two.exact_div(Fraction(1, 2), 3) is None  # 1/6
+        assert six.exact_div(Fraction(1, 3), Fraction(1, 2)) == Fraction(2, 3)
 
     def test_units(self):
-        assert KadicFraction(6, 4, 0).is_unit()       # 4 = 2^2 divides a power of 6
-        assert KadicFraction(6, 9, 2).is_unit()
-        assert not KadicFraction(6, 5, 1).is_unit()
-        assert not KadicFraction(2, 0, 0).is_unit()
+        six = KadicRing(6)
+        assert six.is_unit(4)  # 4 = 2^2 divides a power of 6
+        assert six.is_unit(Fraction(9, 36))
+        assert six.is_unit(-1)
+        assert not six.is_unit(Fraction(5, 6))
+        assert not KadicRing(2).is_unit(0)
+        assert six.unit_normal(Fraction(-10, 3)) == (5, Fraction(-2, 3))
+        assert six.unit_normal(12) == (1, 12) and six.unit_normal(0) == (0, 1)
 
     def test_arith_matches_fractions(self):
         rng = random.Random(11)
         ring = KadicRing(6)
         for _ in range(1000):
             a, b = ring.random(rng), ring.random(rng)
-            assert (a + b).as_fraction() == a.as_fraction() + b.as_fraction()
-            assert (a * b).as_fraction() == a.as_fraction() * b.as_fraction()
-            assert (a - b).as_fraction() == a.as_fraction() - b.as_fraction()
+            assert type(a) is canonical_type(a) and ring.exponent(a) <= 2
+            for got, value in (
+                (ring.add(a, b), Fraction(a) + Fraction(b)),
+                (ring.mul(a, b), Fraction(a) * Fraction(b)),
+                (ring.sub(a, b), Fraction(a) - Fraction(b)),
+            ):
+                assert got == value and type(got) is canonical_type(value)
+
+    def test_random_draws(self):
+        # the drawn int itself when the drawn exponent is 0, and the same
+        # generator calls as two randint draws
+        ring = KadicRing(2)
+        rng, twin = random.Random(3), random.Random(3)
+        for _ in range(200):
+            n, e = twin.randint(-9, 9), twin.randint(0, 2)
+            x = ring.random(rng)
+            assert x == Fraction(n, 2 ** e) and type(x) is canonical_type(x)
+        assert rng.getstate() == twin.getstate()
 
     def test_exact_div(self):
         ring = KadicRing(2)
         q = ring.exact_div(ring.from_int(3), ring.from_int(6))
-        assert q is not None and q.as_fraction() == Fraction(1, 2)
+        assert q == Fraction(1, 2) and type(q) is Fraction
+        assert type(ring.exact_div(6, 3)) is int and type(ring.exact_div(Fraction(3, 2), Fraction(3, 4))) is int
         assert ring.exact_div(ring.from_int(5), ring.from_int(3)) is None
+        assert ring.exact_div(1, 0) is None
 
     def test_strip_factors(self):
         assert strip_factors_of(12, 2) == 3
@@ -218,17 +259,17 @@ class TestArithmeticResultsAreCanonical:
     @example(2, (1, 1), (1, 1))  # 1/2 + 1/2 = 1
     @example(6, (2, 1), (3, 1))  # 1/3 * 1/2 = 1/6 and 1/3 - 1/3 = 0
     def test_kadic(self, k, x, y):
-        a, b = KadicFraction(k, *x), KadicFraction(k, *y)
+        ring = KadicRing(k)
+        a, b = (norm_scalar(Fraction(num, k ** e)) for num, e in (x, y))
         for got, value in (
-            (a + b, a.as_fraction() + b.as_fraction()),
-            (a - b, a.as_fraction() - b.as_fraction()),
-            (-a, -a.as_fraction()),
-            (a * b, a.as_fraction() * b.as_fraction()),
-            (a - a, 0),
+            (ring.add(a, b), Fraction(a) + Fraction(b)),
+            (ring.sub(a, b), Fraction(a) - Fraction(b)),
+            (ring.neg(a), -Fraction(a)),
+            (ring.mul(a, b), Fraction(a) * Fraction(b)),
+            (ring.sub(a, a), Fraction(0)),
         ):
-            rebuilt = KadicFraction(got.k, got.num, got.exp)
-            assert (type(got.num), got.num, got.exp) == (int, rebuilt.num, rebuilt.exp)
-            assert got.as_fraction() == value
+            assert got == value and type(got) is canonical_type(value)
+            assert ring.exponent(got) is not None
 
     def test_shared_zero_and_one_stay_intact(self):
         family = DoubleFamily("Q")
