@@ -409,18 +409,14 @@ class ScaledFamily(RegularFamily):
         return "1"
 
     def fold_element(self, terms):
-        # terms of different word length combine in Z[1/k]: bring every
-        # term to the maximal exponent, then cancel powers of k
+        # the word g^r stands for k**-r: sum over the denominator of the
+        # longest word, then write the value with its least exponent
         if not terms:
             return terms
-        r = max(len(w) for w in terms)
-        num = sum(c * self.k ** (r - len(w)) for w, c in terms.items())
-        if num == 0:
-            return {}
-        while r > 0 and num % self.k == 0:
-            num //= self.k
-            r -= 1
-        return {(self._G,) * r: num}
+        k = self.k
+        r = max(map(len, terms))
+        num = sum([c * k ** (r - len(w)) for w, c in terms.items()])
+        return self.terms_with_value(Fraction(num, k ** r) if r else num)
 
     def oracle_letter(self, letter):
         return Fraction(1, self.k)
@@ -429,7 +425,7 @@ class ScaledFamily(RegularFamily):
         r = self.oracle.exponent(frac)
         if r is None:
             return None
-        return {(self._G,) * r: (frac * self.k ** r).numerator} if frac else {}
+        return {(self._G,) * r: frac.numerator * self.k ** r // frac.denominator} if frac else {}
 
 
 # -- tensor term maps ---------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .errors import AlphabetMismatchError, SchemaError, UnsupportedRingError
@@ -161,6 +162,25 @@ def signed_sum(terms, times="*", spaced=False):
         else:
             out.append(plus + piece)
     return "".join(out) if out else "0"
+
+
+def randints(rng, lo, hi):
+    """The values of rng.randint(lo, hi), one per next(), lazily.
+
+    This is randint's rule on CPython (``_randbelow_with_getrandbits``):
+    draw bit_length(width) bits and reject a draw that is not below width,
+    so the values and the generator's state are exactly randint's.  An
+    empty range raises ValueError at the first draw, as randint does.
+    """
+    getrandbits, width = rng.getrandbits, hi - lo + 1
+    if width <= 0:
+        raise ValueError(f"empty range for randints({lo}, {hi})")
+    k = width.bit_length()
+    while True:
+        r = getrandbits(k)
+        while r >= width:
+            r = getrandbits(k)
+        yield lo + r
 
 
 def random_word(rng, gens, length=2):
@@ -395,7 +415,9 @@ class OperatorRing:
 
     add, neg, sub, mul and eq are the ``operator`` functions themselves, so
     a caller that hoists them calls no Python frame.  A ring object
-    supplies from_int; zero and one are its images of 0 and 1.
+    supplies from_int; zero and one are its images of 0 and 1.  A ring
+    that draws random elements states its distribution once, as the lazy
+    stream randoms(rng, ...); random is the next element of a new stream.
     """
 
     add = staticmethod(operator.add)
@@ -413,6 +435,9 @@ class OperatorRing:
 
     def is_zero(self, a):
         return a.is_zero()
+
+    def random(self, rng, *args, **kwargs):
+        return next(self.randoms(rng, *args, **kwargs))
 
 
 class IntegerRing(OperatorRing):
@@ -443,8 +468,8 @@ class IntegerRing(OperatorRing):
             return -a, -1
         return a, 1
 
-    def random(self, rng, size=9):
-        return rng.randint(-size, size)
+    def randoms(self, rng, size=9):
+        return randints(rng, -size, size)
 
 
 class RationalField(OperatorRing):
@@ -479,10 +504,10 @@ class RationalField(OperatorRing):
             return 0, 1
         return 1, norm_scalar(Fraction(a))
 
-    def random(self, rng, size=9):
-        n = rng.randint(-size, size)
-        d = rng.choice([1, 1, 2, 3])
-        return norm_scalar(Fraction(n, d))
+    def randoms(self, rng, size=9):
+        choice = rng.choice
+        for n in randints(rng, -size, size):
+            yield norm_scalar(Fraction(n, choice([1, 1, 2, 3])))
 
     def fmt(self, a):
         return scalar_str(norm_scalar(Fraction(a)))
@@ -538,9 +563,9 @@ class KadicRing(OperatorRing):
         rep = abs(strip_factors_of(a.numerator, self.k))
         return rep, self.exact_div(a, rep)
 
-    def random(self, rng, size=9):
-        n, e = rng.randint(-size, size), rng.randint(0, 2)
-        return n if e == 0 else _exact(Fraction(n, self.k ** e))
+    def randoms(self, rng, size=9):
+        for n, e in zip(randints(rng, -size, size), randints(rng, 0, 2)):
+            yield n if e == 0 else _exact(Fraction(n, self.k ** e))
 
 
 class PolynomialRing(OperatorRing):
@@ -593,8 +618,10 @@ class PolynomialRing(OperatorRing):
         rep = a.scale(norm_scalar(Fraction(1, 1) / Fraction(lead)))
         return rep, Polynomial._of(self.base, [lead])
 
-    def random(self, rng, size=4, degree=2):
-        return Polynomial._of(self.base, [rng.randint(-size, size) for _ in range(rng.randint(0, degree) + 1)])
+    def randoms(self, rng, size=4, degree=2):
+        coefficients = randints(rng, -size, size)
+        for d in randints(rng, 0, degree):
+            yield Polynomial._of(self.base, list(islice(coefficients, d + 1)))
 
 
 class FreeAlgebra(OperatorRing):

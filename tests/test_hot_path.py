@@ -1,8 +1,9 @@
 """The hot paths: linear-time sums and oracle images, a budget that
 bounds product work, per-call letter memos, duck-typed ring objects, the
 scalar operations' results on every operand type, membership tests
-that compute only the diagonal positions that can fail, and the
-verifier's sample draws.
+that compute only the diagonal positions that can fail, the
+verifier's sample draws, and negative controls for the two round-trip
+checks those draws feed.
 
 ``tests/golden/scalar_ops.json`` holds what ``norm_scalar``,
 ``scalar_add`` and ``scalar_mul`` returned or raised before their
@@ -366,6 +367,89 @@ class TestMembershipDecidingColumns:
             failed = [(c.name, c.detail) for c in rep.checks if not c.passed]
             assert failed == NEGATIVE_CONTROLS[(name, control)]
         assert True in tested and False in tested
+
+
+BACK_OF_FORTH = "backward of forward is the identity"
+FORTH_OF_BACK = "forward of backward is the identity modulo relations"
+
+
+def unit_vector(ring, n, g):
+    return [ring.one() if i == g else ring.zero() for i in range(n)]
+
+
+def corrupted_maps(kind):
+    """A comparison_maps whose alpha or beta is wrong in one way only.
+
+    "alpha" and "beta" add v[0] times the first nonzero relation row of L
+    (alpha its image): both maps stay well defined and mutually inverse
+    modulo relations, but beta(alpha(v)) is not v on the nose.
+    "nonlinear" adds to beta, at a generator that is not zero in L, the
+    product of the first u1 (x) N_B and the first u2 (x) N_B coordinates.
+    No relation row of the tensor side, no image of alpha and no vector
+    with one nonzero entry has both nonzero, so only sampled vectors see it.
+    """
+    maps = modloc.comparison_maps
+
+    def corrupted(module, ring):
+        alpha, beta = maps(module, ring)
+        L = modloc.localized_presentation(module)
+        if kind == "nonlinear":
+            gA, gB = module.NA.gens, module.NB.gens
+            t = next(g for g in range(L.gens) if not L.contains(unit_vector(ring, L.gens, g)))
+
+            def nonlinear_beta(w):
+                out = beta(w)
+                out[t] = ring.add(out[t], ring.mul(w[gA], w[2 * gA + gB]))
+                return out
+
+            return alpha, nonlinear_beta
+        r = next(row for row in L.rows if not all(map(ring.is_zero, row)))
+
+        def shifted(f, extra):
+            return lambda v: [ring.add(x, ring.mul(v[0], y)) for x, y in zip(f(v), extra)]
+
+        return (shifted(alpha, alpha(r)), beta) if kind == "alpha" else (alpha, shifted(beta, r))
+
+    return corrupted
+
+
+ROUND_TRIP_CONTROLS = {"alpha": BACK_OF_FORTH, "beta": BACK_OF_FORTH, "nonlinear": FORTH_OF_BACK}
+
+
+class TestRoundTripControls:
+    """Each round-trip check fails alone under a map corrupted for it."""
+
+    @staticmethod
+    def failed(name, kind, monkeypatch):
+        monkeypatch.setattr(modloc, "comparison_maps", corrupted_maps(kind))
+        rep = modloc.verify_comparison_maps(MODULES[name]())
+        return [c for c in rep.checks if not c.passed]
+
+    @pytest.mark.parametrize("kind", list(ROUND_TRIP_CONTROLS))
+    @pytest.mark.parametrize("name", ["Z", "Z[1/2]", "Q[x]"])
+    def test_fails_alone(self, name, kind, monkeypatch):
+        failed = self.failed(name, kind, monkeypatch)
+        assert [c.name for c in failed] == [ROUND_TRIP_CONTROLS[kind]]
+        if kind == "nonlinear":
+            # every generator case held: only a sampled vector caught it
+            assert failed[0].detail == "random element"
+
+    @pytest.mark.parametrize("name", ["Z", "Z[1/2]", "Q[x]"])
+    def test_nonlinear_beta_agrees_on_single_entries(self, name):
+        module = MODULES[name]()
+        ring = modloc.t_ring_of(module.family)
+        _, beta = modloc.comparison_maps(module, ring)
+        _, bad = corrupted_maps("nonlinear")(module, ring)
+        W = modloc.tensor_side_presentation(module)
+        for g in range(W.gens):
+            for c in (ring.one(), ring.from_int(-3)):
+                v = [c if i == g else ring.zero() for i in range(W.gens)]
+                assert bad(v) == beta(v)
+        assert all(bad(row) == beta(row) for row in W.rows)
+
+    @pytest.mark.parametrize("kind", ["alpha", "beta"])
+    def test_backward_of_forward_names_its_case(self, kind, monkeypatch):
+        assert [c.detail for c in self.failed("Z", kind, monkeypatch)] == ["random element"]
 
 
 def drawn_value(ring, x):
