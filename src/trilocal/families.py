@@ -37,7 +37,6 @@ membership test for A*p simply are not shipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
@@ -60,18 +59,21 @@ from .rings import (
     term_sum,
     word_key,
 )
+from .tring import Record
 
 
-@dataclass(frozen=True)
-class PFactorization:
+class PFactorization(Record):
     """Exact p-factorization data for a bimodule element m.
 
     ``left`` is a with m = a*p when m lies in A*p, and ``right`` is b
     with m = p*b when m lies in p*B; either is None otherwise.
     """
 
-    left: object = None
-    right: object = None
+    __slots__ = ("left", "right")
+
+    def __init__(self, left=None, right=None):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 class BimoduleFamily:
@@ -115,13 +117,13 @@ class BimoduleFamily:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, BimoduleFamily) and self.key() == other.key()
+        return self is other or isinstance(other, BimoduleFamily) and self.key() == other.key()
 
     def __hash__(self):
         return hash(self.key())
 
     def check_same(self, other):
-        if self != other:
+        if self is not other and self != other:
             raise FamilyMismatchError(f"family mismatch: {self.describe()} vs {other.describe()}")
 
     def describe(self):
@@ -410,8 +412,9 @@ class ScaledFamily(RegularFamily):
 
     def fold_element(self, terms):
         # the word g^r stands for k**-r: sum over the denominator of the
-        # longest word, then write the value with its least exponent
-        if not terms:
+        # longest word, then write the value with its least exponent; an
+        # empty map or a lone constant term is already canonical
+        if not terms or len(terms) == 1 and () in terms:
             return terms
         k = self.k
         r = max(map(len, terms))

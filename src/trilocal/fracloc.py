@@ -13,7 +13,6 @@ regular-Z (target = scaled(a0)) and scaled(k) (target = scaled(a0*k)).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CertificateError, UnsupportedFamilyError
@@ -22,6 +21,7 @@ from .rings import QQ
 from .tring import (
     DEFAULT_BUDGET,
     EqResult,
+    Record,
     TElement,
     TOps,
     eval_tree,
@@ -102,12 +102,10 @@ class CentralPair:
         return FractionForm(alpha, r)
 
 
-@dataclass(frozen=True)
-class FractionForm:
+class FractionForm(Record):
     """numerator in T(M,p), denominator exponent r for x_{a0*p}**r."""
 
-    numerator: TElement
-    exponent: int
+    __slots__ = ("numerator", "exponent")
 
 
 def phi(e, pair):

@@ -61,9 +61,10 @@ def verify_sigma_inverting(family, samples=200, seed=1729, rho_maps=None):
     def failures():  # one loop feeds both checks: (check, witness) of the first failing pair
         for _ in range(samples):
             r1, r2 = random_tri(family, rng, size=4), random_tri(family, rng, size=4)
-            if image(tri_mul(r1, r2)) != image(r1) * image(r2):
+            m1, m2 = image(r1), image(r2)
+            if image(tri_mul(r1, r2)) != m1 * m2:
                 yield "mul", f"r1={r1.fmt()} r2={r2.fmt()}"
-            if image(tri_add(r1, r2)) != image(r1) + image(r2):
+            if image(tri_add(r1, r2)) != m1 + m2:
                 yield "add", f"r1={r1.fmt()} r2={r2.fmt()}"
 
     failed, witness = next(failures(), (None, ""))

@@ -34,7 +34,6 @@ its recursion, building a ``TElement`` only for its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 from itertools import chain
@@ -361,35 +360,62 @@ def family_iso(e):
 # Raw expression trees, the input of t_normalize.
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Const:
-    value: object
+class Record:
+    """An immutable value over the fields its class lists in __slots__, as a
+    frozen dataclass is: built from one value per field, positional or named,
+    equal to a record of its class with equal fields, hashed and printed by them."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        if named:
+            values += tuple(named.pop(name) for name in self.__slots__[len(values):] if name in named)
+        if named or len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {', '.join(self.__slots__)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a {type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Gen:
-    element: object  # bimodule element m of x_m; in an A/B expression, a generator index
+class Const(Record):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Add:
-    items: tuple
+class Gen(Record):
+    __slots__ = ("element",)  # bimodule element m of x_m; in an A/B expression, a generator index
 
 
-@dataclass(frozen=True)
-class Mul:
-    items: tuple
+class Add(Record):
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    item: object
+class Mul(Record):
+    __slots__ = ("items",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Neg(Record):
+    __slots__ = ("item",)
+
+
+class Pow(Record):
+    __slots__ = ("base", "exponent")
 
 
 def power(ring, x, n):

@@ -10,7 +10,8 @@
   ``src/trilocal``, ``tests``, ``demos`` or ``perfbench``.  The
   re-exports of ``__init__.py`` do not count: a public name with no
   caller gets deleted.
-* Every public class-level attribute is read somewhere in those places.
+* Every public class-level attribute, and every public field a class
+  lists in ``__slots__``, is read somewhere in those places.
 * Every name ``__init__.py`` re-exports is imported from ``trilocal``
   by the README or a demo: the package surface is the documented API.
 * ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines.
@@ -141,19 +142,28 @@ def test_public_name_is_referenced(qualified, name, definition):
     assert outside > 0, f"{qualified} is defined and nothing in src, tests, demos or perfbench refers to it"
 
 
+def assigned_names(node):
+    """Names a class-body assignment binds; for ``__slots__ = (...)``, the
+    field names its tuple lists."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    names = [t.id for t in targets if isinstance(t, ast.Name)]
+    if names == ["__slots__"] and isinstance(node.value, ast.Tuple):
+        return [elt.value for elt in node.value.elts if isinstance(elt, ast.Constant) and isinstance(elt.value, str)]
+    return names
+
+
 def class_attributes():
     """(qualified name, name, defining node) for public attributes assigned
-    in a class body."""
+    in a class body, and for the public fields a class lists in __slots__."""
     out = []
     for module, tree in MODULES.items():
         for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
             for node in cls.body:
                 if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     out += [
-                        (f"{module}:{cls.name}.{t.id}", t.id, node)
-                        for t in targets
-                        if isinstance(t, ast.Name) and not t.id.startswith("_")
+                        (f"{module}:{cls.name}.{name}", name, node)
+                        for name in assigned_names(node)
+                        if not name.startswith("_")
                     ]
     return out
 

@@ -106,6 +106,30 @@ class TestFactorizationPerFamily:
             assert fam.apply(a0, m, 1) == fam.apply(1, m, a0)
 
 
+class TestScaledFold:
+    """ScaledFamily.fold_element writes a term map of g-words, g^r standing
+    for k**-r, as one term with the least power of g."""
+
+    def test_single_word_term_folds(self):
+        fam = ScaledFamily(2)
+        g = fam._G
+        assert fam.fold_element({(g, g): 4}) == {(): 1}
+        assert fam.fold_element({(g, g, g): 6}) == {(g, g): 3}
+        assert fam.fold_element({(g,): 3}) == {(g,): 3}
+
+    def test_empty_and_constant_maps_are_canonical(self):
+        fam = ScaledFamily(6)
+        assert fam.fold_element({}) == {}
+        assert fam.fold_element({(): -5}) == {(): -5}
+
+    def test_sum_over_the_longest_word(self):
+        fam = ScaledFamily(2)
+        g = fam._G
+        assert fam.fold_element({(): 1, (g,): 2}) == {(): 2}
+        assert fam.fold_element({(g,): 1, (g, g): 2}) == {(): 1}
+        assert fam.fold_element({(): 1, (g, g): 1}) == {(g, g): 5}
+
+
 class TestDescriptors:
     def test_json_round_trip(self, family):
         again = family_from_json(family.to_json())
