@@ -24,6 +24,7 @@ from trilocal.tring import (
     t_eq,
     t_generator,
     t_mul,
+    t_scale,
 )
 from trilocal.verify import random_telement
 
@@ -52,6 +53,48 @@ class TestCentralPair:
         pair = CentralPair(fam, two_a, two_b)
         assert pair.certification == "samples-only"
         assert check_central(pair, samples=100).passed
+
+
+class NotCentral(CentralPair):
+    """A pair whose x_(a0*p) is x_(s (x) 1), which does not commute with x_(1 (x) u)."""
+
+    def x_a0p(self):
+        return t_generator(self.family, {((0,), ()): 1})
+
+
+class WrongInverse(CentralPair):
+    """A pair whose x_p, in the target, is twice its true value."""
+
+    def old_p_in_target(self):
+        return t_scale(super().old_p_in_target(), 2)
+
+
+CENTRALITY_CHECKS = [
+    "x_(a0*p) commutes with every probe generator",
+    "image of x_(a0*p) times x_p is 1",
+    "x_p times image of x_(a0*p) is 1",
+]
+
+
+class TestCheckCentralControls:
+    """Each check of check_central fails, by name, on a pair built to break it."""
+
+    @pytest.mark.parametrize("check", CENTRALITY_CHECKS, ids=["commutes", "image-times-inverse", "inverse-times-image"])
+    def test_broken_pair_fails_the_check(self, check):
+        if check == CENTRALITY_CHECKS[0]:
+            fam = TensorFreeFamily("Q", ("s",), ("u",))
+            pair = NotCentral(fam, fam.a_ring.from_int(2), fam.b_ring.from_int(2))
+        else:
+            pair = WrongInverse(RegularFamily("Z"), 2, 2)
+        results = {c.name: c.passed for c in check_central(pair, samples=50).checks}
+        assert results.get(check) is False, results
+
+    def test_true_pairs_pass_every_check(self):
+        fam = TensorFreeFamily("Q", ("s",), ("u",))
+        pair = CentralPair(fam, fam.a_ring.from_int(2), fam.b_ring.from_int(2))
+        assert [c.passed for c in check_central(pair, samples=50).checks] == [True]
+        results = {c.name: c.passed for c in check_central(CentralPair(RegularFamily("Z"), 2, 2), samples=50).checks}
+        assert results == dict.fromkeys(CENTRALITY_CHECKS, True)
 
 
 class TestInducedMap:

@@ -28,6 +28,42 @@ from trilocal.rings import KadicRing, Polynomial, PolynomialRing, QQ, ZZ
 from trilocal.tring import TOps
 
 
+def equality_cases():
+    """(ring, entries of a 2x2 matrix) over Z, Q[x] and T(M,p)."""
+    qx = PolynomialRing("Q")
+    t = TOps(HnnFreeFamily("Q", ("s",), "x"))
+    x = t.gen((t.family.a_ring.generator(0), {}))
+    return [
+        (ZZ, [[1, 2], [3, 4]]),
+        (qx, [[qx.one(), qx.variable()], [qx.zero(), qx.from_int(3)]]),
+        (t, [[t.one(), x], [t.zero(), t.mul(x, x)]]),
+    ]
+
+
+@pytest.mark.parametrize("ring,entries", equality_cases(), ids=["Z", "Q[x]", "T"])
+class TestMatrixEquality:
+    """Matrix == is the certificate comparison of DiagonalForm.verify and of
+    the matrix localization; these are its negative controls."""
+
+    def test_equal_entries_compare_equal(self, ring, entries):
+        assert Matrix(ring, entries) == Matrix(ring, [row[:] for row in entries])
+
+    def test_one_differing_entry_compares_unequal(self, ring, entries):
+        for i in range(2):
+            for j in range(2):
+                changed = [row[:] for row in entries]
+                changed[i][j] = ring.add(changed[i][j], ring.one())
+                assert Matrix(ring, entries) != Matrix(ring, changed), (i, j)
+                assert Matrix(ring, changed) != Matrix(ring, entries), (i, j)
+
+    def test_different_shapes_compare_unequal(self, ring, entries):
+        square = Matrix(ring, entries)
+        wider = Matrix(ring, [row + [ring.zero()] for row in entries])
+        taller = Matrix(ring, entries + [[ring.zero(), ring.zero()]])
+        for a, b in ((square, wider), (square, taller), (square, Matrix(ring, entries[:1])), (square, Matrix(ring, []))):
+            assert a != b and b != a
+
+
 def random_int_matrix(rng, max_dim=6, bound=100):
     m = rng.randint(1, max_dim)
     n = rng.randint(1, max_dim)

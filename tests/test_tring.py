@@ -351,3 +351,27 @@ class TestRelationFailure:
         fam = ScaledFamily(2)
         found = relation_failure(fam, QQ, image, 50, random.Random(3))
         assert found is not None and found.startswith(failure)
+
+    # A-side and B-side controls: T of tensor-free s | u is the free algebra
+    # on s, u with x_(v (x) w) = v*w.  Doubling every term whose A word (or
+    # B word) has two or more letters keeps (id), (+) and the other side's
+    # relation, and breaks (a) x_(a*p) x_m = x_(a*m) (or (b) x_m x_(p*b) = x_(m*b)).
+    @pytest.mark.parametrize("side", [0, 1], ids=["a", "b"])
+    def test_one_sided_images_are_reported(self, side):
+        fam = TensorFreeFamily("Q", ("s",), ("u",))
+        oracle = fam.oracle
+
+        def image(m):
+            return oracle.sum(
+                oracle.word(wa + tuple(1 + j for j in wb), c * (2 if len((wa, wb)[side]) >= 2 else 1))
+                for (wa, wb), c in m.items()
+            )
+
+        found = relation_failure(fam, oracle, image, 50, random.Random(3))
+        assert found is not None and found.startswith("instance ")
+
+    def test_one_sided_images_without_the_doubling_pass(self):
+        fam = TensorFreeFamily("Q", ("s",), ("u",))
+        oracle = fam.oracle
+        image = lambda m: oracle.sum(oracle.word(wa + tuple(1 + j for j in wb), c) for (wa, wb), c in m.items())
+        assert relation_failure(fam, oracle, image, 50, random.Random(3)) is None
