@@ -54,6 +54,12 @@ def _load_family(spec):
     return family_from_json(_load_json("--family", text=spec))
 
 
+def _samples(args):
+    if args.samples < 0:
+        raise SchemaError(f"--samples must be a non-negative integer, got {args.samples}")
+    return args.samples
+
+
 def _emit(doc, fmt):
     print(render_doc(doc, fmt))
 
@@ -155,8 +161,9 @@ def cmd_factor(args):
 
 
 def cmd_localize_ring(args):
+    samples = _samples(args)
     family = _load_family(args.family)
-    report = verify_sigma_inverting(family, samples=args.samples, seed=args.seed)
+    report = verify_sigma_inverting(family, samples=samples, seed=args.seed)
     one = TriElement.one(family)
     corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
     doc = {
@@ -172,6 +179,7 @@ def cmd_localize_ring(args):
 
 
 def cmd_localize_module(args):
+    samples = _samples(args)
     data = _load_json("module spec", path=args.spec)
     if not isinstance(data, dict):
         raise SchemaError("module spec must be a JSON object")
@@ -182,7 +190,7 @@ def cmd_localize_module(args):
             raise SchemaError("module spec must carry a 'family' descriptor")
         family = family_from_json(data["family"])
     triple = triple_from_json(family, data)
-    localized = localize_module(triple, samples=args.samples, seed=args.seed)
+    localized = localize_module(triple, samples=samples, seed=args.seed)
     doc = localized.to_json()
     doc["family"] = family.describe()
     _emit(doc, args.format)

@@ -212,7 +212,7 @@ class _Parser:
         tok = self.expect("int")
         value = tok.value
         if self.peek().kind == "/":
-            if self.family.coeff != "Q":
+            if self.family.ring != "Q":
                 raise ParseError("rational literal not allowed over integer coefficients", self.peek().pos)
             self.next()
             den = self.expect("int")
@@ -311,10 +311,10 @@ def parse_bim_element(family, text):
     if negate:
         p.next()
     m = melem_term()
-    total = family.add_m(total, family.neg_m(m) if negate else m)
+    total = family.add_m(total, family.scale_m(-1, m) if negate else m)
     while p.peek().kind in ("+", "-"):
         op = p.next().kind
         m = melem_term()
-        total = family.add_m(total, family.neg_m(m) if op == "-" else m)
+        total = family.add_m(total, family.scale_m(-1, m) if op == "-" else m)
     p.end()
     return total

@@ -18,17 +18,16 @@ Shipped kinds:
   p = (1, 0).
 
 Each decision is stated once.  ``BimoduleFamily`` holds what follows
-from the rings alone: the check of the coefficient ring, the units and
-random elements of A and B, negation, equality of canonical forms and
-the image of a scalar in the oracle ring.  It also builds a family's
-identity and JSON descriptor from the family's ``params``, the one
-place a family names its descriptor fields.  ``ScalarFamily`` adds
-A = B = Z or Q for regular and double, and scaled is the regular
-bimodule Z with p = k.  Tensor-free and hnn-free share the module-level
-helpers for tensor term maps: canonical form, the two-sided action,
-printing and random elements; their sums and scalar multiples are the
-term-map arithmetic of ``rings``.  Every sum of terms prints through
-``rings.signed_sum``.
+from the rings alone: the check of the coefficient ring and the units
+of A and B; random elements and scalars are the rings' own.  It also
+builds a family's identity and JSON descriptor from the family's
+``params``, the one place a family names its descriptor fields.
+``ScalarFamily`` adds A = B = Z or Q for regular and double, and scaled
+is the regular bimodule Z with p = k.  Tensor-free and hnn-free share
+the module-level helpers for tensor term maps: canonical form, the
+two-sided action, printing and random elements; their sums and scalar
+multiples are the term-map arithmetic of ``rings``.  Every sum of terms
+prints through ``rings.signed_sum``.
 
 Factorization is exact and verified, never heuristic: a returned factor
 reproduces the element on the nose, and families without a decidable
@@ -103,7 +102,7 @@ class BimoduleFamily:
 
     def __init__(self, ring):
         self.coeff_ring = scalar_ring(ring)
-        self.ring = self.coeff = ring
+        self.ring = ring
 
     # -- identity ---------------------------------------------------------
     def key(self):
@@ -140,25 +139,7 @@ class BimoduleFamily:
     def b_one(self):
         return self.b_ring.one()
 
-    def random_a(self, rng, *size):
-        """Random element of A, of the ring's own default size unless one is given."""
-        return self.a_ring.random(rng, *size)
-
-    def random_b(self, rng, *size):
-        return self.b_ring.random(rng, *size)
-
-    def oracle_scalar(self, c):
-        """Image of a central scalar in the oracle ring (whose from_int takes
-        any scalar of the coefficient ring)."""
-        return self.oracle.from_int(c)
-
     # -- hooks with shared defaults ----------------------------------------
-    def neg_m(self, m):
-        return self.scale_m(-1, m)
-
-    def eq_m(self, m1, m2):
-        return m1 == m2
-
     def basis(self):
         """Finite free basis of M, or None when the family has none."""
         return None
@@ -199,8 +180,6 @@ class ScalarFamily(BimoduleFamily):
     def __init__(self, ring):
         super().__init__(ring)
         self.a_ring = self.b_ring = self.coeff_ring
-
-    oracle_a = BimoduleFamily.oracle_scalar
 
 
 class RegularFamily(ScalarFamily):
@@ -735,6 +714,6 @@ def shipped_families():
 def verify_factorization(family, m):
     """Re-apply every factor returned for m and confirm it reproduces m."""
     f = family.factor_p(m)
-    return (f.left is None or family.eq_m(family.apply(f.left, family.p, family.b_one), m)) and (
-        f.right is None or family.eq_m(family.apply(family.a_one, family.p, f.right), m)
+    return (f.left is None or family.apply(f.left, family.p, family.b_one) == m) and (
+        f.right is None or family.apply(family.a_one, family.p, f.right) == m
     )

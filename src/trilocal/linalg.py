@@ -40,16 +40,8 @@ class Matrix:
         return [r[:] for r in self.rows]
 
     def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        eq = self.ring.eq
-        return all(
-            eq(self.rows[i][j], other.rows[i][j])
-            for i in range(self.nrows)
-            for j in range(self.ncols)
-        )
+        # the shape is read off the rows, so equal rows mean equal shapes
+        return self.rows == other.rows if isinstance(other, Matrix) else NotImplemented
 
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
@@ -280,7 +272,7 @@ def _euclidean_engine(mat):
         if is_zero(a[i][i]):
             continue
         rep, u = rg.unit_normal(a[i][i])
-        if not rg.eq(u, rg.one()):
+        if u != rg.one():
             row_scale(i, rg.exact_div(rg.one(), u), u)
     return DiagonalForm(rg, mat, Matrix(rg, U), Matrix(rg, a), Matrix(rg, V), Matrix(rg, Ui), Matrix(rg, Vi))
 

@@ -79,10 +79,6 @@ def scalar_sub(a, b):
     return a - b if type(a) is int and type(b) is int else scalar_add(a, -b)
 
 
-def scalar_neg(a):
-    return -a
-
-
 def add_term(terms, key, c):
     """Add the scalar c to terms[key] in place; drop the key when the sum is zero.
 
@@ -343,18 +339,6 @@ class FreeAlgebraElement:
                 clean[tuple(w)] = c
         self.terms = clean
 
-    @classmethod
-    def constant(cls, ring, gens, c):
-        return cls(ring, gens, {(): c})
-
-    @classmethod
-    def generator(cls, ring, gens, i):
-        return cls(ring, gens, {(i,): 1})
-
-    @classmethod
-    def word(cls, ring, gens, letters, c=1):
-        return cls(ring, gens, {tuple(letters): c})
-
     def _check(self, other):
         """other, once it is known to lie in the same free algebra."""
         if not isinstance(other, FreeAlgebraElement):
@@ -364,9 +348,6 @@ class FreeAlgebraElement:
                 f"mismatched free algebras: ({self.ring}, {self.gens}) vs ({other.ring}, {other.gens})"
             )
         return other
-
-    def is_zero(self):
-        return not self.terms
 
     def __eq__(self, other):
         if not isinstance(other, FreeAlgebraElement):
@@ -381,9 +362,6 @@ class FreeAlgebraElement:
 
     def __neg__(self):
         return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
@@ -413,18 +391,18 @@ class FreeAlgebraElement:
 class OperatorRing:
     """Base of the ring objects whose elements carry the ring operators.
 
-    add, neg, sub, mul and eq are the ``operator`` functions themselves, so
-    a caller that hoists them calls no Python frame.  A ring object
-    supplies from_int; zero and one are its images of 0 and 1.  A ring
-    that draws random elements states its distribution once, as the lazy
-    stream randoms(rng, ...); random is the next element of a new stream.
+    add, neg, sub and mul are the ``operator`` functions themselves, so a
+    caller that hoists them calls no Python frame; elements are canonical,
+    so equality is ``==``.  A ring object supplies from_int; zero and one
+    are its images of 0 and 1.  A ring that draws random elements states
+    its distribution once, as the lazy stream randoms(rng, ...); random is
+    the next element of a new stream.
     """
 
     add = staticmethod(operator.add)
     neg = staticmethod(operator.neg)
     sub = staticmethod(operator.sub)
     mul = staticmethod(operator.mul)
-    eq = staticmethod(operator.eq)
     fmt = staticmethod(str)
 
     def zero(self):
@@ -434,23 +412,31 @@ class OperatorRing:
         return self.from_int(1)
 
     def is_zero(self, a):
-        return a.is_zero()
+        return a == self.zero()
 
     def random(self, rng, *args, **kwargs):
         return next(self.randoms(rng, *args, **kwargs))
 
 
-class IntegerRing(OperatorRing):
-    name = "Z"
+class SubringOfQ(OperatorRing):
+    """Base of Z, Q and Z[1/k], whose elements are the canonical scalars:
+    an integer enters as itself, zero is the one falsy element, and no
+    generator names are needed to write an element."""
+
     gens = ()
     is_zero = staticmethod(operator.not_)
+    fmt = staticmethod(scalar_str)
+
+    def from_int(self, n):
+        return n
+
+
+class IntegerRing(SubringOfQ):
+    name = "Z"
     fmt = staticmethod(int_str)
     # the Euclidean size and division with remainder of linalg.diagonal_form
     size = staticmethod(abs)
     divmod = staticmethod(divmod)
-
-    def from_int(self, n):
-        return n
 
     def is_unit(self, a):
         return a in (1, -1)
@@ -472,18 +458,11 @@ class IntegerRing(OperatorRing):
         return randints(rng, -size, size)
 
 
-class RationalField(OperatorRing):
+class RationalField(SubringOfQ):
     name = "Q"
-    gens = ()
-
     add = staticmethod(scalar_add)
-    mul = staticmethod(scalar_mul)
-    is_zero = staticmethod(operator.not_)
-
-    def from_int(self, n):
-        return n
-
     sub = staticmethod(scalar_sub)
+    mul = staticmethod(scalar_mul)
 
     def is_unit(self, a):
         return a != 0
@@ -509,28 +488,20 @@ class RationalField(OperatorRing):
         for n in randints(rng, -size, size):
             yield norm_scalar(Fraction(n, choice([1, 1, 2, 3])))
 
-    def fmt(self, a):
-        return scalar_str(norm_scalar(Fraction(a)))
 
-
-class KadicRing(OperatorRing):
+class KadicRing(SubringOfQ):
     """Z[1/k], a PID between Z and Q.  Its elements are the canonical
     scalars whose denominator has no prime factor outside k."""
 
     add = staticmethod(scalar_add)
     sub = staticmethod(scalar_sub)
     mul = staticmethod(scalar_mul)
-    is_zero = staticmethod(operator.not_)
-    fmt = staticmethod(scalar_str)
 
     def __init__(self, k):
         if k < 2:
             raise ValueError(f"k-adic base must be >= 2, got {k}")
         self.k = k
         self.name = f"Z[1/{k}]"
-
-    def from_int(self, n):
-        return n
 
     def exponent(self, a):
         """The least r >= 0 with a * k**r an integer, for a canonical scalar
@@ -633,13 +604,13 @@ class FreeAlgebra(OperatorRing):
         self.name = f"{base}<{','.join(gens)}>"
 
     def from_int(self, n):
-        return FreeAlgebraElement.constant(self.base, self.gens, n)
+        return FreeAlgebraElement(self.base, self.gens, {(): n})
 
     def generator(self, i):
-        return FreeAlgebraElement.generator(self.base, self.gens, i)
+        return FreeAlgebraElement(self.base, self.gens, {(i,): 1})
 
     def word(self, letters, c=1):
-        return FreeAlgebraElement.word(self.base, self.gens, letters, c)
+        return FreeAlgebraElement(self.base, self.gens, {tuple(letters): c})
 
     def sum(self, values):
         """Sum of elements of this algebra, accumulated in one term map."""
@@ -651,7 +622,7 @@ class FreeAlgebra(OperatorRing):
         for _ in range(rng.randint(1, terms)):
             w = random_word(rng, self.gens, length)
             c = rng.randint(-size, size)
-            out = out + FreeAlgebraElement.word(self.base, self.gens, w, c)
+            out = out + self.word(w, c)
         return out
 
 

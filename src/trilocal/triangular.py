@@ -45,26 +45,10 @@ class TriElement:
     def zero(cls, family):
         return cls(family, family.a_ring.zero(), family.zero_m(), family.b_ring.zero())
 
-    def __mul__(self, other):
-        return tri_mul(self, other)
-
-    def __add__(self, other):
-        return tri_add(self, other)
-
-    def __neg__(self):
-        fam = self.family
-        return TriElement(fam, fam.a_ring.neg(self.a), fam.neg_m(self.m), fam.b_ring.neg(self.b))
-
     def __eq__(self, other):
         if not isinstance(other, TriElement):
             return NotImplemented
-        fam = self.family
-        return (
-            fam == other.family
-            and fam.a_ring.eq(self.a, other.a)
-            and fam.eq_m(self.m, other.m)
-            and fam.b_ring.eq(self.b, other.b)
-        )
+        return (self.family, self.a, self.m, self.b) == (other.family, other.a, other.m, other.b)
 
     def fmt(self):
         fam = self.family
@@ -86,7 +70,8 @@ def tri_add(r1, r2):
 
 
 def random_tri(family, rng, size=5):
-    return TriElement(family, family.random_a(rng, size), family.random_m(rng, size), family.random_b(rng, size))
+    a, m, b = family.a_ring.random(rng, size), family.random_m(rng, size), family.b_ring.random(rng, size)
+    return TriElement(family, a, m, b)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +149,6 @@ class FPModule(Presentation):
         rows += [[0] * self.gens + row for row in other.rows]
         return FPModule(self.ring.name, gens, rows)
 
-    def fmt(self):
-        return f"<{self.ring.name}^{self.gens} / {len(self.rows)} relations>"
-
 
 def _combination(terms, length):
     """The sum of c * v over the (c, v) pairs, a coordinate vector of the given length."""
@@ -199,7 +181,7 @@ class TripleModule:
         if basis is None:
             raise UnsupportedFamilyError(f"{family.kind} exposes no finite free bimodule basis")
         if NA.ring is not family.coeff_ring or NB.ring is not family.coeff_ring:
-            raise SchemaError(f"module base ring must match the family base ({family.coeff})")
+            raise SchemaError(f"module base ring must match the family base ({family.ring})")
         f = [[[checked_scalar(family.coeff_ring, c) for c in vec] for vec in block] for block in f]
         if len(f) != len(basis):
             raise SchemaError(f"f must have one block per basis element ({len(basis)}), got {len(f)}")
@@ -254,9 +236,6 @@ class TripleModule:
                 block.append([0] * self.NA.gens + other.f[i][j])
             f.append(block)
         return TripleModule(self.family, NA, NB, f)
-
-    def fmt(self):
-        return f"TripleModule(NA={self.NA.fmt()}, NB={self.NB.fmt()})"
 
 
 def module_roundtrip(module, rng=None):
@@ -323,7 +302,7 @@ def triple_from_json(family, data):
     def parse_module(obj, name):
         if not isinstance(obj, dict) or "gens" not in obj:
             raise SchemaError(f"{name} must be an object with 'gens' and optional 'rels'")
-        return FPModule(family.coeff, obj["gens"], parse_rows(obj.get("rels", []), f"{name}.rels"))
+        return FPModule(family.ring, obj["gens"], parse_rows(obj.get("rels", []), f"{name}.rels"))
 
     NA = parse_module(na, "NA")
     NB = parse_module(nb, "NB")

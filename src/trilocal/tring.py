@@ -34,7 +34,6 @@ its recursion, building a ``TElement`` only for its result.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import reduce
 from itertools import chain
 
@@ -97,9 +96,6 @@ class TElement:
     def __add__(self, other):
         return t_add(self, other)
 
-    def __sub__(self, other):
-        return t_add(self, t_neg(other))
-
     def __neg__(self):
         return t_neg(self)
 
@@ -108,9 +104,6 @@ class TElement:
 
     def __pow__(self, n):
         return power(TOps(self.family), self, n)
-
-    def scale(self, c):
-        return t_scale(self, c)
 
     def __eq__(self, other):
         if not isinstance(other, TElement):
@@ -254,26 +247,6 @@ def rho(family, component, value, budget=None):
     raise ValueError(f"component must be A, M or B, got {component!r}")
 
 
-class EqResult(Enum):
-    EQUAL = "equal"
-    DISTINCT = "distinct"
-    UNKNOWN = "unknown"
-
-
-def t_eq(e1, e2):
-    """Decide equality by comparing normal forms."""
-    e1.family.check_same(e2.family)
-    return EqResult.EQUAL if e1.terms == e2.terms else EqResult.DISTINCT
-
-
-def t_eq_exprs(family, expr1, expr2, budget=DEFAULT_BUDGET):
-    """Equality of raw expressions; UNKNOWN when the budget runs out."""
-    try:
-        return t_eq(t_normalize(family, expr1, budget), t_normalize(family, expr2, budget))
-    except BudgetExceededError:
-        return EqResult.UNKNOWN
-
-
 def relation_failure(family, ring, gen, samples, rng):
     """First defining relation of T(M,p) that the generator images break, or None.
 
@@ -282,19 +255,18 @@ def relation_failure(family, ring, gen, samples, rng):
     checks (+) x_m + x_m' = x_(m+m'), (a) x_(a*p) x_m = x_(a*m) and
     (b) x_m x_(p*b) = x_(m*b).  A failure is described in one line.
     """
-    eq = ring.eq
-    if not eq(gen(family.p), ring.one()):
+    if gen(family.p) != ring.one():
         return "relation (id): x_p is not 1"
     for i in range(samples):
         m1, m2 = family.random_m(rng), family.random_m(rng)
-        a, b = family.random_a(rng), family.random_b(rng)
+        a, b = family.a_ring.random(rng), family.b_ring.random(rng)
         x1 = gen(m1)
         ap = family.apply(a, family.p, family.b_one)
         pb = family.apply(family.a_one, family.p, b)
-        if not (
-            eq(ring.add(x1, gen(m2)), gen(family.add_m(m1, m2)))
-            and eq(ring.mul(gen(ap), x1), gen(family.apply(a, m1, family.b_one)))
-            and eq(ring.mul(x1, gen(pb)), gen(family.apply(family.a_one, m1, b)))
+        if (
+            ring.add(x1, gen(m2)) != gen(family.add_m(m1, m2))
+            or ring.mul(gen(ap), x1) != gen(family.apply(a, m1, family.b_one))
+            or ring.mul(x1, gen(pb)) != gen(family.apply(family.a_one, m1, b))
         ):
             return f"instance {i}: m={family.fmt_m(m1)} m'={family.fmt_m(m2)}"
     return None
@@ -353,7 +325,7 @@ def _term_images(terms, ring, scalar, letter):
 def family_iso(e):
     """Image under the family's closed-form isomorphism onto its oracle ring."""
     family = e.family
-    return map_terms(e, family.oracle, family.oracle_scalar, family.oracle_letter)
+    return map_terms(e, family.oracle, family.oracle.from_int, family.oracle_letter)
 
 
 # ---------------------------------------------------------------------------

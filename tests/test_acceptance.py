@@ -29,14 +29,12 @@ from trilocal.linalg import int_matrix, smith_normal_form
 from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
 from trilocal.modloc import localize_module, verify_comparison_maps
 from trilocal.tring import (
-    EqResult,
     Gen,
     Mul,
     TElement,
     family_iso,
     rho,
     t_add,
-    t_eq,
     t_mul,
 )
 from trilocal.triangular import FPModule, TriElement, TripleModule
@@ -133,8 +131,8 @@ def test_criterion_4_change_of_p_suite():
         image = pair.induced(pair.x_a0p())
         inv = pair.old_p_in_target()
         one = TElement.one(target)
-        assert t_eq(t_mul(image, inv), one) is EqResult.EQUAL
-        assert t_eq(t_mul(inv, image), one) is EqResult.EQUAL
+        assert t_mul(image, inv) == one
+        assert t_mul(inv, image) == one
 
         k_src = family.k if isinstance(family, ScaledFamily) else 1
         rng = random.Random(SEED)
@@ -142,7 +140,7 @@ def test_criterion_4_change_of_p_suite():
             e = random_telement(target, rng, max_terms=2, max_len=2, size=5)
             form = pair.fraction_form(e)
             rebuilt = t_mul(pair.induced(form.numerator), inv ** form.exponent)
-            assert t_eq(rebuilt, e) is EqResult.EQUAL
+            assert rebuilt == e
             value = Fraction(family_iso(e))
             r = 0
             while not _k_denominator(value * Fraction(a0) ** r, k_src):
@@ -237,7 +235,7 @@ def test_criterion_7_cli_contract():
             e = random_telement(family, rng)
             text = format_element(e)
             again = parse_normal(family, text)
-            assert t_eq(e, again) is EqResult.EQUAL, text
+            assert e == again, text
             count += 1
     assert count == 500
 

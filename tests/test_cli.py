@@ -396,13 +396,18 @@ class TestBoundaryInputExit2:
              "generator name 'y z' in x_name is not one identifier"),
             (["normalize", "--family", '{"kind":"hnn-free","A_gens":["s"],"x_name":"1"}', "--expr", "1"],
              "generator name '1' in x_name is not one identifier"),
+            # a negative sample count ran no sampled case and reported a pass
+            (["localize-ring", "--family", REGULAR, "--samples", "-5", "--format", "json"],
+             "--samples must be a non-negative integer, got -5"),
+            (["localize-module", "--spec", (ROOT / "tests" / "golden" / "module.json").read_bytes(), "--samples", "-3"],
+             "--samples must be a non-negative integer, got -3"),
         ],
         ids=[
             "fraction-tensor-free", "factor-hnn-free", "f-rational-over-Z", "rel-true", "gens-true",
             "spec-5000-digits", "spec-not-utf8", "expr-5000-digits", "expr-superscript-two", "expr-arabic-three",
             "spec-arabic-three", "spec-underscore", "spec-blank",
             "a-gens-string", "a-gens-object", "b-gens-string", "name-blank-inside", "name-empty", "x-name-blank-inside",
-            "x-name-digit",
+            "x-name-digit", "ring-negative-samples", "module-negative-samples",
         ],
     )
     def test_one_line_error(self, argv, message, tmp_path, capsys):
@@ -411,7 +416,7 @@ class TestBoundaryInputExit2:
         if argv[0] == "localize-module":
             spec = tmp_path / "bad.json"
             spec.write_bytes(argv[2])
-            argv = argv[:2] + [str(spec)]
+            argv = argv[:2] + [str(spec)] + argv[3:]
         code = main(argv)
         err = capsys.readouterr().err
         assert code == 2

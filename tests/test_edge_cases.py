@@ -6,7 +6,7 @@ from fractions import Fraction
 from trilocal.families import HnnFreeFamily, ScaledFamily, TensorFreeFamily
 from trilocal.linalg import int_matrix, smith_normal_form
 from trilocal.rings import KadicRing
-from trilocal.tring import EqResult, TElement, family_iso, t_add, t_eq, t_generator, t_mul, t_scale
+from trilocal.tring import TElement, family_iso, t_add, t_generator, t_mul, t_scale
 
 
 class TestMultiTermMerges:
@@ -39,7 +39,7 @@ class TestMultiTermMerges:
         ]
         left_first = t_mul(t_mul(letters[0], letters[1]), letters[2])
         right_first = t_mul(letters[0], t_mul(letters[1], letters[2]))
-        assert t_eq(left_first, right_first) is EqResult.EQUAL
+        assert left_first == right_first
         assert str(family_iso(left_first)) == "x*s*x*s*s*x"
 
     def test_hnn_a_letters_absorb_both_sides(self):

@@ -15,7 +15,7 @@ from trilocal.exprs import (
     parse_ring_element,
 )
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from trilocal.tring import Add, Const, EqResult, Gen, Mul, Pow, family_iso, t_eq
+from trilocal.tring import Add, Const, Gen, Mul, Pow, family_iso
 from trilocal.verify import random_telement, shipped_families
 
 
@@ -87,7 +87,7 @@ class TestRoundTrip:
                 e = random_telement(fam, rng)
                 text = format_element(e)
                 again = parse_normal(fam, text)
-                assert t_eq(e, again) is EqResult.EQUAL, text
+                assert e == again, text
 
     def test_zero(self):
         fam = ScaledFamily(2)

@@ -27,22 +27,22 @@ class TestBimoduleAxioms:
         rng = random.Random(42)
         fam = family
         for _ in range(300):
-            a, a2 = fam.random_a(rng), fam.random_a(rng)
-            b, b2 = fam.random_b(rng), fam.random_b(rng)
+            a, a2 = fam.a_ring.random(rng), fam.a_ring.random(rng)
+            b, b2 = fam.b_ring.random(rng), fam.b_ring.random(rng)
             m, m2 = fam.random_m(rng), fam.random_m(rng)
             lhs = fam.apply(fam.a_ring.mul(a, a2), m, fam.b_one)
             rhs = fam.apply(a, fam.apply(a2, m, fam.b_one), fam.b_one)
-            assert fam.eq_m(lhs, rhs)
+            assert lhs == rhs
             lhs = fam.apply(fam.a_one, m, fam.b_ring.mul(b, b2))
             rhs = fam.apply(fam.a_one, fam.apply(fam.a_one, m, b), b2)
-            assert fam.eq_m(lhs, rhs)
+            assert lhs == rhs
             lhs = fam.apply(a, fam.apply(fam.a_one, m, b), fam.b_one)
             rhs = fam.apply(fam.a_one, fam.apply(a, m, fam.b_one), b)
-            assert fam.eq_m(lhs, rhs)
+            assert lhs == rhs
             # additivity in the middle slot
             lhs = fam.apply(a, fam.add_m(m, m2), b)
             rhs = fam.add_m(fam.apply(a, m, b), fam.apply(a, m2, b))
-            assert fam.eq_m(lhs, rhs)
+            assert lhs == rhs
 
     def test_factor_soundness_random(self, family):
         rng = random.Random(43)
@@ -211,7 +211,7 @@ class TestBasis:
                 rebuilt = fam.zero_m()
                 for c, mu in zip(coords, basis):
                     rebuilt = fam.add_m(rebuilt, fam.scale_m(c, mu))
-                assert fam.eq_m(rebuilt, m)
+                assert rebuilt == m
 
 
 class TestMultiGeneratorFamilies:
@@ -224,7 +224,7 @@ class TestMultiGeneratorFamilies:
         for _ in range(200):
             m1, m2 = fam.random_m(rng), fam.random_m(rng)
             e1, e2 = t_generator(fam, m1), t_generator(fam, m2)
-            assert oracle.eq(family_iso(t_mul(e1, e2)), oracle.mul(family_iso(e1), family_iso(e2)))
+            assert family_iso(t_mul(e1, e2)) == oracle.mul(family_iso(e1), family_iso(e2))
 
     def test_hnn_two_generators(self):
         from trilocal.tring import family_iso, t_generator, t_mul
@@ -235,4 +235,4 @@ class TestMultiGeneratorFamilies:
         for _ in range(200):
             m1, m2 = fam.random_m(rng), fam.random_m(rng)
             e1, e2 = t_generator(fam, m1), t_generator(fam, m2)
-            assert oracle.eq(family_iso(t_mul(e1, e2)), oracle.mul(family_iso(e1), family_iso(e2)))
+            assert family_iso(t_mul(e1, e2)) == oracle.mul(family_iso(e1), family_iso(e2))

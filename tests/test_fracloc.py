@@ -16,12 +16,10 @@ from trilocal.fracloc import (
     two_order_agreement,
 )
 from trilocal.tring import (
-    EqResult,
     Gen,
     Mul,
     TElement,
     family_iso,
-    t_eq,
     t_generator,
     t_mul,
     t_scale,
@@ -117,8 +115,8 @@ class TestInducedMap:
             image = pair.induced(pair.x_a0p())
             inv = pair.old_p_in_target()
             one = TElement.one(pair.target_family())
-            assert t_eq(t_mul(image, inv), one) is EqResult.EQUAL
-            assert t_eq(t_mul(inv, image), one) is EqResult.EQUAL
+            assert t_mul(image, inv) == one
+            assert t_mul(inv, image) == one
 
     def test_ring_morphism_random(self):
         pair = CentralPair(ScaledFamily(2), 3, 3)
@@ -126,8 +124,8 @@ class TestInducedMap:
         for _ in range(150):
             e1 = random_telement(pair.family, rng)
             e2 = random_telement(pair.family, rng)
-            assert t_eq(phi(t_mul(e1, e2), pair), t_mul(phi(e1, pair), phi(e2, pair))) is EqResult.EQUAL
-            assert t_eq(phi(e1 + e2, pair), phi(e1, pair) + phi(e2, pair)) is EqResult.EQUAL
+            assert phi(t_mul(e1, e2), pair) == t_mul(phi(e1, pair), phi(e2, pair))
+            assert phi(e1 + e2, pair) == phi(e1, pair) + phi(e2, pair)
 
     def test_unsupported_families(self):
         with pytest.raises(UnsupportedFamilyError):
@@ -137,9 +135,9 @@ class TestInducedMap:
         pair = CentralPair(RegularFamily("Z"), 1, 1)
         assert pair.target_family() == RegularFamily("Z")
         e = t_generator(pair.family, 7)
-        assert t_eq(phi(e, pair), e) is EqResult.EQUAL
+        assert phi(e, pair) == e
         form = pair.fraction_form(e)
-        assert form.exponent == 0 and t_eq(form.numerator, e) is EqResult.EQUAL
+        assert form.exponent == 0 and form.numerator == e
 
 
 class TestFractionForm:
@@ -172,7 +170,7 @@ class TestFractionForm:
             rebuilt = t_mul(
                 self.pair.induced(form.numerator), self.pair.old_p_in_target() ** form.exponent
             )
-            assert t_eq(rebuilt, e) is EqResult.EQUAL
+            assert rebuilt == e
 
     def test_minimality_against_rational_oracle(self):
         rng = random.Random(5)
@@ -256,7 +254,7 @@ class TestFactorization:
                 return t_mul(a, b)
 
             def eq(self, a, b):
-                return t_eq(a, b) is EqResult.EQUAL
+                return a == b
 
         from trilocal.fracloc import LetterHom
 
@@ -269,4 +267,4 @@ class TestFactorization:
         f_inv = pair.old_p_in_target()
         e = t_generator(target, 3)
         out = factor_inverting_hom(pair, hom, f_inv, e)
-        assert t_eq(out, e) is EqResult.EQUAL
+        assert out == e

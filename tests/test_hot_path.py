@@ -258,7 +258,7 @@ class TestDuckTypedRings:
 
     def test_sum_hook_matches_pairwise_fold(self):
         fam, e = hnn_power(2)
-        values = [fam.oracle_scalar(c) for c in (1, 2, Fraction(1, 3))] + [fam.oracle_letter(w[0]) for w in e.terms if w]
+        values = [fam.oracle.from_int(c) for c in (1, 2, Fraction(1, 3))] + [fam.oracle_letter(w[0]) for w in e.terms if w]
         folded = values[0]
         for v in values[1:]:
             folded = folded + v
@@ -282,7 +282,7 @@ def benchmark_shaped_triple(family, shape, seed=1):
     relsB = [vec(gB) for _ in range(b)]
     f = [[vec(gA) for _ in range(gB)] for _ in family.basis()]
     relsA += relation_images(f, relsB, gA)
-    tag = family.coeff
+    tag = family.ring
     return TripleModule(family, FPModule(tag, gA, relsA), FPModule(tag, gB, relsB), f)
 
 

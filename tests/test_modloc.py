@@ -20,7 +20,7 @@ from trilocal.verify import module_families, random_triple
 
 
 def d_module(fam, d):
-    tag = "Z" if fam.coeff == "Z" else "Q"
+    tag = "Z" if fam.ring == "Z" else "Q"
     nbasis = len(fam.basis())
     f = [[[d]]] + [[[0]]] * (nbasis - 1)
     return TripleModule(fam, FPModule(tag, 1), FPModule(tag, 1), f)

@@ -21,7 +21,6 @@ from trilocal.rings import (
     randints,
     scalar_add,
     scalar_mul,
-    scalar_neg,
     strip_factors_of,
 )
 
@@ -42,7 +41,7 @@ class TestScalars:
 
     @given(scalars)
     def test_additive_inverse(self, x):
-        assert scalar_add(x, scalar_neg(x)) == 0
+        assert scalar_add(x, -x) == 0
 
     @given(scalars, scalars)
     def test_canonical_form(self, x, y):
@@ -67,7 +66,6 @@ class TestScalars:
     def test_dispatcher(self):
         assert scalar_add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
         assert scalar_mul(6, 7) == 42
-        assert scalar_neg(5) == -5
 
 
 def canonical_type(x):
@@ -378,7 +376,7 @@ def test_euclidean_division_contract(ring, draw):
         if ring.is_zero(b):
             continue
         q, r = ring.divmod(a, b)
-        assert ring.eq(ring.add(ring.mul(q, b), r), a)
+        assert ring.add(ring.mul(q, b), r) == a
         assert ring.is_zero(r) or ring.size(r) < ring.size(b)
         remainders += not ring.is_zero(r)
     assert remainders > 0 or ring is QQ
