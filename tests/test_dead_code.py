@@ -12,6 +12,9 @@
   caller gets deleted.
 * Every public class-level attribute, and every public field a class
   lists in ``__slots__``, is read somewhere in those places.
+* A class's members are its own and those it inherits from a class of
+  the same module, each checked under the class's name: moving a member
+  into a shared base keeps its cases.
 * Every name ``__init__.py`` re-exports is imported from ``trilocal``
   by the README or a demo: the package surface is the documented API.
 * ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines.
@@ -50,25 +53,51 @@ def references(node):
 ALL_REFERENCES = sum((references(tree) for tree in MODULES.values()), Counter())
 
 
+def bound_names(node):
+    """Names a module- or class-body statement binds by def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def class_bodies(tree):
+    """(class name, statements) for each module-level class: its own body,
+    then the statements it inherits from bases defined in the same module,
+    nearest base first, where the class binds none of their names itself."""
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def members(cls):
+        body = list(cls.body)
+        bound = {name for node in body for name in bound_names(node)}
+        for base in cls.bases:
+            if isinstance(base, ast.Name) and base.id in classes:
+                for node in members(classes[base.id]):
+                    names = bound_names(node)
+                    if names and not bound.intersection(names):
+                        body.append(node)
+                        bound.update(names)
+        return body
+
+    return [(cls.name, members(cls)) for cls in classes.values()]
+
+
 def private_definitions():
     """(qualified name, name, defining node) for single-underscore module-
     and class-level names."""
     out = []
     for module, tree in MODULES.items():
         scopes = [(module, tree.body)]
-        scopes += [(f"{module}:{node.name}", node.body) for node in tree.body if isinstance(node, ast.ClassDef)]
+        scopes += [(f"{module}:{name}", body) for name, body in class_bodies(tree)]
         for scope, body in scopes:
             for node in body:
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    named = [(node.name, node)]
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                    named = [(t.id, node) for t in targets if isinstance(t, ast.Name)]
-                else:
-                    continue
-                for name, definition in named:
-                    if name.startswith("_") and not name.startswith("__"):
-                        out.append((f"{scope}.{name}", name, definition))
+                out += [
+                    (f"{scope}.{name}", name, node)
+                    for name in bound_names(node)
+                    if name.startswith("_") and not name.startswith("__")
+                ]
     return out
 
 
@@ -119,16 +148,18 @@ def public_definitions():
     functions and classes and public methods."""
     out = []
     for module, tree in MODULES.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out.append((f"{module}.{node.name}", node.name, node))
-            if isinstance(node, ast.ClassDef):
-                out += [
-                    (f"{module}:{node.name}.{name}", name, member)
-                    for member in node.body
-                    for name in method_names(member)
-                    if not name.startswith("_")
-                ]
+        out += [
+            (f"{module}.{node.name}", node.name, node)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        ]
+        out += [
+            (f"{module}:{cls}.{name}", name, member)
+            for cls, body in class_bodies(tree)
+            for member in body
+            for name in method_names(member)
+            if not name.startswith("_")
+        ]
     return out
 
 
@@ -157,11 +188,11 @@ def class_attributes():
     in a class body, and for the public fields a class lists in __slots__."""
     out = []
     for module, tree in MODULES.items():
-        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
-            for node in cls.body:
+        for cls, body in class_bodies(tree):
+            for node in body:
                 if isinstance(node, (ast.Assign, ast.AnnAssign)):
                     out += [
-                        (f"{module}:{cls.name}.{name}", name, node)
+                        (f"{module}:{cls}.{name}", name, node)
                         for name in assigned_names(node)
                         if not name.startswith("_")
                     ]
