@@ -3,9 +3,12 @@
 import random
 from fractions import Fraction
 
-from trilocal.families import RegularFamily, ScaledFamily
+import pytest
+
+from trilocal.families import RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.linalg import Matrix
 from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
+from trilocal.rings import FreeAlgebraElement
 from trilocal.tring import TElement, TOps, family_iso, rho, t_add
 from trilocal.triangular import TriElement, random_tri, tri_mul
 from trilocal.verify import shipped_families
@@ -77,3 +80,56 @@ class TestVerifier:
         a = verify_sigma_inverting(ScaledFamily(2), samples=40, seed=11).render_json()
         b = verify_sigma_inverting(ScaledFamily(2), samples=40, seed=11).render_json()
         assert a == b
+
+
+def _maps(**replaced):
+    """The three structure maps, with the named ones replaced."""
+    return {c: replaced.get(c, lambda fam, v, c=c: rho(fam, c, v)) for c in "AMB"}
+
+
+def _failing(family, maps, seed=7):
+    rep = verify_sigma_inverting(family, samples=200, seed=seed, rho_maps=maps)
+    return [c.name for c in rep.checks if not c.passed]
+
+
+def _short_words(fam, v):
+    """Q-linear and unital, but drops every A-word longer than one letter."""
+    return rho(fam, "A", FreeAlgebraElement(v.ring, v.gens, {w: c for w, c in v.terms.items() if len(w) <= 1}))
+
+
+def _swap_5_7(fam, n):
+    """Completely multiplicative and unital, but not additive: the primes 5
+    and 7 trade places in n's factorization.  The sampled entries lie in
+    [-4, 4], so it is the identity on them and on their products."""
+    e5 = e7 = 0
+    while n and n % 5 == 0:
+        n, e5 = n // 5, e5 + 1
+    while n and n % 7 == 0:
+        n, e7 = n // 7, e7 + 1
+    return rho(fam, "A", n * 7**e5 * 5**e7)
+
+
+class TestSampledCheckControls:
+    """Each sampled check of verify_sigma_inverting fails alone under a map built to break it."""
+
+    def test_multiplicative_check_fails_alone(self):
+        fam = TensorFreeFamily("Q", ("s",), ("u",))
+        assert _failing(fam, _maps(A=_short_words)) == ["multiplicative on sampled pairs"]
+
+    @pytest.mark.parametrize("seed", [1, 7, 11])
+    def test_additive_check_fails_alone(self, seed):
+        assert _failing(RegularFamily("Z"), _maps(A=_swap_5_7), seed) == ["additive on sampled pairs"]
+
+    @pytest.mark.parametrize("component", "AMB")
+    def test_column_split_fails_only_beside_unital_or_corner(self, component):
+        # The P-part's second column is [M(0), B(0)] and the Q-part's first
+        # column is [A(0), 0], so the split reads only zero images: the corner
+        # check reads A(0) and B(0), the unital check M(0).
+        fam = RegularFamily("Z")
+        failing = _failing(fam, _maps(**{component: lambda f, v: TElement.one(f) if v == 0 else rho(f, component, v)}))
+        assert "P lands in column 1, Q in column 2" in failing
+        assert {"unital: image of 1_R is the identity matrix", "image of (0, p, 0) is e12"} & set(failing)
+
+    def test_true_maps_pass_every_check(self):
+        for fam in (TensorFreeFamily("Q", ("s",), ("u",)), RegularFamily("Z")):
+            assert _failing(fam, _maps()) == []
