@@ -19,7 +19,7 @@ from .families import family_from_json
 from .fracloc import CentralPair, factor_inverting_hom, rational_value_hom
 from .matrixloc import matrix_text, rho_matrix, verify_sigma_inverting
 from .modloc import localize_module
-from .report import Report, render_doc
+from .report import render_doc
 from .tring import DEFAULT_BUDGET, Budget, family_iso, rho, t_normalize
 from .triangular import TriElement, triple_from_json
 from .verify import DEFAULT_SEED, example_suite, random_suite
@@ -142,22 +142,19 @@ def cmd_fraction(args):
 def cmd_factor(args):
     family, pair, target, element = _change_of_p_input(args)
     hom = rational_value_hom(family)
-    report = Report(f"factorization through T(M,a0*p) [{family.describe()}]", seed=args.seed)
-    report.add("letter images satisfy the presentation", hom.respects_relations(samples=50, seed=args.seed))
-    f_inv = Fraction(1, args.a0)
-    value = factor_inverting_hom(pair, hom, f_inv, element)
-    report.add("factored image computed", True, str(value))
+    passed = hom.respects_relations(samples=50, seed=args.seed)
+    value = factor_inverting_hom(pair, hom, Fraction(1, args.a0), element)
     _emit(
         {
             "family": family.describe(),
             "target_family": target.describe(),
             "input": args.expr,
             "factored_value": str(value),
-            "checks": "pass" if report.passed else "fail",
+            "checks": "pass" if passed else "fail",
         },
         args.format,
     )
-    return EXIT_OK if report.passed else EXIT_VERIFY
+    return EXIT_OK if passed else EXIT_VERIFY
 
 
 def cmd_localize_ring(args):
@@ -264,6 +261,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.budget < 0:  # every subcommand takes --budget
+            raise SchemaError(f"--budget must be a non-negative integer, got {args.budget}")
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -252,18 +252,18 @@ def parse_element(family, text):
     return _Parser(family, text).parse_all()
 
 
-def parse_normal(family, text, budget=None):
+def parse_normal(family, text, budget=DEFAULT_BUDGET):
     """Parse and normalize in one step."""
-    node = parse_element(family, text)
-    return t_normalize(family, node, DEFAULT_BUDGET if budget is None else budget)
+    return t_normalize(family, parse_element(family, text), budget)
 
 
 def format_element(e):
     """Canonical grammar rendering of a normal form; round-trips by parse.
 
-    Each distinct letter's text ``x[...]`` is built once per call."""
-    letter_fmt = e.family.letter_fmt
-    texts = {letter: f"x[{letter_fmt(letter)}]" for letter in {x for word in e.terms for x in word}}
+    A letter prints as its bimodule element, x[m]; each distinct letter's
+    text is built once per call."""
+    fmt_m, letter_bim = e.family.fmt_m, e.family.letter_bim
+    texts = {letter: f"x[{fmt_m(letter_bim(letter))}]" for letter in {x for word in e.terms for x in word}}
 
     def body(word):
         runs = []

@@ -144,16 +144,9 @@ class BimoduleFamily:
         """Finite free basis of M, or None when the family has none."""
         return None
 
-    def basis_coords(self, m):
-        raise UnsupportedFamilyError(f"{self.kind} has no finite free basis")
-
     def shift_pair(self, l1, l2):
         """Optional letter-pair rewrite beyond the p-factor merges."""
         return None
-
-    def scale_m(self, c, m):
-        """Central scalar multiple of a bimodule element."""
-        raise NotImplementedError
 
     def fold_element(self, terms):
         """Canonical form of a term map of normal words with nonzero
@@ -241,7 +234,7 @@ class RegularFamily(ScalarFamily):
     def _no_letters(self, letter):
         raise AssertionError("regular family has no generator letters")
 
-    letter_bim = letter_key = letter_fmt = oracle_letter = _no_letters
+    letter_bim = letter_key = oracle_letter = _no_letters
 
     def scaled_p_variant(self, a0):
         if self.ring != "Z":
@@ -330,9 +323,6 @@ class DoubleFamily(ScalarFamily):
     def letter_key(self, letter):
         return (0,)
 
-    def letter_fmt(self, letter):
-        return "(0,1)"
-
     def oracle_letter(self, letter):
         return self.oracle.variable()
 
@@ -386,9 +376,6 @@ class ScaledFamily(RegularFamily):
     def letter_key(self, letter):
         return (0,)
 
-    def letter_fmt(self, letter):
-        return "1"
-
     def fold_element(self, terms):
         # the word g^r stands for k**-r: sum over the denominator of the
         # longest word, then write the value with its least exponent; an
@@ -438,15 +425,11 @@ def _word_text(gens, w):
     return "*".join(gens[i] for i in w) if w else "1"
 
 
-def _tensor_text(name, left, right, key):
-    """name(u,v) for the pure tensor key = (u, v), with u over left and v over right."""
-    return f"{name}({_word_text(left, key[0])},{_word_text(right, key[1])})"
-
-
 def _tensor_terms(name, left, right, t):
-    """(coefficient, text) of each pure tensor of t, shortest first."""
+    """(coefficient, text name(u,v)) of each pure tensor u (x) v of t, with u
+    over left and v over right, shortest first."""
     order = sorted(t, key=lambda key: (len(key[0]) + len(key[1]), key))
-    return ((t[key], _tensor_text(name, left, right, key)) for key in order)
+    return ((t[u, v], f"{name}({_word_text(left, u)},{_word_text(right, v)})") for u, v in order)
 
 
 def _random_tensor(rng, n, left, right, size):
@@ -539,9 +522,6 @@ class TensorFreeFamily(BimoduleFamily):
     def letter_key(self, letter):
         _, wa, wb = letter
         return (len(wa) + len(wb), wa, wb)
-
-    def letter_fmt(self, letter):
-        return _tensor_text("t", self.a_gens, self.b_gens, letter[1:])
 
     def oracle_letter(self, letter):
         _, wa, wb = letter
@@ -640,11 +620,6 @@ class HnnFreeFamily(BimoduleFamily):
             return (0, len(letter[1]), letter[1])
         _, u, v = letter
         return (1, len(u) + len(v), u, v)
-
-    def letter_fmt(self, letter):
-        if letter[0] == "a":
-            return f"h({_word_text(self.a_gens, letter[1])})"
-        return _tensor_text("h", self.a_gens, self.a_gens, letter[1:])
 
     def shift_pair(self, l1, l2):
         # x_{(0,u(x)v)} x_{(0,u'(x)v')} = x_{(0,u(x)1)} x_{(0,vu'(x)v')}:

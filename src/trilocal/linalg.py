@@ -74,10 +74,6 @@ class Matrix:
         return f"Matrix({self.ring.name}, {self.fmt()})"
 
 
-def int_matrix(rows):
-    return Matrix(ZZ, rows)
-
-
 class DiagonalForm:
     """Result of a diagonalization U * M * V = D, with the inverses of U and V.
 
@@ -327,13 +323,6 @@ def diagonal_form(mat):
     if not out.verify():
         raise CertificateError(f"diagonal form over {rg.name} failed self-verification")
     return out
-
-
-def smith_normal_form(mat):
-    """Smith normal form of an integer matrix: U*M*V = D, d_i | d_{i+1}, d_i >= 0."""
-    if mat.ring is not ZZ:
-        raise UnsupportedRingError("smith_normal_form expects an integer matrix")
-    return diagonal_form(mat)
 
 
 def solve_left(form, v):

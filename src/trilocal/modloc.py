@@ -177,20 +177,17 @@ def comparison_maps(module, ring):
     return alpha, beta
 
 
-def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relation=None, presentation=None):
+def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, presentation=None):
     """Exactly verify the mutually inverse maps between L and the tensor side.
 
     Both well-definedness directions are membership computations; the
     round trips are checked on the generators and on sampled random
-    elements.  g_sign=-1 and drop_relation exist for negative controls.
-    presentation is L, ``localized_presentation(module, g_sign)``, when
+    elements.  g_sign=-1 exists for negative controls.  presentation is
+    L, ``localized_presentation(module, g_sign)``, mixed rows last, when
     the caller already holds it (its diagonal form is then reused); by
     default L is built here.
     """
     L = localized_presentation(module, g_sign=g_sign) if presentation is None else presentation
-    if drop_relation is not None:
-        rows = [r for idx, r in enumerate(L.rows) if idx != drop_relation]
-        L = Presentation(L.ring, L.gens, rows)
     family = module.family
     ring = L.ring
     W = tensor_side_presentation(module)
@@ -201,11 +198,11 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
         meta={"samples": samples, "generators": L.gens, "relations": len(L.rows)},
     )
 
-    forward_bad = next((idx for idx, row in enumerate(L.rows) if not W.contains(alpha(row))), None)
+    escaping = [idx for idx, row in enumerate(L.rows) if not W.contains(alpha(row))]
     rep.add(
         "forward map is well defined (relations land in relations)",
-        forward_bad is None,
-        "" if forward_bad is None else f"relation {forward_bad} escapes the span",
+        not escaping,
+        f"relation {escaping[0]} escapes the span" if escaping else "",
     )
 
     rep.first_failure("backward map is well defined", (
@@ -229,15 +226,10 @@ def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, drop_relati
         ("random element" for v in (W.random_vector(rng) for _ in range(samples)) if moved(v)),
     ))
 
-    # the forward map kills the defining cokernel relations explicitly.
-    # Unless a row was dropped they are the last rows of L, and the first
-    # check has answered for them unless it failed before reaching them.
-    mixed = _mixed_rows(module, ring, g_sign)
-    if drop_relation is None and (forward_bad is None or forward_bad >= len(L.rows) - len(mixed)):
-        ok = forward_bad is None
-    else:
-        ok = all(W.contains(alpha(row)) for row in mixed)
-    rep.add("forward map kills the defining cokernel generators", ok)
+    # the forward map kills the defining cokernel relations: the mixed rows,
+    # which are the last rows of L and which the first check tested
+    first_mixed = len(L.rows) - len(module.f) * module.NB.gens
+    rep.add("forward map kills the defining cokernel generators", all(idx < first_mixed for idx in escaping))
     return rep
 
 

@@ -24,8 +24,10 @@ once per 64 letters of the two words, before the pair is multiplied.
 So a product of e1 and e2 uses at least |e1|*|e2|, and a power whose
 coefficient or word doubles with every squaring runs out of budget
 before it builds a huge one; the coefficient charge is per limb pair
-because big integers multiply in more than linear time.  A ring map out of T(M,p) is fixed by the
-images of its letters, and ``map_terms`` applies one to a normal form.
+because big integers multiply in more than linear time.
+
+A ring map out of T(M,p) is fixed by the images of its letters, and
+``map_terms`` applies one to a normal form.
 
 Sums and products work on plain term maps: a sum of n normal forms adds
 them into one dict and folds it once, and a product passes dicts through
@@ -97,7 +99,7 @@ class TElement:
         return t_add(self, other)
 
     def __neg__(self):
-        return t_neg(self)
+        return TElement(self.family, term_scale(-1, self.terms))
 
     def __mul__(self, other):
         return t_mul(self, other)
@@ -158,10 +160,6 @@ def t_generator(family, m, budget=None):
 def t_add(e1, e2):
     e1.family.check_same(e2.family)
     return TElement(e1.family, _refold(e1.family, (e1.terms, e2.terms)))
-
-
-def t_neg(e):
-    return TElement(e.family, term_scale(-1, e.terms))
 
 
 def t_scale(e, c):

@@ -25,9 +25,10 @@ from trilocal.fracloc import (
     rational_value_hom,
     two_order_agreement,
 )
-from trilocal.linalg import int_matrix, smith_normal_form
+from trilocal.linalg import Matrix, diagonal_form
 from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
 from trilocal.modloc import localize_module, verify_comparison_maps
+from trilocal.rings import ZZ
 from trilocal.tring import (
     Gen,
     Mul,
@@ -205,8 +206,8 @@ def test_criterion_6_smith_euclidean_kernel():
         m = rng.randint(1, 6)
         n = rng.randint(1, 6)
         rows = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(m)]
-        mat = int_matrix(rows)
-        snf = smith_normal_form(mat)
+        mat = Matrix(ZZ, rows)
+        snf = diagonal_form(mat)
         assert snf.U * mat * snf.V == snf.D
         assert abs(reference_det(snf.U.rows)) == 1
         assert abs(reference_det(snf.V.rows)) == 1
@@ -222,7 +223,7 @@ def test_criterion_6_smith_euclidean_kernel():
         m = rng.randint(1, 3)
         n = rng.randint(1, 3)
         rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(m)]
-        assert smith_normal_form(int_matrix(rows)).diagonal() == reference_snf_diagonal(rows)
+        assert diagonal_form(Matrix(ZZ, rows)).diagonal() == reference_snf_diagonal(rows)
     report(6, "1000 matrices up to 6x6 verified; 300 cross-checked against the naive reference")
 
 

@@ -401,6 +401,19 @@ class TestBoundaryInputExit2:
              "--samples must be a non-negative integer, got -5"),
             (["localize-module", "--spec", (ROOT / "tests" / "golden" / "module.json").read_bytes(), "--samples", "-3"],
              "--samples must be a non-negative integer, got -3"),
+            # a negative budget was read as exhausted (exit 3) or ignored (exit 0)
+            (["normalize", "--family", SCALED, "--expr", "x[3]", "--budget", "-1"],
+             "--budget must be a non-negative integer, got -1"),
+            (["rho", "--family", REGULAR, "--component", "A", "--value", "3", "--budget", "-1"],
+             "--budget must be a non-negative integer, got -1"),
+            (["verify", "--budget", "-5"], "--budget must be a non-negative integer, got -5"),
+            (["fraction", "--family", REGULAR, "--a0", "2", "--b0", "2", "--expr", "x[1]", "--budget", "-2"],
+             "--budget must be a non-negative integer, got -2"),
+            (["factor", "--family", REGULAR, "--a0", "2", "--b0", "2", "--expr", "x[1]", "--budget", "-2"],
+             "--budget must be a non-negative integer, got -2"),
+            (["localize-ring", "--family", REGULAR, "--budget", "-1"], "--budget must be a non-negative integer, got -1"),
+            (["localize-module", "--spec", (ROOT / "tests" / "golden" / "module.json").read_bytes(), "--budget", "-1"],
+             "--budget must be a non-negative integer, got -1"),
         ],
         ids=[
             "fraction-tensor-free", "factor-hnn-free", "f-rational-over-Z", "rel-true", "gens-true",
@@ -408,6 +421,8 @@ class TestBoundaryInputExit2:
             "spec-arabic-three", "spec-underscore", "spec-blank",
             "a-gens-string", "a-gens-object", "b-gens-string", "name-blank-inside", "name-empty", "x-name-blank-inside",
             "x-name-digit", "ring-negative-samples", "module-negative-samples",
+            "normalize-negative-budget", "rho-negative-budget", "verify-negative-budget", "fraction-negative-budget",
+            "factor-negative-budget", "ring-negative-budget", "module-negative-budget",
         ],
     )
     def test_one_line_error(self, argv, message, tmp_path, capsys):
@@ -422,6 +437,15 @@ class TestBoundaryInputExit2:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_zero_budget_is_valid_input(self, capsys):
+        from trilocal.cli import main
+
+        # zero steps exhaust on the first letter (exit 3); a command that
+        # reads no budget runs as usual
+        assert main(["normalize", "--family", SCALED, "--expr", "x[3]", "--budget", "0"]) == 3
+        assert main(["localize-ring", "--family", REGULAR, "--samples", "5", "--budget", "0"]) == 0
+        capsys.readouterr()
 
     def test_signed_ascii_entry_localizes(self, tmp_path, capsys):
         from trilocal.cli import main

@@ -4,8 +4,8 @@ import random
 from fractions import Fraction
 
 from trilocal.families import HnnFreeFamily, ScaledFamily, TensorFreeFamily
-from trilocal.linalg import int_matrix, smith_normal_form
-from trilocal.rings import KadicRing
+from trilocal.linalg import Matrix, diagonal_form
+from trilocal.rings import ZZ, KadicRing
 from trilocal.tring import TElement, family_iso, t_add, t_generator, t_mul, t_scale
 
 
@@ -75,7 +75,7 @@ class TestScaledSigns:
 class TestArbitraryPrecision:
     def test_huge_entries_snf(self):
         big = 10 ** 40
-        snf = smith_normal_form(int_matrix([[2 * big, 0], [0, 3 * big]]))
+        snf = diagonal_form(Matrix(ZZ, [[2 * big, 0], [0, 3 * big]]))
         assert snf.diagonal() == [big, 6 * big]
         assert snf.verify()
 

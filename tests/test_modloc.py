@@ -7,16 +7,24 @@ import pytest
 from trilocal.errors import UnsupportedFamilyError
 from trilocal.families import DoubleFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal import modloc
-from trilocal.linalg import diagonal_form, int_matrix, smith_normal_form
+from trilocal.linalg import Matrix, diagonal_form
 from trilocal.modloc import (
+    Presentation,
     localize_module,
     localized_presentation,
     t_ring_of,
     tensor_side_presentation,
     verify_comparison_maps,
 )
+from trilocal.rings import ZZ
 from trilocal.triangular import FPModule, TripleModule
 from trilocal.verify import module_families, random_triple
+
+
+def without_row_0(module):
+    """L with its relation 0 dropped: a negative control."""
+    L = localized_presentation(module)
+    return Presentation(L.ring, L.gens, L.rows[1:])
 
 
 def d_module(fam, d):
@@ -33,7 +41,7 @@ class TestPresentation:
         assert pres.gens == 2
         assert pres.rows == [[2, -1]]
         # Smith oracle: the cokernel of [2, -1] is free of rank 1
-        snf = smith_normal_form(int_matrix(pres.rows))
+        snf = diagonal_form(Matrix(ZZ, pres.rows))
         assert snf.diagonal() == [1]
         factors, rank = pres.invariants()
         assert factors == [] and rank == 1
@@ -109,7 +117,8 @@ class TestComparisonMaps:
 
     def test_dropped_relation_detected(self):
         fam = RegularFamily("Z")
-        rep = verify_comparison_maps(d_module(fam, 2), samples=20, drop_relation=0)
+        mod = d_module(fam, 2)
+        rep = verify_comparison_maps(mod, samples=20, presentation=without_row_0(mod))
         assert not rep.passed
 
     def test_mixed_rows_tested_once(self, monkeypatch):
@@ -216,4 +225,5 @@ class TestOneReductionOfL:
     @pytest.mark.parametrize("fam", module_families(), ids=lambda f: f.describe())
     def test_negative_controls_still_fail(self, fam):
         assert not verify_comparison_maps(d_module(fam, 2), samples=20, g_sign=-1).passed
-        assert not verify_comparison_maps(d_module(fam, 2), samples=20, drop_relation=0).passed
+        mod = d_module(fam, 2)
+        assert not verify_comparison_maps(mod, samples=20, presentation=without_row_0(mod)).passed
