@@ -425,11 +425,15 @@ def _word_text(gens, w):
     return "*".join(gens[i] for i in w) if w else "1"
 
 
+def _tensor_text(name, left, right, key):
+    """name(u,v) for the pure tensor key = (u, v), with u over left and v over right."""
+    return f"{name}({_word_text(left, key[0])},{_word_text(right, key[1])})"
+
+
 def _tensor_terms(name, left, right, t):
-    """(coefficient, text name(u,v)) of each pure tensor u (x) v of t, with u
-    over left and v over right, shortest first."""
+    """(coefficient, text) of each pure tensor of t, shortest first."""
     order = sorted(t, key=lambda key: (len(key[0]) + len(key[1]), key))
-    return ((t[u, v], f"{name}({_word_text(left, u)},{_word_text(right, v)})") for u, v in order)
+    return ((t[key], _tensor_text(name, left, right, key)) for key in order)
 
 
 def _random_tensor(rng, n, left, right, size):
