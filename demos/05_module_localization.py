@@ -15,6 +15,7 @@ from trilocal import (
     localize_module,
     verify_comparison_maps,
 )
+from trilocal.modloc import localized_presentation
 
 rz = RegularFamily("Z")
 
@@ -38,5 +39,5 @@ loc = localize_module(mixed, samples=50)
 print("\npolynomial-ring example: factors", loc.factors_fmt(), " rank", loc.rank)
 
 # the defining minus sign matters: flipping it breaks the verification
-rep = verify_comparison_maps(doubling, samples=20, g_sign=-1)
+rep = verify_comparison_maps(doubling, samples=20, presentation=localized_presentation(doubling, g_sign=-1))
 print("\nsign-flipped control detected:", not rep.passed)

@@ -19,10 +19,10 @@ from .families import family_from_json
 from .fracloc import CentralPair, factor_inverting_hom, rational_value_hom
 from .matrixloc import matrix_text, rho_matrix, verify_sigma_inverting
 from .modloc import localize_module
-from .report import render_doc
+from .report import DEFAULT_SEED, render_doc
 from .tring import DEFAULT_BUDGET, Budget, family_iso, rho, t_normalize
 from .triangular import TriElement, triple_from_json
-from .verify import DEFAULT_SEED, example_suite, random_suite
+from .verify import example_suite, random_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1

@@ -47,8 +47,8 @@ class _Token:
         self.value = value
         self.pos = pos
 
-    def __repr__(self):
-        return f"Token({self.kind}, {self.value!r}, {self.pos})"
+    def shown(self):
+        return "end of input" if self.kind == "eof" else repr(self.value)
 
 
 _SYMBOLS = "+-*^()[],/"
@@ -126,8 +126,7 @@ class _Parser:
     def expect(self, kind):
         tok = self.next()
         if tok.kind != kind:
-            what = "end of input" if tok.kind == "eof" else repr(tok.value)
-            raise ParseError(f"expected {kind!r}, found {what}", tok.pos)
+            raise ParseError(f"expected {kind!r}, found {tok.shown()}", tok.pos)
         return tok
 
     def expect_call(self, name, message):
@@ -195,7 +194,7 @@ class _Parser:
             return node
         if self.gens is not None:
             if tok.kind != "ident":
-                self.fail(f"expected a literal, generator or parenthesized expression, found {tok.value!r}")
+                self.fail(f"expected a literal, generator or parenthesized expression, found {tok.shown()}")
             if tok.value not in self.gens:
                 raise ParseError(f"unknown generator {tok.value!r}", tok.pos)
             self.next()
@@ -206,7 +205,7 @@ class _Parser:
             m = self.family.parse_melem(self)
             self.expect("]")
             return Gen(m)
-        self.fail(f"expected a literal, x[...] or parenthesized expression, found {tok.value!r}")
+        self.fail(f"expected a literal, x[...] or parenthesized expression, found {tok.shown()}")
 
     def parse_lit(self):
         tok = self.expect("int")
@@ -252,9 +251,9 @@ def parse_element(family, text):
     return _Parser(family, text).parse_all()
 
 
-def parse_normal(family, text, budget=DEFAULT_BUDGET):
+def parse_normal(family, text):
     """Parse and normalize in one step."""
-    return t_normalize(family, parse_element(family, text), budget)
+    return t_normalize(family, parse_element(family, text))
 
 
 def format_element(e):

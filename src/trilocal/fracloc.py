@@ -16,10 +16,9 @@ import random
 from fractions import Fraction
 
 from .errors import CertificateError, UnsupportedFamilyError
-from .report import Report
+from .report import DEFAULT_SEED, Report
 from .rings import QQ
 from .tring import (
-    DEFAULT_BUDGET,
     Record,
     TElement,
     TOps,
@@ -43,13 +42,13 @@ class CentralPair:
 
     __slots__ = ("family", "a0", "b0", "certification")
 
-    def __init__(self, family, a0, b0, samples=200, seed=1729):
+    def __init__(self, family, a0, b0, seed=DEFAULT_SEED):
         self.family = family
         self.a0 = a0
         self.b0 = b0
         basis = family.basis()
         rng = random.Random(seed)
-        for m in list(basis or []) + [family.random_m(rng) for _ in range(samples)]:
+        for m in list(basis or []) + [family.random_m(rng) for _ in range(200)]:
             if family.apply(a0, m, family.b_one) != family.apply(family.a_one, m, b0):
                 raise UnsupportedFamilyError(f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}")
         self.certification = "basis+samples" if basis is not None else "samples-only"
@@ -110,7 +109,7 @@ def phi(e, pair):
     return pair.induced(e)
 
 
-def check_central(pair, samples=1000, seed=1729):
+def check_central(pair, samples=1000, seed=DEFAULT_SEED):
     """Verify the generator of a0*p commutes with basis and random letters."""
     fam = pair.family
     rep = Report(
@@ -165,7 +164,7 @@ class LetterHom:
             e, self.s_ring, self.scalar_image, lambda letter: self.generator_image(self.family.letter_bim(letter))
         )
 
-    def respects_relations(self, samples=100, seed=1729):
+    def respects_relations(self, samples=100, seed=DEFAULT_SEED):
         """Sampled check that the letter images satisfy the presentation."""
         fam = self.family
         gen = lambda m: self.apply(t_generator(fam, m))
@@ -198,7 +197,7 @@ def rational_value_hom(family):
     return LetterHom(family, QQ, lambda m: Fraction(m, k), Fraction)
 
 
-def two_order_agreement(pair, hom, f_inv, expr, budget=DEFAULT_BUDGET):
+def two_order_agreement(pair, hom, f_inv, expr):
     """Evaluate the factored map on a raw expression two independent ways.
 
     Order one normalizes in T(M,a0*p) first and then maps letterwise;
@@ -207,7 +206,7 @@ def two_order_agreement(pair, hom, f_inv, expr, budget=DEFAULT_BUDGET):
     """
     target = pair.target_family()
     rg = hom.s_ring
-    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(target, expr, budget))
+    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(target, expr))
     via_tree = eval_tree(
         expr, rg, hom.scalar_image, lambda m: rg.mul(f_inv, hom.generator_image(m))
     )

@@ -28,7 +28,7 @@ from itertools import chain, islice
 
 from .errors import UnsupportedFamilyError
 from .linalg import Matrix, diagonal_form, in_row_span
-from .report import Report
+from .report import DEFAULT_SEED, Report
 from .tring import family_iso, t_generator
 
 
@@ -177,17 +177,17 @@ def comparison_maps(module, ring):
     return alpha, beta
 
 
-def verify_comparison_maps(module, samples=100, seed=1729, g_sign=1, presentation=None):
+def verify_comparison_maps(module, samples=100, seed=DEFAULT_SEED, presentation=None):
     """Exactly verify the mutually inverse maps between L and the tensor side.
 
     Both well-definedness directions are membership computations; the
     round trips are checked on the generators and on sampled random
-    elements.  g_sign=-1 exists for negative controls.  presentation is
-    L, ``localized_presentation(module, g_sign)``, mixed rows last, when
-    the caller already holds it (its diagonal form is then reused); by
-    default L is built here.
+    elements.  presentation is L, ``localized_presentation(module)``,
+    mixed rows last, when the caller already holds it (its diagonal form
+    is then reused); by default L is built here.  A negative control
+    passes a broken L, such as ``localized_presentation(module, g_sign=-1)``.
     """
-    L = localized_presentation(module, g_sign=g_sign) if presentation is None else presentation
+    L = localized_presentation(module) if presentation is None else presentation
     family = module.family
     ring = L.ring
     W = tensor_side_presentation(module)
@@ -266,7 +266,7 @@ class LocalizedModule:
         }
 
 
-def localize_module(module, samples=100, seed=1729):
+def localize_module(module, samples=100, seed=DEFAULT_SEED):
     """Full pipeline: presentation, invariants, comparison-map verification."""
     pres = localized_presentation(module)
     factors, rank = pres.invariants()

@@ -179,9 +179,9 @@ def randints(rng, lo, hi):
         yield lo + r
 
 
-def random_word(rng, gens, length=2):
-    """A word of at most length letters drawn from gens (empty when gens is)."""
-    return tuple(rng.randrange(len(gens)) for _ in range(rng.randint(0, length))) if gens else ()
+def random_word(rng, gens):
+    """A word of at most two letters drawn from gens (empty when gens is)."""
+    return tuple(rng.randrange(len(gens)) for _ in range(rng.randint(0, 2))) if gens else ()
 
 
 def strip_factors_of(n, k):
@@ -617,10 +617,10 @@ class FreeAlgebra(OperatorRing):
         zero = self.zero()
         return FreeAlgebraElement(self.base, self.gens, term_sum(zero._check(v).terms for v in values))
 
-    def random(self, rng, size=3, terms=2, length=2):
+    def random(self, rng, size=3, terms=2):
         out = self.zero()
         for _ in range(rng.randint(1, terms)):
-            w = random_word(rng, self.gens, length)
+            w = random_word(rng, self.gens)
             c = rng.randint(-size, size)
             out = out + self.word(w, c)
         return out

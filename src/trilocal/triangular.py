@@ -219,8 +219,8 @@ class TripleModule:
         out_a = _combination([(r.a, vecA), (1, self.f_apply(r.m, vecB))], self.NA.gens)
         return (out_a, _combination([(r.b, vecB)], self.NB.gens))
 
-    def random_element(self, rng, size=5):
-        return (self.NA.random_vector(rng, size), self.NB.random_vector(rng, size))
+    def random_element(self, rng):
+        return (self.NA.random_vector(rng, 5), self.NB.random_vector(rng, 5))
 
     def direct_sum(self, other):
         if other.family != self.family:

@@ -24,7 +24,7 @@ from .fracloc import (
 )
 from .matrixloc import verify_sigma_inverting
 from .modloc import Presentation, localize_module, localized_presentation, verify_comparison_maps
-from .report import Report
+from .report import DEFAULT_SEED, Report
 from .rings import Polynomial, random_word
 from .tring import (
     Add,
@@ -43,15 +43,13 @@ from .tring import (
 )
 from .triangular import FPModule, TripleModule, relation_images
 
-DEFAULT_SEED = 1729
 
-
-def random_telement(family, rng, max_terms=2, max_len=2, size=3):
+def random_telement(family, rng, size=3):
     """Small random normal-form element, built from generator products."""
     out = TElement.zero(family)
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 2)):
         piece = TElement.one(family)
-        for _ in range(rng.randint(0, max_len)):
+        for _ in range(rng.randint(0, 2)):
             piece = t_mul(piece, t_generator(family, family.random_m(rng, size)))
         coeff = rng.randint(-size, size)
         if family.ring == "Q" and rng.random() < 0.3:
@@ -109,7 +107,7 @@ def oracle_faithfulness(family, n=1000, seed=DEFAULT_SEED):
     failed, detail = next(failures(), (None, ""))
     rep.add("homomorphism identities exact on all pairs", failed != "hom", detail if failed == "hom" else "")
     rep.add(
-        "t_eq agrees with oracle equality on all pairs",
+        "equality of normal forms agrees with oracle equality on all pairs",
         failed != "eq",
         detail if failed == "eq" else f"equal-branch hits: {len(equal_pairs)}",
     )
@@ -246,7 +244,8 @@ def _canonical_chain(ring, factors):
 # Fixed worked-example fixtures.
 # ---------------------------------------------------------------------------
 
-def example_suite(seed=DEFAULT_SEED, negative_control=False, samples=60):
+def example_suite(seed=DEFAULT_SEED, negative_control=False):
+    samples = 60
     rep = Report("worked examples", seed=seed, meta={"samples": samples})
     rng = random.Random(seed)
     rz, dq, tf, hf, s2 = shipped_families()
@@ -354,14 +353,14 @@ def example_suite(seed=DEFAULT_SEED, negative_control=False, samples=60):
     column_q = TripleModule(rz, FPModule("Z", 1), FPModule("Z", 1), [[[1]]])
     locq = localize_module(column_q, samples=40, seed=seed)
     rep.add("the Q-column triple localizes to free rank 1", locq.rank == 1 and not locq.factors)
-    flipped = verify_comparison_maps(d2, samples=20, seed=seed, g_sign=-1)
+    flipped = verify_comparison_maps(d2, samples=20, seed=seed, presentation=localized_presentation(d2, g_sign=-1))
     rep.add("sign-flipped defining map is detected", not flipped.passed)
     return rep
 
 
-def random_suite(seed=DEFAULT_SEED, instances=200, pairs=200, sigma_samples=100,
-                 modules=4, module_samples=25):
+def random_suite(seed=DEFAULT_SEED):
     """Seeded random property run across every family; CLI `verify --suite random`."""
+    instances, pairs, sigma_samples, modules = 200, 200, 100, 4
     rep = Report("random property suites", seed=seed, meta={
         "instances": instances,
         "pairs": pairs,
@@ -383,6 +382,6 @@ def random_suite(seed=DEFAULT_SEED, instances=200, pairs=200, sigma_samples=100,
         )
         rep.add(f"change of p [{family.kind}, a0={a0}]", sub.passed)
     for family in module_families():
-        sub = module_localization_suite(family, modules=modules, samples=module_samples, seed=seed)
+        sub = module_localization_suite(family, modules=modules, samples=25, seed=seed)
         rep.add(f"module localization [{family.kind}]", sub.passed)
     return rep

@@ -27,7 +27,7 @@ from trilocal.fracloc import (
 )
 from trilocal.linalg import Matrix, diagonal_form
 from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
-from trilocal.modloc import localize_module, verify_comparison_maps
+from trilocal.modloc import localize_module, localized_presentation, verify_comparison_maps
 from trilocal.rings import ZZ
 from trilocal.tring import (
     Gen,
@@ -138,7 +138,7 @@ def test_criterion_4_change_of_p_suite():
         k_src = family.k if isinstance(family, ScaledFamily) else 1
         rng = random.Random(SEED)
         for _ in range(500):
-            e = random_telement(target, rng, max_terms=2, max_len=2, size=5)
+            e = random_telement(target, rng, size=5)
             form = pair.fraction_form(e)
             rebuilt = t_mul(pair.induced(form.numerator), inv ** form.exponent)
             assert rebuilt == e
@@ -153,7 +153,7 @@ def test_criterion_4_change_of_p_suite():
         f_inv = Fraction(1, a0)
         rng = random.Random(SEED + 1)
         for _ in range(500):
-            e = random_telement(family, rng, max_terms=2, max_len=2, size=5)
+            e = random_telement(family, rng, size=5)
             assert factor_inverting_hom(pair, hom, f_inv, phi(e, pair)) == hom.apply(e)
         rng = random.Random(SEED + 2)
         for _ in range(500):
@@ -193,7 +193,7 @@ def test_criterion_5_module_localization():
     torsion = TripleModule(rz, FPModule("Z", 1, [[3]]), FPModule("Z", 0), [[]])
     loct = localize_module(torsion, samples=100, seed=SEED)
     assert loct.factors_fmt() == ["3"] and loct.report.passed
-    flipped = verify_comparison_maps(d2, samples=50, seed=SEED, g_sign=-1)
+    flipped = verify_comparison_maps(d2, samples=50, seed=SEED, presentation=localized_presentation(d2, g_sign=-1))
     assert not flipped.passed
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"module localization took {elapsed:.1f}s"

@@ -17,6 +17,8 @@
   into a shared base keeps its cases.
 * Every name ``__init__.py`` re-exports is imported from ``trilocal``
   by the README or a demo: the package surface is the documented API.
+* Every parameter with a default is passed, by position or keyword, by
+  some call in those places: a setting no caller changes is a constant.
 * ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines.
 """
 
@@ -229,6 +231,62 @@ RE_EXPORTS = [alias.name for node in MODULES["__init__.py"].body if isinstance(n
 @pytest.mark.parametrize("name", RE_EXPORTS)
 def test_re_export_is_documented(name):
     assert name in DOCUMENTED, f"__init__.py re-exports {name}, which neither the README nor a demo imports"
+
+
+def parameters_with_defaults():
+    """(qualified name, callee, position, parameter) for every parameter
+    with a default in src/trilocal.  callee is the name a call uses: the
+    function's, or for __init__ its class's.  position counts the
+    arguments a call passes, so a method's self is not one of them; it is
+    None for a keyword-only parameter."""
+    out = []
+    for module, tree in MODULES.items():
+        owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            cls = owner.get(id(fn))
+            bound = cls is not None and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            positional = (fn.args.posonlyargs + fn.args.args)[1 if bound else 0:]
+            callee = cls.name if fn.name == "__init__" else fn.name
+            scope = f"{module}:{cls.name}.{fn.name}" if cls else f"{module}.{fn.name}"
+            out += [
+                (f"{scope}-{arg.arg}", callee, i, arg.arg)
+                for i, arg in enumerate(positional)
+                if i >= len(positional) - len(fn.args.defaults)
+            ]
+            out += [
+                (f"{scope}-{arg.arg}", callee, None, arg.arg)
+                for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if default is not None
+            ]
+    return out
+
+
+def passed_arguments():
+    """callee name -> (largest positional count, keywords) over every call in
+    src, tests, demos and perfbench.  A starred argument passes no known
+    position.  OperatorRing.random forwards its arguments to randoms, so a
+    call of random is also one of randoms."""
+    out = {}
+    for tree in CALLERS:
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            count = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)), len(call.args))
+            for callee in (name, "randoms") if name == "random" else (name,):
+                most, keywords = out.get(callee, (0, set()))
+                out[callee] = (max(most, count), keywords | {kw.arg for kw in call.keywords})
+    return out
+
+
+DEFAULTED = parameters_with_defaults()
+PASSED = passed_arguments()
+
+
+@pytest.mark.parametrize("qualified,callee,position,name", DEFAULTED, ids=[q for q, _, _, _ in DEFAULTED])
+def test_default_is_overridden_somewhere(qualified, callee, position, name):
+    most, keywords = PASSED.get(callee, (0, set()))
+    assert name in keywords or (position is not None and most > position), (
+        f"{qualified}: no call in src, tests, demos or perfbench passes {name}"
+    )
 
 
 SOURCE_LINE_CAP = 4500

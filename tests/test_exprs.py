@@ -71,6 +71,17 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_ring_element(tf, "A", "(s)".join(deep))
 
+    @pytest.mark.parametrize("text", ["2+", "(", "3*", "-", "x[3]^"])
+    def test_incomplete_input_names_end_of_input(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_element(ScaledFamily(2), text)
+        assert str(err.value).endswith(f"found end of input at offset {len(text)}")
+
+    def test_incomplete_ring_element_names_end_of_input(self):
+        with pytest.raises(ParseError) as err:
+            parse_ring_element(TensorFreeFamily("Q", ("s",), ("u",)), "A", "s+")
+        assert str(err.value).endswith("found end of input at offset 2")
+
     def test_hnn_two_forms(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
         pure_a = parse_normal(fam, "x[h(s*s)]")

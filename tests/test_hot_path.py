@@ -365,7 +365,7 @@ class TestMembershipDecidingColumns:
         assert modloc.localize_module(module).report.passed
         for control in ("g_sign", "drop_relation"):
             if control == "g_sign":
-                rep = modloc.verify_comparison_maps(module, g_sign=-1)
+                rep = modloc.verify_comparison_maps(module, presentation=modloc.localized_presentation(module, g_sign=-1))
             else:
                 rep = modloc.verify_comparison_maps(module, presentation=without_row_0(module))
             failed = [(c.name, c.detail) for c in rep.checks if not c.passed]

@@ -122,9 +122,9 @@ class TestSampledCheckControls:
 
     @pytest.mark.parametrize("component", "AMB")
     def test_column_split_fails_only_beside_unital_or_corner(self, component):
-        # The P-part's second column is [M(0), B(0)] and the Q-part's first
-        # column is [A(0), 0], so the split reads only zero images: the corner
-        # check reads A(0) and B(0), the unital check M(0).
+        # The images of (1, 0, 0) and (0, 0, 1) hold M(0) and B(0), and A(0)
+        # and M(0), beside their unit entries: the corner check reads A(0)
+        # and B(0), the unital check M(0).
         fam = RegularFamily("Z")
         failing = _failing(fam, _maps(**{component: lambda f, v: TElement.one(f) if v == 0 else rho(f, component, v)}))
         assert "P lands in column 1, Q in column 2" in failing

@@ -111,8 +111,8 @@ class TestComparisonMaps:
         assert rep.passed
 
     def test_sign_flip_detected(self):
-        fam = RegularFamily("Z")
-        rep = verify_comparison_maps(d_module(fam, 2), samples=20, g_sign=-1)
+        mod = d_module(RegularFamily("Z"), 2)
+        rep = verify_comparison_maps(mod, samples=20, presentation=localized_presentation(mod, g_sign=-1))
         assert not rep.passed
 
     def test_dropped_relation_detected(self):
@@ -224,6 +224,6 @@ class TestOneReductionOfL:
 
     @pytest.mark.parametrize("fam", module_families(), ids=lambda f: f.describe())
     def test_negative_controls_still_fail(self, fam):
-        assert not verify_comparison_maps(d_module(fam, 2), samples=20, g_sign=-1).passed
         mod = d_module(fam, 2)
+        assert not verify_comparison_maps(mod, samples=20, presentation=localized_presentation(mod, g_sign=-1)).passed
         assert not verify_comparison_maps(mod, samples=20, presentation=without_row_0(mod)).passed
