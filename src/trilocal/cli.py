@@ -82,15 +82,14 @@ def cmd_normalize(args):
 
 def cmd_rho(args):
     family = _load_family(args.family)
-    budget = Budget(args.budget)
     if args.component == "M":
         value = parse_bim_element(family, args.value)
         shown = family.fmt_m(value)
     else:
-        value = parse_ring_element(family, args.component, args.value, budget)
+        value = parse_ring_element(family, args.component, args.value, args.budget)
         ring = family.a_ring if args.component == "A" else family.b_ring
         shown = ring.fmt(value)
-    image = rho(family, args.component, value, budget)
+    image = rho(family, args.component, value, args.budget)
     _emit(
         {
             "family": family.describe(),
@@ -263,6 +262,7 @@ def main(argv=None):
     try:
         if args.budget < 0:  # every subcommand takes --budget
             raise SchemaError(f"--budget must be a non-negative integer, got {args.budget}")
+        args.budget = Budget(args.budget)  # one count for the whole command
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,10 +26,10 @@ class CertificateError(TrilocalError):
 
 
 class BudgetExceededError(TrilocalError, RuntimeError):
-    """Normalization exhausted its rewrite-step budget."""
+    """An evaluation (a normal form in T(M,p), or an A or B value) exhausted its step budget."""
 
     def __init__(self, limit):
-        super().__init__(f"normalization exceeded the step budget of {limit}")
+        super().__init__(f"evaluation exceeded the step budget of {limit}")
         self.limit = limit
 
 

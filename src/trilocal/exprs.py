@@ -34,7 +34,9 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .rings import norm_scalar, signed_sum
-from .tring import DEFAULT_BUDGET, Add, Budget, ChargedRing, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize
+from .tring import (
+    DEFAULT_BUDGET, UNBOUNDED, Add, Budget, ChargedRing, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize,
+)
 
 MAX_NESTING = 200
 
@@ -252,8 +254,8 @@ def parse_element(family, text):
 
 
 def parse_normal(family, text):
-    """Parse and normalize in one step."""
-    return t_normalize(family, parse_element(family, text))
+    """Parse and normalize in one step, under a fresh DEFAULT_BUDGET."""
+    return t_normalize(family, parse_element(family, text), Budget(DEFAULT_BUDGET))
 
 
 def format_element(e):
@@ -281,12 +283,12 @@ def format_oracle(family, value):
     return family.oracle.fmt(value)
 
 
-def parse_ring_element(family, component, text, budget=DEFAULT_BUDGET):
+def parse_ring_element(family, component, text, budget=UNBOUNDED):
     """Parse an element of A or B: the grammar with its generator names as
-    letters, evaluated under budget (a limit or a Budget)."""
+    letters, evaluated under budget."""
     ring = family.a_ring if component == "A" else family.b_ring
     tree = _Parser(family, text, ring.gens).parse_all()
-    charged = ChargedRing(ring, Budget.of(budget))
+    charged = ChargedRing(ring, budget)
     # Z and Q have no gens, so no Gen node and no generator method to look up
     return eval_tree(tree, charged, ring.from_int, lambda i: ring.generator(i))
 

@@ -109,7 +109,7 @@ def phi(e, pair):
     return pair.induced(e)
 
 
-def check_central(pair, samples=1000, seed=DEFAULT_SEED):
+def check_central(pair, samples, seed=DEFAULT_SEED):
     """Verify the generator of a0*p commutes with basis and random letters."""
     fam = pair.family
     rep = Report(
@@ -164,7 +164,7 @@ class LetterHom:
             e, self.s_ring, self.scalar_image, lambda letter: self.generator_image(self.family.letter_bim(letter))
         )
 
-    def respects_relations(self, samples=100, seed=DEFAULT_SEED):
+    def respects_relations(self, samples, seed=DEFAULT_SEED):
         """Sampled check that the letter images satisfy the presentation."""
         fam = self.family
         gen = lambda m: self.apply(t_generator(fam, m))

@@ -44,7 +44,7 @@ def rho_matrix(r, rho_maps=None):
     return Matrix(ring, [[image("A", r.a), image("M", r.m)], [ring.zero(), image("B", r.b)]])
 
 
-def verify_sigma_inverting(family, samples=200, seed=DEFAULT_SEED, rho_maps=None):
+def verify_sigma_inverting(family, samples, seed=DEFAULT_SEED, rho_maps=None):
     """Certify that the matrix map inverts the column morphism.
 
     Checks, exactly: the map is a unital ring morphism on sampled pairs,

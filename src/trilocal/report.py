@@ -33,7 +33,7 @@ def render_doc(doc, fmt="text"):
 class Check:
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name, passed, detail=""):
+    def __init__(self, name, passed, detail):
         self.name = name
         self.passed = bool(passed)
         self.detail = detail
@@ -107,5 +107,5 @@ class Report:
     def render_json(self):
         return dump_json(self.to_json())
 
-    def render(self, fmt="text"):
+    def render(self, fmt):
         return self.render_text() if fmt == "text" else self.render_json()

@@ -545,7 +545,7 @@ class PolynomialRing(OperatorRing):
     is_zero = staticmethod(Polynomial.is_zero)
     divmod = staticmethod(Polynomial.divmod)
 
-    def __init__(self, base="Q"):
+    def __init__(self, base):
         self.base = base
         self.name = f"{base}[x]"
         self._zero, self._one = Polynomial(base, ()), Polynomial(base, (1,))

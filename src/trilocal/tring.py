@@ -36,6 +36,7 @@ its recursion, building a ``TElement`` only for its result.
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import chain
 
@@ -52,23 +53,14 @@ class Budget:
         self.limit = limit
         self.used = 0
 
-    @classmethod
-    def of(cls, budget):
-        """A fresh Budget when budget is a limit; a Budget (or None) as it is."""
-        return cls(budget) if isinstance(budget, int) else budget
-
     def tick(self, n=1):
         self.used += n
         if self.used > self.limit:
             raise BudgetExceededError(self.limit)
 
 
-def _tick(budget, n=1):
-    if budget is not None:
-        budget.tick(n)
-
-
 DEFAULT_BUDGET = 10 ** 6
+UNBOUNDED = Budget(math.inf)  # the default of the evaluators: counts, never raises
 
 
 class TElement:
@@ -146,13 +138,13 @@ def _generator_terms(family, m, budget):
     """Canonical term map of the single-letter word x_m."""
     terms = {}
     for coeff, letter in family.letter_terms(m):
-        _tick(budget)
+        budget.tick()
         coeff = family.validate_coeff(coeff)
         add_term(terms, () if letter is None else (letter,), coeff)
     return family.fold_element(terms)
 
 
-def t_generator(family, m, budget=None):
+def t_generator(family, m, budget=UNBOUNDED):
     """Normal form of the single-letter word x_m; may collapse to a scalar."""
     return TElement(family, _generator_terms(family, m, budget))
 
@@ -186,12 +178,12 @@ def _word_mul(family, w1, w2, budget, factors):
             fac = _letter_factor(family, factors, right)
             merged = None if fac.right is None else family.apply(family.a_one, family.letter_bim(left), fac.right)
         if merged is not None:
-            _tick(budget)
+            budget.tick()
             head = _mul_terms(family, {w1[:-1]: 1}, _generator_terms(family, merged, budget), budget, factors)
             return _mul_terms(family, head, {w2[1:]: 1}, budget, factors)
         shifted = family.shift_pair(left, right)
         if shifted is not None:
-            _tick(budget)
+            budget.tick()
             l1, l2 = shifted
             return _mul_terms(family, {w1[:-1] + (l1,): 1}, {(l2,) + w2[1:]: 1}, budget, factors)
     return {w1 + w2: 1}
@@ -220,21 +212,21 @@ def _mul_terms(family, t1, t2, budget, factors):
     right = _sizes(t2)
     for w1, c1, b1, n1 in _sizes(t1):
         for w2, c2, b2, n2 in right:
-            _tick(budget, _pair_charge(b1, n1, b2, n2))
+            budget.tick(_pair_charge(b1, n1, b2, n2))
             c = scalar_mul(c1, c2)
             for word, coeff in _word_mul(family, w1, w2, budget, factors).items():
                 add_term(terms, word, scalar_mul(c, coeff))
     return family.fold_element(terms)
 
 
-def t_mul(e1, e2, budget=None):
+def t_mul(e1, e2, budget=UNBOUNDED):
     """Product in T(M,p).  Letter factorizations are memoized for this call only."""
     e1.family.check_same(e2.family)
     family = e1.family
     return TElement(family, _mul_terms(family, e1.terms, e2.terms, budget, {}))
 
 
-def rho(family, component, value, budget=None):
+def rho(family, component, value, budget=UNBOUNDED):
     """Structure maps into T: A and B land via a*p and p*b, M via x_m."""
     if component == "A":
         return t_generator(family, family.apply(value, family.p, family.b_one), budget)
@@ -423,9 +415,9 @@ def eval_tree(expr, ring, const, gen):
 
 
 class TOps(OperatorRing):
-    """T(M,p) over one family as a ring object, charging an optional Budget."""
+    """T(M,p) over one family as a ring object, charging a Budget."""
 
-    def __init__(self, family, budget=None):
+    def __init__(self, family, budget=UNBOUNDED):
         self.family = family
         self.budget = budget
 
@@ -440,7 +432,7 @@ class TOps(OperatorRing):
         return TElement.one(self.family)
 
     def const(self, c):
-        _tick(self.budget)
+        self.budget.tick()
         return TElement.from_scalar(self.family, c)
 
     def gen(self, m):
@@ -452,7 +444,7 @@ class TOps(OperatorRing):
         for v in values:
             self.family.check_same(v.family)
             if maps:
-                _tick(self.budget)
+                self.budget.tick()
             maps.append(v.terms)
         return TElement(self.family, _refold(self.family, maps))
 
@@ -493,7 +485,7 @@ def _terms_of(x):
     return {(): x} if terms is None else terms
 
 
-def t_normalize(family, expr, budget=DEFAULT_BUDGET):
+def t_normalize(family, expr, budget=UNBOUNDED):
     """Evaluate a raw expression tree to the rewriting fixpoint.
 
     budget bounds the number of rewrite events; exceeding it raises
@@ -503,5 +495,5 @@ def t_normalize(family, expr, budget=DEFAULT_BUDGET):
     if isinstance(expr, TElement):
         family.check_same(expr.family)
         return expr
-    ring = TOps(family, Budget.of(budget))
+    ring = TOps(family, budget)
     return eval_tree(expr, ring, ring.const, ring.gen)

@@ -24,7 +24,7 @@ from .fracloc import (
 )
 from .matrixloc import verify_sigma_inverting
 from .modloc import Presentation, localize_module, localized_presentation, verify_comparison_maps
-from .report import DEFAULT_SEED, Report
+from .report import Report
 from .rings import Polynomial, random_word
 from .tring import (
     Add,
@@ -58,17 +58,18 @@ def random_telement(family, rng, size=3):
     return out
 
 
-def random_expression(family, rng, depth=2, size=3):
-    """Random raw expression tree over the family."""
+def random_expression(family, rng, depth):
+    """Random raw expression tree over the family, at most depth levels deep."""
+    size = 3  # of its constants and generators
     if depth <= 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return Const(rng.randint(-size, size))
         return Gen(family.random_m(rng, size))
-    children = tuple(random_expression(family, rng, depth - 1, size) for _ in range(rng.randint(2, 3)))
+    children = tuple(random_expression(family, rng, depth - 1) for _ in range(rng.randint(2, 3)))
     return Mul(children) if rng.random() < 0.5 else Add(children)
 
 
-def presentation_soundness(family, n=1000, seed=DEFAULT_SEED):
+def presentation_soundness(family, n, seed):
     """The defining relations hold after normalization, on random data."""
     rep = Report(f"presentation soundness [{family.describe()}]", seed=seed, meta={"instances": n})
     ring = TOps(family)
@@ -77,7 +78,7 @@ def presentation_soundness(family, n=1000, seed=DEFAULT_SEED):
     return rep
 
 
-def oracle_faithfulness(family, n=1000, seed=DEFAULT_SEED):
+def oracle_faithfulness(family, n, seed):
     """family_iso is a ring isomorphism onto the oracle on random pairs."""
     rng = random.Random(seed)
     rep = Report(f"oracle faithfulness [{family.describe()}]", seed=seed, meta={"pairs": n})
@@ -119,8 +120,7 @@ def change_of_p_configs():
     return [(rz, 2, 2), (s2, 3, 3)]
 
 
-def change_of_p_suite(family, a0, b0, centrality_samples=1000, fraction_samples=500,
-                      factor_samples=500, seed=DEFAULT_SEED):
+def change_of_p_suite(family, a0, b0, centrality_samples, fraction_samples, factor_samples, seed):
     """Centrality, inverse identity, fraction forms, and factorization."""
     pair = CentralPair(family, a0, b0, seed=seed)
     rep = Report(
@@ -163,7 +163,7 @@ def change_of_p_suite(family, a0, b0, centrality_samples=1000, fraction_samples=
     rep.first_failure("two evaluation orders agree", (
         f"sample {i}"
         for i in range(factor_samples)
-        if not two_order_agreement(pair, hom, f_inv, random_expression(target, rng, depth=2, size=3))[0]
+        if not two_order_agreement(pair, hom, f_inv, random_expression(target, rng, depth=2))[0]
     ))
     return rep
 
@@ -202,7 +202,7 @@ def random_triple(family, rng, max_gens=4, size=10):
     return TripleModule(family, NA, FPModule(tag, gB, rowsB), f)
 
 
-def module_localization_suite(family, modules=20, samples=100, seed=DEFAULT_SEED):
+def module_localization_suite(family, modules, samples, seed):
     rep = Report(
         f"module localization [{family.describe()}]",
         seed=seed,
@@ -244,7 +244,7 @@ def _canonical_chain(ring, factors):
 # Fixed worked-example fixtures.
 # ---------------------------------------------------------------------------
 
-def example_suite(seed=DEFAULT_SEED, negative_control=False):
+def example_suite(seed, negative_control):
     samples = 60
     rep = Report("worked examples", seed=seed, meta={"samples": samples})
     rng = random.Random(seed)
@@ -358,7 +358,7 @@ def example_suite(seed=DEFAULT_SEED, negative_control=False):
     return rep
 
 
-def random_suite(seed=DEFAULT_SEED):
+def random_suite(seed):
     """Seeded random property run across every family; CLI `verify --suite random`."""
     instances, pairs, sigma_samples, modules = 200, 200, 100, 4
     rep = Report("random property suites", seed=seed, meta={

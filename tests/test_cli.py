@@ -127,6 +127,44 @@ class TestRhoBudgetBoundsWork:
         assert len(lines) == 1 and lines[0].startswith("error:"), out.stderr
 
 
+class TestOneBudgetPerCommand:
+    """A command charges parsing and evaluation to one count, and an
+    exhausted count is reported in one line that names no stage."""
+
+    def test_parsing_and_rho_share_one_count(self, capsys):
+        from trilocal.cli import main
+        from trilocal.exprs import parse_ring_element
+        from trilocal.families import family_from_json
+        from trilocal.tring import Budget, rho
+
+        family = family_from_json(json.loads(REGULAR))
+        budget = Budget(float("inf"))
+        value = parse_ring_element(family, "A", "2^20000", budget)
+        parsed = budget.used
+        rho(family, "A", value, budget)
+        total = budget.used
+        # each stage alone fits in total - 1 steps, so a command with one
+        # budget per stage would pass where one count must fail
+        assert 0 < parsed < total
+        argv = ["rho", "--family", REGULAR, "--component", "A", "--value", "2^20000", "--budget"]
+        assert main(argv + [str(total)]) == 0
+        assert main(argv + [str(total - 1)]) == 3
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, limit",
+        [
+            (["normalize", "--family", SCALED, "--expr", "x[3]^100000000", "--budget", "1000"], 1000),
+            (["rho", "--family", REGULAR, "--component", "A", "--value", "2^100000000"], 1000000),
+        ],
+        ids=["normalize", "rho-A"],
+    )
+    def test_exhaustion_message(self, argv, limit):
+        out = run_cli(*argv, timeout=20)
+        assert out.returncode == 3
+        assert out.stderr == f"error: evaluation exceeded the step budget of {limit}\n"
+
+
 class TestRho:
     def test_component_a(self):
         out = run_cli("rho", "--family", SCALED, "--component", "A", "--value", "3")

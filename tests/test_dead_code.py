@@ -19,6 +19,11 @@
   by the README or a demo: the package surface is the documented API.
 * Every parameter with a default is passed, by position or keyword, by
   some call in those places: a setting no caller changes is a constant.
+* Every parameter with a default is also left out by some call in those
+  places: a default that every caller overrides is dead code.
+  ``family_from_json``'s ``cls(**fields)`` leaves out each omitted
+  descriptor field, and a dunder other than ``__init__`` is called by
+  Python itself, so its defaults are not checked.
 * ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines.
 """
 
@@ -261,31 +266,70 @@ def parameters_with_defaults():
     return out
 
 
-def passed_arguments():
-    """callee name -> (largest positional count, keywords) over every call in
-    src, tests, demos and perfbench.  A starred argument passes no known
-    position.  OperatorRing.random forwards its arguments to randoms, so a
-    call of random is also one of randoms."""
-    out = {}
+def family_classes():
+    """The classes FAMILY_KINDS maps descriptor kinds to; family_from_json
+    builds each one as cls(**fields), leaving every omitted field at its default."""
+    kinds = next(
+        node.value
+        for node in MODULES["families.py"].body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["FAMILY_KINDS"]
+    )
+    return [value.id for value in kinds.values]
+
+
+def calls():
+    """callee name -> [(positional count, keywords, starred, double-starred)]
+    for every call in src, tests, demos and perfbench.  The count stops at a
+    starred argument, which passes no known position.  OperatorRing.random
+    forwards its arguments to randoms, so a call of random is also one of
+    randoms; family_from_json's cls(**fields) is a call of each family class
+    that passes nothing."""
+    out = {name: [(0, frozenset(), False, False)] for name in family_classes()}
     for tree in CALLERS:
         for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
             name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
             count = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)), len(call.args))
+            keywords = frozenset(kw.arg for kw in call.keywords if kw.arg is not None)
+            record = (count, keywords, count < len(call.args), any(kw.arg is None for kw in call.keywords))
             for callee in (name, "randoms") if name == "random" else (name,):
-                most, keywords = out.get(callee, (0, set()))
-                out[callee] = (max(most, count), keywords | {kw.arg for kw in call.keywords})
+                out.setdefault(callee, []).append(record)
     return out
 
 
+def passes(record, position, name):
+    count, keywords, _, _ = record
+    return name in keywords or (position is not None and count > position)
+
+
+def takes_default(record, position, name):
+    """Whether the call surely leaves the parameter at its default: it does
+    not pass it, and no starred argument could."""
+    _, _, starred, double_starred = record
+    return not passes(record, position, name) and not double_starred and (position is None or not starred)
+
+
 DEFAULTED = parameters_with_defaults()
-PASSED = passed_arguments()
+CALLS = calls()
 
 
 @pytest.mark.parametrize("qualified,callee,position,name", DEFAULTED, ids=[q for q, _, _, _ in DEFAULTED])
 def test_default_is_overridden_somewhere(qualified, callee, position, name):
-    most, keywords = PASSED.get(callee, (0, set()))
-    assert name in keywords or (position is not None and most > position), (
+    assert any(passes(record, position, name) for record in CALLS.get(callee, [])), (
         f"{qualified}: no call in src, tests, demos or perfbench passes {name}"
+    )
+
+
+TAKEN = [
+    (qualified, callee, position, name)
+    for qualified, callee, position, name in DEFAULTED
+    if not re.search(r"\.__(?!init__)\w+__-", qualified)  # dunders other than __init__ are called by Python itself
+]
+
+
+@pytest.mark.parametrize("qualified,callee,position,name", TAKEN, ids=[q for q, _, _, _ in TAKEN])
+def test_default_is_taken_somewhere(qualified, callee, position, name):
+    assert any(takes_default(record, position, name) for record in CALLS.get(callee, [])), (
+        f"{qualified}: every call in src, tests, demos and perfbench passes {name}, so its default is never used"
     )
 
 

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from trilocal.errors import BudgetExceededError, FamilyMismatchError
+from trilocal.exprs import parse_normal
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.rings import QQ, ZZ, FreeAlgebra, OperatorRing, Polynomial
 from trilocal.tring import (
     Add,
+    DEFAULT_BUDGET,
+    UNBOUNDED,
     Budget,
     ChargedRing,
     Const,
@@ -119,7 +122,7 @@ class TestNormalization:
         fam = ScaledFamily(2)
         tree = Mul(tuple(Gen(3) for _ in range(10)))
         with pytest.raises(BudgetExceededError):
-            t_normalize(fam, tree, budget=2)
+            t_normalize(fam, tree, Budget(2))
 
     def test_pow_node(self):
         fam = DoubleFamily("Q")
@@ -237,6 +240,28 @@ class TestChargedRing:
         with pytest.raises(BudgetExceededError):
             ChargedRing(Recording(), Budget(5)).mul(2 ** 200, 2 ** 200)
         assert formed == []
+
+
+class TestLibraryBudgets:
+    """parse_normal keeps the CLI's default bound; the evaluators' default,
+    UNBOUNDED, counts and never raises."""
+
+    def test_parse_normal_stops_at_the_default_budget(self):
+        with pytest.raises(BudgetExceededError):
+            parse_normal(ScaledFamily(2), "x[3]^100000000")
+
+    @pytest.mark.parametrize("route", ["t_mul", "TOps", "t_normalize"])
+    def test_unbounded_products_never_raise(self, route):
+        fam = RegularFamily("Z")
+        n = 2 ** (64 * 1100)  # a square of n charges 1101^2 steps, over DEFAULT_BUDGET
+        square = {
+            "t_mul": lambda: t_mul(TElement.from_scalar(fam, n), TElement.from_scalar(fam, n)),
+            "TOps": lambda: TOps(fam).mul(TElement.from_scalar(fam, n), TElement.from_scalar(fam, n)),
+            "t_normalize": lambda: t_normalize(fam, Mul((Const(n), Const(n)))),
+        }[route]
+        before = UNBOUNDED.used
+        assert square() == TElement.from_scalar(fam, n * n)
+        assert UNBOUNDED.used - before > DEFAULT_BUDGET
 
 
 class TestEquality:
