@@ -24,10 +24,12 @@ builds a family's identity and JSON descriptor from the family's
 ``params``, the one place a family names its descriptor fields.
 ``ScalarFamily`` adds A = B = Z or Q for regular and double, and scaled
 is the regular bimodule Z with p = k.  Tensor-free and hnn-free share
-the module-level helpers for tensor term maps: canonical form, the
-two-sided action, printing and random elements; their sums and scalar
-multiples are the term-map arithmetic of ``rings``.  Every sum of terms
-prints through ``rings.signed_sum``.
+``FreeFamily``: M is free over C, and an element of M is a term map
+over M's basis keys, which are T's letters; p's key is the constant 1.
+``FreeFamily`` states M's operations and the letters once, and each
+free family adds its own keys, how words act on a key, a key's text,
+its p-factorization and its melem syntax.  Every sum of terms prints
+through ``rings.signed_sum``.
 
 Factorization is exact and verified, never heuristic: a returned factor
 reproduces the element on the nose, and families without a decidable
@@ -37,9 +39,8 @@ membership test for A*p simply are not shipped.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
 
-from .errors import FamilyMismatchError, SchemaError, UnsupportedFamilyError
+from .errors import AlphabetMismatchError, FamilyMismatchError, SchemaError, UnsupportedFamilyError
 from .exprs import is_identifier
 from .rings import (
     FreeAlgebra,
@@ -56,7 +57,6 @@ from .rings import (
     signed_sum,
     term_scale,
     term_sum,
-    word_key,
 )
 from .tring import Record
 
@@ -70,17 +70,13 @@ class PFactorization(Record):
 
     __slots__ = ("left", "right")
 
-    def __init__(self, left=None, right=None):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
 
 class BimoduleFamily:
     """Shared behaviour, including all that follows from the rings alone;
     concrete families fill in the hooks.
 
-    A bimodule element enters through ``parse_melem``, ``letter_terms``
-    (so ``t_generator``) or ``TriElement``, which put it in the canonical
+    A bimodule element enters through ``parse_melem``,
+    ``tring.t_generator`` or ``TriElement``, which put it in the canonical
     form of ``canon_m``; ``canon_m`` checks every scalar against the
     coefficient ring.  Every other hook takes canonical elements and
     returns them.
@@ -215,7 +211,7 @@ class RegularFamily(ScalarFamily):
         return self.canon_m(p.parse_signed_lit())
 
     def factor_p(self, m):
-        return PFactorization(left=m, right=m)
+        return PFactorization(m, m)
 
     def basis(self):
         return [1]
@@ -228,7 +224,6 @@ class RegularFamily(ScalarFamily):
 
     # letters --------------------------------------------------------------
     def letter_terms(self, m):
-        m = self.canon_m(m)
         return [(m, None)] if m != 0 else []
 
     def _no_letters(self, letter):
@@ -295,7 +290,7 @@ class DoubleFamily(ScalarFamily):
     def factor_p(self, m):
         m1, m2 = m
         q = m1 if m2 == 0 else None
-        return PFactorization(left=q, right=q)
+        return PFactorization(q, q)
 
     def basis(self):
         return [(1, 0), (0, 1)]
@@ -309,7 +304,7 @@ class DoubleFamily(ScalarFamily):
     _X = ("x",)
 
     def letter_terms(self, m):
-        m1, m2 = self.canon_m(m)
+        m1, m2 = m
         out = []
         if m1 != 0:
             out.append((m1, None))
@@ -354,8 +349,8 @@ class ScaledFamily(RegularFamily):
     def factor_p(self, m):
         if m % self.k == 0:
             q = m // self.k
-            return PFactorization(left=q, right=q)
-        return PFactorization()
+            return PFactorization(q, q)
+        return PFactorization(None, None)
 
     def random_m(self, rng, size=20):
         return rng.randint(-size, size)
@@ -363,7 +358,6 @@ class ScaledFamily(RegularFamily):
     _G = ("g",)
 
     def letter_terms(self, m):
-        m = self.canon_m(m)
         if m == 0:
             return []
         if m % self.k == 0:
@@ -397,47 +391,26 @@ class ScaledFamily(RegularFamily):
         return {(self._G,) * r: frac.numerator * self.k ** r // frac.denominator} if frac else {}
 
 
-# -- tensor term maps ---------------------------------------------------------
-# Tensor-free M and the tensor part of hnn-free M are term maps
-# {(left word, right word): coefficient} over the pure tensors u (x) v.
+# -- free bimodules -----------------------------------------------------------
 
-def _canon_tensor(ring, terms):
-    """The canonical term map of terms, every coefficient checked against ring."""
-    out = {}
-    for (wa, wb), c in terms.items():
-        c = checked_scalar(ring, c)
-        if c != 0:
-            out[(tuple(wa), tuple(wb))] = c
-    return out
-
-
-def _tensor_apply(a, t, b):
-    """a * t * b, with a acting on the left words and b on the right words."""
-    out = {}
-    for wa, c1 in a.terms.items():
-        for (u, v), c2 in t.items():
-            for wb, c3 in b.terms.items():
-                add_term(out, (wa + u, v + wb), scalar_mul(scalar_mul(c1, c2), c3))
-    return out
+def _is_word(w, n):
+    """w is a word over n generators: a tuple of indices in range(n)."""
+    return type(w) is tuple and all(type(i) is int and 0 <= i < n for i in w)
 
 
 def _word_text(gens, w):
     return "*".join(gens[i] for i in w) if w else "1"
 
 
-def _tensor_text(name, left, right, key):
-    """name(u,v) for the pure tensor key = (u, v), with u over left and v over right."""
-    return f"{name}({_word_text(left, key[0])},{_word_text(right, key[1])})"
-
-
-def _tensor_terms(name, left, right, t):
-    """(coefficient, text) of each pure tensor of t, shortest first."""
-    order = sorted(t, key=lambda key: (len(key[0]) + len(key[1]), key))
-    return ((t[key], _tensor_text(name, left, right, key)) for key in order)
+def _own(ring, x):
+    """x, once it is known to be an element of the free algebra ring."""
+    if not isinstance(x, FreeAlgebraElement) or (x.ring, x.gens) != (ring.base, ring.gens):
+        raise AlphabetMismatchError(f"not an element of {ring.name}: {x!r}")
+    return x
 
 
 def _random_tensor(rng, n, left, right, size):
-    """n random pure tensors with coefficients in [-size, size], summed."""
+    """n random pure tensors (u, v) with coefficients in [-size, size], summed."""
     out = {}
     for _ in range(n):
         key = (random_word(rng, left), random_word(rng, right))
@@ -445,16 +418,76 @@ def _random_tensor(rng, n, left, right, size):
     return {key: c for key, c in out.items() if c != 0}
 
 
-class TensorFreeFamily(BimoduleFamily):
+class FreeFamily(BimoduleFamily):
+    """M free over C on a set of keys, each of them a letter of T except p's
+    key ``p_key``, whose letter is the constant 1 (x_p = 1).
+
+    An element of M is a term map {key: coefficient}, so its letters are its
+    keys.  A family states which keys it has (``is_key``), how a word of A
+    and a word of B act on a key (``act``) and a key's text (``key_text``);
+    M's operations follow from these here.
+    """
+
+    p_key = None
+
+    @property
+    def p(self):
+        return {self.p_key: 1}
+
+    def zero_m(self):
+        return {}
+
+    def canon_m(self, m):
+        if not isinstance(m, dict):
+            raise SchemaError(f"an element of M for {self.kind} is a map from keys to scalars, got {m!r}")
+        out = {}
+        for key, c in m.items():
+            if not self.is_key(key):
+                raise SchemaError(f"{key!r} is not a key of M for {self.describe()}")
+            c = checked_scalar(self.coeff_ring, c)
+            if c != 0:
+                out[key] = c
+        return out
+
+    def add_m(self, m1, m2):
+        return term_sum((m1, m2))
+
+    def scale_m(self, c, m):
+        return term_scale(c, m)
+
+    def apply(self, a, m, b):
+        """a * m * b: each word of a and each word of b act on each key of m."""
+        act = self.act
+        right = _own(self.b_ring, b).terms.items()
+        out = {}
+        for wa, c1 in _own(self.a_ring, a).terms.items():
+            for key, c2 in m.items():
+                c12 = scalar_mul(c1, c2)
+                for wb, c3 in right:
+                    add_term(out, act(wa, key, wb), scalar_mul(c12, c3))
+        return out
+
+    def fmt_m(self, m):
+        return signed_sum((m[key], self.key_text(key)) for key in sorted(m, key=self.letter_key))
+
+    def letter_terms(self, m):
+        p_key = self.p_key
+        return [(c, None if key == p_key else key) for key, c in m.items()]
+
+    def letter_bim(self, letter):
+        return {letter: 1}
+
+
+class TensorFreeFamily(FreeFamily):
     """A = C<A_gens>, B = C<B_gens>, M = A (x) B over central C, p = 1 (x) 1.
 
-    Bimodule elements are canonical combinations of pure tensors keyed
-    by (A-word, B-word); T is the free product, i.e. the free algebra on
-    the disjoint union of the alphabets.
+    The keys of M are the pure tensors (A-word, B-word); T is the free
+    product, i.e. the free algebra on the disjoint union of the alphabets.
     """
 
     kind = "tensor-free"
     params = {"ring": "ring", "A_gens": "a_gens", "B_gens": "b_gens"}
+    p_key = ((), ())
 
     def __init__(self, ring="Q", a_gens=("s",), b_gens=("u",)):
         super().__init__(ring)
@@ -469,27 +502,18 @@ class TensorFreeFamily(BimoduleFamily):
         self.b_ring = FreeAlgebra(ring, b_gens)
         self.oracle = FreeAlgebra(ring, a_gens + b_gens)
 
-    @property
-    def p(self):
-        return {((), ()): 1}
+    def is_key(self, key):
+        return (
+            type(key) is tuple and len(key) == 2
+            and _is_word(key[0], len(self.a_gens)) and _is_word(key[1], len(self.b_gens))
+        )
 
-    def zero_m(self):
-        return {}
+    @staticmethod
+    def act(wa, key, wb):
+        return (wa + key[0], key[1] + wb)
 
-    def canon_m(self, m):
-        return _canon_tensor(self.coeff_ring, m)
-
-    def add_m(self, m1, m2):
-        return term_sum((m1, m2))
-
-    def apply(self, a, m, b):
-        return _tensor_apply(a, m, b)
-
-    def scale_m(self, c, m):
-        return term_scale(c, m)
-
-    def fmt_m(self, m):
-        return signed_sum(_tensor_terms("t", self.a_gens, self.b_gens, m))
+    def key_text(self, key):
+        return f"t({_word_text(self.a_gens, key[0])},{_word_text(self.b_gens, key[1])})"
 
     def parse_melem(self, p):
         p.expect_call("t", "tensor-free melem must be t(aword,bword)")
@@ -505,43 +529,31 @@ class TensorFreeFamily(BimoduleFamily):
             left = FreeAlgebraElement(self.ring, self.a_gens, {wa: c for (wa, _), c in m.items()})
         if all(wa == () for (wa, _) in m):
             right = FreeAlgebraElement(self.ring, self.b_gens, {wb: c for (_, wb), c in m.items()})
-        return PFactorization(left=left, right=right)
+        return PFactorization(left, right)
 
     def random_m(self, rng, size=3):
         return _random_tensor(rng, rng.randint(1, 2), self.a_gens, self.b_gens, size)
 
-    def letter_terms(self, m):
-        out = []
-        for (wa, wb), c in self.canon_m(m).items():
-            if wa == () and wb == ():
-                out.append((c, None))
-            else:
-                out.append((c, ("t", wa, wb)))
-        return out
-
-    def letter_bim(self, letter):
-        _, wa, wb = letter
-        return {(wa, wb): 1}
-
     def letter_key(self, letter):
-        _, wa, wb = letter
+        wa, wb = letter
         return (len(wa) + len(wb), wa, wb)
 
     def oracle_letter(self, letter):
-        _, wa, wb = letter
+        wa, wb = letter
         off = len(self.a_gens)
         return self.oracle.word(wa + tuple(off + j for j in wb))
 
 
-class HnnFreeFamily(BimoduleFamily):
+class HnnFreeFamily(FreeFamily):
     """A = B = C<A_gens>, M = A + (A (x) A), p = (1, 0); T adds a letter x.
 
-    Bimodule elements are pairs (a, t) with a in A and t a canonical
-    combination of pure tensors keyed by (left word, right word).
+    The keys of M are ("a", w) for the word w of the summand A and
+    ("m", u, v) for the pure tensor u (x) v of A (x) A; p's key is ("a", ()).
     """
 
     kind = "hnn-free"
     params = {"ring": "ring", "A_gens": "a_gens", "x_name": "x_name"}
+    p_key = ("a", ())
 
     def __init__(self, ring="Q", a_gens=("s",), x_name="x"):
         super().__init__(ring)
@@ -556,34 +568,21 @@ class HnnFreeFamily(BimoduleFamily):
         self.oracle = FreeAlgebra(ring, a_gens + (x_name,))
         self._x_index = len(a_gens)
 
-    @property
-    def p(self):
-        return (self.a_ring.one(), {})
+    def is_key(self, key):
+        n = len(self.a_gens)
+        return type(key) is tuple and (
+            len(key) == 2 and key[0] == "a" and _is_word(key[1], n)
+            or len(key) == 3 and key[0] == "m" and _is_word(key[1], n) and _is_word(key[2], n)
+        )
 
-    def zero_m(self):
-        return (self.a_ring.zero(), {})
+    @staticmethod
+    def act(wa, key, wb):
+        if key[0] == "a":
+            return ("a", wa + key[1] + wb)
+        return ("m", wa + key[1], key[2] + wb)
 
-    def canon_m(self, m):
-        a, t = m
-        if not isinstance(a, FreeAlgebraElement) or (a.ring, a.gens) != (self.ring, self.a_gens):
-            raise SchemaError(f"first component must be an element of {self.a_ring.name}, got {a!r}")
-        return (a, _canon_tensor(self.coeff_ring, t))
-
-    def add_m(self, m1, m2):
-        return (m1[0] + m2[0], term_sum((m1[1], m2[1])))
-
-    def apply(self, a, m, b):
-        ma, mt = m
-        return (a * ma * b, _tensor_apply(a, mt, b))
-
-    def scale_m(self, c, m):
-        a, t = m
-        return (a.scale(c), term_scale(c, t))
-
-    def fmt_m(self, m):
-        a, t = m
-        a_terms = ((a.terms[w], f"h({_word_text(self.a_gens, w)})") for w in sorted(a.terms, key=word_key))
-        return signed_sum(chain(a_terms, _tensor_terms("h", self.a_gens, self.a_gens, t)))
+    def key_text(self, key):
+        return f"h({','.join(_word_text(self.a_gens, w) for w in key[1:])})"
 
     def parse_melem(self, p):
         p.expect_call("h", "hnn-free melem must be h(word) or h(word,word)")
@@ -592,32 +591,20 @@ class HnnFreeFamily(BimoduleFamily):
             p.next()
             w2 = p.parse_word(self.a_gens, "A")
             p.expect(")")
-            return (self.a_ring.zero(), {(w1, w2): 1})
+            return {("m", w1, w2): 1}
         p.expect(")")
-        return (self.a_ring.word(w1), {})
+        return {("a", w1): 1}
 
     def factor_p(self, m):
-        a, t = m
-        return PFactorization() if t else PFactorization(left=a, right=a)
+        if any(key[0] == "m" for key in m):
+            return PFactorization(None, None)
+        a = FreeAlgebraElement(self.ring, self.a_gens, {w: c for (_, w), c in m.items()})
+        return PFactorization(a, a)
 
     def random_m(self, rng, size=3):
         a = self.a_ring.random(rng, size) if rng.random() < 0.7 else self.a_ring.zero()
-        return (a, _random_tensor(rng, rng.randint(0, 2), self.a_gens, self.a_gens, size))
-
-    def letter_terms(self, m):
-        a, t = self.canon_m(m)
-        out = []
-        for w, c in a.terms.items():
-            out.append((c, None) if w == () else (c, ("a", w)))
-        for (u, v), c in t.items():
-            out.append((c, ("m", u, v)))
-        return out
-
-    def letter_bim(self, letter):
-        if letter[0] == "a":
-            return (self.a_ring.word(letter[1]), {})
-        _, u, v = letter
-        return (self.a_ring.zero(), {(u, v): 1})
+        t = _random_tensor(rng, rng.randint(0, 2), self.a_gens, self.a_gens, size)
+        return {**{("a", w): c for w, c in a.terms.items()}, **{("m", u, v): c for (u, v), c in t.items()}}
 
     def letter_key(self, letter):
         if letter[0] == "a":

@@ -135,18 +135,19 @@ def _refold(family, term_maps):
 
 
 def _generator_terms(family, m, budget):
-    """Canonical term map of the single-letter word x_m."""
+    """Canonical term map of the single-letter word x_m, for a canonical m."""
     terms = {}
     for coeff, letter in family.letter_terms(m):
         budget.tick()
-        coeff = family.validate_coeff(coeff)
         add_term(terms, () if letter is None else (letter,), coeff)
     return family.fold_element(terms)
 
 
 def t_generator(family, m, budget=UNBOUNDED):
-    """Normal form of the single-letter word x_m; may collapse to a scalar."""
-    return TElement(family, _generator_terms(family, m, budget))
+    """Normal form of the single-letter word x_m; may collapse to a scalar.
+
+    m enters here, so it is put in the family's canonical form first."""
+    return TElement(family, _generator_terms(family, family.canon_m(m), budget))
 
 
 def t_add(e1, e2):

@@ -280,7 +280,7 @@ def example_suite(seed, negative_control):
     # stable-letter family: second summand tensors surround the new letter
     rep.add("hnn-free-Q: generator at (1, 0) collapses to 1", t_generator(hf, hf.p).is_one())
     ok = all(
-        family_iso(t_generator(hf, (hf.a_ring.zero(), {(u, v): 1}))) == hf.oracle.word(u + (hf._x_index,) + v)
+        family_iso(t_generator(hf, {("m", u, v): 1})) == hf.oracle.word(u + (hf._x_index,) + v)
         for u, v in ((random_word(rng, hf.a_gens), random_word(rng, hf.a_gens)) for _ in range(samples))
     )
     rep.add("hnn-free-Q: tensor letters map to u x v words", ok)

@@ -24,7 +24,8 @@
   ``family_from_json``'s ``cls(**fields)`` leaves out each omitted
   descriptor field, and a dunder other than ``__init__`` is called by
   Python itself, so its defaults are not checked.
-* ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines.
+* ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines, and has
+  at most ``DEFAULT_CAP`` parameters with a default.
 """
 
 import ast
@@ -341,3 +342,14 @@ def test_source_size_within_cap():
     # adds code pays for it by deleting some elsewhere
     lines = sum(len(path.read_text(encoding="utf-8").splitlines()) for path in SRC.glob("*.py"))
     assert lines <= SOURCE_LINE_CAP, f"src/trilocal has {lines} lines, over the cap of {SOURCE_LINE_CAP}"
+
+
+DEFAULT_CAP = 62
+
+
+def test_defaults_within_cap():
+    # every parameter with a default is a setting; a change that adds one
+    # pays for it by making another a constant
+    assert len(DEFAULTED) <= DEFAULT_CAP, (
+        f"src/trilocal has {len(DEFAULTED)} parameters with a default, over the cap of {DEFAULT_CAP}"
+    )

@@ -31,11 +31,10 @@ class TestMultiTermMerges:
 
     def test_hnn_shift_chain(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
-        zero = fam.a_ring.zero()
         letters = [
-            t_generator(fam, (zero, {((), (0,)): 1})),   # x s
-            t_generator(fam, (zero, {((), (0,)): 1})),   # x s
-            t_generator(fam, (zero, {((0,), ()): 1})),   # s x
+            t_generator(fam, {("m", (), (0,)): 1}),   # x s
+            t_generator(fam, {("m", (), (0,)): 1}),   # x s
+            t_generator(fam, {("m", (0,), ()): 1}),   # s x
         ]
         left_first = t_mul(t_mul(letters[0], letters[1]), letters[2])
         right_first = t_mul(letters[0], t_mul(letters[1], letters[2]))
@@ -44,9 +43,8 @@ class TestMultiTermMerges:
 
     def test_hnn_a_letters_absorb_both_sides(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
-        zero = fam.a_ring.zero()
-        s_word = t_generator(fam, (fam.a_ring.generator(0), {}))
-        tens = t_generator(fam, (zero, {((), ()): 1}))
+        s_word = t_generator(fam, {("a", (0,)): 1})
+        tens = t_generator(fam, {("m", (), ()): 1})
         assert str(family_iso(t_mul(s_word, tens))) == "s*x"
         assert str(family_iso(t_mul(tens, s_word))) == "x*s"
         assert str(family_iso(t_mul(s_word, s_word))) == "s*s"

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from trilocal.errors import FamilyMismatchError, SchemaError
+from trilocal.errors import AlphabetMismatchError, FamilyMismatchError, SchemaError
 from trilocal.families import (
     DoubleFamily,
     HnnFreeFamily,
@@ -14,6 +14,7 @@ from trilocal.families import (
     family_from_json,
     verify_factorization,
 )
+from trilocal.rings import FreeAlgebra
 from trilocal.verify import shipped_families
 
 
@@ -89,10 +90,10 @@ class TestFactorizationPerFamily:
 
     def test_hnn_tensor_part_blocks_factors(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
-        a_only = (fam.a_ring.generator(0), {})
+        a_only = {("a", (0,)): 1}
         f = fam.factor_p(a_only)
         assert f.left == fam.a_ring.generator(0)
-        mixed = (fam.a_ring.generator(0), {((), ()): 1})
+        mixed = {("a", (0,)): 1, ("m", (), ()): 1}
         f = fam.factor_p(mixed)
         assert f.left is None and f.right is None
 
@@ -236,3 +237,60 @@ class TestMultiGeneratorFamilies:
             m1, m2 = fam.random_m(rng), fam.random_m(rng)
             e1, e2 = t_generator(fam, m1), t_generator(fam, m2)
             assert family_iso(t_mul(e1, e2)) == oracle.mul(family_iso(e1), family_iso(e2))
+
+
+class TestFreeFamilyInput:
+    """An element of M in a free family is a term map over the family's keys,
+    checked where it enters; apply takes elements of A and B only."""
+
+    TENSOR = TensorFreeFamily("Q", ("s",), ("u",))
+    HNN = HnnFreeFamily("Q", ("s",), "x")
+    BAD = [
+        (TENSOR, {((5,), ()): 1}),  # A-index outside the alphabet
+        (TENSOR, {((-1,), ()): 1}),  # printed as t(s,1), which parses to another element
+        (TENSOR, {((), (1,)): 1}),
+        (TENSOR, {((0.0,), ()): 1}),
+        (TENSOR, {("t", (0,), ()): 1}),
+        (TENSOR, [(((0,), ()), 1)]),
+        (HNN, {("m", (0,), (5,)): 1}),
+        (HNN, {("a", (-1,)): 1}),
+        (HNN, {("b", (0,)): 1}),
+        (HNN, {("a", (0,), ()): 1}),
+        (HNN, {"a": 1}),
+        (HNN, ((("a", (0,)), 1),)),
+    ]
+
+    @pytest.mark.parametrize("fam,m", BAD, ids=[f"{f.kind}-{m!r}" for f, m in BAD])
+    def test_bad_element_is_schema_error(self, fam, m):
+        from trilocal.tring import t_generator
+
+        with pytest.raises(SchemaError):
+            fam.canon_m(m)
+        with pytest.raises(SchemaError):
+            t_generator(fam, m)
+
+    OTHER = FreeAlgebra("Q", ("s", "t")).generator(1)
+    FOREIGN = {
+        "tensor-free-other-A": (TENSOR, OTHER, TENSOR.b_one),
+        "tensor-free-other-B": (TENSOR, TENSOR.a_one, OTHER),
+        "tensor-free-B-as-A": (TENSOR, TENSOR.b_ring.generator(0), TENSOR.b_one),
+        "tensor-free-int-A": (TENSOR, 2, TENSOR.b_one),
+        "hnn-free-other-A": (HNN, OTHER, HNN.b_one),
+        "hnn-free-oracle-B": (HNN, HNN.a_one, HNN.oracle.generator(1)),
+        "hnn-free-int-B": (HNN, HNN.a_one, 2),
+    }
+
+    @pytest.mark.parametrize("fam,a,b", FOREIGN.values(), ids=FOREIGN)
+    def test_apply_refuses_other_algebras(self, fam, a, b):
+        with pytest.raises(AlphabetMismatchError):
+            fam.apply(a, fam.p, b)
+
+    @pytest.mark.parametrize("fam", [TENSOR, HNN], ids=["tensor-free", "hnn-free"])
+    def test_a_letter_is_a_key_of_m(self, fam):
+        rng = random.Random(53)
+        for _ in range(50):
+            for c, letter in fam.letter_terms(fam.random_m(rng)):
+                if letter is not None:
+                    assert fam.letter_bim(letter) == {letter: 1}
+                    assert fam.canon_m({letter: c}) == {letter: c}
+        assert fam.letter_terms(fam.p) == [(1, None)]

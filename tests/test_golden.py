@@ -1,4 +1,5 @@
-"""Golden stdout of the README command-line examples and the verify suites.
+"""Golden stdout of the README command-line examples, the free families
+through the command line, and the verify suites.
 
 Each case runs in-process through ``cli.main`` and must reproduce the
 stdout and exit code recorded in ``tests/golden/`` byte for byte.
@@ -16,6 +17,8 @@ import pytest
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 SCALED = '{"kind":"scaled","k":2}'
 REGULAR = '{"kind":"regular","ring":"Z"}'
+HNN = '{"kind":"hnn-free","ring":"Q","A_gens":["s","t"]}'
+TENSOR = '{"kind":"tensor-free","ring":"Q","A_gens":["s","t"],"B_gens":["u","v"]}'
 
 README_EXAMPLES = {
     "normalize": ["normalize", "--family", SCALED, "--expr", "x[3]*x[5]"],
@@ -28,9 +31,22 @@ README_EXAMPLES = {
     "localize-module": ["localize-module", "--spec", str(GOLDEN / "module.json")],
 }
 
+# hnn-free's product both merges (h(s) with h(t,1)) and shifts (h(s,t) before h(t,1))
+FREE_FAMILY_EXAMPLES = {
+    "normalize-hnn-free": ["normalize", "--family", HNN, "--expr", "(x[h(s)]+x[h(s,t)])*(2*x[h(t,1)]-x[h(1,s)])"],
+    "normalize-tensor-free": [
+        "normalize", "--family", TENSOR, "--expr", "(x[t(s,u)]-2*x[t(1,v)])*(x[t(t,1)]+1/2*x[t(s,u*v)])",
+    ],
+    "rho-m-hnn-free": ["rho", "--family", HNN, "--component", "M", "--value", "2*h(s)-3*h(s,t)+h(1)-1/2*h(t,1)"],
+    "rho-m-tensor-free": [
+        "rho", "--family", TENSOR, "--component", "M", "--value", "3*t(s,u)-t(1,1)+1/2*t(s*t,v)-t(1,u)",
+    ],
+    "localize-ring-hnn-free": ["localize-ring", "--family", HNN],
+}
+
 CASES = {
     f"{name}.{fmt}": argv + ["--format", fmt]
-    for name, argv in README_EXAMPLES.items()
+    for name, argv in {**README_EXAMPLES, **FREE_FAMILY_EXAMPLES}.items()
     for fmt in ("text", "json")
 }
 CASES["verify-random-4242.text"] = ["verify", "--suite", "random", "--seed", "4242"]

@@ -30,7 +30,7 @@ def equality_cases():
     """(ring, entries of a 2x2 matrix) over Z, Q[x] and T(M,p)."""
     qx = PolynomialRing("Q")
     t = TOps(HnnFreeFamily("Q", ("s",), "x"))
-    x = t.gen((t.family.a_ring.generator(0), {}))
+    x = t.gen({("a", (0,)): 1})
     return [
         (ZZ, [[1, 2], [3, 4]]),
         (qx, [[qx.one(), qx.variable()], [qx.zero(), qx.from_int(3)]]),

@@ -5,7 +5,9 @@
 sha256 of the generator state after the last one, over ``ZZ``, ``QQ``,
 ``KadicRing(2)``, ``KadicRing(6)`` and Q[x], at default and at given
 sizes.  It was recorded while every draw still went through
-``random.Random.randint``.  Regenerate it (only when a change of the
+``random.Random.randint``.  It also holds, in the same way, the printed
+``random_m`` draws of the two-letter hnn-free and tensor-free families,
+so that a change of how M is stored keeps every sampled case.  Regenerate it (only when a change of the
 drawn elements is intended) with ``PYTHONPATH=src python tests/test_ring_draws.py``.
 """
 
@@ -18,6 +20,7 @@ import sys
 import pytest
 
 from test_hot_path import drawn_value
+from trilocal.families import HnnFreeFamily, TensorFreeFamily
 from trilocal.modloc import Presentation
 from trilocal.rings import QQ, ZZ, KadicRing, PolynomialRing
 
@@ -42,6 +45,12 @@ CASES = {
     "Q[x] size=3 degree=5": (QX, (3,), {"degree": 5}),
 }
 
+# name: family whose random_m is drawn, each draw recorded as its fmt_m text
+FAMILY_CASES = {
+    "hnn-free s,t": HnnFreeFamily("Q", ("s", "t"), "x"),
+    "tensor-free s,t|u,v": TensorFreeFamily("Q", ("s", "t"), ("u", "v")),
+}
+
 
 def shown(value):
     """A drawn_value as JSON: a Fraction as its text, a tuple as a list of those."""
@@ -59,10 +68,23 @@ def draws(name, seed=11):
     return {"values": values, "state": state_digest(rng)}
 
 
+def m_draws(name, seed=11):
+    family = FAMILY_CASES[name]
+    rng = random.Random(seed)
+    values = [family.fmt_m(family.random_m(rng)) for _ in range(DRAWS)]
+    return {"values": values, "state": state_digest(rng)}
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_draws_as_recorded(name):
     recorded = json.loads(GOLDEN_DRAWS.read_text(encoding="utf-8"))
     assert draws(name) == recorded[name]
+
+
+@pytest.mark.parametrize("name", list(FAMILY_CASES))
+def test_m_draws_as_recorded(name):
+    recorded = json.loads(GOLDEN_DRAWS.read_text(encoding="utf-8"))
+    assert m_draws(name) == recorded[name]
 
 
 @pytest.mark.parametrize("gens", [0, 1, 7])
@@ -77,6 +99,9 @@ def test_random_vector_draws_as_many_as_random(ring, gens):
 
 
 if __name__ == "__main__":
-    records = ",\n".join(f"{json.dumps(name)}: {json.dumps(draws(name))}" for name in CASES)
+    records = ",\n".join(
+        [f"{json.dumps(name)}: {json.dumps(draws(name))}" for name in CASES]
+        + [f"{json.dumps(name)}: {json.dumps(m_draws(name))}" for name in FAMILY_CASES]
+    )
     GOLDEN_DRAWS.write_text(f"{{\n{records}\n}}\n", encoding="utf-8")
     print(GOLDEN_DRAWS, file=sys.stderr)

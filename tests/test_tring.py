@@ -283,14 +283,13 @@ class TestEquality:
 
     def test_hnn_shifted_words_equal(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
-        zero = fam.a_ring.zero()
         lhs = t_mul(
-            t_generator(fam, (zero, {((), (0,)): 1})),
-            t_generator(fam, (zero, {((), ()): 1})),
+            t_generator(fam, {("m", (), (0,)): 1}),
+            t_generator(fam, {("m", (), ()): 1}),
         )
         rhs = t_mul(
-            t_generator(fam, (zero, {((), ()): 1})),
-            t_generator(fam, (zero, {((0,), ()): 1})),
+            t_generator(fam, {("m", (), ()): 1}),
+            t_generator(fam, {("m", (0,), ()): 1}),
         )
         assert lhs == rhs
 

@@ -49,7 +49,7 @@ class TestEquality:
         assert Const(1) != Const(2)
         assert Pow(Gen(3), 2) != Pow(Gen(3), 3)
         assert Pow(Gen(3), 2) != Pow(Gen(4), 2)
-        assert PFactorization(left=2) != PFactorization(right=2)
+        assert PFactorization(2, None) != PFactorization(None, 2)
 
     def test_class_takes_part(self):
         assert Const(1) != Gen(1)
@@ -61,7 +61,7 @@ class TestEquality:
         assert Const(1) != 1
         assert Const(1) != (1,)
         assert Gen(3) != "Gen(element=3)"
-        assert PFactorization() != (None, None)
+        assert PFactorization(None, None) != (None, None)
 
     def test_form_equality(self):
         assert fraction_form() == fraction_form()
@@ -90,9 +90,9 @@ class TestRepr:
         assert repr(node) == text
 
     def test_p_factorization(self):
-        assert repr(PFactorization()) == "PFactorization(left=None, right=None)"
+        assert repr(PFactorization(None, None)) == "PFactorization(left=None, right=None)"
         assert repr(PFactorization(left=2, right=2)) == "PFactorization(left=2, right=2)"
-        assert repr(PFactorization(right=3)) == "PFactorization(left=None, right=3)"
+        assert repr(PFactorization(left=None, right=3)) == "PFactorization(left=None, right=3)"
 
     def test_fraction_form(self):
         assert repr(fraction_form()) == "FractionForm(numerator=<T 5>, exponent=3)"
@@ -107,8 +107,8 @@ class TestFrozen:
         (Neg(Gen(3)), "item"),
         (Pow(Gen(3), 2), "base"),
         (Pow(Gen(3), 2), "exponent"),
-        (PFactorization(), "left"),
-        (PFactorization(), "right"),
+        (PFactorization(None, None), "left"),
+        (PFactorization(None, None), "right"),
     ]
 
     @pytest.mark.parametrize("obj,field", FIELDS, ids=[f"{type(o).__name__}.{f}" for o, f in FIELDS])
@@ -132,9 +132,10 @@ class TestFrozen:
         assert form.exponent == 3 and form.numerator.is_one() is False
 
 
-class TestDefaults:
-    def test_p_factorization_keywords(self):
-        assert PFactorization().left is None and PFactorization().right is None
-        assert PFactorization(left=3).right is None
-        assert PFactorization(right=3).left is None and PFactorization(right=3).right == 3
-        assert PFactorization(5).left == 5
+class TestFields:
+    def test_p_factorization_takes_both_fields(self):
+        assert PFactorization(right=3, left=None) == PFactorization(None, 3)
+        assert PFactorization(5, None).left == 5 and PFactorization(5, None).right is None
+        for args, named in (((), {}), ((5,), {}), ((), {"right": 3})):
+            with pytest.raises(TypeError, match="exactly the fields left, right"):
+                PFactorization(*args, **named)
