@@ -80,13 +80,18 @@ def scalar_sub(a, b):
 
 
 def add_term(terms, key, c):
-    """Add the scalar c to terms[key] in place; drop the key when the sum is zero.
+    """Add the nonzero canonical scalar c to terms[key] in place; drop the
+    key when the sum is zero.  A new key takes c as it is.
 
     Only for a term map the caller has just built, never an element's own.
     """
-    s = scalar_add(terms.get(key, 0), c)
+    old = terms.get(key)
+    if old is None:
+        terms[key] = c
+        return
+    s = scalar_add(old, c)
     if s == 0:
-        terms.pop(key, None)
+        del terms[key]
     else:
         terms[key] = s
 
@@ -339,6 +344,14 @@ class FreeAlgebraElement:
                 clean[tuple(w)] = c
         self.terms = clean
 
+    @staticmethod
+    def _of(ring, gens, terms):
+        """The element of a term map {tuple word: nonzero canonical scalar} over
+        a checked ring and gens tuple, such as arithmetic on elements gives."""
+        e = object.__new__(FreeAlgebraElement)
+        e.ring, e.gens, e.terms = ring, gens, terms
+        return e
+
     def _check(self, other):
         """other, once it is known to lie in the same free algebra."""
         if not isinstance(other, FreeAlgebraElement):
@@ -358,24 +371,25 @@ class FreeAlgebraElement:
         return hash((self.ring, self.gens, tuple(sorted(self.terms.items()))))
 
     def __add__(self, other):
-        return FreeAlgebraElement(self.ring, self.gens, term_sum((self.terms, self._check(other).terms)))
+        return FreeAlgebraElement._of(self.ring, self.gens, term_sum((self.terms, self._check(other).terms)))
 
     def __neg__(self):
         return self.scale(-1)
 
     def __mul__(self, other):
-        self._check(other)
+        right = self._check(other).terms.items()
         terms = {}
         for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                add_term(terms, w1 + w2, scalar_mul(c1, c2))
-        return FreeAlgebraElement(self.ring, self.gens, terms)
+            for w2, c2 in right:
+                add_term(terms, w1 + w2, c1 if c2 == 1 else scalar_mul(c1, c2))
+        return FreeAlgebraElement._of(self.ring, self.gens, terms)
 
     def scale(self, c):
-        return FreeAlgebraElement(self.ring, self.gens, term_scale(c, self.terms))
+        return FreeAlgebraElement._of(self.ring, self.gens, term_scale(c, self.terms))
 
     def __str__(self):
-        return signed_sum((self.terms[w], "*".join(self.gens[i] for i in w)) for w in sorted(self.terms, key=word_key))
+        gen = self.gens.__getitem__
+        return signed_sum((self.terms[w], "*".join(map(gen, w))) for w in sorted(self.terms, key=word_key))
 
     def __repr__(self):
         return f"FreeAlgebraElement({self.ring!r}, {self.gens!r}, {self.terms!r})"
@@ -602,20 +616,27 @@ class FreeAlgebra(OperatorRing):
         self.base = base
         self.gens = tuple(gens)
         self.name = f"{base}<{','.join(gens)}>"
+        self._zero, self._one = self.from_int(0), self.from_int(1)
+
+    def zero(self):
+        return self._zero
+
+    def one(self):
+        return self._one
 
     def from_int(self, n):
         return FreeAlgebraElement(self.base, self.gens, {(): n})
 
     def generator(self, i):
-        return FreeAlgebraElement(self.base, self.gens, {(i,): 1})
+        return FreeAlgebraElement._of(self.base, self.gens, {(i,): 1})
 
     def word(self, letters, c=1):
         return FreeAlgebraElement(self.base, self.gens, {tuple(letters): c})
 
     def sum(self, values):
         """Sum of elements of this algebra, accumulated in one term map."""
-        zero = self.zero()
-        return FreeAlgebraElement(self.base, self.gens, term_sum(zero._check(v).terms for v in values))
+        zero = self._zero
+        return FreeAlgebraElement._of(self.base, self.gens, term_sum(zero._check(v).terms for v in values))
 
     def random(self, rng, size=3, terms=2):
         out = self.zero()

@@ -105,7 +105,7 @@ class TElement:
         return self.family == other.family and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.family, tuple(sorted(self.terms.items(), key=lambda kv: word_key(self.family, kv[0])))))
+        return hash((self.family, tuple(self.sorted_terms())))
 
     def is_zero(self):
         return not self.terms
@@ -114,16 +114,18 @@ class TElement:
         return self.terms == {(): 1}
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: word_key(self.family, kv[0]))
+        """The terms by word length, then letter by letter in the order of the
+        family's letter_key, which tells every two letters apart.  Each
+        distinct letter's key is computed once per call, and a word is
+        compared as the tuple of its letters' ranks."""
+        letters = sorted({x for word in self.terms for x in word}, key=self.family.letter_key)
+        rank = {x: i for i, x in enumerate(letters)}.__getitem__
+        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), tuple(map(rank, kv[0]))))
 
     def __repr__(self):
         from .exprs import format_element
 
         return f"<T {format_element(self)}>"
-
-
-def word_key(family, word):
-    return (len(word), tuple(family.letter_key(letter) for letter in word))
 
 
 def _refold(family, term_maps):
@@ -169,24 +171,23 @@ def _letter_factor(family, factors, letter):
 
 
 def _word_mul(family, w1, w2, budget, factors):
-    """Product of two normal words as a canonical term map."""
-    if w1 and w2:
-        left, right = w1[-1], w2[0]
-        fac = _letter_factor(family, factors, left)
-        if fac.left is not None:
-            merged = family.apply(fac.left, family.letter_bim(right), family.b_one)
-        else:
-            fac = _letter_factor(family, factors, right)
-            merged = None if fac.right is None else family.apply(family.a_one, family.letter_bim(left), fac.right)
-        if merged is not None:
-            budget.tick()
-            head = _mul_terms(family, {w1[:-1]: 1}, _generator_terms(family, merged, budget), budget, factors)
-            return _mul_terms(family, head, {w2[1:]: 1}, budget, factors)
-        shifted = family.shift_pair(left, right)
-        if shifted is not None:
-            budget.tick()
-            l1, l2 = shifted
-            return _mul_terms(family, {w1[:-1] + (l1,): 1}, {(l2,) + w2[1:]: 1}, budget, factors)
+    """Product of two non-empty normal words as a canonical term map."""
+    left, right = w1[-1], w2[0]
+    fac = _letter_factor(family, factors, left)
+    if fac.left is not None:
+        merged = family.apply(fac.left, family.letter_bim(right), family.b_one)
+    else:
+        fac = _letter_factor(family, factors, right)
+        merged = None if fac.right is None else family.apply(family.a_one, family.letter_bim(left), fac.right)
+    if merged is not None:
+        budget.tick()
+        head = _mul_terms(family, {w1[:-1]: 1}, _generator_terms(family, merged, budget), budget, factors)
+        return _mul_terms(family, head, {w2[1:]: 1}, budget, factors)
+    shifted = family.shift_pair(left, right)
+    if shifted is not None:
+        budget.tick()
+        l1, l2 = shifted
+        return _mul_terms(family, {w1[:-1] + (l1,): 1}, {(l2,) + w2[1:]: 1}, budget, factors)
     return {w1 + w2: 1}
 
 
@@ -210,13 +211,19 @@ def _mul_terms(family, t1, t2, budget, factors):
     """Canonical product of two term maps; each pair of words is charged
     its ``_pair_charge`` before anything is multiplied."""
     terms = {}
+    tick = budget.tick
     right = _sizes(t2)
-    for w1, c1, b1, n1 in _sizes(t1):
+    for w1, c1 in t1.items():
+        b1, n1 = _bits(c1), len(w1)
         for w2, c2, b2, n2 in right:
-            budget.tick(_pair_charge(b1, n1, b2, n2))
+            tick(_pair_charge(b1, n1, b2, n2))
             c = scalar_mul(c1, c2)
-            for word, coeff in _word_mul(family, w1, w2, budget, factors).items():
-                add_term(terms, word, scalar_mul(c, coeff))
+            if w1 and w2:
+                products = _word_mul(family, w1, w2, budget, factors).items()
+            else:  # a pair with an empty word is its concatenation
+                products = ((w1 + w2, 1),)
+            for word, coeff in products:
+                add_term(terms, word, c if coeff == 1 else scalar_mul(c, coeff))
     return family.fold_element(terms)
 
 
@@ -297,8 +304,10 @@ def _term_images(terms, ring, scalar, letter):
     so consecutive words share the left factor's word as a prefix (56% of
     the letters of the normal-forms benchmark's normal forms).  A word's
     letter product therefore starts from the longest prefix it shares with
-    the word before it, whose partial products are kept on a stack.
+    the word before it, whose partial products are kept on a stack.  Each
+    distinct letter's image is computed once per call.
     """
+    images = {}
     prefix = ()
     products = []  # products[i]: image of prefix[:i + 1]
     for word, coeff in terms.items():
@@ -307,7 +316,10 @@ def _term_images(terms, ring, scalar, letter):
             k += 1
         del products[k:]
         for x in word[k:]:
-            products.append(ring.mul(products[-1], letter(x)) if products else letter(x))
+            image = images.get(x)
+            if image is None:
+                image = images[x] = letter(x)
+            products.append(ring.mul(products[-1], image) if products else image)
         prefix = word
         val = scalar(coeff)
         yield ring.mul(val, products[-1]) if products else val

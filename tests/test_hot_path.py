@@ -50,6 +50,18 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN_SCALARS = GOLDEN / "scalar_ops.json"
 OPERANDS = [3, -2, 0, Fraction(1, 2), Fraction(-3, 4), Fraction(4, 2), True, False, 0.5, 0.1]
 HNN_SUM = "(x[h(s)]+x[h(s,t)]+2*x[h(1,s*t)]+x[h(t,1)])"
+# The first four products of each free family in perfbench's normal-forms
+# workload at seed 1, with the Budget.used of normalizing each.
+NORMAL_FORMS_PRODUCTS = [
+    ("hnn", "(-2*x[h(s)]+2/3*x[h(1,1)]+2/3*x[h(t,s*s)]+2/3*x[h(1,t*s)])*(1/2*x[h(s*s)]+x[h(1,1)]-x[h(1,t)]+2/3*x[h(s,t)])*(-x[h(t)]-2*x[h(s*t,1)]-2*x[h(1,s*s)]-2*x[h(1,t*s)])*(x[h(t*t)]-3/2*x[h(s,1)]+2/3*x[h(s,t*s)]+1/2*x[h(1,t)])", 1120),
+    ("hnn", "(3*x[h(s*s)]-x[h(t,1)]+1/2*x[h(s,t)]+x[h(s,s*s)])*(-2*x[h(s*s)]-3/2*x[h(s,1)]-x[h(s,s)]-x[h(s,t)])*(-3/2*x[h(s*s)]+2*x[h(s*t,1)]-3/2*x[h(t,s*t)]+1/2*x[h(s,s)])*(-3/2*x[h(t)]-2*x[h(1,1)]-x[h(1,t*t)]+3*x[h(1,s)])", 1118),
+    ("hnn", "(-x[h(t)]-2*x[h(t*t,1)]-x[h(1,t)]+2*x[h(1,s*t)])*(-x[h(s*t)]+x[h(t,1)]+1/2*x[h(s,t*s)]-x[h(1,s)])*(-3/2*x[h(s)]-2*x[h(1,1)]+x[h(1,s)]+2*x[h(t,t*s)])*(3*x[h(s*s)]+3*x[h(1,1)]+3*x[h(t,t)]+1/2*x[h(1,s)])", 1116),
+    ("hnn", "(2/3*x[h(s)]-3/2*x[h(1,1)]+2/3*x[h(t,t)]-3/2*x[h(1,s*s)])*(-2*x[h(s*t)]-3/2*x[h(1,1)]+x[h(1,t)]+2/3*x[h(t,s*t)])*(-3/2*x[h(s*s)]-2*x[h(1,1)]+x[h(1,s)]-2*x[h(s,t)])*(x[h(t*t)]+2/3*x[h(1,1)]+2/3*x[h(t,t*t)]+x[h(1,t*s)])", 1120),
+    ("tensor", "(x[t(s*t,1)]+x[t(t*s,u)]+2/3*x[t(s,v*v)]+3*x[t(1,u*v)])*(x[t(t,1)]-3/2*x[t(t*s,v*v)]+3*x[t(s*t,u*u)]-2*x[t(1,u)])*(2*x[t(s,1)]-x[t(t,v)]+3*x[t(s*s,v*u)]+3*x[t(1,v)])*(1/2*x[t(t*t,1)]-3/2*x[t(t*s,v)]-x[t(t*s,u*v)]+x[t(1,u*u)])", 972),
+    ("tensor", "(-x[t(s,1)]+2*x[t(t*t,v*v)]+1/2*x[t(s*t,u)]+2*x[t(1,v)])*(1/2*x[t(s*s,1)]+2*x[t(t,u)]-2*x[t(t*t,v)]-2*x[t(1,u)])*(2*x[t(s,1)]-3/2*x[t(s*s,u)]+3*x[t(s,u*u)]-3/2*x[t(1,v)])*(1/2*x[t(t*t,1)]+x[t(s,u*u)]+2*x[t(t*t,v*v)]+2/3*x[t(1,v)])", 980),
+    ("tensor", "(-2*x[t(s,1)]+2*x[t(s*s,v)]-3/2*x[t(t*t,v*u)]+2/3*x[t(1,u*v)])*(x[t(t,1)]+3*x[t(t,u)]-x[t(t*t,u*u)]+1/2*x[t(1,u*u)])*(1/2*x[t(s*s,1)]-x[t(t*s,v*v)]-2*x[t(s,u*u)]+3*x[t(1,v*v)])*(-3/2*x[t(s*s,1)]+x[t(s,v*u)]+2*x[t(t*t,u*u)]+2*x[t(1,u*v)])", 976),
+    ("tensor", "(-3/2*x[t(s*t,1)]+x[t(s*t,v)]-x[t(t*t,u*v)]+3*x[t(1,u*v)])*(2*x[t(t*s,1)]+3*x[t(t,v*v)]+x[t(t*t,v)]+2*x[t(1,u*v)])*(x[t(s*t,1)]-2*x[t(s,v)]-2*x[t(s*s,v)]+1/2*x[t(1,u)])*(-2*x[t(s*s,1)]+2/3*x[t(t*s,v*u)]-3/2*x[t(t*s,u*u)]-2*x[t(1,v*u)])", 976),
+]
 
 
 def outcome(op, *args):
@@ -107,6 +119,30 @@ class TestBudgetBoundsProducts:
         with pytest.raises(BudgetExceededError):
             t_mul(e, e, Budget(len(e.terms) ** 2 - 1))
 
+    # Budget.used of each product, pinned: a faster product loop must
+    # charge exactly these steps, not merely at least |e1|*|e2|.
+    @pytest.mark.parametrize("fam, left, right, used", [
+        (HnnFreeFamily("Q", ("s", "t"), "x"), "(x[h(s,1)]+x[h(t,1)]+2*x[h(1,1)])", "(x[h(s,t)]-x[h(1,t)])", 6),
+        (TensorFreeFamily("Q", ("s", "t"), ("u", "v")), "(x[t(s,u)]+x[t(t,v)]+3*x[t(s*t,u)])", "(x[t(s,v)]-x[t(t,u)])", 6),
+        (HnnFreeFamily("Q", ("s", "t"), "x"), HNN_SUM, "(x[h(s,1)]+x[h(t)]-x[h(1,t)])", 44),
+        # coefficients of 95 and 233 bits and words of 60 and 100 letters
+        (ScaledFamily(2), "x[3]^60", "x[5]^100", 10),
+        (DoubleFamily("Q"), "(x[(2,3)]*x[(0,1)]+x[(1,0)]+2)", "(x[(0,1)]^2-x[(3,1)]+x[(1,1)])", 6),
+    ])
+    def test_product_charges_as_recorded(self, fam, left, right, used):
+        e1 = t_normalize(fam, exprs.parse_element(fam, left))
+        e2 = t_normalize(fam, exprs.parse_element(fam, right))
+        budget = Budget(10 ** 6)
+        t_mul(e1, e2, budget)
+        assert budget.used == used
+
+    @pytest.mark.parametrize("kind, text, used", NORMAL_FORMS_PRODUCTS)
+    def test_normalize_charges_as_recorded(self, kind, text, used):
+        fam = HnnFreeFamily("Q", ("s", "t"), "x") if kind == "hnn" else TensorFreeFamily("Q", ("s", "t"), ("u", "v"))
+        budget = Budget(10 ** 6)
+        assert len(t_normalize(fam, exprs.parse_element(fam, text), budget).terms) == 256
+        assert budget.used == used
+
 
 class TestLinearCounts:
     """Work counted, not timed, per letter of the normal form mapped or
@@ -115,17 +151,28 @@ class TestLinearCounts:
 
     @staticmethod
     def counts(n, monkeypatch):
-        """FreeAlgebraElement constructions in family_iso, and the terms
-        they are given; _refold calls, and the terms they add up, in
-        normalizing the re-parsed printed form; each per letter of e."""
+        """Free-algebra elements built in family_iso, through the public or
+        the trusted constructor, and the terms they hold; _refold calls, and
+        the terms they add up, in normalizing the re-parsed printed form;
+        each per letter of e.  Also the number of elements built and the
+        number of terms of e."""
         fam, e = hnn_power(n)
-        calls = {"init": 0, "init terms": 0, "refold": 0, "refold terms": 0}
-        init, refold = FreeAlgebraElement.__init__, tring._refold
+        calls = {"built": 0, "built terms": 0, "refold": 0, "refold terms": 0}
+        init, of, refold = FreeAlgebraElement.__init__, FreeAlgebraElement._of, tring._refold
+        last = []
+
+        def count(x):
+            calls["built"] += 1
+            calls["built terms"] += len(x.terms)
+            last[:] = [x]
+            return x
 
         def counting_init(self, ring, gens, terms):
-            calls["init"] += 1
-            calls["init terms"] += len(terms)
             init(self, ring, gens, terms)
+            count(self)
+
+        def counting_of(ring, gens, terms):
+            return count(of(ring, gens, terms))
 
         def counting_refold(family, term_maps):
             term_maps = list(term_maps)
@@ -134,8 +181,10 @@ class TestLinearCounts:
             return refold(family, term_maps)
 
         monkeypatch.setattr(FreeAlgebraElement, "__init__", counting_init)
+        monkeypatch.setattr(FreeAlgebraElement, "_of", staticmethod(counting_of))
         image = family_iso(e)
         monkeypatch.undo()
+        assert last == [image]  # the constructor that built the image was counted
         tree = exprs.parse_element(fam, exprs.format_element(e))
         monkeypatch.setattr(tring, "_refold", counting_refold)
         again = t_normalize(fam, tree)
@@ -143,11 +192,12 @@ class TestLinearCounts:
         assert again == e
         assert len(image.terms) == len(e.terms) == 4 ** n
         letters = sum(len(word) + 1 for word in e.terms)  # the coefficient and each letter
-        return {key: count / letters for key, count in calls.items()}
+        return {key: count / letters for key, count in calls.items()}, calls["built"], len(e.terms)
 
     def test_growth_from_n5_to_n6(self, monkeypatch):
-        small = self.counts(5, monkeypatch)
-        large = self.counts(6, monkeypatch)
+        small, built, terms = self.counts(5, monkeypatch)
+        assert built >= terms  # at least one element per term, so the count measures
+        large, _, _ = self.counts(6, monkeypatch)
         for key in small:
             assert large[key] <= 1.5 * small[key], (key, small, large)
 

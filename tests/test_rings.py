@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from test_hot_path import benchmark_shaped_triple
+from test_hot_path import HNN_SUM, benchmark_shaped_triple
 from trilocal.errors import AlphabetMismatchError, UnsupportedRingError
-from trilocal.families import DoubleFamily
+from trilocal.exprs import parse_element
+from trilocal.families import DoubleFamily, HnnFreeFamily
 from trilocal.modloc import localize_module
 from trilocal.rings import (
     FreeAlgebra,
+    FreeAlgebraElement,
     KadicRing,
     Polynomial,
     PolynomialRing,
@@ -23,6 +25,7 @@ from trilocal.rings import (
     scalar_mul,
     strip_factors_of,
 )
+from trilocal.tring import family_iso, t_mul, t_normalize
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 scalars = st.one_of(st.integers(min_value=-10**9, max_value=10**9), rationals)
@@ -235,10 +238,46 @@ polys = st.one_of(
     st.tuples(st.just("Q"), coeffs_q, coeffs_q, st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2]))),
 )
 kadics = st.tuples(st.integers(min_value=-40, max_value=40), st.integers(min_value=0, max_value=3))  # (num, exp)
+# free-algebra term maps on two letters, with zero and denominator-1 coefficients among them
+free_words = st.lists(st.integers(min_value=0, max_value=1), max_size=2).map(tuple)
+free_coeffs_z = st.integers(min_value=-4, max_value=4)
+free_coeffs_q = st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.sampled_from([1, 2]))
+frees = st.one_of(
+    st.tuples(st.just("Z"), *[st.dictionaries(free_words, free_coeffs_z, max_size=3)] * 2, free_coeffs_z),
+    st.tuples(st.just("Q"), *[st.dictionaries(free_words, free_coeffs_q, max_size=3)] * 2, free_coeffs_q),
+)
 
 
 def dense(p, n):
     return [Fraction(c) for c in p.coeffs] + [Fraction(0)] * (n - len(p.coeffs))
+
+
+def free_value(terms):
+    """A term map as {word: nonzero Fraction}, the reference for free-algebra results."""
+    return {w: Fraction(c) for w, c in terms.items() if c != 0}
+
+
+def free_sum(*maps):
+    out = {}
+    for terms in maps:
+        for w, c in free_value(terms).items():
+            out[w] = out.get(w, 0) + c
+    return free_value(out)
+
+
+def free_product(x, y):
+    return free_sum(*({w1 + w2: c1 * c2} for w1, c1 in free_value(x).items() for w2, c2 in free_value(y).items()))
+
+
+def free_as_rebuilt(e):
+    """e, checked to be exactly what the public constructor makes of its terms:
+    tuple words, no zero coefficient, canonical scalars, in the same order."""
+    rebuilt = FreeAlgebraElement(e.ring, e.gens, e.terms)
+    assert [(w, type(c), c) for w, c in e.terms.items()] == [(w, type(c), c) for w, c in rebuilt.terms.items()]
+    assert all(type(w) is tuple for w in e.terms)
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in e.terms.values())
+    assert 0 not in e.terms.values()
+    return e
 
 
 def as_rebuilt(p):
@@ -292,6 +331,31 @@ class TestArithmeticResultsAreCanonical:
             assert got == value and type(got) is canonical_type(value)
             assert ring.exponent(got) is not None
 
+    @DERANDOMIZED
+    @given(frees)
+    @example(("Q", {(0,): Fraction(1, 2)}, {(0,): Fraction(1, 2)}, Fraction(4, 2)))  # 1/2 + 1/2 and 2 * 1/2 are int
+    @example(("Q", {(0,): Fraction(1, 2), (1, 0): 3}, {(0,): Fraction(-1, 2), (1, 0): -3}, Fraction(0)))  # a + (-a) is {}
+    @example(("Z", {(): 2, (1,): 0}, {(0, 1): -1}, 0))  # a zero coefficient given to the constructor
+    def test_free_algebra(self, case):
+        ring, xs, ys, c = case
+        alg = FreeAlgebra(ring, ("s", "u"))
+        a, b = FreeAlgebraElement(ring, alg.gens, xs), FreeAlgebraElement(ring, alg.gens, ys)
+        minus_b = {w: -v for w, v in ys.items()}
+        for got, terms in (
+            (a + b, free_sum(xs, ys)),
+            (a + -b, free_sum(xs, minus_b)),
+            (-a, free_sum({w: -v for w, v in xs.items()})),
+            (a * b, free_product(xs, ys)),
+            (a.scale(c), free_sum({w: c * v for w, v in xs.items()})),
+            (alg.sum([a, b, a]), free_sum(xs, ys, xs)),
+            (alg.from_int(c), free_sum({(): c})),
+            (alg.word([1, 0], c), free_sum({(1, 0): c})),
+            (alg.generator(1), {(1,): 1}),
+        ):
+            assert free_as_rebuilt(got).terms == terms
+            assert (got.ring, got.gens) == (ring, alg.gens)
+        assert (a + -a).terms == {} and (a * alg.zero()).terms == {}
+
     def test_shared_zero_and_one_stay_intact(self):
         family = DoubleFamily("Q")
         ring = family.t_ring
@@ -299,6 +363,14 @@ class TestArithmeticResultsAreCanonical:
         assert localize_module(benchmark_shaped_triple(family, (2, 2, 0, 0))).report.passed
         assert ring.zero() is zero and ring.one() is one
         assert (zero.coeffs, one.coeffs) == ((), (1,))
+        # the free algebras of a free family: its merges read A's one, its image the oracle's
+        family = HnnFreeFamily("Q", ("s", "t"), "x")
+        shared = [(alg, alg.zero(), alg.one()) for alg in (family.a_ring, family.oracle)]
+        e = t_normalize(family, parse_element(family, HNN_SUM))
+        assert family_iso(t_mul(e, e)) == family.oracle.mul(family_iso(e), family_iso(e))
+        for alg, zero, one in shared:
+            assert alg.zero() is zero and alg.one() is one
+            assert (zero.terms, one.terms) == ({}, {(): 1})
 
 
 class TestFreeAlgebra:
