@@ -16,7 +16,6 @@ from trilocal import (
     family_iso,
     format_element,
     parse_normal,
-    phi,
     rational_value_hom,
 )
 
@@ -41,4 +40,4 @@ hom = rational_value_hom(fam)
 e = parse_normal(target, "5*x[1]^3")
 print("\nfactored image of 5/8 in Q:", factor_inverting_hom(pair, hom, Fraction(1, 2), e))
 src = parse_normal(fam, "7")
-print("factorization identity on 7:", factor_inverting_hom(pair, hom, Fraction(1, 2), phi(src, pair)))
+print("factorization identity on 7:", factor_inverting_hom(pair, hom, Fraction(1, 2), pair.induced(src)))

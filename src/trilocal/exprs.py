@@ -290,7 +290,7 @@ def parse_ring_element(family, component, text, budget=UNBOUNDED):
     tree = _Parser(family, text, ring.gens).parse_all()
     charged = ChargedRing(ring, budget)
     # Z and Q have no gens, so no Gen node and no generator method to look up
-    return eval_tree(tree, charged, ring.from_int, lambda i: ring.generator(i))
+    return eval_tree(tree, charged, lambda i: ring.generator(i))
 
 
 def parse_bim_element(family, text):

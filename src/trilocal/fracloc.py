@@ -6,6 +6,9 @@ ring morphism from T(M,p) to T(M,a0*p) that inverts that generator.
 Every element of the target then carries a fraction form: a numerator
 from T(M,p) over a power of the inverted generator.
 
+A ring map out of T(M,p) is its generator images, so the induced map
+and the factorization through T(M,a0*p) are each one ``LetterHom``.
+
 Shipped instances keep the image-membership problem decidable:
 regular-Z (target = scaled(a0)) and scaled(k) (target = scaled(a0*k)).
 """
@@ -67,10 +70,8 @@ class CentralPair:
     def induced(self, e):
         """Image of e under the letterwise map x_m -> x_{a0*m}."""
         fam = self.family
-        fam.check_same(e.family)
         ops = TOps(self.target_family())
-        image = lambda letter: ops.gen(fam.apply(self.a0, fam.letter_bim(letter), fam.b_one))
-        return map_terms(e, ops, ops.const, image)
+        return LetterHom(fam, ops, lambda m: ops.gen(fam.apply(self.a0, m, fam.b_one))).apply(e)
 
     def old_p_in_target(self):
         """x_p viewed inside T(M,a0*p); the inverse of the image of x_{a0*p}."""
@@ -103,10 +104,6 @@ class FractionForm(Record):
     """numerator in T(M,p), denominator exponent r for x_{a0*p}**r."""
 
     __slots__ = ("numerator", "exponent")
-
-
-def phi(e, pair):
-    return pair.induced(e)
 
 
 def check_central(pair, samples, seed=DEFAULT_SEED):
@@ -147,22 +144,19 @@ class LetterHom:
     """Ring morphism T(M,p) -> S determined by generator images.
 
     generator_image(m) must give the S-image of x_m for a canonical
-    bimodule element m; scalar_image embeds the coefficients.
+    bimodule element m; a coefficient enters through s_ring.from_int.
     """
 
-    __slots__ = ("family", "s_ring", "generator_image", "scalar_image")
+    __slots__ = ("family", "s_ring", "generator_image")
 
-    def __init__(self, family, s_ring, generator_image, scalar_image):
+    def __init__(self, family, s_ring, generator_image):
         self.family = family
         self.s_ring = s_ring
         self.generator_image = generator_image
-        self.scalar_image = scalar_image
 
     def apply(self, e):
         self.family.check_same(e.family)
-        return map_terms(
-            e, self.s_ring, self.scalar_image, lambda letter: self.generator_image(self.family.letter_bim(letter))
-        )
+        return map_terms(e, self.s_ring, lambda letter: self.generator_image(self.family.letter_bim(letter)))
 
     def respects_relations(self, samples, seed=DEFAULT_SEED):
         """Sampled check that the letter images satisfy the presentation."""
@@ -171,22 +165,23 @@ class LetterHom:
         return relation_failure(fam, self.s_ring, gen, samples, random.Random(seed)) is None
 
 
+def _factored(pair, hom, f_inv):
+    """The factorization of hom through T(M,a0*p): the LetterHom that sends a
+    target generator x_m to f_inv * hom(x_m)."""
+    rg = hom.s_ring
+    return LetterHom(pair.target_family(), rg, lambda m: rg.mul(f_inv, hom.generator_image(m)))
+
+
 def factor_inverting_hom(pair, hom, f_inv, e):
     """Evaluate the unique factorization of hom through T(M,a0*p) on e.
 
-    hom must invert the image of x_{a0*p} with the supplied f_inv; the
-    factored map sends a target generator x_m to f_inv * hom(x_m) and
-    extends multiplicatively and additively.
+    hom must invert the image of x_{a0*p} with the supplied f_inv.
     """
     rg = hom.s_ring
     f_x0 = hom.apply(pair.x_a0p())
     if rg.mul(f_inv, f_x0) != rg.one() or rg.mul(f_x0, f_inv) != rg.one():
         raise ValueError("f_inv is not a two-sided inverse of the image of x_(a0*p)")
-    target = pair.target_family()
-    target.check_same(e.family)
-    return map_terms(
-        e, rg, hom.scalar_image, lambda letter: rg.mul(f_inv, hom.generator_image(target.letter_bim(letter)))
-    )
+    return _factored(pair, hom, f_inv).apply(e)
 
 
 def rational_value_hom(family):
@@ -194,7 +189,7 @@ def rational_value_hom(family):
     k = family.rational_k
     if k is None:
         raise UnsupportedFamilyError(f"no rational evaluation for {family.kind}")
-    return LetterHom(family, QQ, lambda m: Fraction(m, k), Fraction)
+    return LetterHom(family, QQ, lambda m: Fraction(m, k))
 
 
 def two_order_agreement(pair, hom, f_inv, expr):
@@ -204,10 +199,6 @@ def two_order_agreement(pair, hom, f_inv, expr):
     order two evaluates the expression tree directly in S.  Agreement
     on random expressions mirrors the uniqueness of the factorization.
     """
-    target = pair.target_family()
-    rg = hom.s_ring
-    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(target, expr))
-    via_tree = eval_tree(
-        expr, rg, hom.scalar_image, lambda m: rg.mul(f_inv, hom.generator_image(m))
-    )
+    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(pair.target_family(), expr))
+    via_tree = eval_tree(expr, hom.s_ring, _factored(pair, hom, f_inv).generator_image)
     return via_normal == via_tree, via_normal, via_tree

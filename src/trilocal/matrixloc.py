@@ -60,18 +60,15 @@ def verify_sigma_inverting(family, samples, seed=DEFAULT_SEED, rho_maps=None):
     ok = image(TriElement.one(family)) == Matrix.identity(TOps(family), 2)
     rep.add("unital: image of 1_R is the identity matrix", ok)
 
-    def failures():  # one loop feeds both checks: (check, witness) of the first failing pair
+    def cases():  # one sampled pair feeds both checks; its witness is built only if one fails
         for _ in range(samples):
             r1, r2 = random_tri(family, rng, size=4), random_tri(family, rng, size=4)
             m1, m2 = image(r1), image(r2)
-            if image(tri_mul(r1, r2)) != m1 * m2:
-                yield "mul", f"r1={r1.fmt()} r2={r2.fmt()}"
-            if image(tri_add(r1, r2)) != m1 + m2:
-                yield "add", f"r1={r1.fmt()} r2={r2.fmt()}"
+            holds = (image(tri_mul(r1, r2)) == m1 * m2, image(tri_add(r1, r2)) == m1 + m2)
+            witness = None if all(holds) else f"r1={r1.fmt()} r2={r2.fmt()}"
+            yield tuple(None if ok else witness for ok in holds)
 
-    failed, witness = next(failures(), (None, ""))
-    rep.add("multiplicative on sampled pairs", failed != "mul", witness if failed == "mul" else "")
-    rep.add("additive on sampled pairs", failed != "add", witness if failed == "add" else "")
+    rep.first_failures(("multiplicative on sampled pairs", "additive on sampled pairs"), cases())
 
     corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
     e12 = matrix_unit(family, 1, 2)

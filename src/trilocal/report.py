@@ -58,13 +58,23 @@ class Report:
         self.checks.append(Check(name, passed, detail))
         return passed
 
+    def first_failures(self, names, cases):
+        """Add and return one check per name over a lazily read stream of
+        cases, each a tuple of one entry per check: None where it holds, the
+        detail text where it fails.  A check's first text fails it; cases are
+        read until every check has failed or none are left."""
+        details = [None] * len(names)
+        for case in cases:
+            details = [d if d is not None else new for d, new in zip(details, case)]
+            if None not in details:
+                break
+        checks = [Check(name, d is None, d or "") for name, d in zip(names, details)]
+        self.checks.extend(checks)
+        return checks
+
     def first_failure(self, name, details):
-        """Add the check name over lazily computed cases: details yields None
-        for a case that holds and the detail text of one that fails.  The
-        first text fails the check and becomes its detail; no later case is
-        computed."""
-        detail = next((d for d in details if d is not None), None)
-        return self.add(name, detail is None, detail or "")
+        """first_failures for one check, whose details yields None or a text per case."""
+        return self.first_failures((name,), ((d,) for d in details))[0].passed
 
     def extend(self, other):
         for c in other.checks:

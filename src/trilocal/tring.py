@@ -27,7 +27,8 @@ before it builds a huge one; the coefficient charge is per limb pair
 because big integers multiply in more than linear time.
 
 A ring map out of T(M,p) is fixed by the images of its letters, and
-``map_terms`` applies one to a normal form.
+``map_terms`` applies one to a normal form; its coefficients enter through
+the target ring's ``from_int`` (T(M,p)'s own is ``TOps.from_int``).
 
 Sums and products work on plain term maps: a sum of n normal forms adds
 them into one dict and folds it once, and a product passes dicts through
@@ -285,19 +286,19 @@ def ring_sum(ring, values):
     return total(chain((first,), values)) if total is not None else reduce(ring.add, values, first)
 
 
-def map_terms(e, ring, scalar, letter):
-    """Image of a normal form under the ring map given on scalars and letters.
+def map_terms(e, ring, letter):
+    """Image of a normal form under the ring map given on letters.
 
-    Each term's coefficient goes through scalar, each letter of its word
-    through letter; products are taken in the ring object, and the terms
-    are added with one ring_sum.
+    Each term's coefficient enters through ring.from_int, each letter of
+    its word goes through letter; products are taken in the ring object,
+    and the terms are added with one ring_sum.
     """
     if not e.terms:
         return ring.zero()
-    return ring_sum(ring, _term_images(e.terms, ring, scalar, letter))
+    return ring_sum(ring, _term_images(e.terms, ring, letter))
 
 
-def _term_images(terms, ring, scalar, letter):
+def _term_images(terms, ring, letter):
     """The image of each term, in order.
 
     A product's term map lists its words in the order of its nested loops,
@@ -310,6 +311,7 @@ def _term_images(terms, ring, scalar, letter):
     images = {}
     prefix = ()
     products = []  # products[i]: image of prefix[:i + 1]
+    from_int = ring.from_int
     for word, coeff in terms.items():
         k, top = 0, min(len(word), len(prefix))
         while k < top and word[k] == prefix[k]:
@@ -321,14 +323,14 @@ def _term_images(terms, ring, scalar, letter):
                 image = images[x] = letter(x)
             products.append(ring.mul(products[-1], image) if products else image)
         prefix = word
-        val = scalar(coeff)
+        val = from_int(coeff)
         yield ring.mul(val, products[-1]) if products else val
 
 
 def family_iso(e):
     """Image under the family's closed-form isomorphism onto its oracle ring."""
     family = e.family
-    return map_terms(e, family.oracle, family.oracle.from_int, family.oracle_letter)
+    return map_terms(e, family.oracle, family.oracle_letter)
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +405,15 @@ def power(ring, x, n):
     return ring.mul(x, half) if n & 1 else half
 
 
-def eval_tree(expr, ring, const, gen):
-    """Value of an expression tree in a ring object (add, mul, neg, one).
+def eval_tree(expr, ring, gen):
+    """Value of an expression tree in a ring object (from_int, add, mul, neg, one).
 
-    const maps a Const value into the ring and gen a Gen element.
+    A Const value enters through ring.from_int, and gen maps a Gen element.
     """
 
     def value(node):
         if isinstance(node, Const):
-            return const(node.value)
+            return ring.from_int(node.value)
         if isinstance(node, Gen):
             return gen(node.element)
         if isinstance(node, Add):
@@ -444,7 +446,7 @@ class TOps(OperatorRing):
     def one(self):
         return TElement.one(self.family)
 
-    def const(self, c):
+    def from_int(self, c):
         self.budget.tick()
         return TElement.from_scalar(self.family, c)
 
@@ -477,6 +479,7 @@ class ChargedRing:
     def __init__(self, ring, budget):
         self.ring = ring
         self.budget = budget
+        self.from_int = ring.from_int  # a scalar enters uncharged
         self.one = ring.one
         self.neg = ring.neg
 
@@ -509,4 +512,4 @@ def t_normalize(family, expr, budget=UNBOUNDED):
         family.check_same(expr.family)
         return expr
     ring = TOps(family, budget)
-    return eval_tree(expr, ring, ring.const, ring.gen)
+    return eval_tree(expr, ring, ring.gen)

@@ -21,7 +21,6 @@ from trilocal.fracloc import (
     CentralPair,
     check_central,
     factor_inverting_hom,
-    phi,
     rational_value_hom,
     two_order_agreement,
 )
@@ -106,6 +105,26 @@ def test_oracle_faithfulness_fails_on_a_wrong_shift():
     assert failed and all(re.match(r"pair \d+", c.detail) for c in failed), rep.render_text()
 
 
+class LetterZeroFamily(ScaledFamily):
+    """scaled-2 whose oracle sends the letter to 0: neither additive on
+    g + g = 1 nor injective on the words g^r."""
+
+    kind = "scaled-letter-zero"
+
+    def oracle_letter(self, letter):
+        return 0
+
+
+def test_oracle_faithfulness_reports_both_failing_checks():
+    # the homomorphism check fails first (pair 1); the equality check must
+    # still read on until its own failure
+    rep = oracle_faithfulness(LetterZeroFamily(2), n=60, seed=1729)
+    assert [(c.passed, c.detail) for c in rep.checks] == [
+        (False, "pair 1 fails on the sum"),
+        (False, "pair 14: -33*x[1]^2 vs 0"),
+    ]
+
+
 def test_criterion_3_matrix_localization():
     for family in shipped_families():
         rep = verify_sigma_inverting(family, samples=1000, seed=SEED)
@@ -154,7 +173,7 @@ def test_criterion_4_change_of_p_suite():
         rng = random.Random(SEED + 1)
         for _ in range(500):
             e = random_telement(family, rng, size=5)
-            assert factor_inverting_hom(pair, hom, f_inv, phi(e, pair)) == hom.apply(e)
+            assert factor_inverting_hom(pair, hom, f_inv, pair.induced(e)) == hom.apply(e)
         rng = random.Random(SEED + 2)
         for _ in range(500):
             expr = Mul(tuple(Gen(family.random_m(rng)) for _ in range(rng.randint(1, 3))))

@@ -9,17 +9,24 @@ from trilocal.errors import UnsupportedFamilyError
 from trilocal.families import DoubleFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.fracloc import (
     CentralPair,
+    LetterHom,
     check_central,
     factor_inverting_hom,
-    phi,
     rational_value_hom,
     two_order_agreement,
 )
+from trilocal.rings import OperatorRing
 from trilocal.tring import (
+    Add,
+    Const,
     Gen,
     Mul,
+    Neg,
     TElement,
+    TOps,
+    eval_tree,
     family_iso,
+    map_terms,
     t_generator,
     t_mul,
     t_scale,
@@ -103,12 +110,12 @@ class TestInducedMap:
         assert target == ScaledFamily(2)
         # x_m goes to x_(2m), whose value is 2m/2 = m
         for m in range(-9, 10):
-            image = phi(t_generator(fam, m), pair)
+            image = pair.induced(t_generator(fam, m))
             assert family_iso(image) == m
 
     def test_unital(self):
         pair = CentralPair(ScaledFamily(2), 3, 3)
-        assert phi(TElement.one(pair.family), pair).is_one()
+        assert pair.induced(TElement.one(pair.family)).is_one()
 
     def test_inverse_identity_exact(self):
         for pair in (CentralPair(RegularFamily("Z"), 2, 2), CentralPair(ScaledFamily(2), 3, 3)):
@@ -124,8 +131,8 @@ class TestInducedMap:
         for _ in range(150):
             e1 = random_telement(pair.family, rng)
             e2 = random_telement(pair.family, rng)
-            assert phi(t_mul(e1, e2), pair) == t_mul(phi(e1, pair), phi(e2, pair))
-            assert phi(e1 + e2, pair) == phi(e1, pair) + phi(e2, pair)
+            assert pair.induced(t_mul(e1, e2)) == t_mul(pair.induced(e1), pair.induced(e2))
+            assert pair.induced(e1 + e2) == pair.induced(e1) + pair.induced(e2)
 
     def test_unsupported_families(self):
         with pytest.raises(UnsupportedFamilyError):
@@ -135,7 +142,7 @@ class TestInducedMap:
         pair = CentralPair(RegularFamily("Z"), 1, 1)
         assert pair.target_family() == RegularFamily("Z")
         e = t_generator(pair.family, 7)
-        assert phi(e, pair) == e
+        assert pair.induced(e) == e
         form = pair.fraction_form(e)
         assert form.exponent == 0 and form.numerator == e
 
@@ -217,7 +224,7 @@ class TestFactorization:
         rng = random.Random(6)
         for _ in range(200):
             e = random_telement(self.fam, rng)
-            lhs = factor_inverting_hom(self.pair, self.hom, self.f_inv, phi(e, self.pair))
+            lhs = factor_inverting_hom(self.pair, self.hom, self.f_inv, self.pair.induced(e))
             assert lhs == self.hom.apply(e)
 
     def test_wrong_inverse_rejected(self):
@@ -247,6 +254,9 @@ class TestFactorization:
             def one(self):
                 return TElement.one(target)
 
+            def from_int(self, c):
+                return TElement.from_scalar(target, c)
+
             def add(self, a, b):
                 return a + b
 
@@ -256,15 +266,70 @@ class TestFactorization:
             def eq(self, a, b):
                 return a == b
 
-        from trilocal.fracloc import LetterHom
-
         hom = LetterHom(
             pair.family,
             TargetRing(),
             lambda m: pair.induced(t_generator(pair.family, m)),
-            lambda c: TElement.from_scalar(target, c),
         )
         f_inv = pair.old_p_in_target()
         e = t_generator(target, 3)
         out = factor_inverting_hom(pair, hom, f_inv, e)
         assert out == e
+
+
+class MarkingRing(OperatorRing):
+    """Q whose from_int records, in order, every scalar that enters it."""
+
+    def __init__(self):
+        self.entered = []
+
+    def zero(self):
+        return Fraction(0)
+
+    def one(self):
+        return Fraction(1)
+
+    def from_int(self, n):
+        self.entered.append(n)
+        return Fraction(n)
+
+
+class TestScalarsEnterThroughTheTarget:
+    """A ring map out of T(M,p) is its generator images: every coefficient
+    and every constant enters through the target ring's from_int."""
+
+    def elements(self):
+        fam = TensorFreeFamily("Q", ("s",), ("u",))
+        rng = random.Random(8)
+        return fam, [random_telement(fam, rng, size=5) for _ in range(30)]
+
+    def test_map_terms_and_letter_hom(self):
+        fam, elements = self.elements()
+        for e in elements:
+            expected = sum(c * 2 ** len(w) for w, c in e.terms.items())
+            ring = MarkingRing()
+            assert map_terms(e, ring, lambda letter: Fraction(2)) == expected
+            assert ring.entered == list(e.terms.values())
+            hom = LetterHom(fam, MarkingRing(), lambda m: Fraction(2))
+            assert hom.apply(e) == expected
+            assert hom.s_ring.entered == list(e.terms.values())
+
+    def test_eval_tree(self):
+        ring = MarkingRing()
+        tree = Add((Const(3), Mul((Const(-2), Gen(0))), Neg(Const(5))))
+        assert eval_tree(tree, ring, lambda i: Fraction(7)) == 3 - 14 - 5
+        assert ring.entered == [3, -2, 5]
+
+    def test_induced_map(self, monkeypatch):
+        pair = CentralPair(ScaledFamily(2), 3, 3)
+        target = pair.target_family()
+        rng = random.Random(9)
+        elements = [random_telement(pair.family, rng, size=5) for _ in range(30)]
+        images = [pair.induced(e) for e in elements]
+        entered = []
+        from_int = TOps.from_int
+        monkeypatch.setattr(TOps, "from_int", lambda ops, c: entered.append((ops.family, c)) or from_int(ops, c))
+        for e, image in zip(elements, images):
+            entered.clear()
+            assert pair.induced(e) == image
+            assert entered == [(target, c) for c in e.terms.values()]

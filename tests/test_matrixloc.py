@@ -76,6 +76,18 @@ class TestVerifier:
         failing = [c for c in rep.checks if not c.passed]
         assert any("e12" in c.name or "unital" in c.name for c in failing)
 
+    def test_corrupted_rho_fails_both_sampled_checks_on_one_pair(self):
+        # M + 1 breaks multiplicativity and additivity on the same sampled
+        # pair; each sampled check reports its own failure
+        corrupt = _maps(M=lambda fam, v: t_add(rho(fam, "M", v), TElement.one(fam)))
+        rep = verify_sigma_inverting(RegularFamily("Z"), samples=60, rho_maps=corrupt)
+        sampled = {c.name: (c.passed, c.detail) for c in rep.checks if "sampled" in c.name}
+        witness = "r1=(-4, 2, 4) r2=(3, -2, -4)"
+        assert sampled == {
+            "multiplicative on sampled pairs": (False, witness),
+            "additive on sampled pairs": (False, witness),
+        }
+
     def test_report_is_deterministic(self):
         a = verify_sigma_inverting(ScaledFamily(2), samples=40, seed=11).render_json()
         b = verify_sigma_inverting(ScaledFamily(2), samples=40, seed=11).render_json()

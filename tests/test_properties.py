@@ -129,7 +129,7 @@ class TestEvaluatorReference:
     def test_normalize_matches_oracle_evaluation(self, fam, data):
         tree = data.draw(trees(fam, 48))
         via_normal = family_iso(t_normalize(fam, tree))
-        via_oracle = eval_tree(tree, fam.oracle, fam.oracle.from_int, lambda m: family_iso(t_generator(fam, m)))
+        via_oracle = eval_tree(tree, fam.oracle, lambda m: family_iso(t_generator(fam, m)))
         assert via_normal == via_oracle
 
     @given(data=st.data())
