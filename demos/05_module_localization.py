@@ -21,7 +21,7 @@ rz = RegularFamily("Z")
 
 # N_A = N_B = Z with f = multiplication by 2: L is free of rank 1
 doubling = TripleModule(rz, FPModule("Z", 1), FPModule("Z", 1), [[[2]]])
-loc = localize_module(doubling, samples=50)
+loc = localize_module(doubling)
 print("doubling module:")
 print("  relations:", loc.to_json()["relations"])
 print("  invariant factors:", loc.factors_fmt(), " free rank:", loc.rank)
@@ -29,15 +29,15 @@ print("  comparison maps:", "pass" if loc.report.passed else "fail")
 
 # torsion survives base change along the identity
 torsion = TripleModule(rz, FPModule("Z", 1, [[3]]), FPModule("Z", 0), [[]])
-loc = localize_module(torsion, samples=50)
+loc = localize_module(torsion)
 print("\nthree-torsion module: factors", loc.factors_fmt(), " rank", loc.rank)
 
 # over the doubled family the mixed relation carries the variable x
 dq = DoubleFamily("Q")
 mixed = TripleModule(dq, FPModule("Q", 1), FPModule("Q", 1), [[[1]], [[0]]])
-loc = localize_module(mixed, samples=50)
+loc = localize_module(mixed)
 print("\npolynomial-ring example: factors", loc.factors_fmt(), " rank", loc.rank)
 
 # the defining minus sign matters: flipping it breaks the verification
-rep = verify_comparison_maps(doubling, samples=20, presentation=localized_presentation(doubling, g_sign=-1))
+rep = verify_comparison_maps(doubling, presentation=localized_presentation(doubling, g_sign=-1))
 print("\nsign-flipped control detected:", not rep.passed)

@@ -175,7 +175,6 @@ def cmd_localize_ring(args):
 
 
 def cmd_localize_module(args):
-    samples = _samples(args)
     data = _load_json("module spec", path=args.spec)
     if not isinstance(data, dict):
         raise SchemaError("module spec must be a JSON object")
@@ -186,7 +185,7 @@ def cmd_localize_module(args):
             raise SchemaError("module spec must carry a 'family' descriptor")
         family = family_from_json(data["family"])
     triple = triple_from_json(family, data)
-    localized = localize_module(triple, samples=samples, seed=args.seed)
+    localized = localize_module(triple)
     doc = localized.to_json()
     doc["family"] = family.describe()
     _emit(doc, args.format)
@@ -251,7 +250,6 @@ def build_parser():
     p = sub.add_parser("localize-module", help="localize a module triple from a JSON spec")
     common(p)
     p.add_argument("--spec", required=True, help="path to the TripleModule JSON document")
-    p.add_argument("--samples", type=int, default=100)
     p.set_defaults(func=cmd_localize_module)
     return parser
 

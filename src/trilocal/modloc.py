@@ -11,10 +11,10 @@ the minus sign coming from the defining map t (x) m -> -t x_m.  Every
 presented module here, the inputs N_A and N_B included, is a
 ``Presentation``, and every relation row of L and of the tensor side is
 placed by one helper.  The comparison maps between L and the
-tensor-side module send generators to generators, so they act on
-coordinate vectors as index maps.  Exact membership tests verify them,
-so a passing report certifies the isomorphism on the presented
-generators.
+tensor-side module send generators to generators, so each is an index
+list, linear by construction.  Exact checks on the generators and
+relation rows verify them on every element, so a passing report
+certifies the isomorphism.  Nothing here is sampled.
 
 T must admit canonical diagonal forms, which pins the supported
 families to regular-Z (T = Z), scaled (T = Z[1/k]) and double-Q
@@ -23,12 +23,11 @@ families to regular-Z (T = Z), scaled (T = Z[1/k]) and double-Q
 
 from __future__ import annotations
 
-import random
-from itertools import chain, islice
+from itertools import islice
 
 from .errors import UnsupportedFamilyError
 from .linalg import Matrix, diagonal_form, in_row_span
-from .report import DEFAULT_SEED, Report
+from .report import Report
 from .tring import family_iso, t_generator
 
 
@@ -76,7 +75,7 @@ class Presentation:
         form = self.form()
         return form.invariant_factors(), form.free_rank()
 
-    def random_vector(self, rng, size=4):
+    def random_vector(self, rng, size):
         return list(islice(self.ring.randoms(rng, size), self.gens))
 
 
@@ -157,45 +156,48 @@ def tensor_side_presentation(module):
     return Presentation(ring, gens, rows)
 
 
-def comparison_maps(module, ring):
-    """The maps alpha: L -> tensor side and beta: tensor side -> L on vectors.
+def apply_index(index, vector, zero):
+    """The image of vector under an index list: coordinate i of the image
+    reads vector[index[i]], or is zero where index[i] is None."""
+    return [zero if i is None else vector[i] for i in index]
 
-    Both send generators to generators, so each is an index map: alpha
-    puts the N_A coordinates in the u1 (x) N_A block and the N_B
-    coordinates in the u2 (x) N_B block, zeros elsewhere; beta reads
-    those two blocks back and drops the cross blocks.
+
+def comparison_maps(module):
+    """The index lists of alpha: L -> tensor side and beta: tensor side -> L.
+
+    Both send generators to generators: alpha puts the N_A coordinates in
+    the u1 (x) N_A block and the N_B coordinates in the u2 (x) N_B block,
+    zeros elsewhere; beta reads those two blocks back and drops the cross
+    blocks.
     """
     gA, gB = module.NA.gens, module.NB.gens
-    pad = [ring.zero()] * (gA + gB)
-
-    def alpha(v):
-        return v[:gA] + pad + v[gA:]
-
-    def beta(w):
-        return w[:gA] + w[2 * gA + gB:]
-
+    alpha = [*range(gA), *[None] * (gA + gB), *range(gA, gA + gB)]
+    beta = [*range(gA), *range(2 * gA + gB, 2 * (gA + gB))]
     return alpha, beta
 
 
-def verify_comparison_maps(module, samples=100, seed=DEFAULT_SEED, presentation=None):
+def verify_comparison_maps(module, presentation=None):
     """Exactly verify the mutually inverse maps between L and the tensor side.
 
-    Both well-definedness directions are membership computations; the
-    round trips are checked on the generators and on sampled random
-    elements.  presentation is L, ``localized_presentation(module)``,
+    Both maps are index lists, hence linear, so each check is exact on
+    every element: well-definedness tests the relation rows; beta after
+    alpha is the identity when the composed index list is; alpha after
+    beta is the identity modulo relations when it is on each generator,
+    since alpha(beta(v)) - v is linear and the relation span is a
+    submodule.  presentation is L, ``localized_presentation(module)``,
     mixed rows last, when the caller already holds it (its diagonal form
     is then reused); by default L is built here.  A negative control
     passes a broken L, such as ``localized_presentation(module, g_sign=-1)``.
     """
     L = localized_presentation(module) if presentation is None else presentation
-    family = module.family
     ring = L.ring
     W = tensor_side_presentation(module)
-    alpha, beta = comparison_maps(module, ring)
+    alpha_index, beta_index = comparison_maps(module)
+    alpha = lambda v: apply_index(alpha_index, v, ring.zero())
+    beta = lambda w: apply_index(beta_index, w, ring.zero())
     rep = Report(
-        f"module localization maps [{family.describe()}]",
-        seed=seed,
-        meta={"samples": samples, "generators": L.gens, "relations": len(L.rows)},
+        f"module localization maps [{module.family.describe()}]",
+        meta={"generators": L.gens, "relations": len(L.rows)},
     )
 
     escaping = [idx for idx, row in enumerate(L.rows) if not W.contains(alpha(row))]
@@ -209,21 +211,19 @@ def verify_comparison_maps(module, samples=100, seed=DEFAULT_SEED, presentation=
         f"tensor-side relation {idx} escapes the span" for idx, row in enumerate(W.rows) if not L.contains(beta(row))
     ))
 
-    # round trip L -> W -> L is the identity on the nose
-    rng = random.Random(seed)
-    vectors = (L.random_vector(rng) for _ in range(samples))
+    # L -> W -> L is the identity on the nose: beta after alpha, as one
+    # index list, reads each generator from itself
     rep.first_failure("backward of forward is the identity", (
-        "random element" for v in vectors if v != beta(alpha(v))
+        f"generator {g}" for g, source in enumerate(apply_index(beta_index, alpha_index, None)) if source != g
     ))
 
-    # round trip W -> L -> W is the identity modulo the tensor-side relations
+    # W -> L -> W is the identity modulo the tensor-side relations
     def moved(v):
         return not W.contains([ring.sub(x, y) for x, y in zip(alpha(beta(v)), v)])
 
     units = ([ring.one() if i == g else ring.zero() for i in range(W.gens)] for g in range(W.gens))
-    rep.first_failure("forward of backward is the identity modulo relations", chain(
-        (f"generator {g}" for g, v in enumerate(units) if moved(v)),
-        ("random element" for v in (W.random_vector(rng) for _ in range(samples)) if moved(v)),
+    rep.first_failure("forward of backward is the identity modulo relations", (
+        f"generator {g}" for g, v in enumerate(units) if moved(v)
     ))
 
     # the forward map kills the defining cokernel relations: the mixed rows,
@@ -266,9 +266,9 @@ class LocalizedModule:
         }
 
 
-def localize_module(module, samples=100, seed=DEFAULT_SEED):
+def localize_module(module):
     """Full pipeline: presentation, invariants, comparison-map verification."""
     pres = localized_presentation(module)
     factors, rank = pres.invariants()
-    rep = verify_comparison_maps(module, samples, seed, presentation=pres)
+    rep = verify_comparison_maps(module, presentation=pres)
     return LocalizedModule(module, pres, factors, rank, rep)

@@ -262,7 +262,7 @@ class TestLocalize:
                 }
             )
         )
-        out = run_cli("localize-module", "--spec", str(spec), "--samples", "30")
+        out = run_cli("localize-module", "--spec", str(spec))
         assert out.returncode == 0
         assert "free_rank: 1" in out.stdout
         assert "alpha_beta: pass" in out.stdout
@@ -437,8 +437,6 @@ class TestBoundaryInputExit2:
             # a negative sample count ran no sampled case and reported a pass
             (["localize-ring", "--family", REGULAR, "--samples", "-5", "--format", "json"],
              "--samples must be a non-negative integer, got -5"),
-            (["localize-module", "--spec", (ROOT / "tests" / "golden" / "module.json").read_bytes(), "--samples", "-3"],
-             "--samples must be a non-negative integer, got -3"),
             # a negative budget was read as exhausted (exit 3) or ignored (exit 0)
             (["normalize", "--family", SCALED, "--expr", "x[3]", "--budget", "-1"],
              "--budget must be a non-negative integer, got -1"),
@@ -458,7 +456,7 @@ class TestBoundaryInputExit2:
             "spec-5000-digits", "spec-not-utf8", "expr-5000-digits", "expr-superscript-two", "expr-arabic-three",
             "spec-arabic-three", "spec-underscore", "spec-blank",
             "a-gens-string", "a-gens-object", "b-gens-string", "name-blank-inside", "name-empty", "x-name-blank-inside",
-            "x-name-digit", "ring-negative-samples", "module-negative-samples",
+            "x-name-digit", "ring-negative-samples",
             "normalize-negative-budget", "rho-negative-budget", "verify-negative-budget", "fraction-negative-budget",
             "factor-negative-budget", "ring-negative-budget", "module-negative-budget",
         ],

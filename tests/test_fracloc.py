@@ -37,12 +37,24 @@ from trilocal.verify import random_telement
 class TestCentralPair:
     def test_regular_pair(self):
         pair = CentralPair(RegularFamily("Z"), 2, 2)
-        assert pair.certification == "basis+samples"
+        assert pair.certification == "basis"
         assert check_central(pair, samples=200).passed
 
     def test_scaled_pair(self):
         pair = CentralPair(ScaledFamily(2), 3, 3)
         assert check_central(pair, samples=200).passed
+
+    @pytest.mark.parametrize("family", [RegularFamily("Z"), ScaledFamily(2), DoubleFamily("Q")], ids=lambda f: f.kind)
+    def test_basis_family_draws_nothing(self, family, monkeypatch):
+        # the basis decides centrality, so no random element of M is drawn
+        def no_draw(*args):
+            raise AssertionError("a family with a basis drew a random element of M")
+
+        monkeypatch.setattr(type(family), "random_m", no_draw)
+        pair = CentralPair(family, 2, 2)
+        assert pair.certification == "basis"
+        rep = check_central(pair, samples=50)
+        assert rep.passed and rep.seed is None and "samples" not in rep.meta
 
     def test_violating_pair_rejected(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))

@@ -16,10 +16,10 @@ import json
 import pathlib
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
-from test_hot_path import drawn_value
 from trilocal.families import HnnFreeFamily, TensorFreeFamily
 from trilocal.modloc import Presentation
 from trilocal.rings import QQ, ZZ, KadicRing, PolynomialRing
@@ -50,6 +50,13 @@ FAMILY_CASES = {
     "hnn-free s,t": HnnFreeFamily("Q", ("s", "t"), "x"),
     "tensor-free s,t|u,v": TensorFreeFamily("Q", ("s", "t"), ("u", "v")),
 }
+
+
+def drawn_value(ring, x):
+    """A drawn entry as a Fraction, or a Q[x] entry as its coefficient tuple."""
+    if hasattr(x, "coeffs"):
+        return tuple(Fraction(c) for c in x.coeffs)
+    return Fraction(ring.fmt(x))
 
 
 def shown(value):

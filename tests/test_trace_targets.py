@@ -136,7 +136,7 @@ def test_module_localization_reaches_verifier(monkeypatch):
     for module in modules:
         for calls in (verifier, reduce, certify, membership):
             calls.clear()
-        assert modloc.localize_module(module, samples=5).report.passed
+        assert modloc.localize_module(module).report.passed
         assert len(verifier) == 1
         # L and the tensor side are each reduced and certified once, over
         # Z, Z[1/2] (reduced through Z) and Q[x], and the membership tests
