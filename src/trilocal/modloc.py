@@ -14,7 +14,7 @@ placed by one helper.  The comparison maps between L and the
 tensor-side module send generators to generators, so each is an index
 list, linear by construction.  Exact checks on the generators and
 relation rows verify them on every element, so a passing report
-certifies the isomorphism.  Nothing here is sampled.
+certifies the isomorphism without sampling.
 
 T must admit canonical diagonal forms, which pins the supported
 families to regular-Z (T = Z), scaled (T = Z[1/k]) and double-Q
