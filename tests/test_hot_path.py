@@ -476,6 +476,20 @@ class TestRoundTripControls:
         moved = 0 if kind in ("M3", "swapped") else module.NA.gens
         assert failed[BACK_OF_FORTH] == f"generator {moved}"
 
+    # alpha's reordered blocks (M3) and beta's crosswise read each name the
+    # first relation and the first generator they move
+    NAMED_CASES = {
+        "alpha": ("M3", ["relation 0 escapes the span", "generator 0", "generator 0", ""]),
+        "beta": ("swapped", ["tensor-side relation 0 escapes the span", "generator 0", "generator 0"]),
+    }
+
+    @pytest.mark.parametrize("kind", list(NAMED_CASES))
+    def test_backward_of_forward_names_its_case(self, kind, monkeypatch):
+        control, details = self.NAMED_CASES[kind]
+        monkeypatch.setattr(modloc, "comparison_maps", corrupted_maps(control))
+        failed = [c for c in modloc.verify_comparison_maps(MODULES["Z"]()).checks if not c.passed]
+        assert [c.detail for c in failed] == details
+
     def test_true_maps_compose_to_the_identity(self):
         module = MODULES["Z"]()
         alpha, beta = modloc.comparison_maps(module)
