@@ -22,7 +22,7 @@ from trilocal import (
 fam = RegularFamily("Z")
 pair = CentralPair(fam, 2, 2)
 
-print(check_central(pair, samples=200).render_text())
+print(check_central(pair).render_text())
 
 target = pair.target_family()
 print("\ntarget family:", target.describe())

@@ -54,12 +54,6 @@ def _load_family(spec):
     return family_from_json(_load_json("--family", text=spec))
 
 
-def _samples(args):
-    if args.samples < 0:
-        raise SchemaError(f"--samples must be a non-negative integer, got {args.samples}")
-    return args.samples
-
-
 def _emit(doc, fmt):
     print(render_doc(doc, fmt))
 
@@ -157,9 +151,8 @@ def cmd_factor(args):
 
 
 def cmd_localize_ring(args):
-    samples = _samples(args)
     family = _load_family(args.family)
-    report = verify_sigma_inverting(family, samples=samples, seed=args.seed)
+    report = verify_sigma_inverting(family, samples=200, seed=args.seed)
     one = TriElement.one(family)
     corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
     doc = {
@@ -244,7 +237,6 @@ def build_parser():
 
     p = sub.add_parser("localize-ring", help="certify the 2x2 matrix localization")
     common(p)
-    p.add_argument("--samples", type=int, default=200)
     p.set_defaults(func=cmd_localize_ring)
 
     p = sub.add_parser("localize-module", help="localize a module triple from a JSON spec")

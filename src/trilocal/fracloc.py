@@ -35,35 +35,33 @@ from .tring import (
 )
 
 
-def _probes(family, samples, seed):
-    """The basis of M, or where it has none, samples random elements drawn from seed."""
-    basis = family.basis()
-    if basis is not None:
-        return basis
-    rng = random.Random(seed)
-    return [family.random_m(rng) for _ in range(samples)]
-
-
 class CentralPair:
     """A pair (a0, b0) with a0*m = m*b0 throughout M.
 
-    The condition is verified at construction.  A basis of M decides it
-    for every m, as apply is bilinear: m -> a0*m - m*b0 is additive, so
-    Z-linear, and Q-linear over Q.  Such a pair is certified "basis"; a
-    family without a basis is checked on 200 seeded random elements and
-    certified "samples-only".
+    The condition is verified at construction on the pair's probes, which
+    check_central reads too.  A basis of M decides it for every m, as apply
+    is bilinear: m -> a0*m - m*b0 is additive, so Z-linear, and Q-linear
+    over Q.  Such a pair probes the basis and is certified "basis"; a
+    family without a basis probes 200 random elements drawn from seed and
+    is certified "samples-only".
     """
 
-    __slots__ = ("family", "a0", "b0", "certification")
+    __slots__ = ("family", "a0", "b0", "seed", "probes", "certification")
 
     def __init__(self, family, a0, b0, seed=DEFAULT_SEED):
         self.family = family
         self.a0 = a0
         self.b0 = b0
-        for m in _probes(family, 200, seed):
+        self.seed = seed
+        self.probes = family.basis()
+        self.certification = "basis"
+        if self.probes is None:
+            rng = random.Random(seed)
+            self.probes = [family.random_m(rng) for _ in range(200)]
+            self.certification = "samples-only"
+        for m in self.probes:
             if family.apply(a0, m, family.b_one) != family.apply(family.a_one, m, b0):
                 raise UnsupportedFamilyError(f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}")
-        self.certification = "samples-only" if family.basis() is None else "basis"
 
     # -- derived data --------------------------------------------------------
     def x_a0p(self):
@@ -115,27 +113,26 @@ class FractionForm(Record):
     __slots__ = ("numerator", "exponent")
 
 
-def check_central(pair, samples, seed=DEFAULT_SEED):
+def check_central(pair):
     """Verify x_(a0*p) commutes with every x_m, and its image inverts x_p.
 
-    A basis of M decides commutation for every m: each basis family's
-    letter_terms writes x_m as a scalar combination of 1 and the basis
-    letters, and commuting with x_(a0*p) is linear.  A family without a
-    basis is probed on samples random elements drawn from seed, and only
-    its report carries them.
+    Commutation is checked on the pair's probes.  A basis of M decides it
+    for every m: each basis family's letter_terms writes x_m as a scalar
+    combination of 1 and the basis letters, and commuting with x_(a0*p) is
+    linear.  A family without a basis is probed on the pair's 200 random
+    elements, and only its report carries their count and seed.
     """
     fam = pair.family
     sampled = pair.certification == "samples-only"
     meta = {"certification": pair.certification}
     if sampled:
-        meta["samples"] = samples
-    rep = Report(f"centrality of x_(a0*p) [{fam.describe()}]", seed=seed if sampled else None, meta=meta)
+        meta["samples"] = len(pair.probes)
+    rep = Report(f"centrality of x_(a0*p) [{fam.describe()}]", seed=pair.seed if sampled else None, meta=meta)
     x0 = pair.x_a0p()
     tag = "random" if sampled else "basis"
-    probes = _probes(fam, samples, seed)
     commutes = lambda xm: t_mul(x0, xm) == t_mul(xm, x0)
     rep.first_failure("x_(a0*p) commutes with every probe generator", (
-        f"fails on {tag} element {fam.fmt_m(m)}" for m in probes if not commutes(t_generator(fam, m))
+        f"fails on {tag} element {fam.fmt_m(m)}" for m in pair.probes if not commutes(t_generator(fam, m))
     ))
     try:
         target = pair.target_family()

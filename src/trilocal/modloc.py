@@ -23,8 +23,6 @@ families to regular-Z (T = Z), scaled (T = Z[1/k]) and double-Q
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .errors import UnsupportedFamilyError
 from .linalg import Matrix, diagonal_form, in_row_span
 from .report import Report
@@ -76,7 +74,7 @@ class Presentation:
         return form.invariant_factors(), form.free_rank()
 
     def random_vector(self, rng, size):
-        return list(islice(self.ring.randoms(rng, size), self.gens))
+        return [self.ring.random(rng, size) for _ in range(self.gens)]
 
 
 def _x_mu_values(family):

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import islice
 from math import gcd
 
 from .errors import AlphabetMismatchError, SchemaError, UnsupportedRingError
@@ -45,33 +44,18 @@ def norm_scalar(x):
 
 
 def scalar_add(a, b):
-    """a + b for canonical scalars; int and Fraction operands add natively.
-
-    Other operand types (bool, float, subclasses) take the general path:
-    a pair of int-likes adds as ints, anything else through Fraction().
-    """
-    ta, tb = type(a), type(b)
-    if ta is int:
-        if tb is int:
-            return a + b
-        if tb is Fraction:
-            return _exact(b + a)
-    elif ta is Fraction and (tb is Fraction or tb is int):
-        return _exact(a + b)
-    return norm_scalar(Fraction(a) + Fraction(b)) if not (isinstance(a, int) and isinstance(b, int)) else a + b
+    """a + b for canonical scalars: two ints add natively, and otherwise the
+    Fraction goes on the left, whose own method is faster than the reflected one."""
+    if type(a) is int:
+        return a + b if type(b) is int else _exact(b + a)
+    return _exact(a + b)
 
 
 def scalar_mul(a, b):
     """a * b for canonical scalars, on the same terms as scalar_add."""
-    ta, tb = type(a), type(b)
-    if ta is int:
-        if tb is int:
-            return a * b
-        if tb is Fraction:
-            return _exact(b * a)
-    elif ta is Fraction and (tb is Fraction or tb is int):
-        return _exact(a * b)
-    return norm_scalar(Fraction(a) * Fraction(b)) if not (isinstance(a, int) and isinstance(b, int)) else a * b
+    if type(a) is int:
+        return a * b if type(b) is int else _exact(b * a)
+    return _exact(a * b)
 
 
 def scalar_sub(a, b):
@@ -163,25 +147,6 @@ def signed_sum(terms, times="*", spaced=False):
         else:
             out.append(plus + piece)
     return "".join(out) if out else "0"
-
-
-def randints(rng, lo, hi):
-    """The values of rng.randint(lo, hi), one per next(), lazily.
-
-    This is randint's rule on CPython (``_randbelow_with_getrandbits``):
-    draw bit_length(width) bits and reject a draw that is not below width,
-    so the values and the generator's state are exactly randint's.  An
-    empty range raises ValueError at the first draw, as randint does.
-    """
-    getrandbits, width = rng.getrandbits, hi - lo + 1
-    if width <= 0:
-        raise ValueError(f"empty range for randints({lo}, {hi})")
-    k = width.bit_length()
-    while True:
-        r = getrandbits(k)
-        while r >= width:
-            r = getrandbits(k)
-        yield lo + r
 
 
 def random_word(rng, gens):
@@ -409,8 +374,8 @@ class OperatorRing:
     caller that hoists them calls no Python frame; elements are canonical,
     so equality is ``==``.  A ring object supplies from_int; zero and one
     are its images of 0 and 1.  A ring that draws random elements states
-    its distribution once, as the lazy stream randoms(rng, ...); random is
-    the next element of a new stream.
+    its distribution once, as random(rng, ...), through rng's own randint
+    and choice.
     """
 
     add = staticmethod(operator.add)
@@ -427,9 +392,6 @@ class OperatorRing:
 
     def is_zero(self, a):
         return a == self.zero()
-
-    def random(self, rng, *args, **kwargs):
-        return next(self.randoms(rng, *args, **kwargs))
 
 
 class SubringOfQ(OperatorRing):
@@ -468,8 +430,8 @@ class IntegerRing(SubringOfQ):
             return -a, -1
         return a, 1
 
-    def randoms(self, rng, size=9):
-        return randints(rng, -size, size)
+    def random(self, rng, size=9):
+        return rng.randint(-size, size)
 
 
 class RationalField(SubringOfQ):
@@ -497,10 +459,9 @@ class RationalField(SubringOfQ):
             return 0, 1
         return 1, norm_scalar(Fraction(a))
 
-    def randoms(self, rng, size=9):
-        choice = rng.choice
-        for n in randints(rng, -size, size):
-            yield norm_scalar(Fraction(n, choice([1, 1, 2, 3])))
+    def random(self, rng, size=9):
+        n = rng.randint(-size, size)
+        return norm_scalar(Fraction(n, rng.choice([1, 1, 2, 3])))
 
 
 class KadicRing(SubringOfQ):
@@ -548,9 +509,9 @@ class KadicRing(SubringOfQ):
         rep = abs(strip_factors_of(a.numerator, self.k))
         return rep, self.exact_div(a, rep)
 
-    def randoms(self, rng, size=9):
-        for n, e in zip(randints(rng, -size, size), randints(rng, 0, 2)):
-            yield n if e == 0 else _exact(Fraction(n, self.k ** e))
+    def random(self, rng, size=9):
+        n, e = rng.randint(-size, size), rng.randint(0, 2)
+        return n if e == 0 else _exact(Fraction(n, self.k ** e))
 
 
 class PolynomialRing(OperatorRing):
@@ -603,10 +564,8 @@ class PolynomialRing(OperatorRing):
         rep = a.scale(norm_scalar(Fraction(1, 1) / Fraction(lead)))
         return rep, Polynomial._of(self.base, [lead])
 
-    def randoms(self, rng, size=4, degree=2):
-        coefficients = randints(rng, -size, size)
-        for d in randints(rng, 0, degree):
-            yield Polynomial._of(self.base, list(islice(coefficients, d + 1)))
+    def random(self, rng, size=4, degree=2):
+        return Polynomial._of(self.base, [rng.randint(-size, size) for _ in range(rng.randint(0, degree) + 1)])
 
 
 class FreeAlgebra(OperatorRing):

@@ -396,13 +396,24 @@ class Pow(Record):
 
 
 def power(ring, x, n):
-    """x**n in a ring object by square-and-multiply; no product with one() is formed."""
+    """x**n in a ring object by square-and-multiply; no product with one() is formed.
+
+    The squares x, x^2, x^4, ... come first; then, from the top bit down,
+    each set bit's square multiplies the product on the left.  A loop, so
+    an exponent of any size costs no stack.
+    """
     if n < 0:
         raise ValueError("exponents must be non-negative")
-    if n < 2:
-        return x if n else ring.one()
-    half = power(ring, ring.mul(x, x), n >> 1)
-    return ring.mul(x, half) if n & 1 else half
+    if n == 0:
+        return ring.one()
+    squares = [x]
+    while n >> len(squares):
+        squares.append(ring.mul(squares[-1], squares[-1]))
+    result = squares.pop()
+    for i in reversed(range(len(squares))):
+        if n >> i & 1:
+            result = ring.mul(squares[i], result)
+    return result
 
 
 def eval_tree(expr, ring, gen):
@@ -422,8 +433,15 @@ def eval_tree(expr, ring, gen):
             return reduce(ring.mul, map(value, node.items))
         if isinstance(node, Neg):
             return ring.neg(value(node.item))
-        if isinstance(node, Pow):
-            return power(ring, value(node.base), node.exponent)
+        if isinstance(node, Pow):  # a chain of powers is walked, not recursed
+            exponents = []
+            while isinstance(node, Pow):
+                exponents.append(node.exponent)
+                node = node.base
+            x = value(node)
+            for n in reversed(exponents):
+                x = power(ring, x, n)
+            return x
         raise TypeError(f"not an expression node: {node!r}")
 
     return value(expr)

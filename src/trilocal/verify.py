@@ -123,7 +123,7 @@ def change_of_p_suite(family, a0, b0, fraction_samples, factor_samples, seed):
     pair = CentralPair(family, a0, b0, seed=seed)
     rep = Report(f"change of p [{family.describe()}, a0={a0}]", seed=seed, meta={"fraction_samples": fraction_samples})
     # a family with fraction forms has a basis, which decides centrality: no probe is drawn
-    rep.extend(check_central(pair, samples=0, seed=seed))
+    rep.extend(check_central(pair))
 
     target = pair.target_family()
     rng = random.Random(seed + 1)
@@ -306,7 +306,7 @@ def example_suite(seed, negative_control):
     # change-of-p fixtures
     for family, a0, b0 in change_of_p_configs():
         pair = CentralPair(family, a0, b0, seed=seed)
-        sub = check_central(pair, samples=samples, seed=seed)
+        sub = check_central(pair)
         rep.add(f"central pair certified [{family.kind}, a0={a0}]", sub.passed)
     rzpair = CentralPair(rz, 2, 2, seed=seed)
     tgt = rzpair.target_family()

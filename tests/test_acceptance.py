@@ -145,7 +145,7 @@ def test_criterion_3_matrix_localization():
 def test_criterion_4_change_of_p_suite():
     for family, a0, b0 in change_of_p_configs():
         pair = CentralPair(family, a0, b0, seed=SEED)
-        cen = check_central(pair, samples=1000, seed=SEED)
+        cen = check_central(pair)
         assert cen.passed, cen.render_text()
         target = pair.target_family()
         image = pair.induced(pair.x_a0p())

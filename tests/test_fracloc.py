@@ -38,11 +38,11 @@ class TestCentralPair:
     def test_regular_pair(self):
         pair = CentralPair(RegularFamily("Z"), 2, 2)
         assert pair.certification == "basis"
-        assert check_central(pair, samples=200).passed
+        assert check_central(pair).passed
 
     def test_scaled_pair(self):
         pair = CentralPair(ScaledFamily(2), 3, 3)
-        assert check_central(pair, samples=200).passed
+        assert check_central(pair).passed
 
     @pytest.mark.parametrize("family", [RegularFamily("Z"), ScaledFamily(2), DoubleFamily("Q")], ids=lambda f: f.kind)
     def test_basis_family_draws_nothing(self, family, monkeypatch):
@@ -53,7 +53,7 @@ class TestCentralPair:
         monkeypatch.setattr(type(family), "random_m", no_draw)
         pair = CentralPair(family, 2, 2)
         assert pair.certification == "basis"
-        rep = check_central(pair, samples=50)
+        rep = check_central(pair)
         assert rep.passed and rep.seed is None and "samples" not in rep.meta
 
     def test_violating_pair_rejected(self):
@@ -69,7 +69,7 @@ class TestCentralPair:
         two_b = fam.b_ring.from_int(2)
         pair = CentralPair(fam, two_a, two_b)
         assert pair.certification == "samples-only"
-        assert check_central(pair, samples=100).passed
+        assert check_central(pair).passed
 
 
 class NotCentral(CentralPair):
@@ -103,14 +103,14 @@ class TestCheckCentralControls:
             pair = NotCentral(fam, fam.a_ring.from_int(2), fam.b_ring.from_int(2))
         else:
             pair = WrongInverse(RegularFamily("Z"), 2, 2)
-        results = {c.name: c.passed for c in check_central(pair, samples=50).checks}
+        results = {c.name: c.passed for c in check_central(pair).checks}
         assert results.get(check) is False, results
 
     def test_true_pairs_pass_every_check(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))
         pair = CentralPair(fam, fam.a_ring.from_int(2), fam.b_ring.from_int(2))
-        assert [c.passed for c in check_central(pair, samples=50).checks] == [True]
-        results = {c.name: c.passed for c in check_central(CentralPair(RegularFamily("Z"), 2, 2), samples=50).checks}
+        assert [c.passed for c in check_central(pair).checks] == [True]
+        results = {c.name: c.passed for c in check_central(CentralPair(RegularFamily("Z"), 2, 2)).checks}
         assert results == dict.fromkeys(CENTRALITY_CHECKS, True)
 
 

@@ -154,6 +154,31 @@ class TestPower:
             assert power(Counting(), 3, n) == 3 ** n
             assert len(calls) == products
 
+    def test_products_in_square_and_multiply_order(self):
+        # each product is written out as text: the squares come first, then
+        # each set bit's square multiplies on the left, from the top bit down
+        class Bracketing(OperatorRing):
+            def mul(self, a, b):
+                return f"({a}{b})"
+
+        def recursive(x, n):
+            if n < 2:
+                return x
+            half = recursive(f"({x}{x})", n >> 1)
+            return f"({x}{half})" if n & 1 else half
+
+        for n in range(1, 70):
+            assert power(Bracketing(), "x", n) == recursive("x", n)
+
+    def test_exponents_past_the_recursion_limit(self):
+        # a 1,329-bit exponent and a chain of 2,000 powers need no stack
+        assert power(ZZ, 1, 10 ** 400) == 1
+        chain = Gen(3)
+        for _ in range(2000):
+            chain = Pow(chain, 1)
+        assert t_normalize(ScaledFamily(2), chain) == t_generator(ScaledFamily(2), 3)
+        assert eval_tree(Pow(Pow(Const(2), 3), 2), ZZ, None) == 64
+
 
 class TestRho:
     def test_rho_m_at_p_is_one(self):
