@@ -114,7 +114,7 @@ def int_str(n):
 
 
 def scalar_str(x):
-    x = norm_scalar(x)
+    x = x if type(x) is int else norm_scalar(x)
     if isinstance(x, int):
         return int_str(x)
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
@@ -134,10 +134,8 @@ def signed_sum(terms, times="*", spaced=False):
     for c, body in terms:
         if not body:
             piece = scalar_str(c)
-        elif c == 1:
-            piece = body
-        elif c == -1:
-            piece = "-" + body
+        elif type(c) is int and c in (1, -1):  # a canonical Fraction is never 1 or -1
+            piece = body if c == 1 else "-" + body
         else:
             piece = f"{scalar_str(c)}{times}{body}"
         if not out:
@@ -537,6 +535,17 @@ class PolynomialRing(OperatorRing):
     def variable(self):
         return Polynomial._of(self.base, [0, 1])
 
+    def combination(self, pairs):
+        """Sum of c*v over pairs (nonzero canonical scalar c, polynomial v), in one list stripped once."""
+        cs = []
+        for c, v in pairs:
+            self._zero._check(v)
+            cs += [0] * (len(v.coeffs) - len(cs))
+            for i, a in enumerate(v.coeffs):
+                if a:
+                    cs[i] = scalar_add(cs[i], c if a == 1 else scalar_mul(c, a))
+        return Polynomial._of(self.base, cs)
+
     def is_unit(self, a):
         if self.base == "Q":
             return len(a.coeffs) == 1
@@ -592,18 +601,22 @@ class FreeAlgebra(OperatorRing):
     def word(self, letters, c=1):
         return FreeAlgebraElement(self.base, self.gens, {tuple(letters): c})
 
+    def combination(self, pairs):
+        """Sum of c*v over pairs (nonzero canonical scalar c, element v), in one term map."""
+        check = self._zero._check
+        terms = {}
+        for c, v in pairs:
+            for w, cw in check(v).terms.items():
+                add_term(terms, w, c if cw == 1 else scalar_mul(c, cw))
+        return FreeAlgebraElement._of(self.base, self.gens, terms)
+
     def sum(self, values):
         """Sum of elements of this algebra, accumulated in one term map."""
-        zero = self._zero
-        return FreeAlgebraElement._of(self.base, self.gens, term_sum(zero._check(v).terms for v in values))
+        return self.combination((1, v) for v in values)
 
     def random(self, rng, size=3, terms=2):
-        out = self.zero()
-        for _ in range(rng.randint(1, terms)):
-            w = random_word(rng, self.gens)
-            c = rng.randint(-size, size)
-            out = out + self.word(w, c)
-        return out
+        words = ((random_word(rng, self.gens), rng.randint(-size, size)) for _ in range(rng.randint(1, terms)))
+        return self.sum(self.word(w, c) for w, c in words)
 
 
 ZZ = IntegerRing()

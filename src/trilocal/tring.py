@@ -7,32 +7,34 @@ arithmetic operation keep the rewriting normal form:
 * single letters are expanded through the family's additive
   canonicalization (identity letters vanish, letters in A*p collapse
   to scalars, sums of generators split into separate letters);
-* an adjacent pair merges when the left letter lies in A*p or the
-  right letter lies in p*B, the left rule winning at the leftmost
-  position;
-* family-specific moves (a letter-pair shift, coefficient folding)
-  finish the canonical form where the two merge rules are not enough.
-
-All rules strictly shrink a termination measure.
+* a product of two words decides the seam between them, its last and
+  first letter, once per ``t_mul`` call (``_seam``): the pair merges when
+  the left letter lies in A*p, or else the right one in p*B; a family
+  may shift it (``shift_pair``); otherwise the words concatenate.  A
+  merge splices the merged letter's terms between the rest of the two
+  words and decides only the two new seams; coefficient folding
+  (``fold_element``) finishes the form.  All rules strictly shrink a
+  termination measure.
 
 Raw expression trees have one evaluator, ``eval_tree``; ``t_normalize``
 runs it over ``TOps``, T(M,p) as a ring object.  The step budget ticks
 once per constant, per generator letter, per operand of a sum after the
-first, and once per merge or shift.  Inside a product, each pair of
-words ticks once per pair of 64-bit limbs of the two coefficients, plus
-once per 64 letters of the two words, before the pair is multiplied.
-So a product of e1 and e2 uses at least |e1|*|e2|, and a power whose
-coefficient or word doubles with every squaring runs out of budget
-before it builds a huge one; the coefficient charge is per limb pair
-because big integers multiply in more than linear time.
+first, and per pair of words a product multiplies: once per pair of
+64-bit limbs of the two coefficients, plus once per 64 letters of the
+two words, before the pair is multiplied.  A seam's rule ticks once,
+plus once per term of a merged letter, and charges the same per pair for
+the word pairs it makes: prefix and merged term, that and the suffix, or
+the two shifted words.  So a product of e1 and e2 uses at least
+|e1|*|e2|, and a power whose coefficient or word doubles with every
+squaring runs out of budget before it builds a huge one.
 
 A ring map out of T(M,p) is fixed by the images of its letters, and
-``map_terms`` applies one to a normal form; its coefficients enter through
-the target ring's ``from_int`` (T(M,p)'s own is ``TOps.from_int``).
-
-Sums and products work on plain term maps: a sum of n normal forms adds
-them into one dict and folds it once, and a product passes dicts through
-its recursion, building a ``TElement`` only for its result.
+``map_terms`` applies one to a normal form: into a ring with a
+``combination`` hook (the oracles' free algebras and polynomial rings)
+in one pass, and otherwise with each coefficient entering through the
+ring's ``from_int`` (T(M,p)'s own is ``TOps.from_int``).  Sums and
+products work on plain term maps, and build a ``TElement`` only for
+their result.
 """
 
 from __future__ import annotations
@@ -171,9 +173,9 @@ def _letter_factor(family, factors, letter):
     return fac
 
 
-def _word_mul(family, w1, w2, budget, factors):
-    """Product of two non-empty normal words as a canonical term map."""
-    left, right = w1[-1], w2[0]
+def _seam(family, left, right, factors):
+    """The rule at the seam left|right: a merge is (its ticks, the merged letter's
+    terms as ``_sizes`` rows, None), a shift (1, None, (l1, l2)), no rule ()."""
     fac = _letter_factor(family, factors, left)
     if fac.left is not None:
         merged = family.apply(fac.left, family.letter_bim(right), family.b_one)
@@ -181,15 +183,35 @@ def _word_mul(family, w1, w2, budget, factors):
         fac = _letter_factor(family, factors, right)
         merged = None if fac.right is None else family.apply(family.a_one, family.letter_bim(left), fac.right)
     if merged is not None:
-        budget.tick()
-        head = _mul_terms(family, {w1[:-1]: 1}, _generator_terms(family, merged, budget), budget, factors)
-        return _mul_terms(family, head, {w2[1:]: 1}, budget, factors)
+        count = Budget(math.inf)
+        rows = _sizes(_generator_terms(family, merged, count))
+        return 1 + count.used, rows, None
     shifted = family.shift_pair(left, right)
-    if shifted is not None:
-        budget.tick()
-        l1, l2 = shifted
-        return _mul_terms(family, {w1[:-1] + (l1,): 1}, {(l2,) + w2[1:]: 1}, budget, factors)
-    return {w1 + w2: 1}
+    return () if shifted is None else (1, None, shifted)
+
+
+def _word_mul(family, w1, w2, c, out, budget, factors, seams):
+    """Add c times the product of two normal words into out, deciding only
+    the seams the module docstring names and charging what it says."""
+    rule = seams.get(key := (w1[-1], w2[0])) if w1 and w2 else ()
+    if rule is None:
+        rule = seams[key] = _seam(family, *key, factors)
+    if not rule:
+        return add_term(out, w1 + w2, c)
+    ticks, rows, shifted = rule
+    prefix, suffix = w1[:-1], w2[1:]
+    if shifted:
+        w1, w2 = prefix + shifted[:1], shifted[1:] + suffix
+        budget.tick(ticks + _pair_charge(1, len(w1), 1, len(w2)))
+        return _word_mul(family, w1, w2, c, out, budget, factors, seams)
+    budget.tick(ticks)  # a merge: prefix times each merged term, each result times suffix
+    head = {}
+    for g, cg, bg, ng in rows:
+        budget.tick(_pair_charge(1, len(prefix), bg, ng))
+        _word_mul(family, prefix, g, cg, head, budget, factors, seams)
+    for h, ch in family.fold_element(head).items():
+        budget.tick(_pair_charge(_bits(ch), len(h), 1, len(suffix)))
+        _word_mul(family, h, suffix, c if ch == 1 else scalar_mul(c, ch), out, budget, factors, seams)
 
 
 def _sizes(terms):
@@ -208,7 +230,7 @@ def _pair_charge(b1, n1, b2, n2):
     return (1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6)
 
 
-def _mul_terms(family, t1, t2, budget, factors):
+def _mul_terms(family, t1, t2, budget, factors, seams):
     """Canonical product of two term maps; each pair of words is charged
     its ``_pair_charge`` before anything is multiplied."""
     terms = {}
@@ -218,21 +240,16 @@ def _mul_terms(family, t1, t2, budget, factors):
         b1, n1 = _bits(c1), len(w1)
         for w2, c2, b2, n2 in right:
             tick(_pair_charge(b1, n1, b2, n2))
-            c = scalar_mul(c1, c2)
-            if w1 and w2:
-                products = _word_mul(family, w1, w2, budget, factors).items()
-            else:  # a pair with an empty word is its concatenation
-                products = ((w1 + w2, 1),)
-            for word, coeff in products:
-                add_term(terms, word, c if coeff == 1 else scalar_mul(c, coeff))
+            _word_mul(family, w1, w2, scalar_mul(c1, c2), terms, budget, factors, seams)
     return family.fold_element(terms)
 
 
 def t_mul(e1, e2, budget=UNBOUNDED):
-    """Product in T(M,p).  Letter factorizations are memoized for this call only."""
+    """Product in T(M,p).  Letter factorizations and seam decisions are
+    memoized for this call only, each in its own dict."""
     e1.family.check_same(e2.family)
     family = e1.family
-    return TElement(family, _mul_terms(family, e1.terms, e2.terms, budget, {}))
+    return TElement(family, _mul_terms(family, e1.terms, e2.terms, budget, {}, {}))
 
 
 def rho(family, component, value, budget=UNBOUNDED):
@@ -287,19 +304,21 @@ def ring_sum(ring, values):
 
 
 def map_terms(e, ring, letter):
-    """Image of a normal form under the ring map given on letters.
-
-    Each term's coefficient enters through ring.from_int, each letter of
-    its word goes through letter; products are taken in the ring object,
-    and the terms are added with one ring_sum.
-    """
+    """Image of a normal form under the ring map given on letters: each
+    word's image is the product of its letters' images, and the terms are
+    added by the ring's combination hook or else one ring_sum."""
     if not e.terms:
         return ring.zero()
-    return ring_sum(ring, _term_images(e.terms, ring, letter))
+    combination = getattr(ring, "combination", None)
+    if combination is not None:
+        return combination(_term_images(e.terms, ring, letter, ring.one()))
+    from_int, mul = ring.from_int, ring.mul
+    images = _term_images(e.terms, ring, letter, None)
+    return ring_sum(ring, (from_int(c) if image is None else mul(from_int(c), image) for c, image in images))
 
 
-def _term_images(terms, ring, letter):
-    """The image of each term, in order.
+def _term_images(terms, ring, letter, empty):
+    """(coefficient, word image) for each term, in order; empty is the empty word's.
 
     A product's term map lists its words in the order of its nested loops,
     so consecutive words share the left factor's word as a prefix (56% of
@@ -311,7 +330,6 @@ def _term_images(terms, ring, letter):
     images = {}
     prefix = ()
     products = []  # products[i]: image of prefix[:i + 1]
-    from_int = ring.from_int
     for word, coeff in terms.items():
         k, top = 0, min(len(word), len(prefix))
         while k < top and word[k] == prefix[k]:
@@ -323,8 +341,7 @@ def _term_images(terms, ring, letter):
                 image = images[x] = letter(x)
             products.append(ring.mul(products[-1], image) if products else image)
         prefix = word
-        val = from_int(coeff)
-        yield ring.mul(val, products[-1]) if products else val
+        yield coeff, products[-1] if products else empty
 
 
 def family_iso(e):

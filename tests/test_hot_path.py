@@ -25,10 +25,18 @@ import pytest
 from test_modloc import without_row_0
 import trilocal.tring as tring
 from trilocal import exprs, modloc
-from trilocal.errors import BudgetExceededError
-from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily, family_from_json
+from trilocal.errors import AlphabetMismatchError, BudgetExceededError
+from trilocal.families import (
+    DoubleFamily,
+    HnnFreeFamily,
+    RegularFamily,
+    ScaledFamily,
+    TensorFreeFamily,
+    family_from_json,
+    shipped_families,
+)
 from trilocal.linalg import solve_left
-from trilocal.rings import ZZ, FreeAlgebraElement, norm_scalar, scalar_add, scalar_mul
+from trilocal.rings import ZZ, FreeAlgebra, FreeAlgebraElement, norm_scalar, scalar_add, scalar_mul
 from trilocal.triangular import FPModule, TripleModule, relation_images, triple_from_json
 from trilocal.tring import (
     Add,
@@ -323,6 +331,57 @@ class TestDuckTypedRings:
         assert fam.oracle.sum(values) == folded
         # IntegerRing has no sum hook either
         assert eval_tree(Add((Const(4), Const(-4), Const(3))), ZZ, None) == 3
+
+
+class WithoutHooks:
+    """A ring object's from_int, zero, one, add and mul, without its sum and
+    combination hooks, so map_terms takes the pairwise route through it."""
+
+    def __init__(self, ring):
+        self.from_int, self.zero, self.one, self.add, self.mul = ring.from_int, ring.zero, ring.one, ring.add, ring.mul
+
+
+HOOK_FAMILIES = shipped_families() + [HnnFreeFamily("Q", ("s", "t"), "x"), TensorFreeFamily("Q", ("s", "t"), ("u", "v"))]
+
+
+def hook_cases(fam):
+    """The zero element, the one (the empty word alone), and for each of the
+    coefficients +-1, two large ints and (over Q) two Fractions, c times a
+    product of two generators plus a generator plus the empty word; then
+    the sum of all of them."""
+    rng = random.Random(3)
+    x = lambda: t_generator(fam, fam.random_m(rng))
+    coeffs = [1, -1, 2 ** 200 + 1, -(3 ** 150)] + ([Fraction(1, 3), Fraction(-7, 2)] if fam.ring == "Q" else [])
+    cases = [TElement.zero(fam), TElement.one(fam)]
+    cases += [tring.t_scale(t_mul(x(), x()) + x() + TElement.one(fam), c) for c in coeffs]
+    return cases + [tring.ring_sum(tring.TOps(fam), cases)]
+
+
+class TestCombinationHook:
+    @pytest.mark.parametrize("fam", HOOK_FAMILIES, ids=lambda f: f.describe())
+    def test_hook_equals_the_pairwise_route(self, fam):
+        assert hasattr(fam.oracle, "combination") == (fam.kind in ("double", "tensor-free", "hnn-free"))
+        cases = hook_cases(fam)
+        assert any(() in e.terms for e in cases)
+        assert fam.kind == "regular" or any(len(w) > 1 for e in cases for w in e.terms)  # regular has no letters
+        for e in cases:
+            assert family_iso(e) == map_terms(e, WithoutHooks(fam.oracle), fam.oracle_letter)
+
+    def test_combination_strips_trailing_zeros_once(self):
+        qx = DoubleFamily("Q").oracle
+        x = qx.variable()
+        got = qx.combination([(1, x * x + qx.one()), (Fraction(1, 2), x), (-1, x * x)])
+        assert got.coeffs == (1, Fraction(1, 2))
+        assert qx.combination([(3, x), (-3, x)]) == qx.zero()
+
+    def test_value_from_another_alphabet_raises(self):
+        fam = HnnFreeFamily("Q", ("s", "t"), "x")
+        other = FreeAlgebra("Q", ("s", "t", "y"))
+        e = t_generator(fam, {("m", (0,), (1,)): 1}) + TElement.from_scalar(fam, 2)
+        with pytest.raises(AlphabetMismatchError):
+            map_terms(e, fam.oracle, lambda letter: other.generator(0))
+        with pytest.raises(AlphabetMismatchError):
+            fam.oracle.combination([(1, fam.oracle.one()), (2, other.one())])
 
 
 def benchmark_shaped_triple(family, shape, seed=1):
