@@ -43,3 +43,10 @@ class ParseError(TrilocalError, ValueError):
 
 class SchemaError(TrilocalError, ValueError):
     """A JSON descriptor or module spec violates its schema."""
+
+
+def check_fields(obj, allowed, what):
+    """SchemaError naming the first field of the JSON object obj that allowed lacks."""
+    for field in obj:
+        if field not in allowed:
+            raise SchemaError(f"unknown field {field!r} in {what}; expected {', '.join(allowed)}")

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import AlphabetMismatchError, FamilyMismatchError, SchemaError, UnsupportedFamilyError
+from .errors import AlphabetMismatchError, FamilyMismatchError, SchemaError, UnsupportedFamilyError, check_fields
 from .exprs import is_identifier
 from .rings import (
     FreeAlgebra,
@@ -645,6 +645,7 @@ def family_from_json(data):
     if not isinstance(kind, str) or kind not in FAMILY_KINDS:
         raise SchemaError(f"unknown family kind {kind!r}; expected one of {sorted(FAMILY_KINDS)}")
     cls = FAMILY_KINDS[kind]
+    check_fields(data, ("kind", *cls.params), f"{kind} family descriptor")
     try:
         for field in ("A_gens", "B_gens", "x_name"):
             if field in cls.params and field in data:

@@ -362,7 +362,9 @@ class FreeAlgebraElement:
 # Ring protocol objects.  A ring object bundles the operations the linear
 # algebra and localization layers need, with plain elements (int, Fraction,
 # Polynomial) as data.  The rings A and B also expose gens, the generator
-# names an A/B expression may use (none for Z and Q).
+# names an A/B expression may use (none for Z and Q).  A ring object adds
+# several values one way, by combination; Q[x], the free algebras and
+# T(M,p)'s tring.TOps override it to add into one coefficient list or term map.
 # ---------------------------------------------------------------------------
 
 class OperatorRing:
@@ -390,6 +392,15 @@ class OperatorRing:
 
     def is_zero(self, a):
         return a == self.zero()
+
+    def combination(self, pairs):
+        """Sum of c*v over pairs (nonzero canonical scalar c, element v), or zero()
+        for none, added pairwise: a c other than 1 enters through from_int."""
+        total = None
+        for c, v in pairs:
+            v = v if c == 1 else self.mul(self.from_int(c), v)
+            total = v if total is None else self.add(total, v)
+        return self.zero() if total is None else total
 
 
 class SubringOfQ(OperatorRing):
@@ -610,13 +621,9 @@ class FreeAlgebra(OperatorRing):
                 add_term(terms, w, c if cw == 1 else scalar_mul(c, cw))
         return FreeAlgebraElement._of(self.base, self.gens, terms)
 
-    def sum(self, values):
-        """Sum of elements of this algebra, accumulated in one term map."""
-        return self.combination((1, v) for v in values)
-
     def random(self, rng, size=3, terms=2):
         words = ((random_word(rng, self.gens), rng.randint(-size, size)) for _ in range(rng.randint(1, terms)))
-        return self.sum(self.word(w, c) for w, c in words)
+        return self.combination((1, self.word(w, c)) for w, c in words)
 
 
 ZZ = IntegerRing()

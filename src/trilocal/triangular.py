@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import CertificateError, SchemaError, UnsupportedFamilyError
+from .errors import CertificateError, SchemaError, UnsupportedFamilyError, check_fields
 from .modloc import Presentation
 from .rings import checked_scalar, scalar_add, scalar_mul, scalar_ring
 
@@ -276,6 +276,7 @@ def triple_from_json(family, data):
     """
     if not isinstance(data, dict):
         raise SchemaError("module spec must be a JSON object")
+    check_fields(data, ("family", "NA", "NB", "f"), "module spec")
     try:
         na = data["NA"]
         nb = data["NB"]
@@ -302,6 +303,7 @@ def triple_from_json(family, data):
     def parse_module(obj, name):
         if not isinstance(obj, dict) or "gens" not in obj:
             raise SchemaError(f"{name} must be an object with 'gens' and optional 'rels'")
+        check_fields(obj, ("gens", "rels"), name)
         return FPModule(family.ring, obj["gens"], parse_rows(obj.get("rels", []), f"{name}.rels"))
 
     NA = parse_module(na, "NA")

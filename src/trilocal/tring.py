@@ -29,10 +29,9 @@ the two shifted words.  So a product of e1 and e2 uses at least
 squaring runs out of budget before it builds a huge one.
 
 A ring map out of T(M,p) is fixed by the images of its letters, and
-``map_terms`` applies one to a normal form: into a ring with a
-``combination`` hook (the oracles' free algebras and polynomial rings)
-in one pass, and otherwise with each coefficient entering through the
-ring's ``from_int`` (T(M,p)'s own is ``TOps.from_int``).  Sums and
+``map_terms`` applies one to a normal form: it hands each coefficient
+and its word's image to the target's ``combination``, the one way a
+ring object adds, as ``eval_tree`` does a sum's values.  Sums and
 products work on plain term maps, and build a ``TElement`` only for
 their result.
 """
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import chain
 
 from .errors import BudgetExceededError
 from .rings import OperatorRing, add_term, scalar_mul, term_scale, term_sum
@@ -288,37 +286,15 @@ def relation_failure(family, ring, gen, samples, rng):
     return None
 
 
-def ring_sum(ring, values):
-    """Sum of a non-empty iterable in a ring object; ValueError if it is empty.
-
-    A ring object may have a sum hook that adds all values at once; one
-    without it, like most ring objects, is added pairwise.
-    """
-    values = iter(values)
-    try:
-        first = next(values)
-    except StopIteration:
-        raise ValueError("sum of no values") from None
-    total = getattr(ring, "sum", None)
-    return total(chain((first,), values)) if total is not None else reduce(ring.add, values, first)
-
-
 def map_terms(e, ring, letter):
     """Image of a normal form under the ring map given on letters: each
-    word's image is the product of its letters' images, and the terms are
-    added by the ring's combination hook or else one ring_sum."""
-    if not e.terms:
-        return ring.zero()
-    combination = getattr(ring, "combination", None)
-    if combination is not None:
-        return combination(_term_images(e.terms, ring, letter, ring.one()))
-    from_int, mul = ring.from_int, ring.mul
-    images = _term_images(e.terms, ring, letter, None)
-    return ring_sum(ring, (from_int(c) if image is None else mul(from_int(c), image) for c, image in images))
+    word's image is the product of its letters' images, and the ring's
+    combination adds the terms."""
+    return ring.combination(_term_images(e.terms, ring, letter))
 
 
-def _term_images(terms, ring, letter, empty):
-    """(coefficient, word image) for each term, in order; empty is the empty word's.
+def _term_images(terms, ring, letter):
+    """(coefficient, word image) for each term, in order; the empty word's is ring.one().
 
     A product's term map lists its words in the order of its nested loops,
     so consecutive words share the left factor's word as a prefix (56% of
@@ -341,7 +317,7 @@ def _term_images(terms, ring, letter, empty):
                 image = images[x] = letter(x)
             products.append(ring.mul(products[-1], image) if products else image)
         prefix = word
-        yield coeff, products[-1] if products else empty
+        yield coeff, products[-1] if products else ring.one()
 
 
 def family_iso(e):
@@ -434,7 +410,7 @@ def power(ring, x, n):
 
 
 def eval_tree(expr, ring, gen):
-    """Value of an expression tree in a ring object (from_int, add, mul, neg, one).
+    """Value of an expression tree in a ring object (from_int, combination, mul, neg, one).
 
     A Const value enters through ring.from_int, and gen maps a Gen element.
     """
@@ -445,7 +421,9 @@ def eval_tree(expr, ring, gen):
         if isinstance(node, Gen):
             return gen(node.element)
         if isinstance(node, Add):
-            return ring_sum(ring, map(value, node.items))
+            if not node.items:
+                raise ValueError("sum of no values")
+            return ring.combination((1, value(item)) for item in node.items)
         if isinstance(node, Mul):
             return reduce(ring.mul, map(value, node.items))
         if isinstance(node, Neg):
@@ -488,27 +466,27 @@ class TOps(OperatorRing):
     def gen(self, m):
         return t_generator(self.family, m, self.budget)
 
-    def sum(self, values):
-        """One term map for all summands, folded once; ticks once per summand after the first."""
-        maps = []
-        for v in values:
-            self.family.check_same(v.family)
+    def combination(self, pairs):
+        """One term map for all summands c*v, folded once; ticks once per summand after the first."""
+        family, maps = self.family, []
+        for c, v in pairs:
+            family.check_same(v.family)
             if maps:
                 self.budget.tick()
-            maps.append(v.terms)
-        return TElement(self.family, _refold(self.family, maps))
+            maps.append(v.terms if c == 1 else term_scale(family.validate_coeff(c), v.terms))
+        return TElement(family, _refold(family, maps))
 
     def mul(self, a, b):
         return t_mul(a, b, self.budget)
 
 
 class ChargedRing:
-    """Any ring object, with its sums and products charged to a Budget before they are formed.
+    """Any ring object, with its combinations and products charged to a Budget before they are formed.
 
     An element counts as its term map, a scalar (int or Fraction) as one
     constant term.  A product ticks per pair of terms as ``_mul_terms``
-    does.  A sum ticks once per term, plus once per 64 bits of its
-    coefficient and 64 letters of its word.
+    does.  A combination ticks once per term of its values, plus once per
+    64 bits of the term's coefficient and 64 letters of its word.
     """
 
     def __init__(self, ring, budget):
@@ -518,10 +496,10 @@ class ChargedRing:
         self.one = ring.one
         self.neg = ring.neg
 
-    def sum(self, values):
-        values = list(values)
-        self.budget.tick(sum(1 + (b >> 6) + (n >> 6) for v in values for _, _, b, n in _sizes(_terms_of(v))))
-        return ring_sum(self.ring, values)
+    def combination(self, pairs):
+        pairs = list(pairs)
+        self.budget.tick(sum(1 + (b >> 6) + (n >> 6) for _, v in pairs for _, _, b, n in _sizes(_terms_of(v))))
+        return self.ring.combination(pairs)
 
     def mul(self, a, b):
         right = _sizes(_terms_of(b))

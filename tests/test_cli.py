@@ -460,6 +460,14 @@ class TestBoundaryInputExit2:
              "generator name 'y z' in x_name is not one identifier"),
             (["normalize", "--family", '{"kind":"hnn-free","A_gens":["s"],"x_name":"1"}', "--expr", "1"],
              "generator name '1' in x_name is not one identifier"),
+            # a field the schema does not name was ignored, and the run exited 0
+            (["normalize", "--family", '{"kind":"tensor-free","ring":"Q","A_gens":["s"],"B_gen":["u","v"]}', "--expr", "1"],
+             "unknown field 'B_gen' in tensor-free family descriptor"),
+            (["normalize", "--family", '{"kind":"scaled","k":2,"ring":"Q"}', "--expr", "x[3]"],
+             "unknown field 'ring' in scaled family descriptor"),
+            (["localize-module", "--spec", _spec_bytes({**_bad_spec(0, 1), "NA": {"gens": 1, "relations": [[3]]}})],
+             "unknown field 'relations' in NA"),
+            (["localize-module", "--spec", _spec_bytes({**_bad_spec(0, 1), "F": {}})], "unknown field 'F' in module spec"),
             # a negative budget was read as exhausted (exit 3) or ignored (exit 0)
             (["normalize", "--family", SCALED, "--expr", "x[3]", "--budget", "-1"],
              "--budget must be a non-negative integer, got -1"),
@@ -479,7 +487,7 @@ class TestBoundaryInputExit2:
             "spec-5000-digits", "spec-not-utf8", "expr-5000-digits", "expr-superscript-two", "expr-arabic-three",
             "spec-arabic-three", "spec-underscore", "spec-blank",
             "a-gens-string", "a-gens-object", "b-gens-string", "name-blank-inside", "name-empty", "x-name-blank-inside",
-            "x-name-digit",
+            "x-name-digit", "family-field-b-gen", "family-field-ring", "spec-field-relations", "spec-field-f",
             "normalize-negative-budget", "rho-negative-budget", "verify-negative-budget", "fraction-negative-budget",
             "factor-negative-budget", "ring-negative-budget", "module-negative-budget",
         ],

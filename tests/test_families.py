@@ -166,6 +166,20 @@ class TestDescriptors:
         with pytest.raises(SchemaError):
             family_from_json({"kind": "scaled", "k": 1})
 
+    @pytest.mark.parametrize("data, field", [
+        ({"kind": "tensor-free", "ring": "Q", "A_gens": ["s"], "B_gen": ["u", "v"]}, "B_gen"),
+        ({"kind": "scaled", "k": 2, "ring": "Q"}, "ring"),
+        ({"kind": "regular", "ring": "Z", "k": 2}, "k"),
+        ({"kind": "hnn-free", "ring": "Q", "A_gens": ["s"], "xname": "y"}, "xname"),
+    ])
+    def test_unknown_field_is_rejected(self, data, field):
+        # each was ignored: B_gen left the default B alphabet ("u",), and scaled ran over Z
+        with pytest.raises(SchemaError) as info:
+            family_from_json(data)
+        message = str(info.value)
+        assert message.startswith(f"unknown field {field!r} in {data['kind']} family descriptor; expected kind, ")
+        assert "\n" not in message
+
     def test_tensor_alphabets_must_be_disjoint(self):
         with pytest.raises(SchemaError):
             family_from_json({"kind": "tensor-free", "A_gens": ["s"], "B_gens": ["s"]})

@@ -257,7 +257,7 @@ class TestFactorization:
         pair = self.pair
         target = pair.target_family()
 
-        class TargetRing:
+        class TargetRing(OperatorRing):
             name = "T(M,a0*p)"
 
             def zero(self):
@@ -308,7 +308,9 @@ class MarkingRing(OperatorRing):
 
 class TestScalarsEnterThroughTheTarget:
     """A ring map out of T(M,p) is its generator images: every coefficient
-    and every constant enters through the target ring's from_int."""
+    enters through the target ring's combination, and every constant
+    through its from_int.  OperatorRing's pairwise combination takes a
+    coefficient other than 1 through from_int."""
 
     def elements(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))
@@ -321,10 +323,10 @@ class TestScalarsEnterThroughTheTarget:
             expected = sum(c * 2 ** len(w) for w, c in e.terms.items())
             ring = MarkingRing()
             assert map_terms(e, ring, lambda letter: Fraction(2)) == expected
-            assert ring.entered == list(e.terms.values())
+            assert ring.entered == [c for c in e.terms.values() if c != 1]
             hom = LetterHom(fam, MarkingRing(), lambda m: Fraction(2))
             assert hom.apply(e) == expected
-            assert hom.s_ring.entered == list(e.terms.values())
+            assert hom.s_ring.entered == [c for c in e.terms.values() if c != 1]
 
     def test_eval_tree(self):
         ring = MarkingRing()
@@ -338,10 +340,18 @@ class TestScalarsEnterThroughTheTarget:
         rng = random.Random(9)
         elements = [random_telement(pair.family, rng, size=5) for _ in range(30)]
         images = [pair.induced(e) for e in elements]
+        # each coefficient of e, in term order, with the image of its word
+        expected = [[(c, pair.induced(TElement(pair.family, {w: 1}))) for w, c in e.terms.items()] for e in elements]
         entered = []
-        from_int = TOps.from_int
-        monkeypatch.setattr(TOps, "from_int", lambda ops, c: entered.append((ops.family, c)) or from_int(ops, c))
-        for e, image in zip(elements, images):
+        combination = TOps.combination
+
+        def recording(ops, pairs):
+            pairs = list(pairs)
+            entered.append((ops.family, pairs))
+            return combination(ops, pairs)
+
+        monkeypatch.setattr(TOps, "combination", recording)
+        for e, image, pairs in zip(elements, images, expected):
             entered.clear()
             assert pair.induced(e) == image
-            assert entered == [(target, c) for c in e.terms.values()]
+            assert entered == [(target, pairs)]

@@ -4,12 +4,17 @@ Each example runs ``trilocal.cli.main`` on one generated command line:
 ``normalize``, ``rho`` (A, M and B), ``fraction`` and ``factor`` under
 ``--budget 2000``, or ``localize-module`` on a spec with at most two
 generators per side.  Expressions are built from the grammar's atoms
-and operators, or are soups of its tokens; family descriptors and
-module specs have the right fields, some holding a wrong value.  So
-most inputs get past the first check and reach the engine.
+and operators, or are soups of its tokens, or are wrapped in
+parentheses about ``MAX_NESTING`` deep, raised through a chain of about
+1,000 ``^1`` or raised to an exponent of hundreds of digits.  Family
+descriptors and module specs have the right fields, some holding a
+wrong value, and now and then one field more, or one renamed, by a
+misspelling.  So most inputs get past the first check and reach the
+engine.
 
-Every run must return 0, 1, 2 or 3 without raising, and a nonzero exit
-prints exactly one ``error:`` line on stderr.  ``verify``,
+Every run must return 0, 1, 2 or 3 without raising (a ``RecursionError``
+fails the test as any traceback does), and a nonzero exit prints exactly
+one ``error:`` line on stderr.  ``verify``,
 ``localize-ring`` and larger module specs stay out: the budget does not
 yet bound their linear algebra.
 """
@@ -21,6 +26,8 @@ import json
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from trilocal.cli import main
+from trilocal.exprs import MAX_NESTING
+from trilocal.families import shipped_families
 
 BUDGET = "2000"
 
@@ -43,8 +50,17 @@ def field(good):
     return weighted(good, good, good, JUNK)
 
 
+# ways to misspell a field name; each changes the name
+MISSPELL = st.sampled_from([lambda name: name + "s", lambda name: name[:-1], lambda name: "_" + name])
+
+
+def with_misspelled_field(obj):
+    """obj with one more field, a misspelling of one it has, holding that field's value."""
+    return st.tuples(st.sampled_from(sorted(obj)), MISSPELL).map(lambda t: {**obj, t[1](t[0]): obj[t[0]]})
+
+
 RING = field(st.sampled_from(["Z", "Q"]))
-FAMILIES = st.one_of(
+DESCRIPTORS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("regular"), "ring": RING}),
     st.fixed_dictionaries({"kind": st.just("double"), "ring": RING}),
     st.fixed_dictionaries({"kind": st.just("scaled"), "k": field(st.integers(2, 6))}),
@@ -66,9 +82,12 @@ FAMILIES = st.one_of(
     ),
     st.fixed_dictionaries({"kind": JUNK}),
 )
-FAMILY_TEXT = st.one_of(
-    FAMILIES.map(json.dumps),
-    FAMILIES.map(json.dumps).flatmap(lambda text: st.integers(0, len(text)).map(lambda n: text[:n])),
+FAMILIES = weighted(DESCRIPTORS, DESCRIPTORS, DESCRIPTORS, DESCRIPTORS.flatmap(with_misspelled_field))
+# a shipped family's descriptor one time in four, so that deep expressions reach the engine
+SHIPPED = st.sampled_from([json.dumps(family.to_json()) for family in shipped_families()])
+FAMILY_JSON = FAMILIES.map(json.dumps)
+FAMILY_TEXT = weighted(
+    SHIPPED, FAMILY_JSON, FAMILY_JSON, FAMILY_JSON.flatmap(lambda text: st.integers(0, len(text)).map(lambda n: text[:n]))
 )
 
 MELEMS = st.sampled_from(
@@ -83,8 +102,18 @@ TOKENS = st.sampled_from(
 )
 
 
+def deep(texts):
+    """A text nested in parentheses about MAX_NESTING deep, raised through a
+    chain of about 1,000 ^1, or raised to an exponent of hundreds of digits."""
+    return st.one_of(
+        st.tuples(texts, st.integers(MAX_NESTING - 3, MAX_NESTING + 1)).map(lambda t: "(" * t[1] + t[0] + ")" * t[1]),
+        st.tuples(texts, st.integers(950, 1050)).map(lambda t: f"({t[0]})" + "^1" * t[1]),
+        st.tuples(texts, st.integers(10 ** 99, 10 ** 400)).map(lambda t: f"({t[0]})^{t[1]}"),
+    )
+
+
 def expressions(atoms):
-    """Texts of the expression grammar over atoms, or soups of its tokens."""
+    """Texts of the expression grammar over atoms, deep forms of them, or soups of its tokens."""
     trees = st.recursive(
         atoms,
         lambda inner: st.one_of(
@@ -95,7 +124,7 @@ def expressions(atoms):
         ),
         max_leaves=8,
     )
-    return weighted(trees, trees, trees, st.lists(TOKENS, max_size=12).map("".join))
+    return weighted(trees, trees, trees, st.lists(TOKENS, max_size=12).map("".join), deep(trees), deep(trees))
 
 
 T_EXPRS = expressions(st.one_of(LITERALS, MELEMS.map(lambda m: f"x[{m}]")))
@@ -165,12 +194,17 @@ def module_specs(draw):
     na_rels = rows(draw(st.integers(0, 2)), g_a)
     nb_rels = rows(draw(st.integers(0, 2)), g_b)
     keys = draw(st.lists(st.sampled_from(["1", "(1,0)", "(0,1)", "bogus"]), max_size=2, unique=True))
-    return {
+    spec = {
         "family": draw(weighted(MODULE_FAMILIES, MODULE_FAMILIES, FAMILIES)),
         "NA": {"gens": draw(field(st.just(g_a))), "rels": na_rels},
         "NB": {"gens": draw(field(st.just(g_b))), "rels": draw(field(st.just(nb_rels)))},
         "f": {key: block() for key in keys},
     }
+    if draw(st.integers(0, 3)) == 0:  # one key of the spec, of N_A or of N_B misspelled
+        obj = draw(st.sampled_from([spec, spec["NA"], spec["NB"]]))
+        key = draw(st.sampled_from(sorted(obj)))
+        obj[draw(MISSPELL)(key)] = obj.pop(key)
+    return spec
 
 
 @settings(FUZZ, max_examples=60)

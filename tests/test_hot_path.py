@@ -1,5 +1,5 @@
 """The hot paths: linear-time sums and oracle images, a budget that
-bounds product work, per-call letter memos, duck-typed ring objects, the
+bounds product work, per-call letter memos, the one way a ring object adds, the
 scalar operations' results on int, Fraction and bool operands, membership tests
 that compute only the diagonal positions that can fail, and negative
 controls for the exact round-trip checks of the comparison maps.
@@ -25,7 +25,7 @@ import pytest
 from test_modloc import without_row_0
 import trilocal.tring as tring
 from trilocal import exprs, modloc
-from trilocal.errors import AlphabetMismatchError, BudgetExceededError
+from trilocal.errors import AlphabetMismatchError, BudgetExceededError, SchemaError
 from trilocal.families import (
     DoubleFamily,
     HnnFreeFamily,
@@ -36,7 +36,18 @@ from trilocal.families import (
     shipped_families,
 )
 from trilocal.linalg import solve_left
-from trilocal.rings import ZZ, FreeAlgebra, FreeAlgebraElement, norm_scalar, scalar_add, scalar_mul
+from trilocal.fracloc import CentralPair, rational_value_hom
+from trilocal.rings import (
+    QQ,
+    ZZ,
+    FreeAlgebra,
+    FreeAlgebraElement,
+    OperatorRing,
+    PolynomialRing,
+    norm_scalar,
+    scalar_add,
+    scalar_mul,
+)
 from trilocal.triangular import FPModule, TripleModule, relation_images, triple_from_json
 from trilocal.tring import (
     Add,
@@ -277,26 +288,11 @@ class TestPerCallMemo:
         assert sizes() == before
 
 
-class NoSumRing:
-    """A ring object with add and mul but no sum hook."""
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
+class NoSumRing(OperatorRing):
+    """Q with no combination of its own, so it adds through OperatorRing's pairwise one."""
 
     def from_int(self, n):
         return Fraction(n)
-
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
 
 class TestDuckTypedRings:
@@ -328,44 +324,81 @@ class TestDuckTypedRings:
         folded = values[0]
         for v in values[1:]:
             folded = folded + v
-        assert fam.oracle.sum(values) == folded
-        # IntegerRing has no sum hook either
+        assert fam.oracle.combination((1, v) for v in values) == folded
+        # IntegerRing adds through the pairwise combination
         assert eval_tree(Add((Const(4), Const(-4), Const(3))), ZZ, None) == 3
 
 
-class WithoutHooks:
-    """A ring object's from_int, zero, one, add and mul, without its sum and
-    combination hooks, so map_terms takes the pairwise route through it."""
+class WithoutHooks(OperatorRing):
+    """A ring object's from_int, zero, one, add and mul, without its own
+    combination, so map_terms takes OperatorRing's pairwise route through it."""
 
     def __init__(self, ring):
         self.from_int, self.zero, self.one, self.add, self.mul = ring.from_int, ring.zero, ring.one, ring.add, ring.mul
 
 
+def pairwise_fold(e, ring, letter):
+    """e's image added one term at a time from zero, each coefficient entering through from_int."""
+    total = ring.zero()
+    for word, coeff in e.terms.items():
+        image = ring.from_int(coeff)
+        for x in word:
+            image = ring.mul(image, letter(x))
+        total = ring.add(total, image)
+    return total
+
+
 HOOK_FAMILIES = shipped_families() + [HnnFreeFamily("Q", ("s", "t"), "x"), TensorFreeFamily("Q", ("s", "t"), ("u", "v"))]
 
 
+def map_targets():
+    """(id, source family, the map as trilocal applies it, target ring object,
+    letter image) for every ring object trilocal maps T(M,p) into: each
+    oracle, Q through rational_value_hom, and T(M,a0*p) through
+    CentralPair.induced."""
+    targets = [(fam.describe(), fam, family_iso, fam.oracle, fam.oracle_letter) for fam in HOOK_FAMILIES]
+    for fam in (RegularFamily("Z"), ScaledFamily(2)):
+        hom = rational_value_hom(fam)
+        letter = lambda x, fam=fam, hom=hom: hom.generator_image(fam.letter_bim(x))
+        targets.append((f"rational {fam.describe()}", fam, hom.apply, QQ, letter))
+    for pair in (CentralPair(RegularFamily("Z"), 2, 2), CentralPair(ScaledFamily(2), 3, 3)):
+        fam, ops = pair.family, tring.TOps(pair.target_family())
+        letter = lambda x, fam=fam, ops=ops, a0=pair.a0: ops.gen(fam.apply(a0, fam.letter_bim(x), fam.b_one))
+        targets.append((f"induced {fam.describe()} a0={pair.a0}", fam, pair.induced, ops, letter))
+    return targets
+
+
+MAP_TARGETS = map_targets()
+
+
 def hook_cases(fam):
-    """The zero element, the one (the empty word alone), and for each of the
-    coefficients +-1, two large ints and (over Q) two Fractions, c times a
-    product of two generators plus a generator plus the empty word; then
-    the sum of all of them."""
+    """The zero element, the one (the empty word alone), the lone constant 7,
+    and for each of the coefficients +-1, two large ints and (over Q) two
+    Fractions, c times a product of two generators plus a generator plus
+    the empty word; then the sum of all of them."""
     rng = random.Random(3)
     x = lambda: t_generator(fam, fam.random_m(rng))
     coeffs = [1, -1, 2 ** 200 + 1, -(3 ** 150)] + ([Fraction(1, 3), Fraction(-7, 2)] if fam.ring == "Q" else [])
-    cases = [TElement.zero(fam), TElement.one(fam)]
+    cases = [TElement.zero(fam), TElement.one(fam), TElement.from_scalar(fam, 7)]
     cases += [tring.t_scale(t_mul(x(), x()) + x() + TElement.one(fam), c) for c in coeffs]
-    return cases + [tring.ring_sum(tring.TOps(fam), cases)]
+    return cases + [tring.TOps(fam).combination((1, e) for e in cases)]
 
 
 class TestCombinationHook:
-    @pytest.mark.parametrize("fam", HOOK_FAMILIES, ids=lambda f: f.describe())
-    def test_hook_equals_the_pairwise_route(self, fam):
-        assert hasattr(fam.oracle, "combination") == (fam.kind in ("double", "tensor-free", "hnn-free"))
+    @pytest.mark.parametrize("fam, route, ring, letter", [t[1:] for t in MAP_TARGETS], ids=[t[0] for t in MAP_TARGETS])
+    def test_hook_equals_the_pairwise_route(self, fam, route, ring, letter):
+        """trilocal's map, OperatorRing's pairwise combination on the same
+        operations and a fold one term at a time agree on each case, and
+        an empty sum raises in the target."""
+        overrides = type(ring).combination is not OperatorRing.combination
+        assert overrides == isinstance(ring, (FreeAlgebra, PolynomialRing, tring.TOps))
         cases = hook_cases(fam)
         assert any(() in e.terms for e in cases)
         assert fam.kind == "regular" or any(len(w) > 1 for e in cases for w in e.terms)  # regular has no letters
         for e in cases:
-            assert family_iso(e) == map_terms(e, WithoutHooks(fam.oracle), fam.oracle_letter)
+            assert route(e) == map_terms(e, WithoutHooks(ring), letter) == pairwise_fold(e, ring, letter)
+        with pytest.raises(ValueError):
+            eval_tree(Add(()), ring, None)
 
     def test_combination_strips_trailing_zeros_once(self):
         qx = DoubleFamily("Q").oracle
@@ -382,6 +415,13 @@ class TestCombinationHook:
             map_terms(e, fam.oracle, lambda letter: other.generator(0))
         with pytest.raises(AlphabetMismatchError):
             fam.oracle.combination([(1, fam.oracle.one()), (2, other.one())])
+
+    def test_tops_refuses_a_coefficient_outside_its_ring(self):
+        # T(M,p) over Z takes a coefficient only through the family's validate_coeff
+        ops = tring.TOps(ScaledFamily(2))
+        assert ops.combination([(3, ops.one()), (-1, ops.one())]) == TElement.from_scalar(ops.family, 2)
+        with pytest.raises(SchemaError):
+            ops.combination([(Fraction(1, 2), ops.one())])
 
 
 def benchmark_shaped_triple(family, shape, seed=1):

@@ -331,7 +331,7 @@ class TestArithmeticResultsAreCanonical:
             (-a, free_sum({w: -v for w, v in xs.items()})),
             (a * b, free_product(xs, ys)),
             (a.scale(c), free_sum({w: c * v for w, v in xs.items()})),
-            (alg.sum([a, b, a]), free_sum(xs, ys, xs)),
+            (alg.combination((1, x) for x in (a, b, a)), free_sum(xs, ys, xs)),
             (alg.from_int(c), free_sum({(): c})),
             (alg.word([1, 0], c), free_sum({(1, 0): c})),
             (alg.generator(1), {(1,): 1}),

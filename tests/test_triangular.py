@@ -1,6 +1,7 @@
 """Triangular ring arithmetic, columns, and module triples."""
 
 import random
+import re
 
 import pytest
 
@@ -210,6 +211,16 @@ class TestJson:
             triple_from_json(fam, {"NA": {"gens": 1}, "NB": {"gens": 1}, "f": {"oops": [[1]]}})
         with pytest.raises(SchemaError):
             triple_from_json(fam, {"NA": {"gens": "x"}, "NB": {"gens": 1}})
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"NA": {"gens": 1}, "NB": {"gens": 1}, "fam": {}}, "unknown field 'fam' in module spec; expected family, NA, NB, f"),
+        # "relations" for "rels" left N_A free of rank 1 where Z/3 was meant
+        ({"NA": {"gens": 1, "relations": [[3]]}, "NB": {"gens": 0}}, "unknown field 'relations' in NA; expected gens, rels"),
+        ({"NA": {"gens": 1}, "NB": {"gens": 1, "rel": []}}, "unknown field 'rel' in NB; expected gens, rels"),
+    ], ids=["top", "NA", "NB"])
+    def test_unknown_field_is_rejected(self, doc, message):
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            triple_from_json(RegularFamily("Z"), doc)
 
     def test_rational_entries(self):
         fam = DoubleFamily("Q")

@@ -227,8 +227,8 @@ class TestChargedRing:
 
     def test_product_ticks_per_pair_of_terms(self):
         ring = FreeAlgebra("Z", ("s", "t"))
-        a = ring.sum([ring.generator(0), ring.one()])
-        b = ring.sum([ring.generator(1), ring.word((0, 1), 2), ring.one()])
+        a = ring.combination((1, x) for x in [ring.generator(0), ring.one()])
+        b = ring.combination((1, x) for x in [ring.generator(1), ring.word((0, 1), 2), ring.one()])
         budget = Budget(100)
         assert ChargedRing(ring, budget).mul(a, b) == a * b
         assert budget.used == 6
@@ -248,7 +248,8 @@ class TestChargedRing:
 
     def test_sum_ticks_per_term(self):
         budget = Budget(100)
-        assert ChargedRing(QQ, budget).sum([1, Fraction(1, 2), 2 ** 64]) == 2 ** 64 + Fraction(3, 2)
+        total = ChargedRing(QQ, budget).combination((1, x) for x in [1, Fraction(1, 2), 2 ** 64])
+        assert total == 2 ** 64 + Fraction(3, 2)
         assert budget.used == 4
 
     def test_exhausted_before_the_product_is_formed(self):
@@ -400,8 +401,8 @@ class TestRelationFailure:
         oracle = fam.oracle
 
         def image(m):
-            return oracle.sum(
-                oracle.word(wa + tuple(1 + j for j in wb), c * (2 if len((wa, wb)[side]) >= 2 else 1))
+            return oracle.combination(
+                (1, oracle.word(wa + tuple(1 + j for j in wb), c * (2 if len((wa, wb)[side]) >= 2 else 1)))
                 for (wa, wb), c in m.items()
             )
 
@@ -411,5 +412,5 @@ class TestRelationFailure:
     def test_one_sided_images_without_the_doubling_pass(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))
         oracle = fam.oracle
-        image = lambda m: oracle.sum(oracle.word(wa + tuple(1 + j for j in wb), c) for (wa, wb), c in m.items())
+        image = lambda m: oracle.combination((1, oracle.word(wa + tuple(1 + j for j in wb), c)) for (wa, wb), c in m.items())
         assert relation_failure(fam, oracle, image, 50, random.Random(3)) is None
