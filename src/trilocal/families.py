@@ -26,10 +26,11 @@ builds a family's identity and JSON descriptor from the family's
 is the regular bimodule Z with p = k.  Tensor-free and hnn-free share
 ``FreeFamily``: M is free over C, and an element of M is a term map
 over M's basis keys, which are T's letters; p's key is the constant 1.
-``FreeFamily`` states M's operations and the letters once, and each
-free family adds its own keys, how words act on a key, a key's text,
-its p-factorization and its melem syntax.  Every sum of terms prints
-through ``rings.signed_sum``.
+``FreeFamily`` states M's operations, the letters, their merges and
+their oracle image once, and each free family adds its own keys, how
+words act on a key, the words of its keys in A*p and p*B, a letter's
+oracle word, a key's text, its p-factorization and its melem syntax.
+Every sum of terms prints through ``rings.signed_sum``.
 
 Factorization is exact and verified, never heuristic: a returned factor
 reproduces the element on the nose, and families without a decidable
@@ -58,7 +59,7 @@ from .rings import (
     term_scale,
     term_sum,
 )
-from .tring import Record
+from .tring import Record, map_terms
 
 
 class PFactorization(Record):
@@ -140,6 +141,15 @@ class BimoduleFamily:
         """Finite free basis of M, or None when the family has none."""
         return None
 
+    def merge_pair(self, l1, l2):
+        """The bimodule element the letters l1|l2 merge into: a*m2 when l1's
+        element is a*p, else m1*b when l2's is p*b; None when neither."""
+        fac = self.factor_p(self.letter_bim(l1))
+        if fac.left is not None:
+            return self.apply(fac.left, self.letter_bim(l2), self.b_one)
+        fac = self.factor_p(self.letter_bim(l2))
+        return None if fac.right is None else self.apply(self.a_one, self.letter_bim(l1), fac.right)
+
     def shift_pair(self, l1, l2):
         """Optional letter-pair rewrite beyond the p-factor merges."""
         return None
@@ -151,6 +161,10 @@ class BimoduleFamily:
 
     def validate_coeff(self, c):
         return checked_scalar(self.coeff_ring, c)
+
+    def oracle_image(self, e):
+        """The image of e in the oracle ring: its letters' images, extended as a ring map."""
+        return map_terms(e, self.oracle, self.oracle_letter)
 
     def scaled_p_variant(self, a0):
         raise UnsupportedFamilyError(f"changing p is not supported for {self.kind}")
@@ -424,8 +438,11 @@ class FreeFamily(BimoduleFamily):
 
     An element of M is a term map {key: coefficient}, so its letters are its
     keys.  A family states which keys it has (``is_key``), how a word of A
-    and a word of B act on a key (``act``) and a key's text (``key_text``);
-    M's operations follow from these here.
+    and a word of B act on a key (``act``), the word u of a key u*p of A*p
+    (``ap_word``) and v of a key p*v of p*B (``pb_word``), the word a
+    letter maps to in the oracle (``oracle_word``) and a key's text
+    (``key_text``); M's operations, the merges and the oracle map follow
+    from these here.
     """
 
     p_key = None
@@ -476,6 +493,25 @@ class FreeFamily(BimoduleFamily):
 
     def letter_bim(self, letter):
         return {letter: 1}
+
+    def merge_pair(self, l1, l2):
+        """One key, by key arithmetic: x_(u*p) x_k = x_(u*k), x_k x_(p*v) = x_(k*v)."""
+        wa = self.ap_word(l1)
+        if wa is not None:
+            return {self.act(wa, l2, ()): 1}
+        wb = self.pb_word(l2)
+        return None if wb is None else {self.act((), l1, wb): 1}
+
+    def oracle_letter(self, letter):
+        return self.oracle.word(self.oracle_word(letter))
+
+    def oracle_image(self, e):
+        """Each letter maps to one word, so a word maps to the concatenation
+        of its letters' words; distinct normal words have distinct images,
+        and the image has one term per term of e.  Each distinct letter's
+        word is found once per call."""
+        word = {x: self.oracle_word(x) for x in {x for w in e.terms for x in w}}.__getitem__
+        return FreeAlgebraElement._of(self.ring, self.oracle.gens, {sum(map(word, w), ()): c for w, c in e.terms.items()})
 
 
 class TensorFreeFamily(FreeFamily):
@@ -538,10 +574,18 @@ class TensorFreeFamily(FreeFamily):
         wa, wb = letter
         return (len(wa) + len(wb), wa, wb)
 
-    def oracle_letter(self, letter):
+    @staticmethod
+    def ap_word(key):
+        return key[0] if key[1] == () else None
+
+    @staticmethod
+    def pb_word(key):
+        return key[1] if key[0] == () else None
+
+    def oracle_word(self, letter):
         wa, wb = letter
         off = len(self.a_gens)
-        return self.oracle.word(wa + tuple(off + j for j in wb))
+        return wa + tuple(off + j for j in wb)
 
 
 class HnnFreeFamily(FreeFamily):
@@ -621,11 +665,17 @@ class HnnFreeFamily(FreeFamily):
             return ("m", u, ()), ("m", v + u2, v2)
         return None
 
-    def oracle_letter(self, letter):
+    @staticmethod
+    def ap_word(key):
+        return key[1] if key[0] == "a" else None
+
+    pb_word = ap_word  # ("a", w) = w*p = p*w, and no key ("m", u, v) lies in A*p or p*B
+
+    def oracle_word(self, letter):
         if letter[0] == "a":
-            return self.oracle.word(letter[1])
+            return letter[1]
         _, u, v = letter
-        return self.oracle.word(u + (self._x_index,) + v)
+        return u + (self._x_index,) + v
 
 
 FAMILY_KINDS = {

@@ -9,8 +9,10 @@ arithmetic operation keep the rewriting normal form:
   to scalars, sums of generators split into separate letters);
 * a product of two words decides the seam between them, its last and
   first letter, once per ``t_mul`` call (``_seam``): the pair merges when
-  the left letter lies in A*p, or else the right one in p*B; a family
-  may shift it (``shift_pair``); otherwise the words concatenate.  A
+  the left letter lies in A*p, or else the right one in p*B, into the
+  family's ``merge_pair`` (one key by key arithmetic in the free
+  families, ``factor_p`` and ``apply`` in the others); a family may
+  shift it (``shift_pair``); otherwise the words concatenate.  A
   merge splices the merged letter's terms between the rest of the two
   words and decides only the two new seams; coefficient folding
   (``fold_element``) finishes the form.  All rules strictly shrink a
@@ -31,9 +33,11 @@ squaring runs out of budget before it builds a huge one.
 A ring map out of T(M,p) is fixed by the images of its letters, and
 ``map_terms`` applies one to a normal form: it hands each coefficient
 and its word's image to the target's ``combination``, the one way a
-ring object adds, as ``eval_tree`` does a sum's values.  Sums and
-products work on plain term maps, and build a ``TElement`` only for
-their result.
+ring object adds, as ``eval_tree`` does a sum's values.  ``family_iso``
+is the family's ``oracle_image``: ``map_terms`` into the oracle ring, or
+in the free families, whose letters each map to one word, one term map
+of the concatenated words.  Sums and products work on plain term maps,
+and build a ``TElement`` only for their result.
 """
 
 from __future__ import annotations
@@ -163,23 +167,10 @@ def t_scale(e, c):
     return TElement(e.family, e.family.fold_element(term_scale(c, e.terms)))
 
 
-def _letter_factor(family, factors, letter):
-    """p-factorization of a letter's bimodule element, memoized in factors."""
-    fac = factors.get(letter)
-    if fac is None:
-        fac = factors[letter] = family.factor_p(family.letter_bim(letter))
-    return fac
-
-
-def _seam(family, left, right, factors):
+def _seam(family, left, right):
     """The rule at the seam left|right: a merge is (its ticks, the merged letter's
     terms as ``_sizes`` rows, None), a shift (1, None, (l1, l2)), no rule ()."""
-    fac = _letter_factor(family, factors, left)
-    if fac.left is not None:
-        merged = family.apply(fac.left, family.letter_bim(right), family.b_one)
-    else:
-        fac = _letter_factor(family, factors, right)
-        merged = None if fac.right is None else family.apply(family.a_one, family.letter_bim(left), fac.right)
+    merged = family.merge_pair(left, right)
     if merged is not None:
         count = Budget(math.inf)
         rows = _sizes(_generator_terms(family, merged, count))
@@ -188,12 +179,12 @@ def _seam(family, left, right, factors):
     return () if shifted is None else (1, None, shifted)
 
 
-def _word_mul(family, w1, w2, c, out, budget, factors, seams):
+def _word_mul(family, w1, w2, c, out, budget, seams):
     """Add c times the product of two normal words into out, deciding only
     the seams the module docstring names and charging what it says."""
     rule = seams.get(key := (w1[-1], w2[0])) if w1 and w2 else ()
     if rule is None:
-        rule = seams[key] = _seam(family, *key, factors)
+        rule = seams[key] = _seam(family, *key)
     if not rule:
         return add_term(out, w1 + w2, c)
     ticks, rows, shifted = rule
@@ -201,15 +192,15 @@ def _word_mul(family, w1, w2, c, out, budget, factors, seams):
     if shifted:
         w1, w2 = prefix + shifted[:1], shifted[1:] + suffix
         budget.tick(ticks + _pair_charge(1, len(w1), 1, len(w2)))
-        return _word_mul(family, w1, w2, c, out, budget, factors, seams)
+        return _word_mul(family, w1, w2, c, out, budget, seams)
     budget.tick(ticks)  # a merge: prefix times each merged term, each result times suffix
     head = {}
     for g, cg, bg, ng in rows:
         budget.tick(_pair_charge(1, len(prefix), bg, ng))
-        _word_mul(family, prefix, g, cg, head, budget, factors, seams)
+        _word_mul(family, prefix, g, cg, head, budget, seams)
     for h, ch in family.fold_element(head).items():
         budget.tick(_pair_charge(_bits(ch), len(h), 1, len(suffix)))
-        _word_mul(family, h, suffix, c if ch == 1 else scalar_mul(c, ch), out, budget, factors, seams)
+        _word_mul(family, h, suffix, c if ch == 1 else scalar_mul(c, ch), out, budget, seams)
 
 
 def _sizes(terms):
@@ -228,7 +219,7 @@ def _pair_charge(b1, n1, b2, n2):
     return (1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6)
 
 
-def _mul_terms(family, t1, t2, budget, factors, seams):
+def _mul_terms(family, t1, t2, budget, seams):
     """Canonical product of two term maps; each pair of words is charged
     its ``_pair_charge`` before anything is multiplied."""
     terms = {}
@@ -238,16 +229,15 @@ def _mul_terms(family, t1, t2, budget, factors, seams):
         b1, n1 = _bits(c1), len(w1)
         for w2, c2, b2, n2 in right:
             tick(_pair_charge(b1, n1, b2, n2))
-            _word_mul(family, w1, w2, scalar_mul(c1, c2), terms, budget, factors, seams)
+            _word_mul(family, w1, w2, scalar_mul(c1, c2), terms, budget, seams)
     return family.fold_element(terms)
 
 
 def t_mul(e1, e2, budget=UNBOUNDED):
-    """Product in T(M,p).  Letter factorizations and seam decisions are
-    memoized for this call only, each in its own dict."""
+    """Product in T(M,p).  Seam decisions are memoized for this call only."""
     e1.family.check_same(e2.family)
     family = e1.family
-    return TElement(family, _mul_terms(family, e1.terms, e2.terms, budget, {}, {}))
+    return TElement(family, _mul_terms(family, e1.terms, e2.terms, budget, {}))
 
 
 def rho(family, component, value, budget=UNBOUNDED):
@@ -297,10 +287,11 @@ def _term_images(terms, ring, letter):
     """(coefficient, word image) for each term, in order; the empty word's is ring.one().
 
     A product's term map lists its words in the order of its nested loops,
-    so consecutive words share the left factor's word as a prefix (56% of
-    the letters of the normal-forms benchmark's normal forms).  A word's
-    letter product therefore starts from the longest prefix it shares with
-    the word before it, whose partial products are kept on a stack.  Each
+    so consecutive words share the left factor's word as a prefix.  A
+    word's letter product therefore starts from the longest prefix it
+    shares with the word before it, whose partial products are kept on a
+    stack.  This saves products in T(M,p) (a ``fracloc.LetterHom`` into
+    ``TOps``), in A[x] and in Z[1/k] (the double and scaled oracles).  Each
     distinct letter's image is computed once per call.
     """
     images = {}
@@ -322,8 +313,7 @@ def _term_images(terms, ring, letter):
 
 def family_iso(e):
     """Image under the family's closed-form isomorphism onto its oracle ring."""
-    family = e.family
-    return map_terms(e, family.oracle, family.oracle_letter)
+    return e.family.oracle_image(e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The hot paths: linear-time sums and oracle images, a budget that
-bounds product work, per-call letter memos, the one way a ring object adds, the
+bounds product work, per-call memos, the free families' seams by key
+arithmetic against the factor_p route, the one way a ring object adds, the
 scalar operations' results on int, Fraction and bool operands, membership tests
 that compute only the diagonal positions that can fail, and negative
 controls for the exact round-trip checks of the comparison maps.
@@ -23,10 +24,12 @@ from fractions import Fraction
 import pytest
 
 from test_modloc import without_row_0
+from test_overlaps import CASES, generators
 import trilocal.tring as tring
 from trilocal import exprs, modloc
 from trilocal.errors import AlphabetMismatchError, BudgetExceededError, SchemaError
 from trilocal.families import (
+    BimoduleFamily,
     DoubleFamily,
     HnnFreeFamily,
     RegularFamily,
@@ -177,8 +180,8 @@ class TestLinearCounts:
         """Free-algebra elements built in family_iso, through the public or
         the trusted constructor, and the terms they hold; _refold calls, and
         the terms they add up, in normalizing the re-parsed printed form;
-        each per letter of e.  Also the number of elements built and the
-        number of terms of e."""
+        each per letter of e.  Also the terms the built elements hold and
+        the number of terms of e."""
         fam, e = hnn_power(n)
         calls = {"built": 0, "built terms": 0, "refold": 0, "refold terms": 0}
         init, of, refold = FreeAlgebraElement.__init__, FreeAlgebraElement._of, tring._refold
@@ -215,11 +218,11 @@ class TestLinearCounts:
         assert again == e
         assert len(image.terms) == len(e.terms) == 4 ** n
         letters = sum(len(word) + 1 for word in e.terms)  # the coefficient and each letter
-        return {key: count / letters for key, count in calls.items()}, calls["built"], len(e.terms)
+        return {key: count / letters for key, count in calls.items()}, calls["built terms"], len(e.terms)
 
     def test_growth_from_n5_to_n6(self, monkeypatch):
-        small, built, terms = self.counts(5, monkeypatch)
-        assert built >= terms  # at least one element per term, so the count measures
+        small, built_terms, terms = self.counts(5, monkeypatch)
+        assert built_terms >= terms  # the built elements hold each term of e, so the count measures
         large, _, _ = self.counts(6, monkeypatch)
         for key in small:
             assert large[key] <= 1.5 * small[key], (key, small, large)
@@ -286,6 +289,26 @@ class TestPerCallMemo:
             t_mul(e, f)
             t_mul(f, e)
         assert sizes() == before
+
+
+class TestSeamRoutes:
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_key_arithmetic_decides_as_factor_p(self, name, monkeypatch):
+        """Every ordered letter pair of the overlap alphabets: the free family's
+        merge by key arithmetic and BimoduleFamily's route through factor_p
+        and apply give the same rule, with the same ticks and rows."""
+        family, bound, _ = CASES[name]
+        letters = [word[0] for g in generators(family, bound) for word in g.terms]
+        pairs = [(l1, l2) for l1 in letters for l2 in letters]
+        by_keys = [tring._seam(family, l1, l2) for l1, l2 in pairs]
+        factor_p, factored = type(family).factor_p, []
+        monkeypatch.setattr(type(family), "factor_p", lambda self, m: factored.append(m) or factor_p(self, m))
+        monkeypatch.setattr(type(family), "merge_pair", BimoduleFamily.merge_pair)
+        assert [tring._seam(family, l1, l2) for l1, l2 in pairs] == by_keys
+        assert len(factored) >= len(pairs)  # each pair was decided through factor_p
+        merges = [rule for rule in by_keys if rule and rule[1] is not None]
+        assert merges and any(not rule for rule in by_keys)
+        assert family.kind == "tensor-free" or any(rule and rule[1] is None for rule in by_keys)  # hnn-free shifts
 
 
 class NoSumRing(OperatorRing):
