@@ -142,7 +142,7 @@ def cmd_factor(args):
             "family": family.describe(),
             "target_family": target.describe(),
             "input": args.expr,
-            "factored_value": str(value),
+            "factored_value": hom.s_ring.fmt(value),
             "checks": "pass" if passed else "fail",
         },
         args.format,

@@ -31,6 +31,7 @@ or an element of M and re-parsing it yields an equal element.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import ParseError
 from .rings import norm_scalar, signed_sum
@@ -261,21 +262,24 @@ def parse_normal(family, text):
 def format_element(e):
     """Canonical grammar rendering of a normal form; round-trips by parse.
 
-    A letter prints as its bimodule element, x[m]; each distinct letter's
-    text is built once per call."""
-    fmt_m, letter_bim = e.family.fmt_m, e.family.letter_bim
-    texts = {letter: f"x[{fmt_m(letter_bim(letter))}]" for letter in {x for word in e.terms for x in word}}
+    Terms go by word length, then letter by letter in the order of the
+    family's letter_key, which tells every two letters apart.  The distinct
+    letters are sorted once per call: a word compares as the tuple of its
+    letters' ranks, and a rank prints as x[letter_text]."""
+    family = e.family
+    letters = sorted({x for word in e.terms for x in word}, key=family.letter_key)
+    rank = {x: i for i, x in enumerate(letters)}.__getitem__
+    texts = [f"x[{family.letter_text(x)}]" for x in letters]
+    # (length, ranks) tells the words apart, so no coefficient is compared
+    terms = sorted([(len(w), tuple(map(rank, w)), c) for w, c in e.terms.items()])
 
-    def body(word):
-        runs = []
-        for letter in word:
-            if runs and runs[-1][0] == letter:
-                runs[-1][1] += 1
-            else:
-                runs.append([letter, 1])
-        return "*".join(texts[letter] + (f"^{n}" if n > 1 else "") for letter, n in runs)
+    def body(ranks):
+        if len(set(ranks)) == len(ranks):
+            return "*".join(map(texts.__getitem__, ranks))
+        runs = [(r, len(list(run))) for r, run in groupby(ranks)]
+        return "*".join(texts[r] + (f"^{n}" if n > 1 else "") for r, n in runs)
 
-    return signed_sum(((coeff, body(word)) for word, coeff in e.sorted_terms()), spaced=True)
+    return signed_sum(((c, body(ranks)) for _, ranks, c in terms), spaced=True)
 
 
 def format_oracle(family, value):

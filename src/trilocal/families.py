@@ -154,6 +154,10 @@ class BimoduleFamily:
         """Optional letter-pair rewrite beyond the p-factor merges."""
         return None
 
+    def letter_text(self, letter):
+        """The text m of a letter x_m, as a normal form prints it: x[m]."""
+        return self.fmt_m(self.letter_bim(letter))
+
     def fold_element(self, terms):
         """Canonical form of a term map of normal words with nonzero
         coefficients, as sums and products build them; default: no change."""
@@ -493,6 +497,9 @@ class FreeFamily(BimoduleFamily):
 
     def letter_bim(self, letter):
         return {letter: 1}
+
+    def letter_text(self, letter):
+        return self.key_text(letter)  # fmt_m of {letter: 1}, whose coefficient prints as nothing
 
     def merge_pair(self, l1, l2):
         """One key, by key arithmetic: x_(u*p) x_k = x_(u*k), x_k x_(p*v) = x_(k*v)."""

@@ -12,15 +12,19 @@ the rewriting machinery they certify.
 
 Every sum of terms is printed by ``signed_sum``: polynomials,
 free-algebra elements, the tensor bimodule elements of ``families`` and
-the normal forms of ``exprs``.  The ring objects at the end bundle the
-operations the linear algebra and localization layers need; each one
-states how an integer enters the ring.  Because elements are immutable,
-a ring object or a matrix may hand out one zero or one one many times.
+the normal forms of ``exprs``.  A coefficient prints by ``scalar_str``:
+one ``str()`` for an exact int or Fraction, and ``int_str``, which
+splits a value past Python's digit limit, when ``str()`` refuses.  The
+ring objects at the end bundle the operations the linear algebra and
+localization layers need; each one states how an integer enters the
+ring.  Because elements are immutable, a ring object or a matrix may
+hand out one zero or one one many times.
 """
 
 from __future__ import annotations
 
 import operator
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -94,17 +98,20 @@ def term_scale(c, terms):
     return {key: scalar_mul(c, v) for key, v in terms.items()} if c != 0 else {}
 
 
-# str(int) refuses more than sys.get_int_max_str_digits() digits (4300 by
-# default, a guard for parsing); 13,000 bits stay under 3,914 digits.
-_STR_BITS = 13000
+# str(int) refuses more digits than sys.get_int_max_str_digits() allows (4300
+# by default, at least 640, 0 for none; an interpreter without the function
+# has none), a guard for parsing.  3 bits per allowed digit stay within it.
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def int_str(n):
     """Decimal digits of an int of any size, without lifting Python's limit.
 
-    Larger values are split at a power of ten and converted half by half.
+    A value past the limit in force at the call is split at a power of ten
+    and converted half by half.
     """
-    if n.bit_length() <= _STR_BITS:
+    limit = _max_str_digits()
+    if not limit or n.bit_length() <= 3 * limit:
         return str(n)
     if n < 0:
         return "-" + int_str(-n)
@@ -114,9 +121,21 @@ def int_str(n):
 
 
 def scalar_str(x):
-    x = x if type(x) is int else norm_scalar(x)
+    """Text of a scalar: n, or n/d for a Fraction.
+
+    An exact int or Fraction prints by one str(), which writes a whole
+    Fraction as n, its canonical int.  Past the digit limit str() raises
+    ValueError, and the value prints through int_str; so does any other
+    scalar, a bool by its int value.
+    """
+    if type(x) is int or type(x) is Fraction:
+        try:
+            return str(x)
+        except ValueError:
+            pass
+    x = norm_scalar(x)
     if isinstance(x, int):
-        return int_str(x)
+        return int_str(int(x))
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
@@ -281,11 +300,6 @@ class Polynomial:
         return f"Polynomial({self.ring!r}, {list(self.coeffs)!r})"
 
 
-def word_key(word):
-    """Length-then-lexicographic sort key for free-algebra words."""
-    return (len(word), word)
-
-
 class FreeAlgebraElement:
     """Element of the free algebra over Z or Q on a named alphabet.
 
@@ -351,8 +365,9 @@ class FreeAlgebraElement:
         return FreeAlgebraElement._of(self.ring, self.gens, term_scale(c, self.terms))
 
     def __str__(self):
-        gen = self.gens.__getitem__
-        return signed_sum((self.terms[w], "*".join(map(gen, w))) for w in sorted(self.terms, key=word_key))
+        # by length, then lexicographically: a stable sort by len of the sorted words
+        gen, terms = self.gens.__getitem__, self.terms
+        return signed_sum((terms[w], "*".join(map(gen, w))) for w in sorted(sorted(terms), key=len))
 
     def __repr__(self):
         return f"FreeAlgebraElement({self.ring!r}, {self.gens!r}, {self.terms!r})"

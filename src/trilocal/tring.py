@@ -110,22 +110,13 @@ class TElement:
         return self.family == other.family and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.family, tuple(self.sorted_terms())))
+        return hash((self.family, frozenset(self.terms.items())))
 
     def is_zero(self):
         return not self.terms
 
     def is_one(self):
         return self.terms == {(): 1}
-
-    def sorted_terms(self):
-        """The terms by word length, then letter by letter in the order of the
-        family's letter_key, which tells every two letters apart.  Each
-        distinct letter's key is computed once per call, and a word is
-        compared as the tuple of its letters' ranks."""
-        letters = sorted({x for word in self.terms for x in word}, key=self.family.letter_key)
-        rank = {x: i for i, x in enumerate(letters)}.__getitem__
-        return sorted(self.terms.items(), key=lambda kv: (len(kv[0]), tuple(map(rank, kv[0]))))
 
     def __repr__(self):
         from .exprs import format_element

@@ -207,14 +207,14 @@ class TestLargeIntegers:
     """Integers beyond Python's 4,300-digit str() limit still print exactly."""
 
     @staticmethod
-    def expected_digits():
+    def expected_digits(n=2**20000):
         limit = getattr(sys, "get_int_max_str_digits", None)
         if limit is None:  # Python < 3.11 has no limit
-            return str(2**20000)
+            return str(n)
         old = limit()
         sys.set_int_max_str_digits(0)
         try:
-            return str(2**20000)
+            return str(n)
         finally:
             sys.set_int_max_str_digits(old)
 
@@ -234,6 +234,25 @@ class TestLargeIntegers:
         doc = json.loads(out.stdout)
         for key in printed:
             assert doc[key] == digits, key
+
+    def test_factored_value(self):
+        out = run_cli("factor", "--family", REGULAR, "--a0", "2", "--b0", "2", "--expr", "3^10000", "--format", "json")
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["factored_value"] == self.expected_digits(3**10000)
+
+    def test_lowest_digit_limit_prints_the_same(self):
+        # 3^3000 has 1,432 digits, past the lowest limit Python allows (640)
+        argv = ("normalize", "--family", REGULAR, "--expr", "3^3000")
+        default = run_cli(*argv)
+        env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640"}
+        env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        lowered = subprocess.run(
+            [sys.executable, "-m", "trilocal.cli", *argv], capture_output=True, text=True, env=env, cwd=ROOT
+        )
+        assert default.returncode == 0, default.stderr
+        assert lowered.returncode == 0, lowered.stderr
+        assert lowered.stdout == default.stdout
+        assert str(3**3000)[:40] in default.stdout
 
 
 class TestVerify:

@@ -8,8 +8,15 @@ elements, ``Matrix.fmt``, and ``matrix_text`` (recorded under the row
 label ``Matrix2.fmt``).  The inputs include zero, coefficients of +-1
 and rational coefficients, the empty word and repeated letters.  Regenerate it (only when a change of output is
 intended) with ``PYTHONPATH=src python tests/test_printers.py``.
+
+``TestPlainReference`` checks ``format_element`` and ``format_oracle``
+against a printer written plainly here, on hand-built words and on
+coefficients past Python's digit limit for ``str()``, under the default
+limit and under the lowest one Python allows.
 """
 
+import contextlib
+import itertools
 import json
 import pathlib
 import random
@@ -19,12 +26,29 @@ from fractions import Fraction
 import pytest
 
 from trilocal.exprs import format_element, format_oracle, parse_bim_element, parse_normal
-from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, TensorFreeFamily, shipped_families
+from trilocal.families import (
+    DoubleFamily,
+    HnnFreeFamily,
+    RegularFamily,
+    ScaledFamily,
+    TensorFreeFamily,
+    shipped_families,
+)
 from trilocal.linalg import Matrix
 from trilocal.matrixloc import matrix_text, rho_matrix
-from trilocal.rings import QQ, ZZ, FreeAlgebra, FreeAlgebraElement, KadicRing, Polynomial, PolynomialRing
+from trilocal.rings import (
+    QQ,
+    ZZ,
+    FreeAlgebra,
+    FreeAlgebraElement,
+    KadicRing,
+    Polynomial,
+    PolynomialRing,
+    scalar_str,
+)
 from trilocal.triangular import TriElement
-from trilocal.tring import family_iso, rho, t_mul
+from trilocal.tring import TElement, family_iso, rho, t_mul
+from test_overlaps import CASES, generators
 
 GOLDEN_PRINTERS = pathlib.Path(__file__).resolve().parent / "golden" / "printers.json"
 
@@ -168,6 +192,130 @@ def test_printed_bimodule_element_parses_back(fam):
     for m in [fam.zero_m()] + [fam.random_m(rng) for _ in range(30)]:
         assert parse_bim_element(fam, fam.fmt_m(m)) == m
 
+
+def plain_digits(n):
+    """Decimal text of an int, nine digits at a time, whatever the str() limit."""
+    if n < 0:
+        return "-" + plain_digits(-n)
+    chunks = []
+    while True:
+        n, r = divmod(n, 10**9)
+        chunks.append(r)
+        if not n:
+            break
+    return str(chunks[-1]) + "".join(f"{r:09d}" for r in reversed(chunks[:-1]))
+
+
+def plain_scalar(c):
+    if isinstance(c, Fraction):
+        return f"{plain_digits(c.numerator)}/{plain_digits(c.denominator)}"
+    return plain_digits(c)
+
+
+def plain_sum(terms, spaced):
+    """The sign rule of signed_sum, on (coefficient, body) terms: a bare body
+    for a coefficient of 1, a bare sign for -1, and a term joined by its own
+    sign to the one before it."""
+    plus, minus = (" + ", " - ") if spaced else ("+", "-")
+    text = ""
+    for c, body in terms:
+        mag = -c if c < 0 else c
+        piece = plain_scalar(mag) if not body else body if mag == 1 else f"{plain_scalar(mag)}*{body}"
+        text += (minus if c < 0 else plus) + piece if text else ("-" if c < 0 else "") + piece
+    return text or "0"
+
+
+def plain_format_element(e):
+    """Terms by length, then by the tuple of letter_key; runs of a letter as ^n."""
+    fam = e.family
+    key = lambda word: (len(word), tuple(map(fam.letter_key, word)))
+    terms = []
+    for word in sorted(e.terms, key=key):
+        runs = [(x, len(list(run))) for x, run in itertools.groupby(word)]
+        body = "*".join(f"x[{fam.fmt_m(fam.letter_bim(x))}]" + (f"^{n}" if n > 1 else "") for x, n in runs)
+        terms.append((e.terms[word], body))
+    return plain_sum(terms, spaced=True)
+
+
+def plain_format_oracle(value):
+    """Words by length, then lexicographically, each letter by its name."""
+    words = sorted(value.terms, key=lambda w: (len(w), w))
+    return plain_sum([(value.terms[w], "*".join(value.gens[i] for i in w)) for w in words], spaced=False)
+
+
+@contextlib.contextmanager
+def digit_limit(limit):
+    """Python's str() digit limit set to limit (None: left as it is)."""
+    if limit is None or not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+# the four alphabets of the overlap checks, and every family with a finite basis
+LETTER_FAMILIES = [fam for fam, _, _ in CASES.values()] + [
+    fam for fam in printer_families() + [ScaledFamily(3)] if fam.basis() is not None
+]
+BIG = 7**6000  # 5,071 digits, past the default limit of 4,300
+
+
+class TestPlainReference:
+    TENSOR = TensorFreeFamily("Q", ("s", "t"), ("u", "v"))
+    HNN = HnnFreeFamily("Q", ("s", "t"), "y")
+
+    @classmethod
+    def elements(cls):
+        """Hand-built term maps in both free families: runs, repeats, constants,
+        +-1, negative Fractions and coefficients past 4,300 digits."""
+        out = []
+        for fam, (a, b, c) in (
+            (cls.TENSOR, [((0,), (1,)), ((), (0, 1)), ((1, 0), ())]),
+            (cls.HNN, [("a", (1,)), ("m", (0,), ()), ("m", (), (1, 0))]),
+        ):
+            out += [
+                TElement(fam, {(a, a, b, b, b, a): 2, (c, c): -1, (): 5}),
+                TElement(fam, {(a, b, a): 1, (b, a, b, c, a): Fraction(-3, 7), (c,): -1, (b,): 1}),
+                TElement(fam, {(): -1, (a,): Fraction(-1, 2), (b, c): Fraction(5, 3), (c, b): -4}),
+                TElement(fam, {(): BIG, (a, a): -BIG, (b,): Fraction(-BIG, 11**4200), (c, a, c): Fraction(1, BIG)}),
+                TElement(fam, {(): Fraction(BIG, 3)}),
+            ]
+        return out
+
+    @pytest.mark.parametrize("limit", [None, 640], ids=["default-limit", "limit-640"])
+    def test_printers_match_the_plain_reference(self, limit):
+        families = printer_families()
+        cases = self.elements() + [
+            e for n, fam in enumerate(families) for e in family_elements(fam, random.Random(2024 + n))
+        ]
+        with digit_limit(limit):
+            for e in cases:
+                assert format_element(e) == plain_format_element(e)
+                value = family_iso(e)
+                if isinstance(value, FreeAlgebraElement):
+                    assert format_oracle(e.family, value) == plain_format_oracle(value)
+
+    def test_scalar_text(self):
+        for c in (0, 7, -7, BIG, -BIG, Fraction(-3, 7), Fraction(BIG, 11**4200), Fraction(-1, BIG)):
+            assert scalar_str(c) == plain_scalar(c)
+        assert scalar_str(Fraction(6, 3)) == "2"
+        # a bool is an int scalar, and prints as its value
+        assert (scalar_str(True), scalar_str(False)) == ("1", "0")
+
+    @pytest.mark.parametrize("fam", LETTER_FAMILIES, ids=lambda f: f.describe())
+    def test_letter_text_is_the_letters_bimodule_text(self, fam):
+        if fam.basis() is not None:
+            letters = {x for m in fam.basis() for _, x in fam.letter_terms(m) if x is not None}
+        else:
+            bound = next(bound for other, bound, _ in CASES.values() if other is fam)
+            letters = {x for g in generators(fam, bound) for word in g.terms for x in word}
+        assert letters or fam.kind == "regular"
+        for x in letters:
+            assert fam.letter_text(x) == fam.fmt_m(fam.letter_bim(x))
 
 if __name__ == "__main__":
     rows = ",\n".join(json.dumps(row) for row in printer_outputs())

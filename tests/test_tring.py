@@ -319,6 +319,27 @@ class TestEquality:
         )
         assert lhs == rhs
 
+    @staticmethod
+    def term_sum(fam, terms):
+        total = TElement.zero(fam)
+        for word, c in terms:
+            total = t_add(total, TElement(fam, {word: c}))
+        return total
+
+    @pytest.mark.parametrize("fam", shipped_families(), ids=lambda f: f.kind)
+    def test_equal_elements_hash_alike_whatever_their_term_order(self, fam):
+        rng = random.Random(31)
+        draws = (random_telement(fam, rng) for _ in range(200))
+        a, b = [e for e in draws if len(e.terms) > (fam.basis() is None)][:2]
+        pairs = [(t_add(a, b), t_add(b, a))]
+        terms = list(t_mul(a, b).terms.items())
+        pairs.append((self.term_sum(fam, terms), self.term_sum(fam, reversed(terms))))
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert len({x, y}) == 1
+        if fam.basis() is None:  # the free families' sums hold several terms, met in other orders
+            assert all(list(x.terms) != list(y.terms) for x, y in pairs)
+
 
 class TestRingVariants:
     """The non-default base rings stay faithful to their oracles."""
