@@ -4,7 +4,9 @@ Every ring here is exact: scalars, the elements of Z, Q and Z[1/k], are
 arbitrary-precision ``int`` or ``fractions.Fraction`` in canonical form;
 polynomials and free-algebra elements store canonical term maps with no
 zero coefficients.  Elements are immutable by convention and safe to
-share between threads.
+share between threads, so a Polynomial result may be one of its
+operands: a sum with zero, or a product with one or with zero, returns
+an operand rather than a copy.
 
 The classes double as the independent oracle rings against which the
 rewriting route is cross-validated, so none of them may be replaced by
@@ -240,6 +242,10 @@ class Polynomial:
 
     def __add__(self, other):
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         cs = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             cs[i] = scalar_add(cs[i], c)
@@ -250,6 +256,10 @@ class Polynomial:
 
     def __sub__(self, other):
         self._check(other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
         cs = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
         for i, c in enumerate(other.coeffs):
             cs[i] = scalar_add(cs[i], -c)
@@ -257,8 +267,12 @@ class Polynomial:
 
     def __mul__(self, other):
         self._check(other)
-        if self.is_zero() or other.is_zero():
-            return Polynomial._of(self.ring, [])
+        const, p = (other, self) if len(other.coeffs) <= 1 else (self, other)
+        if len(const.coeffs) <= 1:  # a zero or constant factor needs no convolution
+            if not const.coeffs:
+                return const
+            c = const.coeffs[0]
+            return p if c == 1 else p.scale(c)
         cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a == 0:
@@ -277,6 +291,8 @@ class Polynomial:
             raise UnsupportedRingError("polynomial division needs field coefficients")
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
+        if len(other.coeffs) == 1:  # a constant divides exactly
+            return self.scale(_exact(1 / Fraction(other.coeffs[0]))), Polynomial._of(self.ring, [])
         rem = list(self.coeffs)
         q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
         lead = Fraction(other.leading())
@@ -596,6 +612,8 @@ class PolynomialRing(OperatorRing):
         if a.is_zero():
             return self.zero(), self.one()
         lead = a.leading()
+        if lead == 1:
+            return a, self.one()
         rep = a.scale(norm_scalar(Fraction(1, 1) / Fraction(lead)))
         return rep, Polynomial._of(self.base, [lead])
 

@@ -2,8 +2,9 @@
 bounds product work, per-call memos, the free families' seams by key
 arithmetic against the factor_p route, the one way a ring object adds, the
 scalar operations' results on int, Fraction and bool operands, membership tests
-that compute only the diagonal positions that can fail, and negative
-controls for the exact round-trip checks of the comparison maps.
+that compute only the diagonal positions that can fail, the coefficient
+operations of a Q[x] diagonal form, and negative controls for the exact
+round-trip checks of the comparison maps.
 
 ``tests/golden/scalar_ops.json`` holds what ``norm_scalar``,
 ``scalar_add`` and ``scalar_mul`` returned or raised before their
@@ -26,7 +27,7 @@ import pytest
 from test_modloc import without_row_0
 from test_overlaps import CASES, generators
 import trilocal.tring as tring
-from trilocal import exprs, modloc
+from trilocal import exprs, modloc, rings
 from trilocal.errors import AlphabetMismatchError, BudgetExceededError, SchemaError
 from trilocal.families import (
     BimoduleFamily,
@@ -38,7 +39,7 @@ from trilocal.families import (
     family_from_json,
     shipped_families,
 )
-from trilocal.linalg import solve_left
+from trilocal.linalg import Matrix, diagonal_form, solve_left
 from trilocal.fracloc import CentralPair, rational_value_hom
 from trilocal.rings import (
     QQ,
@@ -550,6 +551,28 @@ class TestMembershipDecidingColumns:
             failed = [(c.name, c.detail) for c in rep.checks if not c.passed]
             assert failed == NEGATIVE_CONTROLS[(name, control)]
         assert True in tested and False in tested
+
+
+class TestPolynomialKernelCounts:
+    """Coefficient operations (scalar_add and scalar_mul calls) of one Q[x]
+    diagonal form, its self-verification included, on the matrices of L
+    (4x4) and of the tensor side (16x8) of a module-localization-shaped
+    double-Q triple.  A zero, one or constant operand takes no general
+    coefficient loop; when every operand went through the loops the counts
+    were 653 and 1,039."""
+
+    def test_scalar_operations_as_pinned(self, monkeypatch):
+        module = MODULES["Q[x]"]()
+        calls = []
+        for name in ("scalar_add", "scalar_mul"):
+            op = getattr(rings, name)
+            monkeypatch.setattr(rings, name, lambda a, b, op=op: calls.append(1) or op(a, b))
+        counts = {}
+        for presentation in (modloc.localized_presentation(module), modloc.tensor_side_presentation(module)):
+            calls.clear()
+            diagonal_form(Matrix(presentation.ring, presentation.rows))
+            counts[len(presentation.rows), presentation.gens] = len(calls)
+        assert counts == {(4, 4): 289, (16, 8): 373}
 
 
 BACK_OF_FORTH = "backward of forward is the identity"

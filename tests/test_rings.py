@@ -1,5 +1,6 @@
 """Exact scalar, k-adic, polynomial and free-algebra arithmetic."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -200,6 +201,13 @@ class TestPolynomial:
             assert q * b + r == a
             assert r.is_zero() or r.degree() < b.degree()
 
+    def test_unit_normal(self):
+        ring = PolynomialRing("Q")
+        monic, other = Polynomial("Q", [Fraction(1, 2), 0, 1]), Polynomial("Q", [1, Fraction(-2, 3)])
+        assert ring.unit_normal(monic) == (monic, ring.one())
+        assert ring.unit_normal(other) == (Polynomial("Q", [Fraction(-3, 2), 1]), Polynomial("Q", [Fraction(-2, 3)]))
+        assert ring.unit_normal(ring.zero()) == (ring.zero(), ring.one())
+
     def test_divmod_needs_field(self):
         with pytest.raises(UnsupportedRingError):
             Polynomial("Z", [1, 1]).divmod(Polynomial("Z", [2]))
@@ -220,6 +228,12 @@ coeffs_q = st.lists(st.builds(Fraction, st.integers(min_value=-6, max_value=6), 
 polys = st.one_of(
     st.tuples(st.just("Z"), coeffs_z, coeffs_z, st.integers(min_value=-3, max_value=3)),
     st.tuples(st.just("Q"), coeffs_q, coeffs_q, st.builds(Fraction, st.integers(min_value=-3, max_value=3), st.sampled_from([1, 2]))),
+)
+# one operand that Polynomial arithmetic takes a short path on (zero, one,
+# minus one or another constant), one drawn as above, and which comes first
+short_paths = st.one_of(
+    st.tuples(st.just("Z"), st.sampled_from([[], [1], [-1], [3], [-2]]), coeffs_z, st.booleans()),
+    st.tuples(st.just("Q"), st.sampled_from([[], [1], [-1], [Fraction(1, 2)], [Fraction(-3, 4)], [2]]), coeffs_q, st.booleans()),
 )
 kadics = st.tuples(st.integers(min_value=-40, max_value=40), st.integers(min_value=0, max_value=3))  # (num, exp)
 # free-algebra term maps on two letters, with zero and denominator-1 coefficients among them
@@ -277,6 +291,28 @@ class TestArithmeticResultsAreCanonical:
     """Arithmetic builds its results without the public constructor's
     checks; each result must be what the public constructor would build."""
 
+    @staticmethod
+    def check_arithmetic(a, b):
+        """a + b, a - b, a * b and, over Q with b nonzero, divmod(a, b) are what
+        the Fraction reference gives, coefficient type for type."""
+        ring = a.ring
+        n = len(a.coeffs) + len(b.coeffs)
+        da, db = dense(a, n), dense(b, n)
+
+        def same(got, values):
+            want = Polynomial(ring, values)
+            assert [(type(x), x) for x in as_rebuilt(got).coeffs] == [(type(x), x) for x in want.coeffs]
+
+        same(a + b, [x + y for x, y in zip(da, db)])
+        same(a - b, [x - y for x, y in zip(da, db)])
+        same(a * b, [sum((da[i] * db[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)])
+        if ring == "Q" and not b.is_zero():
+            q, r = a.divmod(b)
+            assert as_rebuilt(q) * b + as_rebuilt(r) == a and r.degree() < b.degree()
+            if b.degree() == 0:  # a constant divides exactly
+                same(q, [x / db[0] for x in da])
+                assert r.coeffs == ()
+
     @DERANDOMIZED
     @given(polys)
     @example(("Q", [Fraction(1, 2)], [Fraction(1, 2)], Fraction(2)))  # 1/2 + 1/2 and 2 * 1/2 are int
@@ -285,18 +321,43 @@ class TestArithmeticResultsAreCanonical:
     def test_polynomial(self, case):
         ring, xs, ys, c = case
         a, b = Polynomial(ring, xs), Polynomial(ring, ys)
-        n = len(a.coeffs) + len(b.coeffs)
-        da, db = dense(a, n), dense(b, n)
-        assert as_rebuilt(a + b) == Polynomial(ring, [x + y for x, y in zip(da, db)])
-        assert as_rebuilt(a - b) == Polynomial(ring, [x - y for x, y in zip(da, db)])
+        self.check_arithmetic(a, b)
+        da = dense(a, len(a.coeffs))
         assert as_rebuilt(-a) == Polynomial(ring, [-x for x in da])
         assert as_rebuilt(a.scale(c)) == Polynomial(ring, [c * x for x in da])
-        product = [sum((da[i] * db[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)]
-        assert as_rebuilt(a * b) == Polynomial(ring, product)
         assert (a - a).coeffs == () and (a * Polynomial(ring, [])).coeffs == ()
-        if ring == "Q" and not b.is_zero():
-            q, r = a.divmod(b)
-            assert as_rebuilt(q) * b + as_rebuilt(r) == a and r.degree() < b.degree()
+
+    @DERANDOMIZED
+    @given(short_paths)
+    @example(("Q", [Fraction(-3, 4)], [0, Fraction(4, 3)], False))  # 4/3 x * -3/4 is -x, and 4/3 x / (-3/4) is -16/9 x
+    @example(("Q", [2], [0, Fraction(1, 2)], False))  # 1/2 x * 2 is x, and 1/2 x / 2 is 1/4 x
+    def test_polynomial_short_paths(self, case):
+        ring, short, xs, short_first = case
+        a, b = Polynomial(ring, short), Polynomial(ring, xs)
+        self.check_arithmetic(*((a, b) if short_first else (b, a)))
+
+    @pytest.mark.parametrize("a, b", [
+        (Polynomial("Q", []), Polynomial("Z", [1, 2])),
+        (Polynomial("Z", [1, 2]), Polynomial("Q", [])),
+        (Polynomial("Q", [1]), Polynomial("Z", [0, 1])),
+        (Polynomial("Z", [0, 1]), Polynomial("Q", [1])),
+        (Polynomial("Q", [Fraction(1, 2)]), Polynomial("Z", [3])),
+        (Polynomial("Z", []), Polynomial("Q", [])),
+        (Polynomial("Q", [1]), 2),
+        (Polynomial("Q", []), 0),
+    ])
+    def test_short_paths_still_refuse_mixed_operands(self, a, b):
+        for op in (operator.add, operator.sub, operator.mul, Polynomial.divmod):
+            with pytest.raises(UnsupportedRingError):
+                op(a, b)
+
+    def test_constant_division_still_refuses(self):
+        for a in (Polynomial("Q", [1, 2]), Polynomial("Q", [3]), Polynomial("Q", [])):
+            with pytest.raises(ZeroDivisionError):
+                a.divmod(Polynomial("Q", []))
+        for b in (Polynomial("Z", [1]), Polynomial("Z", [2]), Polynomial("Z", [-1])):
+            with pytest.raises(UnsupportedRingError):
+                Polynomial("Z", [2, 4]).divmod(b)
 
     @DERANDOMIZED
     @given(st.sampled_from([2, 6]), kadics, kadics)
