@@ -3,7 +3,10 @@
 ``diagonal_form`` returns the transformation matrices U, V together
 with explicit inverses built alongside them, and re-verifies
 U * M * V = D, U * U^-1 = I and V^-1 * V = I before returning, so a
-successful call is its own certificate.
+successful call is its own certificate.  The reduction keeps the four
+transforms as sparse rows ({column: nonzero entry}), and products,
+the certificate's included, visit only nonzero (column, entry) pairs;
+the certificate still checks every clause exactly.
 """
 
 from __future__ import annotations
@@ -52,26 +55,36 @@ class Matrix:
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        rg = self.ring
-        add, mul, is_zero = rg.add, rg.mul, rg.is_zero
-        # zero entries of either factor contribute nothing, so skip them
-        right = [[(j, b) for j, b in enumerate(row) if not is_zero(b)] for row in other.rows]
-        out = []
-        for row in self.rows:
-            acc = [rg.zero()] * other.ncols
-            for a, nonzero in zip(row, right):
-                if is_zero(a):
-                    continue
-                for j, b in nonzero:
-                    acc[j] = add(acc[j], mul(a, b))
-            out.append(acc)
-        return Matrix(rg, out)
+        zero, width = self.ring.zero(), range(other.ncols)
+        product = _product(self.ring, _nonzero(self), _nonzero(other))
+        return Matrix(self.ring, [[row.get(j, zero) for j in width] for row in product])
 
     def fmt(self):
         return "[" + "; ".join(" ".join(self.ring.fmt(x) for x in r) for r in self.rows) + "]"
 
     def __repr__(self):
         return f"Matrix({self.ring.name}, {self.fmt()})"
+
+
+def _nonzero(mat):
+    """Each row of mat as its list of nonzero (column, entry) pairs."""
+    is_zero = mat.ring.is_zero
+    return [[(j, x) for j, x in enumerate(row) if not is_zero(x)] for row in mat.rows]
+
+
+def _product(ring, left, right):
+    """Rows of left * right, each a dict of its nonzero entries; left and
+    right give each row as nonzero (column, entry) pairs, so only the
+    entries that a pair reaches are computed."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    out = []
+    for row in left:
+        acc = {}
+        for k, a in row:
+            for j, b in right[k]:
+                acc[j] = add(acc[j], mul(a, b)) if j in acc else mul(a, b)
+        out.append({j: x for j, x in acc.items() if not is_zero(x)})
+    return out
 
 
 class DiagonalForm:
@@ -118,30 +131,28 @@ class DiagonalForm:
         """Recheck U*M*V == D, U*U^-1 == I, V^-1*V == I and the divisibility chain.
 
         Over a commutative ring a one-sided inverse of a square matrix is
-        two-sided, so the two identities prove U and V invertible.
+        two-sided, so the two identities prove U and V invertible.  Each
+        matrix is read once as its nonzero pairs, and each product is
+        compared with D or the identity without forming a dense matrix.
         """
-        m, n = self.source.nrows, self.source.ncols
-        if (self.U.nrows, self.U.ncols, self.V.nrows, self.V.ncols) != (m, m, n, n):
+        rg, m, n = self.ring, self.source.nrows, self.source.ncols
+        shapes = [(x.nrows, x.ncols) for x in (self.U, self.D, self.V, self.U_inv, self.V_inv)]
+        if shapes != [(m, m), (m, n), (n, n), (m, m), (n, n)]:
             return False
-        if self.U * self.source * self.V != self.D:
+        M, U, D, V, Ui, Vi = map(_nonzero, (self.source, self.U, self.D, self.V, self.U_inv, self.V_inv))
+        # each product row holds exactly its nonzero entries, so it equals
+        # the wanted row's nonzero entries; a wanted entry it lacks fails
+        if _product(rg, [row.items() for row in _product(rg, U, M)], V) != [dict(row) for row in D]:
             return False
-        if self.U * self.U_inv != Matrix.identity(self.ring, m):
-            return False
-        if self.V_inv * self.V != Matrix.identity(self.ring, n):
+        identity = [{i: rg.one()} for i in range(max(m, n))]
+        if _product(rg, U, Ui) != identity[:m] or _product(rg, Vi, V) != identity[:n]:
             return False
         diag = self.diagonal()
-        for i in range(len(diag) - 1):
-            if self.ring.is_zero(diag[i]):
-                if not self.ring.is_zero(diag[i + 1]):
-                    return False
-            elif self.ring.exact_div(diag[i + 1], diag[i]) is None:
+        for x, y in zip(diag, diag[1:]):  # zeros come last, and each entry divides the next
+            if not (rg.is_zero(y) if rg.is_zero(x) else rg.exact_div(y, x) is not None):
                 return False
         # off-diagonal entries must vanish
-        for i in range(self.D.nrows):
-            for j in range(self.D.ncols):
-                if i != j and not self.ring.is_zero(self.D.rows[i][j]):
-                    return False
-        return True
+        return all(i == j for i, row in enumerate(D) for j, _ in row)
 
 
 def _euclidean_engine(mat):
@@ -153,6 +164,15 @@ def _euclidean_engine(mat):
     undone on the columns of U^-1, and every column operation applied to
     V on the rows of V^-1.
 
+    The working matrix a is dense.  The transforms are sparse rows,
+    {column: nonzero entry}, each in the orientation its operations act
+    on: U and V^-1 by rows, U^-1 and V as the rows of their transposes
+    (Uc[k] is column k of U^-1, Vc[k] column k of V).  A transform
+    update is then one in-place sum over the nonzeros of its source row,
+    and the transforms become dense matrices once, at the end.  The row
+    and column operations below are the only places where a and the
+    transforms change.
+
     Pivot rule: the pivot is the first nonzero entry of least size in
     the trailing block, in row-major order.  In Z, Q and Q[x] the units
     are exactly the nonzero elements of least size, so the search stops
@@ -163,46 +183,50 @@ def _euclidean_engine(mat):
     add, mul, is_zero, is_unit, size, divmod_ = rg.add, rg.mul, rg.is_zero, rg.is_unit, rg.size, rg.divmod
     a = mat.copy_rows()
     m, n = mat.nrows, mat.ncols
-    U = Matrix.identity(rg, m).copy_rows()
-    Ui = Matrix.identity(rg, m).copy_rows()
-    V = Matrix.identity(rg, n).copy_rows()
-    Vi = Matrix.identity(rg, n).copy_rows()
+    one, zero = rg.one(), rg.zero()
+    U, Uc = [{i: one} for i in range(m)], [{i: one} for i in range(m)]
+    Vc, Vi = [{i: one} for i in range(n)], [{i: one} for i in range(n)]
 
-    def add_multiple(dst, src, c):  # dst + c * src, entrywise
-        return [x if is_zero(y) else add(x, mul(c, y)) for x, y in zip(dst, src)]
+    def add_scaled(dst, src, c, left):  # dst += c * src (src * c unless left) in place; a zero sum drops its key
+        get = dst.get
+        for k, y in src.items():
+            p = mul(c, y) if left else mul(y, c)
+            x = get(k)
+            if x is None:
+                dst[k] = p
+            elif is_zero(s := add(x, p)):
+                del dst[k]
+            else:
+                dst[k] = s
 
+    # Rows and columns of a before the pivot position t (of the loop below)
+    # hold only their diagonal entries, so the operations on a skip them.
     def row_add(i, j, c):  # row_i += c * row_j in a and U; col_j -= col_i * c in U^-1
-        a[i] = add_multiple(a[i], a[j], c)
-        U[i] = add_multiple(U[i], U[j], c)
-        c = rg.neg(c)
-        for row in Ui:
-            if not is_zero(row[i]):
-                row[j] = add(row[j], mul(row[i], c))
+        a[i][t:] = [x if is_zero(y) else add(x, mul(c, y)) for x, y in zip(a[i][t:], a[j][t:])]
+        add_scaled(U[i], U[j], c, True)
+        add_scaled(Uc[j], Uc[i], rg.neg(c), False)
 
     def col_add(j, i, c):  # col_j += col_i * c in a and V; row_i -= c * row_j in V^-1
-        for rows in (a, V):
-            for row in rows:
-                if not is_zero(row[i]):
-                    row[j] = add(row[j], mul(row[i], c))
-        Vi[i] = add_multiple(Vi[i], Vi[j], rg.neg(c))
+        for row in a[t:]:
+            if not is_zero(row[i]):
+                row[j] = add(row[j], mul(row[i], c))
+        add_scaled(Vc[j], Vc[i], c, False)
+        add_scaled(Vi[i], Vi[j], rg.neg(c), True)
 
     def row_swap(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-        for row in Ui:
-            row[i], row[j] = row[j], row[i]
+        for rows in (a, U, Uc):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def col_swap(i, j):
-        for rows in (a, V):
-            for row in rows:
-                row[i], row[j] = row[j], row[i]
-        Vi[i], Vi[j] = Vi[j], Vi[i]
+        for row in a[t:]:
+            row[i], row[j] = row[j], row[i]
+        for rows in (Vc, Vi):
+            rows[i], rows[j] = rows[j], rows[i]
 
     def row_scale(i, u, u_inv):  # row_i *= u in a and U; col_i *= u_inv in U^-1
         a[i] = [mul(u, x) for x in a[i]]
-        U[i] = [mul(u, x) for x in U[i]]
-        for row in Ui:
-            row[i] = mul(row[i], u_inv)
+        U[i] = {k: mul(u, x) for k, x in U[i].items()}
+        Uc[i] = {k: mul(x, u_inv) for k, x in Uc[i].items()}
 
     def smallest(t):  # the pivot of the trailing block, or None when it is zero
         best, least = None, None
@@ -259,7 +283,7 @@ def _euclidean_engine(mat):
                 )
                 if bad is None:
                     break
-                row_add(t, bad, rg.one())
+                row_add(t, bad, one)
             best = smallest(t)
         t += 1
 
@@ -268,9 +292,17 @@ def _euclidean_engine(mat):
         if is_zero(a[i][i]):
             continue
         rep, u = rg.unit_normal(a[i][i])
-        if u != rg.one():
-            row_scale(i, rg.exact_div(rg.one(), u), u)
-    return DiagonalForm(rg, mat, Matrix(rg, U), Matrix(rg, a), Matrix(rg, V), Matrix(rg, Ui), Matrix(rg, Vi))
+        if u != one:
+            row_scale(i, rg.exact_div(one, u), u)
+
+    def dense(rows, transposed):  # a transform's square sparse rows as a Matrix
+        out = [[zero] * len(rows) for _ in rows]
+        for i, row in enumerate(rows):
+            for k, x in row.items():
+                out[k if transposed else i][i if transposed else k] = x
+        return Matrix(rg, out)
+
+    return DiagonalForm(rg, mat, dense(U, False), Matrix(rg, a), dense(Vc, True), dense(Uc, True), dense(Vi, False))
 
 
 def _kadic_reduce(mat):
@@ -299,9 +331,9 @@ def _kadic_reduce(mat):
             continue
         rep, u = rg.unit_normal(rg.exact_div(d_int, scale))
         inv = rg.exact_div(1, u)
-        U_rows[i] = [rg.mul(inv, x) for x in U_rows[i]]
+        U_rows[i] = [x and rg.mul(inv, x) for x in U_rows[i]]  # the integer zeros stay as they are
         for row in Ui_rows:
-            row[i] = rg.mul(row[i], u)
+            row[i] = row[i] and rg.mul(row[i], u)
         D_rows[i][i] = rep
     return DiagonalForm(rg, mat, *(Matrix(rg, rows) for rows in (U_rows, D_rows, snf.V.rows, Ui_rows, snf.V_inv.rows)))
 

@@ -3,8 +3,9 @@ bounds product work, per-call memos, the free families' seams by key
 arithmetic against the factor_p route, the one way a ring object adds, the
 scalar operations' results on int, Fraction and bool operands, membership tests
 that compute only the diagonal positions that can fail, the coefficient
-operations of a Q[x] diagonal form, and negative controls for the exact
-round-trip checks of the comparison maps.
+operations of a Q[x] diagonal form, the entry visits of a Z diagonal form,
+and negative controls for the exact round-trip checks of the comparison
+maps.
 
 ``tests/golden/scalar_ops.json`` holds what ``norm_scalar``,
 ``scalar_add`` and ``scalar_mul`` returned or raised before their
@@ -573,6 +574,22 @@ class TestPolynomialKernelCounts:
             diagonal_form(Matrix(presentation.ring, presentation.rows))
             counts[len(presentation.rows), presentation.gens] = len(calls)
         assert counts == {(4, 4): 289, (16, 8): 373}
+
+
+class TestSparseKernelVisits:
+    """is_zero calls of one diagonal form, its self-verification included,
+    on the 33x20 tensor-side matrix of the Z module.  The transforms are
+    sparse rows and the certificate reads each matrix once as its nonzero
+    pairs; when every row operation walked full rows of U and V^-1 and full
+    columns of U^-1 and V, and verify multiplied dense matrices, the count
+    was 17,499."""
+
+    def test_is_zero_calls_as_pinned(self, monkeypatch):
+        W = modloc.tensor_side_presentation(MODULES["Z"]())
+        ring, is_zero, calls = W.ring, W.ring.is_zero, []
+        monkeypatch.setattr(ring, "is_zero", lambda x: calls.append(1) or is_zero(x))
+        diagonal_form(Matrix(ring, W.rows))
+        assert (len(W.rows), W.gens, len(calls)) == (33, 20, 8618)
 
 
 BACK_OF_FORTH = "backward of forward is the identity"

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from reference_impls import (
     determinant_divisor_diagonal,
@@ -398,3 +399,94 @@ def test_verify_rejects_each_broken_clause(mat, clause):
     bad = corrupted(form, clause)
     assert clause_failures(bad) == ({"shape", "U*M*V = D"} if clause == "shape" else {clause})
     assert bad.verify() is False
+
+
+def sparse_cases():
+    """Per ring, diag(1, a, 0) for a non-unit a.  Its diagonal form has
+    U = V = I, so the certificate's products leave most positions where
+    no pair of nonzero entries reaches."""
+    k2, qx = KadicRing(2), PolynomialRing("Q")
+    cases = [(ZZ, 3, "Z-diag"), (k2, k2.from_int(3), "Z[1/2]-diag"), (qx, qx.variable(), "Q[x]-diag")]
+    return [
+        pytest.param(Matrix(ring, [[ring.one(), ring.zero(), ring.zero()], [ring.zero(), a, ring.zero()], [ring.zero()] * 3]), id=name)
+        for ring, a, name in cases
+    ]
+
+
+def reached(ring, *factors):
+    """The positions of the product of factors that a chain of nonzero
+    entries, one from each factor, reaches; computed without linalg."""
+
+    def nonzero(mat):
+        return {(i, j) for i, row in enumerate(mat.rows) for j, x in enumerate(row) if not ring.is_zero(x)}
+
+    out = nonzero(factors[0])
+    for factor in factors[1:]:
+        out = {(i, j) for i, k in out for l, j in nonzero(factor) if k == l}
+    return out
+
+
+FORM_MATRICES = ("source", "U", "D", "V", "U_inv", "V_inv")  # DiagonalForm's argument order
+
+
+def with_entry(form, name, i, j, value):
+    """A copy of form whose matrix name holds value at (i, j), the indices
+    taken modulo its shape."""
+    parts = {key: getattr(form, key) for key in FORM_MATRICES}
+    rows = parts[name].copy_rows()
+    rows[i % len(rows)][j % len(rows[0])] = value
+    parts[name] = Matrix(form.ring, rows)
+    return DiagonalForm(form.ring, *parts.values())
+
+
+class TestSparseCertificate:
+    """verify reads each matrix as its nonzero pairs and compares the sparse
+    products with D and the identity; these corrupt positions that the
+    pairs of the true form do not decide, and each must fail as the dense
+    reference fails."""
+
+    @pytest.mark.parametrize("mat", sparse_cases())
+    def test_nonzero_d_entry_that_no_pair_reaches(self, mat):
+        form, ring = diagonal_form(mat), mat.ring
+        assert (2, 2) not in reached(ring, form.U, form.source, form.V)
+        a = form.diagonal()[1]
+        bad = with_entry(form, "D", 2, 2, ring.mul(a, a))  # the chain (1, a, a*a) still holds
+        assert clause_failures(bad) == {"U*M*V = D"}
+        assert bad.verify() is False
+
+    @pytest.mark.parametrize("mat", sparse_cases())
+    def test_inverse_entry_in_a_column_that_u_never_meets(self, mat):
+        form, ring = diagonal_form(mat), mat.ring
+        assert (0, 1) not in reached(ring, form.U, form.U_inv)
+        bad = with_entry(form, "U_inv", 0, 1, ring.one())
+        assert (0, 1) in reached(ring, bad.U, bad.U_inv)
+        assert clause_failures(bad) == {"U*U^-1 = I"}
+        assert bad.verify() is False
+
+    @pytest.mark.parametrize("mat", chain_cases())
+    def test_entry_that_sums_to_zero_against_a_nonzero_one(self, mat):
+        # diag(1, a, a*a, 0): position (3, 3) of U * M * V is reached, and
+        # its pairs cancel; D claims a**3 there, so the chain still holds
+        form, ring = diagonal_form(mat), mat.ring
+        assert (3, 3) in reached(ring, form.U, form.source, form.V)
+        assert ring.is_zero(form.D.rows[3][3])
+        _, a, a2, _ = form.diagonal()
+        bad = with_entry(form, "D", 3, 3, ring.mul(a, a2))
+        assert clause_failures(bad) == {"U*M*V = D"}
+        assert bad.verify() is False
+
+
+@pytest.mark.parametrize("mat", chain_cases() + sparse_cases())
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(name=st.sampled_from(FORM_MATRICES), i=st.integers(0, 3), j=st.integers(0, 3), c=st.integers(-2, 2), e=st.integers(0, 2))
+def test_single_entry_corruptions_agree_with_the_reference(mat, name, i, j, c, e):
+    # entry (i, j) of one matrix of the form plus c * a**e, for the non-unit
+    # a of its diagonal; c = 0 leaves the form as it was
+    form, ring = diagonal_form(mat), mat.ring
+    delta = ring.from_int(c)
+    for _ in range(e):
+        delta = ring.mul(delta, form.diagonal()[1])
+    rows = getattr(form, name).rows
+    old = rows[i % len(rows)][j % len(rows[0])]
+    bad = with_entry(form, name, i, j, ring.add(old, delta))
+    assert bad.verify() is (clause_failures(bad) == set())
