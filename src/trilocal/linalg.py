@@ -30,6 +30,14 @@ class Matrix:
                 raise ValueError("ragged matrix rows")
         self.rows = rows
 
+    @staticmethod
+    def _of(ring, rows):
+        """The matrix of rows, lists of one length that the caller has just
+        built and hands over: no copy and no ragged check."""
+        m = object.__new__(Matrix)
+        m.ring, m.rows, m.nrows, m.ncols = ring, rows, len(rows), len(rows[0]) if rows else 0
+        return m
+
     @classmethod
     def identity(cls, ring, n):
         zero, one = ring.zero(), ring.one()
@@ -50,14 +58,14 @@ class Matrix:
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} + {other.nrows}x{other.ncols}")
         add = self.ring.add
-        return Matrix(self.ring, [[add(x, y) for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
+        return Matrix._of(self.ring, [[add(x, y) for x, y in zip(r, s)] for r, s in zip(self.rows, other.rows)])
 
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
         zero, width = self.ring.zero(), range(other.ncols)
         product = _product(self.ring, _nonzero(self), _nonzero(other))
-        return Matrix(self.ring, [[row.get(j, zero) for j in width] for row in product])
+        return Matrix._of(self.ring, [[row.get(j, zero) for j in width] for row in product])
 
     def fmt(self):
         return "[" + "; ".join(" ".join(self.ring.fmt(x) for x in r) for r in self.rows) + "]"
@@ -156,7 +164,9 @@ class DiagonalForm:
 
 
 def _euclidean_engine(mat):
-    """The diagonalization loop, over a Euclidean ring that states its division.
+    """The diagonalization loop, over a Euclidean ring that states its division:
+    the rows of U, D, V, U^-1 and V^-1, of which the caller builds the one
+    DiagonalForm that it certifies.
 
     The ring's size(a) is a nonnegative measure with size(a) == 0 iff
     a == 0; its divmod(a, b) returns (q, r) with a == q*b + r and
@@ -295,14 +305,14 @@ def _euclidean_engine(mat):
         if u != one:
             row_scale(i, rg.exact_div(one, u), u)
 
-    def dense(rows, transposed):  # a transform's square sparse rows as a Matrix
+    def dense(rows, transposed):  # a transform's square sparse rows as dense rows
         out = [[zero] * len(rows) for _ in rows]
         for i, row in enumerate(rows):
             for k, x in row.items():
                 out[k if transposed else i][i if transposed else k] = x
-        return Matrix(rg, out)
+        return out
 
-    return DiagonalForm(rg, mat, dense(U, False), Matrix(rg, a), dense(Vc, True), dense(Uc, True), dense(Vi, False))
+    return dense(U, False), a, dense(Vc, True), dense(Uc, True), dense(Vi, False)
 
 
 def _kadic_reduce(mat):
@@ -318,15 +328,15 @@ def _kadic_reduce(mat):
     rg = mat.ring
     e = max((rg.exponent(x) for row in mat.rows for x in row), default=0)
     scale = rg.k ** e
-    snf = _euclidean_engine(Matrix(ZZ, [[(x * scale).numerator for x in row] for row in mat.rows]))
+    cleared = Matrix._of(ZZ, [[(x * scale).numerator for x in row] for row in mat.rows])
+    U_rows, D_int, V_rows, Ui_rows, Vi_rows = _euclidean_engine(cleared)
     # U * (k^e * mat) * V = D_int, so U * mat * V = D_int / k^e; rescale each
     # row of U (and the matching column of U^-1) so the diagonal becomes the
     # canonical k-free representative.  The integer entries of U, V and
     # their inverses are already elements of Z[1/k].
-    U_rows, Ui_rows = snf.U.rows, snf.U_inv.rows
     D_rows = [[0] * mat.ncols for _ in range(mat.nrows)]
     for i in range(min(mat.nrows, mat.ncols)):
-        d_int = snf.D.rows[i][i]
+        d_int = D_int[i][i]
         if d_int == 0:
             continue
         rep, u = rg.unit_normal(rg.exact_div(d_int, scale))
@@ -335,7 +345,7 @@ def _kadic_reduce(mat):
         for row in Ui_rows:
             row[i] = row[i] and rg.mul(row[i], u)
         D_rows[i][i] = rep
-    return DiagonalForm(rg, mat, *(Matrix(rg, rows) for rows in (U_rows, D_rows, snf.V.rows, Ui_rows, snf.V_inv.rows)))
+    return DiagonalForm(rg, mat, *(Matrix._of(rg, rows) for rows in (U_rows, D_rows, V_rows, Ui_rows, Vi_rows)))
 
 
 def diagonal_form(mat):
@@ -349,7 +359,7 @@ def diagonal_form(mat):
     if isinstance(rg, KadicRing):
         out = _kadic_reduce(mat)
     elif hasattr(rg, "divmod"):
-        out = _euclidean_engine(mat)
+        out = DiagonalForm(rg, mat, *(Matrix._of(rg, rows) for rows in _euclidean_engine(mat)))
     else:
         raise UnsupportedRingError(f"diagonal_form does not support {rg.name}")
     if not out.verify():

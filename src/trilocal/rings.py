@@ -1,12 +1,14 @@
 """Exact coefficient and oracle rings.
 
 Every ring here is exact: scalars, the elements of Z, Q and Z[1/k], are
-arbitrary-precision ``int`` or ``fractions.Fraction`` in canonical form;
-polynomials and free-algebra elements store canonical term maps with no
-zero coefficients.  Elements are immutable by convention and safe to
-share between threads, so a Polynomial result may be one of its
-operands: a sum with zero, or a product with one or with zero, returns
-an operand rather than a copy.
+arbitrary-precision ``int`` or ``fractions.Fraction`` in canonical form.
+A polynomial stores ``int`` numerators over one positive common
+denominator in lowest terms (Collins, J. ACM 14(1), 1967), so its
+arithmetic is on ints with one gcd per result; free-algebra elements
+store canonical term maps with no zero coefficients.  Elements are
+immutable by convention and safe to share between threads, so a
+Polynomial result may be one of its operands: a sum with zero, or a
+product with one or with zero, returns an operand rather than a copy.
 
 The classes double as the independent oracle rings against which the
 rewriting route is cross-validated, so none of them may be replaced by
@@ -28,7 +30,7 @@ from __future__ import annotations
 import operator
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import AlphabetMismatchError, SchemaError, UnsupportedRingError
 
@@ -193,40 +195,55 @@ def strip_factors_of(n, k):
 class Polynomial:
     """Dense polynomial in one central variable over Z or Q.
 
-    Coefficients are canonical scalars; the trailing (leading) entry is
-    nonzero unless the polynomial is zero, in which case coeffs == ().
+    Stored as integer numerators over one common denominator: ``nums`` is
+    a tuple of ints and ``den`` a positive int with
+    ``gcd(den, *nums) == 1``, the last numerator is nonzero, zero is
+    ``((), 1)``, and over Z ``den`` is 1.  Arithmetic is integer
+    arithmetic on the numerators with one gcd per result.  ``coeffs``
+    gives the coefficients as canonical scalars, () for zero.
     """
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring", "nums", "den")
 
     def __init__(self, ring, coeffs):
         if ring not in ("Z", "Q"):
             raise UnsupportedRingError(f"polynomial coefficients must be Z or Q, got {ring}")
         cs = [norm_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.ring = ring
-        self.coeffs = tuple(cs)
+        if ring == "Z" and any(isinstance(c, Fraction) for c in cs):
+            raise UnsupportedRingError(f"polynomial coefficients over Z must be integers, got {list(coeffs)!r}")
+        den = lcm(*(c.denominator for c in cs))
+        p = Polynomial._of(ring, [c.numerator * (den // c.denominator) for c in cs], den)
+        self.ring, self.nums, self.den = ring, p.nums, p.den
 
     @staticmethod
-    def _of(ring, cs):
-        """The polynomial of a list of canonical scalars, such as arithmetic on
-        canonical polynomials gives: only trailing zeros are stripped."""
-        while cs and cs[-1] == 0:
-            cs.pop()
+    def _of(ring, nums, den):
+        """The polynomial nums/den of a list of ints and a positive int, such as
+        arithmetic on stored forms gives: trailing zeros are stripped and the
+        common gcd divided out (zero gets den 1, as gcd(den) is den)."""
+        while nums and not nums[-1]:
+            nums.pop()
+        if den != 1 and (g := gcd(den, *nums)) != 1:
+            nums, den = [x // g for x in nums], den // g
         p = object.__new__(Polynomial)
-        p.ring, p.coeffs = ring, tuple(cs)
+        p.ring, p.nums, p.den = ring, tuple(nums), den
         return p
+
+    @property
+    def coeffs(self):
+        """The coefficients as canonical scalars, constant term first."""
+        den = self.den
+        return self.nums if den == 1 else tuple(x // den if x % den == 0 else Fraction(x, den) for x in self.nums)
 
     def degree(self):
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self):
-        return not self.coeffs
+        return len(self.nums) - 1
 
     def leading(self):
-        return self.coeffs[-1] if self.coeffs else 0
+        """The leading coefficient as a canonical scalar, 0 for zero."""
+        return self.coeffs[-1] if self.nums else 0
+
+    def is_zero(self):
+        return not self.nums
 
     def _check(self, other):
         if not isinstance(other, Polynomial) or other.ring != self.ring:
@@ -235,78 +252,99 @@ class Polynomial:
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.ring == other.ring and self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den and self.ring == other.ring
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
+        return hash((self.ring, self.nums, self.den))
+
+    def _plus(self, other, sign):
+        """self + sign * other, both nonzero, over the least common denominator."""
+        a, b, da, db = self.nums, other.nums, self.den, other.den
+        if da == db:
+            ma, mb, den = 1, sign, da
+        else:
+            g = gcd(da, db)
+            ma, mb, den = db // g, sign * (da // g), da // g * db
+        cs = (list(a) if ma == 1 else [ma * x for x in a]) + [0] * (len(b) - len(a))
+        for i, y in enumerate(b):
+            cs[i] += mb * y
+        return Polynomial._of(self.ring, cs, den)
 
     def __add__(self, other):
         self._check(other)
-        if not other.coeffs:
+        if not other.nums:
             return self
-        if not self.coeffs:
+        if not self.nums:
             return other
-        cs = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            cs[i] = scalar_add(cs[i], c)
-        return Polynomial._of(self.ring, cs)
+        return self._plus(other, 1)
 
     def __neg__(self):
-        return Polynomial._of(self.ring, [-c for c in self.coeffs])
+        return Polynomial._of(self.ring, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         self._check(other)
-        if not other.coeffs:
+        if not other.nums:
             return self
-        if not self.coeffs:
+        if not self.nums:
             return -other
-        cs = list(self.coeffs) + [0] * (len(other.coeffs) - len(self.coeffs))
-        for i, c in enumerate(other.coeffs):
-            cs[i] = scalar_add(cs[i], -c)
-        return Polynomial._of(self.ring, cs)
+        return self._plus(other, -1)
+
+    def _times(self, n, d):
+        """self * (n/d) for ints n and d > 0."""
+        return Polynomial._of(self.ring, [n * x for x in self.nums], self.den * d)
 
     def __mul__(self, other):
         self._check(other)
-        const, p = (other, self) if len(other.coeffs) <= 1 else (self, other)
-        if len(const.coeffs) <= 1:  # a zero or constant factor needs no convolution
-            if not const.coeffs:
+        const, p = (other, self) if len(other.nums) <= 1 else (self, other)
+        if len(const.nums) <= 1:  # a zero or constant factor needs no convolution
+            if not const.nums:
                 return const
-            c = const.coeffs[0]
-            return p if c == 1 else p.scale(c)
-        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                cs[i + j] = scalar_add(cs[i + j], scalar_mul(a, b))
-        return Polynomial._of(self.ring, cs)
+            n, d = const.nums[0], const.den  # n == d only for the constant one
+            return p if n == d else p._times(n, d)
+        cs = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, x in enumerate(self.nums):
+            if x:
+                for k, y in enumerate(other.nums, i):
+                    cs[k] += x * y
+        return Polynomial._of(self.ring, cs, self.den * other.den)
 
     def scale(self, c):
-        return Polynomial._of(self.ring, [scalar_mul(c, a) for a in self.coeffs])
+        """c * self for a canonical scalar c."""
+        return self._times(c.numerator, c.denominator)
 
     def divmod(self, other):
-        """Polynomial division; requires Q coefficients and other != 0."""
+        """Polynomial division; requires Q coefficients and other != 0.
+
+        A constant divides exactly.  Any other divisor goes by pseudo-division
+        on the numerators, s * nums == q * other.nums + r for an int s: each
+        step multiplies by the divisor's leading numerator over its gcd with
+        the numerator that it cancels.
+        """
         self._check(other)
         if self.ring != "Q":
             raise UnsupportedRingError("polynomial division needs field coefficients")
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        if len(other.coeffs) == 1:  # a constant divides exactly
-            return self.scale(_exact(1 / Fraction(other.coeffs[0]))), Polynomial._of(self.ring, [])
-        rem = list(self.coeffs)
-        q = [0] * max(0, len(rem) - len(other.coeffs) + 1)
-        lead = Fraction(other.leading())
-        while len(rem) >= len(other.coeffs):
-            c = Fraction(rem[-1]) / lead
-            d = len(rem) - len(other.coeffs)
-            q[d] = norm_scalar(c)
-            for i, b in enumerate(other.coeffs):
-                rem[d + i] = scalar_add(rem[d + i], scalar_mul(-c, b))
-            while rem and rem[-1] == 0:
-                rem.pop()
-            if not rem:
-                break
-        return Polynomial._of(self.ring, q), Polynomial._of(self.ring, rem)
+        b = other.nums
+        if len(b) == 1:  # a constant divides exactly: multiply by its inverse
+            return self._times(other.den if b[0] > 0 else -other.den, abs(b[0])), Polynomial._of(self.ring, [], 1)
+        rem, lead, top, s = list(self.nums), b[-1], len(b) - 1, 1
+        q = [0] * max(0, len(rem) - top)
+        for d in reversed(range(len(q))):
+            c = rem[d + top]
+            if not c:
+                continue
+            g = gcd(c, lead)
+            m, c = lead // g, c // g
+            if m != 1:
+                rem, q, s = [m * x for x in rem], [m * x for x in q], s * m
+            q[d] = c
+            for k, y in enumerate(b, d):
+                rem[k] -= c * y
+        # self = nums/den and other = b/other.den, so self = q/(s*den) * other + r/(s*den)
+        sign, den = (1, s * self.den) if s > 0 else (-1, -s * self.den)
+        q, rem = [sign * other.den * x for x in q], [sign * x for x in rem]
+        return Polynomial._of(self.ring, q, den), Polynomial._of(self.ring, rem, den)
 
     def __str__(self):
         terms = ((c, "" if d == 0 else "x" if d == 1 else f"x^{d}") for d, c in enumerate(self.coeffs) if c != 0)
@@ -572,26 +610,35 @@ class PolynomialRing(OperatorRing):
         return self._one
 
     def from_int(self, n):
-        return Polynomial(self.base, [n])
+        """The constant n; an int is stored as it is, and any other scalar goes
+        through the public constructor's checks."""
+        return Polynomial._of(self.base, [n], 1) if type(n) is int else Polynomial(self.base, [n])
 
     def variable(self):
-        return Polynomial._of(self.base, [0, 1])
+        return Polynomial._of(self.base, [0, 1], 1)
 
     def combination(self, pairs):
-        """Sum of c*v over pairs (nonzero canonical scalar c, polynomial v), in one list stripped once."""
-        cs = []
+        """Sum of c*v over pairs (nonzero canonical scalar c, polynomial v): the
+        numerators go into one list over the least common denominator, which
+        is reduced once."""
+        cs, den = [], 1
         for c, v in pairs:
             self._zero._check(v)
-            cs += [0] * (len(v.coeffs) - len(cs))
-            for i, a in enumerate(v.coeffs):
-                if a:
-                    cs[i] = scalar_add(cs[i], c if a == 1 else scalar_mul(c, a))
-        return Polynomial._of(self.base, cs)
+            n, d = c.numerator, c.denominator * v.den
+            if d != den:
+                m = d // gcd(den, d)  # den * m is the least common multiple
+                if m != 1:
+                    cs, den = [m * x for x in cs], den * m
+                n *= den // d
+            cs += [0] * (len(v.nums) - len(cs))
+            for i, x in enumerate(v.nums):
+                cs[i] += n * x
+        return Polynomial._of(self.base, cs, den)
 
     def is_unit(self, a):
         if self.base == "Q":
-            return len(a.coeffs) == 1
-        return a.coeffs in ((1,), (-1,))
+            return len(a.nums) == 1
+        return a.nums in ((1,), (-1,))
 
     def exact_div(self, a, b):
         if b.is_zero():
@@ -605,20 +652,20 @@ class PolynomialRing(OperatorRing):
         it raises over Z, which has none."""
         if self.base != "Q":
             raise UnsupportedRingError(f"{self.name} has no Euclidean division")
-        return lambda a: len(a.coeffs)
+        return lambda a: len(a.nums)
 
     def unit_normal(self, a):
-        """Monic representative (over Q)."""
+        """Monic representative (over Q): a's numerators over its leading one."""
         if a.is_zero():
             return self.zero(), self.one()
-        lead = a.leading()
-        if lead == 1:
+        lead, den = a.nums[-1], a.den
+        if lead == den:  # the leading coefficient is 1
             return a, self.one()
-        rep = a.scale(norm_scalar(Fraction(1, 1) / Fraction(lead)))
-        return rep, Polynomial._of(self.base, [lead])
+        sign = 1 if lead > 0 else -1
+        return Polynomial._of(self.base, [sign * x for x in a.nums], sign * lead), Polynomial._of(self.base, [lead], den)
 
     def random(self, rng, size=4, degree=2):
-        return Polynomial._of(self.base, [rng.randint(-size, size) for _ in range(rng.randint(0, degree) + 1)])
+        return Polynomial._of(self.base, [rng.randint(-size, size) for _ in range(rng.randint(0, degree) + 1)], 1)
 
 
 class FreeAlgebra(OperatorRing):

@@ -3,7 +3,7 @@ bounds product work, per-call memos, the free families' seams by key
 arithmetic against the factor_p route, the one way a ring object adds, the
 scalar operations' results on int, Fraction and bool operands, membership tests
 that compute only the diagonal positions that can fail, the coefficient
-operations of a Q[x] diagonal form, the entry visits of a Z diagonal form,
+Fraction constructions of a Q[x] diagonal form, the entry visits of a Z diagonal form,
 and negative controls for the exact round-trip checks of the comparison
 maps.
 
@@ -555,25 +555,29 @@ class TestMembershipDecidingColumns:
 
 
 class TestPolynomialKernelCounts:
-    """Coefficient operations (scalar_add and scalar_mul calls) of one Q[x]
-    diagonal form, its self-verification included, on the matrices of L
-    (4x4) and of the tensor side (16x8) of a module-localization-shaped
-    double-Q triple.  A zero, one or constant operand takes no general
-    coefficient loop; when every operand went through the loops the counts
-    were 653 and 1,039."""
+    """Fraction constructions during one Q[x] diagonal form, its
+    self-verification included, on the matrices of L (4x4) and of the
+    tensor side (16x8) of a module-localization-shaped double-Q triple.
+    A polynomial is int numerators over one common denominator, so its
+    arithmetic builds no Fraction; when it stored Fraction coefficients
+    the counts were 330 and 362.  Python 3.12 builds arithmetic results
+    through Fraction._from_coprime_ints, which bypasses __new__, so both
+    are counted."""
 
-    def test_scalar_operations_as_pinned(self, monkeypatch):
+    def test_fraction_constructions_as_pinned(self, monkeypatch):
         module = MODULES["Q[x]"]()
         calls = []
-        for name in ("scalar_add", "scalar_mul"):
-            op = getattr(rings, name)
-            monkeypatch.setattr(rings, name, lambda a, b, op=op: calls.append(1) or op(a, b))
+        new, coprime = Fraction.__new__, getattr(Fraction, "_from_coprime_ints", None)
+        monkeypatch.setattr(Fraction, "__new__", lambda cls, *args, **kw: calls.append(1) or new(cls, *args, **kw))
+        if coprime is not None:
+            monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(lambda cls, n, d: calls.append(1) or coprime(n, d)))
+        assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6) and len(calls) >= 3  # the counter sees both routes
         counts = {}
         for presentation in (modloc.localized_presentation(module), modloc.tensor_side_presentation(module)):
             calls.clear()
             diagonal_form(Matrix(presentation.ring, presentation.rows))
             counts[len(presentation.rows), presentation.gens] = len(calls)
-        assert counts == {(4, 4): 289, (16, 8): 373}
+        assert counts == {(4, 4): 0, (16, 8): 0}
 
 
 class TestSparseKernelVisits:

@@ -236,6 +236,25 @@ def test_kadic_transforms_stay_small(k):
     assert transform_bits(diagonal_form(mat), k) <= 3000
 
 
+def test_seeded_polynomial_growth_as_pinned():
+    """ROADMAP item 4's seeded Q[x] 6x6 matrix, random.Random(1) with the
+    entries PolynomialRing("Q").random(rng) drawn row by row.  Its D, and
+    the largest numerator-plus-denominator bit length of a coefficient of
+    U or V, read as they did when coefficients were stored as Fractions.
+    The transforms reach degree 23, far past the 5-bit entries of the
+    benchmark's module-localization workload."""
+    ring = PolynomialRing("Q")
+    rng = random.Random(1)
+    form = diagonal_form(Matrix(ring, [[ring.random(rng) for _ in range(6)] for _ in range(6)]))
+    assert form.D.fmt() == (
+        "[1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; 0 0 0 0 1 0; 0 0 0 0 0 "
+        "-139/28+4787/28x+33717/112x^2-12493/112x^3+285/4x^4-1329/56x^5"
+        "-43395/224x^6+3781/224x^7-2421/32x^8+75/112x^9+753/56x^10+x^11]"
+    )
+    coefficients = (Fraction(c) for m in (form.U, form.V) for row in m.rows for x in row for c in x.coeffs)
+    assert max(abs(c.numerator).bit_length() + c.denominator.bit_length() for c in coefficients) == 1928
+
+
 def strip(n):
     from trilocal.rings import strip_factors_of
 

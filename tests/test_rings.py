@@ -3,6 +3,7 @@
 import operator
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -278,9 +279,22 @@ def free_as_rebuilt(e):
     return e
 
 
+def stored(p):
+    """p, checked to hold the stored form: int numerators over one positive
+    int denominator, with no factor common to all of them, no trailing zero
+    numerator, zero as ((), 1) and denominator 1 over Z."""
+    assert type(p.nums) is tuple and all(type(x) is int for x in p.nums)
+    assert type(p.den) is int and p.den > 0 and gcd(p.den, *p.nums) == 1
+    assert not p.nums or p.nums[-1] != 0
+    assert p.ring == "Q" or p.den == 1
+    return p
+
+
 def as_rebuilt(p):
-    """p, checked to be exactly what the public constructor makes of its coefficients."""
+    """p, checked to hold the stored form and to be exactly what the public
+    constructor makes of its coefficients, down to the hash."""
     rebuilt = Polynomial(p.ring, p.coeffs)
+    assert (stored(p).nums, p.den) == (stored(rebuilt).nums, rebuilt.den) and hash(p) == hash(rebuilt)
     assert [(type(c), c) for c in p.coeffs] == [(type(c), c) for c in rebuilt.coeffs]
     assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1) for c in p.coeffs)
     assert not p.coeffs or p.coeffs[-1] != 0
@@ -289,7 +303,8 @@ def as_rebuilt(p):
 
 class TestArithmeticResultsAreCanonical:
     """Arithmetic builds its results without the public constructor's
-    checks; each result must be what the public constructor would build."""
+    checks; each result must be what the public constructor would build,
+    in the stored form of int numerators over one common denominator."""
 
     @staticmethod
     def check_arithmetic(a, b):
@@ -300,8 +315,9 @@ class TestArithmeticResultsAreCanonical:
         da, db = dense(a, n), dense(b, n)
 
         def same(got, values):
-            want = Polynomial(ring, values)
+            want = stored(Polynomial(ring, values))
             assert [(type(x), x) for x in as_rebuilt(got).coeffs] == [(type(x), x) for x in want.coeffs]
+            assert got == want and hash(got) == hash(want)
 
         same(a + b, [x + y for x, y in zip(da, db)])
         same(a - b, [x - y for x, y in zip(da, db)])
@@ -326,6 +342,44 @@ class TestArithmeticResultsAreCanonical:
         assert as_rebuilt(-a) == Polynomial(ring, [-x for x in da])
         assert as_rebuilt(a.scale(c)) == Polynomial(ring, [c * x for x in da])
         assert (a - a).coeffs == () and (a * Polynomial(ring, [])).coeffs == ()
+        alg = PolynomialRing(ring)
+        pairs = [(x, p) for x, p in ((c, a), (2, b), (-1, a)) if x != 0]
+        want = Polynomial(ring, [])
+        for x, p in pairs:
+            want = want + p.scale(x)
+        assert as_rebuilt(alg.combination(pairs)) == want
+        if ring == "Q":
+            rep, unit = alg.unit_normal(a)
+            assert as_rebuilt(unit) * as_rebuilt(rep) == a and alg.is_unit(unit)
+            assert rep.coeffs[-1:] in ((), (1,))
+
+    @DERANDOMIZED
+    @given(polys)
+    @example(("Q", [Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2)], Fraction(2)))
+    def test_equal_values_hash_alike(self, case):
+        ring, xs, ys, c = case
+        a, b = Polynomial(ring, xs), Polynomial(ring, ys)
+        routes = [
+            Polynomial(ring, [Fraction(x) for x in xs] + [0]),
+            Polynomial(ring, a.coeffs),
+            (a + b) - b,
+            b + a - b,
+            -(-a),
+            a * PolynomialRing(ring).one(),
+            PolynomialRing(ring).combination([(1, a), (1, b), (-1, b)]),
+        ]
+        if c:
+            routes.append(a.scale(c).scale(1 / Fraction(c)) if ring == "Q" else (a.scale(c) + a) - a.scale(c))
+        if ring == "Q" and not b.is_zero():
+            routes.append((a * b).divmod(b)[0])
+        for x in routes:
+            assert x == a and hash(x) == hash(a) and {a: True}[x]
+
+    def test_constructor_refuses_fractions_over_z(self):
+        with pytest.raises(UnsupportedRingError):
+            Polynomial("Z", [Fraction(1, 2), 1])
+        assert Polynomial("Z", [Fraction(4, 2), 1]) == Polynomial("Z", [2, 1])
+        assert Polynomial("Q", [Fraction(1, 2), 1]).coeffs == (Fraction(1, 2), 1)
 
     @DERANDOMIZED
     @given(short_paths)
