@@ -1,11 +1,10 @@
 """Computable (A,B)-bimodule families with a distinguished element p.
 
 A family bundles the rings A and B, the bimodule M, the element p, and
-everything else particular to the family: exact p-factorization,
-expansion of a bimodule element into canonical generator letters, the
-map to the family's oracle ring, the melem syntax of the expression
-grammar, and the rings that present T where modules and fractions are
-computed.
+everything else particular to the family: expansion of a bimodule
+element into canonical generator letters, the map to the family's
+oracle ring, the melem syntax of the expression grammar, and the rings
+that present T where modules and fractions are computed.
 
 Shipped kinds:
 
@@ -29,12 +28,8 @@ over M's basis keys, which are T's letters; p's key is the constant 1.
 ``FreeFamily`` states M's operations, the letters, their merges and
 their oracle image once, and each free family adds its own keys, how
 words act on a key, the words of its keys in A*p and p*B, a letter's
-oracle word, a key's text, its p-factorization and its melem syntax.
-Every sum of terms prints through ``rings.signed_sum``.
-
-Factorization is exact and verified, never heuristic: a returned factor
-reproduces the element on the nose, and families without a decidable
-membership test for A*p simply are not shipped.
+oracle word, a key's text and its melem syntax.  Every sum of terms
+prints through ``rings.signed_sum``.
 """
 
 from __future__ import annotations
@@ -47,9 +42,11 @@ from .rings import (
     FreeAlgebra,
     FreeAlgebraElement,
     KadicRing,
+    Polynomial,
     PolynomialRing,
     add_term,
     checked_scalar,
+    norm_scalar,
     random_word,
     scalar_add,
     scalar_mul,
@@ -59,17 +56,6 @@ from .rings import (
     term_scale,
     term_sum,
 )
-from .tring import Record, map_terms
-
-
-class PFactorization(Record):
-    """Exact p-factorization data for a bimodule element m.
-
-    ``left`` is a with m = a*p when m lies in A*p, and ``right`` is b
-    with m = p*b when m lies in p*B; either is None otherwise.
-    """
-
-    __slots__ = ("left", "right")
 
 
 class BimoduleFamily:
@@ -142,13 +128,10 @@ class BimoduleFamily:
         return None
 
     def merge_pair(self, l1, l2):
-        """The bimodule element the letters l1|l2 merge into: a*m2 when l1's
-        element is a*p, else m1*b when l2's is p*b; None when neither."""
-        fac = self.factor_p(self.letter_bim(l1))
-        if fac.left is not None:
-            return self.apply(fac.left, self.letter_bim(l2), self.b_one)
-        fac = self.factor_p(self.letter_bim(l2))
-        return None if fac.right is None else self.apply(self.a_one, self.letter_bim(l1), fac.right)
+        """The bimodule element the letters l1|l2 merge into, a*m2 when l1's
+        element is a*p or m1*b when l2's is p*b; None when neither, as in
+        every family whose letter_terms collapses A*p and p*B to scalars."""
+        return None
 
     def shift_pair(self, l1, l2):
         """Optional letter-pair rewrite beyond the p-factor merges."""
@@ -165,10 +148,6 @@ class BimoduleFamily:
 
     def validate_coeff(self, c):
         return checked_scalar(self.coeff_ring, c)
-
-    def oracle_image(self, e):
-        """The image of e in the oracle ring: its letters' images, extended as a ring map."""
-        return map_terms(e, self.oracle, self.oracle_letter)
 
     def scaled_p_variant(self, a0):
         raise UnsupportedFamilyError(f"changing p is not supported for {self.kind}")
@@ -228,9 +207,6 @@ class RegularFamily(ScalarFamily):
     def parse_melem(self, p):
         return self.canon_m(p.parse_signed_lit())
 
-    def factor_p(self, m):
-        return PFactorization(m, m)
-
     def basis(self):
         return [1]
 
@@ -248,6 +224,10 @@ class RegularFamily(ScalarFamily):
         raise AssertionError("regular family has no generator letters")
 
     letter_bim = letter_key = oracle_letter = _no_letters
+
+    def oracle_image(self, e):
+        """With no letters, a normal form is its constant term."""
+        return e.terms.get((), 0)
 
     def scaled_p_variant(self, a0):
         if self.ring != "Z":
@@ -305,11 +285,6 @@ class DoubleFamily(ScalarFamily):
         p.expect(")")
         return self.canon_m((m1, m2))
 
-    def factor_p(self, m):
-        m1, m2 = m
-        q = m1 if m2 == 0 else None
-        return PFactorization(q, q)
-
     def basis(self):
         return [(1, 0), (0, 1)]
 
@@ -339,6 +314,13 @@ class DoubleFamily(ScalarFamily):
     def oracle_letter(self, letter):
         return self.oracle.variable()
 
+    def oracle_image(self, e):
+        """The word of r letters maps to x^r, so its coefficient is that of degree r."""
+        coeffs = [0] * (max(map(len, e.terms), default=-1) + 1)
+        for w, c in e.terms.items():
+            coeffs[len(w)] = c
+        return Polynomial(self.ring, coeffs)
+
 
 class ScaledFamily(RegularFamily):
     """A = B = M = Z with p = k >= 2; T is Z[1/k].
@@ -363,12 +345,6 @@ class ScaledFamily(RegularFamily):
     @property
     def p(self):
         return self.k
-
-    def factor_p(self, m):
-        if m % self.k == 0:
-            q = m // self.k
-            return PFactorization(q, q)
-        return PFactorization(None, None)
 
     def random_m(self, rng, size=20):
         return rng.randint(-size, size)
@@ -401,6 +377,14 @@ class ScaledFamily(RegularFamily):
 
     def oracle_letter(self, letter):
         return Fraction(1, self.k)
+
+    def oracle_image(self, e):
+        """c * lam**r for the one term c*g^r that fold_element leaves, with lam
+        the letter's image; a constant stays an int."""
+        if not e.terms:
+            return 0
+        ((w, c),) = e.terms.items()
+        return norm_scalar(c * self.oracle_letter(self._G) ** len(w)) if w else c
 
     def terms_with_value(self, frac):
         r = self.oracle.exponent(frac)
@@ -566,14 +550,6 @@ class TensorFreeFamily(FreeFamily):
         p.expect(")")
         return {(wa, wb): 1}
 
-    def factor_p(self, m):
-        left = right = None
-        if all(wb == () for (_, wb) in m):
-            left = FreeAlgebraElement(self.ring, self.a_gens, {wa: c for (wa, _), c in m.items()})
-        if all(wa == () for (wa, _) in m):
-            right = FreeAlgebraElement(self.ring, self.b_gens, {wb: c for (_, wb), c in m.items()})
-        return PFactorization(left, right)
-
     def random_m(self, rng, size=3):
         return _random_tensor(rng, rng.randint(1, 2), self.a_gens, self.b_gens, size)
 
@@ -645,12 +621,6 @@ class HnnFreeFamily(FreeFamily):
             return {("m", w1, w2): 1}
         p.expect(")")
         return {("a", w1): 1}
-
-    def factor_p(self, m):
-        if any(key[0] == "m" for key in m):
-            return PFactorization(None, None)
-        a = FreeAlgebraElement(self.ring, self.a_gens, {w: c for (_, w), c in m.items()})
-        return PFactorization(a, a)
 
     def random_m(self, rng, size=3):
         a = self.a_ring.random(rng, size) if rng.random() < 0.7 else self.a_ring.zero()
@@ -733,11 +703,3 @@ def shipped_families():
         HnnFreeFamily("Q", ("s",), "x"),
         ScaledFamily(2),
     ]
-
-
-def verify_factorization(family, m):
-    """Re-apply every factor returned for m and confirm it reproduces m."""
-    f = family.factor_p(m)
-    return (f.left is None or family.apply(f.left, family.p, family.b_one) == m) and (
-        f.right is None or family.apply(family.a_one, family.p, f.right) == m
-    )

@@ -11,12 +11,12 @@ arithmetic operation keep the rewriting normal form:
   first letter, once per ``t_mul`` call (``_seam``): the pair merges when
   the left letter lies in A*p, or else the right one in p*B, into the
   family's ``merge_pair`` (one key by key arithmetic in the free
-  families, ``factor_p`` and ``apply`` in the others); a family may
-  shift it (``shift_pair``); otherwise the words concatenate.  A
-  merge splices the merged letter's terms between the rest of the two
-  words and decides only the two new seams; coefficient folding
-  (``fold_element``) finishes the form.  All rules strictly shrink a
-  termination measure.
+  families; never in the others, whose letters lie in neither set); a
+  family may shift it (``shift_pair``); otherwise the words
+  concatenate.  A merge splices the merged letter's terms between the
+  rest of the two words and decides only the two new seams; coefficient
+  folding (``fold_element``) finishes the form.  All rules strictly
+  shrink a termination measure.
 
 Raw expression trees have one evaluator, ``eval_tree``; ``t_normalize``
 runs it over ``TOps``, T(M,p) as a ring object.  The step budget ticks
@@ -34,10 +34,12 @@ A ring map out of T(M,p) is fixed by the images of its letters, and
 ``map_terms`` applies one to a normal form: it hands each coefficient
 and its word's image to the target's ``combination``, the one way a
 ring object adds, as ``eval_tree`` does a sum's values.  ``family_iso``
-is the family's ``oracle_image``: ``map_terms`` into the oracle ring, or
-in the free families, whose letters each map to one word, one term map
-of the concatenated words.  Sums and products work on plain term maps,
-and build a ``TElement`` only for their result.
+is the family's ``oracle_image``, a closed form in every family: the
+constant term (regular), the coefficient of each word of r letters at
+degree r (double), c/k^r for the one term c*g^r (scaled), and in the
+free families, whose letters each map to one word, one term map of the
+concatenated words.  Sums and products work on plain term maps, and
+build a ``TElement`` only for their result.
 """
 
 from __future__ import annotations
@@ -275,31 +277,16 @@ def map_terms(e, ring, letter):
 
 
 def _term_images(terms, ring, letter):
-    """(coefficient, word image) for each term, in order; the empty word's is ring.one().
-
-    A product's term map lists its words in the order of its nested loops,
-    so consecutive words share the left factor's word as a prefix.  A
-    word's letter product therefore starts from the longest prefix it
-    shares with the word before it, whose partial products are kept on a
-    stack.  This saves products in T(M,p) (a ``fracloc.LetterHom`` into
-    ``TOps``), in A[x] and in Z[1/k] (the double and scaled oracles).  Each
-    distinct letter's image is computed once per call.
+    """(coefficient, word image) for each term, in order: the product of
+    the word's letter images, and ring.one() for the empty word.  Each
+    distinct letter's image is computed once per call.  The callers, a
+    ``fracloc.LetterHom`` on regular-Z or scaled, map normal forms of at
+    most one term, so no two words share a product worth keeping.
     """
     images = {}
-    prefix = ()
-    products = []  # products[i]: image of prefix[:i + 1]
     for word, coeff in terms.items():
-        k, top = 0, min(len(word), len(prefix))
-        while k < top and word[k] == prefix[k]:
-            k += 1
-        del products[k:]
-        for x in word[k:]:
-            image = images.get(x)
-            if image is None:
-                image = images[x] = letter(x)
-            products.append(ring.mul(products[-1], image) if products else image)
-        prefix = word
-        yield coeff, products[-1] if products else ring.one()
+        factors = [images[x] if x in images else images.setdefault(x, letter(x)) for x in word]
+        yield coeff, reduce(ring.mul, factors) if factors else ring.one()
 
 
 def family_iso(e):

@@ -3,8 +3,9 @@
 Deliberately naive: cofactor determinants, a recursive gcd-elimination
 Smith reduction without transformation tracking, the determinant-divisor
 construction of invariant factors (over Z, over Z[1/k] through Z, and
-over Q[x] on dense Fraction lists), and an exhaustive unimodular search
-for 2x2 witnesses.  None of this shares code with the package.
+over Q[x] on dense Fraction lists), an exhaustive unimodular search
+for 2x2 witnesses, and the p-factorization of a bimodule element in
+each shipped family kind.  None of this shares code with the package.
 """
 
 from fractions import Fraction
@@ -230,3 +231,42 @@ def poly_invariants(rows):
         factors.append(_poly_divmod(divisor, previous)[0])
         previous = divisor
     return [f for f in factors if len(f) > 1], len(factors)
+
+
+# p-factorization: m = a*p and m = p*b, read off a bimodule element in the
+# plain data a family stores it as.  A factor is raw: a scalar, or a map
+# from words to coefficients for a free algebra; a caller builds the ring
+# element it stands for.
+
+def reference_factor_p(family, m):
+    """(left, right): a raw a with m = a*p when m lies in A*p, and a raw b
+    with m = p*b when m lies in p*B; either is None otherwise."""
+    kind = family.kind
+    if kind == "regular":  # p = 1
+        return m, m
+    if kind == "scaled":  # p = k
+        q, r = divmod(m, family.k)
+        return (q, q) if r == 0 else (None, None)
+    if kind == "double":  # p = (1, 0), and a*(m1, m2)*b = (ab*m1, ab*m2)
+        m1, m2 = m
+        q = m1 if m2 == 0 else None
+        return q, q
+    if kind == "tensor-free":  # keys (u, v) stand for u (x) v, and p = 1 (x) 1
+        left = {u: c for (u, _), c in m.items()} if all(v == () for _, v in m) else None
+        right = {v: c for (_, v), c in m.items()} if all(u == () for u, _ in m) else None
+        return left, right
+    if kind == "hnn-free":  # keys ("a", w) of A, with p = ("a", ()), and ("m", u, v) of A (x) A
+        if any(key[0] == "m" for key in m):
+            return None, None
+        a = {key[1]: c for key, c in m.items()}
+        return a, a
+    raise ValueError(f"no reference p-factorization for {kind}")
+
+
+def reference_factors_reapply(family, m, build):
+    """Each factor that reference_factor_p returns for m, built into an element
+    of its ring by build(ring, raw), reproduces m when applied to p."""
+    left, right = reference_factor_p(family, m)
+    return (left is None or family.apply(build(family.a_ring, left), family.p, family.b_one) == m) and (
+        right is None or family.apply(family.a_one, family.p, build(family.b_ring, right)) == m
+    )

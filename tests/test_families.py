@@ -1,6 +1,9 @@
-"""Bimodule families: axioms, exact p-factorization, descriptors."""
+"""Bimodule families: axioms, exact p-factorization (by the test
+reference), the premise that the scalar families' letters never merge,
+descriptors."""
 
 import random
+import re
 
 import pytest
 
@@ -12,10 +15,16 @@ from trilocal.families import (
     ScaledFamily,
     TensorFreeFamily,
     family_from_json,
-    verify_factorization,
 )
-from trilocal.rings import FreeAlgebra
+from trilocal.rings import FreeAlgebra, FreeAlgebraElement
 from trilocal.verify import shipped_families
+from reference_impls import reference_factor_p, reference_factors_reapply
+
+
+def factor_element(ring, raw):
+    """The element of ring that a raw reference factor stands for: a scalar
+    is itself, and a word map is an element of the free algebra ring."""
+    return FreeAlgebraElement(ring.base, ring.gens, raw) if isinstance(raw, dict) else raw
 
 
 @pytest.fixture(params=["regular", "double", "scaled", "tensor-free", "hnn-free"])
@@ -48,54 +57,54 @@ class TestBimoduleAxioms:
     def test_factor_soundness_random(self, family):
         rng = random.Random(43)
         for _ in range(300):
-            assert verify_factorization(family, family.random_m(rng))
+            assert reference_factors_reapply(family, family.random_m(rng), factor_element)
 
 
 class TestFactorizationPerFamily:
     def test_regular_factors_everything(self):
         fam = RegularFamily("Z")
-        f = fam.factor_p(7)
-        assert f.left == 7 and f.right == 7
+        left, right = reference_factor_p(fam, 7)
+        assert left == 7 and right == 7
 
     def test_scaled_divisibility(self):
         fam = ScaledFamily(2)
-        f = fam.factor_p(6)
-        assert f.left == 3 and f.right == 3
-        f = fam.factor_p(3)
-        assert f.left is None and f.right is None
+        left, right = reference_factor_p(fam, 6)
+        assert left == 3 and right == 3
+        left, right = reference_factor_p(fam, 3)
+        assert left is None and right is None
 
     def test_scaled_completeness_random(self):
         fam = ScaledFamily(3)
         rng = random.Random(44)
         for _ in range(500):
             m = fam.random_m(rng, 50)
-            f = fam.factor_p(m)
-            assert (f.left is not None) == (m % 3 == 0)
+            left, _ = reference_factor_p(fam, m)
+            assert (left is not None) == (m % 3 == 0)
 
     def test_double_split(self):
         fam = DoubleFamily("Q")
-        f = fam.factor_p((5, 0))
-        assert f.left == 5 and f.right == 5
-        f = fam.factor_p((0, 5))
-        assert f.left is None and f.right is None
+        left, right = reference_factor_p(fam, (5, 0))
+        assert left == 5 and right == 5
+        left, right = reference_factor_p(fam, (0, 5))
+        assert left is None and right is None
 
     def test_tensor_free_pure_sides(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))
-        f = fam.factor_p({((0,), ()): 1})
-        assert f.left is not None and f.right is None
-        f = fam.factor_p({((), (0,)): 1})
-        assert f.left is None and f.right is not None
-        f = fam.factor_p({((0,), (0,)): 1})
-        assert f.left is None and f.right is None
+        left, right = reference_factor_p(fam, {((0,), ()): 1})
+        assert left is not None and right is None
+        left, right = reference_factor_p(fam, {((), (0,)): 1})
+        assert left is None and right is not None
+        left, right = reference_factor_p(fam, {((0,), (0,)): 1})
+        assert left is None and right is None
 
     def test_hnn_tensor_part_blocks_factors(self):
         fam = HnnFreeFamily("Q", ("s",), "x")
         a_only = {("a", (0,)): 1}
-        f = fam.factor_p(a_only)
-        assert f.left == fam.a_ring.generator(0)
+        left, _ = reference_factor_p(fam, a_only)
+        assert factor_element(fam.a_ring, left) == fam.a_ring.generator(0)
         mixed = {("a", (0,)): 1, ("m", (), ()): 1}
-        f = fam.factor_p(mixed)
-        assert f.left is None and f.right is None
+        left, right = reference_factor_p(fam, mixed)
+        assert left is None and right is None
 
     def test_scaled_commuting_pair(self):
         # any integer commutes with the whole bimodule: a0*m = m*b0
@@ -105,6 +114,61 @@ class TestFactorizationPerFamily:
             a0 = rng.randint(-9, 9)
             m = fam.random_m(rng)
             assert fam.apply(a0, m, 1) == fam.apply(1, m, a0)
+
+
+SCALAR_FAMILIES = [
+    RegularFamily("Z"),
+    RegularFamily("Q"),
+    DoubleFamily("Z"),
+    DoubleFamily("Q"),
+    ScaledFamily(2),
+    ScaledFamily(3),
+    ScaledFamily(6),
+]
+
+
+class KeptMultipleFamily(ScaledFamily):
+    """scaled whose letter_terms keeps every nonzero m as m times the letter
+    g, where ScaledFamily collapses a multiple of k to the scalar m/k."""
+
+    def letter_terms(self, m):
+        return [(m, self._G)] if m else []
+
+
+class TestScalarLettersNeverMerge:
+    """The premise of BimoduleFamily.merge_pair, which is always None: in
+    the regular, double and scaled families letter_terms collapses every
+    element of A*p and of p*B to a scalar, so no letter of a normal form
+    lies in either set and no letter pair merges."""
+
+    @pytest.mark.parametrize("family", SCALAR_FAMILIES, ids=[f.describe() for f in SCALAR_FAMILIES])
+    def test_no_letter_lies_in_ap_or_pb(self, family):
+        """Every letter term of the basis and of 300 seeded draws: the letter's
+        element, and the element the term stands for, factor through p on
+        neither side by the reference; merge_pair is None on every letter pair."""
+        rng = random.Random(48)
+        draws = family.basis() + [family.random_m(rng) for _ in range(300)]
+        terms = [(m, c, letter) for m in draws for c, letter in family.letter_terms(m)]
+        assert terms
+        letters = set()
+        for m, c, letter in terms:
+            if letter is None:
+                continue
+            letters.add(letter)
+            for element in (family.letter_bim(letter), family.scale_m(c, family.letter_bim(letter))):
+                assert reference_factor_p(family, element) == (None, None), (
+                    f"{family.describe()}: x[{family.fmt_m(m)}] keeps {family.fmt_m(element)}, "
+                    f"which lies in A*p or p*B, as a letter term"
+                )
+        assert letters or family.kind == "regular"  # regular has no letters
+        for l1 in letters:
+            for l2 in letters:
+                assert family.merge_pair(l1, l2) is None
+
+    def test_kept_multiple_of_k_fails(self):
+        message = '{"k": 2, "kind": "scaled"}: x[-12] keeps -12, which lies in A*p or p*B'
+        with pytest.raises(AssertionError, match=re.escape(message)):
+            self.test_no_letter_lies_in_ap_or_pb(KeptMultipleFamily(2))
 
 
 class TestScaledFold:

@@ -1,6 +1,7 @@
-"""The hot paths: linear-time sums and oracle images, a budget that
-bounds product work, per-call memos, the free families' seams by key
-arithmetic against the factor_p route, the one way a ring object adds, the
+"""The hot paths: linear-time sums and oracle images, closed-form oracle
+images that multiply nothing, a budget that bounds product work,
+per-call memos, the free families' seams by key arithmetic against the
+reference p-factorization route, the one way a ring object adds, the
 scalar operations' results on int, Fraction and bool operands, membership tests
 that compute only the diagonal positions that can fail, the coefficient
 Fraction constructions of a Q[x] diagonal form, the entry visits of a Z diagonal form,
@@ -18,6 +19,7 @@ tests/test_hot_path.py``.
 
 import gc
 import json
+import math
 import pathlib
 import random
 import sys
@@ -25,13 +27,14 @@ from fractions import Fraction
 
 import pytest
 
+from reference_impls import reference_factor_p
+from test_families import factor_element
 from test_modloc import without_row_0
 from test_overlaps import CASES, generators
 import trilocal.tring as tring
 from trilocal import exprs, modloc, rings
 from trilocal.errors import AlphabetMismatchError, BudgetExceededError, SchemaError
 from trilocal.families import (
-    BimoduleFamily,
     DoubleFamily,
     HnnFreeFamily,
     RegularFamily,
@@ -230,6 +233,47 @@ class TestLinearCounts:
             assert large[key] <= 1.5 * small[key], (key, small, large)
 
 
+class TestClosedFormImageCounts:
+    """Products counted, not timed, in the scalar families' oracle images:
+    the double image puts the coefficient of each word of r letters at
+    degree r, and the scaled image of c*g^r is one power, where a map
+    letter by letter builds each x^r as x^(r-1)*x."""
+
+    @staticmethod
+    def counter(method):
+        """method, wrapped to count its calls in calls[0]; and calls."""
+        calls = [0]
+
+        def counting(*args):
+            calls[0] += 1
+            return method(*args)
+
+        return counting, calls
+
+    @pytest.mark.parametrize("n", [250, 500])
+    def test_double_image_multiplies_no_polynomials(self, n, monkeypatch):
+        fam = DoubleFamily("Q")
+        e = TElement(fam, {(fam._X,) * k: math.comb(n, k) for k in range(n + 1)})  # (1+x[(0,1)])^n
+        if n == 250:
+            assert t_normalize(fam, exprs.parse_element(fam, f"(1+x[(0,1)])^{n}")) == e
+        counting, calls = self.counter(rings.Polynomial.__mul__)
+        monkeypatch.setattr(rings.Polynomial, "__mul__", counting)
+        image = family_iso(e)
+        monkeypatch.undo()
+        assert image.coeffs == tuple(math.comb(n, k) for k in range(n + 1))
+        assert calls == [0]
+
+    def test_scaled_image_multiplies_no_scalars(self, monkeypatch):
+        fam = ScaledFamily(2)
+        e = t_normalize(fam, exprs.parse_element(fam, "(1+x[1])^40"))
+        counting, calls = self.counter(rings.KadicRing.mul)
+        monkeypatch.setattr(rings.KadicRing, "mul", staticmethod(counting))
+        image = family_iso(e)
+        monkeypatch.undo()
+        assert image == Fraction(3 ** 40, 2 ** 40)
+        assert calls == [0]
+
+
 def oracle_product(fam, e1, e2):
     return fam.oracle.mul(family_iso(e1), family_iso(e2))
 
@@ -259,7 +303,7 @@ class TestPerCallMemo:
     def test_hnn_alphabets_share_letters(self):
         small, large = HnnFreeFamily("Q", ("s", "t"), "x"), HnnFreeFamily("Q", ("s", "t", "r"), "x")
         letter = ("a", (0,))
-        assert small.factor_p(small.letter_bim(letter)) != large.factor_p(large.letter_bim(letter))
+        assert small.oracle_letter(letter) != large.oracle_letter(letter)
         cases = []
         for fam in (small, large):
             e = t_normalize(fam, exprs.parse_element(fam, HNN_SUM))
@@ -293,21 +337,36 @@ class TestPerCallMemo:
         assert sizes() == before
 
 
+def factored_merge(family, l1, l2, factored):
+    """The merge of l1|l2 by p-factorization: a*m2 when the reference factors
+    l1's element as a*p, else m1*b when it factors l2's as p*b, each through
+    family.apply; None when neither.  Each factored element is appended to
+    factored."""
+    m1, m2 = family.letter_bim(l1), family.letter_bim(l2)
+    factored.append(m1)
+    left, _ = reference_factor_p(family, m1)
+    if left is not None:
+        return family.apply(factor_element(family.a_ring, left), m2, family.b_one)
+    factored.append(m2)
+    _, right = reference_factor_p(family, m2)
+    return None if right is None else family.apply(family.a_one, m1, factor_element(family.b_ring, right))
+
+
 class TestSeamRoutes:
     @pytest.mark.parametrize("name", list(CASES))
     def test_key_arithmetic_decides_as_factor_p(self, name, monkeypatch):
         """Every ordered letter pair of the overlap alphabets: the free family's
-        merge by key arithmetic and BimoduleFamily's route through factor_p
-        and apply give the same rule, with the same ticks and rows."""
+        merge by key arithmetic and the route through the reference
+        p-factorization and apply give the same rule, with the same ticks
+        and rows."""
         family, bound, _ = CASES[name]
         letters = [word[0] for g in generators(family, bound) for word in g.terms]
         pairs = [(l1, l2) for l1 in letters for l2 in letters]
         by_keys = [tring._seam(family, l1, l2) for l1, l2 in pairs]
-        factor_p, factored = type(family).factor_p, []
-        monkeypatch.setattr(type(family), "factor_p", lambda self, m: factored.append(m) or factor_p(self, m))
-        monkeypatch.setattr(type(family), "merge_pair", BimoduleFamily.merge_pair)
+        factored = []
+        monkeypatch.setattr(type(family), "merge_pair", lambda self, l1, l2: factored_merge(self, l1, l2, factored))
         assert [tring._seam(family, l1, l2) for l1, l2 in pairs] == by_keys
-        assert len(factored) >= len(pairs)  # each pair was decided through factor_p
+        assert len(factored) >= len(pairs)  # each pair was decided through the reference
         merges = [rule for rule in by_keys if rule and rule[1] is not None]
         assert merges and any(not rule for rule in by_keys)
         assert family.kind == "tensor-free" or any(rule and rule[1] is None for rule in by_keys)  # hnn-free shifts

@@ -1,14 +1,14 @@
-"""The immutable value classes: expression-tree nodes, p-factorizations and
-fraction forms.
+"""The immutable value classes: expression-tree nodes and fraction forms.
 
 Each instance equals another of the same class with equal fields and no
 instance of another class, equal instances hash alike, the repr names
-every field, and a field cannot be assigned or deleted.
+every field, and a field cannot be assigned or deleted.  The two-field
+records, ``Pow`` and ``FractionForm``, are also built from named fields.
 """
 
 import pytest
 
-from trilocal.families import PFactorization, RegularFamily
+from trilocal.families import RegularFamily
 from trilocal.fracloc import CentralPair, FractionForm
 from trilocal.tring import Add, Const, Gen, Mul, Neg, Pow, TElement
 
@@ -43,13 +43,15 @@ class TestEquality:
         assert Const(1) == Const(1)
         assert Pow(Gen(3), 2) == Pow(Gen(3), 2)
         assert Add((Mul((Gen((2, 3)), Gen((0, 1)))), Const(1))) == Add((Mul((Gen((2, 3)), Gen((0, 1)))), Const(1)))
-        assert PFactorization(2, 2) == PFactorization(left=2, right=2)
+        assert Pow(2, 2) == Pow(base=2, exponent=2)
+        assert FractionForm(2, 2) == FractionForm(numerator=2, exponent=2)
 
     def test_unequal_fields(self):
         assert Const(1) != Const(2)
         assert Pow(Gen(3), 2) != Pow(Gen(3), 3)
         assert Pow(Gen(3), 2) != Pow(Gen(4), 2)
-        assert PFactorization(2, None) != PFactorization(None, 2)
+        assert Pow(2, None) != Pow(None, 2)
+        assert FractionForm(2, None) != FractionForm(None, 2)
 
     def test_class_takes_part(self):
         assert Const(1) != Gen(1)
@@ -61,7 +63,8 @@ class TestEquality:
         assert Const(1) != 1
         assert Const(1) != (1,)
         assert Gen(3) != "Gen(element=3)"
-        assert PFactorization(None, None) != (None, None)
+        assert Pow(None, None) != (None, None)
+        assert FractionForm(None, None) != (None, None)
 
     def test_form_equality(self):
         assert fraction_form() == fraction_form()
@@ -76,7 +79,8 @@ class TestHash:
             twin = eval(repr(node), {"Const": Const, "Gen": Gen, "Add": Add, "Mul": Mul, "Neg": Neg, "Pow": Pow})
             assert twin == node and twin is not node
             assert hash(twin) == hash(node)
-        assert hash(PFactorization(left=4, right=4)) == hash(PFactorization(4, 4))
+        assert hash(Pow(base=4, exponent=4)) == hash(Pow(4, 4))
+        assert hash(FractionForm(numerator=4, exponent=4)) == hash(FractionForm(4, 4))
         assert hash(fraction_form()) == hash(fraction_form())
 
     def test_sets_and_dicts(self):
@@ -89,10 +93,10 @@ class TestRepr:
     def test_node(self, node, text):
         assert repr(node) == text
 
-    def test_p_factorization(self):
-        assert repr(PFactorization(None, None)) == "PFactorization(left=None, right=None)"
-        assert repr(PFactorization(left=2, right=2)) == "PFactorization(left=2, right=2)"
-        assert repr(PFactorization(left=None, right=3)) == "PFactorization(left=None, right=3)"
+    def test_two_field_records(self):
+        assert repr(Pow(None, None)) == "Pow(base=None, exponent=None)"
+        assert repr(Pow(base=2, exponent=2)) == "Pow(base=2, exponent=2)"
+        assert repr(FractionForm(numerator=None, exponent=3)) == "FractionForm(numerator=None, exponent=3)"
 
     def test_fraction_form(self):
         assert repr(fraction_form()) == "FractionForm(numerator=<T 5>, exponent=3)"
@@ -107,8 +111,8 @@ class TestFrozen:
         (Neg(Gen(3)), "item"),
         (Pow(Gen(3), 2), "base"),
         (Pow(Gen(3), 2), "exponent"),
-        (PFactorization(None, None), "left"),
-        (PFactorization(None, None), "right"),
+        (FractionForm(None, None), "numerator"),
+        (FractionForm(None, None), "exponent"),
     ]
 
     @pytest.mark.parametrize("obj,field", FIELDS, ids=[f"{type(o).__name__}.{f}" for o, f in FIELDS])
@@ -133,9 +137,10 @@ class TestFrozen:
 
 
 class TestFields:
-    def test_p_factorization_takes_both_fields(self):
-        assert PFactorization(right=3, left=None) == PFactorization(None, 3)
-        assert PFactorization(5, None).left == 5 and PFactorization(5, None).right is None
-        for args, named in (((), {}), ((5,), {}), ((), {"right": 3})):
-            with pytest.raises(TypeError, match="exactly the fields left, right"):
-                PFactorization(*args, **named)
+    def test_two_field_records_take_both_fields(self):
+        for cls, first, second in ((Pow, "base", "exponent"), (FractionForm, "numerator", "exponent")):
+            assert cls(**{second: 3, first: None}) == cls(None, 3)
+            assert getattr(cls(5, None), first) == 5 and getattr(cls(5, None), second) is None
+            for args, named in (((), {}), ((5,), {}), ((), {second: 3})):
+                with pytest.raises(TypeError, match=f"exactly the fields {first}, {second}"):
+                    cls(*args, **named)
