@@ -36,7 +36,7 @@ from itertools import groupby
 from .errors import ParseError
 from .rings import norm_scalar, signed_sum
 from .tring import (
-    DEFAULT_BUDGET, UNBOUNDED, Add, Budget, ChargedRing, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize,
+    DEFAULT_BUDGET, Add, Budget, ChargedRing, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize,
 )
 
 MAX_NESTING = 200
@@ -287,7 +287,7 @@ def format_oracle(family, value):
     return family.oracle.fmt(value)
 
 
-def parse_ring_element(family, component, text, budget=UNBOUNDED):
+def parse_ring_element(family, component, text, budget):
     """Parse an element of A or B: the grammar with its generator names as
     letters, evaluated under budget."""
     ring = family.a_ring if component == "A" else family.b_ring

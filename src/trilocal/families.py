@@ -210,9 +210,6 @@ class RegularFamily(ScalarFamily):
     def basis(self):
         return [1]
 
-    def basis_coords(self, m):
-        return [m]
-
     def random_m(self, rng, size=9):
         return self.a_ring.random(rng, size)
 
@@ -287,9 +284,6 @@ class DoubleFamily(ScalarFamily):
 
     def basis(self):
         return [(1, 0), (0, 1)]
-
-    def basis_coords(self, m):
-        return list(m)
 
     def random_m(self, rng, size=9):
         return (self.a_ring.random(rng, size), self.a_ring.random(rng, size))

@@ -170,7 +170,7 @@ class LetterHom:
         self.family.check_same(e.family)
         return map_terms(e, self.s_ring, lambda letter: self.generator_image(self.family.letter_bim(letter)))
 
-    def respects_relations(self, samples, seed=DEFAULT_SEED):
+    def respects_relations(self, samples, seed):
         """Sampled check that the letter images satisfy the presentation."""
         fam = self.family
         gen = lambda m: self.apply(t_generator(fam, m))

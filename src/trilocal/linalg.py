@@ -43,10 +43,6 @@ class Matrix:
         zero, one = ring.zero(), ring.one()
         return cls(ring, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_ints(cls, ring, rows):
-        return cls(ring, [[ring.from_int(x) for x in r] for r in rows])
-
     def copy_rows(self):
         return [r[:] for r in self.rows]
 
@@ -365,37 +361,6 @@ def diagonal_form(mat):
     if not out.verify():
         raise CertificateError(f"diagonal form over {rg.name} failed self-verification")
     return out
-
-
-def solve_left(form, v):
-    """Solve x * M = v over the ring, given a DiagonalForm of M.
-
-    Returns the coefficient list x, or None when v is not in the row
-    span of M.  Since U * M * V = D with U and V invertible, x * M = v
-    exactly when x = z * U with z * D = v * V.
-    """
-    rg = form.ring
-    add, mul, is_zero = rg.add, rg.mul, rg.is_zero
-    r, n = form.source.nrows, form.source.ncols
-    if len(v) != n:
-        raise ValueError("vector length does not match matrix columns")
-    w = [rg.zero()] * n
-    for c, row in zip(v, form.V.rows):
-        if is_zero(c):
-            continue
-        for j, e in enumerate(row):
-            if not is_zero(e):
-                w[j] = add(w[j], mul(c, e))
-    z = [rg.zero()] * r
-    for i in range(n):
-        if is_zero(w[i]):
-            continue
-        d = form.D.rows[i][i] if i < r else rg.zero()
-        q = rg.exact_div(w[i], d)  # None when d is zero or does not divide
-        if q is None:
-            return None
-        z[i] = q
-    return (Matrix(rg, [z]) * form.U).rows[0]
 
 
 def in_row_span(form, v):

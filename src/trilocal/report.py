@@ -48,10 +48,10 @@ class Check:
 class Report:
     """A named list of checks; renders identically across runs."""
 
-    def __init__(self, title, seed=None, meta=None):
+    def __init__(self, title, meta, seed=None):
         self.title = title
         self.seed = seed
-        self.meta = dict(meta or {})
+        self.meta = meta
         self.checks = []
 
     def add(self, name, passed, detail=""):

@@ -238,10 +238,6 @@ class Polynomial:
         """Degree, with -1 for the zero polynomial."""
         return len(self.nums) - 1
 
-    def leading(self):
-        """The leading coefficient as a canonical scalar, 0 for zero."""
-        return self.coeffs[-1] if self.nums else 0
-
     def is_zero(self):
         return not self.nums
 

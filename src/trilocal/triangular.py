@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import CertificateError, SchemaError, UnsupportedFamilyError, check_fields
+from .errors import SchemaError, UnsupportedFamilyError, check_fields
 from .modloc import Presentation
 from .rings import checked_scalar, scalar_add, scalar_mul, scalar_ring
 
@@ -69,7 +69,7 @@ def tri_add(r1, r2):
     )
 
 
-def random_tri(family, rng, size=5):
+def random_tri(family, rng, size):
     a, m, b = family.a_ring.random(rng, size), family.random_m(rng, size), family.b_ring.random(rng, size)
     return TriElement(family, a, m, b)
 
@@ -207,21 +207,6 @@ class TripleModule:
                     "does not land in the N_A relation span"
                 )
 
-    def f_apply(self, m, vecB):
-        """Coordinates of f(m (x) n_B) in N_A for n_B with coordinates vecB."""
-        coords = self.family.basis_coords(m)
-        terms = ((scalar_mul(c, y), self.f[i][j]) for i, c in enumerate(coords) for j, y in enumerate(vecB))
-        return _combination(terms, self.NA.gens)
-
-    def action(self, r, n):
-        """(a, m, b) . (n_A, n_B) = (a n_A + f(m (x) n_B), b n_B)."""
-        vecA, vecB = n
-        out_a = _combination([(r.a, vecA), (1, self.f_apply(r.m, vecB))], self.NA.gens)
-        return (out_a, _combination([(r.b, vecB)], self.NB.gens))
-
-    def random_element(self, rng):
-        return (self.NA.random_vector(rng, 5), self.NB.random_vector(rng, 5))
-
     def direct_sum(self, other):
         if other.family != self.family:
             raise SchemaError("direct sum needs a common family")
@@ -236,36 +221,6 @@ class TripleModule:
                 block.append([0] * self.NA.gens + other.f[i][j])
             f.append(block)
         return TripleModule(self.family, NA, NB, f)
-
-
-def module_roundtrip(module, rng=None):
-    """Convert the triple to a column module and re-extract the triple.
-
-    The corner action (0, mu, 0) applied to a lift (z, e_j) of the j-th
-    N_B generator recovers f; the rebuilt triple keeps N_A and N_B.  The
-    a = b = 0 corner kills the lift z exactly, which is asserted against
-    random lifts when an rng is supplied.
-    """
-    fam = module.family
-    basis = fam.basis()
-    extracted = []
-    for i, mu in enumerate(basis):
-        corner = TriElement(fam, fam.a_ring.zero(), mu, fam.b_ring.zero())
-        block = []
-        for j in range(module.NB.gens):
-            unit_b = [1 if t == j else 0 for t in range(module.NB.gens)]
-            lift = ([0] * module.NA.gens, unit_b)
-            image = module.action(corner, lift)
-            if any(c != 0 for c in image[1]):
-                raise CertificateError("corner action must land in the N_A part")
-            if rng is not None:
-                other_lift = (module.NA.random_vector(rng, 5), unit_b)
-                other = module.action(corner, other_lift)
-                if other[0] != image[0]:
-                    raise CertificateError("extracted f depends on the lift")
-            block.append(image[0])
-        extracted.append(block)
-    return TripleModule(fam, module.NA, module.NB, extracted)
 
 
 def triple_from_json(family, data):
@@ -327,20 +282,3 @@ def triple_from_json(family, data):
             raise SchemaError(f"unknown basis element {key!r} in f (expected {sorted(known)})")
     return TripleModule(family, NA, NB, f)
 
-
-def triple_to_json(module):
-    fam = module.family
-    out = {
-        "family": fam.to_json(),
-        "NA": {"gens": module.NA.gens, "rels": [[_entry_json(c) for c in r] for r in module.NA.rows]},
-        "NB": {"gens": module.NB.gens, "rels": [[_entry_json(c) for c in r] for r in module.NB.rows]},
-        "f": {
-            fam.fmt_m(mu): [[_entry_json(c) for c in vec] for vec in module.f[i]]
-            for i, mu in enumerate(fam.basis())
-        },
-    }
-    return out
-
-
-def _entry_json(c):
-    return c if isinstance(c, int) else f"{c.numerator}/{c.denominator}"

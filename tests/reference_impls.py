@@ -3,14 +3,15 @@
 Deliberately naive: cofactor determinants, a recursive gcd-elimination
 Smith reduction without transformation tracking, the determinant-divisor
 construction of invariant factors (over Z, over Z[1/k] through Z, and
-over Q[x] on dense Fraction lists), an exhaustive unimodular search
-for 2x2 witnesses, and the p-factorization of a bimodule element in
-each shipped family kind.  None of this shares code with the package.
+over Q[x] on dense Fraction lists), row-span membership over Z and
+Z[1/k] from the rank and the product of the invariant factors, an
+exhaustive unimodular search for 2x2 witnesses, and the p-factorization
+of a bimodule element in each shipped family kind.  None of this shares code with the package.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm, prod
 
 
 def reference_det(rows):
@@ -151,6 +152,25 @@ def kadic_invariants(rows, k):
     diagonal = determinant_divisor_diagonal([[int(x * den) for x in row] for row in rows])
     nonzero = [d for d in diagonal if d != 0]
     return [f for f in (_k_free(d, k) for d in nonzero) if f != 1], len(nonzero)
+
+
+def reference_span_invariants(rows, k):
+    """(rank, product of the nonzero invariant factors up to units) of the
+    row span of rows over Z (k = 1) or Z[1/k], entries ints or Fractions
+    whose denominators divide a power of k.  Clearing denominators scales by
+    a unit; over Z[1/k] the product is its k-free part."""
+    den = lcm(*(Fraction(x).denominator for row in rows for x in row))
+    nonzero = [d for d in reference_snf_diagonal([[int(x * den) for x in row] for row in rows]) if d != 0]
+    return len(nonzero), _k_free(prod(nonzero), k)
+
+
+def reference_row_member(rows, v, k, invariants):
+    """Whether v lies in the row span L of rows over Z (k = 1) or Z[1/k],
+    given invariants = reference_span_invariants(rows, k).  L + (v) contains
+    L with the same saturation when the rank stays, and the product of the
+    invariant factors is the index of a span in its saturation, so v is in
+    L exactly when appending it keeps both the rank and that product."""
+    return reference_span_invariants(rows + [v], k) == invariants
 
 
 # Dense polynomials over Q: lists of Fractions, lowest degree first, with no

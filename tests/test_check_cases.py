@@ -100,7 +100,7 @@ def test_counts_the_cases_a_filtered_stream_reads(monkeypatch):
     # a check over a filtered stream reads every case when it passes, and
     # stops at the first failing case
     def run():
-        rep = Report("probe")
+        rep = Report("probe", {})
         rep.first_failure("holds", (f"case {i}" for i in range(7) if i < 0))
         values = [5, 4, 3, 2, 1]
         rep.first_failure("fails at 3", (f"case {i}" for i in (x for x in values) if i == 3))

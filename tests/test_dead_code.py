@@ -7,9 +7,11 @@
 * Every public function or class defined at module level, and every
   public method (a def, or a ``staticmethod(...)`` bound in the class
   body), is referenced outside its own definition somewhere in
-  ``src/trilocal``, ``tests``, ``demos`` or ``perfbench``.  The
-  re-exports of ``__init__.py`` do not count: a public name with no
-  caller gets deleted.
+  ``src/trilocal``, ``demos``, ``perfbench`` or the README's code (its
+  fenced blocks and inline code spans).  A reference from ``tests``
+  alone does not count: what only a test reaches lives with that test.
+  The re-exports of ``__init__.py`` do not count either: a public name
+  with no caller gets deleted.
 * Every public class-level attribute, and every public field a class
   lists in ``__slots__``, is read somewhere in those places.
 * A class's members are its own and those it inherits from a class of
@@ -18,19 +20,28 @@
 * Every name ``__init__.py`` re-exports is imported from ``trilocal``
   by the README or a demo: the package surface is the documented API.
 * Every parameter with a default is passed, by position or keyword, by
-  some call in those places: a setting no caller changes is a constant.
-* Every parameter with a default is also left out by some call in those
-  places: a default that every caller overrides is dead code.
-  ``family_from_json``'s ``cls(**fields)`` leaves out each omitted
-  descriptor field, and a dunder other than ``__init__`` is called by
-  Python itself, so its defaults are not checked.
+  some call in ``src/trilocal``, ``tests``, ``demos`` or ``perfbench``:
+  a setting no caller changes is a constant.
+* Every parameter with a default is also left out by some call in
+  ``src/trilocal``, ``demos`` or ``perfbench``: a default that every
+  such caller overrides is dead code, and one that only a test leaves
+  out exists only to shorten that test.  ``family_from_json``'s
+  ``cls(**fields)`` leaves out each omitted descriptor field, and a
+  dunder other than ``__init__`` is called by Python itself, so its
+  defaults are not checked.
 * ``src/trilocal/*.py`` stays within ``SOURCE_LINE_CAP`` lines, and has
   at most ``DEFAULT_CAP`` parameters with a default.
+* ``tests/reference_impls.py``, the independent oracle, imports only the
+  standard library.
+
+The two rules that do not count tests, and the reference's rule, each
+have a negative control on a synthetic module.
 """
 
 import ast
 import pathlib
 import re
+import sys
 from collections import Counter
 
 import pytest
@@ -38,11 +49,15 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "trilocal"
 MODULES = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
-CALLERS = [tree for module, tree in MODULES.items() if module != "__init__.py"] + [
-    ast.parse(path.read_text(encoding="utf-8"))
-    for folder in ("tests", "demos", "perfbench")
-    for path in sorted((ROOT / folder).glob("*.py"))
-]
+
+
+def parsed(folder):
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / folder).glob("*.py"))]
+
+
+# the callers a user runs: the package, the demos and the benchmark
+SHIPPED = [tree for module, tree in MODULES.items() if module != "__init__.py"] + parsed("demos") + parsed("perfbench")
+CALLERS = SHIPPED + parsed("tests")
 
 
 def references(node):
@@ -58,7 +73,11 @@ def references(node):
     return out
 
 
-ALL_REFERENCES = sum((references(tree) for tree in MODULES.values()), Counter())
+def count_references(trees):
+    return sum((references(tree) for tree in trees), Counter())
+
+
+ALL_REFERENCES = count_references(MODULES.values())
 
 
 def bound_names(node):
@@ -151,11 +170,12 @@ def method_names(node):
     return []
 
 
-def public_definitions():
+def public_definitions(modules):
     """(qualified name, name, defining node) for public module-level
-    functions and classes and public methods."""
+    functions and classes and public methods of the modules, a map from
+    file name to parsed source."""
     out = []
-    for module, tree in MODULES.items():
+    for module, tree in modules.items():
         out += [
             (f"{module}.{node.name}", node.name, node)
             for node in tree.body
@@ -171,14 +191,44 @@ def public_definitions():
     return out
 
 
-CALLER_REFERENCES = sum((references(tree) for tree in CALLERS), Counter())
-PUBLIC = public_definitions()
+def readme_references():
+    """Identifiers in the README's code: its fenced blocks and inline code spans."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+    return Counter(name for span in code for name in re.findall(r"[A-Za-z_]\w*", span))
+
+
+SHIPPED_REFERENCES = count_references(SHIPPED) + readme_references()
+PUBLIC = public_definitions(MODULES)
+
+
+def unreferenced(qualified, name, definition, counts):
+    """Why the definition is dead when counts holds no reference to name
+    outside it, else None."""
+    if counts[name] - references(definition)[name] <= 0:
+        return f"{qualified} is defined and nothing in src, demos, perfbench or the README refers to it"
+    return None
 
 
 @pytest.mark.parametrize("qualified,name,definition", PUBLIC, ids=[q for q, _, _ in PUBLIC])
 def test_public_name_is_referenced(qualified, name, definition):
-    outside = CALLER_REFERENCES[name] - references(definition)[name]
-    assert outside > 0, f"{qualified} is defined and nothing in src, tests, demos or perfbench refers to it"
+    failure = unreferenced(qualified, name, definition, SHIPPED_REFERENCES)
+    assert failure is None, failure
+
+
+def test_public_name_reached_only_from_a_test_is_flagged():
+    # solve is called only from a test, main from a demo
+    source = ast.parse("def solve(v):\n    return v\n\n\ndef main():\n    return 0\n")
+    demo = ast.parse("from pkg import main\n\nmain()\n")
+    test = ast.parse("from pkg import solve\n\n\ndef test_solve():\n    assert solve(1) == 1\n")
+    definitions = public_definitions({"pkg.py": source})
+
+    def flagged(callers):
+        counts = count_references(callers)
+        return [failure for definition in definitions if (failure := unreferenced(*definition, counts))]
+
+    assert flagged([source, demo, test]) == []  # counting the test as a caller hides solve
+    assert flagged([source, demo]) == ["pkg.py.solve is defined and nothing in src, demos, perfbench or the README refers to it"]
 
 
 def assigned_names(node):
@@ -212,8 +262,8 @@ ATTRIBUTES = class_attributes()
 
 @pytest.mark.parametrize("qualified,name,definition", ATTRIBUTES, ids=[q for q, _, _ in ATTRIBUTES])
 def test_class_attribute_is_read(qualified, name, definition):
-    outside = CALLER_REFERENCES[name] - references(definition)[name]
-    assert outside > 0, f"{qualified} is assigned and nothing in src, tests, demos or perfbench reads it"
+    outside = SHIPPED_REFERENCES[name] - references(definition)[name]
+    assert outside > 0, f"{qualified} is assigned and nothing in src, demos, perfbench or the README reads it"
 
 
 def documented_imports():
@@ -239,14 +289,14 @@ def test_re_export_is_documented(name):
     assert name in DOCUMENTED, f"__init__.py re-exports {name}, which neither the README nor a demo imports"
 
 
-def parameters_with_defaults():
+def parameters_with_defaults(modules):
     """(qualified name, callee, position, parameter) for every parameter
-    with a default in src/trilocal.  callee is the name a call uses: the
-    function's, or for __init__ its class's.  position counts the
-    arguments a call passes, so a method's self is not one of them; it is
-    None for a keyword-only parameter."""
+    with a default in the modules, a map from file name to parsed source.
+    callee is the name a call uses: the function's, or for __init__ its
+    class's.  position counts the arguments a call passes, so a method's
+    self is not one of them; it is None for a keyword-only parameter."""
     out = []
-    for module, tree in MODULES.items():
+    for module, tree in modules.items():
         owner = {id(fn): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) for fn in cls.body}
         for fn in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
             cls = owner.get(id(fn))
@@ -278,13 +328,13 @@ def family_classes():
     return [value.id for value in kinds.values]
 
 
-def calls():
+def calls(trees, implicit):
     """callee name -> [(positional count, keywords, starred, double-starred)]
-    for every call in src, tests, demos and perfbench.  The count stops at a
-    starred argument, which passes no known position.  family_from_json's
-    cls(**fields) is a call of each family class that passes nothing."""
-    out = {name: [(0, frozenset(), False, False)] for name in family_classes()}
-    for tree in CALLERS:
+    for every call in the trees, and for one call that passes nothing of
+    each name in implicit.  The count stops at a starred argument, which
+    passes no known position."""
+    out = {name: [(0, frozenset(), False, False)] for name in implicit}
+    for tree in trees:
         for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
             name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
             count = next((i for i, arg in enumerate(call.args) if isinstance(arg, ast.Starred)), len(call.args))
@@ -306,8 +356,10 @@ def takes_default(record, position, name):
     return not passes(record, position, name) and not double_starred and (position is None or not starred)
 
 
-DEFAULTED = parameters_with_defaults()
-CALLS = calls()
+DEFAULTED = parameters_with_defaults(MODULES)
+# family_from_json's cls(**fields) is a call of each family class that passes nothing
+CALLS = calls(CALLERS, family_classes())
+SHIPPED_CALLS = calls(SHIPPED, family_classes())
 
 
 @pytest.mark.parametrize("qualified,callee,position,name", DEFAULTED, ids=[q for q, _, _, _ in DEFAULTED])
@@ -324,10 +376,27 @@ TAKEN = [
 ]
 
 
+def default_not_taken(qualified, callee, position, name, calls):
+    """Why the default is dead when no call in calls leaves it out, else None."""
+    if not any(takes_default(record, position, name) for record in calls.get(callee, [])):
+        return f"{qualified}: no call in src, demos or perfbench leaves {name} out, so its default serves only tests"
+    return None
+
+
 @pytest.mark.parametrize("qualified,callee,position,name", TAKEN, ids=[q for q, _, _, _ in TAKEN])
 def test_default_is_taken_somewhere(qualified, callee, position, name):
-    assert any(takes_default(record, position, name) for record in CALLS.get(callee, [])), (
-        f"{qualified}: every call in src, tests, demos and perfbench passes {name}, so its default is never used"
+    failure = default_not_taken(qualified, callee, position, name, SHIPPED_CALLS)
+    assert failure is None, failure
+
+
+def test_default_left_out_only_by_a_test_is_flagged():
+    # draw's size is passed by run and left out only by the test
+    source = ast.parse("def draw(rng, size=5):\n    return rng.random() * size\n\n\ndef run(rng):\n    return draw(rng, 3)\n")
+    test = ast.parse("from pkg import draw\n\n\ndef test_draw(rng):\n    assert draw(rng) < 5\n")
+    [default] = parameters_with_defaults({"pkg.py": source})
+    assert default_not_taken(*default, calls([source, test], ())) is None  # counting the test as a caller hides it
+    assert default_not_taken(*default, calls([source], ())) == (
+        "pkg.py.draw-size: no call in src, demos or perfbench leaves size out, so its default serves only tests"
     )
 
 
@@ -341,7 +410,7 @@ def test_source_size_within_cap():
     assert lines <= SOURCE_LINE_CAP, f"src/trilocal has {lines} lines, over the cap of {SOURCE_LINE_CAP}"
 
 
-DEFAULT_CAP = 56
+DEFAULT_CAP = 51
 
 
 def test_defaults_within_cap():
@@ -350,3 +419,26 @@ def test_defaults_within_cap():
     assert len(DEFAULTED) <= DEFAULT_CAP, (
         f"src/trilocal has {len(DEFAULTED)} parameters with a default, over the cap of {DEFAULT_CAP}"
     )
+
+
+def non_stdlib_imports(tree):
+    """The top-level names of the modules tree imports that are not in the
+    standard library; a relative import counts as its dots."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            out.append("." * node.level + (node.module or "").split(".")[0])
+    return [name for name in out if name not in sys.stdlib_module_names]
+
+
+def test_reference_imports_only_the_standard_library():
+    # the oracle shares no code with trilocal, so agreeing with it is evidence
+    reference = ast.parse((ROOT / "tests" / "reference_impls.py").read_text(encoding="utf-8"))
+    assert non_stdlib_imports(reference) == []
+
+
+def test_reference_importing_the_package_is_flagged():
+    tree = ast.parse("from fractions import Fraction\nfrom trilocal.linalg import Matrix\nimport trilocal.rings\nfrom . import linalg\n")
+    assert non_stdlib_imports(tree) == ["trilocal", "trilocal", "."]

@@ -15,7 +15,7 @@ from trilocal.exprs import (
     parse_ring_element,
 )
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from trilocal.tring import Add, Const, Gen, Mul, Pow, family_iso
+from trilocal.tring import UNBOUNDED, Add, Const, Gen, Mul, Pow, family_iso
 from trilocal.verify import random_telement, shipped_families
 
 
@@ -65,11 +65,11 @@ class TestParsing:
         tf = TensorFreeFamily("Q", ("s",), ("u",))
         deep = "(" * MAX_NESTING, ")" * MAX_NESTING
         assert parse_element(fam, "x[3]".join(deep)) == Gen(3)
-        assert str(parse_ring_element(tf, "A", "s".join(deep))) == "s"
+        assert str(parse_ring_element(tf, "A", "s".join(deep), UNBOUNDED)) == "s"
         with pytest.raises(ParseError):
             parse_element(fam, "(x[3])".join(deep))
         with pytest.raises(ParseError):
-            parse_ring_element(tf, "A", "(s)".join(deep))
+            parse_ring_element(tf, "A", "(s)".join(deep), UNBOUNDED)
 
     @pytest.mark.parametrize("text", ["2+", "(", "3*", "-", "x[3]^"])
     def test_incomplete_input_names_end_of_input(self, text):
@@ -79,7 +79,7 @@ class TestParsing:
 
     def test_incomplete_ring_element_names_end_of_input(self):
         with pytest.raises(ParseError) as err:
-            parse_ring_element(TensorFreeFamily("Q", ("s",), ("u",)), "A", "s+")
+            parse_ring_element(TensorFreeFamily("Q", ("s",), ("u",)), "A", "s+", UNBOUNDED)
         assert str(err.value).endswith("found end of input at offset 2")
 
     def test_hnn_two_forms(self):
@@ -120,19 +120,19 @@ class TestOracleDisplay:
 class TestRingElementParsing:
     def test_scalar_families(self):
         fam = RegularFamily("Z")
-        assert parse_ring_element(fam, "A", "3") == 3
-        assert parse_ring_element(fam, "A", "-(2+3)") == -5
+        assert parse_ring_element(fam, "A", "3", UNBOUNDED) == 3
+        assert parse_ring_element(fam, "A", "-(2+3)", UNBOUNDED) == -5
         dq = DoubleFamily("Q")
-        assert parse_ring_element(dq, "B", "3/2") == __import__("fractions").Fraction(3, 2)
+        assert parse_ring_element(dq, "B", "3/2", UNBOUNDED) == __import__("fractions").Fraction(3, 2)
 
     def test_free_families(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))
-        a = parse_ring_element(fam, "A", "s*s + 2")
+        a = parse_ring_element(fam, "A", "s*s + 2", UNBOUNDED)
         assert str(a) == "2+s*s"
-        b = parse_ring_element(fam, "B", "u^2 - u")
+        b = parse_ring_element(fam, "B", "u^2 - u", UNBOUNDED)
         assert str(b) == "-u+u*u"
         with pytest.raises(ParseError):
-            parse_ring_element(fam, "A", "u")  # wrong side
+            parse_ring_element(fam, "A", "u", UNBOUNDED)  # wrong side
 
     def test_bim_elements(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))

@@ -15,6 +15,7 @@ from trilocal.fracloc import (
     rational_value_hom,
     two_order_agreement,
 )
+from trilocal.report import DEFAULT_SEED
 from trilocal.rings import OperatorRing
 from trilocal.tring import (
     Add,
@@ -221,7 +222,7 @@ class TestFactorization:
         self.f_inv = Fraction(1, 2)
 
     def test_hom_respects_relations(self):
-        assert self.hom.respects_relations(samples=100)
+        assert self.hom.respects_relations(samples=100, seed=DEFAULT_SEED)
 
     def test_letterwise_value(self):
         target = self.pair.target_family()

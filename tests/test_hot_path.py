@@ -27,8 +27,9 @@ from fractions import Fraction
 
 import pytest
 
-from reference_impls import reference_factor_p
+from reference_impls import reference_factor_p, reference_row_member, reference_span_invariants
 from test_families import factor_element
+from test_linalg import solve_left
 from test_modloc import without_row_0
 from test_overlaps import CASES, generators
 import trilocal.tring as tring
@@ -43,13 +44,14 @@ from trilocal.families import (
     family_from_json,
     shipped_families,
 )
-from trilocal.linalg import Matrix, diagonal_form, solve_left
+from trilocal.linalg import Matrix, diagonal_form
 from trilocal.fracloc import CentralPair, rational_value_hom
 from trilocal.rings import (
     QQ,
     ZZ,
     FreeAlgebra,
     FreeAlgebraElement,
+    KadicRing,
     OperatorRing,
     PolynomialRing,
     norm_scalar,
@@ -558,7 +560,8 @@ NEGATIVE_CONTROLS = {
 
 class TestMembershipDecidingColumns:
     """in_row_span computes only the columns of v * V whose diagonal entry
-    is zero, missing or not a unit, and answers as solving would."""
+    is zero, missing or not a unit, and answers as solving would, and over
+    Z and Z[1/k] as the reference does, which reads no diagonal form."""
 
     def test_multiplications_bounded_by_deciding_columns(self, monkeypatch):
         module = MODULES["Z"]()
@@ -592,11 +595,16 @@ class TestMembershipDecidingColumns:
     @pytest.mark.parametrize("name", list(MODULES))
     def test_agrees_with_solve_left_on_every_tested_vector(self, name, monkeypatch):
         member = modloc.in_row_span
-        tested = []
+        tested, invariants = [], {}
 
         def checked(form, v):
             answer = member(form, v)
             assert answer == (solve_left(form, v) is not None)
+            k = 1 if form.ring is ZZ else form.ring.k if isinstance(form.ring, KadicRing) else None
+            if k is not None:  # Q[x] has no reference
+                if form not in invariants:  # M is reduced once per form
+                    invariants[form] = reference_span_invariants(form.source.rows, k)
+                assert answer == reference_row_member(form.source.rows, v, k, invariants[form])
             tested.append(answer)
             return answer
 

@@ -27,7 +27,7 @@ class TestMatrixUnits:
     def test_identity_neutral(self):
         rng = random.Random(1)
         for fam in shipped_families():
-            x = rho_matrix(random_tri(fam, rng))
+            x = rho_matrix(random_tri(fam, rng, 5))
             assert x * Matrix.identity(TOps(fam), 2) == x
 
 

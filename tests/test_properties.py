@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from test_linalg import solve_left
 from trilocal.families import DoubleFamily, ScaledFamily, shipped_families
-from trilocal.linalg import Matrix, diagonal_form, in_row_span, solve_left
+from trilocal.linalg import Matrix, diagonal_form, in_row_span
 from trilocal.rings import QQ, ZZ, KadicRing, Polynomial, PolynomialRing, norm_scalar
 from trilocal.tring import (
     Add,

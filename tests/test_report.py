@@ -11,7 +11,7 @@ def cases(outcomes, computed):
 
 
 def test_first_failure_stops_at_the_first_text():
-    rep, computed = Report("r"), []
+    rep, computed = Report("r", {}), []
     assert not rep.first_failure("check", cases([None, None, "case 2 fails", "case 3 fails", None], computed))
     assert computed == [0, 1, 2]
     [check] = rep.checks
@@ -19,7 +19,7 @@ def test_first_failure_stops_at_the_first_text():
 
 
 def test_first_failure_passes_after_every_case():
-    rep, computed = Report("r"), []
+    rep, computed = Report("r", {}), []
     assert rep.first_failure("check", cases([None] * 4, computed))
     assert computed == [0, 1, 2, 3]
     assert (rep.checks[0].passed, rep.checks[0].detail) == (True, "")
@@ -27,7 +27,7 @@ def test_first_failure_passes_after_every_case():
 
 def test_first_failure_takes_only_failures():
     # a generator that yields failure texts alone, as the suites pass it
-    rep = Report("r")
+    rep = Report("r", {})
     rep.first_failure("check", (f"sample {i}" for i in range(10) if i % 4 == 3))
     assert rep.checks[0].detail == "sample 3"
     rep.first_failure("empty", iter(()))
@@ -36,7 +36,7 @@ def test_first_failure_takes_only_failures():
 
 def test_first_failures_reads_on_until_every_check_has_failed():
     # the first check fails on case 1, the second only on case 3
-    rep, computed = Report("r"), []
+    rep, computed = Report("r", {}), []
     outcomes = [(None, None), ("a fails 1", None), ("a fails 2", None), (None, "b fails 3"), ("a fails 4", "b fails 4")]
     first, second = rep.first_failures(("a", "b"), cases(outcomes, computed))
     assert computed == [0, 1, 2, 3]
@@ -45,7 +45,7 @@ def test_first_failures_reads_on_until_every_check_has_failed():
 
 
 def test_first_failures_passes_a_check_only_after_every_case():
-    rep, computed = Report("r"), []
+    rep, computed = Report("r", {}), []
     outcomes = [("a fails 0", None), (None, None), ("a fails 2", None)]
     first, second = rep.first_failures(("a", "b"), cases(outcomes, computed))
     assert computed == [0, 1, 2]
