@@ -2,8 +2,8 @@
 
 Subcommands: normalize, rho, verify, fraction, factor, localize-ring,
 localize-module.  Exit codes: 0 success, 1 failed verification or certificate,
-2 bad input (any other TrilocalError), 3 step-budget exhaustion.  Any other
-exception is a bug and ends in a traceback.
+2 bad input (any other TrilocalError, a malformed command line included),
+3 step-budget exhaustion.  Any other exception is a bug and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -187,8 +187,15 @@ def cmd_localize_module(args):
     return EXIT_OK if localized.report.passed else EXIT_VERIFY
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A malformed command line is bad input: one error: line, exit 2."""
+
+    def error(self, message):
+        raise SchemaError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="trilocal",
         description="Exact universal localization of triangular 2x2 matrix rings.",
     )
@@ -247,22 +254,17 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.budget < 0:  # every subcommand takes --budget
             raise SchemaError(f"--budget must be a non-negative integer, got {args.budget}")
         args.budget = Budget(args.budget)  # one count for the whole command
         return args.func(args)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except CertificateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
     except TrilocalError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(exc, BudgetExceededError):
+            return EXIT_BUDGET
+        return EXIT_VERIFY if isinstance(exc, CertificateError) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -220,7 +220,7 @@ class RegularFamily(ScalarFamily):
     def _no_letters(self, letter):
         raise AssertionError("regular family has no generator letters")
 
-    letter_bim = letter_key = oracle_letter = _no_letters
+    letter_bim = letter_key = _no_letters
 
     def oracle_image(self, e):
         """With no letters, a normal form is its constant term."""
@@ -304,9 +304,6 @@ class DoubleFamily(ScalarFamily):
 
     def letter_key(self, letter):
         return (0,)
-
-    def oracle_letter(self, letter):
-        return self.oracle.variable()
 
     def oracle_image(self, e):
         """The word of r letters maps to x^r, so its coefficient is that of degree r."""
@@ -486,9 +483,6 @@ class FreeFamily(BimoduleFamily):
             return {self.act(wa, l2, ()): 1}
         wb = self.pb_word(l2)
         return None if wb is None else {self.act((), l1, wb): 1}
-
-    def oracle_letter(self, letter):
-        return self.oracle.word(self.oracle_word(letter))
 
     def oracle_image(self, e):
         """Each letter maps to one word, so a word maps to the concatenation

@@ -73,9 +73,6 @@ class Presentation:
         form = self.form()
         return form.invariant_factors(), form.free_rank()
 
-    def random_vector(self, rng, size):
-        return [self.ring.random(rng, size) for _ in range(self.gens)]
-
 
 def _x_mu_values(family):
     return [family_iso(t_generator(family, mu)) for mu in family.basis()]

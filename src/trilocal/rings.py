@@ -234,10 +234,6 @@ class Polynomial:
         den = self.den
         return self.nums if den == 1 else tuple(x // den if x % den == 0 else Fraction(x, den) for x in self.nums)
 
-    def degree(self):
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.nums) - 1
-
     def is_zero(self):
         return not self.nums
 
@@ -303,10 +299,6 @@ class Polynomial:
                 for k, y in enumerate(other.nums, i):
                     cs[k] += x * y
         return Polynomial._of(self.ring, cs, self.den * other.den)
-
-    def scale(self, c):
-        """c * self for a canonical scalar c."""
-        return self._times(c.numerator, c.denominator)
 
     def divmod(self, other):
         """Polynomial division; requires Q coefficients and other != 0.
@@ -428,8 +420,8 @@ class FreeAlgebraElement:
 # algebra and localization layers need, with plain elements (int, Fraction,
 # Polynomial) as data.  The rings A and B also expose gens, the generator
 # names an A/B expression may use (none for Z and Q).  A ring object adds
-# several values one way, by combination; Q[x], the free algebras and
-# T(M,p)'s tring.TOps override it to add into one coefficient list or term map.
+# several values one way, by combination; the free algebras and T(M,p)'s
+# tring.TOps override it to add into one term map.
 # ---------------------------------------------------------------------------
 
 class OperatorRing:
@@ -609,27 +601,6 @@ class PolynomialRing(OperatorRing):
         """The constant n; an int is stored as it is, and any other scalar goes
         through the public constructor's checks."""
         return Polynomial._of(self.base, [n], 1) if type(n) is int else Polynomial(self.base, [n])
-
-    def variable(self):
-        return Polynomial._of(self.base, [0, 1], 1)
-
-    def combination(self, pairs):
-        """Sum of c*v over pairs (nonzero canonical scalar c, polynomial v): the
-        numerators go into one list over the least common denominator, which
-        is reduced once."""
-        cs, den = [], 1
-        for c, v in pairs:
-            self._zero._check(v)
-            n, d = c.numerator, c.denominator * v.den
-            if d != den:
-                m = d // gcd(den, d)  # den * m is the least common multiple
-                if m != 1:
-                    cs, den = [m * x for x in cs], den * m
-                n *= den // d
-            cs += [0] * (len(v.nums) - len(cs))
-            for i, x in enumerate(v.nums):
-                cs[i] += n * x
-        return Polynomial._of(self.base, cs, den)
 
     def is_unit(self, a):
         if self.base == "Q":

@@ -486,11 +486,7 @@ def t_normalize(family, expr, budget=UNBOUNDED):
     """Evaluate a raw expression tree to the rewriting fixpoint.
 
     budget bounds the number of rewrite events; exceeding it raises
-    BudgetExceededError (reported distinctly by the CLI).  An element
-    already in normal form is returned as it is.
+    BudgetExceededError (reported distinctly by the CLI).
     """
-    if isinstance(expr, TElement):
-        family.check_same(expr.family)
-        return expr
     ring = TOps(family, budget)
     return eval_tree(expr, ring, ring.gen)

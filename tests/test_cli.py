@@ -540,3 +540,36 @@ class TestBoundaryInputExit2:
         spec.write_bytes(_spec_bytes(_q_spec("-3/+2")))
         assert main(["localize-module", "--spec", str(spec)]) == 0
         capsys.readouterr()
+
+
+class TestMalformedCommandLineExit2:
+    """argparse's usage errors keep the exit contract: one error: line and
+    exit 2, returned by main rather than raised as SystemExit."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simplify", "--expr", "x[3]"], "trilocal: argument command: invalid choice: 'simplify'"),
+            (["normalize", "--family", SCALED], "trilocal normalize: the following arguments are required: --expr"),
+            (["normalize", "--family", SCALED, "--expr", "-x[3]"], "trilocal normalize: argument --expr: expected one argument"),
+        ],
+        ids=["unknown-subcommand", "missing-expr", "expr-starting-with-minus"],
+    )
+    def test_one_line_error(self, argv, message, capsys):
+        from trilocal.cli import main
+
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    def test_value_starting_with_minus_is_written_with_equals(self, capsys):
+        from trilocal.cli import main
+
+        assert main(["normalize", "--family", SCALED, "--expr=-x[3]"]) == 0
+        assert "normal_form: -3*x[1]" in capsys.readouterr().out
+
+    def test_process_exits_2(self):
+        out = run_cli("normalize", "--family", SCALED, "--expr", "-x[3]")
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: trilocal normalize: argument --expr: expected one argument\n"

@@ -7,11 +7,14 @@
 * Every public function or class defined at module level, and every
   public method (a def, or a ``staticmethod(...)`` bound in the class
   body), is referenced outside its own definition somewhere in
-  ``src/trilocal``, ``demos``, ``perfbench`` or the README's code (its
-  fenced blocks and inline code spans).  A reference from ``tests``
-  alone does not count: what only a test reaches lives with that test.
-  The re-exports of ``__init__.py`` do not count either: a public name
-  with no caller gets deleted.
+  ``src/trilocal``, ``demos``, ``perfbench`` or the README's fenced code
+  blocks.  A reference from ``tests`` alone does not count: what only a
+  test reaches lives with that test.  Nor does the README's prose, its
+  inline code spans included.  The re-exports of ``__init__.py`` do not
+  count either: a public name with no caller gets deleted.  A method
+  that overrides a method of its standard-library base class, such as
+  an ``argparse.ArgumentParser`` subclass's ``error``, is called by that
+  library and exempt, as dunders are.
 * Every public class-level attribute, and every public field a class
   lists in ``__slots__``, is read somewhere in those places.
 * A class's members are its own and those it inherits from a class of
@@ -34,11 +37,17 @@
 * ``tests/reference_impls.py``, the independent oracle, imports only the
   standard library.
 
-The two rules that do not count tests, and the reference's rule, each
-have a negative control on a synthetic module.
+The two rules that do not count tests, the README and override rules of
+the public names, and the reference's rule, each have a negative control
+on a synthetic module.
+
+``tests/test_traffic.py`` checks the same ground from the other side: a
+function whose name something keeps alive must still be entered by a
+command, a demo or a workload.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
@@ -170,10 +179,21 @@ def method_names(node):
     return []
 
 
+def standard_library_bases(definition):
+    """The bases of a class definition written ``module.Class`` with module
+    in the standard library, such as ``argparse.ArgumentParser``."""
+    return [
+        getattr(importlib.import_module(base.value.id), base.attr)
+        for base in definition.bases
+        if isinstance(base, ast.Attribute) and getattr(base.value, "id", None) in sys.stdlib_module_names
+    ]
+
+
 def public_definitions(modules):
     """(qualified name, name, defining node) for public module-level
     functions and classes and public methods of the modules, a map from
-    file name to parsed source."""
+    file name to parsed source.  A method that overrides one of a
+    standard-library base is left out: that library calls it."""
     out = []
     for module, tree in modules.items():
         out += [
@@ -181,24 +201,29 @@ def public_definitions(modules):
             for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
         ]
-        out += [
-            (f"{module}:{cls}.{name}", name, member)
-            for cls, body in class_bodies(tree)
-            for member in body
-            for name in method_names(member)
-            if not name.startswith("_")
-        ]
+        classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+        for cls, body in class_bodies(tree):
+            bases = standard_library_bases(classes[cls])
+            out += [
+                (f"{module}:{cls}.{name}", name, member)
+                for member in body
+                for name in method_names(member)
+                if not name.startswith("_") and not any(hasattr(base, name) for base in bases)
+            ]
     return out
 
 
-def readme_references():
-    """Identifiers in the README's code: its fenced blocks and inline code spans."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    code = re.findall(r"```.*?```|`[^`\n]+`", readme, re.S)
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+
+
+def readme_references(readme):
+    """Identifiers in the fenced code blocks of the README text readme.  An
+    inline code span is prose: a name it mentions is not used."""
+    code = re.findall(r"```.*?```", readme, re.S)
     return Counter(name for span in code for name in re.findall(r"[A-Za-z_]\w*", span))
 
 
-SHIPPED_REFERENCES = count_references(SHIPPED) + readme_references()
+SHIPPED_REFERENCES = count_references(SHIPPED) + readme_references(README)
 PUBLIC = public_definitions(MODULES)
 
 
@@ -229,6 +254,31 @@ def test_public_name_reached_only_from_a_test_is_flagged():
 
     assert flagged([source, demo, test]) == []  # counting the test as a caller hides solve
     assert flagged([source, demo]) == ["pkg.py.solve is defined and nothing in src, demos, perfbench or the README refers to it"]
+
+
+def test_public_name_mentioned_only_in_readme_prose_is_flagged():
+    # draw is named in an inline code span, run in a fenced block
+    source = ast.parse("def draw(v):\n    return v\n\n\ndef run():\n    return 0\n")
+    readme = "Call `draw(v)` for one value.\n\n```python\nfrom pkg import run\n\nrun()\n```\n"
+    counts = readme_references(readme)
+    assert [failure for d in public_definitions({"pkg.py": source}) if (failure := unreferenced(*d, counts))] == [
+        "pkg.py.draw is defined and nothing in src, demos, perfbench or the README refers to it"
+    ]
+
+
+def test_only_an_override_of_a_standard_library_method_is_exempt():
+    # Parser.error is argparse's to call; Base.error and its override in Report are the package's own
+    source = ast.parse(
+        "import argparse\n\n\n"
+        "class Parser(argparse.ArgumentParser):\n    def error(self, message):\n        raise ValueError(message)\n\n\n"
+        "class Base:\n    def error(self, message):\n        return message\n\n\n"
+        "class Report(Base):\n    def error(self, message):\n        return message\n"
+    )
+    counts = count_references([source, ast.parse("Parser()\nReport()\nBase()\n")])
+    assert [failure for d in public_definitions({"pkg.py": source}) if (failure := unreferenced(*d, counts))] == [
+        "pkg.py:Base.error is defined and nothing in src, demos, perfbench or the README refers to it",
+        "pkg.py:Report.error is defined and nothing in src, demos, perfbench or the README refers to it",
+    ]
 
 
 def assigned_names(node):
@@ -268,8 +318,7 @@ def test_class_attribute_is_read(qualified, name, definition):
 
 def documented_imports():
     """Names imported from trilocal by the README's python blocks and the demos."""
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    trees = [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", readme, re.S)]
+    trees = [ast.parse(block) for block in re.findall(r"```python\n(.*?)```", README, re.S)]
     trees += [ast.parse(path.read_text(encoding="utf-8")) for path in sorted((ROOT / "demos").glob("*.py"))]
     return {
         alias.name

@@ -33,7 +33,7 @@ def equality_cases():
     x = t.gen({("a", (0,)): 1})
     return [
         (ZZ, [[1, 2], [3, 4]]),
-        (qx, [[qx.one(), qx.variable()], [qx.zero(), qx.from_int(3)]]),
+        (qx, [[qx.one(), Polynomial("Q", [0, 1])], [qx.zero(), qx.from_int(3)]]),
         (t, [[t.one(), x], [t.zero(), t.mul(x, x)]]),
     ]
 
@@ -138,7 +138,7 @@ class TestEuclidean:
 
     def test_poly_single_variable(self):
         ring = PolynomialRing("Q")
-        x = ring.variable()
+        x = Polynomial("Q", [0, 1])
         form = diagonal_form(Matrix(ring, [[x]]))
         assert form.diagonal() == [x]
         form = diagonal_form(Matrix(ring, [[x, ring.zero()], [ring.zero(), x * x]]))
@@ -317,7 +317,7 @@ def certificate_cases():
     """A matrix to reduce and a non-unit of its ring, per ring family; 0 over Q."""
     k2 = KadicRing(2)
     qx = PolynomialRing("Q")
-    x, c = qx.variable(), qx.from_int
+    x, c = Polynomial("Q", [0, 1]), qx.from_int
     ints = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
     return [
         pytest.param(Matrix(ZZ, ints), 2, id="Z"),
@@ -368,7 +368,7 @@ def chain_cases():
     return [
         pytest.param(scrambled(ZZ, 3), id="Z"),
         pytest.param(scrambled(k2, k2.from_int(3)), id="Z[1/2]"),
-        pytest.param(scrambled(qx, qx.variable()), id="Q[x]"),
+        pytest.param(scrambled(qx, Polynomial("Q", [0, 1])), id="Q[x]"),
     ]
 
 
@@ -456,7 +456,7 @@ def sparse_cases():
     U = V = I, so the certificate's products leave most positions where
     no pair of nonzero entries reaches."""
     k2, qx = KadicRing(2), PolynomialRing("Q")
-    cases = [(ZZ, 3, "Z-diag"), (k2, k2.from_int(3), "Z[1/2]-diag"), (qx, qx.variable(), "Q[x]-diag")]
+    cases = [(ZZ, 3, "Z-diag"), (k2, k2.from_int(3), "Z[1/2]-diag"), (qx, Polynomial("Q", [0, 1]), "Q[x]-diag")]
     return [
         pytest.param(Matrix(ring, [[ring.one(), ring.zero(), ring.zero()], [ring.zero(), a, ring.zero()], [ring.zero()] * 3]), id=name)
         for ring, a, name in cases

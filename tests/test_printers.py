@@ -149,7 +149,7 @@ def matrices():
         Matrix(ZZ, [[0, 1], [-1, 12]]),
         Matrix(QQ, [[Fraction(1, 2), 0], [-3, 1]]),
         Matrix(k2, [[Fraction(3, 2), k2.zero()], [k2.one(), Fraction(-5, 4)]]),
-        Matrix(qx, [[qx.variable(), Polynomial("Q", [Fraction(-1, 2), 0, 1])], [qx.zero(), qx.one()]]),
+        Matrix(qx, [[Polynomial("Q", [0, 1]), Polynomial("Q", [Fraction(-1, 2), 0, 1])], [qx.zero(), qx.one()]]),
     ]
 
 

@@ -164,7 +164,7 @@ MEMBERSHIP_RINGS = {
     "Z": (ZZ, lambda n, e: n, 2),
     "Z[1/2]": (KadicRing(2), lambda n, e: norm_scalar(Fraction(n, 2 ** e)), 3),
     "Q": (QQ, lambda n, e: Fraction(n, e + 1), None),
-    "Q[x]": (QX, lambda n, e: Polynomial("Q", [n, e - 1]), QX.variable()),
+    "Q[x]": (QX, lambda n, e: Polynomial("Q", [n, e - 1]), Polynomial("Q", [0, 1])),
 }
 
 

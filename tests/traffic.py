@@ -1,0 +1,165 @@
+"""Which functions of ``src/trilocal`` the shipped traffic enters.
+
+The traffic is what a user runs: every golden command line (``CASES``,
+whose output ``tests/test_golden.py`` compares; both ``verify`` suites
+included), the demos, and a few more command lines whose output nothing
+compares (``EXTRA``), each reaching a path of its own.  The inventory lists every function defined in
+``src/trilocal`` that the traffic never enters, except dunders, which
+Python calls itself, and functions whose body (after a docstring) is a
+single ``raise``, which are error paths.
+
+Functions are keyed by file name and qualified name, and their first
+entry is seen through ``sys.monitoring`` (Python 3.12 or newer): a
+``PY_START`` callback on a free tool id records the code object and
+disables itself for it, so the traffic runs at full speed after that.
+The helper imports only the standard library and trilocal.  Run it as a
+script, from a fresh interpreter, to print the unentered functions as
+JSON:
+
+    PYTHONPATH=src python tests/traffic.py
+"""
+
+import ast
+import contextlib
+import io
+import json
+import pathlib
+import runpy
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "trilocal"
+GOLDEN = ROOT / "tests" / "golden"
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+SCALED = '{"kind":"scaled","k":2}'
+REGULAR = '{"kind":"regular","ring":"Z"}'
+DOUBLE = '{"kind":"double","ring":"Q"}'
+HNN = '{"kind":"hnn-free","ring":"Q","A_gens":["s","t"]}'
+TENSOR = '{"kind":"tensor-free","ring":"Q","A_gens":["s","t"],"B_gens":["u","v"]}'
+
+README_EXAMPLES = {
+    "normalize": ["normalize", "--family", SCALED, "--expr", "x[3]*x[5]"],
+    "rho": ["rho", "--family", SCALED, "--component", "A", "--value", "3"],
+    "verify-examples": ["verify", "--suite", "examples"],
+    "verify-random-7": ["verify", "--suite", "random", "--seed", "7"],
+    "fraction": ["fraction", "--family", REGULAR, "--a0", "2", "--b0", "2", "--expr", "5*x[1]^3"],
+    "factor": ["factor", "--family", REGULAR, "--a0", "2", "--b0", "2", "--expr", "5*x[1]^3"],
+    "localize-ring": ["localize-ring", "--family", DOUBLE],
+    "localize-module": ["localize-module", "--spec", str(GOLDEN / "module.json")],
+}
+
+# hnn-free's product both merges (h(s) with h(t,1)) and shifts (h(s,t) before h(t,1))
+FREE_FAMILY_EXAMPLES = {
+    "normalize-hnn-free": ["normalize", "--family", HNN, "--expr", "(x[h(s)]+x[h(s,t)])*(2*x[h(t,1)]-x[h(1,s)])"],
+    "normalize-tensor-free": [
+        "normalize", "--family", TENSOR, "--expr", "(x[t(s,u)]-2*x[t(1,v)])*(x[t(t,1)]+1/2*x[t(s,u*v)])",
+    ],
+    "rho-m-hnn-free": ["rho", "--family", HNN, "--component", "M", "--value", "2*h(s)-3*h(s,t)+h(1)-1/2*h(t,1)"],
+    "rho-m-tensor-free": [
+        "rho", "--family", TENSOR, "--component", "M", "--value", "3*t(s,u)-t(1,1)+1/2*t(s*t,v)-t(1,u)",
+    ],
+    "localize-ring-hnn-free": ["localize-ring", "--family", HNN],
+}
+
+# the golden command lines: tests/golden/<name>.out records each one's exit code and stdout
+CASES = {
+    f"{name}.{fmt}": argv + ["--format", fmt]
+    for name, argv in {**README_EXAMPLES, **FREE_FAMILY_EXAMPLES}.items()
+    for fmt in ("text", "json")
+}
+CASES["verify-random-4242.text"] = ["verify", "--suite", "random", "--seed", "4242"]
+
+# command lines whose output no golden file compares, each reaching a path the cases do not
+EXTRA = [
+    ["rho", "--family", TENSOR, "--component", "A", "--value", "(s+2*t)*s-t*t*s+1/2"],  # ChargedRing
+    ["normalize", "--family", SCALED, "--expr", "x[3]*"],  # a parse error
+    ["rho", "--family", REGULAR, "--component", "M", "--value=-2"],  # scale_m
+    ["rho", "--family", DOUBLE, "--component", "M", "--value=-(1,2)"],
+    ["localize-module", "--spec", str(GOLDEN / "module.json"), "--family", TENSOR],  # the basis() default
+    ["normalize", "--family", SCALED, "--expr", "-x[3]"],  # a malformed command line: argparse's error
+]
+
+
+def run_main(argv):
+    """(exit code, stdout) of cli.main on argv, run in-process as the console
+    script runs it, a SystemExit included; stderr is discarded."""
+    from trilocal.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue()
+
+
+def run_traffic():
+    for argv in [*CASES.values(), *EXTRA]:
+        run_main(argv)
+    for script in DEMOS:
+        with contextlib.redirect_stdout(io.StringIO()):
+            runpy.run_path(str(script), run_name="__main__")
+
+
+def is_single_raise(fn):
+    """Whether fn's body, after its docstring, is one raise statement."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    return len(body) == 1 and isinstance(body[0], ast.Raise)
+
+
+def definitions():
+    """(file name, qualified name) of every function in src/trilocal that the
+    inventory checks: all but dunders and single-raise bodies."""
+    out = []
+
+    def visit(node, file, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = child.name
+                if not (name.startswith("__") and name.endswith("__")) and not is_single_raise(child):
+                    out.append((file, prefix + name))
+                visit(child, file, f"{prefix}{name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, file, f"{prefix}{child.name}.")
+            else:
+                visit(child, file, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.name, "")
+    return out
+
+
+def entered(run):
+    """(file name, co_qualname) of every src/trilocal code object that run() enters."""
+    monitoring = sys.monitoring
+    tool = next(i for i in range(6) if monitoring.get_tool(i) is None)
+    monitoring.use_tool_id(tool, "trilocal-traffic")
+    prefix, seen = str(SRC), set()
+
+    def start(code, offset):
+        if code.co_filename.startswith(prefix):
+            seen.add((pathlib.Path(code.co_filename).name, code.co_qualname))
+        return monitoring.DISABLE
+
+    monitoring.register_callback(tool, monitoring.events.PY_START, start)
+    monitoring.restart_events()
+    monitoring.set_events(tool, monitoring.events.PY_START)
+    try:
+        run()
+    finally:
+        monitoring.set_events(tool, 0)
+        monitoring.register_callback(tool, monitoring.events.PY_START, None)
+        monitoring.free_tool_id(tool)
+    return seen
+
+
+def unentered():
+    """The checked functions that the traffic never enters, as "file:qualname"."""
+    seen = entered(run_traffic)
+    return [f"{file}:{name}" for file, name in definitions() if (file, name) not in seen]
+
+
+if __name__ == "__main__":
+    print(json.dumps(unentered(), indent=1))
