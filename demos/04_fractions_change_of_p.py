@@ -24,7 +24,7 @@ pair = CentralPair(fam, 2, 2)
 
 print(check_central(pair).render_text())
 
-target = pair.target_family()
+target = pair.target
 print("\ntarget family:", target.describe())
 
 for text in ("5*x[1]^3", "6", "1", "3*x[1]"):

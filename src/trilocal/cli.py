@@ -107,23 +107,22 @@ def cmd_verify(args):
 
 
 def _change_of_p_input(args):
-    """The family, the central pair (a0, b0), the target family and the
-    normal form of --expr in the target."""
+    """The family, the central pair (a0, b0) and the normal form of --expr in
+    the pair's target family."""
     family = _load_family(args.family)
-    target = family.scaled_p_variant(args.a0)  # before CentralPair applies a0 to M
-    pair = CentralPair(family, args.a0, args.b0, seed=args.seed)
-    return family, pair, target, t_normalize(target, parse_element(target, args.expr), args.budget)
+    pair = CentralPair(family, args.a0, args.b0)
+    return family, pair, t_normalize(pair.target, parse_element(pair.target, args.expr), args.budget)
 
 
 def cmd_fraction(args):
-    family, pair, target, element = _change_of_p_input(args)
+    family, pair, element = _change_of_p_input(args)
     form = pair.fraction_form(element)
     _emit(
         {
             "family": family.describe(),
-            "target_family": target.describe(),
+            "target_family": pair.target.describe(),
             "input": args.expr,
-            "value": format_oracle(target, family_iso(element)),
+            "value": format_oracle(pair.target, family_iso(element)),
             "numerator": format_element(form.numerator),
             "denominator_exponent": form.exponent,
         },
@@ -133,14 +132,14 @@ def cmd_fraction(args):
 
 
 def cmd_factor(args):
-    family, pair, target, element = _change_of_p_input(args)
+    family, pair, element = _change_of_p_input(args)
     hom = rational_value_hom(family)
     passed = hom.respects_relations(samples=50, seed=args.seed)
     value = factor_inverting_hom(pair, hom, Fraction(1, args.a0), element)
     _emit(
         {
             "family": family.describe(),
-            "target_family": target.describe(),
+            "target_family": pair.target.describe(),
             "input": args.expr,
             "factored_value": hom.s_ring.fmt(value),
             "checks": "pass" if passed else "fail",
@@ -265,6 +264,8 @@ def main(argv=None):
         if isinstance(exc, BudgetExceededError):
             return EXIT_BUDGET
         return EXIT_VERIFY if isinstance(exc, CertificateError) else EXIT_PARSE
+    except SystemExit as exc:  # argparse exits 0 once it has printed --help; error() raises instead
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ from T(M,p) over a power of the inverted generator.
 A ring map out of T(M,p) is its generator images, so the induced map
 and the factorization through T(M,a0*p) are each one ``LetterHom``.
 
-Shipped instances keep the image-membership problem decidable:
-regular-Z (target = scaled(a0)) and scaled(k) (target = scaled(a0*k)).
+A central pair exists where T(M,a0*p) has a family, and those instances
+keep the image-membership problem decidable: regular-Z (target =
+scaled(a0)) and scaled(k) (target = scaled(a0*k)).  Both have a basis of
+M, which decides centrality.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import random
 from fractions import Fraction
 
 from .errors import CertificateError, UnsupportedFamilyError
-from .report import DEFAULT_SEED, Report
+from .report import Report
 from .rings import QQ
 from .tring import (
     Record,
@@ -36,30 +38,22 @@ from .tring import (
 
 
 class CentralPair:
-    """A pair (a0, b0) with a0*m = m*b0 throughout M.
+    """A pair (a0, b0) with a0*m = m*b0 throughout M, and ``target``, the
+    family presenting T(M,a0*p).
 
-    The condition is verified at construction on the pair's probes, which
-    check_central reads too.  A basis of M decides it for every m, as apply
-    is bilinear: m -> a0*m - m*b0 is additive, so Z-linear, and Q-linear
-    over Q.  Such a pair probes the basis and is certified "basis"; a
-    family without a basis probes 200 random elements drawn from seed and
-    is certified "samples-only".
+    The target is built first: a family without one has no central pair.
+    Every family with a target has a basis of M, and the basis decides the
+    condition for every m, as apply is bilinear: m -> a0*m - m*b0 is
+    additive, so Z-linear, and Q-linear over Q.
     """
 
-    __slots__ = ("family", "a0", "b0", "seed", "probes", "certification")
+    __slots__ = ("family", "a0", "target")
 
-    def __init__(self, family, a0, b0, seed=DEFAULT_SEED):
+    def __init__(self, family, a0, b0):
+        self.target = family.scaled_p_variant(a0)
         self.family = family
         self.a0 = a0
-        self.b0 = b0
-        self.seed = seed
-        self.probes = family.basis()
-        self.certification = "basis"
-        if self.probes is None:
-            rng = random.Random(seed)
-            self.probes = [family.random_m(rng) for _ in range(200)]
-            self.certification = "samples-only"
-        for m in self.probes:
+        for m in family.basis():
             if family.apply(a0, m, family.b_one) != family.apply(family.a_one, m, b0):
                 raise UnsupportedFamilyError(f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}")
 
@@ -69,20 +63,16 @@ class CentralPair:
         fam = self.family
         return t_generator(fam, fam.apply(self.a0, fam.p, fam.b_one))
 
-    def target_family(self):
-        """The family presenting T(M,a0*p)."""
-        return self.family.scaled_p_variant(self.a0)
-
     # -- the induced morphism --------------------------------------------------
     def induced(self, e):
         """Image of e under the letterwise map x_m -> x_{a0*m}."""
         fam = self.family
-        ops = TOps(self.target_family())
+        ops = TOps(self.target)
         return LetterHom(fam, ops, lambda m: ops.gen(fam.apply(self.a0, m, fam.b_one))).apply(e)
 
     def old_p_in_target(self):
         """x_p viewed inside T(M,a0*p); the inverse of the image of x_{a0*p}."""
-        return t_generator(self.target_family(), self.family.p)
+        return t_generator(self.target, self.family.p)
 
     # -- fraction forms ----------------------------------------------------------
     def fraction_form(self, e):
@@ -91,8 +81,7 @@ class CentralPair:
         Minimality comes from repeated exact division in the oracle
         ring; the reassembled product is checked against e exactly.
         """
-        target = self.target_family()
-        target.check_same(e.family)
+        self.target.check_same(e.family)
         frac = Fraction(family_iso(e))
         r = 0
         while True:
@@ -116,32 +105,20 @@ class FractionForm(Record):
 def check_central(pair):
     """Verify x_(a0*p) commutes with every x_m, and its image inverts x_p.
 
-    Commutation is checked on the pair's probes.  A basis of M decides it
-    for every m: each basis family's letter_terms writes x_m as a scalar
-    combination of 1 and the basis letters, and commuting with x_(a0*p) is
-    linear.  A family without a basis is probed on the pair's 200 random
-    elements, and only its report carries their count and seed.
+    Commutation is checked on M's basis, which decides it for every m: each
+    basis family's letter_terms writes x_m as a scalar combination of 1 and
+    the basis letters, and commuting with x_(a0*p) is linear.
     """
     fam = pair.family
-    sampled = pair.certification == "samples-only"
-    meta = {"certification": pair.certification}
-    if sampled:
-        meta["samples"] = len(pair.probes)
-    rep = Report(f"centrality of x_(a0*p) [{fam.describe()}]", seed=pair.seed if sampled else None, meta=meta)
+    rep = Report(f"centrality of x_(a0*p) [{fam.describe()}]", meta={"certification": "basis"})
     x0 = pair.x_a0p()
-    tag = "random" if sampled else "basis"
     commutes = lambda xm: t_mul(x0, xm) == t_mul(xm, x0)
     rep.first_failure("x_(a0*p) commutes with every probe generator", (
-        f"fails on {tag} element {fam.fmt_m(m)}" for m in pair.probes if not commutes(t_generator(fam, m))
+        f"fails on basis element {fam.fmt_m(m)}" for m in fam.basis() if not commutes(t_generator(fam, m))
     ))
-    try:
-        target = pair.target_family()
-    except UnsupportedFamilyError:
-        # centrality is still certifiable when no computable target exists
-        return rep
     inv = pair.old_p_in_target()
     image = pair.induced(x0)
-    one = TElement.one(target)
+    one = TElement.one(pair.target)
     rep.add("image of x_(a0*p) times x_p is 1", t_mul(image, inv) == one)
     rep.add("x_p times image of x_(a0*p) is 1", t_mul(inv, image) == one)
     return rep
@@ -181,7 +158,7 @@ def _factored(pair, hom, f_inv):
     """The factorization of hom through T(M,a0*p): the LetterHom that sends a
     target generator x_m to f_inv * hom(x_m)."""
     rg = hom.s_ring
-    return LetterHom(pair.target_family(), rg, lambda m: rg.mul(f_inv, hom.generator_image(m)))
+    return LetterHom(pair.target, rg, lambda m: rg.mul(f_inv, hom.generator_image(m)))
 
 
 def factor_inverting_hom(pair, hom, f_inv, e):
@@ -211,6 +188,6 @@ def two_order_agreement(pair, hom, f_inv, expr):
     order two evaluates the expression tree directly in S.  Agreement
     on random expressions mirrors the uniqueness of the factorization.
     """
-    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(pair.target_family(), expr))
+    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(pair.target, expr))
     via_tree = eval_tree(expr, hom.s_ring, _factored(pair, hom, f_inv).generator_image)
     return via_normal == via_tree, via_normal, via_tree

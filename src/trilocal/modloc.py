@@ -236,10 +236,9 @@ class LocalizedModule:
     canonical invariants, and the comparison-map report.
     """
 
-    __slots__ = ("module", "presentation", "factors", "rank", "report")
+    __slots__ = ("presentation", "factors", "rank", "report")
 
-    def __init__(self, module, presentation, factors, rank, report):
-        self.module = module
+    def __init__(self, presentation, factors, rank, report):
         self.presentation = presentation
         self.factors = factors
         self.rank = rank
@@ -266,4 +265,4 @@ def localize_module(module):
     pres = localized_presentation(module)
     factors, rank = pres.invariants()
     rep = verify_comparison_maps(module, presentation=pres)
-    return LocalizedModule(module, pres, factors, rank, rep)
+    return LocalizedModule(pres, factors, rank, rep)

@@ -393,7 +393,7 @@ class FreeAlgebraElement:
         return FreeAlgebraElement._of(self.ring, self.gens, term_sum((self.terms, self._check(other).terms)))
 
     def __neg__(self):
-        return self.scale(-1)
+        return FreeAlgebraElement._of(self.ring, self.gens, term_scale(-1, self.terms))
 
     def __mul__(self, other):
         right = self._check(other).terms.items()
@@ -402,9 +402,6 @@ class FreeAlgebraElement:
             for w2, c2 in right:
                 add_term(terms, w1 + w2, c1 if c2 == 1 else scalar_mul(c1, c2))
         return FreeAlgebraElement._of(self.ring, self.gens, terms)
-
-    def scale(self, c):
-        return FreeAlgebraElement._of(self.ring, self.gens, term_scale(c, self.terms))
 
     def __str__(self):
         # by length, then lexicographically: a stable sort by len of the sorted words

@@ -1,10 +1,10 @@
 """The triangular matrix ring R, its column modules, and module triples.
 
 R has elements (a, m, b) standing for the matrix with diagonal a, b and
-upper corner m; multiplication is (a, m, b)(a', m', b') =
-(aa', am' + mb', bb').  The two columns P = (A; 0) and Q = (M; B)
-decompose R, and the morphism P -> Q determined by p sends (1; 0) to
-(p; 0).
+upper corner m; ``tri_mul`` multiplies by the formula (a, m, b)(a', m', b')
+= (aa', am' + mb', bb').  The two columns P = (A; 0) and Q = (M; B)
+decompose R, and ``SigmaMorphism`` is the morphism P -> Q determined by
+p, which sends (1; 0) to (p; 0).
 
 A left module over R is equivalently a triple (N_A, N_B, f) where f
 maps M (x) N_B into N_A; the triple is stored with finitely presented
@@ -69,6 +69,18 @@ def tri_add(r1, r2):
     )
 
 
+def tri_mul(r1, r2):
+    """r1 * r2 = (aa', am' + mb', bb')."""
+    r1.family.check_same(r2.family)
+    fam = r1.family
+    return TriElement(
+        fam,
+        fam.a_ring.mul(r1.a, r2.a),
+        fam.add_m(fam.apply(r1.a, r2.m, fam.b_one), fam.apply(fam.a_one, r1.m, r2.b)),
+        fam.b_ring.mul(r1.b, r2.b),
+    )
+
+
 def random_tri(family, rng, size):
     a, m, b = family.a_ring.random(rng, size), family.random_m(rng, size), family.b_ring.random(rng, size)
     return TriElement(family, a, m, b)
@@ -90,35 +102,6 @@ class SigmaMorphism:
         """Image of the P-column element (a; 0): the Q-column (a*p, 0)."""
         fam = self.family
         return (fam.apply(a, fam.p, fam.b_one), fam.b_ring.zero())
-
-
-def column_split(r):
-    """Decompose (a, m, b) into its P-part a and Q-part (m, b)."""
-    return r.a, (r.m, r.b)
-
-
-def column_join(family, a, q):
-    return TriElement(family, a, q[0], q[1])
-
-
-def act_p(r, a):
-    """Left action of R on the P-column: r * (a; 0) = (r.a * a; 0)."""
-    return r.family.a_ring.mul(r.a, a)
-
-
-def act_q(r, q):
-    """Left action of R on the Q-column: r * (m; b) = (r.a*m + r.m*b; r.b*b)."""
-    fam = r.family
-    m, b = q
-    m_new = fam.add_m(fam.apply(r.a, m, fam.b_one), fam.apply(fam.a_one, r.m, b))
-    return (m_new, fam.b_ring.mul(r.b, b))
-
-
-def tri_mul(r1, r2):
-    """r1 * r2, column by column: r1 acting on the P- and Q-parts of r2."""
-    r1.family.check_same(r2.family)
-    a, q = column_split(r2)
-    return column_join(r1.family, act_p(r1, a), act_q(r1, q))
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,8 @@ class TElement:
 
     # -- ring operations -----------------------------------------------------
     def __add__(self, other):
-        return t_add(self, other)
+        self.family.check_same(other.family)
+        return TElement(self.family, _refold(self.family, (self.terms, other.terms)))
 
     def __neg__(self):
         return TElement(self.family, term_scale(-1, self.terms))
@@ -148,11 +149,6 @@ def t_generator(family, m, budget=UNBOUNDED):
 
     m enters here, so it is put in the family's canonical form first."""
     return TElement(family, _generator_terms(family, family.canon_m(m), budget))
-
-
-def t_add(e1, e2):
-    e1.family.check_same(e2.family)
-    return TElement(e1.family, _refold(e1.family, (e1.terms, e2.terms)))
 
 
 def t_scale(e, c):

@@ -573,3 +573,29 @@ class TestMalformedCommandLineExit2:
         out = run_cli("normalize", "--family", SCALED, "--expr", "-x[3]")
         assert out.returncode == 2 and out.stdout == ""
         assert out.stderr == "error: trilocal normalize: argument --expr: expected one argument\n"
+
+
+class TestHelpReturns0:
+    """-h/--help prints the usage and returns 0 from main, as every other
+    outcome of main is a return code; the text is the console script's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--help"],
+            *([command, "--help"] for command in (
+                "normalize", "rho", "verify", "fraction", "factor", "localize-ring", "localize-module",
+            )),
+            ["normalize", "-h"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_help_returns_0(self, argv, capsys, monkeypatch):
+        from trilocal.cli import main
+
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the help at the terminal width
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("usage: trilocal")
+        out = run_cli(*argv)
+        assert out.returncode == 0 and out.stdout == captured.out

@@ -6,7 +6,7 @@ from fractions import Fraction
 from trilocal.families import HnnFreeFamily, ScaledFamily, TensorFreeFamily
 from trilocal.linalg import Matrix, diagonal_form
 from trilocal.rings import ZZ, KadicRing
-from trilocal.tring import TElement, family_iso, t_add, t_generator, t_mul, t_scale
+from trilocal.tring import TElement, family_iso, t_generator, t_mul, t_scale
 
 
 class TestMultiTermMerges:
@@ -55,7 +55,7 @@ class TestScaledSigns:
         fam = ScaledFamily(2)
         e = t_generator(fam, -4)
         assert e == TElement.from_scalar(fam, -2)
-        e = t_add(t_generator(fam, -3), t_generator(fam, -5))
+        e = t_generator(fam, -3) + t_generator(fam, -5)
         assert e == TElement.from_scalar(fam, -4)
 
     def test_scale_by_base_power(self):
@@ -103,4 +103,4 @@ class TestZeroHandling:
 
         e = random_telement(fam, rng)
         assert t_mul(e, TElement.zero(fam)).is_zero()
-        assert t_add(e, t_scale(e, -1)).is_zero()
+        assert (e + t_scale(e, -1)).is_zero()

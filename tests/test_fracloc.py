@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from trilocal import fracloc
 from trilocal.errors import UnsupportedFamilyError
-from trilocal.families import DoubleFamily, RegularFamily, ScaledFamily, TensorFreeFamily
+from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.fracloc import (
     CentralPair,
     LetterHom,
@@ -38,46 +39,28 @@ from trilocal.verify import random_telement
 class TestCentralPair:
     def test_regular_pair(self):
         pair = CentralPair(RegularFamily("Z"), 2, 2)
-        assert pair.certification == "basis"
-        assert check_central(pair).passed
+        assert pair.target == ScaledFamily(2)
+        rep = check_central(pair)
+        assert rep.passed and rep.meta == {"certification": "basis"}
 
     def test_scaled_pair(self):
         pair = CentralPair(ScaledFamily(2), 3, 3)
         assert check_central(pair).passed
 
-    @pytest.mark.parametrize("family", [RegularFamily("Z"), ScaledFamily(2), DoubleFamily("Q")], ids=lambda f: f.kind)
+    @pytest.mark.parametrize("family", [RegularFamily("Z"), ScaledFamily(2)], ids=lambda f: f.kind)
     def test_basis_family_draws_nothing(self, family, monkeypatch):
         # the basis decides centrality, so no random element of M is drawn
         def no_draw(*args):
             raise AssertionError("a family with a basis drew a random element of M")
 
         monkeypatch.setattr(type(family), "random_m", no_draw)
-        pair = CentralPair(family, 2, 2)
-        assert pair.certification == "basis"
-        rep = check_central(pair)
-        assert rep.passed and rep.seed is None and "samples" not in rep.meta
+        rep = check_central(CentralPair(family, 2, 2))
+        assert rep.passed and rep.seed is None and rep.meta == {"certification": "basis"}
 
     def test_violating_pair_rejected(self):
-        fam = TensorFreeFamily("Q", ("s",), ("u",))
-        s = fam.a_ring.generator(0)
-        u = fam.b_ring.generator(0)
-        with pytest.raises(ValueError):
-            CentralPair(fam, s, u)
-
-    def test_scalar_pair_on_free_family_is_sampled_only(self):
-        fam = TensorFreeFamily("Q", ("s",), ("u",))
-        two_a = fam.a_ring.from_int(2)
-        two_b = fam.b_ring.from_int(2)
-        pair = CentralPair(fam, two_a, two_b)
-        assert pair.certification == "samples-only"
-        assert check_central(pair).passed
-
-
-class NotCentral(CentralPair):
-    """A pair whose x_(a0*p) is x_(s (x) 1), which does not commute with x_(1 (x) u)."""
-
-    def x_a0p(self):
-        return t_generator(self.family, {((0,), ()): 1})
+        # regular-Z has a target for a0 = 2, so only centrality rejects b0 = 3
+        with pytest.raises(UnsupportedFamilyError, match="not a central pair: a0.m != m.b0 for m = 1"):
+            CentralPair(RegularFamily("Z"), 2, 3)
 
 
 class WrongInverse(CentralPair):
@@ -93,33 +76,36 @@ CENTRALITY_CHECKS = [
     "x_p times image of x_(a0*p) is 1",
 ]
 
+TRUE_PAIRS = [(RegularFamily("Z"), 2, 2), (ScaledFamily(2), 3, 3)]
+
 
 class TestCheckCentralControls:
     """Each check of check_central fails, by name, on a pair built to break it."""
 
     @pytest.mark.parametrize("check", CENTRALITY_CHECKS, ids=["commutes", "image-times-inverse", "inverse-times-image"])
-    def test_broken_pair_fails_the_check(self, check):
+    def test_broken_pair_fails_the_check(self, check, monkeypatch):
         if check == CENTRALITY_CHECKS[0]:
-            fam = TensorFreeFamily("Q", ("s",), ("u",))
-            pair = NotCentral(fam, fam.a_ring.from_int(2), fam.b_ring.from_int(2))
+            # a product that ignores its right factor: x_(a0*p) * x_1 and
+            # x_1 * x_(a0*p) come out as the two different left factors
+            monkeypatch.setattr(fracloc, "t_mul", lambda left, right: left)
+            for args in TRUE_PAIRS:
+                results = {c.name: (c.passed, c.detail) for c in check_central(CentralPair(*args)).checks}
+                assert results[check] == (False, "fails on basis element 1"), results
         else:
-            pair = WrongInverse(RegularFamily("Z"), 2, 2)
-        results = {c.name: c.passed for c in check_central(pair).checks}
-        assert results.get(check) is False, results
+            results = {c.name: c.passed for c in check_central(WrongInverse(RegularFamily("Z"), 2, 2)).checks}
+            assert results.get(check) is False, results
 
     def test_true_pairs_pass_every_check(self):
-        fam = TensorFreeFamily("Q", ("s",), ("u",))
-        pair = CentralPair(fam, fam.a_ring.from_int(2), fam.b_ring.from_int(2))
-        assert [c.passed for c in check_central(pair).checks] == [True]
-        results = {c.name: c.passed for c in check_central(CentralPair(RegularFamily("Z"), 2, 2)).checks}
-        assert results == dict.fromkeys(CENTRALITY_CHECKS, True)
+        for args in TRUE_PAIRS:
+            results = {c.name: c.passed for c in check_central(CentralPair(*args)).checks}
+            assert results == dict.fromkeys(CENTRALITY_CHECKS, True)
 
 
 class TestInducedMap:
     def test_regular_to_dyadic_inclusion(self):
         fam = RegularFamily("Z")
         pair = CentralPair(fam, 2, 2)
-        target = pair.target_family()
+        target = pair.target
         assert target == ScaledFamily(2)
         # x_m goes to x_(2m), whose value is 2m/2 = m
         for m in range(-9, 10):
@@ -134,7 +120,7 @@ class TestInducedMap:
         for pair in (CentralPair(RegularFamily("Z"), 2, 2), CentralPair(ScaledFamily(2), 3, 3)):
             image = pair.induced(pair.x_a0p())
             inv = pair.old_p_in_target()
-            one = TElement.one(pair.target_family())
+            one = TElement.one(pair.target)
             assert t_mul(image, inv) == one
             assert t_mul(inv, image) == one
 
@@ -147,13 +133,20 @@ class TestInducedMap:
             assert pair.induced(t_mul(e1, e2)) == t_mul(pair.induced(e1), pair.induced(e2))
             assert pair.induced(e1 + e2) == pair.induced(e1) + pair.induced(e2)
 
-    def test_unsupported_families(self):
-        with pytest.raises(UnsupportedFamilyError):
-            CentralPair(DoubleFamily("Q"), 2, 2).target_family()
+    def test_unsupported_families(self, monkeypatch):
+        # a family without a target has no central pair; the target is built first, so M is never probed
+        def no_apply(*args):
+            raise AssertionError("a pair without a target probed M")
+
+        for family in (DoubleFamily("Q"), TensorFreeFamily("Q", ("s",), ("u",)), HnnFreeFamily("Q", ("s",))):
+            monkeypatch.setattr(type(family), "apply", no_apply)
+            two_a, two_b = family.a_ring.from_int(2), family.b_ring.from_int(2)
+            with pytest.raises(UnsupportedFamilyError, match=f"changing p is not supported for {family.kind}"):
+                CentralPair(family, two_a, two_b)
 
     def test_trivial_pair_is_identity(self):
         pair = CentralPair(RegularFamily("Z"), 1, 1)
-        assert pair.target_family() == RegularFamily("Z")
+        assert pair.target == RegularFamily("Z")
         e = t_generator(pair.family, 7)
         assert pair.induced(e) == e
         form = pair.fraction_form(e)
@@ -163,7 +156,7 @@ class TestInducedMap:
 class TestFractionForm:
     def setup_method(self):
         self.pair = CentralPair(RegularFamily("Z"), 2, 2)
-        self.target = self.pair.target_family()
+        self.target = self.pair.target
 
     def element(self, num, r):
         if r == 0:
@@ -205,7 +198,7 @@ class TestFractionForm:
 
     def test_scaled_source_membership(self):
         pair = CentralPair(ScaledFamily(2), 3, 3)
-        target = pair.target_family()
+        target = pair.target
         assert target == ScaledFamily(6)
         e = t_generator(target, 5)  # value 5/6
         form = pair.fraction_form(e)
@@ -225,12 +218,12 @@ class TestFactorization:
         assert self.hom.respects_relations(samples=100, seed=DEFAULT_SEED)
 
     def test_letterwise_value(self):
-        target = self.pair.target_family()
+        target = self.pair.target
         e = t_generator(target, 3)  # value 3/2 in the target
         assert factor_inverting_hom(self.pair, self.hom, self.f_inv, e) == Fraction(3, 2)
 
     def test_one_maps_to_one(self):
-        target = self.pair.target_family()
+        target = self.pair.target
         assert factor_inverting_hom(self.pair, self.hom, self.f_inv, TElement.one(target)) == 1
 
     def test_factorization_identity_random(self):
@@ -241,13 +234,13 @@ class TestFactorization:
             assert lhs == self.hom.apply(e)
 
     def test_wrong_inverse_rejected(self):
-        target = self.pair.target_family()
+        target = self.pair.target
         with pytest.raises(ValueError):
             factor_inverting_hom(self.pair, self.hom, Fraction(1, 3), TElement.one(target))
 
     def test_two_evaluation_orders_random(self):
         rng = random.Random(7)
-        target = self.pair.target_family()
+        target = self.pair.target
         for _ in range(100):
             expr = Mul(tuple(Gen(rng.randint(-6, 6)) for _ in range(rng.randint(1, 3))))
             ok, lhs, rhs = two_order_agreement(self.pair, self.hom, self.f_inv, expr)
@@ -256,7 +249,7 @@ class TestFactorization:
     def test_factor_through_target_itself(self):
         # with hom = the induced map itself, the factored map fixes letters
         pair = self.pair
-        target = pair.target_family()
+        target = pair.target
 
         class TargetRing(OperatorRing):
             name = "T(M,a0*p)"
@@ -337,7 +330,7 @@ class TestScalarsEnterThroughTheTarget:
 
     def test_induced_map(self, monkeypatch):
         pair = CentralPair(ScaledFamily(2), 3, 3)
-        target = pair.target_family()
+        target = pair.target
         rng = random.Random(9)
         elements = [random_telement(pair.family, rng, size=5) for _ in range(30)]
         images = [pair.induced(e) for e in elements]

@@ -459,7 +459,7 @@ def map_targets():
         letter = lambda x, fam=fam, hom=hom: hom.generator_image(fam.letter_bim(x))
         targets.append((f"rational {fam.describe()}", fam, hom.apply, QQ, letter))
     for pair in (CentralPair(RegularFamily("Z"), 2, 2), CentralPair(ScaledFamily(2), 3, 3)):
-        fam, ops = pair.family, tring.TOps(pair.target_family())
+        fam, ops = pair.family, tring.TOps(pair.target)
         letter = lambda x, fam=fam, ops=ops, a0=pair.a0: ops.gen(fam.apply(a0, fam.letter_bim(x), fam.b_one))
         targets.append((f"induced {fam.describe()} a0={pair.a0}", fam, pair.induced, ops, letter))
     return targets

@@ -9,7 +9,7 @@ from trilocal.families import RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.linalg import Matrix
 from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
 from trilocal.rings import FreeAlgebraElement
-from trilocal.tring import TElement, TOps, family_iso, rho, t_add
+from trilocal.tring import TElement, TOps, family_iso, rho
 from trilocal.triangular import TriElement, random_tri, tri_mul
 from trilocal.verify import shipped_families
 
@@ -68,7 +68,7 @@ class TestVerifier:
         # drop the collapse of the distinguished generator: x_p no longer 1
         corrupt = {
             "A": lambda fam, v: rho(fam, "A", v),
-            "M": lambda fam, v: t_add(rho(fam, "M", v), TElement.one(fam)),
+            "M": lambda fam, v: rho(fam, "M", v) + TElement.one(fam),
             "B": lambda fam, v: rho(fam, "B", v),
         }
         rep = verify_sigma_inverting(RegularFamily("Z"), samples=30, seed=7, rho_maps=corrupt)
@@ -79,7 +79,7 @@ class TestVerifier:
     def test_corrupted_rho_fails_both_sampled_checks_on_one_pair(self):
         # M + 1 breaks multiplicativity and additivity on the same sampled
         # pair; each sampled check reports its own failure
-        corrupt = _maps(M=lambda fam, v: t_add(rho(fam, "M", v), TElement.one(fam)))
+        corrupt = _maps(M=lambda fam, v: rho(fam, "M", v) + TElement.one(fam))
         rep = verify_sigma_inverting(RegularFamily("Z"), samples=60, rho_maps=corrupt)
         sampled = {c.name: (c.passed, c.detail) for c in rep.checks if "sampled" in c.name}
         witness = "r1=(-4, 2, 4) r2=(3, -2, -4)"

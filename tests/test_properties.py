@@ -20,7 +20,6 @@ from trilocal.tring import (
     TElement,
     eval_tree,
     family_iso,
-    t_add,
     t_generator,
     t_mul,
     t_normalize,
@@ -38,7 +37,7 @@ def scaled_elements(draw):
     n = draw(st.integers(min_value=1, max_value=3))
     out = TElement.zero(S2)
     for _ in range(n):
-        out = t_add(out, t_generator(S2, draw(small_ints)))
+        out = out + t_generator(S2, draw(small_ints))
     return out
 
 
@@ -51,7 +50,7 @@ def double_elements(draw):
         piece = t_generator(DQ, m)
         if draw(st.booleans()):
             piece = t_mul(piece, t_generator(DQ, (0, 1)))
-        out = t_add(out, piece)
+        out = out + piece
     return out
 
 
@@ -64,8 +63,8 @@ class TestScaledLaws:
     @given(scaled_elements(), scaled_elements(), scaled_elements())
     @settings(max_examples=200)
     def test_distributivity(self, a, b, c):
-        lhs = t_mul(a, t_add(b, c))
-        rhs = t_add(t_mul(a, b), t_mul(a, c))
+        lhs = t_mul(a, b + c)
+        rhs = t_mul(a, b) + t_mul(a, c)
         assert lhs == rhs
 
     @given(scaled_elements())
@@ -89,7 +88,7 @@ class TestDoubleLaws:
     @settings(max_examples=150)
     def test_oracle_homomorphism(self, a, b):
         assert family_iso(t_mul(a, b)) == family_iso(a) * family_iso(b)
-        assert family_iso(t_add(a, b)) == family_iso(a) + family_iso(b)
+        assert family_iso(a + b) == family_iso(a) + family_iso(b)
 
 
 @st.composite

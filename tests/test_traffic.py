@@ -1,15 +1,17 @@
-"""Every function in ``src/trilocal`` is entered by the shipped traffic.
+"""Every function in ``src/trilocal`` is entered, and every slot field read,
+by the shipped traffic.
 
 ``tests/traffic.py`` runs the golden command lines, the demos and a few
-more command lines in a fresh interpreter and lists the functions of
-``src/trilocal`` that none of them enters (dunders and single-``raise``
-bodies aside).  Each one must be in ``ALLOWLIST`` with the reason it
-stays; anything else is code that only tests reach, and gets deleted or
-moved to the test that reaches it.  An allowlisted function that the
-traffic now enters, or that is gone, is a stale entry and fails too.
+more command lines in a fresh interpreter, once, and lists the functions
+of ``src/trilocal`` that none of them enters (dunders and single-``raise``
+bodies aside) and the ``__slots__`` fields that none of them reads.  Each
+one must be in ``ALLOWLIST`` or ``SLOT_ALLOWLIST`` with the reason it
+stays; anything else is code or state that only tests reach, and gets
+deleted or moved to the test that reaches it.  An allowlisted entry that
+the traffic now reaches, or that is gone, is a stale entry and fails too.
 
-The inventory needs ``sys.monitoring``, so the test runs on Python 3.12
-and newer.
+The function inventory needs ``sys.monitoring``, so its test runs on
+Python 3.12 and newer; the slot inventory runs on every Python.
 """
 
 import json
@@ -19,9 +21,9 @@ import sys
 
 import pytest
 
-from traffic import ROOT, SRC, definitions, entered
+from traffic import ROOT, SRC, definitions, entered, read_slots, slot_fields
 
-pytestmark = pytest.mark.skipif(sys.version_info < (3, 12), reason="the inventory needs sys.monitoring")
+needs_monitoring = pytest.mark.skipif(sys.version_info < (3, 12), reason="the inventory needs sys.monitoring")
 
 ALLOWLIST = {
     "families.py:FreeFamily.letter_bim": "the letter homomorphism of the free families (ROADMAP item 20) reads it",
@@ -35,20 +37,38 @@ ALLOWLIST = {
     "tring.py:TOps.name": "error messages name the ring by it",
 }
 
+SLOT_ALLOWLIST = {}
 
-def test_traffic_enters_every_function_but_the_allowlisted():
+
+@pytest.fixture(scope="module")
+def idle():
+    """The inventory of one traffic run in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC.parent))
     out = subprocess.run(
         [sys.executable, str(ROOT / "tests" / "traffic.py")], capture_output=True, text=True, env=env, cwd=ROOT
     )
     assert out.returncode == 0, out.stderr
-    idle = json.loads(out.stdout)
-    unlisted = [name for name in idle if name not in ALLOWLIST]
+    return json.loads(out.stdout)
+
+
+def unlisted_and_stale(idle, allowlist):
+    return [name for name in idle if name not in allowlist], [name for name in allowlist if name not in idle]
+
+
+@needs_monitoring
+def test_traffic_enters_every_function_but_the_allowlisted(idle):
+    unlisted, stale = unlisted_and_stale(idle["functions"], ALLOWLIST)
     assert not unlisted, f"no command or demo enters {', '.join(unlisted)}"
-    stale = [name for name in ALLOWLIST if name not in idle]
     assert not stale, f"allowlisted, but entered or gone: {', '.join(stale)}"
 
 
+def test_traffic_reads_every_slot_but_the_allowlisted(idle):
+    unlisted, stale = unlisted_and_stale(idle["slots"], SLOT_ALLOWLIST)
+    assert not unlisted, f"no command or demo reads {', '.join(unlisted)}"
+    assert not stale, f"allowlisted, but read or gone: {', '.join(stale)}"
+
+
+@needs_monitoring
 def test_inventory_keys_match_the_definitions():
     # a method the callback sees is keyed as definitions() keys it; one it does not see is left out
     from trilocal.rings import PolynomialRing
@@ -59,3 +79,22 @@ def test_inventory_keys_match_the_definitions():
     assert ("rings.py", "PolynomialRing.random") in checked - seen
     assert ("families.py", "RegularFamily._no_letters") not in checked  # a single raise
     assert ("cli.py", "build_parser.<locals>.common") in checked
+
+
+def test_slot_watchers_see_reads_only_and_step_aside():
+    from trilocal.tring import Budget
+
+    fields = set(slot_fields())
+    assert ("tring.py", "Budget", "limit") in fields and ("tring.py", "Budget", "used") in fields
+
+    def run():
+        budget = Budget(5)  # writes both fields through the watchers
+        del budget.used
+        budget.used = 2
+        assert type(Budget.limit).__name__ == "member_descriptor"  # a read from the class reads no slot
+        assert budget.used == 2  # the one read
+
+    seen = read_slots(run)
+    assert ("tring.py", "Budget", "used") in seen and ("tring.py", "Budget", "limit") not in seen
+    # every member is back once the run ends, read or not
+    assert [type(Budget.__dict__[field]).__name__ for field in Budget.__slots__] == ["member_descriptor"] * 2

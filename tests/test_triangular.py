@@ -14,10 +14,6 @@ from trilocal.triangular import (
     SigmaMorphism,
     TriElement,
     TripleModule,
-    act_p,
-    act_q,
-    column_join,
-    column_split,
     random_tri,
     tri_mul,
     triple_from_json,
@@ -142,26 +138,6 @@ class TestTriMul:
 
 
 class TestColumns:
-    def test_split_join_round_trip(self):
-        rng = random.Random(4)
-        for fam in shipped_families():
-            r = random_tri(fam, rng, 5)
-            a, q = column_split(r)
-            assert column_join(fam, a, q) == r
-
-    def test_split_respects_left_multiplication(self):
-        rng = random.Random(5)
-        for fam in shipped_families():
-            for _ in range(100):
-                r = random_tri(fam, rng, 4)
-                s = random_tri(fam, rng, 4)
-                a, q = column_split(s)
-                prod = tri_mul(r, s)
-                pa, pq = column_split(prod)
-                assert pa == act_p(r, a)
-                mq = act_q(r, q)
-                assert pq[0] == mq[0] and pq[1] == mq[1]
-
     def test_sigma_image(self):
         for fam in shipped_families():
             m, b = SigmaMorphism(fam).apply(fam.a_one)

@@ -26,7 +26,6 @@ from trilocal.tring import (
     power,
     relation_failure,
     rho,
-    t_add,
     t_generator,
     t_mul,
     t_normalize,
@@ -323,7 +322,7 @@ class TestEquality:
     def term_sum(fam, terms):
         total = TElement.zero(fam)
         for word, c in terms:
-            total = t_add(total, TElement(fam, {word: c}))
+            total = total + TElement(fam, {word: c})
         return total
 
     @pytest.mark.parametrize("fam", shipped_families(), ids=lambda f: f.kind)
@@ -331,7 +330,7 @@ class TestEquality:
         rng = random.Random(31)
         draws = (random_telement(fam, rng) for _ in range(200))
         a, b = [e for e in draws if len(e.terms) > (fam.basis() is None)][:2]
-        pairs = [(t_add(a, b), t_add(b, a))]
+        pairs = [(a + b, b + a)]
         terms = list(t_mul(a, b).terms.items())
         pairs.append((self.term_sum(fam, terms), self.term_sum(fam, reversed(terms))))
         for x, y in pairs:
@@ -369,7 +368,7 @@ class TestRingVariants:
             e1 = random_telement(fam, rng)
             e2 = random_telement(fam, rng)
             assert family_iso(t_mul(e1, e2)) == family_iso(e1) * family_iso(e2)
-            assert family_iso(t_add(e1, e2)) == family_iso(e1) + family_iso(e2)
+            assert family_iso(e1 + e2) == family_iso(e1) + family_iso(e2)
             assert (e1 == e2) == (family_iso(e1) == family_iso(e2))
 
 
@@ -386,7 +385,7 @@ class TestCoefficients:
 
     def test_scaled_sum_across_exponents(self):
         fam = ScaledFamily(2)
-        total = t_add(t_generator(fam, 4), t_generator(fam, 3))  # 2 + 3/2
+        total = t_generator(fam, 4) + t_generator(fam, 3)  # 2 + 3/2
         assert total == t_generator(fam, 7)
         assert len(total.terms) == 1
 

@@ -1,4 +1,5 @@
-"""Which functions of ``src/trilocal`` the shipped traffic enters.
+"""Which functions of ``src/trilocal`` the shipped traffic enters, and which
+slots it reads.
 
 The traffic is what a user runs: every golden command line (``CASES``,
 whose output ``tests/test_golden.py`` compares; both ``verify`` suites
@@ -6,21 +7,28 @@ included), the demos, and a few more command lines whose output nothing
 compares (``EXTRA``), each reaching a path of its own.  The inventory lists every function defined in
 ``src/trilocal`` that the traffic never enters, except dunders, which
 Python calls itself, and functions whose body (after a docstring) is a
-single ``raise``, which are error paths.
+single ``raise``, which are error paths.  It also lists every field that
+a class of ``src/trilocal`` names in its ``__slots__`` and that the
+traffic never reads from an instance.
 
 Functions are keyed by file name and qualified name, and their first
 entry is seen through ``sys.monitoring`` (Python 3.12 or newer): a
 ``PY_START`` callback on a free tool id records the code object and
 disables itself for it, so the traffic runs at full speed after that.
+Slot fields are keyed by file name, class name and field, and seen on
+every Python: before the traffic runs, each field's member descriptor
+is swapped for a watcher, which records the field on its first read
+from an instance and puts the member back.
 The helper imports only the standard library and trilocal.  Run it as a
-script, from a fresh interpreter, to print the unentered functions as
-JSON:
+script, from a fresh interpreter, to print both lists as JSON (the
+functions as null before Python 3.12):
 
     PYTHONPATH=src python tests/traffic.py
 """
 
 import ast
 import contextlib
+import importlib
 import io
 import json
 import pathlib
@@ -78,20 +86,18 @@ EXTRA = [
     ["rho", "--family", DOUBLE, "--component", "M", "--value=-(1,2)"],
     ["localize-module", "--spec", str(GOLDEN / "module.json"), "--family", TENSOR],  # the basis() default
     ["normalize", "--family", SCALED, "--expr", "-x[3]"],  # a malformed command line: argparse's error
+    ["normalize", "--help"],  # argparse's exit after the help, which main returns
 ]
 
 
 def run_main(argv):
     """(exit code, stdout) of cli.main on argv, run in-process as the console
-    script runs it, a SystemExit included; stderr is discarded."""
+    script runs it; stderr is discarded."""
     from trilocal.cli import main
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue()
 
 
@@ -155,11 +161,82 @@ def entered(run):
     return seen
 
 
-def unentered():
-    """The checked functions that the traffic never enters, as "file:qualname"."""
-    seen = entered(run_traffic)
-    return [f"{file}:{name}" for file, name in definitions() if (file, name) not in seen]
+def slot_fields():
+    """(file name, class name, field) of every field a class of src/trilocal
+    lists in a literal __slots__, dunders aside."""
+    out = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in stmt.targets):
+                    fields = ast.literal_eval(stmt.value)
+                    out += [(path.name, node.name, f) for f in fields if not f.startswith("__")]
+    return out
+
+
+class SlotWatcher:
+    """Stands in for one slot's member descriptor: the first read from an
+    instance records key in seen and puts the member back; writes and
+    deletes go to the member."""
+
+    def __init__(self, cls, field, key, seen):
+        self.cls, self.field, self.key, self.seen = cls, field, key, seen
+        self.member = cls.__dict__[field]
+
+    def restore(self):
+        setattr(self.cls, self.field, self.member)
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self.member
+        self.seen.add(self.key)
+        self.restore()
+        return self.member.__get__(obj, owner)
+
+    def __set__(self, obj, value):
+        self.member.__set__(obj, value)
+
+    def __delete__(self, obj):
+        self.member.__delete__(obj)
+
+
+def read_slots(run):
+    """(file name, class name, field) of every slot field of src/trilocal
+    that run() reads from an instance."""
+    seen, watchers = set(), []
+    for file, name, field in slot_fields():
+        cls = getattr(importlib.import_module(f"trilocal.{file[:-3]}"), name)
+        watchers.append(SlotWatcher(cls, field, (file, name, field), seen))
+        setattr(cls, field, watchers[-1])
+    try:
+        run()
+    finally:
+        for watcher in watchers:
+            if watcher.key not in seen:
+                watcher.restore()
+    return seen
+
+
+def inventory():
+    """The checked functions that the traffic never enters, as "file:qualname"
+    (None before Python 3.12), and the slot fields it never reads, as
+    "file:class.field", from one run of the traffic."""
+    read = set()
+
+    def run():
+        read.update(read_slots(run_traffic))
+
+    if hasattr(sys, "monitoring"):
+        seen = entered(run)
+        functions = [f"{file}:{name}" for file, name in definitions() if (file, name) not in seen]
+    else:
+        run()
+        functions = None
+    slots = [f"{file}:{name}.{field}" for file, name, field in slot_fields() if (file, name, field) not in read]
+    return {"functions": functions, "slots": slots}
 
 
 if __name__ == "__main__":
-    print(json.dumps(unentered(), indent=1))
+    print(json.dumps(inventory(), indent=1))
