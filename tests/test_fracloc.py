@@ -47,13 +47,18 @@ class TestCentralPair:
         pair = CentralPair(ScaledFamily(2), 3, 3)
         assert check_central(pair).passed
 
-    @pytest.mark.parametrize("family", [RegularFamily("Z"), ScaledFamily(2)], ids=lambda f: f.kind)
+    @pytest.mark.parametrize("family", [RegularFamily("Z"), ScaledFamily(2), DoubleFamily("Q")], ids=lambda f: f.kind)
     def test_basis_family_draws_nothing(self, family, monkeypatch):
-        # the basis decides centrality, so no random element of M is drawn
+        # the basis decides centrality, so no random element of M is drawn;
+        # double-Q has no target, so its pair is refused before M is drawn from
         def no_draw(*args):
             raise AssertionError("a family with a basis drew a random element of M")
 
         monkeypatch.setattr(type(family), "random_m", no_draw)
+        if isinstance(family, DoubleFamily):
+            with pytest.raises(UnsupportedFamilyError, match="changing p is not supported for double"):
+                CentralPair(family, 2, 2)
+            return
         rep = check_central(CentralPair(family, 2, 2))
         assert rep.passed and rep.seed is None and rep.meta == {"certification": "basis"}
 
@@ -61,6 +66,13 @@ class TestCentralPair:
         # regular-Z has a target for a0 = 2, so only centrality rejects b0 = 3
         with pytest.raises(UnsupportedFamilyError, match="not a central pair: a0.m != m.b0 for m = 1"):
             CentralPair(RegularFamily("Z"), 2, 3)
+
+    def test_scalar_pair_on_free_family_is_sampled_only(self):
+        # a pair certified by samples alone is no longer built: tensor-free
+        # has no target, so the scalar pair (2, 2) is refused at construction
+        fam = TensorFreeFamily("Q", ("s",), ("u",))
+        with pytest.raises(UnsupportedFamilyError, match="changing p is not supported for tensor-free"):
+            CentralPair(fam, fam.a_ring.from_int(2), fam.b_ring.from_int(2))
 
 
 class WrongInverse(CentralPair):
