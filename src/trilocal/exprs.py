@@ -298,11 +298,12 @@ def parse_ring_element(family, component, text, budget):
 
 
 def parse_bim_element(family, text):
-    """Parse a bimodule element: 0, or a signed sum of (coefficient *) melems."""
+    """Parse a bimodule element: 0, or a signed sum of (c *) melems, c*m being M's action c*m*1."""
     p = _Parser(family, text)
     total = family.zero_m()
     if len(p.tokens) == 2 and p.peek().value == 0:
         return total
+    scale = lambda c, m: family.apply(family.a_ring.from_int(c), m, family.b_one)
 
     def melem_term():
         coeff = 1
@@ -310,16 +311,16 @@ def parse_bim_element(family, text):
             coeff = p.parse_lit()
             p.expect("*")
         m = family.parse_melem(p)
-        return family.scale_m(coeff, m) if coeff != 1 else m
+        return scale(coeff, m) if coeff != 1 else m
 
     negate = p.peek().kind == "-"
     if negate:
         p.next()
     m = melem_term()
-    total = family.add_m(total, family.scale_m(-1, m) if negate else m)
+    total = family.add_m(total, scale(-1, m) if negate else m)
     while p.peek().kind in ("+", "-"):
         op = p.next().kind
         m = melem_term()
-        total = family.add_m(total, family.scale_m(-1, m) if op == "-" else m)
+        total = family.add_m(total, scale(-1, m) if op == "-" else m)
     p.end()
     return total

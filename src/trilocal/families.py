@@ -19,12 +19,13 @@ Shipped kinds:
 Each decision is stated once.  ``BimoduleFamily`` holds what follows
 from the rings alone: the check of the coefficient ring and the units
 of A and B; random elements and scalars are the rings' own.  It also
-builds a family's identity and JSON descriptor from the family's
-``params``, the one place a family names its descriptor fields.
-``ScalarFamily`` adds A = B = Z or Q for regular and double, and scaled
-is the regular bimodule Z with p = k.  Tensor-free and hnn-free share
-``FreeFamily``: M is free over C, and an element of M is a term map
-over M's basis keys, which are T's letters; p's key is the constant 1.
+builds a family's JSON descriptor from its ``params``, the one place a
+family names its descriptor fields, and a family is its descriptor:
+equal descriptors, equal families.  ``ScalarFamily`` adds A = B = Z or
+Q and the one generator letter, if any, for regular and double, and
+scaled is the regular bimodule Z with p = k.  Tensor-free and hnn-free
+share ``FreeFamily``: M is free over C, and an element of M is a term
+map over M's basis keys, T's letters; p's key is the constant 1.
 ``FreeFamily`` states M's operations, the letters, their merges and
 their oracle image once, and each free family adds its own keys, how
 words act on a key, the words of its keys in A*p and p*B, a letter's
@@ -53,7 +54,6 @@ from .rings import (
     scalar_ring,
     scalar_str,
     signed_sum,
-    term_scale,
     term_sum,
 )
 
@@ -88,9 +88,6 @@ class BimoduleFamily:
         self.ring = ring
 
     # -- identity ---------------------------------------------------------
-    def key(self):
-        return (self.kind,) + tuple(getattr(self, attr) for attr in self.params.values())
-
     def to_json(self):
         out = {"kind": self.kind}
         for field, attr in self.params.items():
@@ -98,11 +95,12 @@ class BimoduleFamily:
             out[field] = list(value) if isinstance(value, tuple) else value
         return out
 
+    # equal descriptor text is equal kind and params: a tuple prints as a list, and k is an int
     def __eq__(self, other):
-        return self is other or isinstance(other, BimoduleFamily) and self.key() == other.key()
+        return self is other or isinstance(other, BimoduleFamily) and self.describe() == other.describe()
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.describe())
 
     def check_same(self, other):
         if self is not other and self != other:
@@ -162,10 +160,17 @@ class ScalarFamily(BimoduleFamily):
     its scalars."""
 
     params = {"ring": "ring"}
+    letter = letter_value = None  # the one generator letter, if any, and the element of M it stands for
 
     def __init__(self, ring):
         super().__init__(ring)
         self.a_ring = self.b_ring = self.coeff_ring
+
+    def letter_bim(self, letter):
+        return self.letter_value
+
+    def letter_key(self, letter):
+        return (0,)
 
 
 class RegularFamily(ScalarFamily):
@@ -198,9 +203,6 @@ class RegularFamily(ScalarFamily):
     def apply(self, a, m, b):
         return scalar_mul(scalar_mul(a, m), b)
 
-    def scale_m(self, c, m):
-        return scalar_mul(c, m)
-
     def fmt_m(self, m):
         return scalar_str(m)
 
@@ -216,11 +218,6 @@ class RegularFamily(ScalarFamily):
     # letters --------------------------------------------------------------
     def letter_terms(self, m):
         return [(m, None)] if m != 0 else []
-
-    def _no_letters(self, letter):
-        raise AssertionError("regular family has no generator letters")
-
-    letter_bim = letter_key = _no_letters
 
     def oracle_image(self, e):
         """With no letters, a normal form is its constant term."""
@@ -268,9 +265,6 @@ class DoubleFamily(ScalarFamily):
         ab = scalar_mul(a, b)
         return (scalar_mul(ab, m[0]), scalar_mul(ab, m[1]))
 
-    def scale_m(self, c, m):
-        return (scalar_mul(c, m[0]), scalar_mul(c, m[1]))
-
     def fmt_m(self, m):
         return f"({scalar_str(m[0])},{scalar_str(m[1])})"
 
@@ -288,7 +282,7 @@ class DoubleFamily(ScalarFamily):
     def random_m(self, rng, size=9):
         return (self.a_ring.random(rng, size), self.a_ring.random(rng, size))
 
-    _X = ("x",)
+    letter, letter_value = ("x",), (0, 1)
 
     def letter_terms(self, m):
         m1, m2 = m
@@ -296,14 +290,8 @@ class DoubleFamily(ScalarFamily):
         if m1 != 0:
             out.append((m1, None))
         if m2 != 0:
-            out.append((m2, self._X))
+            out.append((m2, self.letter))
         return out
-
-    def letter_bim(self, letter):
-        return (0, 1)
-
-    def letter_key(self, letter):
-        return (0,)
 
     def oracle_image(self, e):
         """The word of r letters maps to x^r, so its coefficient is that of degree r."""
@@ -340,20 +328,14 @@ class ScaledFamily(RegularFamily):
     def random_m(self, rng, size=20):
         return rng.randint(-size, size)
 
-    _G = ("g",)
+    letter, letter_value = ("g",), 1
 
     def letter_terms(self, m):
         if m == 0:
             return []
         if m % self.k == 0:
             return [(m // self.k, None)]
-        return [(m, self._G)]
-
-    def letter_bim(self, letter):
-        return 1
-
-    def letter_key(self, letter):
-        return (0,)
+        return [(m, self.letter)]
 
     def fold_element(self, terms):
         # the word g^r stands for k**-r: sum over the denominator of the
@@ -375,13 +357,13 @@ class ScaledFamily(RegularFamily):
         if not e.terms:
             return 0
         ((w, c),) = e.terms.items()
-        return norm_scalar(c * self.oracle_letter(self._G) ** len(w)) if w else c
+        return norm_scalar(c * self.oracle_letter(self.letter) ** len(w)) if w else c
 
     def terms_with_value(self, frac):
         r = self.oracle.exponent(frac)
         if r is None:
             return None
-        return {(self._G,) * r: frac.numerator * self.k ** r // frac.denominator} if frac else {}
+        return {(self.letter,) * r: frac.numerator * self.k ** r // frac.denominator} if frac else {}
 
 
 # -- free bimodules -----------------------------------------------------------
@@ -447,9 +429,6 @@ class FreeFamily(BimoduleFamily):
 
     def add_m(self, m1, m2):
         return term_sum((m1, m2))
-
-    def scale_m(self, c, m):
-        return term_scale(c, m)
 
     def apply(self, a, m, b):
         """a * m * b: each word of a and each word of b act on each key of m."""

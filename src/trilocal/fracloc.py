@@ -31,6 +31,7 @@ from .tring import (
     family_iso,
     map_terms,
     relation_failure,
+    rho,
     t_generator,
     t_mul,
     t_normalize,
@@ -60,8 +61,7 @@ class CentralPair:
     # -- derived data --------------------------------------------------------
     def x_a0p(self):
         """The element of T(M,p) indexed by a0*p."""
-        fam = self.family
-        return t_generator(fam, fam.apply(self.a0, fam.p, fam.b_one))
+        return rho(self.family, "A", self.a0)
 
     # -- the induced morphism --------------------------------------------------
     def induced(self, e):

@@ -168,7 +168,8 @@ def _euclidean_engine(mat):
     a == 0; its divmod(a, b) returns (q, r) with a == q*b + r and
     size(r) < size(b) or r == 0.  Every row operation applied to U is
     undone on the columns of U^-1, and every column operation applied to
-    V on the rows of V^-1.
+    V on the rows of V^-1.  Every ring here (Z, Q, Q[x]; Z[1/k] goes
+    through Z) is commutative, so a factor multiplies from either side.
 
     The working matrix a is dense.  The transforms are sparse rows,
     {column: nonzero entry}, each in the orientation its operations act
@@ -193,10 +194,10 @@ def _euclidean_engine(mat):
     U, Uc = [{i: one} for i in range(m)], [{i: one} for i in range(m)]
     Vc, Vi = [{i: one} for i in range(n)], [{i: one} for i in range(n)]
 
-    def add_scaled(dst, src, c, left):  # dst += c * src (src * c unless left) in place; a zero sum drops its key
+    def add_scaled(dst, src, c):  # dst += c * src in place; a zero sum drops its key
         get = dst.get
         for k, y in src.items():
-            p = mul(c, y) if left else mul(y, c)
+            p = mul(c, y)
             x = get(k)
             if x is None:
                 dst[k] = p
@@ -209,15 +210,15 @@ def _euclidean_engine(mat):
     # hold only their diagonal entries, so the operations on a skip them.
     def row_add(i, j, c):  # row_i += c * row_j in a and U; col_j -= col_i * c in U^-1
         a[i][t:] = [x if is_zero(y) else add(x, mul(c, y)) for x, y in zip(a[i][t:], a[j][t:])]
-        add_scaled(U[i], U[j], c, True)
-        add_scaled(Uc[j], Uc[i], rg.neg(c), False)
+        add_scaled(U[i], U[j], c)
+        add_scaled(Uc[j], Uc[i], rg.neg(c))
 
     def col_add(j, i, c):  # col_j += col_i * c in a and V; row_i -= c * row_j in V^-1
         for row in a[t:]:
             if not is_zero(row[i]):
                 row[j] = add(row[j], mul(row[i], c))
-        add_scaled(Vc[j], Vc[i], c, False)
-        add_scaled(Vi[i], Vi[j], rg.neg(c), True)
+        add_scaled(Vc[j], Vc[i], c)
+        add_scaled(Vi[i], Vi[j], rg.neg(c))
 
     def row_swap(i, j):
         for rows in (a, U, Uc):

@@ -41,10 +41,6 @@ class TriElement:
     def one(cls, family):
         return cls(family, family.a_ring.one(), family.zero_m(), family.b_ring.one())
 
-    @classmethod
-    def zero(cls, family):
-        return cls(family, family.a_ring.zero(), family.zero_m(), family.b_ring.zero())
-
     def __eq__(self, other):
         if not isinstance(other, TriElement):
             return NotImplemented

@@ -115,9 +115,6 @@ class TElement:
     def __hash__(self):
         return hash((self.family, frozenset(self.terms.items())))
 
-    def is_zero(self):
-        return not self.terms
-
     def is_one(self):
         return self.terms == {(): 1}
 
@@ -161,9 +158,9 @@ def _seam(family, left, right):
     terms as ``_sizes`` rows, None), a shift (1, None, (l1, l2)), no rule ()."""
     merged = family.merge_pair(left, right)
     if merged is not None:
-        count = Budget(math.inf)
-        rows = _sizes(_generator_terms(family, merged, count))
-        return 1 + count.used, rows, None
+        # only the free families merge, and they do not fold: one tick per row
+        rows = _sizes(_generator_terms(family, merged, UNBOUNDED))
+        return 1 + len(rows), rows, None
     shifted = family.shift_pair(left, right)
     return () if shifted is None else (1, None, shifted)
 

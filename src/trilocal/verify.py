@@ -314,7 +314,7 @@ def example_suite(seed, negative_control):
         form = rzpair.fraction_form(e)
         return format_element(form.numerator) == numerator and form.exponent == exponent
 
-    rep.add("fraction form of 5/8 is 5 over the cube", fraction_is(TElement(tgt, {(tgt._G,) * 3: 5}), "5", 3))
+    rep.add("fraction form of 5/8 is 5 over the cube", fraction_is(TElement(tgt, {(tgt.letter,) * 3: 5}), "5", 3))
     rep.add("fraction form of 1 is (1, 0)", fraction_is(TElement.one(tgt), "1", 0))
     rep.add("fraction form of 6 needs no denominator", fraction_is(TElement.from_scalar(tgt, 6), "6", 0))
 

@@ -1,6 +1,7 @@
 """Grammar: parsing, printing, and the round trip."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -104,7 +105,7 @@ class TestRoundTrip:
         fam = ScaledFamily(2)
         e = parse_normal(fam, "x[3] - x[3]")
         assert format_element(e) == "0"
-        assert parse_normal(fam, "0").is_zero()
+        assert not parse_normal(fam, "0").terms
 
 
 class TestOracleDisplay:
@@ -142,3 +143,34 @@ class TestRingElementParsing:
         assert sc == -6
         dm = parse_bim_element(DoubleFamily("Q"), "(1/2,3)")
         assert dm == (__import__("fractions").Fraction(1, 2), 3)
+
+    @pytest.mark.parametrize("fam,text,expected", [
+        pytest.param(RegularFamily("Z"), "-3+5-7", -5, id="regular-Z"),
+        pytest.param(RegularFamily("Q"), "-1/2+3-2/3", Fraction(11, 6), id="regular-Q"),
+        pytest.param(ScaledFamily(2), "-6+4-1", -3, id="scaled"),
+        pytest.param(DoubleFamily("Q"), "-2*(1,1/2)+1/2*(0,3)-(1,0)", (-3, Fraction(1, 2)), id="double-Q"),
+        pytest.param(DoubleFamily("Z"), "-(1,-2)+3*(2,1)-(0,1)", (5, 4), id="double-Z"),
+        pytest.param(
+            TensorFreeFamily("Q", ("s",), ("u", "v")), "-2*t(s,u)+1/2*t(1,v)-t(s,u)+3*t(1,1)",
+            {((0,), (0,)): -3, ((), (1,)): Fraction(1, 2), ((), ()): 3}, id="tensor-free-Q",
+        ),
+        pytest.param(
+            TensorFreeFamily("Z", ("s",), ("u",)), "-t(s,u)+3*t(1,u)-2*t(s,u)", {((0,), (0,)): -3, ((), (0,)): 3},
+            id="tensor-free-Z",
+        ),
+        pytest.param(
+            HnnFreeFamily("Q", ("s", "t"), "x"), "-1/2*h(s)+2*h(s,t)-h(s)-1/3*h(1,t)",
+            {("a", (0,)): Fraction(-3, 2), ("m", (0,), (1,)): 2, ("m", (), (1,)): Fraction(-1, 3)}, id="hnn-free-Q",
+        ),
+        pytest.param(
+            HnnFreeFamily("Z", ("s",), "x"), "-h(s)+4*h(s,s)-0*h(1)", {("a", (0,)): -1, ("m", (0,), (0,)): 4},
+            id="hnn-free-Z",
+        ),
+    ])
+    def test_signed_bim_sums(self, fam, text, expected):
+        # integer and rational coefficients, a leading and an inner minus: the
+        # sum, and for a term map its key order, as the melem scaling gave them
+        m = parse_bim_element(fam, text)
+        assert m == expected and type(m) is type(expected)
+        if isinstance(m, dict):
+            assert list(m.items()) == list(expected.items())

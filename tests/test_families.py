@@ -2,6 +2,7 @@
 reference), the premise that the scalar families' letters never merge,
 descriptors."""
 
+import json
 import random
 import re
 
@@ -133,7 +134,7 @@ class KeptMultipleFamily(ScaledFamily):
     g, where ScaledFamily collapses a multiple of k to the scalar m/k."""
 
     def letter_terms(self, m):
-        return [(m, self._G)] if m else []
+        return [(m, self.letter)] if m else []
 
 
 class TestScalarLettersNeverMerge:
@@ -156,7 +157,8 @@ class TestScalarLettersNeverMerge:
             if letter is None:
                 continue
             letters.add(letter)
-            for element in (family.letter_bim(letter), family.scale_m(c, family.letter_bim(letter))):
+            value = family.letter_bim(letter)
+            for element in (value, family.apply(family.a_ring.from_int(c), value, family.b_one)):
                 assert reference_factor_p(family, element) == (None, None), (
                     f"{family.describe()}: x[{family.fmt_m(m)}] keeps {family.fmt_m(element)}, "
                     f"which lies in A*p or p*B, as a letter term"
@@ -178,7 +180,7 @@ class TestScaledFold:
 
     def test_single_word_term_folds(self):
         fam = ScaledFamily(2)
-        g = fam._G
+        g = fam.letter
         assert fam.fold_element({(g, g): 4}) == {(): 1}
         assert fam.fold_element({(g, g, g): 6}) == {(g, g): 3}
         assert fam.fold_element({(g,): 3}) == {(g,): 3}
@@ -190,7 +192,7 @@ class TestScaledFold:
 
     def test_sum_over_the_longest_word(self):
         fam = ScaledFamily(2)
-        g = fam._G
+        g = fam.letter
         assert fam.fold_element({(): 1, (g,): 2}) == {(): 2}
         assert fam.fold_element({(g,): 1, (g, g): 2}) == {(): 1}
         assert fam.fold_element({(): 1, (g, g): 1}) == {(g, g): 5}
@@ -214,12 +216,29 @@ class TestDescriptors:
         (HnnFreeFamily("Q", ["s"], "y"), '{"A_gens": ["s"], "kind": "hnn-free", "ring": "Q", "x_name": "y"}'),
     ]
 
+    # for each pinned family, families that differ from it in one param or in kind
+    UNEQUAL = {
+        "regular": [RegularFamily("Z"), DoubleFamily("Q")],
+        "double": [DoubleFamily("Q"), RegularFamily("Z")],
+        "scaled": [ScaledFamily(3), RegularFamily("Z")],
+        "tensor-free": [
+            TensorFreeFamily("Q", ["s", "t"], ["u"]), TensorFreeFamily("Z", ["t", "s"], ["u"]),
+            TensorFreeFamily("Z", ["s", "t"], ["v"]), HnnFreeFamily("Z", ["s", "t"]),
+        ],
+        "hnn-free": [HnnFreeFamily("Z", ["s"], "y"), HnnFreeFamily("Q", ["s"]), TensorFreeFamily("Q", ["s"], ["y"])],
+    }
+
     @pytest.mark.parametrize("fam, described", PINNED, ids=[f.kind for f, _ in PINNED])
     def test_non_default_round_trip(self, fam, described):
         assert fam.describe() == described
         again = family_from_json(fam.to_json())
         assert again == fam and hash(again) == hash(fam)
         assert again.describe() == described
+        # a family is its descriptor: built apart from one, two families are equal and hash alike
+        twin = family_from_json(json.loads(described))
+        assert twin is not again and twin == again and hash(twin) == hash(again)
+        for other in self.UNEQUAL[fam.kind]:
+            assert other != fam and fam != other
 
     def test_unknown_kind(self):
         with pytest.raises(SchemaError):
@@ -290,7 +309,7 @@ class TestBasis:
                 coords = basis_coords(fam, m)
                 rebuilt = fam.zero_m()
                 for c, mu in zip(coords, basis):
-                    rebuilt = fam.add_m(rebuilt, fam.scale_m(c, mu))
+                    rebuilt = fam.add_m(rebuilt, fam.apply(fam.a_ring.from_int(c), mu, fam.b_one))
                 assert rebuilt == m
 
 

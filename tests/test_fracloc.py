@@ -173,7 +173,7 @@ class TestFractionForm:
     def element(self, num, r):
         if r == 0:
             return TElement.from_scalar(self.target, num)
-        return TElement(self.target, {(self.target._G,) * r: num})
+        return TElement(self.target, {(self.target.letter,) * r: num})
 
     def test_five_eighths(self):
         form = self.pair.fraction_form(self.element(5, 3))

@@ -111,9 +111,9 @@ def family_bimodule_elements(fam, rng):
     out = [fam.zero_m(), fam.p]
     for _ in range(4):
         m = fam.random_m(rng)
-        out += [m, fam.scale_m(-1, m)]
+        out += [m, fam.apply(fam.a_ring.from_int(-1), m, fam.b_one)]
         if fam.ring == "Q":
-            out.append(fam.scale_m(Fraction(1, 2), m))
+            out.append(fam.apply(fam.a_ring.from_int(Fraction(1, 2)), m, fam.b_one))
     return out
 
 

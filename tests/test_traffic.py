@@ -10,8 +10,9 @@ stays; anything else is code or state that only tests reach, and gets
 deleted or moved to the test that reaches it.  An allowlisted entry that
 the traffic now reaches, or that is gone, is a stale entry and fails too.
 
-The function inventory needs ``sys.monitoring``, so its test runs on
-Python 3.12 and newer; the slot inventory runs on every Python.
+Both inventories run on every Python: the function inventory reads
+``sys.monitoring`` where there is one (3.12 and newer) and a call-only
+tracer below that, and both list the same functions.
 """
 
 import json
@@ -23,16 +24,12 @@ import pytest
 
 from traffic import ROOT, SRC, definitions, entered, read_slots, slot_fields
 
-needs_monitoring = pytest.mark.skipif(sys.version_info < (3, 12), reason="the inventory needs sys.monitoring")
-
 ALLOWLIST = {
     "families.py:FreeFamily.letter_bim": "the letter homomorphism of the free families (ROADMAP item 20) reads it",
     "linalg.py:Matrix.fmt": "tests/golden/printers.json pins it, and __repr__ prints with it",
     "rings.py:RationalField.size": "the engine reads it, but every nonzero rational is a unit, so it is never called",
     "rings.py:KadicRing.random": "draws the pinned inputs of ring_draws.json, diagonal_forms.json and printers.json",
     "rings.py:PolynomialRing.random": "draws the pinned inputs of ring_draws.json, diagonal_forms.json and printers.json",
-    "triangular.py:TriElement.zero": "element API beside one",
-    "tring.py:TElement.is_zero": "element API beside is_one",
     "tring.py:Record._fields": "read by __eq__ and __hash__",
     "tring.py:TOps.name": "error messages name the ring by it",
 }
@@ -55,7 +52,6 @@ def unlisted_and_stale(idle, allowlist):
     return [name for name in idle if name not in allowlist], [name for name in allowlist if name not in idle]
 
 
-@needs_monitoring
 def test_traffic_enters_every_function_but_the_allowlisted(idle):
     unlisted, stale = unlisted_and_stale(idle["functions"], ALLOWLIST)
     assert not unlisted, f"no command or demo enters {', '.join(unlisted)}"
@@ -68,17 +64,19 @@ def test_traffic_reads_every_slot_but_the_allowlisted(idle):
     assert not stale, f"allowlisted, but read or gone: {', '.join(stale)}"
 
 
-@needs_monitoring
 def test_inventory_keys_match_the_definitions():
-    # a method the callback sees is keyed as definitions() keys it; one it does not see is left out
+    # a function that run() enters is keyed as definitions() keys it, a decorated
+    # one by its decorator's line; one it does not enter is left out
+    from trilocal.families import RegularFamily
     from trilocal.rings import PolynomialRing
 
-    seen = entered(lambda: PolynomialRing("Q").one())
-    checked = set(definitions())
-    assert ("rings.py", "PolynomialRing.one") in seen & checked
-    assert ("rings.py", "PolynomialRing.random") in checked - seen
-    assert ("families.py", "RegularFamily._no_letters") not in checked  # a single raise
-    assert ("cli.py", "build_parser.<locals>.common") in checked
+    seen = entered(lambda: (PolynomialRing("Q").one(), RegularFamily("Z").a_one))
+    checked = definitions()
+    names = lambda keys: {(key[0], checked[key]) for key in keys}
+    assert {("rings.py", "PolynomialRing.one"), ("families.py", "BimoduleFamily.a_one")} <= names(seen & checked.keys())
+    assert ("rings.py", "PolynomialRing.random") in names(checked.keys() - seen)
+    assert ("families.py", "BimoduleFamily.scaled_p_variant") not in names(checked)  # a single raise
+    assert ("cli.py", "build_parser.<locals>.common") in names(checked)
 
 
 def test_slot_watchers_see_reads_only_and_step_aside():

@@ -126,7 +126,7 @@ class TestTriMul:
             m1, m2 = fam.random_m(rng), fam.random_m(rng)
             n1 = TriElement(fam, fam.a_ring.zero(), m1, fam.b_ring.zero())
             n2 = TriElement(fam, fam.a_ring.zero(), m2, fam.b_ring.zero())
-            assert tri_mul(n1, n2) == TriElement.zero(fam)
+            assert tri_mul(n1, n2) == TriElement(fam, fam.a_ring.zero(), fam.zero_m(), fam.b_ring.zero())
 
     def test_associative_random(self):
         rng = random.Random(3)

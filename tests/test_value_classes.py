@@ -16,7 +16,7 @@ from trilocal.tring import Add, Const, Gen, Mul, Neg, Pow, TElement
 def fraction_form():
     pair = CentralPair(RegularFamily("Z"), 2, 2)
     target = pair.target
-    return pair.fraction_form(TElement(target, {(target._G,) * 3: 5}))
+    return pair.fraction_form(TElement(target, {(target.letter,) * 3: 5}))
 
 
 NODES = [

@@ -11,17 +11,24 @@ single ``raise``, which are error paths.  It also lists every field that
 a class of ``src/trilocal`` names in its ``__slots__`` and that the
 traffic never reads from an instance.
 
-Functions are keyed by file name and qualified name, and their first
-entry is seen through ``sys.monitoring`` (Python 3.12 or newer): a
-``PY_START`` callback on a free tool id records the code object and
-disables itself for it, so the traffic runs at full speed after that.
+Functions are keyed by file name, the first line of the ``def`` (its
+first decorator's, when it has one, as a code object's
+``co_firstlineno`` counts it) and the name, which every Python from 3.10
+gives a code object; the inventory prints each as its qualified name.
+Their first entry is seen through ``sys.monitoring`` on Python 3.12 or
+newer: a ``PY_START`` callback on a free tool id records the code object
+and disables itself for it, so the traffic runs at full speed after
+that.  Older Pythons have no ``sys.monitoring``, and a call-only
+``sys.settrace`` tracer records the code object of every call instead
+(a traffic run takes about three times as long under it).  Both only
+collect code objects; which of them belong to ``src/trilocal`` is
+decided after the run.
 Slot fields are keyed by file name, class name and field, and seen on
 every Python: before the traffic runs, each field's member descriptor
 is swapped for a watcher, which records the field on its first read
 from an instance and puts the member back.
 The helper imports only the standard library and trilocal.  Run it as a
-script, from a fresh interpreter, to print both lists as JSON (the
-functions as null before Python 3.12):
+script, from a fresh interpreter, to print both lists as JSON:
 
     PYTHONPATH=src python tests/traffic.py
 """
@@ -82,11 +89,14 @@ CASES["verify-random-4242.text"] = ["verify", "--suite", "random", "--seed", "42
 EXTRA = [
     ["rho", "--family", TENSOR, "--component", "A", "--value", "(s+2*t)*s-t*t*s+1/2"],  # ChargedRing
     ["normalize", "--family", SCALED, "--expr", "x[3]*"],  # a parse error
-    ["rho", "--family", REGULAR, "--component", "M", "--value=-2"],  # scale_m
+    ["rho", "--family", REGULAR, "--component", "M", "--value=-2"],  # a melem scaled by M's action
     ["rho", "--family", DOUBLE, "--component", "M", "--value=-(1,2)"],
     ["localize-module", "--spec", str(GOLDEN / "module.json"), "--family", TENSOR],  # the basis() default
     ["normalize", "--family", SCALED, "--expr", "-x[3]"],  # a malformed command line: argparse's error
     ["normalize", "--help"],  # argparse's exit after the help, which main returns
+    ["normalize", "--family", "@" + str(GOLDEN / "family-scaled.json"), "--expr", "x[4]*x[5]-2"],  # a family file
+    ["localize-module", "--spec", str(GOLDEN / "module-double.json")],  # a "p/q" entry, and an f block left out
+    ["verify", "--negative-control"],  # the corrupted structure maps
 ]
 
 
@@ -116,16 +126,18 @@ def is_single_raise(fn):
 
 
 def definitions():
-    """(file name, qualified name) of every function in src/trilocal that the
-    inventory checks: all but dunders and single-raise bodies."""
-    out = []
+    """{(file name, first line, name): qualified name} of every function in
+    src/trilocal that the inventory checks: all but dunders and single-raise
+    bodies.  The first line is the first decorator's, or the def's."""
+    out = {}
 
     def visit(node, file, prefix):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = child.name
                 if not (name.startswith("__") and name.endswith("__")) and not is_single_raise(child):
-                    out.append((file, prefix + name))
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    out[file, first, name] = prefix + name
                 visit(child, file, f"{prefix}{name}.<locals>.")
             elif isinstance(child, ast.ClassDef):
                 visit(child, file, f"{prefix}{child.name}.")
@@ -138,15 +150,28 @@ def definitions():
 
 
 def entered(run):
-    """(file name, co_qualname) of every src/trilocal code object that run() enters."""
+    """(file name, first line, name) of every src/trilocal code object that
+    run() enters: through sys.monitoring where there is one, else through a
+    call-only tracer."""
+    codes = set()
+    if hasattr(sys, "monitoring"):
+        _monitor(run, codes)
+    else:
+        _trace(run, codes)
+    prefix = str(SRC)
+    return {
+        (pathlib.Path(code.co_filename).name, code.co_firstlineno, code.co_name)
+        for code in codes if code.co_filename.startswith(prefix)
+    }
+
+
+def _monitor(run, codes):
     monitoring = sys.monitoring
     tool = next(i for i in range(6) if monitoring.get_tool(i) is None)
     monitoring.use_tool_id(tool, "trilocal-traffic")
-    prefix, seen = str(SRC), set()
 
     def start(code, offset):
-        if code.co_filename.startswith(prefix):
-            seen.add((pathlib.Path(code.co_filename).name, code.co_qualname))
+        codes.add(code)
         return monitoring.DISABLE
 
     monitoring.register_callback(tool, monitoring.events.PY_START, start)
@@ -158,7 +183,18 @@ def entered(run):
         monitoring.set_events(tool, 0)
         monitoring.register_callback(tool, monitoring.events.PY_START, None)
         monitoring.free_tool_id(tool)
-    return seen
+
+
+def _trace(run, codes):
+    def call(frame, event, arg):  # a global tracer sees only calls; None traces no lines
+        codes.add(frame.f_code)
+
+    previous = sys.gettrace()
+    sys.settrace(call)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
 
 
 def slot_fields():
@@ -220,20 +256,16 @@ def read_slots(run):
 
 
 def inventory():
-    """The checked functions that the traffic never enters, as "file:qualname"
-    (None before Python 3.12), and the slot fields it never reads, as
-    "file:class.field", from one run of the traffic."""
+    """The checked functions that the traffic never enters, as "file:qualname",
+    and the slot fields it never reads, as "file:class.field", from one run of
+    the traffic."""
     read = set()
 
     def run():
         read.update(read_slots(run_traffic))
 
-    if hasattr(sys, "monitoring"):
-        seen = entered(run)
-        functions = [f"{file}:{name}" for file, name in definitions() if (file, name) not in seen]
-    else:
-        run()
-        functions = None
+    seen = entered(run)
+    functions = [f"{key[0]}:{name}" for key, name in definitions().items() if key not in seen]
     slots = [f"{file}:{name}.{field}" for file, name, field in slot_fields() if (file, name, field) not in read]
     return {"functions": functions, "slots": slots}
 
