@@ -5,8 +5,11 @@ Smith reduction without transformation tracking, the determinant-divisor
 construction of invariant factors (over Z, over Z[1/k] through Z, and
 over Q[x] on dense Fraction lists), row-span membership over Z and
 Z[1/k] from the rank and the product of the invariant factors, an
-exhaustive unimodular search for 2x2 witnesses, and the p-factorization
-of a bimodule element in each shipped family kind.  None of this shares code with the package.
+exhaustive unimodular search for 2x2 witnesses, the p-factorization
+of a bimodule element in each shipped family kind, and the product of
+two normal forms of T(M,p) with its step charge.  None of this shares
+code with the package: it reads a family only through its attributes
+and its letter_bim and act.
 """
 
 from fractions import Fraction
@@ -290,3 +293,107 @@ def reference_factors_reapply(family, m, build):
     return (left is None or family.apply(build(family.a_ring, left), family.p, family.b_one) == m) and (
         right is None or family.apply(family.a_one, family.p, build(family.b_ring, right)) == m
     )
+
+
+# The product in T(M,p) and its step charge, written from the rule the
+# tring module states, with no memo and no splicing.  Words are tuples of
+# letters and term maps send words to nonzero scalars, as in the engine.
+
+def _bits(c):
+    """Bits of a scalar: of an int, or of a Fraction's numerator and denominator."""
+    return c.bit_length() if isinstance(c, int) else c.numerator.bit_length() + c.denominator.bit_length()
+
+
+class ProductReference:
+    """One product of two term maps in a family: ``used`` counts its steps.
+
+    Every pair of terms is charged ``pair`` before its words are multiplied.
+    At a seam (the last letter of one word, the first of the next) a merge
+    is read off ``reference_factor_p`` and the family's ``act``: the left
+    letter's element a*p acts with a on the right letter, or else the right
+    one's p*b with b on the left.  hnn-free also shifts the right tensor
+    factor of an ("m", u, v) letter into a following ("m", ...) letter.  A
+    shift ticks once, plus its two words as a pair; a merge is one letter,
+    ticks twice, and charges the prefix and that letter, then the result
+    and the suffix, as pairs.  Scaled folds the product into its k-adic
+    form.  A test double overrides ``pair`` or ``merge``.
+    """
+
+    def __init__(self, family):
+        self.family = family
+        self.used = 0
+
+    @staticmethod
+    def pair(b1, n1, b2, n2):
+        """One step per pair of 64-bit limbs of the coefficients, plus one per 64 letters of the words."""
+        return (1 + b1 // 64) * (1 + b2 // 64) + (n1 + n2) // 64
+
+    def product(self, t1, t2):
+        out = {}
+        for w1, c1 in t1.items():
+            for w2, c2 in t2.items():
+                self.used += self.pair(_bits(c1), len(w1), _bits(c2), len(w2))
+                w = self.words(w1, w2)
+                out[w] = out.get(w, 0) + Fraction(c1) * c2
+        return self.fold({w: c for w, c in out.items() if c != 0})
+
+    def words(self, w1, w2):
+        """The normal word of the product of two normal words."""
+        if not w1 or not w2:
+            return w1 + w2
+        prefix, l1, l2, suffix = w1[:-1], w1[-1], w2[0], w2[1:]
+        merged = self.merged(l1, l2)
+        if merged is not None:
+            return self.merge(prefix, merged, suffix)
+        shifted = self.shifted(l1, l2)
+        if shifted is None:
+            return w1 + w2
+        w1, w2 = prefix + shifted[:1], shifted[1:] + suffix
+        self.used += 1 + self.pair(1, len(w1), 1, len(w2))
+        return self.words(w1, w2)
+
+    def merge(self, prefix, letter, suffix):
+        self.used += 2 + self.pair(1, len(prefix), 1, 1)
+        head = self.words(prefix, (letter,))
+        self.used += self.pair(1, len(head), 1, len(suffix))
+        return self.words(head, suffix)
+
+    def merged(self, l1, l2):
+        """The letter that l1|l2 merge into, or None."""
+        family = self.family
+        m1, m2 = family.letter_bim(l1), family.letter_bim(l2)
+        left, _ = reference_factor_p(family, m1)
+        if left is not None:
+            m = {family.act(u, key, ()): c * c2 for u, c in left.items() for key, c2 in m2.items()}
+        else:
+            _, right = reference_factor_p(family, m2)
+            if right is None:
+                return None
+            m = {family.act((), key, v): c * c2 for v, c in right.items() for key, c2 in m1.items()}
+        ((key, c),) = m.items()  # a letter acted on by a word is one key
+        assert c == 1 and key != family.p_key, (l1, l2, m)
+        return key
+
+    def shifted(self, l1, l2):
+        """The letter pair that hnn-free's shift rewrites l1|l2 into, or None."""
+        if self.family.kind == "hnn-free" and l1[0] == l2[0] == "m" and l1[2] != ():
+            return ("m", l1[1], ()), ("m", l1[2] + l2[1], l2[2])
+        return None
+
+    def fold(self, terms):
+        """Canonical scalars; in scaled, g^r stands for k^-r, and the sum is
+        written c*g^r with the least r."""
+        if self.family.kind == "scaled" and terms:
+            k = self.family.k
+            value = sum(Fraction(c, k ** len(w)) for w, c in terms.items())
+            r = 0
+            while (value * k ** r).denominator != 1:
+                r += 1
+            terms = {(self.family.letter,) * r: value * k ** r} if value else {}
+        return {w: int(c) if c.denominator == 1 else c for w, c in terms.items()}
+
+
+def reference_product(family, t1, t2):
+    """(normal form, steps charged) of the product of two normal-form term maps."""
+    ref = ProductReference(family)
+    return ref.product(t1, t2), ref.used
