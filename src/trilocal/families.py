@@ -126,8 +126,8 @@ class BimoduleFamily:
         return None
 
     def merge_pair(self, l1, l2):
-        """The bimodule element the letters l1|l2 merge into, a*m2 when l1's
-        element is a*p or m1*b when l2's is p*b; None when neither, as in
+        """The letter that l1|l2 merge into, the letter of a*m2 when l1's
+        element is a*p or of m1*b when l2's is p*b; None when neither, as in
         every family whose letter_terms collapses A*p and p*B to scalars."""
         return None
 
@@ -456,12 +456,15 @@ class FreeFamily(BimoduleFamily):
         return self.key_text(letter)  # fmt_m of {letter: 1}, whose coefficient prints as nothing
 
     def merge_pair(self, l1, l2):
-        """One key, by key arithmetic: x_(u*p) x_k = x_(u*k), x_k x_(p*v) = x_(k*v)."""
+        """One key, by key arithmetic: x_(u*p) x_k = x_(u*k), x_k x_(p*v) = x_(k*v).
+
+        It is a letter, never p's key: l1 and l2 are letters, so u and v are
+        not empty, and a non-empty word acting on a key never yields p's key."""
         wa = self.ap_word(l1)
         if wa is not None:
-            return {self.act(wa, l2, ()): 1}
+            return self.act(wa, l2, ())
         wb = self.pb_word(l2)
-        return None if wb is None else {self.act((), l1, wb): 1}
+        return None if wb is None else self.act((), l1, wb)
 
     def oracle_image(self, e):
         """Each letter maps to one word, so a word maps to the concatenation

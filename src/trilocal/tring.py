@@ -10,25 +10,27 @@ arithmetic operation keep the rewriting normal form:
 * a product of two words decides the seam between them, its last and
   first letter, once per ``t_mul`` call (``_seam``): the pair merges when
   the left letter lies in A*p, or else the right one in p*B, into the
-  family's ``merge_pair`` (one key by key arithmetic in the free
-  families; never in the others, whose letters lie in neither set); a
-  family may shift it (``shift_pair``); otherwise the words
-  concatenate.  A merge splices the merged letter's terms between the
-  rest of the two words and decides only the two new seams; coefficient
-  folding (``fold_element``) finishes the form.  All rules strictly
-  shrink a termination measure.
+  family's ``merge_pair``, one letter (one key by key arithmetic in the
+  free families; never in the others, whose letters lie in neither set);
+  a family may shift it into a pair of letters (``shift_pair``);
+  otherwise the words concatenate.  So the product of two normal words
+  is one normal word: a merge puts its letter between the rest of the
+  two words and decides only the two new seams.  Coefficient folding
+  (``fold_element``) finishes the form.  All rules strictly shrink a
+  termination measure.
 
 Raw expression trees have one evaluator, ``eval_tree``; ``t_normalize``
 runs it over ``TOps``, T(M,p) as a ring object.  The step budget ticks
-once per constant, per generator letter, per operand of a sum after the
-first, and per pair of words a product multiplies: once per pair of
-64-bit limbs of the two coefficients, plus once per 64 letters of the
-two words, before the pair is multiplied.  A seam's rule ticks once,
-plus once per term of a merged letter, and charges the same per pair for
-the word pairs it makes: prefix and merged term, that and the suffix, or
-the two shifted words.  So a product of e1 and e2 uses at least
-|e1|*|e2|, and a power whose coefficient or word doubles with every
-squaring runs out of budget before it builds a huge one.
+once per constant, per generator letter and per operand of a sum after
+the first.  A product ticks once per term of its left factor, before
+that term is multiplied: for each term of the right factor, once per
+pair of 64-bit limbs of the two coefficients, plus once per 64 letters
+of the two words.  A shift ticks once and a merge twice, and each
+charges the word pairs it makes the same, with coefficient 1: the two
+shifted words, or the prefix and the merged letter, then that word and
+the suffix.  So a product of e1 and e2 uses at least |e1|*|e2|, and a
+power whose coefficient or word doubles with every squaring runs out of
+budget before it builds a huge one.
 
 A ring map out of T(M,p) is fixed by the images of its letters, and
 ``map_terms`` applies one to a normal form: it hands each coefficient
@@ -132,20 +134,15 @@ def _refold(family, term_maps):
     return family.fold_element(term_sum(term_maps))
 
 
-def _generator_terms(family, m, budget):
-    """Canonical term map of the single-letter word x_m, for a canonical m."""
-    terms = {}
-    for coeff, letter in family.letter_terms(m):
-        budget.tick()
-        add_term(terms, () if letter is None else (letter,), coeff)
-    return family.fold_element(terms)
-
-
 def t_generator(family, m, budget=UNBOUNDED):
     """Normal form of the single-letter word x_m; may collapse to a scalar.
 
     m enters here, so it is put in the family's canonical form first."""
-    return TElement(family, _generator_terms(family, family.canon_m(m), budget))
+    terms = {}
+    for coeff, letter in family.letter_terms(family.canon_m(m)):
+        budget.tick()
+        add_term(terms, () if letter is None else (letter,), coeff)
+    return TElement(family, family.fold_element(terms))
 
 
 def t_scale(e, c):
@@ -154,39 +151,33 @@ def t_scale(e, c):
 
 
 def _seam(family, left, right):
-    """The rule at the seam left|right: a merge is (its ticks, the merged letter's
-    terms as ``_sizes`` rows, None), a shift (1, None, (l1, l2)), no rule ()."""
+    """The rule at the seam left|right: a merge is (2, the merged letter, None),
+    a shift (1, None, (l1, l2)), no rule ()."""
     merged = family.merge_pair(left, right)
     if merged is not None:
-        # only the free families merge, and they do not fold: one tick per row
-        rows = _sizes(_generator_terms(family, merged, UNBOUNDED))
-        return 1 + len(rows), rows, None
+        return 2, merged, None
     shifted = family.shift_pair(left, right)
     return () if shifted is None else (1, None, shifted)
 
 
-def _word_mul(family, w1, w2, c, out, budget, seams):
-    """Add c times the product of two normal words into out, deciding only
+def _word_mul(family, w1, w2, budget, seams):
+    """The normal word of the product of two normal words, deciding only
     the seams the module docstring names and charging what it says."""
     rule = seams.get(key := (w1[-1], w2[0])) if w1 and w2 else ()
     if rule is None:
         rule = seams[key] = _seam(family, *key)
     if not rule:
-        return add_term(out, w1 + w2, c)
-    ticks, rows, shifted = rule
+        return w1 + w2
+    ticks, letter, shifted = rule
     prefix, suffix = w1[:-1], w2[1:]
     if shifted:
         w1, w2 = prefix + shifted[:1], shifted[1:] + suffix
         budget.tick(ticks + _pair_charge(1, len(w1), 1, len(w2)))
-        return _word_mul(family, w1, w2, c, out, budget, seams)
-    budget.tick(ticks)  # a merge: prefix times each merged term, each result times suffix
-    head = {}
-    for g, cg, bg, ng in rows:
-        budget.tick(_pair_charge(1, len(prefix), bg, ng))
-        _word_mul(family, prefix, g, cg, head, budget, seams)
-    for h, ch in family.fold_element(head).items():
-        budget.tick(_pair_charge(_bits(ch), len(h), 1, len(suffix)))
-        _word_mul(family, h, suffix, c if ch == 1 else scalar_mul(c, ch), out, budget, seams)
+        return _word_mul(family, w1, w2, budget, seams)
+    budget.tick(ticks + _pair_charge(1, len(prefix), 1, 1))  # a merge: prefix times the letter, that times suffix
+    head = _word_mul(family, prefix, (letter,), budget, seams)
+    budget.tick(_pair_charge(1, len(head), 1, len(suffix)))
+    return _word_mul(family, head, suffix, budget, seams)
 
 
 def _sizes(terms):
@@ -205,17 +196,21 @@ def _pair_charge(b1, n1, b2, n2):
     return (1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6)
 
 
+def _term_charge(c, w, right):
+    """The ticks for multiplying the term c*w by each of right's ``_sizes`` rows."""
+    b1, n1 = _bits(c), len(w)
+    return sum([_pair_charge(b1, n1, b2, n2) for _, _, b2, n2 in right])
+
+
 def _mul_terms(family, t1, t2, budget, seams):
-    """Canonical product of two term maps; each pair of words is charged
-    its ``_pair_charge`` before anything is multiplied."""
+    """Canonical product of two term maps; each term of t1 is charged its
+    ``_term_charge`` before it is multiplied."""
     terms = {}
-    tick = budget.tick
     right = _sizes(t2)
     for w1, c1 in t1.items():
-        b1, n1 = _bits(c1), len(w1)
-        for w2, c2, b2, n2 in right:
-            tick(_pair_charge(b1, n1, b2, n2))
-            _word_mul(family, w1, w2, scalar_mul(c1, c2), terms, budget, seams)
+        budget.tick(_term_charge(c1, w1, right))
+        for w2, c2, _, _ in right:
+            add_term(terms, _word_mul(family, w1, w2, budget, seams), scalar_mul(c1, c2))
     return family.fold_element(terms)
 
 
@@ -445,7 +440,7 @@ class ChargedRing:
     """Any ring object, with its combinations and products charged to a Budget before they are formed.
 
     An element counts as its term map, a scalar (int or Fraction) as one
-    constant term.  A product ticks per pair of terms as ``_mul_terms``
+    constant term.  A product ticks per left term as ``_mul_terms``
     does.  A combination ticks once per term of its values, plus once per
     64 bits of the term's coefficient and 64 letters of its word.
     """
@@ -464,8 +459,8 @@ class ChargedRing:
 
     def mul(self, a, b):
         right = _sizes(_terms_of(b))
-        for _, _, b1, n1 in _sizes(_terms_of(a)):
-            self.budget.tick(sum(_pair_charge(b1, n1, b2, n2) for _, _, b2, n2 in right))
+        for w, c in _terms_of(a).items():
+            self.budget.tick(_term_charge(c, w, right))
         return self.ring.mul(a, b)
 
 

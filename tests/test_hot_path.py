@@ -340,18 +340,25 @@ class TestPerCallMemo:
 
 
 def factored_merge(family, l1, l2, factored):
-    """The merge of l1|l2 by p-factorization: a*m2 when the reference factors
-    l1's element as a*p, else m1*b when it factors l2's as p*b, each through
-    family.apply; None when neither.  Each factored element is appended to
-    factored."""
+    """The letter l1|l2 merge into by p-factorization: the one key of a*m2
+    when the reference factors l1's element as a*p, else of m1*b when it
+    factors l2's as p*b, each through family.apply; None when neither.  The
+    merged element must be one key with coefficient 1, and not p's key.
+    Each factored element is appended to factored."""
     m1, m2 = family.letter_bim(l1), family.letter_bim(l2)
     factored.append(m1)
     left, _ = reference_factor_p(family, m1)
     if left is not None:
-        return family.apply(factor_element(family.a_ring, left), m2, family.b_one)
-    factored.append(m2)
-    _, right = reference_factor_p(family, m2)
-    return None if right is None else family.apply(family.a_one, m1, factor_element(family.b_ring, right))
+        merged = family.apply(factor_element(family.a_ring, left), m2, family.b_one)
+    else:
+        factored.append(m2)
+        _, right = reference_factor_p(family, m2)
+        if right is None:
+            return None
+        merged = family.apply(family.a_one, m1, factor_element(family.b_ring, right))
+    ((key, c),) = merged.items()
+    assert c == 1 and key != family.p_key, (l1, l2, merged)
+    return key
 
 
 class TestSeamRoutes:
@@ -360,7 +367,7 @@ class TestSeamRoutes:
         """Every ordered letter pair of the overlap alphabets: the free family's
         merge by key arithmetic and the route through the reference
         p-factorization and apply give the same rule, with the same ticks
-        and rows."""
+        and letter."""
         family, bound, _ = CASES[name]
         letters = [word[0] for g in generators(family, bound) for word in g.terms]
         pairs = [(l1, l2) for l1 in letters for l2 in letters]
