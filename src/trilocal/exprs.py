@@ -298,29 +298,22 @@ def parse_ring_element(family, component, text, budget):
 
 
 def parse_bim_element(family, text):
-    """Parse a bimodule element: 0, or a signed sum of (c *) melems, c*m being M's action c*m*1."""
+    """Parse a bimodule element: 0, or a signed sum of (c *) melems, c*m being
+    M's action c*m*1, its summands added in one add_m call."""
     p = _Parser(family, text)
-    total = family.zero_m()
     if len(p.tokens) == 2 and p.peek().value == 0:
-        return total
-    scale = lambda c, m: family.apply(family.a_ring.from_int(c), m, family.b_one)
+        return family.zero_m()
 
-    def melem_term():
-        coeff = 1
+    def melem_term(op):
+        coeff = -1 if op == "-" else 1
         if p.peek().kind == "int" and not family.scalar_melem:
-            coeff = p.parse_lit()
+            coeff *= p.parse_lit()
             p.expect("*")
         m = family.parse_melem(p)
-        return scale(coeff, m) if coeff != 1 else m
+        return m if coeff == 1 else family.apply(family.a_ring.from_int(coeff), m, family.b_one)
 
-    negate = p.peek().kind == "-"
-    if negate:
-        p.next()
-    m = melem_term()
-    total = family.add_m(total, scale(-1, m) if negate else m)
+    ms = [melem_term(p.next().kind if p.peek().kind == "-" else "+")]
     while p.peek().kind in ("+", "-"):
-        op = p.next().kind
-        m = melem_term()
-        total = family.add_m(total, scale(-1, m) if op == "-" else m)
+        ms.append(melem_term(p.next().kind))
     p.end()
-    return total
+    return family.add_m(*ms)

@@ -49,7 +49,6 @@ from .rings import (
     checked_scalar,
     norm_scalar,
     random_word,
-    scalar_add,
     scalar_mul,
     scalar_ring,
     scalar_str,
@@ -197,8 +196,8 @@ class RegularFamily(ScalarFamily):
     def canon_m(self, m):
         return checked_scalar(self.coeff_ring, m)
 
-    def add_m(self, m1, m2):
-        return scalar_add(m1, m2)
+    def add_m(self, *ms):
+        return norm_scalar(sum(ms))
 
     def apply(self, a, m, b):
         return scalar_mul(scalar_mul(a, m), b)
@@ -258,8 +257,8 @@ class DoubleFamily(ScalarFamily):
         m1, m2 = m
         return (checked_scalar(self.coeff_ring, m1), checked_scalar(self.coeff_ring, m2))
 
-    def add_m(self, m1, m2):
-        return (scalar_add(m1[0], m2[0]), scalar_add(m1[1], m2[1]))
+    def add_m(self, *ms):
+        return (norm_scalar(sum(m[0] for m in ms)), norm_scalar(sum(m[1] for m in ms)))
 
     def apply(self, a, m, b):
         ab = scalar_mul(a, b)
@@ -427,8 +426,8 @@ class FreeFamily(BimoduleFamily):
                 out[key] = c
         return out
 
-    def add_m(self, m1, m2):
-        return term_sum((m1, m2))
+    def add_m(self, *ms):
+        return term_sum(ms)
 
     def apply(self, a, m, b):
         """a * m * b: each word of a and each word of b act on each key of m."""

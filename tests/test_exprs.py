@@ -144,6 +144,26 @@ class TestRingElementParsing:
         dm = parse_bim_element(DoubleFamily("Q"), "(1/2,3)")
         assert dm == (__import__("fractions").Fraction(1, 2), 3)
 
+    def test_bim_sum_adds_each_summand_once(self, monkeypatch):
+        """2,000 distinct signed melems, half with a coefficient, make at most
+        4,000 add_term calls: each is scaled once and added once, where adding
+        them pairwise into a running sum made about 2,000,000."""
+        import itertools
+
+        from trilocal import families, rings
+
+        fam = HnnFreeFamily("Q", ("s", "t"), "x")
+        words = ["*".join(w) or "1" for n in range(6) for w in itertools.product("st", repeat=n)]
+        keys = [f"h({u},{v})" for u in words for v in words][:2000]
+        text = "".join(("-" if i % 3 == 0 else "+") + (f"{i % 5 + 2}*" if i % 2 else "") + key for i, key in enumerate(keys))
+        calls = []
+        add_term = rings.add_term
+        counted = lambda *args: calls.append(1) or add_term(*args)
+        monkeypatch.setattr(rings, "add_term", counted)
+        monkeypatch.setattr(families, "add_term", counted)
+        m = parse_bim_element(fam, text)
+        assert len(m) == 2000 and len(calls) <= 4000
+
     @pytest.mark.parametrize("fam,text,expected", [
         pytest.param(RegularFamily("Z"), "-3+5-7", -5, id="regular-Z"),
         pytest.param(RegularFamily("Q"), "-1/2+3-2/3", Fraction(11, 6), id="regular-Q"),

@@ -81,7 +81,7 @@ def first_disagreement(reference):
     return None
 
 
-def double(cls):
+def computed_by(cls):
     """reference_product, computed by the test double cls."""
     def product(family, t1, t2):
         ref = cls(family)
@@ -107,7 +107,7 @@ def test_cases_reach_every_rule():
             rules["shift"] += shifted is not None
             return shifted
 
-    assert first_disagreement(double(Counting)) is None
+    assert first_disagreement(computed_by(Counting)) is None
     assert rules["merge"] > 100 and rules["shift"] > 100
 
 
@@ -140,12 +140,12 @@ class MergeWithoutSuffixCharge(ProductReference):
 
 
 def test_letters_per_32_fails_by_name():
-    assert first_disagreement(double(LettersPer32)) == "double-Q #27: (x[(0,1)]^31) * (3*x[(0,1)] + x[(0,1)]^33)"
+    assert first_disagreement(computed_by(LettersPer32)) == "double-Q #27: (x[(0,1)]^31) * (3*x[(0,1)] + x[(0,1)]^33)"
 
 
 def test_merge_without_own_tick_fails_by_name():
-    assert first_disagreement(double(MergeWithoutOwnTick)).startswith("tensor-free s|u #1: (x[t(s*s,1)] + ")
+    assert first_disagreement(computed_by(MergeWithoutOwnTick)).startswith("tensor-free s|u #1: (x[t(s*s,1)] + ")
 
 
 def test_merge_without_suffix_charge_fails_by_name():
-    assert first_disagreement(double(MergeWithoutSuffixCharge)).startswith("tensor-free s|u #1: (x[t(s*s,1)] + ")
+    assert first_disagreement(computed_by(MergeWithoutSuffixCharge)).startswith("tensor-free s|u #1: (x[t(s*s,1)] + ")
