@@ -1,12 +1,13 @@
 """Exact matrix normal forms over Z, Z[1/k], Q and Q[x].
 
 ``diagonal_form`` returns the transformation matrices U, V together
-with explicit inverses built alongside them, and re-verifies
-U * M * V = D, U * U^-1 = I and V^-1 * V = I before returning, so a
-successful call is its own certificate.  The reduction keeps the four
-transforms as sparse rows ({column: nonzero entry}), and products,
-the certificate's included, visit only nonzero (column, entry) pairs;
-the certificate still checks every clause exactly.
+with explicit inverses built alongside them, and re-verifies them
+before returning, so a successful call is its own certificate.  A form
+holds what the reduction builds: U and V^-1 by sparse rows, U^-1 and V
+by sparse columns ({index: nonzero entry}), and D as its diagonal d.
+The certificate multiplies those directly, over nonzero pairs only: it
+checks U * M = diag(d) * V^-1, which with V^-1 * V = I is U * M * V = D,
+both inverses and the divisibility chain, every clause exactly.
 """
 
 from __future__ import annotations
@@ -59,9 +60,7 @@ class Matrix:
     def __mul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.nrows}x{self.ncols} * {other.nrows}x{other.ncols}")
-        zero, width = self.ring.zero(), range(other.ncols)
-        product = _product(self.ring, _nonzero(self), _nonzero(other))
-        return Matrix._of(self.ring, [[row.get(j, zero) for j in width] for row in product])
+        return _dense(self.ring, _product(self.ring, _nonzero(self), _nonzero(other)), other.ncols)
 
     def fmt(self):
         return "[" + "; ".join(" ".join(self.ring.fmt(x) for x in r) for r in self.rows) + "]"
@@ -71,53 +70,79 @@ class Matrix:
 
 
 def _nonzero(mat):
-    """Each row of mat as its list of nonzero (column, entry) pairs."""
+    """Each row of mat as a sparse row, the dict {column: nonzero entry}."""
     is_zero = mat.ring.is_zero
-    return [[(j, x) for j, x in enumerate(row) if not is_zero(x)] for row in mat.rows]
+    return [{j: x for j, x in enumerate(row) if not is_zero(x)} for row in mat.rows]
 
 
 def _product(ring, left, right):
-    """Rows of left * right, each a dict of its nonzero entries; left and
-    right give each row as nonzero (column, entry) pairs, so only the
-    entries that a pair reaches are computed."""
+    """Sparse rows of left * right, given by their sparse rows: only the
+    entries that a pair of nonzero entries reaches are computed, and each
+    row keeps only its nonzero sums."""
     add, mul, is_zero = ring.add, ring.mul, ring.is_zero
     out = []
     for row in left:
         acc = {}
-        for k, a in row:
-            for j, b in right[k]:
+        for k, a in row.items():
+            for j, b in right[k].items():
                 acc[j] = add(acc[j], mul(a, b)) if j in acc else mul(a, b)
         out.append({j: x for j, x in acc.items() if not is_zero(x)})
     return out
 
 
+def _transposed(lines, size):
+    """Sparse rows from sparse columns or back; size is the other side's length."""
+    out = [{} for _ in range(size)]
+    for k, line in enumerate(lines):
+        for i, x in line.items():
+            out[i][k] = x
+    return out
+
+
+def _dense(ring, rows, width):
+    """The Matrix of sparse rows, width columns wide."""
+    zero = ring.zero()
+    return Matrix._of(ring, [[row.get(j, zero) for j in range(width)] for row in rows])
+
+
 class DiagonalForm:
     """Result of a diagonalization U * M * V = D, with the inverses of U and V.
 
-    ``checks`` holds (j, nonzero (i, V[i][j]), d_j) for each column j whose
-    d_j is not a unit; d_j is None where it is zero or missing.
+    Stored as the reduction builds them: U and V^-1 by sparse rows
+    (``U_rows``, ``V_inv_rows``), U^-1 and V by sparse columns
+    (``U_inv_cols``, ``V_cols``), and ``D``, zero off its diagonal, as the
+    list of its diagonal entries.  ``U`` and ``V`` are dense views built on
+    access.  ``checks`` holds (j, nonzero (i, V[i][j]), d_j) for each
+    column j whose d_j is not a unit; d_j is None where it is zero or
+    missing.
     """
 
-    __slots__ = ("ring", "source", "U", "D", "V", "U_inv", "V_inv", "checks")
+    __slots__ = ("ring", "source", "U_rows", "U_inv_cols", "V_cols", "V_inv_rows", "D", "checks")
 
-    def __init__(self, ring, source, U, D, V, U_inv, V_inv):
+    def __init__(self, ring, source, U_rows, U_inv_cols, V_cols, V_inv_rows, D):
         self.ring = ring
         self.source = source
-        self.U = U
+        self.U_rows = U_rows
+        self.U_inv_cols = U_inv_cols
+        self.V_cols = V_cols
+        self.V_inv_rows = V_inv_rows
         self.D = D
-        self.V = V
-        self.U_inv = U_inv
-        self.V_inv = V_inv
         self.checks = []
-        for j in range(V.ncols):
-            d = D.rows[j][j] if j < D.nrows else ring.zero()
-            if not ring.is_unit(d):  # a unit divides every coordinate
-                column = [(i, row[j]) for i, row in enumerate(V.rows) if not ring.is_zero(row[j])]
-                self.checks.append((j, column, None if ring.is_zero(d) else d))
+        for j, column in enumerate(V_cols):
+            dj = D[j] if j < len(D) else ring.zero()
+            if not ring.is_unit(dj):  # a unit divides every coordinate
+                self.checks.append((j, list(column.items()), None if ring.is_zero(dj) else dj))
+
+    @property
+    def U(self):
+        return _dense(self.ring, self.U_rows, len(self.U_rows))
+
+    @property
+    def V(self):
+        return _dense(self.ring, _transposed(self.V_cols, len(self.V_cols)), len(self.V_cols))
 
     def diagonal(self):
-        n = min(self.D.nrows, self.D.ncols)
-        return [self.D.rows[i][i] for i in range(n)]
+        return list(self.D)
 
     def rank(self):
         return sum(1 for d in self.diagonal() if not self.ring.is_zero(d))
@@ -129,40 +154,41 @@ class DiagonalForm:
 
     def free_rank(self):
         """Rank of the cokernel R^cols / rowspan(M)."""
-        return self.D.ncols - self.rank()
+        return self.source.ncols - self.rank()
 
     def verify(self):
-        """Recheck U*M*V == D, U*U^-1 == I, V^-1*V == I and the divisibility chain.
+        """Recheck U*M == diag(d)*V^-1, U^-1*U == I, V^-1*V == I and the divisibility chain.
 
-        Over a commutative ring a one-sided inverse of a square matrix is
-        two-sided, so the two identities prove U and V invertible.  Each
-        matrix is read once as its nonzero pairs, and each product is
-        compared with D or the identity without forming a dense matrix.
+        With V^-1*V = I, U*M*V = diag(d)*V^-1*V = D; and over a commutative
+        ring a one-sided inverse of a square matrix is two-sided, so U and
+        V are invertible.  An index out of range fails like a wrong shape.
+        The products multiply the stored rows (U^-1's and V's columns once
+        transposed) and keep only their nonzero sums, so each product row
+        must equal the nonzero entries of the wanted row.
         """
-        rg, m, n = self.ring, self.source.nrows, self.source.ncols
-        shapes = [(x.nrows, x.ncols) for x in (self.U, self.D, self.V, self.U_inv, self.V_inv)]
-        if shapes != [(m, m), (m, n), (n, n), (m, m), (n, n)]:
+        rg, m, n, d = self.ring, self.source.nrows, self.source.ncols, self.D
+        U, Ui, V, Vi = self.U_rows, self.U_inv_cols, self.V_cols, self.V_inv_rows
+        rows, cols = set(range(m)), set(range(n))
+        if [len(U), len(Ui), len(V), len(Vi), len(d)] != [m, m, n, n, min(m, n)] or not all(
+            line.keys() <= keys for part, keys in ((U, rows), (Ui, rows), (V, cols), (Vi, cols)) for line in part
+        ):
             return False
-        M, U, D, V, Ui, Vi = map(_nonzero, (self.source, self.U, self.D, self.V, self.U_inv, self.V_inv))
-        # each product row holds exactly its nonzero entries, so it equals
-        # the wanted row's nonzero entries; a wanted entry it lacks fails
-        if _product(rg, [row.items() for row in _product(rg, U, M)], V) != [dict(row) for row in D]:
+        mul, is_zero = rg.mul, rg.is_zero
+        wanted = [{k: y for k, x in Vi[i].items() if not is_zero(y := mul(di, x))} for i, di in enumerate(d)]
+        if _product(rg, U, _nonzero(self.source)) != wanted + [{}] * (m - len(d)):
             return False
         identity = [{i: rg.one()} for i in range(max(m, n))]
-        if _product(rg, U, Ui) != identity[:m] or _product(rg, Vi, V) != identity[:n]:
+        if _product(rg, _transposed(Ui, m), U) != identity[:m] or _product(rg, Vi, _transposed(V, n)) != identity[:n]:
             return False
-        diag = self.diagonal()
-        for x, y in zip(diag, diag[1:]):  # zeros come last, and each entry divides the next
-            if not (rg.is_zero(y) if rg.is_zero(x) else rg.exact_div(y, x) is not None):
-                return False
-        # off-diagonal entries must vanish
-        return all(i == j for i, row in enumerate(D) for j, _ in row)
+        # zeros come last, and each entry divides the next
+        return all(rg.is_zero(y) if rg.is_zero(x) else rg.exact_div(y, x) is not None for x, y in zip(d, d[1:]))
 
 
 def _euclidean_engine(mat):
     """The diagonalization loop, over a Euclidean ring that states its division:
-    the rows of U, D, V, U^-1 and V^-1, of which the caller builds the one
-    DiagonalForm that it certifies.
+    U and V^-1 by sparse rows, U^-1 and V by sparse columns, and the
+    diagonal entries of D, of which the caller builds the one DiagonalForm
+    that it certifies.
 
     The ring's size(a) is a nonnegative measure with size(a) == 0 iff
     a == 0; its divmod(a, b) returns (q, r) with a == q*b + r and
@@ -171,14 +197,15 @@ def _euclidean_engine(mat):
     V on the rows of V^-1.  Every ring here (Z, Q, Q[x]; Z[1/k] goes
     through Z) is commutative, so a factor multiplies from either side.
 
-    The working matrix a is dense.  The transforms are sparse rows,
-    {column: nonzero entry}, each in the orientation its operations act
-    on: U and V^-1 by rows, U^-1 and V as the rows of their transposes
-    (Uc[k] is column k of U^-1, Vc[k] column k of V).  A transform
-    update is then one in-place sum over the nonzeros of its source row,
-    and the transforms become dense matrices once, at the end.  The row
-    and column operations below are the only places where a and the
-    transforms change.
+    The working matrix a is dense.  The transforms are sparse, {index:
+    nonzero entry}, each in the orientation its operations act on: U and
+    V^-1 by rows, U^-1 and V by columns (Uc[k] is column k of U^-1, Vc[k]
+    column k of V), so a transform update is one in-place sum over the
+    nonzeros of its source, and the form stores them as they are.  Each
+    elimination sweep lists the pivot row's nonzero columns and then the
+    pivot column's nonzero rows once, and its operations on a touch only
+    those.  The row and column operations below are the only places
+    where a and the transforms change.
 
     Pivot rule: the pivot is the first nonzero entry of least size in
     the trailing block, in row-major order.  In Z, Q and Q[x] the units
@@ -190,7 +217,7 @@ def _euclidean_engine(mat):
     add, mul, is_zero, is_unit, size, divmod_ = rg.add, rg.mul, rg.is_zero, rg.is_unit, rg.size, rg.divmod
     a = mat.copy_rows()
     m, n = mat.nrows, mat.ncols
-    one, zero = rg.one(), rg.zero()
+    one = rg.one()
     U, Uc = [{i: one} for i in range(m)], [{i: one} for i in range(m)]
     Vc, Vi = [{i: one} for i in range(n)], [{i: one} for i in range(n)]
 
@@ -207,16 +234,18 @@ def _euclidean_engine(mat):
                 dst[k] = s
 
     # Rows and columns of a before the pivot position t (of the loop below)
-    # hold only their diagonal entries, so the operations on a skip them.
-    def row_add(i, j, c):  # row_i += c * row_j in a and U; col_j -= col_i * c in U^-1
-        a[i][t:] = [x if is_zero(y) else add(x, mul(c, y)) for x, y in zip(a[i][t:], a[j][t:])]
+    # hold only their diagonal entries, so no list names them.
+    def row_add(i, j, c, cols):  # row_i += c * row_j in a and U; col_j -= col_i * c in U^-1; cols: row_j's nonzeros
+        ai, aj = a[i], a[j]
+        for k in cols:
+            ai[k] = add(ai[k], mul(c, aj[k]))
         add_scaled(U[i], U[j], c)
         add_scaled(Uc[j], Uc[i], rg.neg(c))
 
-    def col_add(j, i, c):  # col_j += col_i * c in a and V; row_i -= c * row_j in V^-1
-        for row in a[t:]:
-            if not is_zero(row[i]):
-                row[j] = add(row[j], mul(row[i], c))
+    def col_add(j, i, c, rows):  # col_j += col_i * c in a and V; row_i -= c * row_j in V^-1; rows: col_i's nonzeros
+        for k in rows:
+            row = a[k]
+            row[j] = add(row[j], mul(row[i], c))
         add_scaled(Vc[j], Vc[i], c)
         add_scaled(Vi[i], Vi[j], rg.neg(c))
 
@@ -230,10 +259,9 @@ def _euclidean_engine(mat):
         for rows in (Vc, Vi):
             rows[i], rows[j] = rows[j], rows[i]
 
-    def row_scale(i, u, u_inv):  # row_i *= u in a and U; col_i *= u_inv in U^-1
-        a[i] = [mul(u, x) for x in a[i]]
-        U[i] = {k: mul(u, x) for k, x in U[i].items()}
-        Uc[i] = {k: mul(x, u_inv) for k, x in Uc[i].items()}
+    def nonzero_columns(i):  # of row i of a, from t on
+        row = a[i]
+        return [j for j in range(t, n) if not is_zero(row[j])]
 
     def smallest(t):  # the pivot of the trailing block, or None when it is zero
         best, least = None, None
@@ -260,23 +288,21 @@ def _euclidean_engine(mat):
                 row_swap(t, bi)
             if bj != t:
                 col_swap(t, bj)
+            pivot, cols, rows = a[t][t], nonzero_columns(t), [t]
             clean = True
-            for i in range(t + 1, m):
-                if is_zero(a[i][t]):
-                    continue
-                q, r = divmod_(a[i][t], a[t][t])
-                row_add(i, t, rg.neg(q))
-                if not is_zero(r):
+            for i in [i for i in range(t + 1, m) if not is_zero(a[i][t])]:
+                q, r = divmod_(a[i][t], pivot)
+                row_add(i, t, rg.neg(q), cols)
+                if not is_zero(r):  # a[i][t] is now r
                     clean = False
-            for j in range(t + 1, n):
-                if is_zero(a[t][j]):
-                    continue
-                q, r = divmod_(a[t][j], a[t][t])
-                col_add(j, t, rg.neg(q))
+                    rows.append(i)
+            for j in cols[1:]:
+                q, r = divmod_(a[t][j], pivot)
+                col_add(j, t, rg.neg(q), rows)
                 if not is_zero(r):
                     clean = False
             if clean:
-                if is_unit(a[t][t]):
+                if is_unit(pivot):
                     break
                 # pivot must divide the whole trailing block for the chain
                 bad = next(
@@ -284,32 +310,29 @@ def _euclidean_engine(mat):
                         i
                         for i in range(t + 1, m)
                         for j in range(t + 1, n)
-                        if not is_zero(a[i][j]) and not is_zero(divmod_(a[i][j], a[t][t])[1])
+                        if not is_zero(a[i][j]) and not is_zero(divmod_(a[i][j], pivot)[1])
                     ),
                     None,
                 )
                 if bad is None:
                     break
-                row_add(t, bad, one)
+                row_add(t, bad, one, nonzero_columns(bad))
             best = smallest(t)
         t += 1
 
-    # canonicalize diagonal entries by unit scaling
-    for i in range(min(m, n)):
-        if is_zero(a[i][i]):
+    # canonicalize diagonal entries by unit scaling: row i of U times u^-1,
+    # column i of U^-1 times u
+    d = [a[i][i] for i in range(min(m, n))]
+    for i, x in enumerate(d):
+        if is_zero(x):
             continue
-        rep, u = rg.unit_normal(a[i][i])
+        rep, u = rg.unit_normal(x)
         if u != one:
-            row_scale(i, rg.exact_div(one, u), u)
-
-    def dense(rows, transposed):  # a transform's square sparse rows as dense rows
-        out = [[zero] * len(rows) for _ in rows]
-        for i, row in enumerate(rows):
-            for k, x in row.items():
-                out[k if transposed else i][i if transposed else k] = x
-        return out
-
-    return dense(U, False), a, dense(Vc, True), dense(Uc, True), dense(Vi, False)
+            inv = rg.exact_div(one, u)
+            d[i] = mul(inv, x)
+            U[i] = {k: mul(inv, y) for k, y in U[i].items()}
+            Uc[i] = {k: mul(y, u) for k, y in Uc[i].items()}
+    return U, Uc, Vc, Vi, d
 
 
 def _kadic_reduce(mat):
@@ -326,23 +349,19 @@ def _kadic_reduce(mat):
     e = max((rg.exponent(x) for row in mat.rows for x in row), default=0)
     scale = rg.k ** e
     cleared = Matrix._of(ZZ, [[(x * scale).numerator for x in row] for row in mat.rows])
-    U_rows, D_int, V_rows, Ui_rows, Vi_rows = _euclidean_engine(cleared)
+    U, Uc, Vc, Vi, d = _euclidean_engine(cleared)
     # U * (k^e * mat) * V = D_int, so U * mat * V = D_int / k^e; rescale each
     # row of U (and the matching column of U^-1) so the diagonal becomes the
     # canonical k-free representative.  The integer entries of U, V and
     # their inverses are already elements of Z[1/k].
-    D_rows = [[0] * mat.ncols for _ in range(mat.nrows)]
-    for i in range(min(mat.nrows, mat.ncols)):
-        d_int = D_int[i][i]
+    for i, d_int in enumerate(d):
         if d_int == 0:
             continue
-        rep, u = rg.unit_normal(rg.exact_div(d_int, scale))
+        d[i], u = rg.unit_normal(rg.exact_div(d_int, scale))
         inv = rg.exact_div(1, u)
-        U_rows[i] = [x and rg.mul(inv, x) for x in U_rows[i]]  # the integer zeros stay as they are
-        for row in Ui_rows:
-            row[i] = row[i] and rg.mul(row[i], u)
-        D_rows[i][i] = rep
-    return DiagonalForm(rg, mat, *(Matrix._of(rg, rows) for rows in (U_rows, D_rows, V_rows, Ui_rows, Vi_rows)))
+        U[i] = {k: rg.mul(inv, x) for k, x in U[i].items()}
+        Uc[i] = {k: rg.mul(x, u) for k, x in Uc[i].items()}
+    return DiagonalForm(rg, mat, U, Uc, Vc, Vi, d)
 
 
 def diagonal_form(mat):
@@ -356,7 +375,7 @@ def diagonal_form(mat):
     if isinstance(rg, KadicRing):
         out = _kadic_reduce(mat)
     elif hasattr(rg, "divmod"):
-        out = DiagonalForm(rg, mat, *(Matrix._of(rg, rows) for rows in _euclidean_engine(mat)))
+        out = DiagonalForm(rg, mat, *_euclidean_engine(mat))
     else:
         raise UnsupportedRingError(f"diagonal_form does not support {rg.name}")
     if not out.verify():

@@ -14,6 +14,7 @@ from fractions import Fraction
 import pytest
 
 from reference_impls import reference_det, reference_snf_diagonal
+from stored_forms import dense_parts
 from test_cli import DOUBLE, SCALED, run_cli
 from trilocal.exprs import format_element, parse_normal
 from trilocal.families import HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
@@ -226,7 +227,7 @@ def test_criterion_6_smith_euclidean_kernel():
         rows = [[rng.randint(-100, 100) for _ in range(n)] for _ in range(m)]
         mat = Matrix(ZZ, rows)
         snf = diagonal_form(mat)
-        assert snf.U * mat * snf.V == snf.D
+        assert snf.U * mat * snf.V == dense_parts(snf)["D"]
         assert abs(reference_det(snf.U.rows)) == 1
         assert abs(reference_det(snf.V.rows)) == 1
         diag = snf.diagonal()

@@ -1,4 +1,5 @@
-"""Diagonal forms exactly as recorded: U, D, V and their inverses.
+"""Diagonal forms exactly as recorded: U, D, V and their inverses, each
+read back as a dense matrix by ``stored_forms.dense_parts``.
 
 ``tests/golden/diagonal_forms.json`` holds the ``fmt()`` of the five
 matrices of ``diagonal_form`` for seeded matrices over Z, Q, Z[1/2],
@@ -18,6 +19,7 @@ import sys
 
 import pytest
 
+from stored_forms import PARTS, dense_parts
 from test_hot_path import benchmark_shaped_triple
 from trilocal import modloc
 from trilocal.families import DoubleFamily, RegularFamily, ScaledFamily
@@ -25,7 +27,6 @@ from trilocal.linalg import Matrix, diagonal_form
 from trilocal.rings import QQ, ZZ, KadicRing, PolynomialRing
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "diagonal_forms.json"
-PARTS = ("U", "D", "V", "U_inv", "V_inv")
 
 # ring name -> (ring, entry size for ring.random, largest dimension)
 RINGS = {
@@ -86,8 +87,8 @@ def cases():
 
 
 def record(mat):
-    form = diagonal_form(mat)
-    return {part: getattr(form, part).fmt() for part in PARTS}
+    parts = dense_parts(diagonal_form(mat))
+    return {part: parts[part].fmt() for part in PARTS}
 
 
 CASES = cases()

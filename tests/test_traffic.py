@@ -26,6 +26,8 @@ from traffic import ROOT, SRC, definitions, entered, read_slots, slot_fields
 
 ALLOWLIST = {
     "families.py:FreeFamily.letter_bim": "the letter homomorphism of the free families (ROADMAP item 20) reads it",
+    "linalg.py:DiagonalForm.U": "dense view for perfbench's transform_bits hook and the transform-bit pins; the engine and the certificate read the stored rows",
+    "linalg.py:DiagonalForm.V": "dense view for perfbench's transform_bits hook and the transform-bit pins; the engine and the certificate read the stored columns",
     "linalg.py:Matrix.fmt": "tests/golden/printers.json pins it, and __repr__ prints with it",
     "rings.py:RationalField.size": "the engine reads it, but every nonzero rational is a unit, so it is never called",
     "rings.py:KadicRing.random": "draws the pinned inputs of ring_draws.json, diagonal_forms.json and printers.json",
