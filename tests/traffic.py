@@ -77,10 +77,13 @@ FREE_FAMILY_EXAMPLES = {
     "localize-ring-hnn-free": ["localize-ring", "--family", HNN],
 }
 
+# the examples suite run on a corrupted map: it must fail by name, with the same case counts
+NEGATIVE_CONTROLS = {"verify-negative-control": ["verify", "--negative-control"]}
+
 # the golden command lines: tests/golden/<name>.out records each one's exit code and stdout
 CASES = {
     f"{name}.{fmt}": argv + ["--format", fmt]
-    for name, argv in {**README_EXAMPLES, **FREE_FAMILY_EXAMPLES}.items()
+    for name, argv in {**README_EXAMPLES, **FREE_FAMILY_EXAMPLES, **NEGATIVE_CONTROLS}.items()
     for fmt in ("text", "json")
 }
 CASES["verify-random-4242.text"] = ["verify", "--suite", "random", "--seed", "4242"]
@@ -96,7 +99,6 @@ EXTRA = [
     ["normalize", "--help"],  # argparse's exit after the help, which main returns
     ["normalize", "--family", "@" + str(GOLDEN / "family-scaled.json"), "--expr", "x[4]*x[5]-2"],  # a family file
     ["localize-module", "--spec", str(GOLDEN / "module-double.json")],  # a "p/q" entry, and an f block left out
-    ["verify", "--negative-control"],  # the corrupted structure maps
 ]
 
 
