@@ -22,5 +22,5 @@ print("corner^2 =", tri_mul(n, n).fmt())
 # the column morphism with p = 2 in the halving family
 sfam = ScaledFamily(2)
 sigma = SigmaMorphism(sfam)
-print("\nimage of (1; 0) under the column morphism:", sigma.apply(1))
-print("image of (3; 0):", sigma.apply(3))
+print("\nimage of (1; 0) under the column morphism:", sigma(1))
+print("image of (3; 0):", sigma(3))

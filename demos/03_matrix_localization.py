@@ -6,7 +6,7 @@ element at p hits the matrix unit e12, and that the matrix-unit
 identities realize the inverse of the base-changed column map.
 """
 
-from trilocal import ScaledFamily, TriElement, matrix_text, rho_matrix, verify_sigma_inverting
+from trilocal import ScaledFamily, TriElement, TriMap, matrix_text, rho_matrix, verify_sigma_inverting
 
 fam = ScaledFamily(2)
 
@@ -17,4 +17,4 @@ sample = TriElement(fam, 3, 5, 7)
 print("image of (3, 5, 7):", matrix_text(rho_matrix(sample)), " (entry values 3, 5/2, 7)")
 
 print()
-print(verify_sigma_inverting(fam, samples=200).render_text())
+print(verify_sigma_inverting(TriMap(fam), samples=200).render_text())

@@ -14,7 +14,7 @@ demos use; everything else is imported from its own module.
 from .exprs import format_element, parse_normal
 from .families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
 from .fracloc import CentralPair, check_central, factor_inverting_hom, rational_value_hom
-from .matrixloc import matrix_text, rho_matrix, verify_sigma_inverting
+from .matrixloc import TriMap, matrix_text, rho_matrix, verify_sigma_inverting
 from .modloc import localize_module, verify_comparison_maps
 from .triangular import FPModule, SigmaMorphism, TriElement, TripleModule, tri_mul
 from .tring import family_iso

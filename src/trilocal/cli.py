@@ -17,7 +17,7 @@ from .errors import BudgetExceededError, CertificateError, SchemaError, Trilocal
 from .exprs import format_element, format_oracle, parse_bim_element, parse_element, parse_ring_element
 from .families import family_from_json
 from .fracloc import CentralPair, factor_inverting_hom, rational_value_hom
-from .matrixloc import matrix_text, rho_matrix, verify_sigma_inverting
+from .matrixloc import TriMap, matrix_text, rho_matrix, verify_sigma_inverting
 from .modloc import localize_module
 from .report import DEFAULT_SEED, render_doc
 from .tring import DEFAULT_BUDGET, Budget, family_iso, rho, t_normalize
@@ -98,10 +98,8 @@ def cmd_rho(args):
 
 
 def cmd_verify(args):
-    if args.suite == "examples":
-        report = example_suite(seed=args.seed, negative_control=args.negative_control)
-    else:
-        report = random_suite(seed=args.seed)
+    suite = example_suite if args.suite == "examples" else random_suite
+    report = suite(seed=args.seed, negative_control=args.negative_control)
     print(report.render(args.format))
     return EXIT_OK if report.passed else EXIT_VERIFY
 
@@ -151,12 +149,11 @@ def cmd_factor(args):
 
 def cmd_localize_ring(args):
     family = _load_family(args.family)
-    report = verify_sigma_inverting(family, samples=200, seed=args.seed)
-    one = TriElement.one(family)
+    report = verify_sigma_inverting(TriMap(family), samples=200, seed=args.seed)
     corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
     doc = {
         "family": family.describe(),
-        "image_of_identity": matrix_text(rho_matrix(one)),
+        "image_of_identity": matrix_text(rho_matrix(TriElement.one(family))),
         "image_of_corner_p": matrix_text(rho_matrix(corner)),
         "certificate": "pass" if report.passed else "fail",
     }
@@ -225,7 +222,7 @@ def build_parser():
     p.add_argument(
         "--negative-control",
         action="store_true",
-        help="corrupt one fixture to prove the suite can fail (self-test)",
+        help="check a corrupted map out of R, to prove the suite can fail (self-test)",
     )
     p.set_defaults(func=cmd_verify)
 

@@ -39,8 +39,9 @@ from .tring import (
 
 
 class CentralPair:
-    """A pair (a0, b0) with a0*m = m*b0 throughout M, and ``target``, the
-    family presenting T(M,a0*p).
+    """A pair (a0, b0) with a0*m = m*b0 throughout M; ``target``, the family
+    presenting T(M,a0*p); and ``induced``, the LetterHom x_m -> x_{a0*m}
+    from T(M,p) into T(M,a0*p).
 
     The target is built first: a family without one has no central pair.
     Every family with a target has a basis of M, and the basis decides the
@@ -48,7 +49,7 @@ class CentralPair:
     additive, so Z-linear, and Q-linear over Q.
     """
 
-    __slots__ = ("family", "a0", "target")
+    __slots__ = ("family", "a0", "target", "induced")
 
     def __init__(self, family, a0, b0):
         self.target = family.scaled_p_variant(a0)
@@ -57,24 +58,17 @@ class CentralPair:
         for m in family.basis():
             if family.apply(a0, m, family.b_one) != family.apply(family.a_one, m, b0):
                 raise UnsupportedFamilyError(f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}")
+        ops = TOps(self.target)
+        self.induced = LetterHom(family, ops, lambda m: ops.gen(family.apply(a0, m, family.b_one)))
 
-    # -- derived data --------------------------------------------------------
     def x_a0p(self):
         """The element of T(M,p) indexed by a0*p."""
         return rho(self.family, "A", self.a0)
-
-    # -- the induced morphism --------------------------------------------------
-    def induced(self, e):
-        """Image of e under the letterwise map x_m -> x_{a0*m}."""
-        fam = self.family
-        ops = TOps(self.target)
-        return LetterHom(fam, ops, lambda m: ops.gen(fam.apply(self.a0, m, fam.b_one))).apply(e)
 
     def old_p_in_target(self):
         """x_p viewed inside T(M,a0*p); the inverse of the image of x_{a0*p}."""
         return t_generator(self.target, self.family.p)
 
-    # -- fraction forms ----------------------------------------------------------
     def fraction_form(self, e):
         """Write e in T(M,a0*p) as numerator / x_{a0*p}**r with minimal r.
 
@@ -143,14 +137,14 @@ class LetterHom:
         self.s_ring = s_ring
         self.generator_image = generator_image
 
-    def apply(self, e):
+    def __call__(self, e):
         self.family.check_same(e.family)
         return map_terms(e, self.s_ring, lambda letter: self.generator_image(self.family.letter_bim(letter)))
 
     def respects_relations(self, samples, seed):
         """Sampled check that the letter images satisfy the presentation."""
         fam = self.family
-        gen = lambda m: self.apply(t_generator(fam, m))
+        gen = lambda m: self(t_generator(fam, m))
         return relation_failure(fam, self.s_ring, gen, samples, random.Random(seed)) is None
 
 
@@ -167,10 +161,10 @@ def factor_inverting_hom(pair, hom, f_inv, e):
     hom must invert the image of x_{a0*p} with the supplied f_inv.
     """
     rg = hom.s_ring
-    f_x0 = hom.apply(pair.x_a0p())
+    f_x0 = hom(pair.x_a0p())
     if rg.mul(f_inv, f_x0) != rg.one() or rg.mul(f_x0, f_inv) != rg.one():
         raise ValueError("f_inv is not a two-sided inverse of the image of x_(a0*p)")
-    return _factored(pair, hom, f_inv).apply(e)
+    return _factored(pair, hom, f_inv)(e)
 
 
 def rational_value_hom(family):

@@ -94,7 +94,7 @@ class SigmaMorphism:
     def __init__(self, family):
         self.family = family
 
-    def apply(self, a):
+    def __call__(self, a):
         """Image of the P-column element (a; 0): the Q-column (a*p, 0)."""
         fam = self.family
         return (fam.apply(a, fam.p, fam.b_one), fam.b_ring.zero())

@@ -26,7 +26,7 @@ from trilocal.fracloc import (
     two_order_agreement,
 )
 from trilocal.linalg import Matrix, diagonal_form
-from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
+from trilocal.matrixloc import TriMap, matrix_unit, rho_matrix, verify_sigma_inverting
 from trilocal.modloc import localize_module, localized_presentation, verify_comparison_maps
 from trilocal.rings import ZZ
 from trilocal.tring import (
@@ -127,17 +127,14 @@ def test_oracle_faithfulness_reports_both_failing_checks():
 
 def test_criterion_3_matrix_localization():
     for family in shipped_families():
-        rep = verify_sigma_inverting(family, samples=1000, seed=SEED)
+        rep = verify_sigma_inverting(TriMap(family), samples=1000, seed=SEED)
         assert rep.passed, rep.render_text()
         corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
         assert rho_matrix(corner) == matrix_unit(family, 1, 2)
     # negative control: a structure map that forgets the collapse at p
-    corrupt = {
-        "A": lambda fam, v: rho(fam, "A", v),
-        "M": lambda fam, v: rho(fam, "M", v) + TElement.one(fam),
-        "B": lambda fam, v: rho(fam, "B", v),
-    }
-    bad = verify_sigma_inverting(RegularFamily("Z"), samples=50, seed=SEED, rho_maps=corrupt)
+    fam = RegularFamily("Z")
+    corrupt = TriMap(fam, M=lambda m: rho(fam, "M", m) + TElement.one(fam))
+    bad = verify_sigma_inverting(corrupt, samples=50, seed=SEED)
     assert not bad.passed
     report(3, "5 families x 1000 pairs certified; corrupted map detected")
 
@@ -173,7 +170,7 @@ def test_criterion_4_change_of_p_suite():
         rng = random.Random(SEED + 1)
         for _ in range(500):
             e = random_telement(family, rng, size=5)
-            assert factor_inverting_hom(pair, hom, f_inv, pair.induced(e)) == hom.apply(e)
+            assert factor_inverting_hom(pair, hom, f_inv, pair.induced(e)) == hom(e)
         rng = random.Random(SEED + 2)
         for _ in range(500):
             expr = Mul(tuple(Gen(family.random_m(rng)) for _ in range(rng.randint(1, 3))))

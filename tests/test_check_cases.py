@@ -40,7 +40,7 @@ def golden_module():
 
 RUNS = {
     "example_suite(1729, False)": lambda: example_suite(1729, False),
-    "random_suite(7)": lambda: random_suite(7),
+    "random_suite(7)": lambda: random_suite(7, False),
     "localize_module(module.json)": lambda: localize_module(golden_module()),
 }
 

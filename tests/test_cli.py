@@ -266,6 +266,15 @@ class TestVerify:
         assert out.returncode == 1
         assert "FAIL" in out.stdout
 
+    def test_random_negative_control_exit_1(self):
+        # the random suite checks the same corrupted map: each family's certificate fails
+        out = run_cli("verify", "--suite", "random", "--seed", "7", "--negative-control")
+        assert out.returncode == 1
+        failing = [line for line in out.stdout.splitlines() if line.startswith("  FAIL")]
+        kinds = ("regular", "double", "tensor-free", "hnn-free", "scaled")
+        assert failing == [f"  FAIL sigma-inverting [{kind}]" for kind in kinds]
+        assert out.stdout.endswith("result: FAIL (20/25)\n")
+
     def test_reports_byte_identical(self):
         a = run_cli("verify", "--suite", "examples", "--seed", "99")
         b = run_cli("verify", "--suite", "examples", "--seed", "99")

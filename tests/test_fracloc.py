@@ -243,7 +243,7 @@ class TestFactorization:
         for _ in range(200):
             e = random_telement(self.fam, rng)
             lhs = factor_inverting_hom(self.pair, self.hom, self.f_inv, self.pair.induced(e))
-            assert lhs == self.hom.apply(e)
+            assert lhs == self.hom(e)
 
     def test_wrong_inverse_rejected(self):
         target = self.pair.target
@@ -331,7 +331,7 @@ class TestScalarsEnterThroughTheTarget:
             assert map_terms(e, ring, lambda letter: Fraction(2)) == expected
             assert ring.entered == [c for c in e.terms.values() if c != 1]
             hom = LetterHom(fam, MarkingRing(), lambda m: Fraction(2))
-            assert hom.apply(e) == expected
+            assert hom(e) == expected
             assert hom.s_ring.entered == [c for c in e.terms.values() if c != 1]
 
     def test_eval_tree(self):

@@ -464,7 +464,7 @@ def map_targets():
     for fam in (RegularFamily("Z"), ScaledFamily(2)):
         hom = rational_value_hom(fam)
         letter = lambda x, fam=fam, hom=hom: hom.generator_image(fam.letter_bim(x))
-        targets.append((f"rational {fam.describe()}", fam, hom.apply, QQ, letter))
+        targets.append((f"rational {fam.describe()}", fam, hom, QQ, letter))
     for pair in (CentralPair(RegularFamily("Z"), 2, 2), CentralPair(ScaledFamily(2), 3, 3)):
         fam, ops = pair.family, tring.TOps(pair.target)
         letter = lambda x, fam=fam, ops=ops, a0=pair.a0: ops.gen(fam.apply(a0, fam.letter_bim(x), fam.b_one))

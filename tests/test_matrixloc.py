@@ -7,7 +7,7 @@ import pytest
 
 from trilocal.families import RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.linalg import Matrix
-from trilocal.matrixloc import matrix_unit, rho_matrix, verify_sigma_inverting
+from trilocal.matrixloc import TriMap, matrix_unit, rho_matrix, verify_sigma_inverting
 from trilocal.rings import FreeAlgebraElement
 from trilocal.tring import TElement, TOps, family_iso, rho
 from trilocal.triangular import TriElement, random_tri, tri_mul
@@ -61,17 +61,14 @@ class TestRhoMatrix:
 class TestVerifier:
     def test_all_families_pass(self):
         for fam in shipped_families():
-            rep = verify_sigma_inverting(fam, samples=60, seed=7)
+            rep = verify_sigma_inverting(TriMap(fam), samples=60, seed=7)
             assert rep.passed, rep.render_text()
 
     def test_corrupted_rho_fails_with_witness(self):
         # drop the collapse of the distinguished generator: x_p no longer 1
-        corrupt = {
-            "A": lambda fam, v: rho(fam, "A", v),
-            "M": lambda fam, v: rho(fam, "M", v) + TElement.one(fam),
-            "B": lambda fam, v: rho(fam, "B", v),
-        }
-        rep = verify_sigma_inverting(RegularFamily("Z"), samples=30, seed=7, rho_maps=corrupt)
+        fam = RegularFamily("Z")
+        corrupt = TriMap(fam, M=lambda m: rho(fam, "M", m) + TElement.one(fam))
+        rep = verify_sigma_inverting(corrupt, samples=30, seed=7)
         assert not rep.passed
         failing = [c for c in rep.checks if not c.passed]
         assert any("e12" in c.name or "unital" in c.name for c in failing)
@@ -79,8 +76,9 @@ class TestVerifier:
     def test_corrupted_rho_fails_both_sampled_checks_on_one_pair(self):
         # M + 1 breaks multiplicativity and additivity on the same sampled
         # pair; each sampled check reports its own failure
-        corrupt = _maps(M=lambda fam, v: rho(fam, "M", v) + TElement.one(fam))
-        rep = verify_sigma_inverting(RegularFamily("Z"), samples=60, rho_maps=corrupt)
+        fam = RegularFamily("Z")
+        corrupt = TriMap(fam, M=lambda m: rho(fam, "M", m) + TElement.one(fam))
+        rep = verify_sigma_inverting(corrupt, samples=60)
         sampled = {c.name: (c.passed, c.detail) for c in rep.checks if "sampled" in c.name}
         witness = "r1=(-4, 2, 4) r2=(3, -2, -4)"
         assert sampled == {
@@ -88,37 +86,42 @@ class TestVerifier:
             "additive on sampled pairs": (False, witness),
         }
 
+    def test_unknown_part_is_refused(self):
+        fam = RegularFamily("Z")
+        with pytest.raises(TypeError, match="not \\['m'\\]"):
+            TriMap(fam, m=lambda m: rho(fam, "M", m))
+
     def test_report_is_deterministic(self):
-        a = verify_sigma_inverting(ScaledFamily(2), samples=40, seed=11).render_json()
-        b = verify_sigma_inverting(ScaledFamily(2), samples=40, seed=11).render_json()
+        a = verify_sigma_inverting(TriMap(ScaledFamily(2)), samples=40, seed=11).render_json()
+        b = verify_sigma_inverting(TriMap(ScaledFamily(2)), samples=40, seed=11).render_json()
         assert a == b
 
 
-def _maps(**replaced):
-    """The three structure maps, with the named ones replaced."""
-    return {c: replaced.get(c, lambda fam, v, c=c: rho(fam, c, v)) for c in "AMB"}
-
-
-def _failing(family, maps, seed=7):
-    rep = verify_sigma_inverting(family, samples=200, seed=seed, rho_maps=maps)
+def _failing(f, seed=7):
+    rep = verify_sigma_inverting(f, samples=200, seed=seed)
     return [c.name for c in rep.checks if not c.passed]
 
 
-def _short_words(fam, v):
-    """Q-linear and unital, but drops every A-word longer than one letter."""
-    return rho(fam, "A", FreeAlgebraElement(v.ring, v.gens, {w: c for w, c in v.terms.items() if len(w) <= 1}))
+def _short_words(fam):
+    """An A part that is Q-linear and unital, but drops every A-word longer than one letter."""
+    return lambda v: rho(fam, "A", FreeAlgebraElement(v.ring, v.gens, {w: c for w, c in v.terms.items() if len(w) <= 1}))
 
 
-def _swap_5_7(fam, n):
-    """Completely multiplicative and unital, but not additive: the primes 5
-    and 7 trade places in n's factorization.  The sampled entries lie in
-    [-4, 4], so it is the identity on them and on their products."""
-    e5 = e7 = 0
-    while n and n % 5 == 0:
-        n, e5 = n // 5, e5 + 1
-    while n and n % 7 == 0:
-        n, e7 = n // 7, e7 + 1
-    return rho(fam, "A", n * 7**e5 * 5**e7)
+def _swap_5_7(fam):
+    """An A part that is completely multiplicative and unital, but not
+    additive: the primes 5 and 7 trade places in n's factorization.  The
+    sampled entries lie in [-4, 4], so it is the identity on them and on
+    their products."""
+
+    def part(n):
+        e5 = e7 = 0
+        while n and n % 5 == 0:
+            n, e5 = n // 5, e5 + 1
+        while n and n % 7 == 0:
+            n, e7 = n // 7, e7 + 1
+        return rho(fam, "A", n * 7**e5 * 5**e7)
+
+    return part
 
 
 class TestSampledCheckControls:
@@ -126,11 +129,12 @@ class TestSampledCheckControls:
 
     def test_multiplicative_check_fails_alone(self):
         fam = TensorFreeFamily("Q", ("s",), ("u",))
-        assert _failing(fam, _maps(A=_short_words)) == ["multiplicative on sampled pairs"]
+        assert _failing(TriMap(fam, A=_short_words(fam))) == ["multiplicative on sampled pairs"]
 
     @pytest.mark.parametrize("seed", [1, 7, 11])
     def test_additive_check_fails_alone(self, seed):
-        assert _failing(RegularFamily("Z"), _maps(A=_swap_5_7), seed) == ["additive on sampled pairs"]
+        fam = RegularFamily("Z")
+        assert _failing(TriMap(fam, A=_swap_5_7(fam)), seed) == ["additive on sampled pairs"]
 
     @pytest.mark.parametrize("component", "AMB")
     def test_column_split_fails_only_beside_unital_or_corner(self, component):
@@ -138,10 +142,10 @@ class TestSampledCheckControls:
         # and M(0), beside their unit entries: the corner check reads A(0)
         # and B(0), the unital check M(0).
         fam = RegularFamily("Z")
-        failing = _failing(fam, _maps(**{component: lambda f, v: TElement.one(f) if v == 0 else rho(f, component, v)}))
+        failing = _failing(TriMap(fam, **{component: lambda v: TElement.one(fam) if v == 0 else rho(fam, component, v)}))
         assert "P lands in column 1, Q in column 2" in failing
         assert {"unital: image of 1_R is the identity matrix", "image of (0, p, 0) is e12"} & set(failing)
 
     def test_true_maps_pass_every_check(self):
         for fam in (TensorFreeFamily("Q", ("s",), ("u",)), RegularFamily("Z")):
-            assert _failing(fam, _maps()) == []
+            assert _failing(TriMap(fam)) == []

@@ -140,15 +140,15 @@ class TestTriMul:
 class TestColumns:
     def test_sigma_image(self):
         for fam in shipped_families():
-            m, b = SigmaMorphism(fam).apply(fam.a_one)
+            m, b = SigmaMorphism(fam)(fam.a_one)
             assert m == fam.p
             assert b == fam.b_ring.zero()
-            m0, _ = SigmaMorphism(fam).apply(fam.a_ring.zero())
+            m0, _ = SigmaMorphism(fam)(fam.a_ring.zero())
             assert m0 == fam.zero_m()
 
     def test_sigma_scaled_example(self):
         fam = ScaledFamily(2)
-        m, b = SigmaMorphism(fam).apply(3)
+        m, b = SigmaMorphism(fam)(3)
         assert (m, b) == (6, 0)
 
 
