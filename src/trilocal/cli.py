@@ -167,7 +167,7 @@ def cmd_localize_module(args):
     data = _load_json("module spec", path=args.spec)
     if not isinstance(data, dict):
         raise SchemaError("module spec must be a JSON object")
-    if args.family:
+    if args.family is not None:
         family = _load_family(args.family)
     else:
         if "family" not in data:

@@ -1,13 +1,15 @@
 """Exact matrix normal forms over Z, Z[1/k], Q and Q[x].
 
-``diagonal_form`` returns the transformation matrices U, V together
-with explicit inverses built alongside them, and re-verifies them
-before returning, so a successful call is its own certificate.  A form
-holds what the reduction builds: U and V^-1 by sparse rows, U^-1 and V
-by sparse columns ({index: nonzero entry}), and D as its diagonal d.
-The certificate multiplies those directly, over nonzero pairs only: it
-checks U * M = diag(d) * V^-1, which with V^-1 * V = I is U * M * V = D,
-both inverses and the divisibility chain, every clause exactly.
+``diagonal_form`` is the one route into the reduction engine, for every
+ring, and the one place that makes the diagonal canonical.  It returns
+the transformation matrices U, V together with explicit inverses built
+alongside them, and re-verifies them before returning, so a successful
+call is its own certificate.  A form holds what the reduction builds: U
+and V^-1 by sparse rows, U^-1 and V by sparse columns ({index: nonzero
+entry}), and D as its diagonal d.  The certificate multiplies those
+directly, over nonzero pairs only: it checks U * M = diag(d) * V^-1,
+which with V^-1 * V = I is U * M * V = D, both inverses and the
+divisibility chain, every clause exactly.
 """
 
 from __future__ import annotations
@@ -148,9 +150,9 @@ class DiagonalForm:
         return sum(1 for d in self.diagonal() if not self.ring.is_zero(d))
 
     def invariant_factors(self):
-        """Non-unit, nonzero diagonal entries in canonical form."""
+        """Non-unit, nonzero diagonal entries, canonical as diagonal_form left them."""
         rg = self.ring
-        return [rg.unit_normal(d)[0] for d in self.diagonal() if not (rg.is_zero(d) or rg.is_unit(d))]
+        return [d for d in self.D if not (rg.is_zero(d) or rg.is_unit(d))]
 
     def free_rank(self):
         """Rank of the cokernel R^cols / rowspan(M)."""
@@ -186,9 +188,9 @@ class DiagonalForm:
 
 def _euclidean_engine(mat):
     """The diagonalization loop, over a Euclidean ring that states its division:
-    U and V^-1 by sparse rows, U^-1 and V by sparse columns, and the
-    diagonal entries of D, of which the caller builds the one DiagonalForm
-    that it certifies.
+    U and V^-1 by sparse rows, U^-1 and V by sparse columns, and D's raw
+    diagonal a[i][i], scaled by no unit: diagonal_form makes it canonical
+    and builds the one DiagonalForm that it certifies.
 
     The ring's size(a) is a nonnegative measure with size(a) == 0 iff
     a == 0; its divmod(a, b) returns (q, r) with a == q*b + r and
@@ -319,65 +321,47 @@ def _euclidean_engine(mat):
                 row_add(t, bad, one, nonzero_columns(bad))
             best = smallest(t)
         t += 1
-
-    # canonicalize diagonal entries by unit scaling: row i of U times u^-1,
-    # column i of U^-1 times u
-    d = [a[i][i] for i in range(min(m, n))]
-    for i, x in enumerate(d):
-        if is_zero(x):
-            continue
-        rep, u = rg.unit_normal(x)
-        if u != one:
-            inv = rg.exact_div(one, u)
-            d[i] = mul(inv, x)
-            U[i] = {k: mul(inv, y) for k, y in U[i].items()}
-            Uc[i] = {k: mul(y, u) for k, y in Uc[i].items()}
-    return U, Uc, Vc, Vi, d
-
-
-def _kadic_reduce(mat):
-    """Diagonalize over Z[1/k]: clear denominators, reduce over Z, strip units.
-
-    Z[1/k] goes through Z rather than through a division of its own
-    (size the k-free part of the numerator): on the seeded 12x12 matrices
-    of tests/test_linalg.py that route let transform entries reach 5,944
-    bits over Z[1/2] and 30,278 over Z[1/6], against 888 and 1,187 through
-    Z.  The integer form is not certified on its own; the Z[1/k] form
-    returned is, and its identities imply the integer ones.
-    """
-    rg = mat.ring
-    e = max((rg.exponent(x) for row in mat.rows for x in row), default=0)
-    scale = rg.k ** e
-    cleared = Matrix._of(ZZ, [[(x * scale).numerator for x in row] for row in mat.rows])
-    U, Uc, Vc, Vi, d = _euclidean_engine(cleared)
-    # U * (k^e * mat) * V = D_int, so U * mat * V = D_int / k^e; rescale each
-    # row of U (and the matching column of U^-1) so the diagonal becomes the
-    # canonical k-free representative.  The integer entries of U, V and
-    # their inverses are already elements of Z[1/k].
-    for i, d_int in enumerate(d):
-        if d_int == 0:
-            continue
-        d[i], u = rg.unit_normal(rg.exact_div(d_int, scale))
-        inv = rg.exact_div(1, u)
-        U[i] = {k: rg.mul(inv, x) for k, x in U[i].items()}
-        Uc[i] = {k: rg.mul(x, u) for k, x in Uc[i].items()}
-    return DiagonalForm(rg, mat, U, Uc, Vc, Vi, d)
+    return U, Uc, Vc, Vi, [a[i][i] for i in range(min(m, n))]
 
 
 def diagonal_form(mat):
     """The certified diagonal form of mat over Z, Z[1/k], Q or Q[x].
 
-    Z[1/k] is reduced through Z; any other ring must state its own
-    division (size and divmod).  Every form is verified here before it
-    is returned, so a successful call is its own certificate.
+    Over Z[1/k], mat times k^e is an integer matrix, reduced over Z, and
+    each diagonal entry is divided by k^e; the integer transforms are
+    elements of Z[1/k].  Z[1/k] goes through Z rather than through a
+    division of its own (size the k-free part of the numerator): on the
+    seeded 12x12 matrices of tests/test_linalg.py that route let transform
+    entries reach 5,944 bits over Z[1/2] and 30,278 over Z[1/6], against
+    888 and 1,187 through Z.  Any other ring must state its own division
+    (size and divmod).
+
+    Here alone, over the form's own ring, the diagonal becomes canonical:
+    each nonzero d_i = u * r_i, r_i its unit-normal representative, is
+    replaced by r_i, row i of U multiplied by u^-1 and column i of U^-1 by
+    u.  Every form is verified before it is returned, so a successful call
+    is its own certificate.
     """
     rg = mat.ring
     if isinstance(rg, KadicRing):
-        out = _kadic_reduce(mat)
+        scale = rg.k ** max((rg.exponent(x) for row in mat.rows for x in row), default=0)
+        cleared = Matrix._of(ZZ, [[(x * scale).numerator for x in row] for row in mat.rows])
+        U, Uc, Vc, Vi, d = _euclidean_engine(cleared)
+        d = [rg.exact_div(x, scale) for x in d]
     elif hasattr(rg, "divmod"):
-        out = DiagonalForm(rg, mat, *_euclidean_engine(mat))
+        U, Uc, Vc, Vi, d = _euclidean_engine(mat)
     else:
         raise UnsupportedRingError(f"diagonal_form does not support {rg.name}")
+    one, mul = rg.one(), rg.mul
+    for i, x in enumerate(d):
+        if rg.is_zero(x):
+            continue
+        d[i], u = rg.unit_normal(x)
+        if u != one:
+            inv = rg.exact_div(one, u)
+            U[i] = {k: mul(inv, y) for k, y in U[i].items()}
+            Uc[i] = {k: mul(y, u) for k, y in Uc[i].items()}
+    out = DiagonalForm(rg, mat, U, Uc, Vc, Vi, d)
     if not out.verify():
         raise CertificateError(f"diagonal form over {rg.name} failed self-verification")
     return out

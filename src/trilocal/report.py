@@ -76,6 +76,11 @@ class Report:
         """first_failures for one check, whose details yields None or a text per case."""
         return self.first_failures((name,), ((d,) for d in details))[0].passed
 
+    def add_report(self, name, sub):
+        """Add the report sub as the one check name; on a failure its detail
+        names sub's first failing check."""
+        return self.add(name, sub.passed, "" if sub.passed else next(c.name for c in sub.checks if not c.passed))
+
     def extend(self, other):
         for c in other.checks:
             self.checks.append(Check(f"{other.title}: {c.name}", c.passed, c.detail))

@@ -297,17 +297,11 @@ def example_suite(seed, negative_control):
     # matrix localization certificates for every family
     for family in shipped_families():
         sub = verify_sigma_inverting(_sigma_map(family, negative_control), samples=samples, seed=seed)
-        rep.add(
-            f"matrix localization certificate [{family.kind}]",
-            sub.passed,
-            "" if sub.passed else next(c.name for c in sub.checks if not c.passed),
-        )
+        rep.add_report(f"matrix localization certificate [{family.kind}]", sub)
 
     # change-of-p fixtures
     for family, a0, b0 in change_of_p_configs():
-        pair = CentralPair(family, a0, b0)
-        sub = check_central(pair)
-        rep.add(f"central pair certified [{family.kind}, a0={a0}]", sub.passed)
+        rep.add_report(f"central pair certified [{family.kind}, a0={a0}]", check_central(CentralPair(family, a0, b0)))
     rzpair = CentralPair(rz, 2, 2)
     tgt = rzpair.target
 
@@ -360,11 +354,11 @@ def random_suite(seed, negative_control):
         rep.extend(presentation_soundness(family, n=instances, seed=seed))
         rep.extend(oracle_faithfulness(family, n=pairs, seed=seed))
         sub = verify_sigma_inverting(_sigma_map(family, negative_control), samples=sigma_samples, seed=seed)
-        rep.add(f"sigma-inverting [{family.kind}]", sub.passed)
+        rep.add_report(f"sigma-inverting [{family.kind}]", sub)
     for family, a0, b0 in change_of_p_configs():
         sub = change_of_p_suite(family, a0, b0, fraction_samples=pairs // 2, factor_samples=pairs // 2, seed=seed)
-        rep.add(f"change of p [{family.kind}, a0={a0}]", sub.passed)
+        rep.add_report(f"change of p [{family.kind}, a0={a0}]", sub)
     for family in module_families():
         sub = module_localization_suite(family, modules=modules, seed=seed)
-        rep.add(f"module localization [{family.kind}]", sub.passed)
+        rep.add_report(f"module localization [{family.kind}]", sub)
     return rep

@@ -267,12 +267,14 @@ class TestVerify:
         assert "FAIL" in out.stdout
 
     def test_random_negative_control_exit_1(self):
-        # the random suite checks the same corrupted map: each family's certificate fails
+        # the random suite checks the same corrupted map: each family's
+        # certificate fails, and its line names the check that failed
         out = run_cli("verify", "--suite", "random", "--seed", "7", "--negative-control")
         assert out.returncode == 1
         failing = [line for line in out.stdout.splitlines() if line.startswith("  FAIL")]
         kinds = ("regular", "double", "tensor-free", "hnn-free", "scaled")
-        assert failing == [f"  FAIL sigma-inverting [{kind}]" for kind in kinds]
+        unital = "unital: image of 1_R is the identity matrix"
+        assert failing == [f"  FAIL sigma-inverting [{kind}] :: {unital}" for kind in kinds]
         assert out.stdout.endswith("result: FAIL (20/25)\n")
 
     def test_reports_byte_identical(self):
@@ -359,6 +361,14 @@ class TestLocalize:
     def test_missing_file_exit_2(self):
         out = run_cli("localize-module", "--spec", "/nonexistent/mod.json")
         assert out.returncode == 2
+
+    def test_empty_family_exit_2(self):
+        # an empty --family is a descriptor that is not JSON, as for every
+        # other command; it does not fall back to the spec's family
+        out = run_cli("localize-module", "--spec", str(ROOT / "tests" / "golden" / "module.json"), "--family", "")
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+        assert out.stdout == ""
 
 
 class TestGrammarRoundTripViaCli:

@@ -502,6 +502,30 @@ def test_engine_leaving_an_off_diagonal_entry_is_refused(mat, monkeypatch):
     assert left == [{"off-diagonal zero"}]
 
 
+@pytest.mark.parametrize("mat", chain_cases())
+def test_engine_leaving_a_non_canonical_diagonal_is_normalized(mat, monkeypatch):
+    # an engine whose form is correct but whose d_0 is scaled by a unit u
+    # other than 1 (-1 over Z, 2 over Q[x]), with row 0 of U scaled by u and
+    # column 0 of U^-1 by u^-1: diagonal_form still returns a verified form
+    # whose nonzero entries are each their own unit-normal representative
+    engine, scaled = linalg._euclidean_engine, []
+
+    def leaves_a_unit(reduced):
+        U, U_inv, V, V_inv, d = engine(reduced)
+        ring = reduced.ring
+        u = ring.from_int(-1 if ring is ZZ else 2)
+        d[0] = ring.mul(u, d[0])
+        U[0] = {k: ring.mul(u, x) for k, x in U[0].items()}
+        U_inv[0] = {k: ring.mul(x, ring.exact_div(ring.one(), u)) for k, x in U_inv[0].items()}
+        scaled.append(ring.unit_normal(d[0])[0] != d[0])
+        return U, U_inv, V, V_inv, d
+
+    monkeypatch.setattr(linalg, "_euclidean_engine", leaves_a_unit)
+    form, ring = diagonal_form(mat), mat.ring
+    assert scaled == [True] and form.verify()
+    assert [ring.unit_normal(x)[0] for x in form.D] == form.D
+
+
 STORED = ("U_rows", "U_inv_cols", "V_cols", "V_inv_rows")  # DiagonalForm's order after ring and source
 
 
