@@ -1,4 +1,11 @@
-"""The narrative demo scripts and the README quick start stay runnable."""
+"""The narrative demo scripts print their recorded output, and the README
+quick start stays runnable.
+
+Each demo's stdout must match ``tests/golden/demos/<stem>.out`` byte for
+byte; it is the same under any PYTHONHASHSEED and int_max_str_digits.
+Regenerate the recordings (only when an output change is intended) with
+``PYTHONPATH=src python tests/test_demos.py``.
+"""
 
 import ast
 import os
@@ -11,18 +18,21 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = ROOT / "tests" / "golden" / "demos"
 README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"), re.S)
+
+
+def run_demo(script):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, env=env, cwd=ROOT)
+    assert out.returncode == 0, out.stderr.decode()
+    return out.stdout
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(script):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    out = subprocess.run(
-        [sys.executable, str(script)], capture_output=True, text=True, env=env, cwd=ROOT
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip()
+    assert run_demo(script) == (GOLDEN / f"{script.stem}.out").read_bytes()
 
 
 def test_demo_directory_is_populated():
@@ -52,3 +62,9 @@ def test_readme_block_shows_its_values(index, values):
 
 def test_readme_blocks_are_all_run():
     assert len(README_BLOCKS) == 2
+
+
+if __name__ == "__main__":
+    for script in DEMOS:
+        (GOLDEN / f"{script.stem}.out").write_bytes(run_demo(script))
+        print(script.name, file=sys.stderr)
