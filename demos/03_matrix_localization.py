@@ -6,15 +6,16 @@ element at p hits the matrix unit e12, and that the matrix-unit
 identities realize the inverse of the base-changed column map.
 """
 
-from trilocal import ScaledFamily, TriElement, TriMap, matrix_text, rho_matrix, verify_sigma_inverting
+from trilocal import ScaledFamily, TriElement, TriMap, matrix_text, verify_sigma_inverting
 
 fam = ScaledFamily(2)
+f = TriMap(fam)
 
-print("image of 1_R:", matrix_text(rho_matrix(TriElement.one(fam))))
+print("image of 1_R:", matrix_text(f(TriElement.one(fam))))
 corner = TriElement(fam, 0, 2, 0)  # the (0, p, 0) corner
-print("image of (0, p, 0):", matrix_text(rho_matrix(corner)))
+print("image of (0, p, 0):", matrix_text(f(corner)))
 sample = TriElement(fam, 3, 5, 7)
-print("image of (3, 5, 7):", matrix_text(rho_matrix(sample)), " (entry values 3, 5/2, 7)")
+print("image of (3, 5, 7):", matrix_text(f(sample)), " (entry values 3, 5/2, 7)")
 
 print()
-print(verify_sigma_inverting(TriMap(fam), samples=200).render_text())
+print(verify_sigma_inverting(f, samples=200).render_text())

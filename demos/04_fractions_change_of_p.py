@@ -35,9 +35,11 @@ for text in ("5*x[1]^3", "6", "1", "3*x[1]"):
         f" over denominator exponent {form.exponent}"
     )
 
-# factor the evaluation morphism Z -> Q through the dyadic ring
+# factor the evaluation morphism Z -> Q through the dyadic ring: g is
+# certified once, when it is built, and then applied like any map
 hom = rational_value_hom(fam)
+g = factor_inverting_hom(pair, hom, Fraction(1, 2))
 e = parse_normal(target, "5*x[1]^3")
-print("\nfactored image of 5/8 in Q:", factor_inverting_hom(pair, hom, Fraction(1, 2), e))
+print("\nfactored image of 5/8 in Q:", g(e))
 src = parse_normal(fam, "7")
-print("factorization identity on 7:", factor_inverting_hom(pair, hom, Fraction(1, 2), pair.induced(src)))
+print("factorization identity on 7:", g(pair.induced(src)))

@@ -17,7 +17,7 @@ from .errors import BudgetExceededError, CertificateError, SchemaError, Trilocal
 from .exprs import format_element, format_oracle, parse_bim_element, parse_element, parse_ring_element
 from .families import family_from_json
 from .fracloc import CentralPair, factor_inverting_hom, rational_value_hom
-from .matrixloc import TriMap, matrix_text, rho_matrix, verify_sigma_inverting
+from .matrixloc import TriMap, matrix_text, verify_sigma_inverting
 from .modloc import localize_module
 from .report import DEFAULT_SEED, render_doc
 from .tring import DEFAULT_BUDGET, Budget, family_iso, rho, t_normalize
@@ -133,7 +133,7 @@ def cmd_factor(args):
     family, pair, element = _change_of_p_input(args)
     hom = rational_value_hom(family)
     passed = hom.respects_relations(samples=50, seed=args.seed)
-    value = factor_inverting_hom(pair, hom, Fraction(1, args.a0), element)
+    value = factor_inverting_hom(pair, hom, Fraction(1, args.a0))(element)
     _emit(
         {
             "family": family.describe(),
@@ -149,12 +149,13 @@ def cmd_factor(args):
 
 def cmd_localize_ring(args):
     family = _load_family(args.family)
-    report = verify_sigma_inverting(TriMap(family), samples=200, seed=args.seed)
+    f = TriMap(family)
+    report = verify_sigma_inverting(f, samples=200, seed=args.seed)
     corner = TriElement(family, family.a_ring.zero(), family.p, family.b_ring.zero())
     doc = {
         "family": family.describe(),
-        "image_of_identity": matrix_text(rho_matrix(TriElement.one(family))),
-        "image_of_corner_p": matrix_text(rho_matrix(corner)),
+        "image_of_identity": matrix_text(f(TriElement.one(family))),
+        "image_of_corner_p": matrix_text(f(corner)),
         "certificate": "pass" if report.passed else "fail",
     }
     _emit(doc, args.format)

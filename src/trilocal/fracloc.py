@@ -7,7 +7,8 @@ Every element of the target then carries a fraction form: a numerator
 from T(M,p) over a power of the inverted generator.
 
 A ring map out of T(M,p) is its generator images, so the induced map
-and the factorization through T(M,a0*p) are each one ``LetterHom``.
+and the factorization through T(M,a0*p) are each one ``LetterHom``,
+built and certified once and then applied by calling it.
 
 A central pair exists where T(M,a0*p) has a family, and those instances
 keep the image-membership problem decidable: regular-Z (target =
@@ -19,10 +20,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from .errors import CertificateError, UnsupportedFamilyError
 from .report import Report
-from .rings import QQ
+from .rings import QQ, strip_factors_of
 from .tring import (
     Record,
     TElement,
@@ -40,8 +42,9 @@ from .tring import (
 
 class CentralPair:
     """A pair (a0, b0) with a0*m = m*b0 throughout M; ``target``, the family
-    presenting T(M,a0*p); and ``induced``, the LetterHom x_m -> x_{a0*m}
-    from T(M,p) into T(M,a0*p).
+    presenting T(M,a0*p); ``induced``, the LetterHom x_m -> x_{a0*m} from
+    T(M,p) into T(M,a0*p); ``x_a0p``, x_{a0*p} in T(M,p); and
+    ``old_p_in_target``, x_p in T(M,a0*p), the inverse of induced(x_a0p).
 
     The target is built first: a family without one has no central pair.
     Every family with a target has a basis of M, and the basis decides the
@@ -49,7 +52,7 @@ class CentralPair:
     additive, so Z-linear, and Q-linear over Q.
     """
 
-    __slots__ = ("family", "a0", "target", "induced")
+    __slots__ = ("family", "a0", "target", "induced", "x_a0p", "old_p_in_target")
 
     def __init__(self, family, a0, b0):
         self.target = family.scaled_p_variant(a0)
@@ -60,31 +63,26 @@ class CentralPair:
                 raise UnsupportedFamilyError(f"not a central pair: a0*m != m*b0 for m = {family.fmt_m(m)}")
         ops = TOps(self.target)
         self.induced = LetterHom(family, ops, lambda m: ops.gen(family.apply(a0, m, family.b_one)))
-
-    def x_a0p(self):
-        """The element of T(M,p) indexed by a0*p."""
-        return rho(self.family, "A", self.a0)
-
-    def old_p_in_target(self):
-        """x_p viewed inside T(M,a0*p); the inverse of the image of x_{a0*p}."""
-        return t_generator(self.target, self.family.p)
+        self.x_a0p = rho(family, "A", a0)
+        self.old_p_in_target = t_generator(self.target, family.p)
 
     def fraction_form(self, e):
         """Write e in T(M,a0*p) as numerator / x_{a0*p}**r with minimal r.
 
-        Minimality comes from repeated exact division in the oracle
-        ring; the reassembled product is checked against e exactly.
+        Each factor a0 divides gcd(rest, a0) out of rest, the part of e's
+        denominator prime to the source's k; r counts the steps to 1 (e's
+        value lies in Z[1/(a0*k)], so rest has only primes of a0), one
+        membership test gives the numerator, and the reassembled product is
+        checked against e exactly.
         """
         self.target.check_same(e.family)
         frac = Fraction(family_iso(e))
-        r = 0
-        while True:
-            terms = self.family.terms_with_value(frac * self.a0 ** r)
-            if terms is not None:
-                alpha = TElement(self.family, terms)
-                break
+        rest, r = strip_factors_of(frac.denominator, self.family.rational_k), 0
+        while (g := gcd(rest, self.a0)) != 1:
+            rest //= g
             r += 1
-        reassembled = t_mul(self.induced(alpha), self.old_p_in_target() ** r)
+        alpha = TElement(self.family, self.family.terms_with_value(frac * self.a0 ** r))
+        reassembled = t_mul(self.induced(alpha), self.old_p_in_target ** r)
         if reassembled != e:
             raise CertificateError("fraction reassembly failed")
         return FractionForm(alpha, r)
@@ -105,12 +103,12 @@ def check_central(pair):
     """
     fam = pair.family
     rep = Report(f"centrality of x_(a0*p) [{fam.describe()}]", meta={"certification": "basis"})
-    x0 = pair.x_a0p()
+    x0 = pair.x_a0p
     commutes = lambda xm: t_mul(x0, xm) == t_mul(xm, x0)
     rep.first_failure("x_(a0*p) commutes with every probe generator", (
         f"fails on basis element {fam.fmt_m(m)}" for m in fam.basis() if not commutes(t_generator(fam, m))
     ))
-    inv = pair.old_p_in_target()
+    inv = pair.old_p_in_target
     image = pair.induced(x0)
     one = TElement.one(pair.target)
     rep.add("image of x_(a0*p) times x_p is 1", t_mul(image, inv) == one)
@@ -148,23 +146,16 @@ class LetterHom:
         return relation_failure(fam, self.s_ring, gen, samples, random.Random(seed)) is None
 
 
-def _factored(pair, hom, f_inv):
-    """The factorization of hom through T(M,a0*p): the LetterHom that sends a
-    target generator x_m to f_inv * hom(x_m)."""
-    rg = hom.s_ring
-    return LetterHom(pair.target, rg, lambda m: rg.mul(f_inv, hom.generator_image(m)))
-
-
-def factor_inverting_hom(pair, hom, f_inv, e):
-    """Evaluate the unique factorization of hom through T(M,a0*p) on e.
-
-    hom must invert the image of x_{a0*p} with the supplied f_inv.
+def factor_inverting_hom(pair, hom, f_inv):
+    """The unique factorization of hom through T(M,a0*p): the LetterHom on
+    pair.target sending x_m to f_inv * hom(x_m).  It is certified before it
+    maps anything: ValueError unless f_inv is a two-sided inverse of hom(x_{a0*p}).
     """
     rg = hom.s_ring
-    f_x0 = hom(pair.x_a0p())
+    f_x0 = hom(pair.x_a0p)
     if rg.mul(f_inv, f_x0) != rg.one() or rg.mul(f_x0, f_inv) != rg.one():
         raise ValueError("f_inv is not a two-sided inverse of the image of x_(a0*p)")
-    return _factored(pair, hom, f_inv)(e)
+    return LetterHom(pair.target, rg, lambda m: rg.mul(f_inv, hom.generator_image(m)))
 
 
 def rational_value_hom(family):
@@ -175,13 +166,10 @@ def rational_value_hom(family):
     return LetterHom(family, QQ, lambda m: Fraction(m, k))
 
 
-def two_order_agreement(pair, hom, f_inv, expr):
-    """Evaluate the factored map on a raw expression two independent ways.
-
-    Order one normalizes in T(M,a0*p) first and then maps letterwise;
-    order two evaluates the expression tree directly in S.  Agreement
-    on random expressions mirrors the uniqueness of the factorization.
+def two_order_agreement(g, expr):
+    """Whether the LetterHom g takes one value on a raw expression two ways:
+    normalized in g's family and then mapped letterwise, or evaluated as a
+    tree directly in S, never through a normal form.  Agreement on random
+    expressions mirrors the uniqueness of the factorization.
     """
-    via_normal = factor_inverting_hom(pair, hom, f_inv, t_normalize(pair.target, expr))
-    via_tree = eval_tree(expr, hom.s_ring, _factored(pair, hom, f_inv).generator_image)
-    return via_normal == via_tree, via_normal, via_tree
+    return g(t_normalize(g.family, expr)) == eval_tree(expr, g.s_ring, g.generator_image)

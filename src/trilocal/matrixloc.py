@@ -53,11 +53,6 @@ class TriMap:
         return Matrix(ring, [[image("A", r.a), image("M", r.m)], [ring.zero(), image("B", r.b)]])
 
 
-def rho_matrix(r):
-    """Image of a triangular element under the engine's map."""
-    return TriMap(r.family)(r)
-
-
 def verify_sigma_inverting(f, samples, seed=DEFAULT_SEED):
     """Certify that the TriMap f inverts the column morphism.
 

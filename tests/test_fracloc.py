@@ -33,7 +33,8 @@ from trilocal.tring import (
     t_mul,
     t_scale,
 )
-from trilocal.verify import random_telement
+from trilocal.verify import change_of_p_configs, random_suite, random_telement
+from test_trace_targets import count_calls
 
 
 class TestCentralPair:
@@ -78,8 +79,9 @@ class TestCentralPair:
 class WrongInverse(CentralPair):
     """A pair whose x_p, in the target, is twice its true value."""
 
-    def old_p_in_target(self):
-        return t_scale(super().old_p_in_target(), 2)
+    def __init__(self, family, a0, b0):
+        super().__init__(family, a0, b0)
+        self.old_p_in_target = t_scale(self.old_p_in_target, 2)
 
 
 CENTRALITY_CHECKS = [
@@ -130,8 +132,8 @@ class TestInducedMap:
 
     def test_inverse_identity_exact(self):
         for pair in (CentralPair(RegularFamily("Z"), 2, 2), CentralPair(ScaledFamily(2), 3, 3)):
-            image = pair.induced(pair.x_a0p())
-            inv = pair.old_p_in_target()
+            image = pair.induced(pair.x_a0p)
+            inv = pair.old_p_in_target
             one = TElement.one(pair.target)
             assert t_mul(image, inv) == one
             assert t_mul(inv, image) == one
@@ -193,7 +195,7 @@ class TestFractionForm:
             e = random_telement(self.target, rng)
             form = self.pair.fraction_form(e)
             rebuilt = t_mul(
-                self.pair.induced(form.numerator), self.pair.old_p_in_target() ** form.exponent
+                self.pair.induced(form.numerator), self.pair.old_p_in_target ** form.exponent
             )
             assert rebuilt == e
 
@@ -207,6 +209,25 @@ class TestFractionForm:
             while (value * Fraction(2) ** r).denominator != 1:
                 r += 1
             assert form.exponent == r
+
+    @pytest.mark.parametrize("args", TRUE_PAIRS, ids=lambda a: f"{a[0].kind}-a0={a[1]}")
+    def test_one_membership_test_per_form(self, args, monkeypatch):
+        # r is found on the denominator alone; the source is asked once,
+        # not once per candidate exponent
+        pair = CentralPair(*args)
+        e = t_generator(pair.target, 1) ** 300
+        original = type(pair.family).terms_with_value
+        calls = []
+
+        def counting(family, frac):  # the target's products ask their own family
+            calls.extend([frac] if family is pair.family else [])
+            return original(family, frac)
+
+        monkeypatch.setattr(type(pair.family), "terms_with_value", counting)
+        form = pair.fraction_form(e)
+        assert len(calls) == 1
+        assert form.exponent == 300
+        assert family_iso(form.numerator) == Fraction(1, pair.family.rational_k ** 300)
 
     def test_scaled_source_membership(self):
         pair = CentralPair(ScaledFamily(2), 3, 3)
@@ -224,7 +245,7 @@ class TestFactorization:
         self.fam = RegularFamily("Z")
         self.pair = CentralPair(self.fam, 2, 2)
         self.hom = rational_value_hom(self.fam)
-        self.f_inv = Fraction(1, 2)
+        self.g = factor_inverting_hom(self.pair, self.hom, Fraction(1, 2))
 
     def test_hom_respects_relations(self):
         assert self.hom.respects_relations(samples=100, seed=DEFAULT_SEED)
@@ -232,31 +253,30 @@ class TestFactorization:
     def test_letterwise_value(self):
         target = self.pair.target
         e = t_generator(target, 3)  # value 3/2 in the target
-        assert factor_inverting_hom(self.pair, self.hom, self.f_inv, e) == Fraction(3, 2)
+        assert self.g(e) == Fraction(3, 2)
 
     def test_one_maps_to_one(self):
         target = self.pair.target
-        assert factor_inverting_hom(self.pair, self.hom, self.f_inv, TElement.one(target)) == 1
+        assert self.g(TElement.one(target)) == 1
 
     def test_factorization_identity_random(self):
         rng = random.Random(6)
         for _ in range(200):
             e = random_telement(self.fam, rng)
-            lhs = factor_inverting_hom(self.pair, self.hom, self.f_inv, self.pair.induced(e))
-            assert lhs == self.hom(e)
+            assert self.g(self.pair.induced(e)) == self.hom(e)
 
     def test_wrong_inverse_rejected(self):
         target = self.pair.target
-        with pytest.raises(ValueError):
-            factor_inverting_hom(self.pair, self.hom, Fraction(1, 3), TElement.one(target))
+        # the check comes first: nothing is mapped, and no map is returned
+        with pytest.raises(ValueError, match="not a two-sided inverse"):
+            factor_inverting_hom(self.pair, self.hom, Fraction(1, 3))
 
     def test_two_evaluation_orders_random(self):
         rng = random.Random(7)
         target = self.pair.target
         for _ in range(100):
             expr = Mul(tuple(Gen(rng.randint(-6, 6)) for _ in range(rng.randint(1, 3))))
-            ok, lhs, rhs = two_order_agreement(self.pair, self.hom, self.f_inv, expr)
-            assert ok and lhs == rhs
+            assert two_order_agreement(self.g, expr)
 
     def test_factor_through_target_itself(self):
         # with hom = the induced map itself, the factored map fixes letters
@@ -289,10 +309,8 @@ class TestFactorization:
             TargetRing(),
             lambda m: pair.induced(t_generator(pair.family, m)),
         )
-        f_inv = pair.old_p_in_target()
         e = t_generator(target, 3)
-        out = factor_inverting_hom(pair, hom, f_inv, e)
-        assert out == e
+        assert factor_inverting_hom(pair, hom, pair.old_p_in_target)(e) == e
 
 
 class MarkingRing(OperatorRing):
@@ -310,6 +328,14 @@ class MarkingRing(OperatorRing):
     def from_int(self, n):
         self.entered.append(n)
         return Fraction(n)
+
+
+def test_factorization_is_built_once_per_config(monkeypatch):
+    # the random suite builds one certified map per change-of-p config and
+    # applies it to every sample
+    calls = count_calls(monkeypatch, fracloc, "factor_inverting_hom")
+    assert random_suite(7, False).passed
+    assert len(calls) == len(change_of_p_configs()) == 2
 
 
 class TestScalarsEnterThroughTheTarget:

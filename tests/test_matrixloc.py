@@ -7,7 +7,7 @@ import pytest
 
 from trilocal.families import RegularFamily, ScaledFamily, TensorFreeFamily
 from trilocal.linalg import Matrix
-from trilocal.matrixloc import TriMap, matrix_unit, rho_matrix, verify_sigma_inverting
+from trilocal.matrixloc import TriMap, matrix_unit, verify_sigma_inverting
 from trilocal.rings import FreeAlgebraElement
 from trilocal.tring import TElement, TOps, family_iso, rho
 from trilocal.triangular import TriElement, random_tri, tri_mul
@@ -27,23 +27,23 @@ class TestMatrixUnits:
     def test_identity_neutral(self):
         rng = random.Random(1)
         for fam in shipped_families():
-            x = rho_matrix(random_tri(fam, rng, 5))
+            x = TriMap(fam)(random_tri(fam, rng, 5))
             assert x * Matrix.identity(TOps(fam), 2) == x
 
 
 class TestRhoMatrix:
     def test_identity_maps_to_identity(self):
         for fam in shipped_families():
-            assert rho_matrix(TriElement.one(fam)) == Matrix.identity(TOps(fam), 2)
+            assert TriMap(fam)(TriElement.one(fam)) == Matrix.identity(TOps(fam), 2)
 
     def test_corner_p_is_e12(self):
         for fam in shipped_families():
             corner = TriElement(fam, fam.a_ring.zero(), fam.p, fam.b_ring.zero())
-            assert rho_matrix(corner) == matrix_unit(fam, 1, 2)
+            assert TriMap(fam)(corner) == matrix_unit(fam, 1, 2)
 
     def test_scaled_entries(self):
         fam = ScaledFamily(2)
-        img = rho_matrix(TriElement(fam, 3, 5, 7))
+        img = TriMap(fam)(TriElement(fam, 3, 5, 7))
         (e11, e12), (e21, e22) = img.rows
         assert family_iso(e11) == 3
         assert family_iso(e12) == Fraction(5, 2)
@@ -53,9 +53,10 @@ class TestRhoMatrix:
     def test_morphism_random(self):
         rng = random.Random(2)
         for fam in shipped_families():
+            f = TriMap(fam)
             for _ in range(100):
                 r1, r2 = random_tri(fam, rng, 4), random_tri(fam, rng, 4)
-                assert rho_matrix(tri_mul(r1, r2)) == rho_matrix(r1) * rho_matrix(r2)
+                assert f(tri_mul(r1, r2)) == f(r1) * f(r2)
 
 
 class TestVerifier:

@@ -35,7 +35,7 @@ from trilocal.families import (
     shipped_families,
 )
 from trilocal.linalg import Matrix
-from trilocal.matrixloc import matrix_text, rho_matrix
+from trilocal.matrixloc import TriMap, matrix_text
 from trilocal.rings import (
     QQ,
     ZZ,
@@ -165,7 +165,7 @@ def printer_outputs():
         for i, m in enumerate(family_bimodule_elements(fam, rng)):
             rows.append(["fmt_m", tag, i, fam.fmt_m(m)])
         for i, r in enumerate([TriElement.one(fam), TriElement(fam, fam.a_ring.zero(), fam.p, fam.b_ring.zero())]):
-            rows.append(["Matrix2.fmt", tag, i, matrix_text(rho_matrix(r))])
+            rows.append(["Matrix2.fmt", tag, i, matrix_text(TriMap(fam)(r))])
     for i, (ring, coeffs) in enumerate(POLYNOMIALS):
         rows.append(["Polynomial", ring, i, str(Polynomial(ring, coeffs))])
     rng = random.Random(2023)
