@@ -34,7 +34,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import ParseError
-from .rings import norm_scalar, signed_sum
+from .rings import norm_scalar, ratio, scalar_str
 from .tring import (
     DEFAULT_BUDGET, Add, Budget, ChargedRing, Const, Gen, Mul, Neg, Pow, eval_tree, t_normalize,
 )
@@ -265,13 +265,16 @@ def format_element(e):
     Terms go by word length, then letter by letter in the order of the
     family's letter_key, which tells every two letters apart.  The distinct
     letters are sorted once per call: a word compares as the tuple of its
-    letters' ranks, and a rank prints as x[letter_text]."""
-    family = e.family
-    letters = sorted({x for word in e.terms for x in word}, key=family.letter_key)
+    letters' ranks, and a rank prints as x[letter_text].  Each distinct
+    numerator's sign and coefficient text are built once per call, and
+    printed as ``rings.signed_sum`` does, with blanks around the signs."""
+    family, den = e.family, e.den
+    letters = sorted({x for word in e.nums for x in word}, key=family.letter_key)
     rank = {x: i for i, x in enumerate(letters)}.__getitem__
     texts = [f"x[{family.letter_text(x)}]" for x in letters]
-    # (length, ranks) tells the words apart, so no coefficient is compared
-    terms = sorted([(len(w), tuple(map(rank, w)), c) for w, c in e.terms.items()])
+    coefficient = {n: (" - " if n < 0 else " + ", scalar_str(ratio(abs(n), den))) for n in set(e.nums.values())}
+    # (length, ranks) tells the words apart, so no numerator is compared
+    terms = sorted([(len(w), tuple(map(rank, w)), n) for w, n in e.nums.items()])
 
     def body(ranks):
         if len(set(ranks)) == len(ranks):
@@ -279,7 +282,9 @@ def format_element(e):
         runs = [(r, len(list(run))) for r, run in groupby(ranks)]
         return "*".join(texts[r] + (f"^{n}" if n > 1 else "") for r, n in runs)
 
-    return signed_sum(((c, body(ranks)) for _, ranks, c in terms), spaced=True)
+    text = "".join([sign + (body(ranks) if c == "1" else f"{c}*{body(ranks)}") if ranks else sign + c
+                    for _, ranks, n in terms for sign, c in (coefficient[n],)])
+    return "-" + text[3:] if text.startswith(" - ") else text[3:] or "0"
 
 
 def format_oracle(family, value):

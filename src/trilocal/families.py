@@ -49,6 +49,7 @@ from .rings import (
     checked_scalar,
     norm_scalar,
     random_word,
+    ratio,
     scalar_mul,
     scalar_ring,
     scalar_str,
@@ -220,7 +221,7 @@ class RegularFamily(ScalarFamily):
 
     def oracle_image(self, e):
         """With no letters, a normal form is its constant term."""
-        return e.terms.get((), 0)
+        return ratio(e.nums.get((), 0), e.den)
 
     def scaled_p_variant(self, a0):
         if self.ring != "Z":
@@ -293,11 +294,11 @@ class DoubleFamily(ScalarFamily):
         return out
 
     def oracle_image(self, e):
-        """The word of r letters maps to x^r, so its coefficient is that of degree r."""
-        coeffs = [0] * (max(map(len, e.terms), default=-1) + 1)
-        for w, c in e.terms.items():
-            coeffs[len(w)] = c
-        return Polynomial(self.ring, coeffs)
+        """The word of r letters maps to x^r: its numerator is that of degree r, over e's denominator."""
+        nums = [0] * (max(map(len, e.nums), default=-1) + 1)
+        for w, n in e.nums.items():
+            nums[len(w)] = n
+        return Polynomial._of(self.ring, nums, e.den)
 
 
 class ScaledFamily(RegularFamily):
@@ -352,10 +353,10 @@ class ScaledFamily(RegularFamily):
 
     def oracle_image(self, e):
         """c * lam**r for the one term c*g^r that fold_element leaves, with lam
-        the letter's image; a constant stays an int."""
-        if not e.terms:
+        the letter's image; a constant stays an int.  Over Z, c is the numerator."""
+        if not e.nums:
             return 0
-        ((w, c),) = e.terms.items()
+        ((w, c),) = e.nums.items()
         return norm_scalar(c * self.oracle_letter(self.letter) ** len(w)) if w else c
 
     def terms_with_value(self, frac):
@@ -468,10 +469,12 @@ class FreeFamily(BimoduleFamily):
     def oracle_image(self, e):
         """Each letter maps to one word, so a word maps to the concatenation
         of its letters' words; distinct normal words have distinct images,
-        and the image has one term per term of e.  Each distinct letter's
-        word is found once per call."""
-        word = {x: self.oracle_word(x) for x in {x for w in e.terms for x in w}}.__getitem__
-        return FreeAlgebraElement._of(self.ring, self.oracle.gens, {sum(map(word, w), ()): c for w, c in e.terms.items()})
+        and the image has one term per term of e.  Each distinct letter's word
+        and each distinct numerator's canonical scalar is built once per call."""
+        word = {x: self.oracle_word(x) for x in {x for w in e.nums for x in w}}.__getitem__
+        scalar = {n: ratio(n, e.den) for n in set(e.nums.values())}
+        terms = {sum(map(word, w), ()): scalar[n] for w, n in e.nums.items()}
+        return FreeAlgebraElement._of(self.ring, self.oracle.gens, terms)
 
 
 class TensorFreeFamily(FreeFamily):

@@ -14,9 +14,10 @@ The classes double as the independent oracle rings against which the
 rewriting route is cross-validated, so none of them may be replaced by
 the rewriting machinery they certify.
 
-Every sum of terms is printed by ``signed_sum``: polynomials,
-free-algebra elements, the tensor bimodule elements of ``families`` and
-the normal forms of ``exprs``.  A coefficient prints by ``scalar_str``:
+Every sum of terms of canonical scalars is printed by ``signed_sum``:
+polynomials, free-algebra elements and the tensor bimodule elements of
+``families``; ``ratio`` gives the canonical scalar n/d of stored
+numerators.  A coefficient prints by ``scalar_str``:
 one ``str()`` for an exact int or Fraction, and ``int_str``, which
 splits a value past Python's digit limit, when ``str()`` refuses.  The
 ring objects at the end bundle the operations the linear algebra and
@@ -69,6 +70,11 @@ def scalar_mul(a, b):
 def scalar_sub(a, b):
     """a - b for canonical scalars; two ints subtract natively."""
     return a - b if type(a) is int and type(b) is int else scalar_add(a, -b)
+
+
+def ratio(n, d):
+    """The canonical scalar n/d of an int n and a positive int d."""
+    return n if d == 1 else n // d if n % d == 0 else Fraction(n, d)
 
 
 def add_term(terms, key, c):
@@ -143,16 +149,15 @@ def scalar_str(x):
     return f"{int_str(x.numerator)}/{int_str(x.denominator)}"
 
 
-def signed_sum(terms, times="*", spaced=False):
+def signed_sum(terms, times="*"):
     """Text of a sum of (coefficient, body) terms with nonzero coefficients, in order.
 
     An empty body is a constant term, printed as its coefficient.  A
     coefficient of 1 is left off and one of -1 printed as a bare sign;
     any other is joined to its body by times.  A term follows the one
-    before it with "+", or with its own "-" when it starts with one;
-    spaced puts blanks around either.  No terms print as "0".
+    before it with "+", or with its own "-" when it starts with one.  No
+    terms print as "0".
     """
-    plus, minus = (" + ", " - ") if spaced else ("+", "-")
     out = []
     for c, body in terms:
         if not body:
@@ -161,12 +166,7 @@ def signed_sum(terms, times="*", spaced=False):
             piece = body if c == 1 else "-" + body
         else:
             piece = f"{scalar_str(c)}{times}{body}"
-        if not out:
-            out.append(piece)
-        elif piece.startswith("-"):
-            out.append(minus + piece[1:])
-        else:
-            out.append(plus + piece)
+        out.append(piece if not out or piece.startswith("-") else "+" + piece)
     return "".join(out) if out else "0"
 
 
@@ -232,7 +232,7 @@ class Polynomial:
     def coeffs(self):
         """The coefficients as canonical scalars, constant term first."""
         den = self.den
-        return self.nums if den == 1 else tuple(x // den if x % den == 0 else Fraction(x, den) for x in self.nums)
+        return self.nums if den == 1 else tuple(ratio(x, den) for x in self.nums)
 
     def is_zero(self):
         return not self.nums

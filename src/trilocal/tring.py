@@ -1,8 +1,10 @@
 """The ring T(M,p): canonical linear combinations of generator words.
 
-Elements of T(M,p) are stored as maps from words (tuples of canonical
-generator letters) to nonzero coefficients.  Construction and every
-arithmetic operation keep the rewriting normal form:
+An element stores ``nums``, words (tuples of canonical generator letters)
+to nonzero ``int`` numerators, over ``den``, a positive ``int`` with
+``gcd(den, *nums) == 1`` (1 over Z), as ``rings.Polynomial`` does; the
+arithmetic never reads ``terms``, the canonical scalars built on demand.
+Construction and every arithmetic operation keep the rewriting normal form:
 
 * single letters are expanded through the family's additive
   canonicalization (identity letters vanish, letters in A*p collapse
@@ -16,41 +18,43 @@ arithmetic operation keep the rewriting normal form:
   otherwise the words concatenate.  So the product of two normal words
   is one normal word: a merge puts its letter between the rest of the
   two words and decides only the two new seams.  Coefficient folding
-  (``fold_element``) finishes the form.  All rules strictly shrink a
-  termination measure.
+  (``fold_element``) finishes the form; only scaled folds, and it is
+  over Z, so its numerators are its coefficients.  All rules strictly
+  shrink a termination measure.
 
 Raw expression trees have one evaluator, ``eval_tree``; ``t_normalize``
 runs it over ``TOps``, T(M,p) as a ring object.  The step budget ticks
 once per constant, per generator letter and per operand of a sum after
 the first.  A product ticks once per term of its left factor, before
 that term is multiplied: for each term of the right factor, once per
-pair of 64-bit limbs of the two coefficients, plus once per 64 letters
-of the two words.  A shift ticks once and a merge twice, and each
-charges the word pairs it makes the same, with coefficient 1: the two
-shifted words, or the prefix and the merged letter, then that word and
-the suffix.  So a product of e1 and e2 uses at least |e1|*|e2|, and a
-power whose coefficient or word doubles with every squaring runs out of
-budget before it builds a huge one.
+pair of 64-bit limbs of the two coefficients in lowest terms (``_bits``),
+plus once per 64 letters of the two words.  A shift ticks once and a
+merge twice, and each charges the word pairs it makes the same, with
+coefficient 1: the two shifted words, or the prefix and the merged
+letter, then that word and the suffix.  So a product of e1 and e2 uses
+at least |e1|*|e2|, and a power whose coefficient or word doubles with
+every squaring runs out of budget before it builds a huge one.
 
 A ring map out of T(M,p) is fixed by the images of its letters, and
 ``map_terms`` applies one to a normal form: it hands each coefficient
 and its word's image to the target's ``combination``, the one way a
 ring object adds, as ``eval_tree`` does a sum's values.  ``family_iso``
 is the family's ``oracle_image``, a closed form in every family: the
-constant term (regular), the coefficient of each word of r letters at
+constant term (regular), the numerator of each word of r letters at
 degree r (double), c/k^r for the one term c*g^r (scaled), and in the
 free families, whose letters each map to one word, one term map of the
-concatenated words.  Sums and products work on plain term maps, and
-build a ``TElement`` only for their result.
+concatenated words.  Sums and products work on plain numerator maps,
+and build a ``TElement`` only for their result.
 """
 
 from __future__ import annotations
 
 import math
 from functools import reduce
+from itertools import groupby
 
 from .errors import BudgetExceededError
-from .rings import OperatorRing, add_term, scalar_mul, term_scale, term_sum
+from .rings import OperatorRing, add_term, ratio
 
 
 class Budget:
@@ -73,22 +77,38 @@ UNBOUNDED = Budget(math.inf)  # the default of the evaluators: counts, never rai
 
 
 class TElement:
-    """Normal-form element of T(M,p) for a fixed family."""
+    """Normal-form element of T(M,p) for a fixed family: ``nums`` over ``den``."""
 
-    __slots__ = ("family", "terms")
+    __slots__ = ("family", "nums", "den")
 
     def __init__(self, family, terms):
+        """The element of a canonical term map {word: nonzero canonical scalar}."""
         self.family = family
-        self.terms = terms  # canonical: built by the module constructors only
+        self.nums, self.den = _stored(terms)
+
+    @staticmethod
+    def _of(family, nums, den):
+        """The element of nonzero numerators just built over den > 0, their common gcd with den divided out."""
+        if den != 1 and (g := math.gcd(den, *nums.values())) != 1:
+            nums, den = {w: n // g for w, n in nums.items()}, den // g
+        e = object.__new__(TElement)
+        e.family, e.nums, e.den = family, nums, den
+        return e
+
+    @property
+    def terms(self):
+        """The term map {word: nonzero canonical scalar}, built on each read."""
+        den = self.den
+        return dict(self.nums) if den == 1 else {w: ratio(n, den) for w, n in self.nums.items()}
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls, family):
-        return cls(family, {})
+        return cls._of(family, {}, 1)
 
     @classmethod
     def one(cls, family):
-        return cls(family, {(): 1})
+        return cls._of(family, {(): 1}, 1)
 
     @classmethod
     def from_scalar(cls, family, c):
@@ -97,11 +117,15 @@ class TElement:
 
     # -- ring operations -----------------------------------------------------
     def __add__(self, other):
-        self.family.check_same(other.family)
-        return TElement(self.family, _refold(self.family, (self.terms, other.terms)))
+        family, d1, d2 = self.family, self.den, other.den
+        family.check_same(other.family)
+        if d1 == d2:
+            return TElement._of(family, _refold(family, (self.nums, other.nums)), d1)
+        den = math.lcm(d1, d2)
+        return TElement._of(family, _refold(family, (_times(self.nums, den // d1), _times(other.nums, den // d2))), den)
 
     def __neg__(self):
-        return TElement(self.family, term_scale(-1, self.terms))
+        return TElement._of(self.family, {w: -n for w, n in self.nums.items()}, self.den)
 
     def __mul__(self, other):
         return t_mul(self, other)
@@ -112,13 +136,13 @@ class TElement:
     def __eq__(self, other):
         if not isinstance(other, TElement):
             return NotImplemented
-        return self.family == other.family and self.terms == other.terms
+        return self.family == other.family and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.family, frozenset(self.terms.items())))
+        return hash((self.family, self.den, frozenset(self.nums.items())))
 
     def is_one(self):
-        return self.terms == {(): 1}
+        return self.den == 1 and self.nums == {(): 1}
 
     def __repr__(self):
         from .exprs import format_element
@@ -126,12 +150,42 @@ class TElement:
         return f"<T {format_element(self)}>"
 
 
-def _refold(family, term_maps):
-    """Canonical sum of the term maps of normal forms: one dict, folded once.
+def _stored(terms):
+    """(numerator map, denominator) of a canonical term map: den is the lcm of its coefficients' own."""
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = math.lcm(den, c.denominator)
+    return (terms, 1) if den == 1 else ({w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den)
 
-    Adding can create new folds, which family.fold_element makes.
-    """
-    return family.fold_element(term_sum(term_maps))
+
+def _refold(family, term_maps):
+    """Sum of numerator maps over one denominator: one dict, its zeros dropped,
+    folded once.  Adding can create new folds, which family.fold_element makes."""
+    nums, added = {}, 0
+    get = nums.get
+    for t in term_maps:
+        added += len(t)
+        for w, n in t.items():
+            nums[w] = get(w, 0) + n
+    return family.fold_element(nums if len(nums) == added else _nonzero(nums))
+
+
+def _nonzero(nums):
+    """nums without its zero numerators, which only two terms met on one word leave."""
+    return {w: n for w, n in nums.items() if n} if 0 in nums.values() else nums
+
+
+def _times(nums, m):
+    """The numerator map nums times the nonzero int m; nums itself for m = 1."""
+    return nums if m == 1 else {w: m * n for w, n in nums.items()}
+
+
+def _scaled_sum(family, pairs):
+    """The sum of c*v over pairs (nonzero canonical scalar c, element v), over the lcm of their denominators."""
+    den = math.lcm(*[c.denominator * v.den for c, v in pairs])
+    maps = [_times(v.nums, c.numerator * den // (c.denominator * v.den)) for c, v in pairs]
+    return TElement._of(family, _refold(family, maps), den)
 
 
 def t_generator(family, m, budget=UNBOUNDED):
@@ -147,7 +201,7 @@ def t_generator(family, m, budget=UNBOUNDED):
 
 def t_scale(e, c):
     c = e.family.validate_coeff(c)
-    return TElement(e.family, e.family.fold_element(term_scale(c, e.terms)))
+    return _scaled_sum(e.family, ((c, e),)) if c != 0 else TElement.zero(e.family)
 
 
 def _seam(family, left, right):
@@ -180,15 +234,6 @@ def _word_mul(family, w1, w2, budget, seams):
     return _word_mul(family, head, suffix, budget, seams)
 
 
-def _sizes(terms):
-    """(word, coeff, coefficient bits, word length) for each term."""
-    return [(w, c, _bits(c), len(w)) for w, c in terms.items()]
-
-
-def _bits(c):
-    return c.bit_length() if type(c) is int else c.numerator.bit_length() + c.denominator.bit_length()
-
-
 def _pair_charge(b1, n1, b2, n2):
     """The ticks for multiplying two terms with coefficients of b1 and b2
     bits and words of n1 and n2 letters: one per pair of 64-bit limbs of
@@ -196,29 +241,54 @@ def _pair_charge(b1, n1, b2, n2):
     return (1 + (b1 >> 6)) * (1 + (b2 >> 6)) + (n1 + n2 >> 6)
 
 
-def _term_charge(c, w, right):
-    """The ticks for multiplying the term c*w by each of right's ``_sizes`` rows."""
-    b1, n1 = _bits(c), len(w)
-    return sum([_pair_charge(b1, n1, b2, n2) for _, _, b2, n2 in right])
+def _bits(n, d):
+    """Bits of n/d in lowest terms: the numerator's, plus the denominator's unless it is 1."""
+    g = math.gcd(n, d)
+    return (n // g).bit_length() + (0 if d == g else (d // g).bit_length())
 
 
-def _mul_terms(family, t1, t2, budget, seams):
-    """Canonical product of two term maps; each term of t1 is charged its
-    ``_term_charge`` before it is multiplied."""
-    terms = {}
-    right = _sizes(t2)
-    for w1, c1 in t1.items():
-        budget.tick(_term_charge(c1, w1, right))
-        for w2, c2, _, _ in right:
-            add_term(terms, _word_mul(family, w1, w2, budget, seams), scalar_mul(c1, c2))
-    return family.fold_element(terms)
+def _charges(n1s, d1, n2s, d2):
+    """The ticks for multiplying each term of the numerator map n1s over d1
+    by all of n2s over d2, the module docstring's charge: 1 per pair where
+    no coefficient reaches 64 bits (``_bound`` shows it) and no word pair
+    64 letters; else the limbs factor, and the letters count only where
+    the left word and the right's longest reach 64 together."""
+    top = max(map(len, n2s), default=0)
+    if _bound(n1s, d1) < 64 and _bound(n2s, d2) < 64 and max(map(len, n1s), default=0) + top < 64:
+        return [len(n2s)] * len(n1s)
+    limbs = sum([1 + (_bits(n, d2) >> 6) for n in n2s.values()])
+    return [
+        (1 + (_bits(n1, d1) >> 6)) * limbs + (sum([len(w1) + len(w2) >> 6 for w2 in n2s]) if len(w1) + top >= 64 else 0)
+        for w1, n1 in n1s.items()
+    ]
+
+
+def _bound(nums, den):
+    """At least the ``_bits`` of every coefficient of a numerator map over den."""
+    return max(map(abs, nums.values()), default=0).bit_length() + den.bit_length()
+
+
+def _mul_terms(family, e1, e2, budget, seams):
+    """Folded numerators of the product of two normal forms over e1.den * e2.den, one int
+    product per pair, each term of e1 charged before it is multiplied.  A pair whose seam
+    has no rule concatenates here; any other goes through ``_word_mul``."""
+    n1s, n2s = e1.nums, e2.nums
+    right = list(n2s.items())
+    nums = {}
+    get = nums.get
+    for (w1, n1), ticks in zip(n1s.items(), _charges(n1s, e1.den, n2s, e2.den)):
+        budget.tick(ticks)
+        for w2, n2 in right:
+            w = _word_mul(family, w1, w2, budget, seams) if w1 and w2 and seams.get((w1[-1], w2[0])) != () else w1 + w2
+            nums[w] = get(w, 0) + n1 * n2
+    return family.fold_element(nums if len(nums) == len(n1s) * len(right) else _nonzero(nums))
 
 
 def t_mul(e1, e2, budget=UNBOUNDED):
     """Product in T(M,p).  Seam decisions are memoized for this call only."""
     e1.family.check_same(e2.family)
     family = e1.family
-    return TElement(family, _mul_terms(family, e1.terms, e2.terms, budget, {}))
+    return TElement._of(family, _mul_terms(family, e1, e2, budget, {}), e1.den * e2.den)
 
 
 def rho(family, component, value, budget=UNBOUNDED):
@@ -266,14 +336,15 @@ def map_terms(e, ring, letter):
 
 def _term_images(terms, ring, letter):
     """(coefficient, word image) for each term, in order: the product of
-    the word's letter images, and ring.one() for the empty word.  Each
+    the images of the word's runs of one letter, each raised to the run's
+    length by one ``power``, and ring.one() for the empty word.  Each
     distinct letter's image is computed once per call.  The callers, a
     ``fracloc.LetterHom`` on regular-Z or scaled, map normal forms of at
     most one term, so no two words share a product worth keeping.
     """
-    images = {}
+    images = {x: letter(x) for x in {x for word in terms for x in word}}
     for word, coeff in terms.items():
-        factors = [images[x] if x in images else images.setdefault(x, letter(x)) for x in word]
+        factors = [power(ring, images[x], len(list(run))) for x, run in groupby(word)]
         yield coeff, reduce(ring.mul, factors) if factors else ring.one()
 
 
@@ -423,14 +494,14 @@ class TOps(OperatorRing):
         return t_generator(self.family, m, self.budget)
 
     def combination(self, pairs):
-        """One term map for all summands c*v, folded once; ticks once per summand after the first."""
-        family, maps = self.family, []
+        """One numerator map for all summands c*v, folded once; ticks once per summand after the first."""
+        family, checked = self.family, []
         for c, v in pairs:
             family.check_same(v.family)
-            if maps:
+            if checked:
                 self.budget.tick()
-            maps.append(v.terms if c == 1 else term_scale(family.validate_coeff(c), v.terms))
-        return TElement(family, _refold(family, maps))
+            checked.append((c if c == 1 else family.validate_coeff(c), v))
+        return _scaled_sum(family, checked)
 
     def mul(self, a, b):
         return t_mul(a, b, self.budget)
@@ -454,13 +525,13 @@ class ChargedRing:
 
     def combination(self, pairs):
         pairs = list(pairs)
-        self.budget.tick(sum(1 + (b >> 6) + (n >> 6) for _, v in pairs for _, _, b, n in _sizes(_terms_of(v))))
+        stored = [_stored(_terms_of(v)) for _, v in pairs]
+        self.budget.tick(sum(1 + (_bits(n, d) >> 6) + (len(w) >> 6) for nums, d in stored for w, n in nums.items()))
         return self.ring.combination(pairs)
 
     def mul(self, a, b):
-        right = _sizes(_terms_of(b))
-        for w, c in _terms_of(a).items():
-            self.budget.tick(_term_charge(c, w, right))
+        for ticks in _charges(*_stored(_terms_of(a)), *_stored(_terms_of(b))):
+            self.budget.tick(ticks)
         return self.ring.mul(a, b)
 
 

@@ -459,7 +459,7 @@ def test_source_size_within_cap():
     assert lines <= SOURCE_LINE_CAP, f"src/trilocal has {lines} lines, over the cap of {SOURCE_LINE_CAP}"
 
 
-DEFAULT_CAP = 48
+DEFAULT_CAP = 47
 
 
 def test_defaults_within_cap():

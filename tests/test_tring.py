@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 
 from trilocal.errors import BudgetExceededError, FamilyMismatchError
 from trilocal.exprs import format_element, parse_element, parse_normal
 from trilocal.families import DoubleFamily, HnnFreeFamily, RegularFamily, ScaledFamily, TensorFreeFamily
-from trilocal.rings import QQ, ZZ, FreeAlgebra, OperatorRing, Polynomial
+from trilocal.rings import QQ, ZZ, FreeAlgebra, OperatorRing, Polynomial, RationalField, scalar_mul
 from trilocal.tring import (
     Add,
     DEFAULT_BUDGET,
@@ -23,6 +25,7 @@ from trilocal.tring import (
     TOps,
     eval_tree,
     family_iso,
+    map_terms,
     power,
     relation_failure,
     rho,
@@ -434,3 +437,98 @@ class TestRelationFailure:
         oracle = fam.oracle
         image = lambda m: oracle.combination((1, oracle.word(wa + tuple(1 + j for j in wb), c)) for (wa, wb), c in m.items())
         assert relation_failure(fam, oracle, image, 50, random.Random(3)) is None
+
+
+def stored_families():
+    """The five shipped families, regular-Q, and the two-letter free alphabets."""
+    return [*shipped_families(), RegularFamily("Q"), HnnFreeFamily("Q", ("s", "t"), "x"),
+            TensorFreeFamily("Q", ("s", "t"), ("u", "v"))]
+
+
+class TestStoredForm:
+    """A normal form is int numerators over one positive denominator with no
+    common factor and no zero numerator, whatever operation built it, and
+    it equals the element its canonical term map builds, hash included."""
+
+    @staticmethod
+    def assert_stored(e):
+        assert type(e.den) is int and e.den > 0 and all(type(n) is int and n != 0 for n in e.nums.values())
+        assert gcd(e.den, *e.nums.values()) == 1
+        assert e.family.ring == "Q" or e.den == 1
+        rebuilt = TElement(e.family, e.terms)
+        assert rebuilt == e and hash(rebuilt) == hash(e)
+
+    @pytest.mark.parametrize("fam", stored_families(), ids=lambda f: f.describe())
+    def test_every_operation_keeps_the_stored_form(self, fam):
+        rng, ring = random.Random(45), TOps(fam)
+        coeffs = [3, -2, 6] + ([Fraction(1, 2), Fraction(-4, 3), Fraction(5, 6)] if fam.ring == "Q" else [])
+        for _ in range(40):
+            a, b = random_telement(fam, rng), random_telement(fam, rng)
+            c, d = rng.choice(coeffs), rng.choice(coeffs)
+            for e in (a, t_mul(a, b), ring.combination([(c, a), (d, b), (-c, a)]), a + b, a + -a, -a,
+                      t_scale(a, c), t_scale(a, 0), TElement.from_scalar(fam, c)):
+                self.assert_stored(e)
+
+    def test_denominators_cancel(self):
+        fam = DoubleFamily("Q")
+        x, half = t_generator(fam, (0, 1)), Fraction(1, 2)
+        one = t_mul(TElement.from_scalar(fam, half), TElement.from_scalar(fam, 2))
+        sums = (t_scale(x, half) + t_scale(x, half), TOps(fam).combination([(half, x), (half, x)]))
+        assert one == TElement.one(fam) and one.den == 1 and one.nums == {(): 1}
+        for e in sums:
+            assert e == x and e.den == 1 and e.nums == {(fam.letter,): 1}
+
+    def test_products_multiply_no_fractions(self, monkeypatch):
+        """Products over Q multiply and add ints: no Fraction arithmetic runs."""
+        fam = TensorFreeFamily("Q", ("s", "t"), ("u", "v"))
+        e1 = parse_normal(fam, "1/2*x[t(s,u)] - 2/3*x[t(t,1)] + 3*x[t(1,v)] + 5/7")
+        e2 = parse_normal(fam, "-4/5*x[t(s,1)] + 1/6*x[t(t,v)] + x[t(1,u)] - 9/2")
+        assert len(e1.terms) == len(e2.terms) == 4
+        calls = []
+        for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+            method = getattr(Fraction, name)
+            monkeypatch.setattr(Fraction, name, lambda x, y, method=method, name=name: calls.append(name) or method(x, y))
+        assert Fraction(1, 2) * Fraction(1, 3) == Fraction(1, 6) and calls == ["__mul__"]  # the wrappers count
+        calls.clear()
+        product = t_mul(e1, e2)
+        monkeypatch.undo()
+        assert calls == []
+        assert family_iso(product) == fam.oracle.mul(family_iso(e1), family_iso(e2))
+
+
+class CountingQ(RationalField):
+    """Q as a ring object that counts its products."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def mul(self, a, b):
+        self.calls += 1
+        return scalar_mul(a, b)
+
+
+class TestTermImageRuns:
+    """A word's image multiplies each run of one letter as one power."""
+
+    def test_a_long_run_is_one_power(self):
+        fam, ring = ScaledFamily(2), CountingQ()
+        e = TElement(fam, {(fam.letter,) * 4000: 3})
+        assert map_terms(e, ring, lambda letter: Fraction(1, 2)) == Fraction(3, 2 ** 4000)
+        assert ring.calls <= 24
+
+    def test_runs_map_as_the_letter_by_letter_product(self):
+        fam = HnnFreeFamily("Q", ("s", "t"), "x")
+        letters = (("m", (0,), ()), ("m", (), (1,)))
+        ring = FreeAlgebra("Q", ("a", "b"))
+        a, b = ring.generator(0), ring.generator(1)
+        images = dict(zip(letters, (a + ring.from_int(1), ring.mul(b, a) + ring.from_int(-2))))
+        rng = random.Random(27)
+        for _ in range(12):
+            runs = [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+            while sum(runs) > 12:  # the images have two terms, so a word of n letters maps to 2**n
+                runs.pop()
+            first = rng.randrange(2)
+            word = sum(((letters[(first + i) % 2],) * n for i, n in enumerate(runs)), ())
+            e = TElement(fam, {word: Fraction(-5, 3)})
+            letterwise = ring.combination([(Fraction(-5, 3), reduce(ring.mul, map(images.__getitem__, word)))])
+            assert map_terms(e, ring, images.__getitem__) == letterwise
