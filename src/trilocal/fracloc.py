@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
 
 from .errors import CertificateError, UnsupportedFamilyError
 from .report import Report
-from .rings import QQ, strip_factors_of
+from .rings import QQ, kadic_valuation, strip_factors_of
 from .tring import (
     Record,
     TElement,
@@ -69,18 +68,15 @@ class CentralPair:
     def fraction_form(self, e):
         """Write e in T(M,a0*p) as numerator / x_{a0*p}**r with minimal r.
 
-        Each factor a0 divides gcd(rest, a0) out of rest, the part of e's
-        denominator prime to the source's k; r counts the steps to 1 (e's
-        value lies in Z[1/(a0*k)], so rest has only primes of a0), one
-        membership test gives the numerator, and the reassembled product is
-        checked against e exactly.
+        r is the least with rest | a0**r, for rest the part of e's denominator
+        prime to the source's k (e's value lies in Z[1/(a0*k)], so rest has
+        only primes of a0): the one k-adic valuation, rings.kadic_valuation,
+        bisects it in logarithmically many products.  One membership test
+        gives the numerator, and the reassembly is checked against e exactly.
         """
         self.target.check_same(e.family)
         frac = Fraction(family_iso(e))
-        rest, r = strip_factors_of(frac.denominator, self.family.rational_k), 0
-        while (g := gcd(rest, self.a0)) != 1:
-            rest //= g
-            r += 1
+        r = kadic_valuation(strip_factors_of(frac.denominator, self.family.rational_k), self.a0)
         alpha = TElement(self.family, self.family.terms_with_value(frac * self.a0 ** r))
         reassembled = t_mul(self.induced(alpha), self.old_p_in_target ** r)
         if reassembled != e:

@@ -17,7 +17,8 @@ the rewriting machinery they certify.
 Every sum of terms of canonical scalars is printed by ``signed_sum``:
 polynomials, free-algebra elements and the tensor bimodule elements of
 ``families``; ``ratio`` gives the canonical scalar n/d of stored
-numerators.  A coefficient prints by ``scalar_str``:
+numerators, and ``stored_form`` the numerators over one denominator of
+a term map of canonical scalars.  A coefficient prints by ``scalar_str``:
 one ``str()`` for an exact int or Fraction, and ``int_str``, which
 splits a value past Python's digit limit, when ``str()`` refuses.  The
 ring objects at the end bundle the operations the linear algebra and
@@ -175,21 +176,42 @@ def random_word(rng, gens):
     return tuple(rng.randrange(len(gens)) for _ in range(rng.randint(0, 2))) if gens else ()
 
 
-def strip_factors_of(n, k):
-    """Remove from n every prime factor shared with k; sign is kept.
-
-    strip_factors_of(12, 2) == 3, strip_factors_of(-45, 6) == -5.
-    """
-    if n == 0:
+def kadic_valuation(d, k):
+    """The package's one k-adic valuation: the least r >= 0 with d | k**r, for
+    ints d > 0 and k, or None.  A prime power p**e dividing d has
+    e < B = d.bit_length(), so d divides some power of k exactly when it
+    divides k**(B-1); and d | k**r stays true as r grows, so r is bisected:
+    its binary digits are read from the top, over the squares k**(2**j)
+    mod d, in about 2*log2(r) products mod d."""
+    if d == 1:
         return 0
-    sign = -1 if n < 0 else 1
-    n = abs(n)
-    g = gcd(n, k)
-    while g > 1:
-        while n % g == 0:
-            n //= g
-        g = gcd(n, k)
-    return sign * n
+    squares, top = [], k % d  # top is k**(2**len(squares)) mod d
+    while top:
+        if 1 << len(squares) >= d.bit_length() - 1:
+            return None
+        squares.append(top)
+        top = top * top % d
+    r, acc = 1, 1  # acc is k**(r-1) mod d, never 0
+    while squares:
+        c = acc * squares.pop() % d
+        if c:
+            acc, r = c, r + (1 << len(squares))
+    return r
+
+
+def strip_factors_of(n, k):
+    """n without its prime factors shared with k, sign kept: strip_factors_of(-45, 6) == -5.
+    That part is gcd(n, k**B), B = |n|.bit_length(), by kadic_valuation's bound."""
+    return n // gcd(n, k ** n.bit_length())
+
+
+def stored_form(terms):
+    """(numerator map, denominator) of a canonical term map: den is the lcm of its coefficients' own."""
+    den = 1
+    for c in terms.values():
+        if type(c) is not int:
+            den = lcm(den, c.denominator)
+    return (terms, 1) if den == 1 else ({w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den)
 
 
 class Polynomial:
@@ -208,11 +230,10 @@ class Polynomial:
     def __init__(self, ring, coeffs):
         if ring not in ("Z", "Q"):
             raise UnsupportedRingError(f"polynomial coefficients must be Z or Q, got {ring}")
-        cs = [norm_scalar(c) for c in coeffs]
-        if ring == "Z" and any(isinstance(c, Fraction) for c in cs):
+        nums, den = stored_form(dict(enumerate(norm_scalar(c) for c in coeffs)))
+        if ring == "Z" and den != 1:
             raise UnsupportedRingError(f"polynomial coefficients over Z must be integers, got {list(coeffs)!r}")
-        den = lcm(*(c.denominator for c in cs))
-        p = Polynomial._of(ring, [c.numerator * (den // c.denominator) for c in cs], den)
+        p = Polynomial._of(ring, list(nums.values()), den)
         self.ring, self.nums, self.den = ring, p.nums, p.den
 
     @staticmethod
@@ -542,16 +563,10 @@ class KadicRing(SubringOfQ):
         self.name = f"Z[1/{k}]"
 
     def exponent(self, a):
-        """The least r >= 0 with a * k**r an integer, for a canonical scalar
-        a; None when there is none, so this is also the membership test."""
-        r, den = 0, a.denominator
-        while den > 1:
-            g = gcd(den, self.k)
-            if g == 1:
-                return None
-            den //= g
-            r += 1
-        return r
+        """The least r >= 0 with a * k**r an integer, for a canonical scalar a,
+        or None, so this is also the membership test: kadic_valuation of a's
+        denominator, a bisection made exact by its bit-length bound."""
+        return kadic_valuation(a.denominator, self.k)
 
     def is_unit(self, a):
         """Units of Z[1/k] are +-(products of primes dividing k)."""

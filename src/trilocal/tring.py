@@ -54,7 +54,7 @@ from functools import reduce
 from itertools import groupby
 
 from .errors import BudgetExceededError
-from .rings import OperatorRing, add_term, ratio
+from .rings import OperatorRing, add_term, ratio, stored_form
 
 
 class Budget:
@@ -84,7 +84,7 @@ class TElement:
     def __init__(self, family, terms):
         """The element of a canonical term map {word: nonzero canonical scalar}."""
         self.family = family
-        self.nums, self.den = _stored(terms)
+        self.nums, self.den = stored_form(terms)
 
     @staticmethod
     def _of(family, nums, den):
@@ -148,15 +148,6 @@ class TElement:
         from .exprs import format_element
 
         return f"<T {format_element(self)}>"
-
-
-def _stored(terms):
-    """(numerator map, denominator) of a canonical term map: den is the lcm of its coefficients' own."""
-    den = 1
-    for c in terms.values():
-        if type(c) is not int:
-            den = math.lcm(den, c.denominator)
-    return (terms, 1) if den == 1 else ({w: c.numerator * (den // c.denominator) for w, c in terms.items()}, den)
 
 
 def _refold(family, term_maps):
@@ -525,12 +516,12 @@ class ChargedRing:
 
     def combination(self, pairs):
         pairs = list(pairs)
-        stored = [_stored(_terms_of(v)) for _, v in pairs]
+        stored = [stored_form(_terms_of(v)) for _, v in pairs]
         self.budget.tick(sum(1 + (_bits(n, d) >> 6) + (len(w) >> 6) for nums, d in stored for w, n in nums.items()))
         return self.ring.combination(pairs)
 
     def mul(self, a, b):
-        for ticks in _charges(*_stored(_terms_of(a)), *_stored(_terms_of(b))):
+        for ticks in _charges(*stored_form(_terms_of(a)), *stored_form(_terms_of(b))):
             self.budget.tick(ticks)
         return self.ring.mul(a, b)
 

@@ -165,8 +165,6 @@ def change_of_p_suite(family, a0, b0, fraction_samples, factor_samples, seed):
 def _denominator_only(frac, k):
     """True when the denominator's primes all divide k (k=1: denominator 1)."""
     den = frac.denominator
-    if k == 1:
-        return den == 1
     while den != 1:
         g = gcd(den, k)
         if g == 1:

@@ -6,8 +6,9 @@ construction of invariant factors (over Z, over Z[1/k] through Z, and
 over Q[x] on dense Fraction lists), row-span membership over Z and
 Z[1/k] from the rank and the product of the invariant factors, an
 exhaustive unimodular search for 2x2 witnesses, the p-factorization
-of a bimodule element in each shipped family kind, and the product of
-two normal forms of T(M,p) with its step charge.  None of this shares
+of a bimodule element in each shipped family kind, the product of
+two normal forms of T(M,p) with its step charge, and the k-free part and
+k-adic exponent of an integer, one gcd with k per step.  None of this shares
 code with the package: it reads a family only through its attributes
 and its letter_bim and act.
 """
@@ -139,6 +140,19 @@ def _k_free(n, k):
         n //= g
         g = gcd(n, k)
     return n
+
+
+def kadic_exponent(den, k):
+    """The least r >= 0 with den | k**r for an int den > 0, or None when there
+    is none: one gcd with k divided out of den per step, r counting the steps."""
+    r = 0
+    while den > 1:
+        g = gcd(den, k)
+        if g == 1:
+            return None
+        den //= g
+        r += 1
+    return r
 
 
 def kadic_invariants(rows, k):

@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from reference_impls import _k_free, kadic_exponent
 from test_hot_path import HNN_SUM, benchmark_shaped_triple
 from trilocal.errors import AlphabetMismatchError, UnsupportedRingError
 from trilocal.exprs import parse_element
@@ -23,6 +24,7 @@ from trilocal.rings import (
     ZZ,
     norm_scalar,
     scalar_add,
+    kadic_valuation,
     scalar_mul,
     strip_factors_of,
 )
@@ -169,6 +171,33 @@ class TestKadic:
         assert strip_factors_of(12, 2) == 3
         assert strip_factors_of(-45, 6) == -5
         assert strip_factors_of(0, 5) == 0
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 10, 12])
+    def test_valuation_matches_the_gcd_loops(self, k):
+        """exponent and strip_factors_of agree with one-gcd-per-step references:
+        on random canonical scalars, on u*k**r and u/k**r with r up to a few
+        thousand, and on denominators with a prime outside k (7, 11 and 13
+        divide no k here), which no power of k clears."""
+        ring, rng = KadicRing(k), random.Random(k)
+
+        def agree(x):
+            x = Fraction(x)
+            want = kadic_exponent(x.denominator, k)
+            assert ring.exponent(x) == want and kadic_valuation(x.denominator, k) == want
+            n = x.numerator
+            assert strip_factors_of(n, k) == (0 if n == 0 else (1 if n > 0 else -1) * _k_free(n, k))
+
+        for _ in range(300):
+            agree(ring.random(rng))
+            agree(Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4)))
+        for _ in range(25):
+            u, r = rng.choice([-1, 1]) * rng.randint(1, 10 ** 12), rng.randint(0, 3000)
+            agree(u * k ** r)
+            agree(Fraction(u, k ** r))
+            q = rng.choice([7, 11, 13])  # a numerator prime to q keeps q in the denominator
+            outside = Fraction(u * q + rng.randint(1, q - 1), k ** r * q ** rng.randint(1, 3))
+            agree(outside)
+            assert ring.exponent(outside) is None
 
 
 class TestPolynomial:
